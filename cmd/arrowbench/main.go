@@ -43,12 +43,13 @@
 // topology (no LCA tables, no O(n²) metric), sequential cells reporting
 // bytes/node and events/s. Its -sizes default is 10000,100000,1000000
 // (an explicit -sizes overrides it), its per-node count derives from a
-// 2M total-request budget unless -pernode is passed explicitly, and
-// -workers selects the lookahead-windowed intra-run drain (results are
-// bit-identical at any count). Pass -workersweep 1,2,4 to rerun each
-// cell at those drain widths and report events/s and parallel speedup
-// per worker count — reported, never gated; the sweep also verifies the
-// deterministic outputs match across counts. -latscale S (S > 1) runs
+// 2M total-request budget unless -pernode is passed explicitly, and its
+// cells run the serial event drain unless -workers N (N > 1) selects the
+// lookahead-windowed intra-run drain (results are bit-identical at any
+// count; the default 0 means 1 here, not GOMAXPROCS). Pass -workersweep
+// 1,2,4 to rerun each cell at those drain widths and report events/s and
+// parallel speedup per worker count — reported, never gated; the sweep
+// also verifies the deterministic outputs match across counts. -latscale S (S > 1) runs
 // the cells under the S-scaled synchronous latency model, widening the
 // drain's lookahead window to S ticks so each barrier fuses S ticks'
 // worth of events; the window width, barrier count and mean fused batch
@@ -109,7 +110,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	sizes := flag.String("sizes", "2,4,8,16,24,32,48,64,76", "comma-separated node counts for fig10/fig11 and baselines")
 	objects := flag.String("objects", "", "comma-separated object counts for -exp shard (default 16,128,1024)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential); for -exp scale, the drain width of each run (0 = 1, the serial drain)")
 	workerSweep := flag.String("workersweep", "", "comma-separated worker counts for the -exp scale throughput sweep (reported, never gated)")
 	latScale := flag.Int64("latscale", 0, "-exp scale synchronous latency scale (>1 widens the parallel drain's lookahead window to this many ticks)")
 	jsonFlag := flag.Bool("json", false, "emit machine-readable JSON tables")
@@ -180,9 +181,6 @@ func main() {
 		"churn":       func() error { return runChurn(*perNode, *seed, *workers) },
 		"scale": func() error {
 			cfg := analysis.ScaleConfig{Seed: *seed, Workers: *workers, LatScale: *latScale}
-			if cfg.Workers == 0 {
-				cfg.Workers = runtime.GOMAXPROCS(0)
-			}
 			if sizesSet {
 				cfg.Sizes = ns
 			}

@@ -19,10 +19,8 @@ import (
 // measurement silently dropped out of CI).
 var hotpathBenchmarks = map[string][]string{
 	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkParallelCommit", "BenchmarkDrainWindowed"},
-	"repro/internal/arrow":       {"BenchmarkClosedLoopObserved"},
-	"repro/internal/loop":        {"BenchmarkBaselinesClosedLoop"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
-	"repro/internal/shard":       {"BenchmarkShardClosedLoop"},
+	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop"},
 }
 
 // modulePath is the import-path prefix for packages under the repo root.

@@ -394,3 +394,25 @@ func TestTableRenderJSON(t *testing.T) {
 		t.Errorf("overflow cell lost: %+v", doc.Rows[1])
 	}
 }
+
+// TestScaleDefaultsToSerialDrain pins the scale experiment's headline
+// rows to the serial drain: a zero Workers must not be rewritten to
+// GOMAXPROCS (the parallel drain measures slower on the same cells), and
+// the document must say which drain produced the numbers.
+func TestScaleDefaultsToSerialDrain(t *testing.T) {
+	cfg := ScaleConfig{Sizes: []int{60}, PerNode: 3, Seed: 1}
+	rows, err := ScaleExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := ScaleDocument(cfg, rows)
+	if doc.Config.Workers != 1 {
+		t.Errorf("document config reports workers = %d, want 1", doc.Config.Workers)
+	}
+	for _, r := range doc.Rows {
+		if r.Workers != 1 || r.Windows != 0 {
+			t.Errorf("%s/%s: workers = %d, windows = %d; want the serial drain (1, 0)",
+				r.Protocol, r.Topology, r.Workers, r.Windows)
+		}
+	}
+}

@@ -34,9 +34,11 @@ type ScaleConfig struct {
 	MaxRequests int64
 	// Seed derives each cell's simulation seed.
 	Seed int64
-	// Workers requests the lookahead-windowed parallel drain inside each
-	// run (see sim.Config.Workers); results are bit-identical at any
-	// count.
+	// Workers > 1 requests the lookahead-windowed parallel drain inside
+	// each run (see sim.Config.Workers); results are bit-identical at any
+	// count. 0 means 1: the headline rows run the serial drain, the
+	// fastest measured configuration, and the parallel drain is an
+	// explicit choice (here or through WorkerSweep).
 	Workers int
 	// LatScale, when > 1, runs every cell under
 	// sim.SynchronousScaled(LatScale) instead of the default unit
@@ -76,6 +78,11 @@ func (c *ScaleConfig) workerSweep() []int {
 		}
 	}
 	return out
+}
+
+// workers returns the base rows' drain width (see Workers).
+func (c *ScaleConfig) workers() int {
+	return max(c.Workers, 1)
 }
 
 // latency returns the cells' latency model: nil (the simulator's unit
@@ -192,20 +199,11 @@ func (r ScaleRow) BytesPerNode() float64 {
 	return float64(r.AllocBytes) / float64(r.N)
 }
 
-// scaleOut is the driver-independent slice of a closed-loop result the
-// scale rows report.
-type scaleOut struct {
-	requests  int64
-	makespan  sim.Time
-	events    int64
-	queueHops int64
-}
-
 // scaleCell is one deferred run: construction of the implicit topology
 // happens inside run() so its allocations land in the cell's measured
 // TotalAlloc delta. run takes the drain worker count so the worker
 // sweep can rerun the identical cell at different counts; alongside the
-// deterministic outputs it returns the run's drain telemetry (which
+// deterministic result tuple it returns the run's drain telemetry (which
 // legitimately varies with the worker count and stays outside the
 // sweep's bit-identity comparison).
 type scaleCell struct {
@@ -213,7 +211,7 @@ type scaleCell struct {
 	topology string
 	n        int
 	perNode  int
-	run      func(workers int) (scaleOut, sim.DrainStats, error)
+	run      func(workers int) (loop.Result, sim.DrainStats, error)
 }
 
 // gridSide returns the comb-tree grid dimensions closest to n nodes:
@@ -230,64 +228,38 @@ func gridSide(n int) int {
 func scaleCells(cfg *ScaleConfig) []scaleCell {
 	var cells []scaleCell
 	lat := cfg.latency()
-	spec := func(per int, seed int64, workers int, ds *sim.DrainStats) loop.Spec {
-		return loop.Spec{PerNode: per, Seed: seed, Workers: workers, Latency: lat, DrainStats: ds}
-	}
 	for i, n := range cfg.sizes() {
-		n, per := n, cfg.perNode(n)
+		per := cfg.perNode(n)
 		side := gridSide(n)
 		seed := sim.DeriveSeed(cfg.Seed, i)
+		// Every closed-loop driver takes a loop.Spec and returns a
+		// loop.Result, so a cell is its labels plus the one call.
+		cell := func(protocol, topology string, n int, run func(loop.Spec) (*loop.Result, error)) scaleCell {
+			return scaleCell{protocol, topology, n, per, func(workers int) (loop.Result, sim.DrainStats, error) {
+				var ds sim.DrainStats
+				res, err := run(loop.Spec{PerNode: per, Seed: seed, Workers: workers, Latency: lat, DrainStats: &ds})
+				if err != nil {
+					return loop.Result{}, ds, err
+				}
+				return *res, ds, nil
+			}}
+		}
 		cells = append(cells,
-			scaleCell{"arrow", "binary-tree", n, per, func(workers int) (scaleOut, sim.DrainStats, error) {
-				var ds sim.DrainStats
-				res, err := arrow.RunClosedLoop(tree.BinaryWalker(n), arrow.LoopConfig{
-					Spec: spec(per, seed, workers, &ds),
-				})
-				if err != nil {
-					return scaleOut{}, ds, err
-				}
-				return scaleOut{res.Requests, res.Makespan, res.Events, res.QueueHops}, ds, nil
-			}},
-			scaleCell{"arrow", "grid", side * side, per, func(workers int) (scaleOut, sim.DrainStats, error) {
-				var ds sim.DrainStats
-				res, err := arrow.RunClosedLoop(tree.GridWalker(side, side), arrow.LoopConfig{
-					Spec: spec(per, seed, workers, &ds),
-				})
-				if err != nil {
-					return scaleOut{}, ds, err
-				}
-				return scaleOut{res.Requests, res.Makespan, res.Events, res.QueueHops}, ds, nil
-			}},
-			scaleCell{"centralized", "complete", n, per, func(workers int) (scaleOut, sim.DrainStats, error) {
-				var ds sim.DrainStats
-				res, err := centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{
-					Spec: spec(per, seed, workers, &ds),
-				})
-				if err != nil {
-					return scaleOut{}, ds, err
-				}
-				return scaleOut{res.Requests, res.Makespan, res.Events, res.QueueHops}, ds, nil
-			}},
-			scaleCell{"nta", "complete", n, per, func(workers int) (scaleOut, sim.DrainStats, error) {
-				var ds sim.DrainStats
-				res, err := nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{
-					Spec: spec(per, seed, workers, &ds),
-				})
-				if err != nil {
-					return scaleOut{}, ds, err
-				}
-				return scaleOut{res.Requests, res.Makespan, res.Events, res.QueueHops}, ds, nil
-			}},
-			scaleCell{"ivy", "complete", n, per, func(workers int) (scaleOut, sim.DrainStats, error) {
-				var ds sim.DrainStats
-				res, err := ivy.RunClosedLoopTopo(sim.NewCompleteTopology(n), ivy.LoopConfig{
-					Spec: spec(per, seed, workers, &ds),
-				})
-				if err != nil {
-					return scaleOut{}, ds, err
-				}
-				return scaleOut{res.Requests, res.Makespan, res.Events, res.QueueHops}, ds, nil
-			}},
+			cell("arrow", "binary-tree", n, func(spec loop.Spec) (*loop.Result, error) {
+				return arrow.RunClosedLoop(tree.BinaryWalker(n), arrow.LoopConfig{Spec: spec})
+			}),
+			cell("arrow", "grid", side*side, func(spec loop.Spec) (*loop.Result, error) {
+				return arrow.RunClosedLoop(tree.GridWalker(side, side), arrow.LoopConfig{Spec: spec})
+			}),
+			cell("centralized", "complete", n, func(spec loop.Spec) (*loop.Result, error) {
+				return centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{Spec: spec})
+			}),
+			cell("nta", "complete", n, func(spec loop.Spec) (*loop.Result, error) {
+				return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
+			}),
+			cell("ivy", "complete", n, func(spec loop.Spec) (*loop.Result, error) {
+				return ivy.RunClosedLoopTopo(sim.NewCompleteTopology(n), ivy.LoopConfig{Spec: spec})
+			}),
 		)
 	}
 	return cells
@@ -308,7 +280,7 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		start := time.Now() //arrow:allow determinism report-only wall clock: scale events/s is machine-dependent and never gated
-		out, drain, err := c.run(cfg.Workers)
+		out, drain, err := c.run(cfg.workers())
 		wall := time.Since(start).Nanoseconds() //arrow:allow determinism report-only wall clock: scale events/s is machine-dependent and never gated
 		runtime.ReadMemStats(&ms)
 		if err != nil {
@@ -319,13 +291,13 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 			Topology:   c.topology,
 			N:          c.n,
 			PerNode:    c.perNode,
-			Requests:   out.requests,
-			Makespan:   out.makespan,
-			Events:     out.events,
-			QueueHops:  out.queueHops,
+			Requests:   out.Requests,
+			Makespan:   out.Makespan,
+			Events:     out.Events,
+			QueueHops:  out.QueueHops,
 			WallNanos:  wall,
 			AllocBytes: int64(ms.TotalAlloc - before),
-			Workers:    cfg.Workers,
+			Workers:    cfg.workers(),
 			Drain:      drain,
 		}
 		// Worker sweep: rerun the identical cell at each count, timing
@@ -343,7 +315,7 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 				return nil, fmt.Errorf("analysis: scale sweep %s/%s n=%d workers=%d diverged from base run: %+v != %+v",
 					c.protocol, c.topology, c.n, w, swOut, out)
 			}
-			row.Sweep = append(row.Sweep, ScaleSweepPoint{Workers: w, Events: swOut.events, WallNanos: swWall, Drain: swDrain})
+			row.Sweep = append(row.Sweep, ScaleSweepPoint{Workers: w, Events: swOut.Events, WallNanos: swWall, Drain: swDrain})
 		}
 		rows = append(rows, row)
 	}
@@ -456,7 +428,7 @@ func ScaleDocument(cfg ScaleConfig, rows []ScaleRow) ScaleDoc {
 		Schema: ScaleSchema,
 		Config: ScaleDocConfig{
 			Sizes: cfg.sizes(), PerNode: cfg.PerNode,
-			MaxRequests: maxReq, Seed: cfg.Seed, Workers: cfg.Workers,
+			MaxRequests: maxReq, Seed: cfg.Seed, Workers: cfg.workers(),
 			LatScale:    latScale,
 			WorkerSweep: cfg.workerSweep(),
 		},

@@ -43,9 +43,6 @@ type Options struct {
 	// MaxEvents guards against divergence; 0 derives a generous default
 	// from the instance size.
 	MaxEvents int64
-	// Scheduler selects the simulator's event-queue implementation
-	// (semantically inert; see sim.SchedulerKind).
-	Scheduler sim.SchedulerKind
 }
 
 // Tracer observes protocol execution; implementations must be cheap, as
@@ -171,7 +168,6 @@ func Run(t *tree.Tree, set queuing.Set, opts Options) (*Result, error) {
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
 		MaxEvents:   maxEvents,
-		Scheduler:   opts.Scheduler,
 	})
 	s.SetAllHandlers(st.handleMessage)
 	for _, r := range set {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/loop"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
 	"repro/internal/tree"
@@ -18,12 +19,12 @@ import (
 // request finds its predecessor locally.
 //
 // The shared run knobs (PerNode, ThinkTime, Latency, Arbitration, Seed,
-// Recorder, Scheduler, Faults, Workers, LinkTxTime) live in the embedded
-// loop.Spec; only arrow-specific extensions are declared here.
+// Recorder, Faults, Workers, LinkTxTime) live in the embedded loop.Spec;
+// only arrow-specific extensions are declared here.
 //
 // Arrow's fault semantics refine loop.Spec.Faults: a queue message
 // dropped by a fault corrupts the pointer state (the loser's region
-// splits off); once the network heals, the driver freezes new issues,
+// splits off); once the network heals, the run freezes new issues,
 // drains in-flight requests, runs the message-driven self-stabilizing
 // repair (stabilize.Engine) over the same simulator, and re-issues every
 // lost request. The plan must be Healing: a permanently dead entity
@@ -40,150 +41,22 @@ type LoopConfig struct {
 	RepairObserver func(stabilize.RepairEvent)
 }
 
-// LoopResult aggregates a closed-loop run. Counters rather than
-// per-request records keep multi-million-request runs cheap.
-type LoopResult struct {
-	// N is the node count, Requests the total completed requests.
-	N        int
-	Requests int64
-	// Makespan is the total simulated time to drain all requests — the
-	// quantity Figure 10 plots.
-	Makespan sim.Time
-	// QueueHops counts queue-message link traversals; QueueHops/Requests
-	// is the quantity Figure 11 plots.
-	QueueHops int64
-	// ReplyHops counts completion-notification link traversals (the
-	// paper does not charge these to the queuing protocol; reported
-	// separately).
-	ReplyHops int64
-	// LocalCompletions counts requests whose predecessor was found
-	// locally (zero queue messages).
-	LocalCompletions int64
-	// TotalLatency sums per-request queuing latencies (Definition 3.2).
-	TotalLatency int64
-	// MaxQueueHops is the worst single-request hop count.
-	MaxQueueHops int
-	// Events is the number of simulator events the run consumed
-	// (messages + timers) — deterministic for a fixed config.
-	Events int64
-	// Fault/recovery counters, all zero in fault-free runs. The field
-	// set and order deliberately match loop.Result and
-	// centralized.LoopResult so the engine adapter maps every protocol
-	// through one conversion.
-	//
-	// Dropped counts messages lost to faults, Deferred messages stalled
-	// by them (policy FaultQueue). Reissued counts requests re-issued
-	// after their queue message was lost, RepliesLost completion
-	// notifications lost in transit (recovered by a timer at heal).
-	// Affected counts completed requests a fault touched — the
-	// complement of the availability fraction. RepairEpisodes /
-	// RepairMessages / RepairTime account the self-stabilizing repair
-	// runs in the same message/latency currency as the protocol.
-	Dropped        int64
-	Deferred       int64
-	Reissued       int64
-	RepliesLost    int64
-	Affected       int64
-	RepairEpisodes int64
-	RepairMessages int64
-	RepairTime     sim.Time
+// LoopResult aggregates a closed-loop run — the shared closed-loop
+// counter shape (see loop.Result).
+type LoopResult = loop.Result
+
+// treeStepper is arrow on one spanning tree as the closed-loop driver's
+// pointer discipline: a one-object ShardForest whose arrows start out
+// along t toward the root, plus the tree route completion notifications
+// take back to the requester (a tree has no direct sink→requester link).
+type treeStepper struct {
+	ShardForest
+	t tree.Nav
 }
 
-// AvgQueueHops returns queue-message hops per queuing operation —
-// Figure 11's metric.
-func (r *LoopResult) AvgQueueHops() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.QueueHops) / float64(r.Requests)
-}
-
-// AvgLatency returns mean per-request queuing latency.
-func (r *LoopResult) AvgLatency() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.TotalLatency) / float64(r.Requests)
-}
-
-// arrowMsg is the closed-loop driver's message family (the repair
-// engine's messages are stabilize's own family); the marker method lets
-// arrowlint's msgswitch analyzer check switch exhaustiveness.
-type arrowMsg interface{ isArrowMsg() }
-
-type loopReply struct {
-	origin graph.NodeID
-}
-
-type loopFind struct {
-	origin graph.NodeID
-}
-
-func (*loopReply) isArrowMsg() {}
-func (*loopFind) isArrowMsg()  {}
-
-// loopState is O(n), not O(PerNode·n): a node's next request issues only
-// after the completion notification for its previous one, so at most one
-// request per node is in flight and all per-request bookkeeping can be
-// keyed by the issuing node — at the paper's scale (100k requests per
-// node) per-request arrays would cost hundreds of MB per sweep cell. The
-// arrays are flat struct-of-arrays slabs with narrow element types, so a
-// million-node run's driver state is a few dozen MB with zero per-node
-// boxing.
-type loopState struct {
-	t   tree.Nav
-	cfg LoopConfig
-
-	link []graph.NodeID
-
-	issueTime []sim.Time
-	hops      []int32
-
-	// Pre-boxed messages, one per node: queue and reply forwarding pass
-	// the same pointer at every hop, avoiding per-send interface boxing,
-	// and a node's successive requests reuse its slot.
-	msgs    []loopFind
-	replies []loopReply
-
-	remaining []int32
-
-	// resS has one accumulator slot per drain shard (one slot on serial
-	// runs): counters land in resS[ctx.Shard()], so no two workers share
-	// a counter; the slots merge into the returned LoopResult after the
-	// run (integer sums and a max — order-independent, hence
-	// bit-identical to serial accumulation).
-	resS []LoopResult
-
-	// fs is the fault/recovery state, nil in fault-free runs: the hot
-	// path pays one nil check per issue/completion.
-	fs *faultLoopState
-}
-
-// faultLoopState is the arrow loop's degraded-mode machinery: loss
-// detection (the simulator reports each dropped message), a
-// freeze/drain/repair/re-issue cycle around the embedded stabilize
-// engine, and the availability accounting.
-type faultLoopState struct {
-	eng *stabilize.Engine
-	// lost marks nodes whose current request's queue message was lost;
-	// they re-issue after repair. parked marks nodes whose next issue
-	// fired during a freeze and waits for repair to finish. affected
-	// marks requests a fault touched, counted at completion.
-	lost     []bool
-	parked   []bool
-	affected []bool
-	// inFlight counts issued-but-not-completed-or-lost requests — the
-	// drain condition before repair may run.
-	inFlight int
-	// frozen gates new issues while a repair is pending or running;
-	// corrupted records that a queue-message drop corrupted the pointer
-	// state since the last repair.
-	frozen    bool
-	corrupted bool
-	// repairing marks an engine episode in flight; repairStart stamps
-	// the accounting.
-	repairing   bool
-	repairStart sim.Time
+// ReplyHop implements shard.ReplyRouter.
+func (s *treeStepper) ReplyHop(at, origin graph.NodeID) graph.NodeID {
+	return s.t.NextHop(at, origin)
 }
 
 // RunClosedLoop executes the closed-loop experiment on tree t — any
@@ -193,362 +66,180 @@ type faultLoopState struct {
 // adjacency the implicit navigators do not materialize).
 func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
 	n := t.NumNodes()
-	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("arrow: PerNode must be >= 1")
-	}
 	if int(cfg.Root) < 0 || int(cfg.Root) >= n {
 		return nil, fmt.Errorf("arrow: root %d out of range", cfg.Root)
 	}
-	if err := cfg.Faults.Validate(sim.TreeTopology{T: t}); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil && !cfg.Faults.Healing() {
-		return nil, fmt.Errorf("arrow: closed loop requires a healing fault plan (every down matched by an up)")
-	}
-	var liftedTree *tree.Tree
+	var lifted *tree.Tree
 	if cfg.Faults != nil {
-		lt, ok := t.(*tree.Tree)
-		if !ok {
+		var ok bool
+		if lifted, ok = t.(*tree.Tree); !ok {
 			return nil, fmt.Errorf("arrow: fault plans require an explicit *tree.Tree (got %T)", t)
 		}
-		liftedTree = lt
 	}
-	workers := cfg.Workers
-	if workers > 1 && (cfg.Arbitration != sim.ArbFIFO || cfg.Scheduler != sim.SchedLadder || cfg.Faults != nil) {
-		workers = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	think := cfg.ThinkTime
-	if think <= 0 {
-		think = 1
-	}
-	total := int64(cfg.PerNode) * int64(n)
-	st := &loopState{
-		t:         t,
-		cfg:       cfg,
-		link:      initialLinks(t, cfg.Root),
-		issueTime: make([]sim.Time, n),
-		hops:      make([]int32, n),
-		msgs:      make([]loopFind, n),
-		replies:   make([]loopReply, n),
-		remaining: make([]int32, n),
-		resS:      make([]LoopResult, workers),
-	}
-	for v := range st.remaining {
-		st.remaining[v] = int32(cfg.PerNode)
-		st.msgs[v].origin = graph.NodeID(v)
-		st.replies[v].origin = graph.NodeID(v)
-	}
-	// Divergence guard: each request costs at most ~2n message events
-	// plus a timer; saturating arithmetic keeps the guard sane at scales
-	// where the product overflows int64. Faulty runs add repair traffic
-	// and re-issues, bounded by the plan's episode count.
-	budget := sim.SatAdd(sim.SatMul(total, int64(4*n+8)), 1024)
-	if cfg.Faults != nil {
-		budget = sim.SatMul(budget, 4)
-	}
-	scfg := sim.Config{
-		Topology:    sim.TreeTopology{T: t},
-		Latency:     cfg.Latency,
-		Arbitration: cfg.Arbitration,
-		Seed:        cfg.Seed,
-		MaxEvents:   budget,
-		Scheduler:   cfg.Scheduler,
-		Faults:      cfg.Faults,
-		Workers:     workers,
-		LinkTxTime:  cfg.LinkTxTime,
-	}
-	if err := scfg.Validate(); err != nil {
-		return nil, fmt.Errorf("arrow closed loop: %w", err)
-	}
-	s := sim.New(scfg)
-	if cfg.Faults != nil {
-		st.fs = &faultLoopState{
-			lost:     make([]bool, n),
-			parked:   make([]bool, n),
-			affected: make([]bool, n),
-		}
-		st.fs.eng = stabilize.NewEngine(liftedTree, st.link, stabilize.EngineConfig{
-			Observer: cfg.RepairObserver,
-			OnDone:   st.repairDone,
-		})
-		s.SetBlockedHandler(st.onBlocked)
-		s.SetFaultObserver(st.onFault)
-	}
-	s.SetAllHandlers(st.handle)
-	// Issue timers dispatch by node through the TimerHandler: neither the
-	// initial injection nor the per-request re-issue captures a closure.
-	s.SetTimerHandler(st.issue)
-	for v := 0; v < n; v++ {
-		s.ScheduleNodeAt(0, graph.NodeID(v))
-	}
-	makespan := s.Run()
-	if cfg.DrainStats != nil {
-		*cfg.DrainStats = s.DrainStats()
-	}
-	res := st.merge()
-	res.N = n
-	res.Makespan = makespan
-	res.Events = s.EventsProcessed()
-	res.Dropped = s.MessagesDropped()
-	res.Deferred = s.MessagesDeferred()
-	if fs := st.fs; fs != nil {
-		res.RepairEpisodes = int64(fs.eng.Episodes())
-		res.RepairMessages = fs.eng.Messages()
-	}
-	if res.Requests != total {
-		if fs := st.fs; fs != nil {
-			lost, parked := 0, 0
-			for v := range fs.lost {
-				if fs.lost[v] {
-					lost++
-				}
-				if fs.parked[v] {
-					parked++
-				}
-			}
-			return nil, fmt.Errorf("arrow: closed loop completed %d of %d requests (lost=%d parked=%d inFlight=%d frozen=%v repairing=%v corrupted=%v)",
-				res.Requests, total, lost, parked, fs.inFlight, fs.frozen, fs.repairing, fs.corrupted)
-		}
-		return nil, fmt.Errorf("arrow: closed loop completed %d of %d requests", res.Requests, total)
-	}
-	if _, err := followLinks(t, st.link); err != nil {
+	step := &treeStepper{ShardForest{n: n, link: initialLinks(t, cfg.Root)}, t}
+	d, err := shard.New(sim.TreeTopology{T: t}, step, "arrow", shard.Spec{Spec: cfg.Spec, Objects: 1})
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	var rec *recovery
+	if lifted != nil {
+		rec = newRecovery(d, lifted, step.link, cfg)
+	}
+	res, err := d.Run()
+	if err != nil {
+		if rec != nil {
+			err = fmt.Errorf("%w (inFlight=%d frozen=%v repairing=%v corrupted=%v)",
+				err, rec.inFlight, rec.frozen, rec.repairing, rec.corrupted)
+		}
+		return nil, err
+	}
+	if rec != nil {
+		res.Agg.RepairEpisodes = int64(rec.eng.Episodes())
+		res.Agg.RepairMessages = rec.eng.Messages()
+		res.Agg.RepairTime = rec.repairTime
+	}
+	if _, err := followLinks(t, step.link); err != nil {
+		return nil, err
+	}
+	return &res.Agg, nil
 }
 
-// merge folds the per-shard accumulator slots into one LoopResult.
-func (st *loopState) merge() *LoopResult {
-	res := &LoopResult{}
-	for i := range st.resS {
-		r := &st.resS[i]
-		res.Requests += r.Requests
-		res.QueueHops += r.QueueHops
-		res.ReplyHops += r.ReplyHops
-		res.LocalCompletions += r.LocalCompletions
-		res.TotalLatency += r.TotalLatency
-		res.Reissued += r.Reissued
-		res.RepliesLost += r.RepliesLost
-		res.Affected += r.Affected
-		res.RepairTime += r.RepairTime
-		if r.MaxQueueHops > res.MaxQueueHops {
-			res.MaxQueueHops = r.MaxQueueHops
-		}
+// recovery is arrow's degraded-mode machinery, composed over the
+// closed-loop driver: it gates the driver's timer, message and
+// blocked-message handlers to run a freeze → drain → repair → re-issue
+// cycle around the embedded stabilize engine. The driver still owns
+// loss marking, the re-issue itself and the availability accounting;
+// what differs from its own recovery is when a lost request may
+// re-issue — not at heal, but after repair has restored a legal pointer
+// state.
+type recovery struct {
+	d        *shard.Driver
+	eng      *stabilize.Engine
+	observer func(sim.FaultEvent)
+	// wake marks nodes to resume once repair finishes: their find was
+	// lost, or their issue timer fired during a freeze.
+	wake []bool
+	// inFlight counts issued-but-not-completed-or-lost requests — the
+	// drain condition before repair may run.
+	inFlight int
+	// frozen gates new issues while a repair is pending or running;
+	// corrupted records that a queue-message drop corrupted the pointer
+	// state since the last repair.
+	frozen    bool
+	corrupted bool
+	// repairing marks an engine episode in flight; repairStart stamps
+	// the accounting that repairTime sums.
+	repairing   bool
+	repairStart sim.Time
+	repairTime  sim.Time
+}
+
+func newRecovery(d *shard.Driver, t *tree.Tree, link []graph.NodeID, cfg LoopConfig) *recovery {
+	r := &recovery{d: d, observer: cfg.FaultObserver, wake: make([]bool, t.NumNodes())}
+	r.eng = stabilize.NewEngine(t, link, stabilize.EngineConfig{
+		Observer: cfg.RepairObserver,
+		OnDone:   r.repairDone,
+	})
+	s := d.Sim()
+	s.SetAllHandlers(r.handle)
+	s.SetTimerHandler(r.timer)
+	s.SetBlockedHandler(r.onBlocked)
+	s.SetFaultObserver(r.onFault)
+	d.OnComplete(r.completed)
+	return r
+}
+
+// timer gates the driver's issue step: while a repair is pending or
+// running the issue parks and repairDone resumes it.
+func (r *recovery) timer(ctx *sim.Context, v graph.NodeID) {
+	if r.frozen {
+		r.wake[v] = true
+		return
 	}
-	return res
+	r.wake[v] = false
+	if r.d.Issue(ctx, v) {
+		r.inFlight++
+	}
+}
+
+// handle routes repair-protocol messages to the engine and everything
+// else to the driver.
+func (r *recovery) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+	if r.eng.Owns(msg) {
+		r.eng.Handle(ctx, at, from, msg)
+		return
+	}
+	r.d.Handle(ctx, at, from, msg)
+}
+
+// completed runs at every completion: one fewer request to drain.
+func (r *recovery) completed(ctx *sim.Context) {
+	r.inFlight--
+	if r.frozen {
+		r.tryRepair(ctx)
+	}
 }
 
 // onFault watches liveness transitions: once the network fully heals
 // after a corrupting drop, the loop freezes new issues, drains, and
 // repairs.
-func (st *loopState) onFault(ctx *sim.Context, ev sim.FaultEvent) {
-	if st.cfg.FaultObserver != nil {
-		st.cfg.FaultObserver(ev)
+func (r *recovery) onFault(ctx *sim.Context, ev sim.FaultEvent) {
+	if r.observer != nil {
+		r.observer(ev)
 	}
-	fs := st.fs
-	if fs.corrupted && ctx.ActiveFaults() == 0 {
-		fs.frozen = true
-		st.tryRepair(ctx)
+	if r.corrupted && ctx.ActiveFaults() == 0 {
+		r.frozen = true
+		r.tryRepair(ctx)
 	}
 }
 
 // onBlocked is told each message a fault dropped or stalled. A dropped
 // queue message corrupts the pointer state — its requester's region
-// split off when it initiated — so repair is armed; a dropped reply only
-// delays the requester, recovered by a timer at the heal instant.
-func (st *loopState) onBlocked(ctx *sim.Context, from, to graph.NodeID, msg sim.Message, upAt sim.Time, dropped bool) {
-	fs := st.fs
-	switch m := msg.(type) {
-	case *loopFind:
-		fs.affected[m.origin] = true
-		if dropped && !fs.lost[m.origin] {
-			fs.lost[m.origin] = true
-			fs.corrupted = true
-			fs.inFlight--
-			st.tryRepair(ctx)
+// split off when it initiated — so repair is armed and the request
+// waits for it; a dropped reply only delays the requester (the driver
+// resumes it at the heal instant).
+func (r *recovery) onBlocked(ctx *sim.Context, from, to graph.NodeID, msg sim.Message, upAt sim.Time, dropped bool) {
+	if r.eng.Owns(msg) {
+		// A fault caught the repair itself: abort the episode (its time
+		// still counts as repair downtime); the next heal re-runs it from
+		// the current pointer state.
+		if dropped && r.eng.Running() {
+			r.eng.Abort()
+			r.repairTime += ctx.Now() - r.repairStart
+			r.repairing = false
 		}
-	case *loopReply:
-		fs.affected[m.origin] = true
-		if dropped {
-			st.resS[ctx.Shard()].RepliesLost++
-			if upAt != sim.FaultNever {
-				// The request completed; its issuer just never heard.
-				// Resume its loop once the blocking entity recovers.
-				ctx.AfterNode(upAt-ctx.Now()+1, m.origin)
-			}
-		}
-	default:
-		if fs.eng.Owns(msg) {
-			// A fault caught the repair itself: abort the episode (its
-			// time still counts as repair downtime); the next heal
-			// re-runs it from the current pointer state.
-			if dropped && fs.eng.Running() {
-				fs.eng.Abort()
-				st.resS[ctx.Shard()].RepairTime += ctx.Now() - fs.repairStart
-				fs.repairing = false
-			}
-		}
+		return
+	}
+	if v, lost := r.d.Blocked(ctx, msg, upAt, dropped); lost {
+		r.wake[v] = true
+		r.corrupted = true
+		r.inFlight--
+		r.tryRepair(ctx)
 	}
 }
 
 // tryRepair starts a repair episode once the loop is frozen, the network
 // healed, and every in-flight request drained (completed or lost).
-func (st *loopState) tryRepair(ctx *sim.Context) {
-	fs := st.fs
-	if !fs.frozen || fs.repairing || fs.inFlight > 0 || ctx.ActiveFaults() != 0 {
+func (r *recovery) tryRepair(ctx *sim.Context) {
+	if !r.frozen || r.repairing || r.inFlight > 0 || ctx.ActiveFaults() != 0 {
 		return
 	}
-	fs.repairing = true
-	fs.repairStart = ctx.Now()
-	fs.eng.Begin(ctx)
+	r.repairing = true
+	r.repairStart = ctx.Now()
+	r.eng.Begin(ctx)
 }
 
 // repairDone unfreezes the loop: lost requests re-issue against the
 // repaired pointer state and parked nodes resume.
-func (st *loopState) repairDone(ctx *sim.Context, converged bool) {
-	fs := st.fs
-	st.resS[ctx.Shard()].RepairTime += ctx.Now() - fs.repairStart
-	fs.repairing = false
-	fs.frozen = false
-	fs.corrupted = false
-	for v := range fs.parked {
-		if fs.lost[v] || fs.parked[v] {
-			fs.parked[v] = false
+func (r *recovery) repairDone(ctx *sim.Context, converged bool) {
+	r.repairTime += ctx.Now() - r.repairStart
+	r.repairing = false
+	r.frozen = false
+	r.corrupted = false
+	for v, w := range r.wake {
+		if w {
+			r.wake[v] = false
 			ctx.AfterNode(1, graph.NodeID(v))
 		}
 	}
-}
-
-//arrow:hotpath one call per request issued (BenchmarkClosedLoopObserved)
-func (st *loopState) issue(ctx *sim.Context, v graph.NodeID) {
-	if fs := st.fs; fs != nil {
-		if fs.frozen {
-			// A repair is pending or running: park the issue; repairDone
-			// resumes it.
-			fs.parked[v] = true
-			return
-		}
-		if fs.lost[v] {
-			st.reissue(ctx, v)
-			return
-		}
-	}
-	if st.remaining[v] == 0 {
-		return
-	}
-	st.remaining[v]--
-	st.issueTime[v] = ctx.Now()
-	st.hops[v] = 0
-	if st.fs != nil {
-		st.fs.inFlight++
-	}
-
-	if st.link[v] == v {
-		// The total order itself is not retained in closed-loop runs, so
-		// queuing behind the node's previous request is purely local.
-		st.completeAt(ctx, v, v)
-		return
-	}
-	target := st.link[v]
-	st.link[v] = v
-	st.hops[v]++
-	ctx.Send(v, target, &st.msgs[v])
-}
-
-// reissue re-initiates a request whose queue message a fault destroyed.
-// Repair has restored a legal pointer state by now; the request keeps
-// its original issue time, so its latency carries the outage — exactly
-// what the churn experiment's tail quantiles measure.
-func (st *loopState) reissue(ctx *sim.Context, v graph.NodeID) {
-	fs := st.fs
-	fs.lost[v] = false
-	fs.inFlight++
-	st.resS[ctx.Shard()].Reissued++
-	st.hops[v] = 0
-	if st.link[v] == v {
-		// Repair elected v's region the survivor: the request queues
-		// locally behind whatever merged in.
-		st.completeAt(ctx, v, v)
-		return
-	}
-	target := st.link[v]
-	st.link[v] = v
-	st.hops[v]++
-	ctx.Send(v, target, &st.msgs[v])
-}
-
-//arrow:hotpath one call per delivered find/reply message
-func (st *loopState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
-	switch m := msg.(type) {
-	case *loopFind:
-		next := st.link[at]
-		st.link[at] = from
-		if next != at {
-			st.hops[m.origin]++
-			ctx.Send(at, next, m)
-			return
-		}
-		st.completeAt(ctx, m.origin, at)
-	case *loopReply:
-		if at == m.origin {
-			st.scheduleNext(ctx, at)
-			return
-		}
-		st.resS[ctx.Shard()].ReplyHops++
-		ctx.Send(at, st.t.NextHop(at, m.origin), m)
-	default:
-		if fs := st.fs; fs != nil && fs.eng.Owns(msg) {
-			fs.eng.Handle(ctx, at, from, msg)
-			return
-		}
-		panic(fmt.Sprintf("arrow: unexpected message %T", msg))
-	}
-}
-
-// completeAt records the queuing of origin's current request at the sink
-// and notifies the requester so it can issue its next request. Counters
-// land in the context's shard slot and the recording routes through the
-// context, which keeps the parallel drain race-free and its histogram
-// accumulation order serial.
-func (st *loopState) completeAt(ctx *sim.Context, origin, sink graph.NodeID) {
-	res := &st.resS[ctx.Shard()]
-	lat := int64(ctx.Now() - st.issueTime[origin])
-	res.Requests++
-	res.TotalLatency += lat
-	res.QueueHops += int64(st.hops[origin])
-	if int(st.hops[origin]) > res.MaxQueueHops {
-		res.MaxQueueHops = int(st.hops[origin])
-	}
-	ctx.RecordRequest(st.cfg.Recorder, lat, int(st.hops[origin]))
-	if fs := st.fs; fs != nil {
-		fs.inFlight--
-		if fs.affected[origin] {
-			res.Affected++
-			fs.affected[origin] = false
-		}
-		if fs.frozen {
-			st.tryRepair(ctx)
-		}
-	}
-	if origin == sink {
-		res.LocalCompletions++
-		st.scheduleNext(ctx, origin)
-		return
-	}
-	res.ReplyHops++
-	ctx.Send(sink, st.t.NextHop(sink, origin), &st.replies[origin])
-}
-
-func (st *loopState) scheduleNext(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] == 0 {
-		return
-	}
-	think := st.cfg.ThinkTime
-	if think <= 0 {
-		think = 1
-	}
-	ctx.AfterNode(think, v)
 }

@@ -32,9 +32,6 @@ type Options struct {
 	Arbitration sim.Arbitration
 	// Seed drives random latency/arbitration.
 	Seed int64
-	// Scheduler selects the simulator's event-queue implementation
-	// (semantically inert; see sim.SchedulerKind).
-	Scheduler sim.SchedulerKind
 }
 
 // Completion records the queuing of one request by the centralized
@@ -124,7 +121,6 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
 		MaxEvents:   sim.SatAdd(sim.SatMul(int64(len(set)), 16), 1024),
-		Scheduler:   opts.Scheduler,
 	})
 	res := &Result{
 		Set:         set,

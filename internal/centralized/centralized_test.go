@@ -124,8 +124,9 @@ func TestClosedLoopAveragesAndValidation(t *testing.T) {
 	if res.AvgLatency() <= 0 {
 		t.Error("avg latency should be positive")
 	}
-	if res.AvgHops() <= 0 || res.AvgHops() > 2 {
-		t.Errorf("avg hops = %f, want in (0,2]", res.AvgHops())
+	// Both directions of the round trip, per request.
+	if avg := float64(res.QueueHops+res.ReplyHops) / float64(res.Requests); avg <= 0 || avg > 2 {
+		t.Errorf("avg hops = %f, want in (0,2]", avg)
 	}
 	if _, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: 0}, Center: 0}); err == nil {
 		t.Error("expected PerNode validation error")

@@ -37,65 +37,17 @@ type LoopConfig struct {
 	FailoverDelay sim.Time
 }
 
-// LoopResult aggregates a closed-loop centralized run. Request traffic
-// (node -> center) and reply traffic (center -> node) are counted
-// separately so comparisons against arrow charge the same sides of the
-// round trip: QueueHops matches arrow's queue messages, ReplyHops its
-// completion notifications.
-type LoopResult struct {
-	N        int
-	Requests int64
-	Makespan sim.Time
-	// QueueHops counts physical link traversals of request messages.
-	QueueHops int64
-	// ReplyHops counts physical link traversals of reply messages.
-	ReplyHops int64
-	// LocalCompletions counts requests issued at the center itself
-	// (zero messages), mirroring the other protocols' local counters.
-	LocalCompletions int64
-	// TotalLatency sums issue -> queued-at-center latencies (arrival
-	// plus the serialization wait) — the same endpoint the other
-	// protocols' loop results measure; the reply leg is notification
-	// traffic, charged to ReplyHops only.
-	TotalLatency int64
-	// MaxQueueHops is the worst single-request queue-side hop count.
-	// The field set and order deliberately match loop.Result, so the
-	// engine adapter maps every protocol through one conversion.
-	MaxQueueHops int
-	// Events is the number of simulator events the run consumed
-	// (messages + timers) — deterministic for a fixed config.
-	Events int64
-	// Fault/recovery counters, all zero in fault-free runs; the field
-	// set and order match arrow.LoopResult and loop.Result so the
-	// engine adapter maps every protocol through one conversion. The
-	// Repair* fields stay zero: the centralized protocol recovers by
-	// failover and re-issue, not distributed repair.
-	Dropped        int64
-	Deferred       int64
-	Reissued       int64
-	RepliesLost    int64
-	Affected       int64
-	RepairEpisodes int64
-	RepairMessages int64
-	RepairTime     sim.Time
-}
-
-// AvgLatency returns mean queuing latency per request.
-func (r *LoopResult) AvgLatency() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.TotalLatency) / float64(r.Requests)
-}
-
-// AvgHops returns mean physical link traversals per request, both
-// directions of the round trip combined.
-func (r *LoopResult) AvgHops() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.QueueHops+r.ReplyHops) / float64(r.Requests)
-}
+// LoopResult aggregates a closed-loop centralized run — the shared
+// closed-loop counter shape (see loop.Result). Request traffic (node ->
+// center) and reply traffic (center -> node) are counted separately so
+// comparisons against arrow charge the same sides of the round trip:
+// QueueHops matches arrow's queue messages, ReplyHops its completion
+// notifications, both in physical link traversals. TotalLatency sums
+// issue -> queued-at-center latencies (arrival plus the serialization
+// wait) — the same endpoint the other protocols' loop results measure.
+// The Repair* fields stay zero: the centralized protocol recovers by
+// failover and re-issue, not distributed repair.
+type LoopResult = loop.Result
 
 // clMsg is the closed-loop driver's message family; the marker method
 // lets arrowlint's msgswitch analyzer check switch exhaustiveness.
@@ -203,7 +155,6 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 		Arbitration: cfg.Arbitration,
 		Seed:        cfg.Seed,
 		MaxEvents:   budget,
-		Scheduler:   cfg.Scheduler,
 		Faults:      cfg.Faults,
 		LinkTxTime:  cfg.LinkTxTime,
 	}

@@ -5,16 +5,67 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
+	"repro/internal/graph"
 	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
+	"repro/internal/queuing"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
+// adapter is what differs between the built-in protocols; the
+// closed-loop, multi-object and static paths (run, runMulti) exist once.
+type adapter interface {
+	Protocol
+	// nodes returns the size of the topology the protocol runs on —
+	// Instance.Tree for arrow, Instance.Graph for the protocols that
+	// assume a complete network — or an error when the instance lacks it.
+	nodes(inst Instance) (int, error)
+	// closed runs the protocol's single-object closed loop.
+	closed(inst Instance, spec loop.Spec) (*loop.Result, error)
+	// static replays Instance.Workload.Set and returns the run's share
+	// of the Cost (see staticCost).
+	static(inst Instance) (Cost, error)
+	// stepper builds the protocol's pointer discipline for k objects
+	// sharded over n nodes.
+	stepper(n, k int) (shard.Stepper, error)
+}
+
+// run is Protocol.Run for every built-in adapter.
+func run(p adapter, inst Instance) (Cost, error) {
+	if err := inst.Validate(); err != nil {
+		return Cost{}, err
+	}
+	n, err := p.nodes(inst)
+	if err != nil {
+		return Cost{}, err
+	}
+	var cost Cost
+	switch {
+	case inst.Workload.Multi():
+		mc, err := runMulti(p, multiFromInstance(inst, n))
+		return mc.Aggregate, err
+	case inst.Workload.Closed():
+		res, err := p.closed(inst, loopSpec(inst))
+		if err != nil {
+			return Cost{}, err
+		}
+		cost = loopCost(p.Name(), inst.Label, res)
+	default:
+		if cost, err = p.static(inst); err != nil {
+			return Cost{}, err
+		}
+		cost.Protocol, cost.Label, cost.N = p.Name(), inst.Label, n
+	}
+	attachDists(&cost, inst.Recorder)
+	return cost, nil
+}
+
 // loopSpec projects an Instance onto the shared closed-loop run spec
 // every protocol's LoopConfig embeds — the one place the mapping exists,
-// so a new shared knob is threaded to all four drivers by one edit.
+// so a new shared knob is threaded to every driver by one edit.
 func loopSpec(inst Instance) loop.Spec {
 	return loop.Spec{
 		PerNode:     inst.Workload.PerNode,
@@ -22,7 +73,6 @@ func loopSpec(inst Instance) loop.Spec {
 		Latency:     inst.Latency,
 		Arbitration: inst.Arbitration,
 		Seed:        inst.Seed,
-		Scheduler:   inst.Scheduler,
 		Recorder:    inst.Recorder,
 		Faults:      inst.Faults,
 		Workers:     inst.Workers,
@@ -30,33 +80,8 @@ func loopSpec(inst Instance) loop.Spec {
 	}
 }
 
-// loopCounters is the closed-loop counter shape shared field for field
-// by arrow.LoopResult, loop.Result (NTA, Ivy) and
-// centralized.LoopResult; the adapters convert each protocol's result
-// into it so the Cost mapping lives in one place (the conversion stops
-// compiling if a result struct drifts).
-type loopCounters struct {
-	N                int
-	Requests         int64
-	Makespan         sim.Time
-	QueueHops        int64
-	ReplyHops        int64
-	LocalCompletions int64
-	TotalLatency     int64
-	MaxQueueHops     int
-	Events           int64
-	Dropped          int64
-	Deferred         int64
-	Reissued         int64
-	RepliesLost      int64
-	Affected         int64
-	RepairEpisodes   int64
-	RepairMessages   int64
-	RepairTime       sim.Time
-}
-
 // loopCost maps a closed-loop run's counters to the standard Cost.
-func loopCost(proto, label string, r loopCounters) Cost {
+func loopCost(proto, label string, r *loop.Result) Cost {
 	return Cost{
 		Protocol:         proto,
 		Label:            label,
@@ -80,25 +105,34 @@ func loopCost(proto, label string, r loopCounters) Cost {
 	}
 }
 
-// tallyHops aggregates a completion slice into the shared Cost fields —
-// requests that completed locally (zero hops) and the worst per-request
-// hop count — and feeds the instance recorder, which is how static-set
-// runs (whose drivers already retain per-request completion records)
-// get the same per-request observability as the streaming closed loops.
-func tallyHops[T any](rec stats.Recorder, cs []T, hops func(T) int, latency func(T) int64) (local int64, maxHops int) {
+// staticCost maps a static-set run onto the Cost fields such a run
+// populates: the totals its driver summed, plus the locally completed
+// (zero-hop) count and worst hop count tallied from the completion
+// records. The same pass feeds the instance recorder, which is how
+// static runs (whose drivers already retain per-request records) get
+// the same per-request observability as the streaming closed loops.
+func staticCost[C interface{ Latency() int64 }](rec stats.Recorder, cs []C, hops func(C) int,
+	totalLatency, totalHops int64, makespan sim.Time, order queuing.Order) Cost {
+	cost := Cost{
+		Requests:     int64(len(cs)),
+		TotalLatency: totalLatency,
+		QueueHops:    totalHops,
+		Makespan:     makespan,
+		Order:        order,
+	}
 	for _, c := range cs {
 		h := hops(c)
 		if rec != nil {
-			rec.RecordRequest(latency(c), h)
+			rec.RecordRequest(c.Latency(), h)
 		}
 		if h == 0 {
-			local++
+			cost.LocalCompletions++
 		}
-		if h > maxHops {
-			maxHops = h
+		if h > cost.MaxHops {
+			cost.MaxHops = h
 		}
 	}
-	return local, maxHops
+	return cost
 }
 
 // attachDists copies the recorder's distribution snapshots into the
@@ -118,7 +152,7 @@ func attachDists(c *Cost, rec stats.Recorder) {
 
 // Validate checks the run spec's cross-field coherence before any
 // driver normalizes or executes it: the workload shape, the
-// fault-plan and multi-object combinations, and the simulator-level
+// combinations the drivers do not support, and the simulator-level
 // knobs the drivers cannot repair by normalization (they surface as
 // the simulator's own typed *sim.ConfigError, the same error
 // sim.Config.Validate returns, so callers see one error vocabulary
@@ -129,112 +163,77 @@ func (inst Instance) Validate() error {
 	if err := inst.Workload.validate(); err != nil {
 		return err
 	}
-	if err := validateFaults(inst); err != nil {
-		return err
-	}
-	if err := validateMulti(inst); err != nil {
-		return err
-	}
-	if inst.LinkTxTime < 0 {
+	switch {
+	case inst.Faults != nil && !inst.Workload.Closed():
+		// A static set has no re-issue loop to survive faults.
+		return fmt.Errorf("engine: Instance.Faults requires a closed-loop workload")
+	case inst.Faults != nil && inst.Workload.Multi():
+		// The dispatch would otherwise drop the plan silently.
+		return fmt.Errorf("engine: multi-object workloads do not support fault plans")
+	case inst.ObjectRecorders != nil && !inst.Workload.Multi():
+		return fmt.Errorf("engine: Instance.ObjectRecorders requires a multi-object workload (Workload.Objects > 1)")
+	case inst.LinkTxTime < 0:
 		return &sim.ConfigError{Field: "LinkTxTime", Reason: fmt.Sprintf("must be >= 0, got %d", inst.LinkTxTime)}
 	}
 	return nil
 }
 
-// validateFaults rejects the workload/fault combinations the drivers do
-// not support: faults require a closed-loop workload (a static set has
-// no re-issue loop to survive them).
-func validateFaults(inst Instance) error {
-	if inst.Faults != nil && !inst.Workload.Closed() {
-		return fmt.Errorf("engine: Instance.Faults requires a closed-loop workload")
+// graphNodes is adapter.nodes for the protocols that run on
+// Instance.Graph's metric.
+func graphNodes(proto string, g *graph.Graph) (int, error) {
+	if g == nil {
+		return 0, fmt.Errorf("engine: %s requires Instance.Graph", proto)
 	}
-	return nil
+	return g.NumNodes(), nil
 }
 
-// validateMulti rejects the instance fields the object dimension and
-// the single-object tier do not share: per-object recorders only make
-// sense with Objects > 1, and the multi-object tier runs no fault
-// plans (a plan on a multi instance would otherwise be dropped
-// silently by the dispatch).
-func validateMulti(inst Instance) error {
-	if !inst.Workload.Multi() {
-		if inst.ObjectRecorders != nil {
-			return fmt.Errorf("engine: Instance.ObjectRecorders requires a multi-object workload (Workload.Objects > 1)")
-		}
-		return nil
-	}
-	if inst.Faults != nil {
-		return fmt.Errorf("engine: multi-object workloads do not support fault plans")
-	}
-	return nil
-}
-
-// Arrow runs the arrow protocol on the instance's spanning tree. It
-// supports both static-set and closed-loop workloads.
+// Arrow runs the arrow protocol on the instance's spanning tree; its
+// multi-object tier runs k arrow instances, each on its own rotated
+// binary tree (see arrow.ShardForest), sharing the network.
 type Arrow struct{}
 
 // Name implements Protocol.
 func (Arrow) Name() string { return "arrow" }
 
 // Run implements Protocol.
-func (p Arrow) Run(inst Instance) (Cost, error) {
-	if err := inst.Validate(); err != nil {
-		return Cost{}, err
-	}
+func (p Arrow) Run(inst Instance) (Cost, error) { return run(p, inst) }
+
+// RunMulti implements MultiProtocol.
+func (p Arrow) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
+
+func (Arrow) nodes(inst Instance) (int, error) {
 	if inst.Tree == nil {
-		return Cost{}, fmt.Errorf("engine: arrow requires Instance.Tree")
+		return 0, fmt.Errorf("engine: arrow requires Instance.Tree")
 	}
-	if inst.Workload.Multi() {
-		mc, err := p.RunMulti(multiFromInstance(inst, inst.Tree.NumNodes()))
-		if err != nil {
-			return Cost{}, err
-		}
-		return mc.Aggregate, nil
-	}
-	if inst.Workload.Closed() {
-		res, err := arrow.RunClosedLoop(inst.Tree, arrow.LoopConfig{
-			Spec: loopSpec(inst),
-			Root: inst.Root,
-		})
-		if err != nil {
-			return Cost{}, err
-		}
-		cost := loopCost(p.Name(), inst.Label, loopCounters(*res))
-		attachDists(&cost, inst.Recorder)
-		return cost, nil
-	}
+	return inst.Tree.NumNodes(), nil
+}
+
+func (Arrow) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
+	return arrow.RunClosedLoop(inst.Tree, arrow.LoopConfig{Spec: spec, Root: inst.Root})
+}
+
+func (Arrow) static(inst Instance) (Cost, error) {
 	res, err := arrow.Run(inst.Tree, inst.Workload.Set, arrow.Options{
 		Root:        inst.Root,
 		Latency:     inst.Latency,
 		Arbitration: inst.Arbitration,
 		Seed:        inst.Seed,
-		Scheduler:   inst.Scheduler,
 	})
 	if err != nil {
 		return Cost{}, err
 	}
-	local, _ := tallyHops(inst.Recorder, res.Completions,
-		func(c arrow.Completion) int { return c.Hops },
-		func(c arrow.Completion) int64 { return c.Latency() })
-	cost := Cost{
-		Protocol:         p.Name(),
-		Label:            inst.Label,
-		N:                inst.Tree.NumNodes(),
-		Requests:         int64(len(res.Completions)),
-		TotalLatency:     res.TotalLatency,
-		QueueHops:        res.TotalHops,
-		MaxHops:          res.MaxHops,
-		LocalCompletions: local,
-		Makespan:         res.Makespan,
-		Order:            res.Order,
-	}
-	attachDists(&cost, inst.Recorder)
-	return cost, nil
+	return staticCost(inst.Recorder, res.Completions, func(c arrow.Completion) int { return c.Hops },
+		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
 }
 
+func (Arrow) stepper(n, k int) (shard.Stepper, error) { return arrow.NewShardForest(n, k) }
+
 // Centralized runs the central-coordinator baseline over the instance's
-// graph metric, with Instance.Root as the central node. It supports both
-// static-set and closed-loop workloads.
+// graph metric, with Instance.Root as the central node. Its multi-object
+// tier places object o's coordinator at node o mod Nodes, with
+// serialization supplied by the shared network's per-link capacity
+// rather than an explicit service time (see centralized.ShardCenters);
+// ServiceTime and FailoverDelay do not apply there.
 type Centralized struct {
 	// ServiceTime is the central node's per-request serialization cost
 	// (0 = one time unit).
@@ -249,191 +248,112 @@ type Centralized struct {
 func (Centralized) Name() string { return "centralized" }
 
 // Run implements Protocol.
-func (p Centralized) Run(inst Instance) (Cost, error) {
-	if err := inst.Validate(); err != nil {
-		return Cost{}, err
-	}
-	if inst.Graph == nil {
-		return Cost{}, fmt.Errorf("engine: centralized requires Instance.Graph")
-	}
-	if inst.Workload.Multi() {
-		mc, err := p.RunMulti(multiFromInstance(inst, inst.Graph.NumNodes()))
-		if err != nil {
-			return Cost{}, err
-		}
-		return mc.Aggregate, nil
-	}
-	if inst.Workload.Closed() {
-		res, err := centralized.RunClosedLoop(inst.Graph, centralized.LoopConfig{
-			Spec:          loopSpec(inst),
-			Center:        inst.Root,
-			ServiceTime:   p.ServiceTime,
-			FailoverDelay: p.FailoverDelay,
-		})
-		if err != nil {
-			return Cost{}, err
-		}
-		cost := loopCost(p.Name(), inst.Label, loopCounters(*res))
-		attachDists(&cost, inst.Recorder)
-		return cost, nil
-	}
+func (p Centralized) Run(inst Instance) (Cost, error) { return run(p, inst) }
+
+// RunMulti implements MultiProtocol.
+func (p Centralized) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
+
+func (p Centralized) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
+
+func (p Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
+	return centralized.RunClosedLoop(inst.Graph, centralized.LoopConfig{
+		Spec:          spec,
+		Center:        inst.Root,
+		ServiceTime:   p.ServiceTime,
+		FailoverDelay: p.FailoverDelay,
+	})
+}
+
+func (p Centralized) static(inst Instance) (Cost, error) {
 	res, err := centralized.Run(inst.Graph, inst.Workload.Set, centralized.Options{
 		Center:      inst.Root,
 		ServiceTime: p.ServiceTime,
 		Latency:     inst.Latency,
 		Arbitration: inst.Arbitration,
 		Seed:        inst.Seed,
-		Scheduler:   inst.Scheduler,
 	})
 	if err != nil {
 		return Cost{}, err
 	}
-	local, maxHops := tallyHops(inst.Recorder, res.Completions,
-		func(c centralized.Completion) int { return c.Hops },
-		func(c centralized.Completion) int64 { return c.Latency() })
-	cost := Cost{
-		Protocol:         p.Name(),
-		Label:            inst.Label,
-		N:                inst.Graph.NumNodes(),
-		Requests:         int64(len(res.Completions)),
-		TotalLatency:     res.TotalLatency,
-		QueueHops:        res.TotalHops,
-		MaxHops:          maxHops,
-		LocalCompletions: local,
-		Makespan:         res.Makespan,
-		Order:            res.Order,
-	}
-	attachDists(&cost, inst.Recorder)
-	return cost, nil
+	return staticCost(inst.Recorder, res.Completions, func(c centralized.Completion) int { return c.Hops },
+		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
+}
+
+func (Centralized) stepper(n, k int) (shard.Stepper, error) {
+	return centralized.NewShardCenters(n, k)
 }
 
 // NTA runs the Naimi–Trehel–Arnold path-reversal protocol over the
-// instance's graph metric. It supports both static-set and closed-loop
-// workloads.
+// instance's graph metric; its multi-object tier runs k independent
+// last-pointer sets over the shared metric (see nta.ShardReversal).
 type NTA struct{}
 
 // Name implements Protocol.
 func (NTA) Name() string { return "nta" }
 
 // Run implements Protocol.
-func (p NTA) Run(inst Instance) (Cost, error) {
-	if err := inst.Validate(); err != nil {
-		return Cost{}, err
-	}
-	if inst.Graph == nil {
-		return Cost{}, fmt.Errorf("engine: nta requires Instance.Graph")
-	}
-	if inst.Workload.Multi() {
-		mc, err := p.RunMulti(multiFromInstance(inst, inst.Graph.NumNodes()))
-		if err != nil {
-			return Cost{}, err
-		}
-		return mc.Aggregate, nil
-	}
-	if inst.Workload.Closed() {
-		res, err := nta.RunClosedLoop(inst.Graph, nta.LoopConfig{
-			Spec: loopSpec(inst),
-			Root: inst.Root,
-		})
-		if err != nil {
-			return Cost{}, err
-		}
-		cost := loopCost(p.Name(), inst.Label, loopCounters(*res))
-		attachDists(&cost, inst.Recorder)
-		return cost, nil
-	}
+func (p NTA) Run(inst Instance) (Cost, error) { return run(p, inst) }
+
+// RunMulti implements MultiProtocol.
+func (p NTA) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
+
+func (p NTA) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
+
+func (NTA) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
+	return nta.RunClosedLoop(inst.Graph, nta.LoopConfig{Spec: spec, Root: inst.Root})
+}
+
+func (NTA) static(inst Instance) (Cost, error) {
 	res, err := nta.Run(inst.Graph, inst.Workload.Set, nta.Options{
 		Root:        inst.Root,
 		Latency:     inst.Latency,
 		Arbitration: inst.Arbitration,
 		Seed:        inst.Seed,
-		Scheduler:   inst.Scheduler,
 	})
 	if err != nil {
 		return Cost{}, err
 	}
-	local, _ := tallyHops(inst.Recorder, res.Completions,
-		func(c nta.Completion) int { return c.Hops },
-		func(c nta.Completion) int64 { return c.Latency() })
-	cost := Cost{
-		Protocol:         p.Name(),
-		Label:            inst.Label,
-		N:                inst.Graph.NumNodes(),
-		Requests:         int64(len(res.Completions)),
-		TotalLatency:     res.TotalLatency,
-		QueueHops:        res.TotalHops,
-		MaxHops:          res.MaxHops,
-		LocalCompletions: local,
-		Makespan:         res.Makespan,
-		Order:            res.Order,
-	}
-	attachDists(&cost, inst.Recorder)
-	return cost, nil
+	return staticCost(inst.Recorder, res.Completions, func(c nta.Completion) int { return c.Hops },
+		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
 }
+
+func (NTA) stepper(n, k int) (shard.Stepper, error) { return nta.NewShardReversal(n, k) }
 
 // Ivy runs the Li–Hudak probable-owner directory on the discrete-event
 // simulator: find messages follow probable-owner chains as real messages
-// over the graph metric, with ivy.Directory as the pointer-combinatorics
-// core (QueueHops counts forwarding messages — the amortized-Θ(log n)
-// quantity — and TotalLatency their simulated cost). It supports both
-// static-set and closed-loop workloads.
+// over the graph metric (QueueHops counts forwarding messages — the
+// amortized-Θ(log n) quantity — and TotalLatency their simulated cost).
+// Its multi-object tier runs k independent probable-owner sets over the
+// shared metric (see ivy.ShardDirectory).
 type Ivy struct{}
 
 // Name implements Protocol.
 func (Ivy) Name() string { return "ivy" }
 
 // Run implements Protocol.
-func (p Ivy) Run(inst Instance) (Cost, error) {
-	if err := inst.Validate(); err != nil {
-		return Cost{}, err
-	}
-	if inst.Graph == nil {
-		return Cost{}, fmt.Errorf("engine: ivy requires Instance.Graph")
-	}
-	if inst.Workload.Multi() {
-		mc, err := p.RunMulti(multiFromInstance(inst, inst.Graph.NumNodes()))
-		if err != nil {
-			return Cost{}, err
-		}
-		return mc.Aggregate, nil
-	}
-	if inst.Workload.Closed() {
-		res, err := ivy.RunClosedLoop(inst.Graph, ivy.LoopConfig{
-			Spec: loopSpec(inst),
-			Root: inst.Root,
-		})
-		if err != nil {
-			return Cost{}, err
-		}
-		cost := loopCost(p.Name(), inst.Label, loopCounters(*res))
-		attachDists(&cost, inst.Recorder)
-		return cost, nil
-	}
+func (p Ivy) Run(inst Instance) (Cost, error) { return run(p, inst) }
+
+// RunMulti implements MultiProtocol.
+func (p Ivy) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
+
+func (p Ivy) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
+
+func (Ivy) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
+	return ivy.RunClosedLoop(inst.Graph, ivy.LoopConfig{Spec: spec, Root: inst.Root})
+}
+
+func (Ivy) static(inst Instance) (Cost, error) {
 	res, err := ivy.Run(inst.Graph, inst.Workload.Set, ivy.Options{
 		Root:        inst.Root,
 		Latency:     inst.Latency,
 		Arbitration: inst.Arbitration,
 		Seed:        inst.Seed,
-		Scheduler:   inst.Scheduler,
 	})
 	if err != nil {
 		return Cost{}, err
 	}
-	local, _ := tallyHops(inst.Recorder, res.Completions,
-		func(c ivy.Completion) int { return c.Hops },
-		func(c ivy.Completion) int64 { return c.Latency() })
-	cost := Cost{
-		Protocol:         p.Name(),
-		Label:            inst.Label,
-		N:                inst.Graph.NumNodes(),
-		Requests:         int64(len(res.Completions)),
-		TotalLatency:     res.TotalLatency,
-		QueueHops:        res.TotalHops,
-		MaxHops:          res.MaxHops,
-		LocalCompletions: local,
-		Makespan:         res.Makespan,
-		Order:            res.Order,
-	}
-	attachDists(&cost, inst.Recorder)
-	return cost, nil
+	return staticCost(inst.Recorder, res.Completions, func(c ivy.Completion) int { return c.Hops },
+		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
 }
+
+func (Ivy) stepper(n, k int) (shard.Stepper, error) { return ivy.NewShardDirectory(n, k) }

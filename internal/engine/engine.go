@@ -90,11 +90,10 @@ func (w Workload) validate() error {
 	return nil
 }
 
-// WorkloadSpec builds a validated Workload. It replaces the positional
-// Static / ClosedLoop constructors: every knob is named, the chain reads
-// as the experiment it describes, and Build rejects ambiguous or
-// contradictory specs at construction time rather than when a run
-// starts.
+// WorkloadSpec builds a validated Workload: every knob is named, the
+// chain reads as the experiment it describes, and Build rejects
+// ambiguous or contradictory specs at construction time rather than
+// when a run starts.
 //
 //	w, err := engine.NewClosedLoop(2000).Think(16).Objects(1000).Zipf(1.1).Build()
 type WorkloadSpec struct {
@@ -184,24 +183,6 @@ func (s *WorkloadSpec) MustBuild() Workload {
 	return w
 }
 
-// Static returns a static-set workload.
-//
-// Deprecated: use NewStatic(set).Build (or MustBuild). Kept one release
-// for mechanical migration.
-func Static(set queuing.Set) Workload {
-	return NewStatic(set).MustBuild()
-}
-
-// ClosedLoop returns a closed-loop workload.
-//
-// Deprecated: use NewClosedLoop(perNode).Think(think).Build (or
-// MustBuild), which validates at construction. Kept one release for
-// mechanical migration; unlike the builder it defers PerNode validation
-// to run time, exactly as it always did.
-func ClosedLoop(perNode int, think sim.Time) Workload {
-	return Workload{PerNode: perNode, ThinkTime: think}
-}
-
 // Instance is one fully specified experiment cell input: topology,
 // workload and simulation options. Graph is required by the completely
 // connected protocols (centralized, NTA, Ivy); Tree by arrow. Either may
@@ -232,12 +213,6 @@ type Instance struct {
 	// message-driven self-stabilizing repair, NTA/Ivy by re-issue, and
 	// centralized by deterministic coordinator failover.
 	Faults *sim.FaultPlan
-	// Scheduler selects the simulator's event-queue implementation for
-	// every run of this instance. Semantically inert — both schedulers
-	// realize the identical event order (see sim.SchedulerKind) — it
-	// exists so the cross-scheduler equivalence tests can pin that claim
-	// protocol by protocol.
-	Scheduler sim.SchedulerKind
 	// Recorder, when non-nil, receives every completed request's queuing
 	// latency and hop count: closed-loop drivers feed it streamingly as
 	// requests complete (fixed memory at any request count), static runs
@@ -262,10 +237,10 @@ type Instance struct {
 	ObjectRecorders []stats.Recorder
 	// Workers requests the lookahead-windowed parallel event drain inside each
 	// closed-loop run (see sim.Config.Workers). Results are bit-identical
-	// at any worker count: drivers that cannot shard safely (Ivy's
-	// directory, the centralized coordinator) and configs outside the
-	// drain's support (faults, non-FIFO arbitration, heap scheduler)
-	// normalize back to a serial run. Static workloads ignore it.
+	// at any worker count: the driver that cannot shard safely (the
+	// centralized coordinator) and configs outside the drain's support
+	// (faults, non-FIFO arbitration) normalize back to a serial run.
+	// Static workloads ignore it.
 	Workers int
 	// LinkTxTime, when positive, gives every link of the instance's
 	// network finite serialization capacity (see sim.Config.LinkTxTime):

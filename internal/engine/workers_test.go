@@ -47,7 +47,7 @@ func TestClosedLoopBitIdenticalAcrossDrainWorkers(t *testing.T) {
 			Graph:    g,
 			Tree:     tr,
 			Root:     0,
-			Workload: ClosedLoop(workloads[wl].perNode, workloads[wl].think),
+			Workload: NewClosedLoop(workloads[wl].perNode).Think(workloads[wl].think).MustBuild(),
 			Latency:  workloads[wl].model,
 			Seed:     DeriveSeed(7, wl),
 			Recorder: rec,

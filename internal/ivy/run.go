@@ -4,7 +4,8 @@ package ivy
 // real discrete-event messages over the graph metric, with Directory as
 // the pointer-combinatorics core (StartFind/ForwardFind are its
 // step-wise face). Run replays a static request set; RunClosedLoop is
-// the Section 5 closed-loop regime, driven by the shared loop harness.
+// the Section 5 closed-loop regime, driven by the shared closed-loop
+// driver (package shard).
 // A find reaching a node with an in-flight request of its own queues
 // behind it (the object will pass through that node), matching the
 // queuing-completion definition the other protocols use.
@@ -15,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/loop"
 	"repro/internal/queuing"
+	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -28,9 +30,6 @@ type Options struct {
 	Arbitration sim.Arbitration
 	// Seed drives random latency/arbitration.
 	Seed int64
-	// Scheduler selects the simulator's event-queue implementation
-	// (semantically inert; see sim.SchedulerKind).
-	Scheduler sim.SchedulerKind
 }
 
 // Completion records the ownership transfer serving one request.
@@ -94,7 +93,6 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
 		MaxEvents:   sim.SatAdd(sim.SatMul(int64(len(set)), sim.SatMul(int64(n+4), 4)), 1024),
-		Scheduler:   opts.Scheduler,
 	})
 	dir := NewDirectory(n, opts.Root)
 	res := &Result{
@@ -190,13 +188,9 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 // arrow.LoopConfig and nta.LoopConfig: every node issues PerNode
 // requests, each issued ThinkTime after the previous one is known to be
 // served, with ownership transfers acknowledged by a direct reply from
-// the previous owner's node.
+// the previous owner's node. The shared run knobs live in the embedded
+// loop.Spec.
 type LoopConfig struct {
-	// Spec holds the shared run knobs. Workers is accepted for config
-	// symmetry with the other protocols but always normalizes to a
-	// serial run: Directory accumulates cross-node chain statistics on
-	// every step, so it is not loop.ShardSafe. Results are identical at
-	// any value.
 	loop.Spec
 	// Root is the initial owner.
 	Root graph.NodeID
@@ -208,9 +202,27 @@ type LoopConfig struct {
 // amortized-Θ(log n) quantity.
 type LoopResult = loop.Result
 
+// ShardDirectory is Ivy's probable-owner state as a shard.Stepper: one
+// owner-pointer set per object, chased with forward path shortening —
+// the pointer updates of Directory's StartFind/ForwardFind without its
+// cross-node chain statistics, so the table is partitioned by node and
+// safe for the parallel drain.
+type ShardDirectory = shard.Reversal
+
+// NewShardDirectory builds k probable-owner sets over n nodes, object
+// o's pointers initially naming root_o = o mod n as owner; O(k·n) space.
+func NewShardDirectory(n, k int) (*ShardDirectory, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("ivy: shard directory needs n >= 1, got %d", n)
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("ivy: shard directory needs k >= 1 objects, got %d", k)
+	}
+	return shard.NewReversal(n, k, 0), nil
+}
+
 // RunClosedLoop executes the closed-loop Ivy experiment over graph g's
-// metric, with Directory (via its step-wise StartFind/ForwardFind face)
-// as the loop harness's pointer discipline.
+// metric.
 func RunClosedLoop(g *graph.Graph, cfg LoopConfig) (*LoopResult, error) {
 	return RunClosedLoopTopo(sim.NewMetricTopology(g), cfg)
 }
@@ -223,5 +235,10 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	if int(cfg.Root) < 0 || int(cfg.Root) >= n {
 		return nil, fmt.Errorf("ivy: root %d out of range", cfg.Root)
 	}
-	return loop.RunTopo(topo, NewDirectory(n, cfg.Root), "ivy", cfg.Spec)
+	step := shard.NewReversal(n, 1, cfg.Root)
+	res, err := shard.Run(topo, step, "ivy", shard.Spec{Spec: cfg.Spec, Objects: 1})
+	if err != nil {
+		return nil, err
+	}
+	return &res.Agg, nil
 }

@@ -127,6 +127,7 @@ var deterministicPackages = []string{
 	"repro/internal/sim",
 	"repro/internal/engine",
 	"repro/internal/loop",
+	"repro/internal/shard",
 	"repro/internal/tree",
 	"repro/internal/stabilize",
 	"repro/internal/arrow",

@@ -1,49 +1,14 @@
-// Package loop is the shared closed-loop driver for pointer-forwarding
-// queuing protocols over a graph metric (NTA, Ivy): every node issues
-// PerNode requests, each request chases the protocol's pointer
-// discipline hop by hop as real simulator messages, the node where the
-// chase ends notifies the requester directly, and the requester re-issues
-// after ThinkTime. The pointer discipline itself is supplied as a
-// Stepper, so the counters, message pre-boxing, think-time handling and
-// divergence guard exist exactly once and cannot drift between
-// protocols. (Arrow's closed loop lives in package arrow: its replies
-// route hop-by-hop over the spanning tree and its drained-link invariant
-// is tree-specific, so it shares the counter shape but not the driver.)
+// Package loop holds the closed-loop types every protocol driver shares:
+// Spec, the run knobs all four LoopConfigs embed, and Result, the counter
+// tuple all four return. The driver that executes a Spec for the
+// pointer-chasing protocols (arrow, NTA, Ivy) is package shard's; the
+// centralized coordinator keeps its own (see DESIGN.md).
 package loop
 
 import (
-	"fmt"
-
-	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// Stepper is a protocol's pointer discipline — the only part that
-// differs between the forwarding protocols. Both methods mutate the
-// protocol's pointer state.
-type Stepper interface {
-	// StartFind begins a request at v. If v already holds the object /
-	// tail, local is true and no message is sent; otherwise the request
-	// is forwarded to target.
-	StartFind(v graph.NodeID) (target graph.NodeID, local bool)
-	// ForwardFind processes a request for origin arriving at node at
-	// with hops forwarding messages consumed so far. done reports the
-	// chase ended at at; otherwise the request forwards to next.
-	ForwardFind(at, origin graph.NodeID, hops int) (next graph.NodeID, done bool)
-}
-
-// ShardSafe marks a Stepper whose pointer state is partitioned by node:
-// StartFind(v) touches only state keyed by v, ForwardFind(at, ...) only
-// state keyed by at. Such a stepper may run under the simulator's
-// lookahead-windowed parallel drain, where same-tick events at different
-// nodes execute on different workers — the node-keyed partition is
-// exactly the drain's shard boundary. Steppers with cross-node shared
-// state (Ivy's directory statistics, for example) must not opt in; the
-// driver runs them serially regardless of Config.Workers.
-type ShardSafe interface {
-	ShardSafeStepper()
-}
 
 // Spec drives a closed-loop run (the Section 5 regime). It is the one
 // run-spec shared by every protocol driver: arrow, centralized, NTA and
@@ -66,24 +31,20 @@ type Spec struct {
 	// observability at any request count). The completion hot path does
 	// no recording work when nil.
 	Recorder stats.Recorder
-	// Scheduler selects the simulator's event-queue implementation
-	// (semantically inert; see sim.SchedulerKind).
-	Scheduler sim.SchedulerKind
 	// Faults, when non-nil, is the deterministic liveness schedule the
-	// run executes under. A dropped find loses the request; the
-	// simulator's drop notification marks it lost and the requester
-	// re-issues once the blocking entity recovers (pointer-forwarding
-	// protocols need no global repair: a split chain re-forms as finds
-	// terminate at the requester, which the re-issue then queues
-	// behind). A dropped completion notification is recovered the same
-	// way. The plan must be Healing: a permanently dead entity leaves
-	// requests unservable and the run errors at drain.
+	// run executes under. A dropped find loses the request and a dropped
+	// completion notification strands its requester; each protocol
+	// recovers its own way (NTA/Ivy re-issue once the blocking entity
+	// recovers, arrow repairs its pointer state first, the centralized
+	// coordinator fails over — see the protocol's LoopConfig). The plan
+	// must be Healing: a permanently dead entity leaves requests
+	// unservable, so the drivers refuse it up front.
 	Faults *sim.FaultPlan
-	// Workers > 1 requests the simulator's lookahead-windowed parallel drain.
-	// The driver normalizes it to serial whenever the run cannot be
-	// reproduced bit-identically in parallel: a stepper that is not
-	// ShardSafe, non-FIFO arbitration, the heap scheduler, or a fault
-	// plan. Results are bit-identical to a serial run either way.
+	// Workers > 1 requests the simulator's lookahead-windowed parallel
+	// drain. The driver normalizes it to serial whenever the run cannot
+	// be reproduced bit-identically in parallel: a stepper that is not
+	// shard.ShardSafe, non-FIFO arbitration, or a fault plan. Results
+	// are bit-identical to a serial run either way.
 	Workers int
 	// LinkTxTime, when positive, gives every link finite serialization
 	// capacity (see sim.Config.LinkTxTime); 0 keeps the classic
@@ -97,33 +58,33 @@ type Spec struct {
 	DrainStats *sim.DrainStats
 }
 
-// Config is the pre-consolidation name of Spec.
-//
-// Deprecated: use Spec. The alias is kept for one release so existing
-// callers migrate mechanically; it will be removed.
-type Config = Spec
-
-// Result aggregates a closed-loop run with the same counters as
-// arrow.LoopResult, so the engine layer reports one Cost shape for every
-// protocol. QueueHops and ReplyHops count logical messages (each is a
-// direct metric send): the quantity the protocols' amortized analyses
-// are about, and identical to physical link traversals on complete
-// graphs (the paper's SP2 setting).
+// Result aggregates a closed-loop run: one counter tuple for every
+// protocol (arrow.LoopResult, centralized.LoopResult, nta.LoopResult
+// and ivy.LoopResult are all this type), so the engine layer maps any
+// run to its Cost through one conversion. Counters rather than
+// per-request records keep multi-million-request runs cheap. QueueHops
+// and ReplyHops count messages, each one link traversal: a tree edge
+// for arrow, a direct metric send for the protocols that assume a
+// complete network (the paper's SP2 setting).
 type Result struct {
 	// N is the node count, Requests the total completed requests.
 	N        int
 	Requests int64
-	// Makespan is the total simulated time to drain all requests.
+	// Makespan is the total simulated time to drain all requests — the
+	// quantity Figure 10 plots.
 	Makespan sim.Time
-	// QueueHops counts request-forwarding messages.
+	// QueueHops counts request-forwarding messages; QueueHops/Requests
+	// is the quantity Figure 11 plots.
 	QueueHops int64
 	// ReplyHops counts completion-notification messages (reported
 	// separately; the paper does not charge these to the protocol).
 	ReplyHops int64
 	// LocalCompletions counts requests whose issuer already held the
-	// object / tail (zero messages).
+	// object / tail, or was the coordinator itself (zero messages).
 	LocalCompletions int64
-	// TotalLatency sums per-request queuing latencies (issue to queued).
+	// TotalLatency sums per-request queuing latencies (Definition 3.2:
+	// issue until queued behind the predecessor; the reply leg is
+	// notification traffic, charged to ReplyHops only).
 	TotalLatency int64
 	// MaxQueueHops is the worst single-request forwarding count.
 	MaxQueueHops int
@@ -131,11 +92,16 @@ type Result struct {
 	// (messages + timers) — the denominator of the engine's events/sec
 	// throughput metric, deterministic for a fixed config.
 	Events int64
-	// Fault/recovery counters, all zero in fault-free runs; the field
-	// set and order match arrow.LoopResult and centralized.LoopResult so
-	// the engine adapter maps every protocol through one conversion.
-	// The Repair* fields stay zero here: pointer-forwarding protocols
-	// recover by re-issue alone.
+	// Fault/recovery counters, all zero in fault-free runs. Dropped
+	// counts messages lost to faults, Deferred messages stalled by them
+	// (policy FaultQueue). Reissued counts requests re-issued after
+	// their find was lost, RepliesLost completion notifications lost in
+	// transit (recovered by a timer at heal). Affected counts completed
+	// requests a fault touched — the complement of the availability
+	// fraction. RepairEpisodes / RepairMessages / RepairTime account
+	// arrow's self-stabilizing repair in the same message/latency
+	// currency as the protocol; they stay zero for the protocols that
+	// recover by re-issue or failover alone.
 	Dropped        int64
 	Deferred       int64
 	Reissued       int64
@@ -146,7 +112,8 @@ type Result struct {
 	RepairTime     sim.Time
 }
 
-// AvgQueueHops returns forwarding messages per queuing operation.
+// AvgQueueHops returns forwarding messages per queuing operation —
+// Figure 11's metric.
 func (r *Result) AvgQueueHops() float64 {
 	if r.Requests == 0 {
 		return 0
@@ -160,314 +127,4 @@ func (r *Result) AvgLatency() float64 {
 		return 0
 	}
 	return float64(r.TotalLatency) / float64(r.Requests)
-}
-
-// loopMsg is the driver's message family; the marker method lets
-// arrowlint's msgswitch analyzer hold every type switch over these
-// messages to exhaustiveness.
-type loopMsg interface{ isLoopMsg() }
-
-type find struct{ origin graph.NodeID }
-
-type reply struct{}
-
-func (*find) isLoopMsg()  {}
-func (*reply) isLoopMsg() {}
-
-// state is O(n), not O(PerNode·n): every node has at most one request in
-// flight (the next one issues only after the completion notification),
-// so per-request bookkeeping can be keyed by the issuing node and the
-// pre-boxed message reused across a node's successive requests — at the
-// paper's scale (100k requests per node) per-request arrays would cost
-// hundreds of MB per sweep cell. The per-node arrays are flat
-// struct-of-arrays slabs with narrow element types (hop and remaining
-// counts fit int32 up to n = 2³¹ forwarding steps), so a million-node
-// state costs ~24 MB and zero per-node boxing.
-type state struct {
-	cfg   Spec
-	step  Stepper
-	proto string
-
-	issueTime []sim.Time
-	hops      []int32
-
-	// Pre-boxed messages, one per node: forwarding passes the same
-	// pointer at every hop, avoiding per-send interface boxing.
-	msgs []find
-	rep  reply
-
-	remaining []int32
-
-	// resS has one accumulator slot per drain shard (one slot on serial
-	// runs): completions land in resS[ctx.Shard()], so no two workers
-	// share a counter; the slots merge into the returned Result after
-	// the run. Every merged field is order-independent (integer sums and
-	// a max), so the merge is bit-identical to serial accumulation.
-	resS []Result
-
-	// lost/affected are the fault-recovery state, nil in fault-free
-	// runs: lost marks nodes whose current find was dropped (re-issued
-	// at heal), affected marks requests a fault touched (counted at
-	// completion).
-	lost     []bool
-	affected []bool
-}
-
-// Run executes the closed-loop experiment for the given pointer
-// discipline over graph g's metric. proto prefixes error messages.
-func Run(g *graph.Graph, step Stepper, proto string, cfg Spec) (*Result, error) {
-	return RunTopo(sim.NewMetricTopology(g), step, proto, cfg)
-}
-
-// effectiveWorkers normalizes cfg.Workers against everything the
-// parallel drain cannot reproduce bit-identically; the returned count is
-// safe to hand to sim.New.
-func effectiveWorkers(step Stepper, cfg Spec) int {
-	if cfg.Workers <= 1 {
-		return 1
-	}
-	if _, ok := step.(ShardSafe); !ok {
-		return 1
-	}
-	if cfg.Arbitration != sim.ArbFIFO || cfg.Scheduler != sim.SchedLadder || cfg.Faults != nil {
-		return 1
-	}
-	return cfg.Workers
-}
-
-// RunTopo is Run over an arbitrary metric topology — in particular the
-// implicit sim.CompleteTopology, which is how million-node complete-
-// graph runs avoid the O(n²) distance matrix Run's materialized metric
-// would build.
-func RunTopo(topo sim.Topology, step Stepper, proto string, cfg Spec) (*Result, error) {
-	n := topo.NumNodes()
-	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("%s: PerNode must be >= 1", proto)
-	}
-	if err := cfg.Faults.Validate(topo); err != nil {
-		return nil, fmt.Errorf("%s: %w", proto, err)
-	}
-	if cfg.Faults != nil && !cfg.Faults.Healing() {
-		return nil, fmt.Errorf("%s: closed loop requires a healing fault plan (every down matched by an up)", proto)
-	}
-	workers := effectiveWorkers(step, cfg)
-	total := int64(cfg.PerNode) * int64(n)
-	st := &state{
-		cfg:       cfg,
-		step:      step,
-		proto:     proto,
-		issueTime: make([]sim.Time, n),
-		hops:      make([]int32, n),
-		msgs:      make([]find, n),
-		remaining: make([]int32, n),
-		resS:      make([]Result, workers),
-	}
-	for v := range st.remaining {
-		st.remaining[v] = int32(cfg.PerNode)
-		st.msgs[v].origin = graph.NodeID(v)
-	}
-
-	budget := eventBudget(total, n)
-	if cfg.Faults != nil {
-		budget = sim.SatMul(budget, 4)
-	}
-	scfg := sim.Config{
-		Topology:    topo,
-		Latency:     cfg.Latency,
-		Arbitration: cfg.Arbitration,
-		Seed:        cfg.Seed,
-		MaxEvents:   budget,
-		Scheduler:   cfg.Scheduler,
-		Faults:      cfg.Faults,
-		Workers:     workers,
-		LinkTxTime:  cfg.LinkTxTime,
-	}
-	// Surface simulator-config violations (negative LinkTxTime, a
-	// parallel drain the normalization above could not repair) as errors
-	// rather than tripping sim.New's last-resort panic.
-	if err := scfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%s closed loop: %w", proto, err)
-	}
-	s := sim.New(scfg)
-	if cfg.Faults != nil {
-		st.lost = make([]bool, n)
-		st.affected = make([]bool, n)
-		s.SetBlockedHandler(st.onBlocked)
-	}
-	s.SetAllHandlers(st.handle)
-	// Issue timers dispatch by node through the TimerHandler: neither the
-	// initial injection nor the per-request re-issue captures a closure.
-	s.SetTimerHandler(st.issue)
-	for v := 0; v < n; v++ {
-		s.ScheduleNodeAt(0, graph.NodeID(v))
-	}
-	makespan := s.Run()
-	if cfg.DrainStats != nil {
-		*cfg.DrainStats = s.DrainStats()
-	}
-	res := st.merge()
-	res.N = n
-	res.Makespan = makespan
-	res.Events = s.EventsProcessed()
-	res.Dropped = s.MessagesDropped()
-	res.Deferred = s.MessagesDeferred()
-	if res.Requests != total {
-		return nil, fmt.Errorf("%s: closed loop completed %d of %d requests", proto, res.Requests, total)
-	}
-	return res, nil
-}
-
-// merge folds the per-shard accumulator slots into one Result.
-func (st *state) merge() *Result {
-	res := &Result{}
-	for i := range st.resS {
-		r := &st.resS[i]
-		res.Requests += r.Requests
-		res.QueueHops += r.QueueHops
-		res.ReplyHops += r.ReplyHops
-		res.LocalCompletions += r.LocalCompletions
-		res.TotalLatency += r.TotalLatency
-		res.Reissued += r.Reissued
-		res.RepliesLost += r.RepliesLost
-		res.Affected += r.Affected
-		if r.MaxQueueHops > res.MaxQueueHops {
-			res.MaxQueueHops = r.MaxQueueHops
-		}
-	}
-	return res
-}
-
-// onBlocked is told each message a fault dropped or stalled. A dropped
-// find loses the requester's current attempt: it re-issues after the
-// blocking entity recovers. A dropped reply means the request completed
-// but its issuer never heard: a timer at the heal instant resumes its
-// loop.
-func (st *state) onBlocked(ctx *sim.Context, from, to graph.NodeID, msg sim.Message, upAt sim.Time, dropped bool) {
-	switch m := msg.(type) {
-	case *find:
-		st.affected[m.origin] = true
-		if dropped {
-			st.lost[m.origin] = true
-			st.retryAt(ctx, m.origin, upAt)
-		}
-	case *reply:
-		// The shared reply value carries no origin; the requester is the
-		// destination.
-		st.affected[to] = true
-		if dropped {
-			st.resS[ctx.Shard()].RepliesLost++
-			st.retryAt(ctx, to, upAt)
-		}
-	}
-}
-
-func (st *state) retryAt(ctx *sim.Context, v graph.NodeID, upAt sim.Time) {
-	if upAt == sim.FaultNever {
-		// Permanently unserviceable; the drain check reports the
-		// shortfall (healing plans never get here).
-		return
-	}
-	ctx.AfterNode(upAt-ctx.Now()+1, v)
-}
-
-// eventBudget is the divergence guard: each request costs at most n
-// forwarding messages plus a reply and a timer. Saturating arithmetic
-// keeps the guard meaningful at scales where the product overflows
-// int64 (a wrapped value would either disable the guard or panic a
-// healthy run).
-func eventBudget(total int64, n int) int64 {
-	return sim.SatAdd(sim.SatMul(total, int64(2*n+8)), 1024)
-}
-
-//arrow:hotpath one call per request issued (BenchmarkBaselinesClosedLoop)
-func (st *state) issue(ctx *sim.Context, v graph.NodeID) {
-	if st.lost != nil && st.lost[v] {
-		// Re-issue a request whose find a fault destroyed. The original
-		// issue time is kept, so the request's latency carries the
-		// outage. StartFind runs against the current pointer state: the
-		// partial path reversal of the lost attempt left every touched
-		// pointer aimed at v, so chains still terminate.
-		st.lost[v] = false
-		st.resS[ctx.Shard()].Reissued++
-		target, local := st.step.StartFind(v)
-		if local {
-			st.hops[v] = 0
-			st.completeAt(ctx, v, v)
-			return
-		}
-		st.hops[v] = 1
-		ctx.Send(v, target, &st.msgs[v])
-		return
-	}
-	if st.remaining[v] == 0 {
-		return
-	}
-	st.remaining[v]--
-	st.issueTime[v] = ctx.Now()
-
-	target, local := st.step.StartFind(v)
-	if local {
-		st.hops[v] = 0
-		st.completeAt(ctx, v, v)
-		return
-	}
-	st.hops[v] = 1
-	ctx.Send(v, target, &st.msgs[v])
-}
-
-//arrow:hotpath one call per delivered find/reply message
-func (st *state) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
-	switch m := msg.(type) {
-	case *find:
-		next, done := st.step.ForwardFind(at, m.origin, int(st.hops[m.origin]))
-		if done {
-			st.completeAt(ctx, m.origin, at)
-			return
-		}
-		st.hops[m.origin]++
-		ctx.Send(at, next, m)
-	case *reply:
-		st.scheduleNext(ctx, at)
-	default:
-		panic(fmt.Sprintf("%s: unexpected message %T", st.proto, msg))
-	}
-}
-
-// completeAt records the queuing of origin's current request at sink and
-// notifies the requester so it can issue its next request. Counters land
-// in the context's shard slot and the recording routes through the
-// context, which keeps the parallel drain race-free and its histogram
-// accumulation order serial.
-func (st *state) completeAt(ctx *sim.Context, origin, sink graph.NodeID) {
-	res := &st.resS[ctx.Shard()]
-	lat := int64(ctx.Now() - st.issueTime[origin])
-	res.Requests++
-	res.TotalLatency += lat
-	res.QueueHops += int64(st.hops[origin])
-	if int(st.hops[origin]) > res.MaxQueueHops {
-		res.MaxQueueHops = int(st.hops[origin])
-	}
-	ctx.RecordRequest(st.cfg.Recorder, lat, int(st.hops[origin]))
-	if st.affected != nil && st.affected[origin] {
-		res.Affected++
-		st.affected[origin] = false
-	}
-	if origin == sink {
-		res.LocalCompletions++
-		st.scheduleNext(ctx, origin)
-		return
-	}
-	res.ReplyHops++
-	ctx.Send(sink, origin, &st.rep)
-}
-
-func (st *state) scheduleNext(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] == 0 {
-		return
-	}
-	think := st.cfg.ThinkTime
-	if think <= 0 {
-		think = 1
-	}
-	ctx.AfterNode(think, v)
 }

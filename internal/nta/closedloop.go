@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/loop"
+	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -25,43 +26,24 @@ type LoopConfig struct {
 // counter shape (see loop.Result).
 type LoopResult = loop.Result
 
-// reversalStepper is NTA's pointer discipline as a loop.Stepper: every
-// visited node redirects its last pointer to the requester, and the
-// chase ends at the node whose pointer is self (the tail holder) —
-// exactly the pointer operations of the static Run.
-//
-// Note that these are step-for-step the same pointer updates as Ivy's
-// probable-owner chase with forward path shortening (ivy.Directory):
-// the two protocols differ in what the pointers mean (mutex queue tail
-// vs object ownership) and in their surrounding machinery, not in the
-// message traffic this cost model charges. Closed-loop NTA and Ivy rows
-// in the baselines experiment are therefore identical by construction —
-// TestClosedLoopMatchesIvy pins that identity so it reads as the
-// theorem it is rather than an empirical coincidence.
-type reversalStepper struct{ last []graph.NodeID }
+// ShardReversal is NTA's pointer state as a shard.Stepper: one set of
+// last pointers per object. Every visited node redirects its last
+// pointer to the requester, and the chase ends at the node whose pointer
+// is self (the tail holder) — exactly the pointer operations of the
+// static Run.
+type ShardReversal = shard.Reversal
 
-func (s *reversalStepper) StartFind(v graph.NodeID) (graph.NodeID, bool) {
-	if s.last[v] == v {
-		return v, true
+// NewShardReversal builds k last-pointer sets over n nodes, object o's
+// pointers initially converging on root_o = o mod n; O(k·n) space.
+func NewShardReversal(n, k int) (*ShardReversal, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("nta: shard reversal needs n >= 1, got %d", n)
 	}
-	target := s.last[v]
-	s.last[v] = v
-	return target, false
-}
-
-func (s *reversalStepper) ForwardFind(at, origin graph.NodeID, hops int) (graph.NodeID, bool) {
-	next := s.last[at]
-	s.last[at] = origin
-	if next == at {
-		return origin, true
+	if k < 1 {
+		return nil, fmt.Errorf("nta: shard reversal needs k >= 1 objects, got %d", k)
 	}
-	return next, false
+	return shard.NewReversal(n, k, 0), nil
 }
-
-// ShardSafeStepper marks the reversal discipline safe for the parallel
-// drain: StartFind(v) touches only last[v] and ForwardFind(at, ...)
-// only last[at] — state partitioned exactly by the drain's node shards.
-func (s *reversalStepper) ShardSafeStepper() {}
 
 // RunClosedLoop executes the closed-loop NTA experiment over graph g's
 // metric: requests follow last pointers as real simulator messages, each
@@ -79,10 +61,10 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	if int(cfg.Root) < 0 || int(cfg.Root) >= n {
 		return nil, fmt.Errorf("nta: root %d out of range", cfg.Root)
 	}
-	st := &reversalStepper{last: make([]graph.NodeID, n)}
-	for v := range st.last {
-		st.last[v] = cfg.Root
+	step := shard.NewReversal(n, 1, cfg.Root)
+	res, err := shard.Run(topo, step, "nta", shard.Spec{Spec: cfg.Spec, Objects: 1})
+	if err != nil {
+		return nil, err
 	}
-	st.last[cfg.Root] = cfg.Root
-	return loop.RunTopo(topo, st, "nta", cfg.Spec)
+	return &res.Agg, nil
 }

@@ -27,9 +27,6 @@ type Options struct {
 	Arbitration sim.Arbitration
 	// Seed drives random latency/arbitration.
 	Seed int64
-	// Scheduler selects the simulator's event-queue implementation
-	// (semantically inert; see sim.SchedulerKind).
-	Scheduler sim.SchedulerKind
 }
 
 // Completion records the queuing of one request.
@@ -81,7 +78,6 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
 		MaxEvents:   sim.SatAdd(sim.SatMul(int64(len(set)), sim.SatMul(int64(n+4), 4)), 1024),
-		Scheduler:   opts.Scheduler,
 	})
 	last := make([]graph.NodeID, n)
 	lastReq := make([]int, n)

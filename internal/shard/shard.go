@@ -1,19 +1,22 @@
-// Package shard is the multi-object closed-loop driver: k independent
-// protocol instances — one per object, each with its own pointer state
-// and root — all riding one shared simulator network whose links carry
-// the combined traffic. It generalizes package loop along the object
-// dimension the single-object drivers lack: every node issues PerNode
-// requests one at a time, each request drawing its object from a
-// deterministic Zipf popularity law, chasing that object's pointer
-// discipline hop by hop as real simulator messages. With a positive
-// LinkTxTime the shared links serialize cross-object traffic, so
-// hot-object interference shows up as queueing delay on every object
-// sharing the congested links rather than superposing for free.
+// Package shard is the closed-loop driver for every pointer-chasing
+// protocol (arrow, NTA, Ivy, and the sharded coordinator): every node
+// issues PerNode requests one at a time, each request chases its
+// object's pointer discipline hop by hop as real simulator messages, the
+// node where the chase ends notifies the requester, and the requester
+// thinks and re-issues. k independent protocol instances — one per
+// object, each with its own pointer state and root — ride one shared
+// simulator network whose links carry the combined traffic; each request
+// draws its object from a deterministic Zipf popularity law. With a
+// positive LinkTxTime the shared links serialize cross-object traffic,
+// so hot-object interference shows up as queueing delay on every object
+// sharing the congested links rather than superposing for free. The
+// single-object experiments of the paper's Section 5 are the k = 1 case.
 //
 // The pointer discipline is supplied as an object-keyed Stepper; the
 // driver owns issue bookkeeping, the object draw, per-object and
-// aggregate accounting, message pre-boxing and the divergence guard, so
-// they exist once and cannot drift between protocols.
+// aggregate accounting, message pre-boxing, re-issue-at-heal fault
+// recovery and the divergence guard, so they exist once and cannot drift
+// between protocols.
 package shard
 
 import (
@@ -27,10 +30,10 @@ import (
 )
 
 // Stepper is a protocol's object-keyed pointer discipline. Both methods
-// mutate only the pointer state of the given object. Unlike
-// loop.Stepper, ForwardFind receives both the previous hop (from) and
-// the requester (origin): tree protocols reverse pointers toward the
-// previous hop (arrow), metric protocols toward the origin (NTA, Ivy).
+// mutate only the pointer state of the given object. ForwardFind
+// receives both the previous hop (from) and the requester (origin):
+// tree protocols reverse pointers toward the previous hop (arrow),
+// metric protocols toward the origin (NTA, Ivy).
 type Stepper interface {
 	// StartFind begins a request for object obj at node v. If v already
 	// holds the object's tail, local is true and no message is sent;
@@ -54,9 +57,23 @@ type ShardSafe interface {
 	ShardSafeStepper()
 }
 
-// Spec drives a multi-object closed-loop run. The embedded loop.Spec
-// carries the shared run knobs; Faults must be nil (the multi-object
-// tier does not support fault plans — Run errors on one).
+// ReplyRouter is optionally implemented by a Stepper whose network has
+// no direct link from the sink back to the requester: the completion
+// notification then travels hop by hop, every hop charged to ReplyHops
+// (arrow over its spanning tree). Without it the sink sends the reply
+// straight to the requester.
+type ReplyRouter interface {
+	// ReplyHop returns the node after at on the route to origin.
+	ReplyHop(at, origin graph.NodeID) graph.NodeID
+}
+
+// Spec drives a closed-loop run. The embedded loop.Spec carries the
+// shared run knobs. Under Faults the driver recovers by re-issue: a
+// requester whose find was dropped re-issues once the blocking entity
+// recovers (a split pointer chain re-forms as finds terminate at the
+// requester, which the re-issue then queues behind), and one whose
+// completion notification was dropped resumes its loop the same way.
+// Fault plans need Objects == 1.
 type Spec struct {
 	loop.Spec
 	// Objects is the number of independent protocol instances sharing
@@ -72,8 +89,8 @@ type Spec struct {
 	ObjectRecorders []stats.Recorder
 }
 
-// Result aggregates a multi-object run: the familiar closed-loop
-// counter shape once for the combined traffic and once per object.
+// Result aggregates a run: the closed-loop counter shape once for the
+// combined traffic and once per object.
 type Result struct {
 	// N is the node count, Objects the object count.
 	N       int
@@ -82,13 +99,13 @@ type Result struct {
 	// to drain the combined load and its Events the total event count.
 	Agg loop.Result
 	// PerObject holds each object's own counters, indexed by object.
-	// Makespan and Events are global quantities and stay zero here; N
-	// is the shared node count.
+	// Makespan, Events, Dropped and Deferred are global quantities and
+	// stay zero here; N is the shared node count.
 	PerObject []loop.Result
 }
 
-// findMsg is the driver's request message; the marker method keys the
-// family for arrowlint's msgswitch analyzer.
+// shardMsg is the driver's message family; the marker method keys it
+// for arrowlint's msgswitch analyzer.
 type shardMsg interface{ isShardMsg() }
 
 type findMsg struct {
@@ -96,36 +113,62 @@ type findMsg struct {
 	obj    int32
 }
 
-type replyMsg struct{}
+type replyMsg struct{ origin graph.NodeID }
 
 func (*findMsg) isShardMsg()  {}
 func (*replyMsg) isShardMsg() {}
 
-// state is O(n + workers·k): per-node bookkeeping mirrors package loop
-// (one in-flight request per node, pre-boxed messages reused across a
-// node's successive requests), and the per-object counters get one slot
-// per drain shard so no two workers share an accumulator. A node's
-// pre-boxed findMsg is re-stamped with the object of each new request;
-// that is safe for the same reason the reuse itself is — the previous
-// request's message is done traveling before the node's next issue.
-type state struct {
+// Driver is one closed-loop run, built by New and executed by Run. It
+// is O(n + workers·k), not O(PerNode·n): a node's next request issues
+// only after the completion notification for its previous one, so at
+// most one request per node is in flight, all per-request bookkeeping is
+// keyed by the issuing node, and the pre-boxed messages are reused
+// across a node's successive requests (forwarding passes the same
+// pointer at every hop, so no send boxes an interface) — at the paper's
+// scale (100k requests per node) per-request arrays would cost hundreds
+// of MB per sweep cell. The per-node arrays are flat struct-of-arrays
+// slabs with narrow element types, so a million-node run's driver state
+// is a few dozen MB. A node's findMsg is re-stamped with the object of
+// each new request; that is safe for the same reason the reuse itself
+// is — the previous request's messages are done traveling before the
+// node's next issue.
+//
+// Most callers want Run, the function. The two-step form exists for a
+// protocol whose fault recovery is more than re-issue-at-heal (arrow's
+// freeze → drain → repair): it replaces the simulator's handlers with
+// gates that decide and then delegate to Issue, Handle and Blocked.
+type Driver struct {
 	spec  Spec
 	step  Stepper
+	route ReplyRouter // nil: replies go straight to the requester
 	proto string
 	zipf  *workload.Zipf
+	sim   *sim.Simulator
+	n     int
+	think sim.Time
 
 	issueTime []sim.Time
 	hops      []int32
-	issued    []int32
 	remaining []int32
 
-	msgs []findMsg
-	rep  replyMsg
+	msgs    []findMsg
+	replies []replyMsg
 
 	// resS[shard][obj] accumulates object obj's counters for drain
-	// shard `shard`; the slots merge after the run (integer sums and a
+	// shard `shard` (one shard on serial runs), so no two workers share
+	// an accumulator; the slots merge after the run (integer sums and a
 	// max — order-independent, hence bit-identical at any worker count).
 	resS [][]loop.Result
+
+	// lost/affected are the fault-recovery state, nil in fault-free
+	// runs — the hot path pays one nil check per issue and per
+	// completion. lost marks nodes whose current find was dropped,
+	// affected marks requests a fault touched (counted at completion).
+	lost     []bool
+	affected []bool
+	// onComplete, when set, is called at each completion of a run under
+	// faults, before the requester is notified.
+	onComplete func(*sim.Context)
 }
 
 // effectiveWorkers normalizes spec.Workers against everything the
@@ -137,7 +180,7 @@ func effectiveWorkers(step Stepper, spec Spec) int {
 	if _, ok := step.(ShardSafe); !ok {
 		return 1
 	}
-	if spec.Arbitration != sim.ArbFIFO || spec.Scheduler != sim.SchedLadder {
+	if spec.Arbitration != sim.ArbFIFO || spec.Faults != nil {
 		return 1
 	}
 	return spec.Workers
@@ -146,14 +189,26 @@ func effectiveWorkers(step Stepper, spec Spec) int {
 // eventBudget is the divergence guard: each request costs at most ~2n
 // message events plus a reply and timers, independent of the object
 // count (objects partition the requests, they do not multiply them).
+// Saturating arithmetic keeps the guard meaningful at scales where the
+// product overflows int64 (a wrapped value would either disable the
+// guard or panic a healthy run).
 func eventBudget(total int64, n int) int64 {
 	return sim.SatAdd(sim.SatMul(total, int64(4*n+8)), 1024)
 }
 
-// Run executes the multi-object closed-loop experiment over topo with
-// the given object-keyed pointer discipline. proto prefixes error
-// messages.
+// Run executes the closed-loop experiment over topo with the given
+// object-keyed pointer discipline. proto prefixes error messages.
 func Run(topo sim.Topology, step Stepper, proto string, spec Spec) (*Result, error) {
+	d, err := New(topo, step, proto, spec)
+	if err != nil {
+		return nil, err
+	}
+	return d.Run()
+}
+
+// New validates spec and builds the run's simulator with the driver's
+// own handlers installed.
+func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, error) {
 	n := topo.NumNodes()
 	if spec.PerNode < 1 {
 		return nil, fmt.Errorf("%s: PerNode must be >= 1", proto)
@@ -164,178 +219,300 @@ func Run(topo sim.Topology, step Stepper, proto string, spec Spec) (*Result, err
 	if spec.Skew < 0 {
 		return nil, fmt.Errorf("%s: Skew must be >= 0, got %g", proto, spec.Skew)
 	}
-	if spec.Faults != nil {
-		return nil, fmt.Errorf("%s: fault plans are not supported on multi-object runs", proto)
-	}
 	if spec.ObjectRecorders != nil && len(spec.ObjectRecorders) != spec.Objects {
 		return nil, fmt.Errorf("%s: ObjectRecorders has %d entries for %d objects",
 			proto, len(spec.ObjectRecorders), spec.Objects)
 	}
+	if spec.Faults != nil {
+		if spec.Objects > 1 {
+			return nil, fmt.Errorf("%s: fault plans are not supported on multi-object runs", proto)
+		}
+		if err := spec.Faults.Validate(topo); err != nil {
+			return nil, fmt.Errorf("%s: %w", proto, err)
+		}
+		if !spec.Faults.Healing() {
+			return nil, fmt.Errorf("%s: closed loop requires a healing fault plan (every down matched by an up)", proto)
+		}
+	}
 	k := spec.Objects
 	workers := effectiveWorkers(step, spec)
-	total := int64(spec.PerNode) * int64(n)
-	st := &state{
+	d := &Driver{
 		spec:      spec,
 		step:      step,
 		proto:     proto,
 		zipf:      workload.NewZipf(k, spec.Skew),
+		n:         n,
+		think:     max(spec.ThinkTime, 1),
 		issueTime: make([]sim.Time, n),
 		hops:      make([]int32, n),
-		issued:    make([]int32, n),
 		remaining: make([]int32, n),
 		msgs:      make([]findMsg, n),
+		replies:   make([]replyMsg, n),
 		resS:      make([][]loop.Result, workers),
 	}
-	for i := range st.resS {
-		st.resS[i] = make([]loop.Result, k)
+	d.route, _ = step.(ReplyRouter)
+	for i := range d.resS {
+		d.resS[i] = make([]loop.Result, k)
 	}
-	for v := range st.remaining {
-		st.remaining[v] = int32(spec.PerNode)
-		st.msgs[v].origin = graph.NodeID(v)
+	for v := range d.remaining {
+		d.remaining[v] = int32(spec.PerNode)
+		d.msgs[v].origin = graph.NodeID(v)
+		d.replies[v].origin = graph.NodeID(v)
+	}
+	budget := eventBudget(int64(spec.PerNode)*int64(n), n)
+	if spec.Faults != nil {
+		// Faulty runs add re-issues and any repair traffic the caller
+		// embeds, bounded by the plan's episode count.
+		budget = sim.SatMul(budget, 4)
 	}
 	scfg := sim.Config{
 		Topology:    topo,
 		Latency:     spec.Latency,
 		Arbitration: spec.Arbitration,
 		Seed:        spec.Seed,
-		MaxEvents:   eventBudget(total, n),
-		Scheduler:   spec.Scheduler,
+		MaxEvents:   budget,
+		Faults:      spec.Faults,
 		Workers:     workers,
 		LinkTxTime:  spec.LinkTxTime,
 	}
+	// Surface simulator-config violations (negative LinkTxTime, a
+	// parallel drain the normalization above could not repair) as errors
+	// rather than tripping sim.New's last-resort panic.
 	if err := scfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%s shard loop: %w", proto, err)
+		return nil, fmt.Errorf("%s closed loop: %w", proto, err)
 	}
-	s := sim.New(scfg)
-	s.SetAllHandlers(st.handle)
-	s.SetTimerHandler(st.issue)
-	for v := 0; v < n; v++ {
-		s.ScheduleNodeAt(0, graph.NodeID(v))
+	d.sim = sim.New(scfg)
+	if spec.Faults != nil {
+		d.lost = make([]bool, n)
+		d.affected = make([]bool, n)
+		d.sim.SetBlockedHandler(d.onBlocked)
 	}
-	makespan := s.Run()
-	if spec.DrainStats != nil {
-		*spec.DrainStats = s.DrainStats()
+	d.sim.SetAllHandlers(d.Handle)
+	// Issue timers dispatch by node through the TimerHandler: neither the
+	// initial injection nor the per-request re-issue captures a closure.
+	d.sim.SetTimerHandler(d.issue)
+	return d, nil
+}
+
+// Sim returns the run's simulator, for a caller that gates the driver's
+// handlers behind its own.
+func (d *Driver) Sim() *sim.Simulator { return d.sim }
+
+// OnComplete registers fn to run at every completion, after the
+// request is accounted and before its requester is notified. Only runs
+// under a fault plan call it.
+func (d *Driver) OnComplete(fn func(*sim.Context)) { d.onComplete = fn }
+
+// Run injects every node's first issue, drains the simulator and merges
+// the result. It errors if any request never completed.
+func (d *Driver) Run() (*Result, error) {
+	for v := 0; v < d.n; v++ {
+		d.sim.ScheduleNodeAt(0, graph.NodeID(v))
 	}
-	res := st.merge(n, k)
+	makespan := d.sim.Run()
+	if d.spec.DrainStats != nil {
+		*d.spec.DrainStats = d.sim.DrainStats()
+	}
+	res := d.merge()
 	res.Agg.Makespan = makespan
-	res.Agg.Events = s.EventsProcessed()
-	if res.Agg.Requests != total {
-		return nil, fmt.Errorf("%s: multi-object loop completed %d of %d requests",
-			proto, res.Agg.Requests, total)
+	res.Agg.Events = d.sim.EventsProcessed()
+	res.Agg.Dropped = d.sim.MessagesDropped()
+	res.Agg.Deferred = d.sim.MessagesDeferred()
+	if total := int64(d.spec.PerNode) * int64(d.n); res.Agg.Requests != total {
+		return nil, fmt.Errorf("%s: closed loop completed %d of %d requests", d.proto, res.Agg.Requests, total)
 	}
 	return res, nil
 }
 
 // merge folds the per-shard, per-object accumulator slots into the
 // per-object results and their aggregate.
-func (st *state) merge(n, k int) *Result {
+func (d *Driver) merge() *Result {
+	k := d.spec.Objects
 	res := &Result{
-		N:         n,
+		N:         d.n,
 		Objects:   k,
-		Agg:       loop.Result{N: n},
+		Agg:       loop.Result{N: d.n},
 		PerObject: make([]loop.Result, k),
 	}
-	for o := 0; o < k; o++ {
+	add := func(to, r *loop.Result) {
+		to.Requests += r.Requests
+		to.QueueHops += r.QueueHops
+		to.ReplyHops += r.ReplyHops
+		to.LocalCompletions += r.LocalCompletions
+		to.TotalLatency += r.TotalLatency
+		to.Reissued += r.Reissued
+		to.RepliesLost += r.RepliesLost
+		to.Affected += r.Affected
+		to.MaxQueueHops = max(to.MaxQueueHops, r.MaxQueueHops)
+	}
+	for o := range res.PerObject {
 		po := &res.PerObject[o]
-		po.N = n
-		for s := range st.resS {
-			r := &st.resS[s][o]
-			po.Requests += r.Requests
-			po.QueueHops += r.QueueHops
-			po.ReplyHops += r.ReplyHops
-			po.LocalCompletions += r.LocalCompletions
-			po.TotalLatency += r.TotalLatency
-			if r.MaxQueueHops > po.MaxQueueHops {
-				po.MaxQueueHops = r.MaxQueueHops
-			}
+		po.N = d.n
+		for s := range d.resS {
+			add(po, &d.resS[s][o])
 		}
-		res.Agg.Requests += po.Requests
-		res.Agg.QueueHops += po.QueueHops
-		res.Agg.ReplyHops += po.ReplyHops
-		res.Agg.LocalCompletions += po.LocalCompletions
-		res.Agg.TotalLatency += po.TotalLatency
-		if po.MaxQueueHops > res.Agg.MaxQueueHops {
-			res.Agg.MaxQueueHops = po.MaxQueueHops
-		}
+		add(&res.Agg, po)
 	}
 	return res
 }
 
-//arrow:hotpath one call per request issued (object draw included)
-func (st *state) issue(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] == 0 {
-		return
+// onBlocked is the driver's own fault recovery: a requester whose find
+// was dropped re-issues once the blocking entity recovers.
+func (d *Driver) onBlocked(ctx *sim.Context, from, to graph.NodeID, msg sim.Message, upAt sim.Time, dropped bool) {
+	if v, lost := d.Blocked(ctx, msg, upAt, dropped); lost {
+		d.retryAt(ctx, v, upAt)
 	}
-	st.remaining[v]--
-	idx := st.issued[v]
-	st.issued[v]++
-	obj := st.zipf.Draw(st.spec.Seed, v, int64(idx))
-	st.issueTime[v] = ctx.Now()
-
-	target, local := st.step.StartFind(obj, v)
-	if local {
-		st.hops[v] = 0
-		st.completeAt(ctx, obj, v, v)
-		return
-	}
-	st.hops[v] = 1
-	st.msgs[v].obj = obj
-	ctx.Send(v, target, &st.msgs[v])
 }
 
-//arrow:hotpath one call per delivered find/reply message
-func (st *state) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+// Blocked accounts one driver message a fault dropped or stalled; its
+// request counts as affected either way. A dropped reply means the
+// request completed but its issuer never heard: a timer at the heal
+// instant resumes the issuer's loop. A dropped find loses origin's
+// current attempt: Blocked marks it so origin's next Issue re-issues it,
+// and reports it (lost) so the caller decides when that Issue fires.
+func (d *Driver) Blocked(ctx *sim.Context, msg sim.Message, upAt sim.Time, dropped bool) (origin graph.NodeID, lost bool) {
 	switch m := msg.(type) {
 	case *findMsg:
-		next, done := st.step.ForwardFind(m.obj, at, from, m.origin)
-		if done {
-			st.completeAt(ctx, m.obj, m.origin, at)
+		d.affected[m.origin] = true
+		if dropped {
+			d.lost[m.origin] = true
+			return m.origin, true
+		}
+	case *replyMsg:
+		d.affected[m.origin] = true
+		if dropped {
+			d.resS[ctx.Shard()][d.msgs[m.origin].obj].RepliesLost++
+			d.retryAt(ctx, m.origin, upAt)
+		}
+	}
+	return 0, false
+}
+
+func (d *Driver) retryAt(ctx *sim.Context, v graph.NodeID, upAt sim.Time) {
+	if upAt == sim.FaultNever {
+		// Permanently unserviceable; the drain check reports the
+		// shortfall (healing plans never get here).
+		return
+	}
+	ctx.AfterNode(upAt-ctx.Now()+1, v)
+}
+
+// Issue is the timer step for a caller gating it: it reports whether v
+// had anything to issue — a request lost to a fault, or its next one.
+func (d *Driver) Issue(ctx *sim.Context, v graph.NodeID) bool {
+	if d.remaining[v] == 0 && (d.lost == nil || !d.lost[v]) {
+		return false
+	}
+	d.issue(ctx, v)
+	return true
+}
+
+//arrow:hotpath one call per request issued (object draw included)
+func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
+	m := &d.msgs[v]
+	if d.lost != nil && d.lost[v] {
+		// Re-issue a request whose find a fault destroyed. It keeps its
+		// object and its original issue time, so its latency carries the
+		// outage. StartFind runs against the current pointer state: the
+		// partial path reversal of the lost attempt left every touched
+		// pointer aimed at v (or repair has restored a legal state), so
+		// chains still terminate.
+		d.lost[v] = false
+		d.resS[ctx.Shard()][m.obj].Reissued++
+	} else {
+		if d.remaining[v] == 0 {
 			return
 		}
-		st.hops[m.origin]++
+		// The request index is PerNode − remaining: the Zipf draw is a
+		// pure function of (seed, node, index).
+		m.obj = d.zipf.Draw(d.spec.Seed, v, int64(d.spec.PerNode)-int64(d.remaining[v]))
+		d.remaining[v]--
+		d.issueTime[v] = ctx.Now()
+	}
+	target, local := d.step.StartFind(m.obj, v)
+	if local {
+		// The total order itself is not retained in closed-loop runs, so
+		// queuing behind the node's previous request is purely local.
+		d.hops[v] = 0
+		d.completeAt(ctx, m.obj, v, v)
+		return
+	}
+	d.hops[v] = 1
+	ctx.Send(v, target, m)
+}
+
+// Handle is the driver's message handler.
+//
+//arrow:hotpath one call per delivered find/reply message
+func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+	switch m := msg.(type) {
+	case *findMsg:
+		next, done := d.step.ForwardFind(m.obj, at, from, m.origin)
+		if done {
+			d.completeAt(ctx, m.obj, m.origin, at)
+			return
+		}
+		d.hops[m.origin]++
 		ctx.Send(at, next, m)
 	case *replyMsg:
-		st.scheduleNext(ctx, at)
+		if at == m.origin {
+			d.scheduleNext(ctx, at)
+			return
+		}
+		// Only a ReplyRouter's replies stop short of the requester. The
+		// request's object is still stamped on the requester's own find:
+		// it cannot re-issue before this reply arrives.
+		d.resS[ctx.Shard()][d.msgs[m.origin].obj].ReplyHops++
+		ctx.Send(at, d.route.ReplyHop(at, m.origin), m)
 	default:
-		panic(fmt.Sprintf("%s: unexpected message %T", st.proto, msg))
+		panic(fmt.Sprintf("%s: unexpected message %T", d.proto, msg))
 	}
 }
 
 // completeAt records the queuing of origin's current request for obj at
-// sink and notifies the requester. Counters land in the context's shard
-// slot for the object, and both the per-object and aggregate recordings
-// route through the context, which keeps the parallel drain race-free
-// and the recorders' accumulation order serial.
-func (st *state) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
-	res := &st.resS[ctx.Shard()][obj]
-	lat := int64(ctx.Now() - st.issueTime[origin])
-	h := int(st.hops[origin])
+// sink and notifies the requester so it can issue its next request.
+// Counters land in the context's shard slot for the object, and both the
+// per-object and aggregate recordings route through the context, which
+// keeps the parallel drain race-free and the recorders' accumulation
+// order serial.
+func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
+	res := &d.resS[ctx.Shard()][obj]
+	lat := int64(ctx.Now() - d.issueTime[origin])
+	h := int(d.hops[origin])
 	res.Requests++
 	res.TotalLatency += lat
 	res.QueueHops += int64(h)
 	if h > res.MaxQueueHops {
 		res.MaxQueueHops = h
 	}
-	ctx.RecordRequest(st.spec.Recorder, lat, h)
-	if st.spec.ObjectRecorders != nil {
-		ctx.RecordRequest(st.spec.ObjectRecorders[obj], lat, h)
+	ctx.RecordRequest(d.spec.Recorder, lat, h)
+	if d.spec.ObjectRecorders != nil {
+		ctx.RecordRequest(d.spec.ObjectRecorders[obj], lat, h)
+	}
+	if d.affected != nil {
+		if d.affected[origin] {
+			res.Affected++
+			d.affected[origin] = false
+		}
+		if d.onComplete != nil {
+			d.onComplete(ctx)
+		}
 	}
 	if origin == sink {
 		res.LocalCompletions++
-		st.scheduleNext(ctx, origin)
+		d.scheduleNext(ctx, origin)
 		return
 	}
 	res.ReplyHops++
-	ctx.Send(sink, origin, &st.rep)
+	next := origin
+	if d.route != nil {
+		next = d.route.ReplyHop(sink, origin)
+	}
+	ctx.Send(sink, next, &d.replies[origin])
 }
 
-func (st *state) scheduleNext(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] == 0 {
-		return
+func (d *Driver) scheduleNext(ctx *sim.Context, v graph.NodeID) {
+	if d.remaining[v] > 0 {
+		ctx.AfterNode(d.think, v)
 	}
-	think := st.spec.ThinkTime
-	if think <= 0 {
-		think = 1
-	}
-	ctx.AfterNode(think, v)
 }

@@ -42,49 +42,8 @@ func steppers(t *testing.T, n, k int) map[string]shard.Stepper {
 	}
 }
 
-// TestSingleObjectMatchesLoop pins the shard driver's degenerate case to
-// the single-object driver it generalizes: with one object, NTA through
-// the shard driver over the complete metric must reproduce the loop
-// driver's counters exactly (same pointer discipline, same direct
-// replies, same think-time schedule).
-func TestSingleObjectMatchesLoop(t *testing.T) {
-	const n, perNode = 24, 50
-	topo := sim.NewCompleteTopology(n)
-
-	rev, err := nta.NewShardReversal(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := shard.Run(topo, rev, "nta", shard.Spec{
-		Spec:    loop.Spec{PerNode: perNode, Seed: 7},
-		Objects: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := nta.RunClosedLoopTopo(topo, nta.LoopConfig{
-		Spec: loop.Spec{PerNode: perNode, Seed: 7},
-		Root: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Agg.Requests != want.Requests ||
-		got.Agg.QueueHops != want.QueueHops ||
-		got.Agg.ReplyHops != want.ReplyHops ||
-		got.Agg.LocalCompletions != want.LocalCompletions ||
-		got.Agg.TotalLatency != want.TotalLatency ||
-		got.Agg.MaxQueueHops != want.MaxQueueHops ||
-		got.Agg.Makespan != want.Makespan {
-		t.Errorf("single-object shard run diverged from loop run:\n shard %+v\n loop  %+v",
-			got.Agg, *want)
-	}
-}
-
 // TestNTAMatchesIvy extends the protocols' step-for-step identity (see
-// nta's reversalStepper note) to the multi-object tier.
+// shard.Reversal) to the multi-object tier.
 func TestNTAMatchesIvy(t *testing.T) {
 	const n, k, perNode = 16, 8, 20
 	spec := shard.Spec{

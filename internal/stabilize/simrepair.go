@@ -584,8 +584,6 @@ type SimOptions struct {
 	Arbitration sim.Arbitration
 	// Seed drives random latency/arbitration.
 	Seed int64
-	// Scheduler selects the event-queue implementation.
-	Scheduler sim.SchedulerKind
 	// MaxEpisodes bounds repair episodes (0 = NumNodes + 8).
 	MaxEpisodes int
 	// Observer, when non-nil, is told each observable protocol step.
@@ -628,7 +626,6 @@ func RunSim(t *tree.Tree, links []graph.NodeID, opts SimOptions) (SimResult, err
 		Latency:     opts.Latency,
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
-		Scheduler:   opts.Scheduler,
 		// Each episode is O(n) messages over O(diameter) time, and the
 		// episode count is bounded by MaxEpisodes.
 		MaxEvents: sim.SatAdd(sim.SatMul(int64(t.NumNodes()+8), int64(8*t.NumNodes()+64)), 4096),
