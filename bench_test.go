@@ -438,13 +438,15 @@ func BenchmarkClosedLoopScale10k(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// benchClosedLoopScale is the scale-tier cell: a closed-loop arrow run
-// on an implicit binary tree (tree.BinaryWalker — no LCA tables, no
-// per-node closures), serial and under the lookahead-windowed parallel
-// drain. The two sub-benchmarks produce identical simulated results
+// benchArrowDrain runs one closed-loop arrow cell on an implicit binary
+// tree (tree.BinaryWalker — no LCA tables, no per-node closures) twice:
+// serial and under the lookahead-windowed parallel drain at GOMAXPROCS
+// workers. The two sub-benchmarks produce identical simulated results
 // (res.Events backs the reported events/s for both), so their ratio is
-// a pure drain-overhead/speedup reading.
-func benchClosedLoopScale(b *testing.B, n, perNode int) {
+// a pure drain-overhead/speedup reading; windows/Mev is barriers per
+// million events (0 on the serial cell), the quantity a wider lookahead
+// window exists to shrink.
+func benchArrowDrain(b *testing.B, n int, base loop.Spec) {
 	t := tree.BinaryWalker(n)
 	counts := []int{1, gort.GOMAXPROCS(0)}
 	if counts[1] == 1 {
@@ -458,111 +460,12 @@ func benchClosedLoopScale(b *testing.B, n, perNode int) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var events int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: loop.Spec{PerNode: perNode, Workers: workers}, Root: 0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkClosedLoopScale100k is the 100k-node scale cell, an order of
-// magnitude past BenchmarkClosedLoopScale10k.
-func BenchmarkClosedLoopScale100k(b *testing.B) {
-	benchClosedLoopScale(b, 100_001, 2)
-}
-
-// BenchmarkClosedLoopScale1M is the million-node tier — the scale
-// DESIGN.md targets. Skipped under -short: CI's quick bench smoke
-// passes -short, the dedicated bench job runs it for real.
-func BenchmarkClosedLoopScale1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("million-node cell: skipped under -short")
-	}
-	benchClosedLoopScale(b, 1_000_001, 2)
-}
-
-// BenchmarkParallelCommit measures the sharded deterministic commit
-// itself: a 100k-node closed-loop arrow run with per-link capacity
-// (LinkTxTime 1, dense tier) so every committed send resolves link
-// ownership, reserves capacity and clamps FIFO order — the full commit
-// path, not just the no-link-state fast case. serial vs workers=N on
-// identical simulated results makes the ratio a pure commit
-// speedup/overhead reading; benchcheck's hotpath manifest pins the
-// //arrow:hotpath annotations under it.
-func BenchmarkParallelCommit(b *testing.B) {
-	const n, perNode = 100_001, 2
-	t := tree.BinaryWalker(n)
-	counts := []int{1, gort.GOMAXPROCS(0)}
-	if counts[1] == 1 {
-		counts = counts[:1]
-	}
-	for _, workers := range counts {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("workers=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{
-					Spec: loop.Spec{PerNode: perNode, Workers: workers, LinkTxTime: 1},
-					Root: 0,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkDrainWindowed measures the lookahead-windowed drain: the
-// same 100k-node closed-loop arrow run under SynchronousScaled(8),
-// whose MinDelay widens the parallel window to 8 ticks — each barrier
-// fuses up to 8 ladder buckets, and the per-window key walk and merge
-// amortize across them. serial vs workers=N on identical simulated
-// results; the reported windows/Mev metric is barriers per million
-// events (the quantity the fused window is built to shrink — compare
-// the parallel sub-benchmark against the one-tick-window
-// BenchmarkParallelCommit). benchcheck's hotpath manifest pins the
-// window-drain //arrow:hotpath annotations under it.
-func BenchmarkDrainWindowed(b *testing.B) {
-	const n, perNode = 100_001, 2
-	t := tree.BinaryWalker(n)
-	counts := []int{1, gort.GOMAXPROCS(0)}
-	if counts[1] == 1 {
-		counts = counts[:1]
-	}
-	for _, workers := range counts {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("workers=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
 			var ds sim.DrainStats
+			spec := base
+			spec.Workers, spec.DrainStats = workers, &ds
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{
-					Spec: loop.Spec{
-						PerNode:    perNode,
-						Workers:    workers,
-						Latency:    sim.SynchronousScaled(8),
-						DrainStats: &ds,
-					},
-					Root: 0,
-				})
+				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: spec, Root: 0})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -573,6 +476,42 @@ func BenchmarkDrainWindowed(b *testing.B) {
 				b.ReportMetric(float64(ds.Windows)/(float64(events)/1e6), "windows/Mev")
 			}
 		})
+	}
+}
+
+// BenchmarkClosedLoopScale100k is the 100k-node scale cell, an order of
+// magnitude past BenchmarkClosedLoopScale10k.
+func BenchmarkClosedLoopScale100k(b *testing.B) {
+	benchArrowDrain(b, 100_001, loop.Spec{PerNode: 2})
+}
+
+// BenchmarkClosedLoopScale1M is the million-node tier — the scale
+// DESIGN.md targets. Skipped under -short: CI's quick bench smoke
+// passes -short, the dedicated bench job runs it for real.
+func BenchmarkClosedLoopScale1M(b *testing.B) {
+	if testing.Short() {
+		b.Skip("million-node cell: skipped under -short")
+	}
+	benchArrowDrain(b, 1_000_001, loop.Spec{PerNode: 2})
+}
+
+// BenchmarkDrain measures the parallel drain on the two 100k-node cells
+// that stress its commit: linktx1 gives every link capacity (LinkTxTime
+// 1, dense tier), so each replayed send reserves capacity on top of the
+// push; window8 runs SynchronousScaled(8), whose MinDelay widens the
+// window to 8 ticks so each barrier fuses up to 8 ladder buckets.
+// benchcheck's hotpath manifest pins the drain's //arrow:hotpath
+// annotations under it.
+func BenchmarkDrain(b *testing.B) {
+	cells := []struct {
+		name string
+		spec loop.Spec
+	}{
+		{"linktx1", loop.Spec{PerNode: 2, LinkTxTime: 1}},
+		{"window8", loop.Spec{PerNode: 2, Latency: sim.SynchronousScaled(8)}},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) { benchArrowDrain(b, 100_001, c.spec) })
 	}
 }
 

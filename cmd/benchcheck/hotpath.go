@@ -18,7 +18,7 @@ import (
 // when a mapped benchmark is absent from the bench output (the
 // measurement silently dropped out of CI).
 var hotpathBenchmarks = map[string][]string{
-	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkParallelCommit", "BenchmarkDrainWindowed"},
+	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkDrain"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
 	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop"},
 }

@@ -83,8 +83,7 @@ func TestCheckHotpathCoverageClean(t *testing.T) {
 	root := hotpathTestTree(t)
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op 0 B/op 0 allocs/op",
-		"BenchmarkParallelCommit/serial-8 100 10 ns/op",
-		"BenchmarkDrainWindowed/serial-8 100 10 ns/op",
+		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
@@ -98,7 +97,7 @@ func TestCheckHotpathCoverageMissingBenchmark(t *testing.T) {
 	root := hotpathTestTree(t)
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkParallelCommit/serial-8 100 10 ns/op",
+		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
 		// BenchmarkClosedLoopObserved dropped from the sweep.
@@ -121,7 +120,7 @@ func TestCheckHotpathCoverageUnmappedPackage(t *testing.T) {
 	}
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkParallelCommit/serial-8 100 10 ns/op",
+		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
@@ -141,7 +140,7 @@ func TestCheckHotpathCoverageStaleManifestEntry(t *testing.T) {
 	}
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkParallelCommit/serial-8 100 10 ns/op",
+		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",

@@ -56,7 +56,7 @@ type ScaleConfig struct {
 	// missing 1 is prepended so the speedup baseline always exists, and
 	// every rerun's deterministic outputs are checked against the base
 	// row (a divergence fails the experiment: the sweep doubles as a
-	// determinism audit of the parallel commit).
+	// determinism audit of the parallel drain).
 	WorkerSweep []int
 }
 

@@ -345,15 +345,19 @@ func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done 
 	if !net.running.Load() {
 		return 0, nil, ErrStopped
 	}
-	// Optimistic reserve: take the slot, then give it back if that
-	// overshot the window. Concurrent submitters may transiently
-	// overshoot each other's reservations but never the admitted load —
-	// at most MaxInFlight requests are ever in the system.
+	// Reserve a slot only if one is free: the compare-and-swap never
+	// publishes a count above the window, so neither the admitted load
+	// nor a concurrent InFlight() reader ever sees more than MaxInFlight.
 	if limit := net.opts.MaxInFlight; limit > 0 {
-		if net.inflightN.Add(1) > int64(limit) {
-			net.inflightN.Add(-1)
-			net.rejected.Add(1)
-			return 0, nil, &OverloadError{Node: v, Object: obj, Limit: limit}
+		for {
+			n := net.inflightN.Load()
+			if n >= int64(limit) {
+				net.rejected.Add(1)
+				return 0, nil, &OverloadError{Node: v, Object: obj, Limit: limit}
+			}
+			if net.inflightN.CompareAndSwap(n, n+1) {
+				break
+			}
 		}
 	} else {
 		net.inflightN.Add(1)

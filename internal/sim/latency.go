@@ -84,12 +84,10 @@ func (m asyncUniform) Name() string   { return "async-uniform" }
 // CounterLatency is an optional LatencyModel extension for models whose
 // per-message delay is a pure function of (edge weight, config seed,
 // message sequence number) instead of a draw from a shared RNG stream.
-// Because the delay depends only on the message's deterministic global
-// sequence number — assigned identically at any worker count — the
-// simulator can compute it from any commit worker without serializing,
-// which is what lets randomized-delay configs run under the sharded
-// parallel commit. This is the same counter-based discipline as
-// workload.Zipf and Context.Draw.
+// The draws therefore do not depend on the order an RNG stream is
+// consumed in, only on the message's deterministic global sequence
+// number, and the model keeps no stream state. This is the same
+// counter-based discipline as workload.Zipf and Context.Draw.
 type CounterLatency interface {
 	LatencyModel
 	// DelayFor returns the delay for the message that will be (or was)
@@ -105,10 +103,10 @@ type asyncCounter struct{ scale int64 }
 // distribution shape as AsyncUniform — each message takes an integer
 // delay in [1, w·scale], approximately uniform — but drawn by hashing
 // (seed, message seq) with the splitmix64 counter discipline instead of
-// consuming a serialized RNG stream. Runs using it are bit-identical at
-// any Workers count, including under the sharded parallel commit. (The
-// modulo mapping carries a negligible bias for w·scale ≪ 2^64; exact
-// reproducibility, not distributional purity, is the point.)
+// consuming a serialized RNG stream, so a message's delay is a function
+// of its sequence number alone, whatever order the draws happen in.
+// (The modulo mapping carries a negligible bias for w·scale ≪ 2^64;
+// exact reproducibility, not distributional purity, is the point.)
 func AsyncCounter(scale int64) LatencyModel {
 	if scale < 1 {
 		panic("sim: latency scale must be >= 1")

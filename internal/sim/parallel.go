@@ -16,51 +16,52 @@ import (
 // work inside the window, and the only intra-window products are a
 // node's own timers, which stay on the node's shard. That makes the
 // fused window (every ladder bucket in [t, t+L)) the parallel unit,
-// paying one barrier, one key walk and one merge per window instead of
-// per tick:
+// paying one barrier and one commit per window instead of per tick.
+// What is parallel is the handlers; the insertion into the one shared
+// event queue is serial (as in the conservative-PDES designs this
+// follows):
 //
-//  1. peekTime finds the next tick t; every bucket in [t, t+L) is
-//     drained into one super-batch (no handler has run yet, so nothing
-//     new can appear inside the window ahead of it; nextTickWithin
-//     never moves the ladder past the window, so the commits that land
-//     at t+L and later stay legal);
-//  2. the batch is sharded by destination node (to % workers) and each
-//     shard's handlers run concurrently — driver state is keyed by
-//     node, so shards touch disjoint state — with every mutating
-//     Context call buffered into the worker's op log. A node timer
-//     that fires inside the window appends to the worker's ordered
-//     mid-window sub-queue and executes in-shard, in exactly the
-//     (at, seq) slot the serial run would give it (same-tick entries
-//     sort behind the pre-window batch, whose sequence numbers are all
-//     smaller, and among themselves by creation order, which per shard
-//     equals serial push order); every cross-node send has delay >= L
-//     and lands strictly outside the window;
-//  3. the logged effects are committed in serial event order, once per
-//     window: a window walk enumerates every executed event — the
-//     sorted batch merged with the mid-window timers it discovers as
-//     it assigns sequence numbers — and reconstructs each effect's
-//     global (at, pri, seq) key from a running push count. When the
-//     config is commit-shardable (deterministic per-message delays —
-//     synchronous or CounterLatency — and dense-or-absent per-link
-//     state), the commit itself runs on the workers: each one walks
-//     redundantly and applies only the effects it owns — sends by
-//     destination link, timers by destination node — so per-link FIFO
-//     slots and capacity reservations stay single-writer sequential
-//     state, and the staged events merge into the scheduler by
-//     ascending seq, the exact order the serial loop would have pushed
-//     them. Otherwise (stream-RNG latency models, map/paged link
-//     tiers) the coordinator replays the logs serially through the
-//     real send path.
+//  1. gather: peekTime finds the next tick t; every bucket in [t, t+L)
+//     is drained into one super-batch (no handler has run yet, so
+//     nothing new can appear inside the window ahead of it;
+//     nextTickWithin never moves the ladder past the window, so the
+//     commits that land at t+L and later stay legal);
+//  2. handlers: the batch is split by destination node (to % workers)
+//     and each shard's handlers run concurrently — driver state is
+//     keyed by node, so shards touch disjoint state — with every
+//     mutating Context call buffered into the worker's op log. A node
+//     timer that fires inside the window appends to the worker's
+//     ordered mid-window sub-queue and executes in-shard, in exactly
+//     the (at, seq) slot the serial run would give it (same-tick
+//     entries sort behind the pre-window batch, whose sequence numbers
+//     are all smaller, and among themselves by creation order, which
+//     per shard equals serial push order); every cross-node send has
+//     delay >= L and lands strictly outside the window;
+//  3. commit: the coordinator replays the op logs through the same
+//     send / push / RecordRequest the serial loop uses, in serial event
+//     order: a window walk enumerates every executed event — the sorted
+//     batch merged with the mid-window timers it discovers as it
+//     replays their AfterNode ops — with the clock set to each event's
+//     own tick. Because it IS the serial send path, latency draws
+//     (stream-RNG ones included), FIFO clamps, LinkTxTime reservations
+//     on any link-state tier and non-shardable recorders need no second
+//     implementation and no case split.
 //
-// Either way, sequence numbers, delays, FIFO clamps and recorder
-// accumulation reproduce exactly what the serial loop would have done,
-// so the run is bit-identical to Workers <= 1 — histogram snapshots
+// Sequence numbers, delays, FIFO clamps and recorder accumulation
+// therefore reproduce exactly what the serial loop would have done, so
+// the run is bit-identical to Workers <= 1 — histogram snapshots
 // included (recorder shards merge exactly; see stats.ShardableRecorder).
 // Windows containing closure timers or fault events, and windows too
 // small to amortize the fan-out (the minBatch decision is per-window,
-// not per-tick), fall back to a serial replay that interleaves the
+// not per-tick), fall back to a serial dispatch that interleaves the
 // batch with everything it schedules mid-window in (at, pri, seq)
 // order — the same serial order again.
+//
+// The commit is deliberately not sharded across the workers: the queue
+// insertion is serial either way, so sharding can only save the
+// delay/clamp arithmetic while paying one log walk per worker, a
+// staging copy and a merge — measured slower and larger than this
+// replay (DESIGN.md, "Lookahead-windowed drain").
 
 // op kinds of the worker-side effect log.
 const (
@@ -94,13 +95,10 @@ type emitOp struct {
 
 // opBuffer is one worker's effect log for the current window. idx is
 // the execution ordinal the worker is currently processing; Context's
-// mutating methods stamp it into each op. recs flags that at least one
-// opRecord was logged (non-shardable recorder), so the sharded commit
-// knows to run the serial record replay afterwards.
+// mutating methods stamp it into each op.
 type opBuffer struct {
-	ops  []emitOp
-	idx  int32
-	recs bool
+	ops []emitOp
+	idx int32
 }
 
 func (b *opBuffer) add(op emitOp) { b.ops = append(b.ops, op) }
@@ -111,7 +109,6 @@ func (b *opBuffer) reset() {
 		b.ops[i] = emitOp{}
 	}
 	b.ops = b.ops[:0]
-	b.recs = false
 }
 
 // dynEvent is one mid-window node timer: fire tick, a monotone
@@ -211,8 +208,7 @@ type recShard struct {
 // and the (at, ord) heap replays the serial interleaving. Restricted
 // to one shard, the enumeration equals that worker's execution order,
 // which is why per-source ordinal cursors line each event up with its
-// logged ops. The walker is reusable scratch: one per commit worker,
-// one on the coordinator.
+// logged ops. The walker is reusable scratch owned by the coordinator.
 type windowWalker struct {
 	batch  []event
 	w      int
@@ -250,7 +246,7 @@ func (wk *windowWalker) addDyn(at Time, v graph.NodeID) {
 // events win same-tick ties against mid-window timers because every
 // mid-window seq is larger than every pre-window seq.
 //
-//arrow:hotpath one call per executed event per walking commit worker
+//arrow:hotpath one call per executed event during the commit
 func (wk *windowWalker) next() (src int, at Time, ok bool) {
 	if wk.i < len(wk.batch) {
 		e := &wk.batch[wk.i]
@@ -265,73 +261,6 @@ func (wk *windowWalker) next() (src int, at Time, ok bool) {
 	return int(d.v) % wk.w, d.at, true
 }
 
-// commitState is one commit worker's reusable scratch: the events it
-// staged this window (ascending seq by construction), its window
-// walker, a merge cursor for the coordinator, and its share of the
-// message/hop counters.
-type commitState struct {
-	staged   []event
-	wk       windowWalker
-	mergeCur int
-	pushes   uint64
-	messages int64
-	hops     int64
-}
-
-func (cs *commitState) reset() {
-	// Drop references so recycled capacity doesn't pin message payloads.
-	for i := range cs.staged {
-		cs.staged[i] = event{}
-	}
-	cs.staged = cs.staged[:0]
-	cs.mergeCur = 0
-	cs.pushes = 0
-	cs.messages = 0
-	cs.hops = 0
-}
-
-// commitShardable reports whether the logged effects of a fused window
-// can be committed by the workers themselves instead of a serial
-// replay. Two properties are required:
-//
-//   - per-message delays must be reconstructible from the message's
-//     deterministic global seq alone: the synchronous model (a pure
-//     function of edge weight) or a CounterLatency model (seq-keyed
-//     hash). Stream-RNG models (AsyncUniform, AsyncBimodal) consume a
-//     serialized rand stream whose draw order IS the serial commit
-//     order, so they keep the serial replay.
-//   - per-link FIFO/capacity state must be flat (dense tier) or absent:
-//     commit workers then write disjoint cells (each link is owned by
-//     exactly one worker), whereas the map and paged tiers mutate
-//     shared structure on insert.
-func (s *Simulator) commitShardable() bool {
-	if s.syncScale == 0 && s.ctrLat == nil {
-		return false
-	}
-	if s.fifo != nil && s.fifo.dense == nil {
-		return false
-	}
-	if s.busy != nil && s.busy.dense == nil {
-		return false
-	}
-	return true
-}
-
-// linkOwner maps a directed link to the commit worker that owns its
-// sequential state. With a LinkIndexer the dense index is used directly
-// (matching the dense fifo/busy cells); otherwise — legal only when no
-// link state exists at all — a hash of the endpoints keeps all traffic
-// of one link on one worker.
-//
-//arrow:hotpath one call per logged send during the sharded commit
-func (s *Simulator) linkOwner(u, v graph.NodeID) int {
-	if s.linkIdx != nil {
-		return s.linkIdx.LinkIndex(u, v) % s.workers
-	}
-	h := uint64(u)*0x9E3779B97F4A7C15 ^ uint64(v)*0xBF58476D1CE4E5B9
-	return int(h % uint64(s.workers))
-}
-
 // runParallel is Run for workers > 1. New has already rejected configs
 // the drain cannot reproduce bit-identically (non-FIFO arbitration, the
 // heap scheduler, fault plans, an unbounded-MinDelay latency model).
@@ -340,14 +269,6 @@ func (s *Simulator) runParallel() Time {
 	wctx := make([]*Context, w)
 	for i := range wctx {
 		wctx[i] = &Context{s: s, shard: i, buf: &opBuffer{}, win: &winState{}}
-	}
-	sharded := s.commitShardable()
-	var commits []*commitState
-	if sharded {
-		commits = make([]*commitState, w)
-		for i := range commits {
-			commits[i] = &commitState{}
-		}
 	}
 	// Below this, goroutine fan-out costs more than it buys; the window
 	// runs on the serial-fallback path instead. The decision is made
@@ -359,7 +280,7 @@ func (s *Simulator) runParallel() Time {
 		shards = make([][]int32, w)
 		wmax   = make([]Time, w)  // last tick each worker executed
 		wdyn   = make([]int64, w) // mid-window timers each worker executed
-		walk   windowWalker       // coordinator's walker (serial replay paths)
+		walk   windowWalker       // the commit's window walker, recycled across windows
 	)
 	for {
 		t0, ok := s.lq.peekTime()
@@ -508,7 +429,7 @@ func (s *Simulator) runParallel() Time {
 						}
 						h(ctx, e.to)
 					case evMessage:
-						h := s.handler(e.to)
+						h := s.allH
 						if h == nil {
 							panic(fmt.Sprintf("sim: message for node %d with no handler", e.to))
 						}
@@ -543,42 +464,9 @@ func (s *Simulator) runParallel() Time {
 		}
 		s.statWindows++
 		s.statWindowEvents += int64(len(batch)) + dynTotal
-		baseSeq := s.seq
-		anyRecs := false
-		for _, ctx := range wctx {
-			if ctx.buf.recs {
-				anyRecs = true
-			}
-		}
-		if sharded {
-			// Sharded commit: every commit worker walks ALL the logs in
-			// window order (cheap — it reads each op once) to
-			// reconstruct the global push sequence, and applies just the
-			// effects it owns. The ParallelMap join gives the
-			// happens-before edge between the handler phase's log writes
-			// and the commit phase's reads, and between the commit
-			// phase's link-cell writes and the next window's.
-			par.ParallelMap(w, w, func(ci int) {
-				s.commitShard(ci, batch, wctx, commits[ci], baseSeq, winEnd)
-			})
-			pushes := commits[0].pushes
-			for _, cs := range commits[1:] {
-				if cs.pushes != pushes {
-					panic("sim: parallel commit push-count divergence")
-				}
-			}
-			s.mergeStaged(commits)
-			s.seq = baseSeq + pushes
-			for _, cs := range commits {
-				s.messages += cs.messages
-				s.hops += cs.hops
-			}
-			if anyRecs {
-				s.replayRecords(wctx, winEnd, &walk, batch)
-			}
-		} else {
-			s.replayLogs(wctx, winEnd, &walk, batch)
-		}
+		// Commit: the ParallelMap join is the happens-before edge between
+		// the workers' log writes and this replay's reads.
+		s.replayLogs(wctx, winEnd, &walk, batch)
 		// Advance the clock to the last tick the window executed, like
 		// the serial loop would have.
 		for _, m := range wmax {
@@ -601,14 +489,14 @@ func (s *Simulator) runParallel() Time {
 	return s.now
 }
 
-// replayLogs is the serial commit fallback for non-shardable configs:
-// the coordinator replays the effect logs through the real
-// send/schedule/record paths in the window walk's serial order, with
-// the clock set to each event's own tick so delays, capacity
-// reservations and stream-RNG draws match the serial run exactly. A
-// node timer that fired inside the window already executed in-shard:
-// its push is skipped but its sequence number is consumed, and the
-// walker enumerates it so its own ops land in the right slot.
+// replayLogs is the drain's commit: the coordinator replays the effect
+// logs through the real send/schedule/record paths in the window
+// walk's serial order, with the clock set to each event's own tick so
+// delays, capacity reservations and stream-RNG draws match the serial
+// run exactly. A node timer that fired inside the window already
+// executed in-shard: its push is skipped but its sequence number is
+// consumed, and the walker enumerates it so its own ops land in the
+// right slot.
 func (s *Simulator) replayLogs(wctx []*Context, winEnd Time, wk *windowWalker, batch []event) {
 	wk.resetFor(s.workers, batch)
 	s.replayGuard = winEnd
@@ -644,174 +532,4 @@ func (s *Simulator) replayLogs(wctx []*Context, winEnd Time, wk *windowWalker, b
 		wk.opCur[src] = cur
 	}
 	s.replayGuard = 0
-}
-
-// commitShard is one worker's slice of the sharded commit. It walks all
-// op logs in window order, counting pushes to derive each op's global
-// sequence number — the count is identical on every worker, so the
-// (at, pri, seq) keys match what the serial replay would have stamped —
-// and applies the ops it owns: sends whose destination link hashes to
-// this worker (their FIFO clamp and capacity reservation touch only
-// cells this worker owns), node timers landing past the window whose
-// node shard is this worker, and closure timers round-robined by seq.
-// Mid-window node timers consume a sequence number but stage nothing
-// (they already executed in-shard); the walker enumerates them so
-// their ops are keyed correctly. Applied events are staged in
-// ascending seq order for the coordinator's merge.
-//
-//arrow:hotpath every logged effect is walked here once per commit worker
-func (s *Simulator) commitShard(ci int, batch []event, wctx []*Context, cs *commitState, baseSeq uint64, winEnd Time) {
-	w := s.workers
-	cs.reset()
-	// Pre-size the staging slice in one step (see the op-log pre-size in
-	// runParallel): in steady state each executed event pushes about one
-	// future event, split evenly across the commit workers.
-	if need := 2*len(batch)/w + 16; cap(cs.staged) < need {
-		if c := 2 * cap(cs.staged); need < c {
-			need = c // never re-make for less than a doubling
-		}
-		cs.staged = make([]event, 0, need)
-	}
-	wk := &cs.wk
-	wk.resetFor(w, batch)
-	pushes := uint64(0)
-	for {
-		src, at, ok := wk.next()
-		if !ok {
-			break
-		}
-		buf := wctx[src].buf
-		ord := wk.ordCur[src]
-		wk.ordCur[src]++
-		cur := wk.opCur[src]
-		for cur < len(buf.ops) && buf.ops[cur].idx == ord {
-			op := &buf.ops[cur]
-			cur++
-			switch op.kind {
-			case opSend:
-				pushes++
-				if s.linkOwner(op.u, op.v) == ci {
-					s.commitSend(cs, op, baseSeq+pushes, at, winEnd)
-				}
-			case opTimer:
-				pushes++
-				if int((baseSeq+pushes)%uint64(w)) == ci {
-					seq := baseSeq + pushes
-					cs.staged = append(cs.staged, event{at: op.t, pri: int64(seq), seq: seq, kind: evTimer, fn: op.fn})
-				}
-			case opNodeTimer:
-				pushes++
-				if op.t < winEnd {
-					wk.addDyn(op.t, op.v)
-				} else if int(op.v)%w == ci {
-					seq := baseSeq + pushes
-					cs.staged = append(cs.staged, event{at: op.t, pri: int64(seq), seq: seq, kind: evNodeTimer, to: op.v})
-				}
-			case opRecord:
-				// Non-shardable recorders are replayed serially by the
-				// coordinator after the commit (replayRecords); they do
-				// not consume a sequence number.
-			}
-		}
-		wk.opCur[src] = cur
-	}
-	cs.pushes = pushes
-}
-
-// commitSend applies one owned send: the same latency lookup, delay,
-// capacity reservation and FIFO clamp as the serial path, against link
-// cells only this worker touches, departing at the emitting event's own
-// tick. The delay needs no RNG stream — the config is commit-shardable,
-// so it is a pure function of the edge weight (synchronous) or of the
-// message's seq (CounterLatency). An arrival inside the window would
-// mean the latency model's MinDelay() bound lied; the panic is the
-// drain's safety check, not a recoverable condition.
-//
-//arrow:hotpath one call per owned send during the sharded commit
-func (s *Simulator) commitSend(cs *commitState, op *emitOp, seq uint64, at, winEnd Time) {
-	wgt, ok := s.cfg.Topology.Latency(op.u, op.v)
-	if !ok {
-		panic(fmt.Sprintf("sim: illegal send %d -> %d (not connected in topology)", op.u, op.v))
-	}
-	var delay Time
-	if s.syncScale != 0 {
-		delay = wgt * s.syncScale
-	} else {
-		delay = s.ctrLat.DelayFor(wgt, s.cfg.Seed, seq)
-	}
-	if delay < 1 {
-		delay = 1
-	}
-	depart := at
-	if s.busy != nil {
-		depart = s.busy.reserve(op.u, op.v, depart, s.txTime)
-	}
-	arrive := depart + delay
-	if !s.fifoFree {
-		arrive = s.fifo.clamp(op.u, op.v, arrive)
-	}
-	if arrive < winEnd {
-		panic(fmt.Sprintf("sim: message arrives at %d inside the parallel window ending %d — latency model %q violated its MinDelay() bound", arrive, winEnd, s.cfg.Latency.Name()))
-	}
-	cs.messages++
-	cs.hops += int64(s.cfg.Topology.Hops(op.u, op.v))
-	cs.staged = append(cs.staged, event{at: arrive, pri: int64(seq), seq: seq, kind: evMessage, to: op.v, from: op.u, msg: op.msg})
-}
-
-// mergeStaged pushes the staged events into the scheduler in ascending
-// global seq — exactly the order the serial replay would have pushed
-// them, which preserves the ladder buckets' FIFO append invariant. Each
-// worker's staged list is already seq-sorted, so this is a w-way merge
-// with a linear head scan (w is small).
-//
-//arrow:hotpath one pass per parallel window over every staged event
-func (s *Simulator) mergeStaged(commits []*commitState) {
-	for {
-		best := -1
-		var bestSeq uint64
-		for i, cs := range commits {
-			if cs.mergeCur < len(cs.staged) {
-				if sq := cs.staged[cs.mergeCur].seq; best < 0 || sq < bestSeq {
-					best, bestSeq = i, sq
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		cs := commits[best]
-		s.lq.push(&cs.staged[cs.mergeCur])
-		cs.mergeCur++
-	}
-}
-
-// replayRecords applies the buffered opRecord effects of non-shardable
-// recorders in window-walk (= serial event) order; it runs only when a
-// window actually logged one, after the sharded commit, on the
-// coordinator's own walker.
-func (s *Simulator) replayRecords(wctx []*Context, winEnd Time, wk *windowWalker, batch []event) {
-	wk.resetFor(s.workers, batch)
-	for {
-		src, _, ok := wk.next()
-		if !ok {
-			break
-		}
-		buf := wctx[src].buf
-		ord := wk.ordCur[src]
-		wk.ordCur[src]++
-		cur := wk.opCur[src]
-		for cur < len(buf.ops) && buf.ops[cur].idx == ord {
-			op := &buf.ops[cur]
-			cur++
-			switch op.kind {
-			case opRecord:
-				op.rec.RecordRequest(op.t, op.h)
-			case opNodeTimer:
-				if op.t < winEnd {
-					wk.addDyn(op.t, op.v)
-				}
-			}
-		}
-		wk.opCur[src] = cur
-	}
 }

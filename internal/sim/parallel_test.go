@@ -10,21 +10,72 @@ import (
 	"repro/internal/tree"
 )
 
+// tokenCase is one TestParallelDrainBitIdentical input: a latency model,
+// a link capacity, an optional topology wrapper selecting a link-state
+// tier, and whether to record through a non-shardable recorder.
+type tokenCase struct {
+	model  func() LatencyModel
+	tx     Time
+	wrap   func(TreeTopology) Topology
+	seqRec bool
+}
+
+// tokenResult is everything a worker count could perturb: makespan,
+// counters, the recorded distributions and — with seqRec — the exact
+// sequence of RecordRequest calls.
+type tokenResult struct {
+	mk                 Time
+	msgs, hops, events int64
+	latDist, hopDist   stats.Dist
+	calls              []recCall
+}
+
+type recCall struct {
+	latency int64
+	hops    int
+}
+
+// seqRecorder is deliberately not a stats.ShardableRecorder: under the
+// parallel drain its calls are logged as opRecord and applied by the
+// commit's replay, so the captured sequence is the replay's order.
+type seqRecorder struct{ calls []recCall }
+
+func (r *seqRecorder) RecordRequest(latency int64, hops int) {
+	r.calls = append(r.calls, recCall{latency, hops})
+}
+
+// noIdxTopo hides a topology's LinkIndexer, forcing the map link tier.
+type noIdxTopo struct{ Topology }
+
+// pagedTopo reports more links than the dense tier admits, forcing the
+// paged link tier (LinkIndex itself is the tree's).
+type pagedTopo struct{ TreeTopology }
+
+func (pagedTopo) NumLinks() int { return fifoDenseMax + 1 }
+
 // tokenRun drives a self-contained token-bouncing protocol — every node
 // fires a timer, sends a token to the root, the root bounces it back,
-// and the origin records the round trip — and returns everything a
-// worker count could perturb: makespan, counters and the recorded
-// distributions.
-func tokenRun(t *testing.T, n, rounds, workers int, lat LatencyModel, tx Time) (Time, int64, int64, int64, stats.Dist, stats.Dist) {
+// and the origin records the round trip.
+func tokenRun(t *testing.T, n, rounds, workers int, c tokenCase) (tokenResult, DrainStats) {
 	t.Helper()
 	nav := tree.BinaryWalker(n)
-	rec := stats.NewDistRecorder()
+	tt := TreeTopology{T: nav}
+	var topo Topology = tt
+	if c.wrap != nil {
+		topo = c.wrap(tt)
+	}
+	dist := stats.NewDistRecorder()
+	seq := &seqRecorder{}
+	var rec stats.Recorder = dist
+	if c.seqRec {
+		rec = seq
+	}
 	s := New(Config{
-		Topology:   TreeTopology{T: nav},
-		Latency:    lat,
+		Topology:   topo,
+		Latency:    c.model(),
 		Seed:       7,
 		Workers:    workers,
-		LinkTxTime: tx,
+		LinkTxTime: c.tx,
 	})
 	issue := make([]Time, n)
 	left := make([]int, n)
@@ -63,7 +114,8 @@ func tokenRun(t *testing.T, n, rounds, workers int, lat LatencyModel, tx Time) (
 		s.ScheduleNodeAt(Time(1+v%3), graph.NodeID(v))
 	}
 	mk := s.Run()
-	return mk, s.Messages(), s.Hops(), s.EventsProcessed(), rec.Latency.Snapshot(), rec.Hops.Snapshot()
+	return tokenResult{mk, s.Messages(), s.Hops(), s.EventsProcessed(),
+		dist.Latency.Snapshot(), dist.Hops.Snapshot(), seq.calls}, s.DrainStats()
 }
 
 type find struct {
@@ -75,38 +127,54 @@ type find struct {
 // against the serial loop: every observable — makespan, message/hop/
 // event counters, and the recorded latency and hop distributions down
 // to their floating-point means — must match for every worker count.
-// The model × capacity matrix covers every commit mode: "sync" and
-// "asyncctr" engage the sharded commit (without and with per-link
-// capacity state), "async4" exercises the serial-replay fallback for
-// stream-RNG latency, and the protocol draws think times from the
-// counter-based Context.Draw in every case.
+// The drain has one commit (the serial log replay), so the matrix varies
+// what that replay must reproduce: deterministic, seq-keyed and
+// stream-RNG delays, with and without per-link capacity state, on the
+// dense, map and paged link tiers, through shardable recorders and
+// through one whose call sequence only the replay's opRecord order can
+// get right. The protocol draws think times from the counter-based
+// Context.Draw in every case, so a wrong sequence number shows up too.
 func TestParallelDrainBitIdentical(t *testing.T) {
-	cases := map[string]struct {
-		model func() LatencyModel
-		tx    Time
-	}{
-		"sync":        {model: func() LatencyModel { return Synchronous() }},
-		"sync/tx":     {model: func() LatencyModel { return Synchronous() }, tx: 2},
-		"async4":      {model: func() LatencyModel { return AsyncUniform(4) }},
-		"asyncctr":    {model: func() LatencyModel { return AsyncCounter(4) }},
-		"asyncctr/tx": {model: func() LatencyModel { return AsyncCounter(4) }, tx: 1},
-		// The scaled synchronous model is the wide-window case: MinDelay 8
-		// fuses eight ticks per barrier, and the protocol's 1–3-tick think
-		// timers all fire mid-window through the in-shard sub-queue.
-		"sync8":    {model: func() LatencyModel { return SynchronousScaled(8) }},
-		"sync8/tx": {model: func() LatencyModel { return SynchronousScaled(8) }, tx: 2},
+	sync := func() LatencyModel { return Synchronous() }
+	// The scaled synchronous model is the wide-window case: MinDelay 8
+	// fuses eight ticks per barrier, and the protocol's 1–3-tick think
+	// timers all fire mid-window through the in-shard sub-queue.
+	sync8 := func() LatencyModel { return SynchronousScaled(8) }
+	async4 := func() LatencyModel { return AsyncUniform(4) }
+	asyncctr := func() LatencyModel { return AsyncCounter(4) }
+	noIdx := func(tt TreeTopology) Topology { return noIdxTopo{tt} }
+	paged := func(tt TreeTopology) Topology { return pagedTopo{tt} }
+	cases := map[string]tokenCase{
+		"sync":          {model: sync},
+		"sync/tx":       {model: sync, tx: 2},
+		"async4":        {model: async4},
+		"asyncctr":      {model: asyncctr},
+		"asyncctr/tx":   {model: asyncctr, tx: 1},
+		"sync8":         {model: sync8},
+		"sync8/tx":      {model: sync8, tx: 2},
+		"async4/map/tx": {model: async4, tx: 1, wrap: noIdx},
+		"sync/paged/tx": {model: sync, tx: 1, wrap: paged},
+		"sync/seqrec":   {model: sync, seqRec: true},
+		"sync8/seqrec":  {model: sync8, seqRec: true},
+		"async4/seqrec": {model: async4, seqRec: true},
 	}
 	for name, c := range cases {
-		mk0, msg0, hop0, ev0, lat0, hops0 := tokenRun(t, 300, 4, 0, c.model(), c.tx)
+		want, _ := tokenRun(t, 300, 4, 0, c)
+		if c.seqRec && len(want.calls) == 0 {
+			t.Fatalf("%s: serial run recorded nothing", name)
+		}
 		for _, w := range []int{2, 3, 8} {
-			mk, msg, hop, ev, lat, hops := tokenRun(t, 300, 4, w, c.model(), c.tx)
-			if mk != mk0 || msg != msg0 || hop != hop0 || ev != ev0 {
-				t.Fatalf("%s workers=%d: (mk=%d msg=%d hop=%d ev=%d), serial (mk=%d msg=%d hop=%d ev=%d)",
-					name, w, mk, msg, hop, ev, mk0, msg0, hop0, ev0)
+			got, ds := tokenRun(t, 300, 4, w, c)
+			if !reflect.DeepEqual(got, want) {
+				i := 0
+				for i < len(got.calls) && i < len(want.calls) && got.calls[i] == want.calls[i] {
+					i++
+				}
+				got.calls, want.calls = nil, nil
+				t.Fatalf("%s workers=%d diverged from serial (record sequences agree on the first %d calls):\n got %+v\nwant %+v", name, w, i, got, want)
 			}
-			if !reflect.DeepEqual(lat, lat0) || !reflect.DeepEqual(hops, hops0) {
-				t.Fatalf("%s workers=%d: distributions diverged\nlat: %+v\nwant %+v\nhops: %+v\nwant %+v",
-					name, w, lat, lat0, hops, hops0)
+			if ds.Windows == 0 {
+				t.Fatalf("%s workers=%d: no parallel window ran; the case exercised only the fallback", name, w)
 			}
 		}
 	}
@@ -218,33 +286,6 @@ func TestWindowZeroDelayTimerOrder(t *testing.T) {
 			if ds.WindowWidth != 8 || ds.Windows < 1 || ds.MeanBatch() <= 0 {
 				t.Fatalf("workers=%d: no parallel window ran (stats %+v); the test exercised only the fallback", workers, ds)
 			}
-		}
-	}
-}
-
-// noIdxTopo hides a topology's LinkIndexer, forcing the map link tier.
-type noIdxTopo struct{ Topology }
-
-// TestCommitShardable pins the commit-mode decision: the sharded commit
-// engages exactly when delays are deterministic per message and link
-// state is dense or absent.
-func TestCommitShardable(t *testing.T) {
-	tree8 := TreeTopology{T: tree.BinaryWalker(8)}
-	cases := []struct {
-		name string
-		cfg  Config
-		want bool
-	}{
-		{"sync", Config{Topology: tree8, Workers: 2}, true},
-		{"sync/capacity", Config{Topology: tree8, Workers: 2, LinkTxTime: 1}, true},
-		{"counter", Config{Topology: tree8, Workers: 2, Latency: AsyncCounter(4)}, true},
-		{"stream-rng", Config{Topology: tree8, Workers: 2, Latency: AsyncUniform(4)}, false},
-		{"counter/map-tier", Config{Topology: noIdxTopo{tree8}, Workers: 2, Latency: AsyncCounter(4)}, false},
-		{"sync/paged-capacity", Config{Topology: NewCompleteTopology(100000), Workers: 2, LinkTxTime: 1}, false},
-	}
-	for _, c := range cases {
-		if got := New(c.cfg).commitShardable(); got != c.want {
-			t.Errorf("%s: commitShardable = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -129,20 +129,20 @@ type Config struct {
 	// ladder buckets within one lookahead window [t, t+L) — where L is
 	// the latency model's MinDelay(), the conservative Chandy–Misra–
 	// Bryant bound below which no handler can affect another node — are
-	// fused into one batch, processed by that many workers over disjoint
-	// node shards, and the logged side effects are committed in the
-	// serial event order, so results stay bit-identical to Workers <= 1
-	// (the equivalence tests pin this, histograms included). When delays
-	// are deterministic per message (synchronous or a CounterLatency
-	// model) and per-link state is dense or absent, the commit itself is
-	// sharded across the workers by destination link/node; otherwise the
-	// coordinator replays the logs serially. Either way the realized
-	// event sequence is identical. Requires FIFO arbitration, the ladder
-	// scheduler, a fault-free plan, and a latency model that bounds its
-	// minimum delay (MinDelay() >= 1) — Validate reports any conflict as
-	// an error and New panics as a last resort; drivers normalize
-	// incompatible configs to serial instead (except the MinDelay bound,
-	// which Validate rejects outright rather than silently degrading).
+	// fused into one batch, its handlers run on that many workers over
+	// disjoint node shards, and the coordinator replays the logged side
+	// effects through the serial send path in serial event order, so
+	// results stay bit-identical to Workers <= 1 for every latency model
+	// and link-state tier (the equivalence tests pin this, histograms
+	// included). Only the handlers are parallel; on the 2-core host the
+	// benchmark runs on the drain is still slower than Workers 1 (see
+	// DESIGN.md for the measured ratio). Requires FIFO arbitration, the
+	// ladder scheduler, a fault-free plan, and a latency model that
+	// bounds its minimum delay (MinDelay() >= 1) — Validate reports any
+	// conflict as an error and New panics as a last resort; drivers
+	// normalize incompatible configs to serial instead (except the
+	// MinDelay bound, which Validate rejects outright rather than
+	// silently degrading).
 	Workers int
 	// LinkTxTime, when positive, gives every directed link a finite
 	// serialization capacity: consecutive messages on one link depart at
@@ -225,13 +225,12 @@ func (c Config) windowWidth() Time {
 
 // Simulator is a deterministic discrete-event engine.
 type Simulator struct {
-	cfg      Config
-	now      Time
-	seq      uint64
-	handlers []Handler
-	allH     Handler // single handler for every node (SetAllHandlers)
-	timerH   TimerHandler
-	workers  int
+	cfg     Config
+	now     Time
+	seq     uint64
+	allH    Handler // the one message handler, shared by every node
+	timerH  TimerHandler
+	workers int
 
 	// f is the compiled fault state (nil without a plan — the hot paths
 	// gate every fault check on that nil). ctx is the one Context handed
@@ -277,7 +276,7 @@ type Simulator struct {
 	// or a latency RNG; 0 means the model is not synchronous. ctrLat is
 	// non-nil when the latency model is seq-keyed (CounterLatency):
 	// delays are then pure functions of the message's global sequence
-	// number, usable from any commit worker without an RNG stream.
+	// number and no RNG stream is kept.
 	syncScale int64
 	ctrLat    CounterLatency
 
@@ -449,10 +448,11 @@ func DeriveSeed(seed int64, stream int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// New creates a simulator from cfg. Node handlers default to a no-op and
-// are installed with SetHandler / SetAllHandlers. Malformed configs
-// panic with the Validate error — callers that want a recoverable
-// failure run cfg.Validate() first (the drivers and the engine do).
+// New creates a simulator from cfg. The message handler is installed
+// with SetAllHandlers (delivering a message without one panics).
+// Malformed configs panic with the Validate error — callers that want a
+// recoverable failure run cfg.Validate() first (the drivers and the
+// engine do).
 func New(cfg Config) *Simulator {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -502,30 +502,10 @@ func New(cfg Config) *Simulator {
 	return s
 }
 
-// SetHandler installs the message handler for one node, materializing
-// the per-node handler array on first use (a prior SetAllHandlers
-// handler is spread over it, so mixing the two keeps working).
-func (s *Simulator) SetHandler(v graph.NodeID, h Handler) {
-	if s.handlers == nil {
-		s.handlers = make([]Handler, s.cfg.Topology.NumNodes())
-		if s.allH != nil {
-			for i := range s.handlers {
-				s.handlers[i] = s.allH
-			}
-			s.allH = nil
-		}
-	}
-	s.handlers[v] = h
-}
-
-// SetAllHandlers installs the same handler on every node; protocols that
-// keep state in arrays indexed by node typically use this. It stores
-// one Handler rather than n copies — at a million nodes the per-node
-// array alone would be 8 MB of identical words.
-func (s *Simulator) SetAllHandlers(h Handler) {
-	s.allH = h
-	s.handlers = nil
-}
+// SetAllHandlers installs the message handler, one for every node:
+// protocols keep their state in arrays indexed by node and dispatch on
+// the destination, so the simulator stores one Handler, not n.
+func (s *Simulator) SetAllHandlers(h Handler) { s.allH = h }
 
 // SetTimerHandler installs the handler for per-node timers (AfterNode /
 // ScheduleNodeAt). Scheduling a node timer without a handler installed
@@ -684,7 +664,6 @@ func (c *Context) RecordRequest(rec stats.Recorder, latency int64, hops int) {
 			return
 		}
 		c.buf.add(emitOp{idx: c.buf.idx, kind: opRecord, rec: rec, t: latency, h: hops})
-		c.buf.recs = true
 		return
 	}
 	rec.RecordRequest(latency, hops)
@@ -776,8 +755,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 		delay = w * s.syncScale
 	} else if s.ctrLat != nil {
 		// Seq-keyed delay: the event pushed below will be stamped
-		// s.seq+1, and the sharded parallel commit computes the same
-		// delay from the same sequence number.
+		// s.seq+1.
 		delay = s.ctrLat.DelayFor(w, s.cfg.Seed, s.seq+1)
 	} else {
 		if s.latRNG == nil {
@@ -913,7 +891,6 @@ func (s *Simulator) Run() Time {
 
 // dispatch routes one already-clocked event to its handler. Shared by
 // the serial loop and the parallel drain's serial-fallback path.
-// dispatch routes one popped event to its handler.
 //
 //arrow:hotpath every event dequeue lands here
 func (s *Simulator) dispatch(ctx *Context, e *event) {
@@ -962,7 +939,7 @@ func (s *Simulator) dispatch(ctx *Context, e *event) {
 				return
 			}
 		}
-		h := s.handler(e.to)
+		h := s.allH
 		if h == nil {
 			panic(fmt.Sprintf("sim: message for node %d with no handler", e.to))
 		}
@@ -970,17 +947,6 @@ func (s *Simulator) dispatch(ctx *Context, e *event) {
 	case evFault:
 		s.applyFault(ctx, e.msg.(*compiledFault))
 	}
-}
-
-// handler resolves node v's message handler under either storage form.
-func (s *Simulator) handler(v graph.NodeID) Handler {
-	if s.allH != nil {
-		return s.allH
-	}
-	if s.handlers != nil {
-		return s.handlers[v]
-	}
-	return nil
 }
 
 // SatMul returns a*b for non-negative operands, saturating at

@@ -1,9 +1,10 @@
-// Parallel-commit identity pin: the sharded deterministic commit must
-// reproduce the serial drain bit for bit — counters, makespan, event
-// counts AND the latency/hops histogram moments — for every ShardSafe
-// stepper, at every worker count, under both link-capacity contention
+// Parallel-drain identity pin: the drain's commit (handlers on node
+// shards, logs replayed through the serial send path) must reproduce
+// the serial drain bit for bit — counters, makespan, event counts AND
+// the latency/hops histogram moments — for every ShardSafe stepper, at
+// every worker count, under both link-capacity contention
 // (LinkTxTime > 0) and randomized per-message latency (the counter-RNG
-// model, the only random latency the sharded commit admits). This is
+// model). This is
 // the repo-level witness for the scale tier's core invariant: Workers
 // is a throughput knob, never a semantics knob.
 package repro
@@ -119,7 +120,7 @@ func TestParallelCommitBitIdentical(t *testing.T) {
 }
 
 // TestParallelCommitLoopDriver covers the single-object loop driver's
-// path through the sharded commit (the scale tier's actual hot path):
+// path through the parallel drain (the scale tier's actual hot path):
 // arrow on an implicit binary tree with counter-RNG latency and link
 // capacity, workers 1 vs 4 vs 8.
 func TestParallelCommitLoopDriver(t *testing.T) {
