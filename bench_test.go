@@ -480,9 +480,31 @@ func benchArrowDrain(b *testing.B, n int, base loop.Spec) {
 }
 
 // BenchmarkClosedLoopScale100k is the 100k-node scale cell, an order of
-// magnitude past BenchmarkClosedLoopScale10k.
+// magnitude past BenchmarkClosedLoopScale10k. Its centralized
+// sub-benchmark is the far-tier counterpart of the arrow cells: the
+// coordinator serves one request per tick, so every request parks a
+// serve-finish timer ~10⁵ ticks ahead — far wheel pushes, cascades and
+// pours, where the arrow cells stay on the ring. far_pushes/req and
+// heap_pushes are the scheduler's own deterministic counts.
 func BenchmarkClosedLoopScale100k(b *testing.B) {
 	benchArrowDrain(b, 100_001, loop.Spec{PerNode: 2})
+	b.Run("centralized", func(b *testing.B) {
+		const n, perNode = 100_000, 4
+		b.ReportAllocs()
+		var events int64
+		var ds sim.DrainStats
+		for i := 0; i < b.N; i++ {
+			res, err := centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n),
+				centralized.LoopConfig{Spec: loop.Spec{PerNode: perNode, DrainStats: &ds}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			events = res.Events
+		}
+		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		b.ReportMetric(float64(ds.Sched.Far())/float64(n*perNode), "far_pushes/req")
+		b.ReportMetric(float64(ds.Sched.HeapPushes), "heap_pushes")
+	})
 }
 
 // BenchmarkClosedLoopScale1M is the million-node tier — the scale

@@ -11,14 +11,18 @@ import (
 )
 
 // hotpathBenchmarks maps every package that carries //arrow:hotpath
-// annotations to the root-package benchmarks that exercise those
-// functions with -benchmem. The -hotpath check fails when an annotated
+// annotations to the benchmarks that exercise those functions with
+// -benchmem — root-package ones, plus internal/sim's own
+// BenchmarkSchedulerPushPop, whose delay=200000 and delay=1<<28 cells
+// are what runs the scheduler's far push, cascade and heap pour in
+// isolation (BenchmarkClosedLoopScale100k/centralized runs them under a
+// protocol). The -hotpath check fails when an annotated
 // package is missing from this manifest (a hot path nobody measures),
 // when a manifest entry no longer has annotations (a stale claim), or
 // when a mapped benchmark is absent from the bench output (the
 // measurement silently dropped out of CI).
 var hotpathBenchmarks = map[string][]string{
-	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkDrain"},
+	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkDrain", "BenchmarkSchedulerPushPop", "BenchmarkClosedLoopScale100k"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
 	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop"},
 }

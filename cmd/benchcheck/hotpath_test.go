@@ -84,6 +84,8 @@ func TestCheckHotpathCoverageClean(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
+		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
@@ -98,6 +100,8 @@ func TestCheckHotpathCoverageMissingBenchmark(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
+		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
 		// BenchmarkClosedLoopObserved dropped from the sweep.
@@ -121,6 +125,8 @@ func TestCheckHotpathCoverageUnmappedPackage(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
+		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
@@ -141,6 +147,8 @@ func TestCheckHotpathCoverageStaleManifestEntry(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
+		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",

@@ -32,7 +32,8 @@
 //   - -scale FILE: structurally validate an arrowbench/scale document
 //     (`arrowbench -exp scale -json`): the schema string must match
 //     analysis.ScaleSchema, the row set must be non-empty, and every
-//     row must report positive node/request/event counts. The scale
+//     row must report positive node/request/event counts and carry the
+//     scheduler work counters (far_pushes, heap_pushes, refills). The scale
 //     numbers themselves (bytes/node, events/s) are machine-dependent,
 //     so this check gates the document's shape, never its values —
 //     regressions of the memory property are pinned by the repo's own
@@ -213,8 +214,9 @@ func checkShardFile(path string) error {
 }
 
 // checkScaleFile validates an arrowbench/scale document's shape: right
-// schema, non-empty rows, positive counts. Values are machine-dependent
-// and never gated here.
+// schema, non-empty rows, positive counts, drain telemetry and
+// scheduler counters present and consistent. Values are
+// machine-dependent and never gated here.
 func checkScaleFile(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -229,6 +231,12 @@ func checkScaleFile(path string) error {
 	}
 	if len(doc.Rows) == 0 {
 		return fmt.Errorf("%s: no rows", path)
+	}
+	var raw struct {
+		Rows []map[string]json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
 	}
 	for i, r := range doc.Rows {
 		if r.Protocol == "" || r.Topology == "" {
@@ -252,6 +260,24 @@ func checkScaleFile(path string) error {
 		if (r.Windows > 0) != (r.MeanBatch > 0) {
 			return fmt.Errorf("%s: row %d (%s/%s): windows %d inconsistent with mean_batch %g",
 				path, i, r.Protocol, r.Topology, r.Windows, r.MeanBatch)
+		}
+		// Scheduler work counters: required (a document from before they
+		// existed decodes them as zero, so presence is checked on the raw
+		// row), never negative, and far pushes imply the refills that
+		// bring them back — every run drains its queue.
+		for _, key := range []string{"far_pushes", "heap_pushes", "refills"} {
+			if _, ok := raw.Rows[i][key]; !ok {
+				return fmt.Errorf("%s: row %d (%s/%s): missing scheduler counter %q",
+					path, i, r.Protocol, r.Topology, key)
+			}
+		}
+		if r.FarPushes < 0 || r.HeapPushes < 0 || r.Refills < 0 {
+			return fmt.Errorf("%s: row %d (%s/%s): negative scheduler counter (far_pushes %d, heap_pushes %d, refills %d)",
+				path, i, r.Protocol, r.Topology, r.FarPushes, r.HeapPushes, r.Refills)
+		}
+		if r.FarPushes+r.HeapPushes > 0 && r.Refills == 0 {
+			return fmt.Errorf("%s: row %d (%s/%s): %d far and %d heap pushes but no refill",
+				path, i, r.Protocol, r.Topology, r.FarPushes, r.HeapPushes)
 		}
 		for j, p := range r.WorkersSweep {
 			if p.Workers < 1 {

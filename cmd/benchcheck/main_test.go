@@ -237,6 +237,62 @@ func TestCheckShardFile(t *testing.T) {
 	}
 }
 
+// scaleFixture is a one-row arrowbench/scale document as `arrowbench
+// -exp scale -json` writes it (the 20 000-node centralized cell).
+const scaleFixture = `{
+  "schema": "arrowbench/scale/v1",
+  "config": {"sizes": [20000], "per_node": 5, "max_requests": 0, "seed": 1, "workers": 1},
+  "rows": [{
+    "protocol": "centralized", "topology": "complete", "n": 20000, "per_node": 5,
+    "requests": 100000, "makespan": 100001, "events": 399990, "queue_hops": 100000,
+    "events_per_sec": 29000000, "alloc_bytes": 7889000, "bytes_per_node": 394.45,
+    "workers": 1, "window_width": 1, "windows": 0, "mean_batch": 0,
+    "far_pushes": 99996, "heap_pushes": 0, "refills": 195
+  }]
+}`
+
+// TestCheckScaleFile covers the scale document's structural gate,
+// including the scheduler work counters it requires: a document from
+// before they existed (a key missing) fails, as does a negative count
+// or far pushes that no refill ever brought back.
+func TestCheckScaleFile(t *testing.T) {
+	write := func(t *testing.T, doc string) string {
+		t.Helper()
+		p := filepath.Join(t.TempDir(), "scale.json")
+		if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if err := checkScaleFile(write(t, scaleFixture)); err != nil {
+		t.Errorf("well-formed document failed: %v", err)
+	}
+	cases := []struct {
+		name, old, new, want string
+	}{
+		{"wrong schema", "scale/v1", "scale/v0", "schema"},
+		{"no events", `"events": 399990`, `"events": 0`, "non-positive"},
+		{"window width", `"window_width": 1`, `"window_width": 0`, "window_width"},
+		{"missing far_pushes", `"far_pushes": 99996, `, ``, `missing scheduler counter "far_pushes"`},
+		{"missing heap_pushes", `"heap_pushes": 0, `, ``, `missing scheduler counter "heap_pushes"`},
+		{"missing refills", `, "refills": 195`, ``, `missing scheduler counter "refills"`},
+		{"negative counter", `"heap_pushes": 0`, `"heap_pushes": -1`, "negative scheduler counter"},
+		{"pushes without refill", `"refills": 195`, `"refills": 0`, "no refill"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := strings.Replace(scaleFixture, tc.old, tc.new, 1)
+			if doc == scaleFixture {
+				t.Fatalf("fixture does not contain %q", tc.old)
+			}
+			err := checkScaleFile(write(t, doc))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestComparePerfRequestCountChange(t *testing.T) {
 	cur := perfDoc()
 	cur.Rows[0].Requests = 31999

@@ -329,7 +329,7 @@ func ScaleTable(rows []ScaleRow) *Table {
 		Title: "Scale — implicit topologies, closed loop (sequential cells)",
 		Headers: []string{"protocol", "topology", "n", "per-node", "reqs",
 			"makespan", "events", "qhops/req", "Mev/s", "B/node",
-			"window", "windows", "batch"},
+			"window", "windows", "batch", "far_pushes", "heap_pushes", "refills"},
 	}
 	for _, r := range rows {
 		qper := 0.0
@@ -338,7 +338,8 @@ func ScaleTable(rows []ScaleRow) *Table {
 		}
 		t.AddRow(r.Protocol, r.Topology, r.N, r.PerNode, r.Requests,
 			int64(r.Makespan), r.Events, qper, r.EventsPerSec()/1e6, r.BytesPerNode(),
-			int64(r.Drain.WindowWidth), r.Drain.Windows, r.Drain.MeanBatch())
+			int64(r.Drain.WindowWidth), r.Drain.Windows, r.Drain.MeanBatch(),
+			r.Drain.Sched.Far(), r.Drain.Sched.HeapPushes, r.Drain.Sched.Refills)
 	}
 	return t
 }
@@ -389,6 +390,15 @@ type ScaleDocRow struct {
 	WindowWidth int64   `json:"window_width"`
 	Windows     int64   `json:"windows"`
 	MeanBatch   float64 `json:"mean_batch"`
+	// FarPushes, HeapPushes and Refills are the scheduler's far-tier
+	// work counters for the base run (sim.SchedStats): pushes parked in
+	// the far timing wheels, pushes that fell through to the binary heap
+	// (more than 2²⁷ ticks out), and far buckets opened. Deterministic
+	// for a fixed config and worker count; benchcheck requires the
+	// fields and checks their shape.
+	FarPushes  int64 `json:"far_pushes"`
+	HeapPushes int64 `json:"heap_pushes"`
+	Refills    int64 `json:"refills"`
 	// WorkersSweep reports the cell's per-worker-count throughput and
 	// parallel speedup (absent without a sweep). Like events_per_sec,
 	// these are machine-dependent, reported for trend reading and shape
@@ -451,6 +461,9 @@ func ScaleDocument(cfg ScaleConfig, rows []ScaleRow) ScaleDoc {
 			WindowWidth:  int64(r.Drain.WindowWidth),
 			Windows:      r.Drain.Windows,
 			MeanBatch:    r.Drain.MeanBatch(),
+			FarPushes:    r.Drain.Sched.Far(),
+			HeapPushes:   r.Drain.Sched.HeapPushes,
+			Refills:      r.Drain.Sched.Refills,
 		}
 		for _, p := range r.Sweep {
 			doc.Rows[i].WorkersSweep = append(doc.Rows[i].WorkersSweep, ScaleSweepDocPoint{

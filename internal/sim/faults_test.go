@@ -285,36 +285,58 @@ func TestChurnGeneratorsDeterministicAndHealing(t *testing.T) {
 
 // TestSchedulerEquivalenceWithFaults: the heap and ladder schedulers
 // realize the identical trace when fault transitions are interleaved
-// with messages and deferred deliveries.
+// with messages and deferred deliveries. The plan's horizon decides
+// which scheduler tiers hold the pre-scheduled transitions and the
+// deliveries deferred to a heal: 200 ticks stays in the ring, 600 000
+// fills both far wheels, 2²⁹ reaches the heap — each checked against
+// the ladder's own counters. Message traffic restarts at three points of
+// the horizon so it meets transitions cascading out of every tier.
 func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 	tr := tree.BalancedBinary(15)
-	plan := &FaultPlan{Policy: FaultQueue, Events: append(
-		LinkChurn(TreeLinks(tr), 2, 10, 5, 200, 3),
-		NodeChurn(15, func(v graph.NodeID) bool { return v != 0 }, 1, 10, 5, 200, 4)...)}
-	run := func(k SchedulerKind) []string {
-		s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan, Scheduler: k})
-		var trace []string
-		s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-			trace = append(trace, fmt.Sprintf("m:%d:%d<-%d", ctx.Now(), at, from))
-			if ctx.Now() < 150 {
-				ctx.Send(at, from, msg)
-			}
-		})
-		s.SetFaultObserver(func(ctx *Context, ev FaultEvent) {
-			trace = append(trace, fmt.Sprintf("f:%d:%v:%d,%d", ctx.Now(), ev.Kind, ev.U, ev.V))
-		})
-		for v := 1; v < 15; v++ {
-			leaf := graph.NodeID(v)
-			s.ScheduleAt(Time(v%3), func(ctx *Context) {
-				ctx.Send(leaf, tr.Parent(leaf), struct{}{})
+	for _, c := range []struct {
+		horizon              Time
+		wheel0, wheel1, heap bool // tiers the ladder run must have pushed into
+	}{
+		{200, false, false, false},
+		{600_000, true, true, false},
+		{1 << 29, false, true, true},
+	} {
+		horizon := c.horizon
+		plan := &FaultPlan{Policy: FaultQueue, Events: append(
+			LinkChurn(TreeLinks(tr), 2, horizon/20, 5, horizon, 3),
+			NodeChurn(15, func(v graph.NodeID) bool { return v != 0 }, 1, horizon/20, 5, horizon, 4)...)}
+		starts := []Time{0, horizon / 3, 2 * horizon / 3}
+		run := func(k SchedulerKind) ([]string, SchedStats) {
+			s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan, Scheduler: k})
+			var trace []string
+			s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+				trace = append(trace, fmt.Sprintf("m:%d:%d<-%d", ctx.Now(), at, from))
+				if ctx.Now() < msg.(Time)+150 {
+					ctx.Send(at, from, msg)
+				}
 			})
+			s.SetFaultObserver(func(ctx *Context, ev FaultEvent) {
+				trace = append(trace, fmt.Sprintf("f:%d:%v:%d,%d", ctx.Now(), ev.Kind, ev.U, ev.V))
+			})
+			for _, start := range starts {
+				for v := 1; v < 15; v++ {
+					leaf := graph.NodeID(v)
+					s.ScheduleAt(start+Time(v%3), func(ctx *Context) {
+						ctx.Send(leaf, tr.Parent(leaf), start)
+					})
+				}
+			}
+			s.Run()
+			trace = append(trace, fmt.Sprintf("end:%d:%d:%d", s.Now(), s.MessagesDropped(), s.MessagesDeferred()))
+			return trace, s.SchedStats()
 		}
-		s.Run()
-		trace = append(trace, fmt.Sprintf("end:%d:%d:%d", s.Now(), s.MessagesDropped(), s.MessagesDeferred()))
-		return trace
-	}
-	heap, ladder := run(SchedHeap), run(SchedLadder)
-	if !reflect.DeepEqual(heap, ladder) {
-		t.Fatalf("schedulers diverged under faults:\nheap n=%d\nladder n=%d", len(heap), len(ladder))
+		heap, _ := run(SchedHeap)
+		ladder, st := run(SchedLadder)
+		if !reflect.DeepEqual(heap, ladder) {
+			t.Fatalf("horizon %d: schedulers diverged under faults:\nheap n=%d\nladder n=%d", horizon, len(heap), len(ladder))
+		}
+		if (c.wheel0 && st.FarPushes[0] == 0) || (c.wheel1 && st.FarPushes[1] == 0) || (c.heap && st.HeapPushes == 0) {
+			t.Errorf("horizon %d: run did not reach the far tiers it was sized for (stats %+v)", horizon, st)
+		}
 	}
 }

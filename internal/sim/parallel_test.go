@@ -12,12 +12,14 @@ import (
 
 // tokenCase is one TestParallelDrainBitIdentical input: a latency model,
 // a link capacity, an optional topology wrapper selecting a link-state
-// tier, and whether to record through a non-shardable recorder.
+// tier, whether to record through a non-shardable recorder, and a think
+// time added to every re-issue (0 keeps the timers inside the ring).
 type tokenCase struct {
 	model  func() LatencyModel
 	tx     Time
 	wrap   func(TreeTopology) Topology
 	seqRec bool
+	think  Time
 }
 
 // tokenResult is everything a worker count could perturb: makespan,
@@ -107,7 +109,7 @@ func tokenRun(t *testing.T, n, rounds, workers int, c tokenCase) (tokenResult, D
 			// draw is keyed by (seed, node, seq), so it must agree across
 			// serial and parallel drains — the bit-identity comparison
 			// below pins that.
-			ctx.AfterNode(1+Time(ctx.Draw(0)%3), at)
+			ctx.AfterNode(c.think+1+Time(ctx.Draw(0)%3), at)
 		}
 	})
 	for v := 1; v < n; v++ {
@@ -157,6 +159,16 @@ func TestParallelDrainBitIdentical(t *testing.T) {
 		"sync/seqrec":   {model: sync, seqRec: true},
 		"sync8/seqrec":  {model: sync8, seqRec: true},
 		"async4/seqrec": {model: async4, seqRec: true},
+		// Think times that park every re-issue in a far wheel: 600 ticks
+		// is the next epoch or the one after (wheel 0), 300 000 the next
+		// super-epoch (wheel 1, then a cascade). Between bursts the ring
+		// is empty, so the window gather's nextTickWithin has to refill
+		// through the wheels without overshooting the window it is
+		// walking — at window widths 1 and 8.
+		"sync/think600":   {model: sync, think: 600},
+		"sync8/think600":  {model: sync8, think: 600},
+		"sync/think300k":  {model: sync, think: 300_000},
+		"sync8/think300k": {model: sync8, think: 300_000},
 	}
 	for name, c := range cases {
 		want, _ := tokenRun(t, 300, 4, 0, c)

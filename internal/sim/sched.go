@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -16,10 +17,10 @@ import (
 type SchedulerKind uint8
 
 const (
-	// SchedLadder is the default: a bucketed ladder/calendar queue with
-	// O(1) push/pop for the near-future delays that dominate the
-	// synchronous model, plus a binary-heap overflow tier for far-future
-	// events.
+	// SchedLadder is the default: a hierarchical timing wheel — a
+	// per-tick bucket ring for the near-future delays that dominate the
+	// synchronous model, two far wheels for delays up to 2²⁷ ticks, all
+	// O(1) push/pop, and a binary heap only beyond that.
 	SchedLadder SchedulerKind = iota
 	// SchedHeap is the previous implementation: a single binary min-heap,
 	// O(log pending) per operation.
@@ -92,7 +93,9 @@ func cmpEvent(x, y event) int {
 // eventHeap is a hand-rolled min-heap of event values: events live inline
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
-// It is the SchedHeap scheduler and the ladder queue's overflow tier.
+// It is the SchedHeap scheduler — the oracle the ladder queue is tested
+// against — and the ladder queue's last tier, for events more than 2²⁷
+// ticks out.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
@@ -144,19 +147,37 @@ func (h *eventHeap) pop() event {
 }
 
 const (
-	// ringBits sizes the ladder's bucket ring: one bucket per simulated
-	// tick, covering delays up to ringSize ticks ahead without touching
-	// the overflow tier. 512 covers every delay the synchronous and
-	// scaled-async models produce on the paper's topologies while the
-	// ring itself stays one 4 KB array of list heads.
+	// ringBits sizes every level of the ladder: the tick ring and each far
+	// wheel have ringSize buckets, so one 512-bit occupancy bitmap and one
+	// scan routine serve all of them. The ring holds one bucket per
+	// simulated tick of the current 512-tick epoch — wide enough that the
+	// unit and small-integer delays of the synchronous and scaled-async
+	// models land in it directly; longer delays (think times, the
+	// centralized coordinator's serve queue, release times of a static
+	// request set) go to the far wheels.
 	ringBits = 9
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
-	// overflowRetainCap bounds the overflow tier's retained backing
-	// array: when a refill drains the tier completely, anything larger is
-	// released to the GC. The steady-state closed loops never use the
-	// tier, so a static-set burst (many far-future release times) no
-	// longer pins its peak capacity for the life of the run.
+	// farLevels is the number of far wheels. A bucket of wheel k spans
+	// 1<<(ringBits*(k+1)) ticks — an epoch (512 ticks) for wheel 0, a
+	// super-epoch (2¹⁸ ticks) for wheel 1 — and an event belongs to wheel
+	// k when its time and the queue position agree on every bit from
+	// ringBits*(k+2) up. Two wheels reach 2²⁷ ticks: one was measured
+	// not to be enough (the million-node centralized serve queue spans
+	// 10⁶ > 2¹⁸ ticks and stayed in the heap).
+	farLevels = 2
+	// heapShift is the alignment beyond which an event falls through to
+	// the binary heap: times that differ from the position at bit 27 or
+	// above.
+	heapShift = ringBits * (farLevels + 1)
+	// overflowRetainCap bounds what a drained far tier leaves pinned:
+	// when a pour empties the heap, a backing array larger than this is
+	// released, and when a pour empties the wheels, an arena larger than
+	// this and more than four times the live event count is rebuilt
+	// around the live events. A far-future burst (a static set's release
+	// times) therefore does not pin its peak for the rest of the run;
+	// the closed loops, whose pending count is steady, never trip either
+	// release.
 	overflowRetainCap = 1024
 )
 
@@ -164,51 +185,113 @@ const (
 const nilSlot = int32(-1)
 
 // eslot is one arena cell: an event plus its intrusive list link. All
-// pending in-window events live in one shared arena, so buckets cost no
-// storage of their own — pushing links a recycled cell into a per-tick
-// list, and the arena grows (amortized, like the heap's backing array)
-// only when the pending count reaches a new peak.
+// pending events short of the heap tier live in one shared arena, so
+// buckets — tick buckets and far-wheel buckets alike — cost no storage
+// of their own: pushing links a recycled cell into a list, moving an
+// event one tier down relinks the same cell, and the arena grows
+// (amortized, like the heap's backing array) only when the pending
+// count reaches a new peak.
 type eslot struct {
 	ev   event
 	next int32
 }
 
-// tickBucket is an intrusive singly-linked list of arena slots holding
-// one tick's pending events, drained from head.
+// tickBucket is an intrusive singly-linked list of arena slots: one
+// tick's pending events in the ring, one epoch's or super-epoch's in a
+// far wheel.
 type tickBucket struct {
 	head, tail int32
 }
 
-// ladderQueue is the default scheduler: a rotating ring of per-tick
-// bucket lists over a shared event arena for events within the current
-// ringSize-tick window, plus a min-heap overflow tier for events at or
-// beyond the window's horizon.
+// farWheel is one level of the far tier: ringSize bucket lists indexed
+// by the time bits just above the level below, with the same occupancy
+// bitmap the ring keeps.
+type farWheel struct {
+	occupied [ringSize / 64]uint64
+	cnt      int // occupied buckets
+	bucket   [ringSize]tickBucket
+}
+
+// SchedStats counts the ladder queue's far-tier work — every counter
+// sits on a branch the ring path never takes. FarPushes[k] is fresh
+// pushes that landed in far wheel k, HeapPushes those that fell through
+// to the binary heap (more than 2²⁷ ticks from the position), Refills
+// the far buckets opened (one per epoch poured, super-epoch cascaded or
+// heap block poured) and Cascaded the events those refills moved one
+// tier down. All zero under SchedHeap. Deterministic for a fixed config
+// and worker count; the parallel drain holds the position back while a
+// window commits, so its tier split may differ from the serial run's
+// while the event order does not.
+type SchedStats struct {
+	FarPushes  [farLevels]int64
+	HeapPushes int64
+	Refills    int64
+	Cascaded   int64
+}
+
+// Far returns the far-wheel pushes summed over the wheels.
+func (st SchedStats) Far() int64 {
+	var n int64
+	for _, k := range st.FarPushes {
+		n += k
+	}
+	return n
+}
+
+// ladderQueue is the default scheduler, a hierarchical timing wheel
+// over one shared event arena: a ring of per-tick bucket lists for the
+// current 512-tick epoch, far wheel 0 with one list per later epoch of
+// the current super-epoch (2¹⁸ ticks), far wheel 1 with one list per
+// later super-epoch of the current 2²⁷-tick block, and a binary heap
+// for anything beyond the block.
+//
+// The position is base, the tick being drained; horizon is the end of
+// its epoch. A push compares its time with the position from the top
+// bit down — (at^base)>>27, >>18, then at < horizon — and links into
+// the first tier whose alignment it shares. Because every level is
+// aligned, bucket index (at>>shift)&ringMask never wraps within a
+// level and the bucket holding the position is always empty in each far
+// wheel: its events belong one tier down.
 //
 // Invariants:
-//   - every ring event's time lies in [base, horizon), every overflow
-//     event's at or beyond horizon, and horizon - base <= ringSize, so
-//     bucket slot at&ringMask is collision-free and the nearest occupied
-//     slot (found via the occupancy bitmap) is always the earliest
-//     pending tick;
-//   - horizon only moves on refill, when the ring is empty, so ring
-//     events never need to overtake overflow events;
-//   - each bucket list is in (pri, seq) order by the time it drains:
-//     FIFO maintains it by appending (pri equals seq, and refill pours
-//     ascending before strictly-newer pushes append), LIFO by
-//     prepending fresh pushes (newer means smaller pri), and random
-//     arbitration by a one-time sort when the tick becomes current plus
-//     ordered insertion for same-tick pushes during its drain.
+//   - base only moves forward, stays inside [horizon-ringSize, horizon)
+//     and never passes a pending event; every ring event lies in
+//     [base, horizon), so the nearest occupied ring slot (found via the
+//     occupancy bitmap) is the earliest pending tick;
+//   - base leaves its epoch only in refill, with the ring empty. refill
+//     opens the next occupied bucket of the lowest non-empty tier —
+//     repositioning the ring at that bucket's first tick — and moves its
+//     events one tier down: an epoch pours into tick buckets, a
+//     super-epoch cascades into wheel 0 (its first epoch into the ring),
+//     a heap block pours into both wheels and the ring. It repeats until
+//     the ring holds an event, so a descent is a sequence of legal
+//     positions, never a half-cascaded bucket;
+//   - order: for any one tick, the tier a push lands in depends only on
+//     the position, and the position only moves forward — so every heap
+//     resident of that tick was pushed before every wheel-1 resident,
+//     before every wheel-0 resident, before every direct ring push. A
+//     list receives transfers from the tier above only at the moment
+//     the position enters the bucket above it, when the list is still
+//     empty, and fresh pushes only afterwards. Transfers append in
+//     source order (the heap emits ascending (pri, seq)); fresh pushes
+//     take the arbitration's placement at every tier — FIFO appends
+//     (pri equals seq, newest last), LIFO prepends (newest has the
+//     smallest pri). By induction each list's events of one tick are in
+//     (pri, seq) order under FIFO and LIFO, which is the order the heap
+//     realizes. Random arbitration appends everywhere and sorts a tick's
+//     list once when the tick becomes current, plus ordered insertion
+//     for same-tick pushes during its drain.
 //
-// Push and pop are O(1) for in-window events — the regime of the
-// synchronous model, where nearly all delays are small integers — and
-// O(log overflow) for the rare far-future event. Arena cells recycle
+// Push and pop are O(1) at every wheel tier — an event more than 512
+// ticks out is relinked at most twice on its way to the ring, never
+// copied — and O(log heap) only beyond 2²⁷ ticks. Arena cells recycle
 // through a freelist, so the steady state allocates nothing.
 type ladderQueue struct {
 	arb     Arbitration
 	base    Time // tick currently being drained; no pending event is earlier
-	horizon Time // ring covers [base, horizon); later events go to overflow
-	size    int  // total pending events (ring + overflow)
-	ringCnt int  // occupied buckets
+	horizon Time // end of base's epoch: the ring covers [base, horizon)
+	size    int  // total pending events (ring + wheels + heap)
+	ringCnt int  // occupied ring buckets
 	// curPrepared marks the current bucket's list as sorted for random
 	// arbitration (set when its drain starts, cleared when base moves).
 	curPrepared bool
@@ -217,16 +300,24 @@ type ladderQueue struct {
 	free     int32 // freelist head through eslot.next
 	occupied [ringSize / 64]uint64
 	ring     [ringSize]tickBucket
-	overflow eventHeap
+	far      [farLevels]farWheel
+	heap     eventHeap
 	scratch  []event // random-arbitration sort buffer, recycled
+	stats    SchedStats
 }
 
 func (q *ladderQueue) init(arb Arbitration) {
 	q.arb = arb
 	q.horizon = ringSize
 	q.free = nilSlot
+	empty := tickBucket{head: nilSlot, tail: nilSlot}
 	for i := range q.ring {
-		q.ring[i] = tickBucket{head: nilSlot, tail: nilSlot}
+		q.ring[i] = empty
+	}
+	for k := range q.far {
+		for i := range q.far[k].bucket {
+			q.far[k].bucket[i] = empty
+		}
 	}
 }
 
@@ -243,26 +334,24 @@ func (q *ladderQueue) alloc() int32 {
 	return int32(len(q.arena) - 1)
 }
 
-//arrow:hotpath O(1) enqueue: tick bucket or overflow heap
+//arrow:hotpath O(1) enqueue: tick bucket, or a far wheel past the epoch
 func (q *ladderQueue) push(e *event) {
 	if e.at < q.base {
 		panic("sim: scheduling into the past")
 	}
 	q.size++
 	if e.at >= q.horizon {
-		q.overflow.push(*e)
+		q.farPush(e)
 		return
 	}
-	q.bucketPush(e, true)
+	q.bucketPush(e)
 }
 
-// bucketPush links e into its tick's list. direct distinguishes fresh
-// pushes (which see arbitration-specific placement) from refill pours,
-// which always append: the overflow heap emits each tick's events in
-// ascending (pri, seq) order already.
+// bucketPush links a fresh push into its tick's list with the
+// arbitration's placement.
 //
 //arrow:hotpath list-link into the tick bucket
-func (q *ladderQueue) bucketPush(e *event, direct bool) {
+func (q *ladderQueue) bucketPush(e *event) {
 	idx := int(e.at) & ringMask
 	b := &q.ring[idx]
 	s := q.alloc()
@@ -274,27 +363,100 @@ func (q *ladderQueue) bucketPush(e *event, direct bool) {
 		b.head, b.tail = s, s
 		return
 	}
-	if direct {
-		switch q.arb {
-		case ArbLIFO:
-			// A fresh push has the largest seq, hence the smallest pri:
-			// it pops before everything already listed.
-			q.arena[s].next = b.head
-			b.head = s
+	switch q.arb {
+	case ArbLIFO:
+		// A fresh push has the largest seq, hence the smallest pri:
+		// it pops before everything already listed.
+		q.arena[s].next = b.head
+		b.head = s
+		return
+	case ArbRandom:
+		if q.curPrepared && e.at == q.base {
+			q.insertSorted(b, s)
 			return
-		case ArbRandom:
-			if q.curPrepared && e.at == q.base {
-				q.insertSorted(b, s)
-				return
-			}
-		case ArbFIFO:
-			// Largest seq pops last: the tail append below is already
-			// FIFO placement.
 		}
+	case ArbFIFO:
+		// Largest seq pops last: the tail append below is already
+		// FIFO placement.
 	}
 	q.arena[s].next = nilSlot
 	q.arena[b.tail].next = s
 	b.tail = s
+}
+
+// farPush places a fresh push beyond the current epoch: into the far
+// wheel whose alignment it shares with the position, or the heap past
+// 2²⁷ ticks. Placement within the list follows the arbitration exactly
+// as in the ring (see the order invariant).
+//
+//arrow:hotpath O(1) far enqueue: one list link, no sift
+func (q *ladderQueue) farPush(e *event) {
+	if (e.at^q.base)>>heapShift != 0 {
+		q.stats.HeapPushes++
+		q.heap.push(*e)
+		return
+	}
+	s := q.alloc()
+	q.arena[s].ev = *e
+	b, k := q.farBucket(e.at)
+	q.stats.FarPushes[k]++
+	if q.arb == ArbLIFO && b.head != nilSlot {
+		q.arena[s].next = b.head
+		b.head = s
+		return
+	}
+	q.appendSlot(b, s)
+}
+
+// farBucket returns the far-wheel list for time at (and its level),
+// marking it occupied. Callers guarantee at >= horizon and at within
+// the position's 2²⁷-tick block.
+func (q *ladderQueue) farBucket(at Time) (*tickBucket, int) {
+	k := 0
+	if (at^q.base)>>(2*ringBits) != 0 {
+		k = 1
+	}
+	w := &q.far[k]
+	idx := int(at>>(ringBits*(k+1))) & ringMask
+	b := &w.bucket[idx]
+	if b.head == nilSlot {
+		w.occupied[idx>>6] |= 1 << (idx & 63)
+		w.cnt++
+	}
+	return b, k
+}
+
+// appendSlot links slot s at the tail of b.
+func (q *ladderQueue) appendSlot(b *tickBucket, s int32) {
+	q.arena[s].next = nilSlot
+	if b.head == nilSlot {
+		b.head = s
+	} else {
+		q.arena[b.tail].next = s
+	}
+	b.tail = s
+}
+
+// place links the already-filled slot s into the tier its time selects
+// from the current position. It is the transfer half of the order
+// invariant: refill moves events down in source order and place always
+// appends.
+//
+//arrow:hotpath relink one tier down: no event copy
+func (q *ladderQueue) place(s int32) {
+	at := q.arena[s].ev.at
+	if at >= q.horizon {
+		b, _ := q.farBucket(at)
+		q.appendSlot(b, s)
+		return
+	}
+	idx := int(at) & ringMask
+	b := &q.ring[idx]
+	if b.head == nilSlot {
+		q.occupied[idx>>6] |= 1 << (idx & 63)
+		q.ringCnt++
+	}
+	q.appendSlot(b, s)
 }
 
 // insertSorted places slot s into the sorted remainder of the current
@@ -376,18 +538,18 @@ func (q *ladderQueue) pop(out *event) bool {
 		}
 		q.curPrepared = false
 		if q.ringCnt > 0 {
-			q.base += Time(q.nextOccupiedDelta(idx))
+			q.base += Time(nextOccupiedDelta(&q.occupied, idx))
 			continue
 		}
-		q.refill()
+		q.refill(math.MaxInt64)
 	}
 }
 
 // peekTime returns the timestamp of the earliest pending event without
-// popping it. It advances the ring window exactly as pop would (base
-// moves, empty rings refill from overflow), so the pops that follow
-// stay O(1); the pending set and its order are untouched. The parallel
-// drain uses it to delimit one tick's batch.
+// popping it. It advances the position exactly as pop would (base
+// moves, an empty ring refills from the far tier), so the pops that
+// follow stay O(1); the pending set and its order are untouched. The
+// parallel drain uses it to delimit one tick's batch.
 func (q *ladderQueue) peekTime() (Time, bool) {
 	if q.size == 0 {
 		return 0, false
@@ -399,10 +561,10 @@ func (q *ladderQueue) peekTime() (Time, bool) {
 		}
 		q.curPrepared = false
 		if q.ringCnt > 0 {
-			q.base += Time(q.nextOccupiedDelta(idx))
+			q.base += Time(nextOccupiedDelta(&q.occupied, idx))
 			continue
 		}
-		q.refill()
+		q.refill(math.MaxInt64)
 	}
 }
 
@@ -418,63 +580,140 @@ func (q *ladderQueue) curBucketNonEmpty() bool {
 // nextTickWithin advances base to the next occupied tick if — and only
 // if — that tick is strictly below limit, returning it. When the next
 // pending tick is at or past limit (or nothing is pending) base stays
-// where it is, so events the caller pushes afterwards at limit and
+// below limit, so events the caller pushes afterwards at limit and
 // later remain legal: this is how the parallel drain walks every
-// bucket of a lookahead window [t, t+L) without ever moving the window
-// past events the fused batch will commit at t+L. Valid only when the
-// bucket at base has just been drained (pop leaves base on the emptied
-// tick).
+// bucket of a lookahead window [t, t+L) without ever moving the
+// position past events the fused batch will commit at t+L. With the
+// ring empty it refills only through far buckets that start below
+// limit (see refill), so even a false return leaves a legal position.
+// Valid only when the bucket at base has just been drained (pop leaves
+// base on the emptied tick).
 func (q *ladderQueue) nextTickWithin(limit Time) (Time, bool) {
-	if q.size == 0 {
+	if q.size == 0 || (q.ringCnt == 0 && !q.refill(limit)) {
 		return 0, false
 	}
-	if q.ringCnt > 0 {
-		next := q.base + Time(q.nextOccupiedDelta(int(q.base)&ringMask))
-		if next >= limit {
-			return 0, false
-		}
-		q.curPrepared = false
-		q.base = next
-		return next, true
+	// The ring holds an event. base sits on the drained tick, or — fresh
+	// from a refill — on the first tick of the poured epoch, which may
+	// itself be occupied.
+	next := q.base
+	if idx := int(next) & ringMask; q.ring[idx].head == nilSlot {
+		next += Time(nextOccupiedDelta(&q.occupied, idx))
 	}
-	// Ring empty: the earliest pending event sits in overflow. Refill
-	// only when it falls inside the window — a refill moves base there.
-	if q.overflow[0].at >= limit {
+	if next >= limit {
 		return 0, false
 	}
 	q.curPrepared = false
-	q.refill()
-	return q.base, true
+	q.base = next
+	return next, true
 }
 
-// nextOccupiedDelta returns the circular distance from slot idx to the
-// next occupied slot — equal to the tick gap, since all ring events lie
-// within one window. Callers guarantee ringCnt > 0 and slot idx itself
-// empty, so a set bit exists within distance ringSize-1 and the scan
-// terminates before wrapping past its start.
-func (q *ladderQueue) nextOccupiedDelta(idx int) int {
+// nextOccupiedDelta returns the distance from slot idx to the next set
+// bit of one level's occupancy bitmap — for the ring the tick gap to
+// the next pending tick, for a far wheel the bucket gap. Levels are
+// aligned, so every occupied slot lies above the position's; callers
+// guarantee one exists and that slot idx itself is empty, so the scan
+// terminates before running off the bitmap's end.
+func nextOccupiedDelta(occupied *[ringSize / 64]uint64, idx int) int {
 	for d := 1; ; d += 64 - ((idx + d) & 63) {
 		i := (idx + d) & ringMask
-		if w := q.occupied[i>>6] >> (i & 63); w != 0 {
+		if w := occupied[i>>6] >> (i & 63); w != 0 {
 			return d + bits.TrailingZeros64(w)
 		}
 	}
 }
 
-// refill advances the window to the earliest overflow event and pulls
-// everything within the new window into the ring. Called only when the
-// ring is empty and events remain, so overflow is non-empty. A
-// completely drained overflow tier releases its oversized backing array
-// — the one place transient bursts could otherwise pin peak memory for
-// the rest of the run.
-func (q *ladderQueue) refill() {
-	q.base = q.overflow[0].at
-	q.horizon = q.base + ringSize
-	for len(q.overflow) > 0 && q.overflow[0].at < q.horizon {
-		e := q.overflow.pop()
-		q.bucketPush(&e, false)
+// refill brings events into the empty ring: it opens the next occupied
+// bucket of the lowest non-empty far tier — wheel 0, else wheel 1, else
+// the heap's next 2²⁷-tick block — repositions the ring at that
+// bucket's first tick and moves the bucket's events one tier down, in
+// list order, until the ring holds an event. It stops, returning false,
+// in front of a bucket that starts at or after limit: every position it
+// has taken is then below limit and no bucket is left half-moved, so
+// pushes at limit and later stay legal and land behind what was already
+// cascaded. Called only with the ring empty and events pending.
+//
+//arrow:hotpath cascade and pour: one relink per event moved
+func (q *ladderQueue) refill(limit Time) bool {
+	for q.ringCnt == 0 {
+		k := 0
+		for k < farLevels && q.far[k].cnt == 0 {
+			k++
+		}
+		// A level-k bucket spans 1<<shift ticks; for k == farLevels
+		// that is the heap's block.
+		shift := uint(ringBits * (k + 1))
+		var start Time
+		idx := 0
+		if k < farLevels {
+			cur := int(q.base>>shift) & ringMask
+			idx = cur + nextOccupiedDelta(&q.far[k].occupied, cur)
+			start = (q.base>>shift + Time(idx-cur)) << shift
+		} else {
+			start = q.heap[0].at >> shift << shift
+		}
+		if start >= limit {
+			return false
+		}
+		q.curPrepared = false
+		q.base, q.horizon = start, start+ringSize
+		q.stats.Refills++
+		if k == farLevels {
+			q.pourHeap()
+			continue
+		}
+		w := &q.far[k]
+		head := w.bucket[idx].head
+		w.bucket[idx] = tickBucket{head: nilSlot, tail: nilSlot}
+		w.occupied[idx>>6] &^= 1 << (idx & 63)
+		w.cnt--
+		if k == 0 && w.cnt == 0 && q.far[1].cnt == 0 && len(q.heap) == 0 {
+			head = q.compact(head)
+		}
+		for s := head; s != nilSlot; {
+			next := q.arena[s].next
+			q.place(s)
+			q.stats.Cascaded++
+			s = next
+		}
 	}
-	if len(q.overflow) == 0 && cap(q.overflow) > overflowRetainCap {
-		q.overflow = nil
+	return true
+}
+
+// pourHeap moves every heap event of the position's 2²⁷-tick block into
+// the arena. The wheels and the ring are empty when it runs (refill
+// reaches the heap last), and the heap emits each tick's events in
+// ascending (pri, seq), so appending them is final order. A completely
+// drained heap releases its oversized backing array.
+//
+//arrow:hotpath heap block pour: one sift-down and one link per event
+func (q *ladderQueue) pourHeap() {
+	for len(q.heap) > 0 && (q.heap[0].at^q.base)>>heapShift == 0 {
+		s := q.alloc()
+		q.arena[s].ev = q.heap.pop()
+		q.place(s)
+		q.stats.Cascaded++
 	}
+	if len(q.heap) == 0 && cap(q.heap) > overflowRetainCap {
+		q.heap = nil
+	}
+}
+
+// compact runs when the far tier has just emptied: the list at head
+// holds every pending event. If the arena is a burst's leftover — above
+// the retain cap and more than four times the live count — it is
+// rebuilt around that list (slots 0..size-1, same order) and the old
+// array released. Returns the list's new head.
+func (q *ladderQueue) compact(head int32) int32 {
+	if len(q.arena) <= overflowRetainCap || len(q.arena) <= 4*q.size {
+		return head
+	}
+	fresh := make([]eslot, q.size)
+	i := 0
+	for s := head; s != nilSlot; s = q.arena[s].next {
+		fresh[i] = eslot{ev: q.arena[s].ev, next: int32(i + 1)}
+		i++
+	}
+	fresh[i-1].next = nilSlot
+	q.arena, q.free = fresh, nilSlot
+	return 0
 }

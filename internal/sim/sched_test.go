@@ -10,6 +10,9 @@ import (
 	"repro/internal/tree"
 )
 
+// farStrides are the grids runTrace snaps its far-future timers to.
+var farStrides = [...]Time{700, 1 << 15, 1 << 22, 1 << 28}
+
 // traceEntry is one processed event, the unit of the cross-scheduler
 // equivalence property: two schedulers are equivalent iff they produce
 // identical traces.
@@ -22,12 +25,12 @@ type traceEntry struct {
 // runTrace drives a randomized workload that exercises every scheduler
 // code path — unit and multi-tick delays, node and closure timers,
 // same-tick scheduling during the current tick's drain, and far-future
-// delays that cross the ladder's ring horizon into the overflow tier
-// (with multiple window refills) — and records the processed-event
+// delays that reach every tier of the ladder (ring-crossing, both far
+// wheels, the heap beyond 2²⁷ ticks) — and records the processed-event
 // trace. All randomness flows through the simulator's own seeded
 // streams, so for a fixed config the trace is a pure function of the
 // event order the scheduler realizes.
-func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyModel, seed int64) []traceEntry {
+func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyModel, seed int64) ([]traceEntry, SchedStats) {
 	t.Helper()
 	tr := tree.PathTree(4)
 	s := New(Config{
@@ -48,8 +51,15 @@ func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyMode
 		r := ctx.Rand()
 		switch r.Intn(5) {
 		case 0:
-			// Far-future node timer: usually beyond the ring horizon.
-			ctx.AfterNode(Time(1+r.Intn(3*ringSize)), at)
+			// Far-future node timer, snapped to one of four grids so each
+			// tier is reached — ring-crossing and far wheel 0 (700), wheel
+			// 0 and 1 (2¹⁵), wheel 1 (2²²), the heap beyond 2²⁷ (2²⁸) —
+			// and so timers armed from different positions, hence held in
+			// different tiers, meet on one tick: the run takes both
+			// cascades and the heap pour with same-tick ties to order.
+			stride := farStrides[r.Intn(len(farStrides))]
+			target := (ctx.Now()/stride + 1 + Time(r.Intn(3))) * stride
+			ctx.AfterNode(target-ctx.Now(), at)
 		case 1:
 			// Same-tick closure timer: inserts into the bucket being
 			// drained right now.
@@ -80,7 +90,7 @@ func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyMode
 		s.ScheduleNodeAt(Time(v)*700, v) // staggered past the first horizon
 	}
 	s.Run()
-	return trace
+	return trace, s.SchedStats()
 }
 
 // TestSchedulerEquivalence pins the tentpole invariant: the ladder queue
@@ -99,8 +109,11 @@ func TestSchedulerEquivalence(t *testing.T) {
 		for _, lm := range models {
 			for seed := int64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%v/%s/seed=%d", arb, lm.name, seed)
-				heap := runTrace(t, SchedHeap, arb, lm.m, seed)
-				ladder := runTrace(t, SchedLadder, arb, lm.m, seed)
+				heap, _ := runTrace(t, SchedHeap, arb, lm.m, seed)
+				ladder, st := runTrace(t, SchedLadder, arb, lm.m, seed)
+				if st.FarPushes[0] == 0 || st.FarPushes[1] == 0 || st.HeapPushes == 0 || st.Cascaded == 0 {
+					t.Errorf("%s: ladder run missed a tier (stats %+v)", name, st)
+				}
 				if len(heap) != len(ladder) {
 					t.Errorf("%s: trace lengths differ: heap %d, ladder %d", name, len(heap), len(ladder))
 					continue
@@ -117,47 +130,74 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// TestLadderReleasesOverflowStorage is the scheduler-memory pin
-// (alongside engine's 100k-request recorder-memory pin): a burst of
-// far-future events grows the overflow tier once, and draining it
-// releases the oversized backing array instead of pinning peak capacity
-// for the life of the run — while the ring's arena stays proportional
-// to the in-flight event count, not the total.
-func TestLadderReleasesOverflowStorage(t *testing.T) {
-	const far = 5000
+// farBurst schedules count node timers spacing ticks apart on a fresh
+// simulator and returns it un-run: spacing 600 lands the burst in the
+// far wheels (wheel 0 up to 2¹⁸, wheel 1 beyond), spacing above 2²⁷
+// puts every timer in its own heap block.
+func farBurst(count int, spacing Time) *Simulator {
 	s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
 	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {})
-	for i := 1; i <= far; i++ {
-		// 600-tick spacing: every event is beyond the previous window,
-		// so the run performs ~5000 refills, draining overflow slowly.
-		s.ScheduleNodeAt(Time(i)*600, 0)
+	for i := 1; i <= count; i++ {
+		s.ScheduleNodeAt(Time(i)*spacing, 0)
 	}
-	if c := cap(s.lq.overflow); c < far-1 {
-		t.Fatalf("test premise broken: overflow tier holds cap %d, want >= %d", c, far-1)
-	}
-	s.Run()
-	if s.lq.overflow != nil {
-		t.Errorf("drained overflow tier retains cap %d, want released (nil)", cap(s.lq.overflow))
-	}
-	if s.lq.size != 0 || s.lq.ringCnt != 0 {
-		t.Errorf("queue not empty after run: size=%d ringCnt=%d", s.lq.size, s.lq.ringCnt)
-	}
-	if got := len(s.lq.arena); got > 64 {
-		t.Errorf("arena grew to %d slots for a 1-in-flight workload; want peak-pending-sized", got)
-	}
+	return s
 }
 
-// TestLadderOverflowBelowRetainCapKept: small overflow arrays are reused,
-// not churned.
+// TestLadderReleasesOverflowStorage is the scheduler-memory pin
+// (alongside engine's 100k-request recorder-memory pin): a burst of
+// far-future events grows the far tier's storage once — the shared
+// arena for the wheels, the backing array for the heap — and draining
+// it releases that storage instead of pinning the burst's peak for the
+// life of the run.
+func TestLadderReleasesOverflowStorage(t *testing.T) {
+	const far = 5000
+	t.Run("wheels", func(t *testing.T) {
+		// One timer per refill: ~440 through wheel 0, the rest through
+		// wheel 1 and its cascades.
+		s := farBurst(far, 600)
+		st := s.SchedStats()
+		if st.FarPushes[0] == 0 || st.FarPushes[1] == 0 || st.HeapPushes != 0 || len(s.lq.arena) < far {
+			t.Fatalf("test premise broken: burst not held by both wheels (stats %+v, arena %d)", st, len(s.lq.arena))
+		}
+		s.Run()
+		if got := len(s.lq.arena); got > 64 {
+			t.Errorf("drained far wheels leave an arena of %d slots for a 1-in-flight workload; want it rebuilt around the live events", got)
+		}
+		if s.lq.size != 0 || s.lq.ringCnt != 0 || s.lq.far[0].cnt != 0 || s.lq.far[1].cnt != 0 {
+			t.Errorf("queue not empty after run: size=%d ringCnt=%d wheels=%d/%d",
+				s.lq.size, s.lq.ringCnt, s.lq.far[0].cnt, s.lq.far[1].cnt)
+		}
+	})
+	t.Run("heap", func(t *testing.T) {
+		s := farBurst(far, 1<<heapShift+600)
+		if st := s.SchedStats(); st.HeapPushes != far || cap(s.lq.heap) < far {
+			t.Fatalf("test premise broken: heap holds cap %d after %d heap pushes, want %d", cap(s.lq.heap), st.HeapPushes, far)
+		}
+		s.Run()
+		if s.lq.heap != nil {
+			t.Errorf("drained heap tier retains cap %d, want released (nil)", cap(s.lq.heap))
+		}
+		if got := len(s.lq.arena); got > 64 {
+			t.Errorf("arena grew to %d slots for a 1-in-flight workload; want peak-pending-sized", got)
+		}
+		if s.lq.size != 0 {
+			t.Errorf("queue not empty after run: size=%d", s.lq.size)
+		}
+	})
+}
+
+// TestLadderOverflowBelowRetainCapKept: small far-tier storage is
+// reused, not churned.
 func TestLadderOverflowBelowRetainCapKept(t *testing.T) {
-	s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
-	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {})
-	for i := 1; i <= 16; i++ {
-		s.ScheduleNodeAt(Time(i)*600, 0)
-	}
+	s := farBurst(16, 600)
 	s.Run()
-	if s.lq.overflow == nil || cap(s.lq.overflow) > overflowRetainCap {
-		t.Errorf("small overflow array not retained: %v (cap %d)", s.lq.overflow == nil, cap(s.lq.overflow))
+	if got := len(s.lq.arena); got != 16 {
+		t.Errorf("small arena not retained: %d slots after a 16-event wheel burst", got)
+	}
+	s = farBurst(16, 1<<heapShift+600)
+	s.Run()
+	if s.lq.heap == nil || cap(s.lq.heap) > overflowRetainCap {
+		t.Errorf("small heap array not retained: nil=%v (cap %d)", s.lq.heap == nil, cap(s.lq.heap))
 	}
 }
 
@@ -188,14 +228,15 @@ func TestSatMulSatAdd(t *testing.T) {
 // BenchmarkSchedulerPushPop measures raw steady-state scheduler
 // throughput: a pending set of the given size with uniformly random
 // delays, popping one event and pushing its replacement per iteration.
-// delay16 stays within the ladder's ring (the synchronous regime);
-// delay4096 crosses into the heap-backed overflow tier, the ladder's
-// worst case. Run with -benchmem: the steady state of both schedulers
-// is allocation-free.
+// delay=16 stays within the ladder's ring (the synchronous regime);
+// 4096 spreads over far wheel 0, 200000 over both far wheels (the
+// centralized coordinator's serve queue at 10⁵ nodes), and 1<<28 is
+// the heap tier beyond 2²⁷ ticks. Run with -benchmem: the steady state
+// of both schedulers is allocation-free.
 func BenchmarkSchedulerPushPop(b *testing.B) {
 	for _, kind := range []SchedulerKind{SchedLadder, SchedHeap} {
 		for _, pending := range []int{64, 1024, 65536} {
-			for _, maxDelay := range []int{16, 4096} {
+			for _, maxDelay := range []int{16, 4096, 200000, 1 << 28} {
 				name := fmt.Sprintf("%v/pending=%d/delay=%d", kind, pending, maxDelay)
 				b.Run(name, func(b *testing.B) {
 					var lq ladderQueue

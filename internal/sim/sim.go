@@ -310,11 +310,15 @@ type Simulator struct {
 // worker pool (the barrier count), and how many events those windows
 // carried. BatchEvents/Windows is the mean parallel batch size — the
 // quantity the window fusion exists to raise. All zero except
-// WindowWidth on serial runs.
+// WindowWidth and Sched on serial runs.
 type DrainStats struct {
 	WindowWidth Time
 	Windows     int64
 	BatchEvents int64
+	// Sched is the scheduler's far-tier work (see SchedStats), carried
+	// here so the one telemetry out-pointer the closed-loop drivers
+	// already fill delivers it too.
+	Sched SchedStats
 }
 
 // MeanBatch returns events per parallel barrier (0 when no window ever
@@ -328,8 +332,12 @@ func (d DrainStats) MeanBatch() float64 {
 
 // DrainStats returns the run's drain telemetry (see DrainStats).
 func (s *Simulator) DrainStats() DrainStats {
-	return DrainStats{WindowWidth: s.window, Windows: s.statWindows, BatchEvents: s.statWindowEvents}
+	return DrainStats{WindowWidth: s.window, Windows: s.statWindows, BatchEvents: s.statWindowEvents, Sched: s.SchedStats()}
 }
+
+// SchedStats returns the ladder queue's far-tier work counters so far
+// (see SchedStats); all zero under SchedHeap.
+func (s *Simulator) SchedStats() SchedStats { return s.lq.stats }
 
 type linkKey struct{ u, v graph.NodeID }
 

@@ -10,34 +10,50 @@ import (
 	"testing"
 
 	"repro/internal/arrow"
+	"repro/internal/centralized"
 	"repro/internal/loop"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
 // allocPerNode measures cumulative heap allocation (TotalAlloc delta)
-// of one closed-loop arrow run on an implicit binary tree, divided by
-// the node count. TotalAlloc is the honest metric: transient garbage
-// counts, so a per-request allocation would scale the number with
-// PerNode·n instead of n and blow the gate — and under the parallel
-// drain, a window that failed to recycle its op buffers, sub-queue
-// heaps or staging slices would scale it with the window count.
-func allocPerNode(t *testing.T, n, perNode int, spec loop.Spec) float64 {
+// of one closed-loop run over n nodes, divided by the node count.
+// TotalAlloc is the honest metric: transient garbage counts, so a
+// per-request allocation would scale the number with PerNode·n instead
+// of n and blow the gate — and under the parallel drain, a window that
+// failed to recycle its op buffers, sub-queue heaps or staging slices
+// would scale it with the window count. run builds the topology too, so
+// its allocations are counted.
+func allocPerNode(t *testing.T, n int, spec loop.Spec, run func(loop.Spec) (*loop.Result, error)) float64 {
 	t.Helper()
-	spec.PerNode = perNode
 	var ms gort.MemStats
 	gort.GC()
 	gort.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	res, err := arrow.RunClosedLoop(tree.BinaryWalker(n), arrow.LoopConfig{Spec: spec, Root: 0})
+	res, err := run(spec)
 	gort.ReadMemStats(&ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(n) * int64(perNode); res.Requests != want {
+	if want := int64(n) * int64(spec.PerNode); res.Requests != want {
 		t.Fatalf("n=%d: completed %d of %d requests", n, res.Requests, want)
 	}
 	return float64(ms.TotalAlloc-before) / float64(n)
+}
+
+// arrowAllocPerNode is allocPerNode for arrow on an implicit binary tree.
+func arrowAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
+	return allocPerNode(t, n, spec, func(spec loop.Spec) (*loop.Result, error) {
+		return arrow.RunClosedLoop(tree.BinaryWalker(n), arrow.LoopConfig{Spec: spec, Root: 0})
+	})
+}
+
+// centralAllocPerNode is allocPerNode for the centralized closed loop on
+// the implicit complete topology.
+func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
+	return allocPerNode(t, n, spec, func(spec loop.Spec) (*loop.Result, error) {
+		return centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{Spec: spec})
+	})
 }
 
 // TestScaleBytesPerNodeFlat pins the fixed-memory property from 10k to
@@ -45,18 +61,55 @@ func allocPerNode(t *testing.T, n, perNode int, spec loop.Spec) float64 {
 // decade (allocator size-class and slice-growth rounding move it a
 // little), and stays under an absolute per-node budget that a single
 // stray O(n log n) table would immediately break (the lifted tree alone
-// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k).
+// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). The
+// centralized row holds ~n serve-finish timers in the scheduler's far
+// tier for the whole run; they live in the arena the n initial timers
+// already grew, so its budget is the arrow row's order — a second
+// n-entry structure for the far tier (the binary heap cost ~340 B/node
+// in append growth) breaks it.
 func TestScaleBytesPerNodeFlat(t *testing.T) {
 	const perNode = 4
-	small := allocPerNode(t, 10_001, perNode, loop.Spec{})
-	big := allocPerNode(t, 100_001, perNode, loop.Spec{})
-	t.Logf("bytes/node: n=10001 %.1f, n=100001 %.1f", small, big)
-	if big > small*1.5 {
-		t.Errorf("bytes/node grew from %.1f (10k) to %.1f (100k): not flat", small, big)
+	rows := []struct {
+		name   string
+		budget float64
+		run    func(n int) float64
+	}{
+		{"arrow", 1024, func(n int) float64 { return arrowAllocPerNode(t, n+1, loop.Spec{PerNode: perNode}) }},
+		{"centralized", 560, func(n int) float64 { return centralAllocPerNode(t, n, loop.Spec{PerNode: perNode}) }},
 	}
-	const budget = 1024
-	if big > budget {
-		t.Errorf("bytes/node at 100k = %.1f exceeds the %d-byte budget", big, budget)
+	for _, r := range rows {
+		small, big := r.run(10_000), r.run(100_000)
+		t.Logf("%s bytes/node: n=10k %.1f, n=100k %.1f", r.name, small, big)
+		if big > small*1.5 {
+			t.Errorf("%s: bytes/node grew from %.1f (10k) to %.1f (100k): not flat", r.name, small, big)
+		}
+		if big > r.budget {
+			t.Errorf("%s: bytes/node at 100k = %.1f exceeds the %.0f-byte budget", r.name, big, r.budget)
+		}
+	}
+}
+
+// TestCentralServeQueueStaysOutOfHeap gates "the serve queue is off the
+// binary heap" as a count, not a wall-clock impression: in a 20 000-node
+// centralized closed loop every request arms a serve-finish timer about
+// n ticks ahead, so all but the ones armed with under an epoch of queue
+// in front of them (the run's first few hundred) are far-wheel pushes,
+// and nothing reaches the heap tier.
+func TestCentralServeQueueStaysOutOfHeap(t *testing.T) {
+	const n, perNode = 20_000, 5
+	var ds sim.DrainStats
+	centralAllocPerNode(t, n, loop.Spec{PerNode: perNode, DrainStats: &ds})
+	st := ds.Sched
+	far := st.Far()
+	t.Logf("scheduler counters: %+v", st)
+	if st.HeapPushes != 0 {
+		t.Errorf("heap_pushes = %d, want 0: the serve queue reached the binary heap", st.HeapPushes)
+	}
+	if requests := int64(n * perNode); far < requests-1024 {
+		t.Errorf("far_pushes = %d for %d requests: the serve-finish timers are not parked in the far wheels", far, requests)
+	}
+	if st.Refills == 0 || st.Cascaded < far {
+		t.Errorf("refills = %d, cascaded = %d: every far push must come back through a refill", st.Refills, st.Cascaded)
 	}
 }
 
@@ -76,9 +129,9 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 // (one extra copy ≈ +700 B/node with append's growth ramp) would break.
 func TestScaleBytesPerNodeFlatWindowed(t *testing.T) {
 	const perNode = 4
-	spec := loop.Spec{Workers: 4, Latency: sim.SynchronousScaled(8), DrainStats: &sim.DrainStats{}}
-	small := allocPerNode(t, 10_001, perNode, spec)
-	big := allocPerNode(t, 100_001, perNode, spec)
+	spec := loop.Spec{PerNode: perNode, Workers: 4, Latency: sim.SynchronousScaled(8), DrainStats: &sim.DrainStats{}}
+	small := arrowAllocPerNode(t, 10_001, spec)
+	big := arrowAllocPerNode(t, 100_001, spec)
 	if ds := spec.DrainStats; ds.WindowWidth != 8 || ds.Windows < 1 {
 		t.Fatalf("windowed run did not engage the parallel drain (stats %+v)", *ds)
 	}
