@@ -1,0 +1,500 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/arrow"
+	"repro/internal/graph"
+	"repro/internal/tree"
+)
+
+// TestCompletionOrderIsFIFO pins delivery order = completion order
+// without leaning on Wait. One goroutine submits every request at object
+// 0's sink, so the requests complete inside initiate, in mailbox order:
+// complete runs in ReqID order. The window keeps the submitter a step
+// ahead of a consumer that alternates between parking in receive (the
+// direct handoff) and staying away for 0-7us (the backlog), sweeping
+// its return across the collector's wake-up: the interleaving where a
+// direct send guarded only by "the backlog slice is empty" overtakes a
+// batch the collector has swapped out but not sent yet.
+func TestCompletionOrderIsFIFO(t *testing.T) {
+	const requests = 150_000
+	net := New(tree.BalancedBinary(7), 0, Options{MaxInFlight: 2})
+	net.Start()
+	got := make([]int64, 0, requests)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for c := range net.Completions() {
+			got = append(got, c.ReqID)
+			away := time.Duration(len(got)%8) * time.Microsecond
+			for start := time.Now(); time.Since(start) < away; {
+			}
+		}
+	}()
+	for i := 0; i < requests; i++ {
+		for {
+			_, err := net.Submit(0, 0)
+			if err == nil {
+				break
+			}
+			var ov *OverloadError
+			if !errors.As(err, &ov) {
+				t.Fatal(err)
+			}
+			runtime.Gosched()
+		}
+	}
+	net.Stop()
+	<-drained
+	if len(got) != requests {
+		t.Fatalf("%d completions, want %d", len(got), requests)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("completion %d delivered after %d (position %d)", got[i], got[i-1], i)
+		}
+	}
+}
+
+// TestLinkIsFIFO pins the message plane's ordering promise on its own.
+// The protocol cannot: one object never has two messages on an edge at
+// once, so only different objects' messages share a link. Each round
+// parks every object's sink at node 0 and then issues one request per
+// object at node 1, from one goroutine: node 1 forwards them over the
+// one link in mailbox order, node 0 completes them in arrival order,
+// and completions are delivered in completion order. A send whose
+// enqueue is deferred until its node is released lets the node's next
+// carrier overtake it.
+func TestLinkIsFIFO(t *testing.T) {
+	const objects, rounds = 16, 500
+	net := New(tree.PathTree(2), 0, Options{Objects: objects})
+	net.Start()
+	for round := 0; round < rounds; round++ {
+		for _, v := range []graph.NodeID{0, 1} {
+			for o := int32(0); o < objects; o++ {
+				if _, err := net.Submit(v, o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int32(0); i < objects; i++ {
+				c := <-net.Completions()
+				if v == 1 && (c.Object != i || c.Hops != 1) {
+					t.Fatalf("round %d: completion %d over the link is object %d after %d hops, want object %d after 1",
+						round, i, c.Object, c.Hops, i)
+				}
+			}
+		}
+	}
+	go func() {
+		for range net.Completions() {
+		}
+	}()
+	net.Stop()
+}
+
+// TestCarrierFairness: a hot node whose mailbox never runs dry must not
+// starve the chain behind it. Object 1's sink sits at node 2 of a path,
+// and the injected clock — called while node 2's carrier completes a
+// request for it — submits the next one there, so that carrier finds
+// the mailbox refilled after every batch, for as long as the test likes.
+// Meanwhile requests for object 0 cross the whole path through node 2.
+// A carrier that kept draining node 2 while holding the successor it
+// claimed would park them until the refilling stops.
+func TestCarrierFairness(t *testing.T) {
+	const (
+		hot      = graph.NodeID(2)
+		hopDelay = 50 * time.Microsecond
+		hops     = 4
+		farReqs  = 20
+		// The far requests take ~20 x 4 hops x (a 50us sleep that can
+		// cost 1ms) when they make progress; starved, the first one lasts
+		// as long as the refilling does.
+		refillFor = 2 * time.Second
+		// Every completion refills, the far ones too, so up to farReqs+1
+		// refill requests are live; a larger pool of tokens, returned by
+		// the consumer, paces the refilling to it.
+		pace = 3 * farReqs
+	)
+	tokens := make(chan struct{}, pace)
+	for i := 0; i < pace; i++ {
+		tokens <- struct{}{}
+	}
+	var net *Network
+	var refill atomic.Bool
+	net = New(tree.PathTree(hops+1), 0, Options{Objects: 2, HopDelay: hopDelay, Clock: func() time.Time {
+		if refill.Load() {
+			<-tokens
+			if _, err := net.Submit(hot, 1); err != nil {
+				t.Error(err)
+			}
+		}
+		return time.Now()
+	}})
+	net.Start()
+	far := make(chan Completion, 1)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for c := range net.Completions() {
+			if c.Object == 0 {
+				far <- c
+				continue
+			}
+			select {
+			case tokens <- struct{}{}:
+			default: // one of the two requests submitted below
+			}
+		}
+	}()
+	// Park object 1's sink at the hot node, then start refilling.
+	if _, err := net.Submit(hot, 1); err != nil {
+		t.Fatal(err)
+	}
+	net.Wait()
+	refill.Store(true)
+	// The refilling ends with the far requests, or at the deadline if
+	// they are being starved.
+	var starved atomic.Bool
+	deadline := time.AfterFunc(refillFor, func() {
+		starved.Store(true)
+		refill.Store(false)
+	})
+	defer deadline.Stop()
+	if _, err := net.Submit(hot, 1); err != nil {
+		t.Fatal(err)
+	}
+	var worst time.Duration
+	for i := 0; i < farReqs; i++ {
+		start := time.Now()
+		net.Request(graph.NodeID(hops * ((i + 1) % 2)))
+		c := <-far
+		if d := time.Since(start); d > worst {
+			worst = d
+		}
+		if c.Hops != hops {
+			t.Fatalf("far request %d took %d hops, want %d", i, c.Hops, hops)
+		}
+	}
+	deadline.Stop()
+	refill.Store(false)
+	net.Wait() // the last refill is submitted by a request still in flight
+	net.Stop()
+	<-drained
+	if starved.Load() {
+		t.Errorf("a far request waited %v behind the hot node: it only moved once the refilling stopped (%d hops x %v)",
+			worst, hops, hopDelay)
+	}
+}
+
+// TestSlowConsumerIsBackpressured: an admission slot is released when
+// the completion is handed to the consumer, not when it is produced, so
+// a stalled consumer surfaces as *OverloadError and the completion
+// backlog never outgrows the window.
+func TestSlowConsumerIsBackpressured(t *testing.T) {
+	const window, attempts = 8, 1000
+	net := New(tree.BalancedBinary(15), 0, Options{Objects: 4, MaxInFlight: window})
+	net.Start()
+	var accepted, overloads int
+	for i := 0; i < attempts; i++ {
+		if i == window {
+			// Let the admitted requests finish queuing: with nobody
+			// receiving, their slots must stay taken.
+			time.Sleep(10 * time.Millisecond)
+		}
+		_, err := net.Submit(graph.NodeID(i%15), int32(i%4))
+		var ov *OverloadError
+		switch {
+		case err == nil:
+			accepted++
+		case errors.As(err, &ov):
+			overloads++
+		default:
+			t.Fatalf("unexpected error: %v", err)
+		}
+	}
+	if accepted != window || overloads != attempts-window {
+		t.Errorf("accepted %d, overloaded %d; want %d and %d", accepted, overloads, window, attempts-window)
+	}
+	if g := net.InFlight(); g != window {
+		t.Errorf("InFlight() = %d with the consumer blocked, want %d", g, window)
+	}
+	comps := collect(net)()
+	if len(comps) != window {
+		t.Errorf("%d completions after unblocking the consumer, want %d", len(comps), window)
+	}
+	if g := net.InFlight(); g != 0 {
+		t.Errorf("in-flight gauge %d after shutdown", g)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine() once it has held one
+// value for a few consecutive reads: goroutines of earlier tests are
+// reaped asynchronously.
+func settledGoroutines() int {
+	n, stable := runtime.NumGoroutine(), 0
+	for stable < 5 {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+// waitGoroutines polls until the goroutine count is want.
+func waitGoroutines(t *testing.T, when string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIdleNetworkOwnsNoNodeGoroutines: whatever the tree size, a
+// started network owns the collector and nothing else until a request
+// arrives, returns to that once quiescent, and owns nothing after Stop.
+func TestIdleNetworkOwnsNoNodeGoroutines(t *testing.T) {
+	for _, n := range []int{7, 4095} {
+		net := New(tree.BalancedBinary(n), 0, Options{})
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for range net.Completions() {
+			}
+		}()
+		base := settledGoroutines() // includes the consumer above
+		net.Start()
+		waitGoroutines(t, fmt.Sprintf("n=%d after Start", n), base+1)
+		for i := 0; i < 200; i++ {
+			net.Request(graph.NodeID(i * 31 % n))
+		}
+		net.Wait()
+		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+1)
+		net.Stop()
+		<-drained
+		waitGoroutines(t, fmt.Sprintf("n=%d after Stop", n), base-1)
+	}
+}
+
+// TestLargeNetworkIsCheap bounds what a node costs to build and run: a
+// node is a struct and two one-element slices, plus mailbox buffers at
+// the few nodes the requests touch (161 bytes per node measured). The
+// goroutine-per-node design — two channels and two goroutines each —
+// measured 1818 on this test.
+func TestLargeNetworkIsCheap(t *testing.T) {
+	const n, requests, budget = 1<<17 - 1, 1000, 320 // bytes per node
+	tr := tree.BalancedBinary(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net := New(tr, 0, Options{})
+	net.Start()
+	finish := collect(net)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < requests; i++ {
+		net.Request(graph.NodeID(rng.Intn(n)))
+	}
+	comps := finish()
+	runtime.ReadMemStats(&after)
+	if len(comps) != requests {
+		t.Fatalf("%d completions, want %d", len(comps), requests)
+	}
+	if _, err := arrow.VerifySinkReachability(tr, net.Links()); err != nil {
+		t.Error(err)
+	}
+	perNode := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per node", perNode)
+	if perNode > budget {
+		t.Errorf("%d bytes allocated per node, budget %d", perNode, budget)
+	}
+}
+
+// TestSubmitSteadyStateAllocs pins "no allocation per hop": once the
+// mailbox buffers are warm, a request costs the carrier goroutine and
+// nothing per node it crosses.
+func TestSubmitSteadyStateAllocs(t *testing.T) {
+	const n = 63
+	net := New(tree.BalancedBinary(n), 0, Options{MaxInFlight: 64})
+	net.Start()
+	rng := rand.New(rand.NewSource(1))
+	request := func() {
+		net.Request(graph.NodeID(rng.Intn(n)))
+		<-net.Completions()
+	}
+	for i := 0; i < 5000; i++ {
+		request()
+	}
+	if avg := testing.AllocsPerRun(2000, request); avg > 3 {
+		t.Errorf("%.2f allocations per request in steady state, want <= 3", avg)
+	}
+	go func() {
+		for range net.Completions() {
+		}
+	}()
+	net.Stop()
+}
+
+// TestStopRaceAdjacentNodes is the lost-wake-up and shutdown hammer:
+// eight submitters bounce object 0's sink across one edge — every
+// request makes each of the two nodes claim the other — while Stop
+// races them. Every accepted request must complete exactly once, Stop
+// must return (a message left in a mailbox whose carrier cleared busy
+// without re-checking it would hang Stop), and every object must end
+// with one sink.
+func TestStopRaceAdjacentNodes(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
+		tr := tree.BalancedBinary(15)
+		net := New(tr, 0, Options{Objects: 2})
+		net.Start()
+		seen := make(map[int64]int)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for c := range net.Completions() {
+				seen[c.ReqID]++
+			}
+		}()
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 200; i++ {
+					if _, err := net.Submit(graph.NodeID((w+i)%2), 0); err != nil {
+						if !errors.Is(err, ErrStopped) {
+							t.Error(err)
+						}
+						return
+					}
+					accepted.Add(1)
+				}
+			}(w)
+		}
+		close(start)
+		// Vary how far the submitters get before Stop lands.
+		time.Sleep(time.Duration(trial) * 10 * time.Microsecond)
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			net.Stop()
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("trial %d: Stop hung with %d requests in flight", trial, net.InFlight())
+		}
+		wg.Wait()
+		<-drained
+		if int64(len(seen)) != accepted.Load() {
+			t.Fatalf("trial %d: accepted %d requests but %d completed", trial, accepted.Load(), len(seen))
+		}
+		for id, times := range seen {
+			if times != 1 {
+				t.Fatalf("trial %d: request %d completed %d times", trial, id, times)
+			}
+		}
+		for o := int32(0); o < 2; o++ {
+			if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(o)); err != nil {
+				t.Fatalf("trial %d: object %d: %v", trial, o, err)
+			}
+		}
+	}
+}
+
+// TestSubmitIsAsynchronous: Submit never runs protocol steps on the
+// caller. Every request here crosses a 3-hop path with a 5ms hop delay;
+// a Submit that carried its own request would take 15ms to return.
+func TestSubmitIsAsynchronous(t *testing.T) {
+	const hopDelay = 5 * time.Millisecond
+	net := New(tree.PathTree(4), 0, Options{HopDelay: hopDelay})
+	net.Start()
+	finish := collect(net)
+	fastest := time.Hour
+	for _, v := range []graph.NodeID{3, 0, 3, 0} {
+		start := time.Now()
+		if _, err := net.Submit(v, 0); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < fastest {
+			fastest = d
+		}
+		net.Wait()
+	}
+	for _, c := range finish() {
+		if c.Hops != 3 {
+			t.Errorf("request %d took %d hops, want 3", c.ReqID, c.Hops)
+		}
+	}
+	if fastest >= hopDelay {
+		t.Errorf("fastest Submit took %v, want under one hop delay (%v)", fastest, hopDelay)
+	}
+}
+
+// BenchmarkRuntimeClosedLoop is the sub-second signal beside the
+// runtime-live ledger workload: closed-loop clients, each waiting for
+// its own completion before submitting again, on that workload's shape
+// (63-node balanced tree, 16 objects, window 64, zero hop delay).
+func BenchmarkRuntimeClosedLoop(b *testing.B) {
+	const n, objects, window = 63, 16, 64
+	for _, clients := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			net := New(tree.BalancedBinary(n), 0, Options{Objects: objects, MaxInFlight: window})
+			net.Start()
+			// Client c submits only at nodes ≡ c (mod clients), so a
+			// completion's origin routes it back to its client.
+			toClient := make([]chan Completion, clients)
+			for c := range toClient {
+				toClient[c] = make(chan Completion, 1)
+			}
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for c := range net.Completions() {
+					toClient[int(c.Origin)%clients] <- c
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(c)))
+					for i := c; i < b.N; i += clients {
+						v := rng.Intn((n-c+clients-1)/clients)*clients + c
+						id, err := net.Submit(graph.NodeID(v), int32(rng.Intn(objects)))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if done := <-toClient[c]; done.ReqID != id {
+							b.Errorf("client %d: submitted %d, observed %d", c, id, done.ReqID)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/req")
+			net.Stop()
+			<-drained
+		})
+	}
+}

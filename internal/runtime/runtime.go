@@ -1,22 +1,31 @@
-// Package runtime is a live, goroutine-based implementation of the arrow
-// protocol: every tree node is a goroutine owning its link pointers, and
-// tree edges are channel-backed FIFO mailboxes — the natural Go embedding
-// of the paper's asynchronous message-passing model. It complements the
-// deterministic simulator (package arrow): the simulator measures the
-// paper's cost model exactly, while this runtime demonstrates the protocol
-// under real, racy concurrency (run the tests with -race).
+// Package runtime is a live, concurrent implementation of the arrow
+// protocol. A tree node is passive state — its link pointers and a FIFO
+// mailbox behind a mutex — and a tree edge is an append to the target's
+// mailbox. Nodes are activation-driven: a delivery that finds its target
+// idle claims it, and a carrier goroutine processes a claimed node's
+// messages one batch at a time, unlocked. A carrier that claims a node
+// by sending to it drains that node next, so an uncontended path
+// reversal is one goroutine walking the path; an idle network owns no
+// node goroutines at all.
+//
+// This is the paper's asynchronous message-passing model: a node has at
+// most one carrier at a time, so it processes its messages one at a
+// time, and a send enqueues at the target immediately (only the
+// target's processing is deferred), so every link is FIFO. Node state
+// passes from one carrier to the next through the node's mutex. The
+// runtime complements the deterministic simulator (package arrow): the
+// simulator measures the paper's cost model exactly, while this runtime
+// demonstrates the protocol under real, racy concurrency (run the tests
+// with -race).
 //
 // The runtime is a sharded multi-object service: Options.Objects runs k
-// independent arrow instances over the same tree and the same node
-// goroutines, object o rooted at its own home node, with Submit as the
-// object-keyed request front door. Admission is bounded — with a
-// positive MaxInFlight the network sheds load with a typed
-// *OverloadError instead of queueing without limit, so mailbox memory
-// stays proportional to the admission window rather than the offered
-// load.
-//
-// State is never shared: each node's link and lastReq entries are touched
-// only by its own goroutine, and all coordination flows through channels.
+// independent arrow instances over the same tree and the same nodes,
+// object o rooted at its own home node, with Submit as the object-keyed
+// request front door. Admission is bounded — with a positive
+// MaxInFlight the network sheds load with a typed *OverloadError
+// instead of queueing without limit, so mailbox and completion-backlog
+// memory stay proportional to the admission window rather than the
+// offered load.
 package runtime
 
 import (
@@ -60,10 +69,12 @@ type Options struct {
 	// the shared spanning tree re-rooted at (root + o) mod n, so the k
 	// sink hotspots spread across the nodes.
 	Objects int
-	// MaxInFlight bounds admitted-but-uncompleted requests across all
-	// objects: Submit beyond the bound fails fast with *OverloadError
-	// instead of growing node mailboxes without limit. 0 means
-	// unbounded (the classic demonstration mode).
+	// MaxInFlight bounds admitted requests whose completion has not yet
+	// been delivered on Completions, across all objects: Submit beyond
+	// the bound fails fast with *OverloadError instead of growing node
+	// mailboxes or the completion backlog without limit, so a stalled
+	// consumer surfaces as overload, not as memory. 0 means unbounded
+	// (the classic demonstration mode).
 	MaxInFlight int
 }
 
@@ -87,75 +98,77 @@ func (e *OverloadError) Error() string {
 		e.Node, e.Object, e.Limit)
 }
 
-// Network runs k sharded arrow instances over a spanning tree with one
-// goroutine per node.
+// Network runs k sharded arrow instances over a spanning tree. It owns
+// one collector goroutine between Start and Stop, plus carriers only
+// while some node has unprocessed messages.
 type Network struct {
 	t       *tree.Tree
 	root    graph.NodeID
 	opts    Options
 	objects int
 
-	nodes       []*node
-	compIn      chan Completion
+	nodes   []*node
+	nextReq atomic.Int64
+
+	// The completion side. compMu orders complete calls, and delivery
+	// on completions follows that order: a completion goes straight to
+	// a parked consumer only while undelivered — the backlog items the
+	// consumer has not received yet, including a batch the collector
+	// has swapped out but not finished sending — is zero.
+	compMu      sync.Mutex
+	backlog     []Completion
+	undelivered int
+	wake        chan struct{} // 1 slot: the backlog went non-empty; closed by Stop
 	completions chan Completion
-	collectorWg sync.WaitGroup
-	nextReq     atomic.Int64
-	inflight    sync.WaitGroup
+
+	inflight sync.WaitGroup
 	// inflightN mirrors the inflight WaitGroup as a readable counter:
-	// admit increments it inside the admission window check, complete
-	// decrements it, so its value is the exact number of admitted,
-	// uncompleted requests.
+	// admit increments it inside the admission window check, delivered
+	// decrements it, so its value is the exact number of admitted
+	// requests whose completion the consumer has not received.
 	inflightN atomic.Int64
 	accepted  atomic.Int64
 	rejected  atomic.Int64
 	// mu orders request admission against shutdown: Submit holds the
-	// read side while it checks running and enqueues, Stop holds the
-	// write side while it flips running. Without it a Submit racing
-	// Stop could pass the running check, then enqueue into a node whose
-	// loop already exited — the mailbox would never drain and Stop would
-	// deadlock in wg.Wait().
+	// read side while it checks running, enqueues and counts the carrier
+	// it starts in wg, Stop holds the write side while it flips running.
+	// Without it a Submit racing Stop could pass the running check and
+	// start a carrier after Stop's wg.Wait() returned.
 	mu      sync.RWMutex
 	started atomic.Bool
 	running atomic.Bool
 	stopped chan struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // carriers
 }
 
-// message is the node-loop message family. The marker method makes the
-// family checkable: arrowlint's msgswitch analyzer requires every type
-// switch over it to list all three members.
-type message interface{ isRuntimeMsg() }
-
-type queueMsg struct {
+// msg is the one mailbox message: an issue (a request entering the
+// protocol at this node) or a queue message travelling towards the
+// sink. origin, from and hops are meaningful on queue messages only.
+type msg struct {
 	reqID  int64
 	obj    int32
+	issue  bool
 	origin graph.NodeID
 	from   graph.NodeID
 	hops   int
+	done   chan<- struct{} // issue only, optional: closed once initiation is processed
 }
-
-type issueMsg struct {
-	reqID int64
-	obj   int32
-	done  chan<- struct{} // optional: closed once initiation is processed
-}
-
-type stopMsg struct{}
-
-func (queueMsg) isRuntimeMsg() {}
-func (issueMsg) isRuntimeMsg() {}
-func (stopMsg) isRuntimeMsg()  {}
 
 // node owns one slot of every object's pointer state: link[o] is the
 // node's arrow for object o, lastReq[o] its most recent request on that
-// object's queue. Both are touched only by the node's own goroutine.
+// object's queue. Both, and spare, belong to the carrier holding the
+// node, from the delivery that set busy until the carrier clears it. mu
+// guards queue and busy and hands the rest from one carrier to the next.
 type node struct {
 	id      graph.NodeID
 	link    []graph.NodeID
 	lastReq []int64
-	in      chan message // unbounded mailbox input
-	out     chan message // node loop reads here
 	net     *Network
+
+	mu    sync.Mutex
+	queue []msg // mailbox, FIFO
+	busy  bool  // a carrier holds the node
+	spare []msg // the drained batch's buffer: queue and spare double-buffer
 }
 
 // New builds a network over tree t. Object 0's initial sink is root;
@@ -185,7 +198,7 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 		opts:        opts,
 		objects:     k,
 		nodes:       make([]*node, n),
-		compIn:      make(chan Completion, 16),
+		wake:        make(chan struct{}, 1),
 		completions: make(chan Completion),
 		stopped:     make(chan struct{}),
 	}
@@ -195,8 +208,6 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 			id:      id,
 			link:    make([]graph.NodeID, k),
 			lastReq: make([]int64, k),
-			in:      make(chan message, 16),
-			out:     make(chan message),
 			net:     net,
 		}
 		for o := 0; o < k; o++ {
@@ -224,63 +235,87 @@ func (net *Network) Accepted() int64 { return net.accepted.Load() }
 // they are lifecycle, not load).
 func (net *Network) Rejected() int64 { return net.rejected.Load() }
 
-// InFlight returns the number of admitted, uncompleted requests.
+// InFlight returns the number of admitted requests whose completion
+// has not yet been delivered on Completions.
 func (net *Network) InFlight() int64 { return net.inflightN.Load() }
 
-// Start launches the node goroutines. It must be called exactly once.
+// Start opens the network for requests and launches the collector — the
+// only goroutine an idle network owns. It must be called exactly once.
 func (net *Network) Start() {
-	// The whole launch — flag flips AND every wg.Add/goroutine spawn —
-	// happens under mu, so a Stop that observes started==true inside
-	// its own locked section also observes running==true (no phantom
-	// winner to wait for) and a fully populated WaitGroup (its Wait
-	// cannot interleave with these Adds, which would be WaitGroup
-	// misuse and let Stop return before the nodes even exist).
+	// Both flag flips happen under mu, so a Stop that observes
+	// started==true inside its own locked section also observes
+	// running==true (no phantom winner to wait for).
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	if !net.started.CompareAndSwap(false, true) {
 		panic("runtime: Start called twice")
 	}
 	net.running.Store(true)
-	for _, nd := range net.nodes {
-		net.wg.Add(2)
-		go nd.mailbox()
-		go nd.run()
-	}
-	net.collectorWg.Add(1)
 	go net.collect()
 }
 
-// collect pumps completions from the bounded internal channel to the
-// public channel through an unbounded buffer, so protocol goroutines never
-// block on a slow (or absent) consumer.
-func (net *Network) collect() {
-	defer net.collectorWg.Done()
-	var buf []Completion
-	in := net.compIn
-	for in != nil || len(buf) > 0 {
-		var out chan Completion
-		var head Completion
-		if len(buf) > 0 {
-			out = net.completions
-			head = buf[0]
-		}
+// complete queues c for the consumer without ever blocking the carrier
+// on a slow (or absent) one. When nothing is queued ahead of c it tries
+// the consumer directly, which succeeds whenever the consumer is parked
+// in receive; otherwise c joins the backlog the collector drains.
+func (net *Network) complete(c Completion) {
+	net.compMu.Lock()
+	if net.undelivered == 0 {
 		select {
-		case c, ok := <-in:
-			if !ok {
-				in = nil
-				continue
-			}
-			buf = append(buf, c)
-		case out <- head:
-			buf = buf[1:]
+		case net.completions <- c:
+			net.compMu.Unlock()
+			net.delivered()
+			return
+		default:
 		}
 	}
-	close(net.completions)
+	net.backlog = append(net.backlog, c)
+	net.undelivered++
+	net.compMu.Unlock()
+	select {
+	case net.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// delivered releases the admission slot of a request whose completion
+// the consumer has received.
+func (net *Network) delivered() {
+	net.inflightN.Add(-1)
+	net.inflight.Done()
+}
+
+// collect drains the completion backlog to the consumer in order, one
+// swapped-out batch at a time, and parks on wake while it is empty.
+// Stop closes wake once every completion is delivered; collect then
+// closes the completions channel and marks the network stopped.
+func (net *Network) collect() {
+	var batch []Completion
+	for {
+		net.compMu.Lock()
+		net.undelivered -= len(batch)
+		batch, net.backlog = net.backlog, batch[:0]
+		net.compMu.Unlock()
+		for _, c := range batch {
+			net.completions <- c
+			net.delivered()
+		}
+		if len(batch) > 0 {
+			continue
+		}
+		if _, open := <-net.wake; !open {
+			close(net.completions)
+			close(net.stopped)
+			return
+		}
+	}
 }
 
 // Completions returns the channel on which queuing completions are
-// delivered. Delivery is unbounded (slow consumers never stall the
-// protocol); the channel is closed by Stop.
+// delivered, in the order the requests completed. A slow consumer never
+// stalls the protocol: undelivered completions queue in a backlog that
+// the admission window bounds (each holds its slot until delivered) and
+// that is unbounded with MaxInFlight 0. The channel is closed by Stop.
 func (net *Network) Completions() <-chan Completion { return net.completions }
 
 // Request asynchronously issues a queuing request for object 0 at node
@@ -329,10 +364,12 @@ func (net *Network) RequestSync(v graph.NodeID) int64 {
 }
 
 // admit atomically checks that the network is running, applies the
-// admission window, and enqueues the issue message. Holding mu's read
-// side across check+enqueue closes the Submit/Stop race: once Stop's
-// writer section flips running, no new issue can reach a mailbox, and
-// every issue that won the race is covered by Stop's quiescence wait.
+// admission window, and enqueues the issue message, starting a carrier
+// if that claimed the node: protocol steps never run on the caller.
+// Holding mu's read side across check+enqueue closes the Submit/Stop
+// race: once Stop's writer section flips running, no new issue can
+// reach a mailbox, and every issue that won the race is covered by
+// Stop's quiescence wait.
 func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done chan struct{}, err error) {
 	if int(v) < 0 || int(v) >= len(net.nodes) {
 		return 0, nil, fmt.Errorf("runtime: node %d out of range", v)
@@ -368,20 +405,24 @@ func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done 
 	if sync {
 		done = make(chan struct{})
 	}
-	net.nodes[v].in <- issueMsg{reqID: id, obj: obj, done: done}
+	if nd := net.nodes[v]; nd.deliver(msg{reqID: id, obj: obj, issue: true, done: done}) {
+		net.wg.Add(1)
+		go net.carry(nd)
+	}
 	return id, done, nil
 }
 
-// Wait blocks until every issued request has completed (quiescence).
+// Wait blocks until every accepted request's completion has been
+// delivered on Completions (quiescence).
 func (net *Network) Wait() { net.inflight.Wait() }
 
-// Stop rejects further requests, waits for quiescence of the accepted
-// ones, terminates all goroutines, and closes the completions channel
-// (after all buffered completions are delivered). A consumer must be
-// draining Completions, otherwise Stop blocks until the remaining
-// completions are read. Concurrent Stop calls all return only once the
-// shutdown has fully finished; Stop before Start is a no-op. The
-// network cannot be restarted.
+// Stop rejects further requests, waits until the accepted ones have
+// completed and been delivered, then for the last carriers and the
+// collector to exit, and closes the completions channel. A consumer
+// must be draining Completions, otherwise Stop blocks until the
+// remaining completions are read. Concurrent Stop calls all return only
+// once the shutdown has fully finished; Stop before Start is a no-op.
+// The network cannot be restarted.
 func (net *Network) Stop() {
 	// Flip running before waiting: a Submit serialized after this
 	// point is rejected, one serialized before is counted in inflight,
@@ -393,20 +434,14 @@ func (net *Network) Stop() {
 	if !started {
 		return
 	}
-	if !stopping {
-		// Another Stop won the race (or already finished): hold every
-		// caller to Stop's contract by waiting for that shutdown.
-		<-net.stopped
-		return
+	if stopping {
+		net.Wait()
+		net.wg.Wait()
+		close(net.wake)
 	}
-	net.Wait()
-	for _, nd := range net.nodes {
-		nd.in <- stopMsg{}
-	}
-	net.wg.Wait()
-	close(net.compIn)
-	net.collectorWg.Wait()
-	close(net.stopped)
+	// Winner or not, every caller returns only once the collector has
+	// finished the shutdown.
+	<-net.stopped
 }
 
 // Links returns a snapshot of object 0's link pointers. Only valid
@@ -431,108 +466,113 @@ func (net *Network) LinksFor(obj int32) []graph.NodeID {
 	return links
 }
 
-// mailbox pumps messages from the unbounded input buffer to the node
-// loop, preserving FIFO order. Buffering in a goroutine-owned slice keeps
-// protocol sends non-blocking, which rules out channel deadlock between
-// mutually sending neighbours; with a positive MaxInFlight the buffer is
-// additionally bounded by the admission window (each admitted request
-// contributes at most one buffered message per node).
-func (nd *node) mailbox() {
-	defer nd.net.wg.Done()
-	var buf []message
-	in := nd.in
-	for in != nil || len(buf) > 0 {
-		var out chan message
-		var head message
-		if len(buf) > 0 {
-			out = nd.out
-			head = buf[0]
-		}
-		select {
-		case m, ok := <-in:
-			if !ok {
-				in = nil
-				continue
-			}
-			buf = append(buf, m)
-			if _, stop := m.(stopMsg); stop {
-				in = nil
-			}
-		case out <- head:
-			buf = buf[1:]
-		}
-	}
-	close(nd.out)
+// deliver appends m to the node's mailbox and reports whether that
+// claimed the node: it was idle, and the caller must now see that a
+// carrier drains it.
+func (nd *node) deliver(m msg) (claimed bool) {
+	nd.mu.Lock()
+	nd.queue = append(nd.queue, m)
+	claimed = !nd.busy
+	nd.busy = true
+	nd.mu.Unlock()
+	return claimed
 }
 
-func (nd *node) run() {
-	defer nd.net.wg.Done()
-	for m := range nd.out {
-		switch msg := m.(type) {
-		case issueMsg:
-			nd.initiate(msg)
-		case queueMsg:
-			nd.pathReversal(msg)
-		case stopMsg:
-			// Drain is unnecessary: Stop only runs after quiescence.
-			return
-		default:
-			panic(fmt.Sprintf("runtime: unexpected message %T", m))
+// carry drains claimed nodes, starting at cur, until it holds none. Per
+// turn it handles one batch of cur's mailbox, unlocked, and releases cur
+// only under the lock after finding the mailbox empty. Of the nodes its
+// sends claim it keeps one (next) to drain itself — the run-to-
+// completion chain of an uncontended path reversal — and starts a
+// carrier for each further one, so claimed nodes never wait while
+// processors idle. If cur refilled during the turn and next is held,
+// the two swap: a hot node cannot starve the chain behind it.
+func (net *Network) carry(cur *node) {
+	defer net.wg.Done()
+	var next *node
+	for cur != nil {
+		cur.mu.Lock()
+		batch := cur.queue
+		cur.queue = cur.spare
+		cur.mu.Unlock()
+		for i := range batch {
+			var to *node
+			if m := &batch[i]; m.issue {
+				to = cur.initiate(m)
+			} else {
+				to = cur.pathReversal(m)
+			}
+			switch {
+			case to == nil:
+			case next == nil:
+				next = to
+			default:
+				net.wg.Add(1)
+				go net.carry(to)
+			}
+		}
+		cur.mu.Lock()
+		cur.spare = batch[:0]
+		idle := len(cur.queue) == 0
+		cur.busy = !idle
+		cur.mu.Unlock()
+		if idle {
+			cur, next = next, nil
+		} else if next != nil {
+			cur, next = next, cur
 		}
 	}
 }
 
-func (nd *node) initiate(msg issueMsg) {
-	if msg.done != nil {
-		defer close(msg.done)
+// initiate and pathReversal are the protocol's two steps. Each returns
+// the node its send claimed, if any.
+func (nd *node) initiate(m *msg) *node {
+	if m.done != nil {
+		defer close(m.done)
 	}
-	o := msg.obj
+	o := m.obj
 	if nd.link[o] == nd.id {
 		pred := nd.lastReq[o]
-		nd.lastReq[o] = msg.reqID
-		nd.complete(Completion{
-			ReqID: msg.reqID, PredID: pred, Object: o,
+		nd.lastReq[o] = m.reqID
+		nd.net.complete(Completion{
+			ReqID: m.reqID, PredID: pred, Object: o,
 			Origin: nd.id, Sink: nd.id, At: nd.net.opts.Clock(),
 		})
-		return
+		return nil
 	}
 	target := nd.link[o]
-	nd.lastReq[o] = msg.reqID
+	nd.lastReq[o] = m.reqID
 	nd.link[o] = nd.id
-	nd.send(target, queueMsg{reqID: msg.reqID, obj: o, origin: nd.id, from: nd.id, hops: 1})
+	return nd.send(target, msg{reqID: m.reqID, obj: o, origin: nd.id, from: nd.id, hops: 1})
 }
 
-func (nd *node) pathReversal(msg queueMsg) {
-	o := msg.obj
+func (nd *node) pathReversal(m *msg) *node {
+	o := m.obj
 	next := nd.link[o]
-	nd.link[o] = msg.from
+	nd.link[o] = m.from
 	if next != nd.id {
-		fwd := msg
+		fwd := *m
 		fwd.from = nd.id
 		fwd.hops++
-		nd.send(next, fwd)
-		return
+		return nd.send(next, fwd)
 	}
-	nd.complete(Completion{
-		ReqID:  msg.reqID,
+	nd.net.complete(Completion{
+		ReqID:  m.reqID,
 		PredID: nd.lastReq[o],
 		Object: o,
-		Origin: msg.origin,
+		Origin: m.origin,
 		Sink:   nd.id,
-		Hops:   msg.hops,
+		Hops:   m.hops,
 		At:     nd.net.opts.Clock(),
 	})
+	return nil
 }
 
-func (nd *node) send(to graph.NodeID, msg queueMsg) {
+func (nd *node) send(to graph.NodeID, m msg) *node {
 	if d := nd.net.opts.HopDelay; d > 0 {
 		time.Sleep(d)
 	}
-	nd.net.nodes[to].in <- msg
-}
-
-func (nd *node) complete(c Completion) {
-	nd.net.compIn <- c
-	nd.net.inflightN.Add(-1)
-	nd.net.inflight.Done()
+	if target := nd.net.nodes[to]; target.deliver(m) {
+		return target
+	}
+	return nil
 }
