@@ -334,7 +334,9 @@ func BenchmarkSweepSP2(b *testing.B) {
 // per-link FIFO state make a steady-state message send allocation-free.
 // The star case pins the O(1) tree-edge lookup: half the sends originate
 // at the degree-n center, where a neighbor-list scan would cost O(n) per
-// message.
+// message. The walker case is the headline scale cell's shape — 100 001
+// nodes, 50 001 messages in flight, so the event arena and the tree link
+// table no longer sit in cache the way the 1 023-node cases' do.
 func BenchmarkSimSendDispatch(b *testing.B) {
 	leafRange := func(lo, hi int) []graph.NodeID {
 		leaves := make([]graph.NodeID, 0, hi-lo)
@@ -345,11 +347,12 @@ func BenchmarkSimSendDispatch(b *testing.B) {
 	}
 	cases := []struct {
 		name   string
-		t      *tree.Tree
+		t      tree.Nav
 		leaves []graph.NodeID
 	}{
 		{"binary", tree.BalancedBinary(1023), leafRange(511, 1023)},
 		{"star", tree.StarTree(1024), leafRange(512, 1024)},
+		{"walker", tree.BinaryWalker(100001), leafRange(50000, 100001)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -364,6 +367,7 @@ func BenchmarkSimSendDispatch(b *testing.B) {
 			})
 			tr := c.t
 			leaves := c.leaves
+			s.Reserve(len(leaves))
 			s.ScheduleAt(0, func(ctx *sim.Context) {
 				for _, v := range leaves {
 					ctx.Send(v, tr.Parent(v), sim.Message(nil))

@@ -16,7 +16,8 @@ import (
 // BenchmarkSchedulerPushPop, whose delay=200000 and delay=1<<28 cells
 // are what runs the scheduler's far push, cascade and heap pour in
 // isolation (BenchmarkClosedLoopScale100k/centralized runs them under a
-// protocol). The -hotpath check fails when an annotated
+// protocol), and internal/shard's BenchmarkShardHandle, the driver's
+// message handler at the headline cell's size. The -hotpath check fails when an annotated
 // package is missing from this manifest (a hot path nobody measures),
 // when a manifest entry no longer has annotations (a stale claim), or
 // when a mapped benchmark is absent from the bench output (the
@@ -24,7 +25,7 @@ import (
 var hotpathBenchmarks = map[string][]string{
 	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkDrain", "BenchmarkSchedulerPushPop", "BenchmarkClosedLoopScale100k"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
-	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop"},
+	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop", "BenchmarkShardHandle"},
 }
 
 // modulePath is the import-path prefix for packages under the repo root.

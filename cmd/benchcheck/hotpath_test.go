@@ -89,6 +89,7 @@ func TestCheckHotpathCoverageClean(t *testing.T) {
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
+		"BenchmarkShardHandle-8 100 10 ns/op",
 	)
 	if err := checkHotpathCoverage(root, bench); err != nil {
 		t.Fatalf("clean tree flagged: %v", err)
@@ -104,6 +105,7 @@ func TestCheckHotpathCoverageMissingBenchmark(t *testing.T) {
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
+		"BenchmarkShardHandle-8 100 10 ns/op",
 		// BenchmarkClosedLoopObserved dropped from the sweep.
 	)
 	err := checkHotpathCoverage(root, bench)
@@ -130,6 +132,7 @@ func TestCheckHotpathCoverageUnmappedPackage(t *testing.T) {
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
+		"BenchmarkShardHandle-8 100 10 ns/op",
 	)
 	err := checkHotpathCoverage(root, bench)
 	if err == nil || !strings.Contains(err.Error(), "repro/internal/rogue") {
@@ -152,6 +155,7 @@ func TestCheckHotpathCoverageStaleManifestEntry(t *testing.T) {
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
+		"BenchmarkShardHandle-8 100 10 ns/op",
 	)
 	err := checkHotpathCoverage(root, bench)
 	if err == nil || !strings.Contains(err.Error(), "no //arrow:hotpath annotations left") {

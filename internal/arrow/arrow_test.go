@@ -352,3 +352,46 @@ func TestClosedLoopSingleNode(t *testing.T) {
 		t.Errorf("queue hops = %d, want 0 (all local)", res.QueueHops)
 	}
 }
+
+// plainNav exposes only tree.Nav's method set, hiding the ParentArrays
+// accessor: the simulator then fills its tree link table by asking
+// Parent/ParentWeight instead of borrowing the navigator's arrays.
+type plainNav struct{ tree.Nav }
+
+// TestClosedLoopLinkTableSourceBitIdentical: where the simulator's flat
+// link table comes from — lent by the Walker, or filled through the Nav
+// interface — changes nothing: the closed loop's result is identical
+// field for field, under the latency models and link-state tiers that
+// read the table's weight and slot.
+func TestClosedLoopLinkTableSourceBitIdentical(t *testing.T) {
+	parent := make([]graph.NodeID, 200)
+	pw := make([]graph.Weight, len(parent))
+	for v := 1; v < len(parent); v++ {
+		parent[v] = graph.NodeID((v - 1) / 3)
+		pw[v] = graph.Weight(1 + v%4)
+	}
+	navs := map[string]*tree.Walker{
+		"unit":     tree.BinaryWalker(255),
+		"weighted": tree.MustWalkerFromParents(0, parent, pw),
+	}
+	specs := map[string]loop.Spec{
+		"sync":     {PerNode: 20, Seed: 7},
+		"async-tx": {PerNode: 20, Seed: 7, Latency: sim.AsyncUniform(4), LinkTxTime: 1},
+		"lifo":     {PerNode: 20, Seed: 7, Arbitration: sim.ArbLIFO, ThinkTime: 3},
+	}
+	for nn, w := range navs {
+		for sn, spec := range specs {
+			lent, err := RunClosedLoop(w, LoopConfig{Spec: spec, Root: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, err := RunClosedLoop(plainNav{w}, LoopConfig{Spec: spec, Root: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *lent != *filled {
+				t.Errorf("%s/%s: lent table %+v, filled table %+v", nn, sn, *lent, *filled)
+			}
+		}
+	}
+}

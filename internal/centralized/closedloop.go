@@ -175,6 +175,7 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	}
 	s.SetAllHandlers(st.handle)
 	s.SetTimerHandler(st.timer)
+	s.Reserve(n)
 	for v := 0; v < n; v++ {
 		s.ScheduleNodeAt(0, graph.NodeID(v))
 	}

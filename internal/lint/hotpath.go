@@ -10,7 +10,7 @@ import (
 // A function whose doc comment carries //arrow:hotpath declares that it
 // runs on the per-send/per-event path and must not allocate at steady
 // state. The analyzer rejects the four allocation sources that have
-// actually bitten this codebase:
+// actually bitten this codebase, and one copy source:
 //
 //   - fmt calls (every fmt.* call allocates; a fmt call that is the
 //     direct argument of panic is exempt — the formatting runs once,
@@ -24,13 +24,21 @@ import (
 //     drivers' msgs arrays);
 //   - appending to a slice declared in the same function with no
 //     capacity (var s []T, s := []T{}, or make([]T, 0)): growth
-//     reallocates on the hot path; pre-size it.
+//     reallocates on the hot path; pre-size it;
+//   - a struct wider than four machine words passed by value — as a
+//     parameter, receiver or result of the function, or as an argument
+//     of a call it makes. Such a value travels through memory, and a
+//     struct assembled with narrow field stores and then reloaded with
+//     wide vector moves defeats store-to-load forwarding: two such
+//     reloads of the 64-byte event were 14 % of the serial drain's
+//     profile. Pass a pointer, or have the callee hand back the slot
+//     for the caller to fill in place (ladderQueue.push).
 //
 // A finding that is intentional — e.g. an amortized freelist grow —
 // takes an //arrow:allow hotpath <reason>.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "functions marked //arrow:hotpath must not allocate: no fmt, capturing closures, interface boxing, or unsized append",
+	Doc:  "functions marked //arrow:hotpath must not allocate or copy wide structs: no fmt, capturing closures, interface boxing, unsized append, or struct over four words by value",
 	Run:  runHotpath,
 }
 
@@ -64,6 +72,14 @@ func runHotpath(pass *Pass) error {
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 	if fn.Body == nil {
 		return
+	}
+	for _, fields := range []*ast.FieldList{fn.Recv, fn.Type.Params, fn.Type.Results} {
+		if fields == nil {
+			continue
+		}
+		for _, f := range fields.List {
+			checkWideValue(pass, fn, f.Type, "signature")
+		}
 	}
 	locals := localSliceDecls(pass, fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -127,7 +143,38 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, locals map[t
 			pt = params.At(i).Type()
 		}
 		checkBoxing(pass, fn, arg, pt)
+		checkWideValue(pass, fn, arg, "call argument")
 	}
+}
+
+// wideStructWords is the by-value ceiling: a struct of up to four words
+// travels in registers under Go's register ABI without costing more than
+// the pointer-plus-loads alternative; anything wider goes through memory.
+const wideStructWords = 4
+
+// hotpathSizes measures structs the way the benchmark host lays them
+// out. Fixed rather than taken from the build so a finding does not
+// depend on where the linter runs.
+var hotpathSizes = types.SizesFor("gc", "amd64")
+
+// checkWideValue reports expr — a type expression in fn's signature or
+// an argument of a call fn makes — when it denotes a struct wider than
+// wideStructWords passed by value.
+func checkWideValue(pass *Pass, fn *ast.FuncDecl, expr ast.Expr, where string) {
+	t := pass.Info.TypeOf(expr)
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Struct); !ok {
+		return
+	}
+	word := hotpathSizes.Sizeof(types.Typ[types.Uintptr])
+	words := (hotpathSizes.Sizeof(t) + word - 1) / word
+	if words <= wideStructWords || insidePanic(pass, fn, expr) {
+		return
+	}
+	pass.Reportf(expr.Pos(), "%s (%d words) passed by value in %s of hotpath %s: a struct over %d words travels through memory and its reload defeats store forwarding; pass a pointer or fill it in place",
+		types.TypeString(t, types.RelativeTo(pass.Pkg)), words, where, fn.Name.Name, wideStructWords)
 }
 
 // checkBoxing reports expr if assigning it to target boxes a

@@ -22,8 +22,8 @@
 //     goroutine spawns outside internal/par.
 //   - hotpath: functions annotated //arrow:hotpath must not call fmt,
 //     build capturing closures, box non-pointer values into
-//     interfaces, or grow locally-declared slices from a zero
-//     capacity.
+//     interfaces, grow locally-declared slices from a zero capacity,
+//     or pass a struct wider than four machine words by value.
 //   - msgswitch: type switches over a protocol message family (an
 //     interface with an is*Msg/is*Message marker method) must list
 //     every type in the family, and switches over repo-declared

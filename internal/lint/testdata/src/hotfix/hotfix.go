@@ -1,7 +1,8 @@
 // Package hotfix exercises the hotpath analyzer: each annotated
-// function commits one of the four allocation sins, and the clean
-// variants prove the exemptions (panic formatting, pre-sized slices,
-// pointer-shaped interface values).
+// function commits one of the four allocation sins or passes a wide
+// struct by value, and the clean variants prove the exemptions (panic
+// formatting, pre-sized slices, pointer-shaped interface values, structs
+// of at most four words, in-place fill through a returned pointer).
 package hotfix
 
 import "fmt"
@@ -72,6 +73,50 @@ func Amortized(xs []int) []int {
 		out = append(out, x) // want:allowed `append to unsized local slice out`
 	}
 	return out
+}
+
+// wide is the shape of the simulator's event: six words.
+type wide struct {
+	at, pri, seq int64
+	to, from     int32
+	msg          any
+}
+
+// narrow fits the register ABI: four words, no finding anywhere.
+type narrow struct{ a, b, c, d int64 }
+
+var cells []wide
+
+// ByValue takes, returns and forwards a wide struct by value: one
+// finding per position.
+//
+//arrow:hotpath
+func ByValue(w wide) wide { // want `wide \(6 words\) passed by value in signature of hotpath ByValue` want `wide \(6 words\) passed by value in signature of hotpath ByValue`
+	sink(w)                   // want `wide \(6 words\) passed by value in call argument of hotpath ByValue`
+	sink(wide{at: 1, seq: 2}) // want `wide \(6 words\) passed by value in call argument of hotpath ByValue`
+	return w
+}
+
+func sink(wide) {}
+
+// InPlace is the fix: the callee hands back the cell, the caller fills
+// it. Builtin append is not a call, and four words may travel by value.
+//
+//arrow:hotpath
+func InPlace(at int64, n narrow) (*wide, narrow) {
+	cells = append(cells, wide{at: at})
+	c := &cells[len(cells)-1]
+	c.pri, c.seq = n.a, n.b
+	return c, n
+}
+
+// LoggedOp keeps a by-value op record on purpose: suppressed, with the
+// reason on file.
+//
+//arrow:allow hotpath fixture: off the measured path, see the roadmap item that decides its fate
+//arrow:hotpath
+func LoggedOp(w wide) { // want:allowed `wide \(6 words\) passed by value in signature of hotpath LoggedOp`
+	sink(w) // want:allowed `wide \(6 words\) passed by value in call argument of hotpath LoggedOp`
 }
 
 func cold() {

@@ -2,11 +2,14 @@ package shard
 
 import (
 	"math"
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/loop"
 	"repro/internal/sim"
+	"repro/internal/tree"
 )
 
 // TestEventBudgetSaturates is the regression test for the divergence
@@ -68,5 +71,58 @@ func TestRunCompletesWithNodeTimers(t *testing.T) {
 	}
 	if res.Agg.LocalCompletions != 5 {
 		t.Errorf("local completions = %d, want 5 (node 0's own requests)", res.Agg.LocalCompletions)
+	}
+}
+
+// heapStepper is the deepest chase a heap-numbered binary tree allows:
+// every find climbs parent by parent to node 0, and the reply is routed
+// back down hop by hop. Pure arithmetic, no pointer state, so what a run
+// costs is the driver and the simulator under it.
+type heapStepper struct{}
+
+func (heapStepper) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
+	return (v - 1) / 2, v == 0
+}
+
+func (heapStepper) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.NodeID, bool) {
+	return (at - 1) / 2, at == 0
+}
+
+// ReplyHop returns origin's ancestor one level below at.
+func (heapStepper) ReplyHop(at, origin graph.NodeID) graph.NodeID {
+	level := func(v graph.NodeID) int { return bits.Len32(uint32(v+1)) - 1 }
+	return (origin+1)>>(level(origin)-level(at)-1) - 1
+}
+
+// BenchmarkShardHandle isolates the driver's message handler at the
+// headline cell's size: one request per node on a 100 001-node walker
+// tree, ~15 find forwards and ~15 reply forwards per request, so 94 % of
+// the 3 M events of an iteration are Handle forwarding a find (read
+// origin and obj, bump hops — one line of the origin's nodeState) or a
+// reply (read origin, charge the object's reply hop). ns/event is the
+// signal; the allocations are the per-run setup.
+func BenchmarkShardHandle(b *testing.B) {
+	const n = 100001
+	topo := sim.TreeTopology{T: tree.BinaryWalker(n)}
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(topo, heapStepper{}, "bench", Spec{Spec: loop.Spec{PerNode: 1}, Objects: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Agg.QueueHops != res.Agg.ReplyHops || res.Agg.MaxQueueHops != 16 {
+			b.Fatalf("chase shape changed: %d queue hops, %d reply hops, max %d", res.Agg.QueueHops, res.Agg.ReplyHops, res.Agg.MaxQueueHops)
+		}
+		events += res.Agg.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// TestNodeStateSize pins the per-node record at 32 bytes, two to a
+// cache line.
+func TestNodeStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(nodeState{}); got != 32 {
+		t.Errorf("nodeState is %d bytes, want 32", got)
 	}
 }

@@ -108,12 +108,29 @@ type Result struct {
 // for arrowlint's msgswitch analyzer.
 type shardMsg interface{ isShardMsg() }
 
+// findMsg is a node's pre-boxed find: the requester, the object of its
+// current request and the hops that request has made so far. It travels
+// by pointer, so every forwarder counts the hop where it reads the
+// origin — one cache line.
 type findMsg struct {
 	origin graph.NodeID
 	obj    int32
+	hops   int32
 }
 
 type replyMsg struct{ origin graph.NodeID }
+
+// nodeState is everything the driver keeps per node, 32 bytes: the issue
+// time and remaining count of its closed loop and its two pre-boxed
+// messages, which the simulator carries as pointers into this record. A
+// forwarded find touches one line at its origin (origin, obj, hops), a
+// completion one (hops, issueTime, the reply).
+type nodeState struct {
+	issueTime sim.Time
+	find      findMsg
+	reply     replyMsg
+	remaining int32
+}
 
 func (*findMsg) isShardMsg()  {}
 func (*replyMsg) isShardMsg() {}
@@ -126,12 +143,12 @@ func (*replyMsg) isShardMsg() {}
 // across a node's successive requests (forwarding passes the same
 // pointer at every hop, so no send boxes an interface) — at the paper's
 // scale (100k requests per node) per-request arrays would cost hundreds
-// of MB per sweep cell. The per-node arrays are flat struct-of-arrays
-// slabs with narrow element types, so a million-node run's driver state
-// is a few dozen MB. A node's findMsg is re-stamped with the object of
-// each new request; that is safe for the same reason the reuse itself
-// is — the previous request's messages are done traveling before the
-// node's next issue.
+// of MB per sweep cell. Per-node state is one 32-byte nodeState record
+// per node, so a million-node run's driver state is 32 MB and an event
+// touches one line of it. A node's findMsg is re-stamped with the
+// object of each new request; that is safe for the same reason the
+// reuse itself is — the previous request's messages are done traveling
+// before the node's next issue.
 //
 // Most callers want Run, the function. The two-step form exists for a
 // protocol whose fault recovery is more than re-issue-at-heal (arrow's
@@ -147,12 +164,7 @@ type Driver struct {
 	n     int
 	think sim.Time
 
-	issueTime []sim.Time
-	hops      []int32
-	remaining []int32
-
-	msgs    []findMsg
-	replies []replyMsg
+	nodes []nodeState
 
 	// resS[shard][obj] accumulates object obj's counters for drain
 	// shard `shard` (one shard on serial runs), so no two workers share
@@ -237,27 +249,24 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	k := spec.Objects
 	workers := effectiveWorkers(step, spec)
 	d := &Driver{
-		spec:      spec,
-		step:      step,
-		proto:     proto,
-		zipf:      workload.NewZipf(k, spec.Skew),
-		n:         n,
-		think:     max(spec.ThinkTime, 1),
-		issueTime: make([]sim.Time, n),
-		hops:      make([]int32, n),
-		remaining: make([]int32, n),
-		msgs:      make([]findMsg, n),
-		replies:   make([]replyMsg, n),
-		resS:      make([][]loop.Result, workers),
+		spec:  spec,
+		step:  step,
+		proto: proto,
+		zipf:  workload.NewZipf(k, spec.Skew),
+		n:     n,
+		think: max(spec.ThinkTime, 1),
+		nodes: make([]nodeState, n),
+		resS:  make([][]loop.Result, workers),
 	}
 	d.route, _ = step.(ReplyRouter)
 	for i := range d.resS {
 		d.resS[i] = make([]loop.Result, k)
 	}
-	for v := range d.remaining {
-		d.remaining[v] = int32(spec.PerNode)
-		d.msgs[v].origin = graph.NodeID(v)
-		d.replies[v].origin = graph.NodeID(v)
+	for v := range d.nodes {
+		nd := &d.nodes[v]
+		nd.remaining = int32(spec.PerNode)
+		nd.find.origin = graph.NodeID(v)
+		nd.reply.origin = graph.NodeID(v)
 	}
 	budget := eventBudget(int64(spec.PerNode)*int64(n), n)
 	if spec.Faults != nil {
@@ -306,6 +315,7 @@ func (d *Driver) OnComplete(fn func(*sim.Context)) { d.onComplete = fn }
 // Run injects every node's first issue, drains the simulator and merges
 // the result. It errors if any request never completed.
 func (d *Driver) Run() (*Result, error) {
+	d.sim.Reserve(d.n)
 	for v := 0; v < d.n; v++ {
 		d.sim.ScheduleNodeAt(0, graph.NodeID(v))
 	}
@@ -381,7 +391,7 @@ func (d *Driver) Blocked(ctx *sim.Context, msg sim.Message, upAt sim.Time, dropp
 	case *replyMsg:
 		d.affected[m.origin] = true
 		if dropped {
-			d.resS[ctx.Shard()][d.msgs[m.origin].obj].RepliesLost++
+			d.resS[ctx.Shard()][d.nodes[m.origin].find.obj].RepliesLost++
 			d.retryAt(ctx, m.origin, upAt)
 		}
 	}
@@ -400,7 +410,7 @@ func (d *Driver) retryAt(ctx *sim.Context, v graph.NodeID, upAt sim.Time) {
 // Issue is the timer step for a caller gating it: it reports whether v
 // had anything to issue — a request lost to a fault, or its next one.
 func (d *Driver) Issue(ctx *sim.Context, v graph.NodeID) bool {
-	if d.remaining[v] == 0 && (d.lost == nil || !d.lost[v]) {
+	if d.nodes[v].remaining == 0 && (d.lost == nil || !d.lost[v]) {
 		return false
 	}
 	d.issue(ctx, v)
@@ -409,7 +419,8 @@ func (d *Driver) Issue(ctx *sim.Context, v graph.NodeID) bool {
 
 //arrow:hotpath one call per request issued (object draw included)
 func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
-	m := &d.msgs[v]
+	nd := &d.nodes[v]
+	m := &nd.find
 	if d.lost != nil && d.lost[v] {
 		// Re-issue a request whose find a fault destroyed. It keeps its
 		// object and its original issue time, so its latency carries the
@@ -420,24 +431,24 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 		d.lost[v] = false
 		d.resS[ctx.Shard()][m.obj].Reissued++
 	} else {
-		if d.remaining[v] == 0 {
+		if nd.remaining == 0 {
 			return
 		}
 		// The request index is PerNode − remaining: the Zipf draw is a
 		// pure function of (seed, node, index).
-		m.obj = d.zipf.Draw(d.spec.Seed, v, int64(d.spec.PerNode)-int64(d.remaining[v]))
-		d.remaining[v]--
-		d.issueTime[v] = ctx.Now()
+		m.obj = d.zipf.Draw(d.spec.Seed, v, int64(d.spec.PerNode)-int64(nd.remaining))
+		nd.remaining--
+		nd.issueTime = ctx.Now()
 	}
 	target, local := d.step.StartFind(m.obj, v)
 	if local {
 		// The total order itself is not retained in closed-loop runs, so
 		// queuing behind the node's previous request is purely local.
-		d.hops[v] = 0
+		m.hops = 0
 		d.completeAt(ctx, m.obj, v, v)
 		return
 	}
-	d.hops[v] = 1
+	m.hops = 1
 	ctx.Send(v, target, m)
 }
 
@@ -452,7 +463,7 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 			d.completeAt(ctx, m.obj, m.origin, at)
 			return
 		}
-		d.hops[m.origin]++
+		m.hops++
 		ctx.Send(at, next, m)
 	case *replyMsg:
 		if at == m.origin {
@@ -462,7 +473,7 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 		// Only a ReplyRouter's replies stop short of the requester. The
 		// request's object is still stamped on the requester's own find:
 		// it cannot re-issue before this reply arrives.
-		d.resS[ctx.Shard()][d.msgs[m.origin].obj].ReplyHops++
+		d.resS[ctx.Shard()][d.nodes[m.origin].find.obj].ReplyHops++
 		ctx.Send(at, d.route.ReplyHop(at, m.origin), m)
 	default:
 		panic(fmt.Sprintf("%s: unexpected message %T", d.proto, msg))
@@ -477,8 +488,9 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 // order serial.
 func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
 	res := &d.resS[ctx.Shard()][obj]
-	lat := int64(ctx.Now() - d.issueTime[origin])
-	h := int(d.hops[origin])
+	nd := &d.nodes[origin]
+	lat := int64(ctx.Now() - nd.issueTime)
+	h := int(nd.find.hops)
 	res.Requests++
 	res.TotalLatency += lat
 	res.QueueHops += int64(h)
@@ -508,11 +520,11 @@ func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.Node
 	if d.route != nil {
 		next = d.route.ReplyHop(sink, origin)
 	}
-	ctx.Send(sink, next, &d.replies[origin])
+	ctx.Send(sink, next, &nd.reply)
 }
 
 func (d *Driver) scheduleNext(ctx *sim.Context, v graph.NodeID) {
-	if d.remaining[v] > 0 {
+	if d.nodes[v].remaining > 0 {
 		ctx.AfterNode(d.think, v)
 	}
 }

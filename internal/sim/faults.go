@@ -281,7 +281,7 @@ func (s *Simulator) scheduleFaults() {
 	}
 	for i := range s.f.events {
 		cf := &s.f.events[i]
-		s.push(event{at: cf.ev.At, kind: evFault, msg: cf})
+		s.push(cf.ev.At, evFault, 0, 0, cf)
 	}
 }
 
@@ -323,15 +323,16 @@ func (f *faultState) setLink(s *Simulator, u, v graph.NodeID, upAt Time) {
 }
 
 // blockedUntil returns the recovery time of whatever blocks a u -> v
-// message, or 0 if nothing does. With several blockers it returns the
-// latest recovery.
-func (f *faultState) blockedUntil(s *Simulator, u, v graph.NodeID) Time {
+// message, or 0 if nothing does; link is the dense slot send resolved
+// for the pair (unused on the map fallback). With several blockers it
+// returns the latest recovery.
+func (f *faultState) blockedUntil(link int, u, v graph.NodeID) Time {
 	up := f.nodeUpAt[u]
 	if t := f.nodeUpAt[v]; t > up {
 		up = t
 	}
 	if f.linkUpAt != nil {
-		if t := f.linkUpAt[s.linkIdx.LinkIndex(u, v)]; t > up {
+		if t := f.linkUpAt[link]; t > up {
 			up = t
 		}
 	} else if t := f.downLinks[canonicalLink(u, v)]; t > up {

@@ -82,6 +82,7 @@ const dynSeqUnknown = ^uint64(0)
 // timers included); the commit phase's window walk re-derives the same
 // per-worker order, so an ordinal cursor per source log is all it
 // needs to interleave the logs back into serial order.
+// 64 bytes: msg carries an opTimer's TimerFunc as it does in event.
 type emitOp struct {
 	idx  int32
 	kind uint8
@@ -90,7 +91,6 @@ type emitOp struct {
 	h    int  // hops (records)
 	msg  Message
 	rec  stats.Recorder
-	fn   TimerFunc
 }
 
 // opBuffer is one worker's effect log for the current window. idx is
@@ -101,7 +101,14 @@ type opBuffer struct {
 	idx int32
 }
 
-func (b *opBuffer) add(op emitOp) { b.ops = append(b.ops, op) }
+// add appends one op of the given kind, stamped with the current
+// execution ordinal, and returns it for the caller to fill in place.
+//
+//arrow:hotpath one call per buffered side effect
+func (b *opBuffer) add(kind uint8) *emitOp {
+	b.ops = append(b.ops, emitOp{idx: b.idx, kind: kind})
+	return &b.ops[len(b.ops)-1]
+}
 
 func (b *opBuffer) reset() {
 	// Drop reference fields so recycled capacity doesn't pin payloads.
@@ -312,16 +319,19 @@ func (s *Simulator) runParallel() Time {
 		serialOnly := false
 		tick := t0
 		for {
-			var e event
-			if !s.lq.pop(&e) || e.at != tick {
+			// A batch must outlive the queue position, so the gather copies
+			// each event out of its cell and releases the cell at once.
+			c, slot := s.lq.popCell()
+			if c == nil || c.at != tick {
 				// Unreachable: each pop is guarded by a probe that saw an
 				// event at tick.
 				panic("sim: window batch popped an event off its tick")
 			}
-			if e.kind == evTimer || e.kind == evFault {
+			if c.kind == evTimer || c.kind == evFault {
 				serialOnly = true
 			}
-			batch = append(batch, e)
+			batch = append(batch, *c)
+			s.lq.release(slot)
 			if s.lq.curBucketNonEmpty() {
 				continue
 			}
@@ -342,14 +352,14 @@ func (s *Simulator) runParallel() Time {
 			// smaller than any seq assigned during the window.
 			s.winEnd = winEnd
 			i := 0
+			var dyn event // a mid-window event pops into this; batch events dispatch in place
 			for {
-				var e event
+				e := &dyn
 				if i < len(batch) && (len(s.winDyn) == 0 || batch[i].before(&s.winDyn[0])) {
-					e = batch[i]
-					batch[i] = event{} // release msg/fn references
+					e = &batch[i]
 					i++
 				} else if len(s.winDyn) > 0 {
-					e = s.winDyn.pop()
+					s.winDyn.pop(e)
 				} else {
 					break
 				}
@@ -361,7 +371,8 @@ func (s *Simulator) runParallel() Time {
 				if s.cfg.MaxEvents > 0 && s.processed > s.cfg.MaxEvents {
 					panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
 				}
-				s.dispatch(s.ctx, &e)
+				s.dispatch(s.ctx, e)
+				e.msg = nil // release the reference
 			}
 			s.winEnd = 0
 			continue
@@ -517,13 +528,13 @@ func (s *Simulator) replayLogs(wctx []*Context, winEnd Time, wk *windowWalker, b
 			case opSend:
 				s.send(op.u, op.v, op.msg)
 			case opTimer:
-				s.scheduleTimer(op.t, op.fn)
+				s.scheduleTimer(op.t, op.msg.(TimerFunc))
 			case opNodeTimer:
 				if op.t < winEnd {
 					s.seq++
 					wk.addDyn(op.t, op.v)
 				} else {
-					s.push(event{at: op.t, kind: evNodeTimer, to: op.v})
+					s.push(op.t, evNodeTimer, op.v, 0, nil)
 				}
 			case opRecord:
 				op.rec.RecordRequest(op.t, op.h)

@@ -48,6 +48,10 @@ const (
 	evFault
 )
 
+// event is one pending event: 56 bytes, so an arena cell (event plus its
+// list link) is one 64-byte cache line. msg carries the payload of every
+// kind — a message's Message, an evTimer's TimerFunc (funcs are
+// pointer-shaped: no boxing allocation), an evFault's *compiledFault.
 type event struct {
 	at   Time
 	pri  int64
@@ -56,7 +60,6 @@ type event struct {
 	to   graph.NodeID
 	from graph.NodeID
 	msg  Message
-	fn   TimerFunc
 }
 
 // before is the scheduler total order: time, then arbitration priority,
@@ -94,18 +97,20 @@ func cmpEvent(x, y event) int {
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
 // It is the SchedHeap scheduler — the oracle the ladder queue is tested
-// against — and the ladder queue's last tier, for events more than 2²⁷
-// ticks out.
+// against — the parallel drain's mid-window queue, and the ladder queue's
+// last tier, for events more than 2²⁷ ticks out.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
-// push sift-ups into the value-typed heap; the append is the amortized
-// backing-array grow, zero-alloc at steady state.
+// push appends an event carrying only its key, sifts it up and returns
+// its final address for the caller to fill in the rest (kind, endpoints,
+// payload) — valid until the next heap operation. The append is the
+// amortized backing-array grow, zero-alloc at steady state.
 //
 //arrow:hotpath heap-scheduler enqueue
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
+func (h *eventHeap) push(at Time, pri int64, seq uint64) *event {
+	*h = append(*h, event{at: at, pri: pri, seq: seq})
 	a := *h
 	i := len(a) - 1
 	for i > 0 {
@@ -116,15 +121,18 @@ func (h *eventHeap) push(e event) {
 		a[i], a[parent] = a[parent], a[i]
 		i = parent
 	}
+	return &a[i]
 }
 
+// pop moves the earliest event into out.
+//
 //arrow:hotpath sift-down on the value-typed heap
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop(out *event) {
 	a := *h
 	n := len(a) - 1
-	top := a[0]
+	*out = a[0]
 	a[0] = a[n]
-	a[n] = event{} // release msg/fn references
+	a[n] = event{} // release the msg reference
 	a = a[:n]
 	*h = a
 	i := 0
@@ -143,7 +151,6 @@ func (h *eventHeap) pop() event {
 		a[i], a[smallest] = a[smallest], a[i]
 		i = smallest
 	}
-	return top
 }
 
 const (
@@ -184,13 +191,15 @@ const (
 // nilSlot terminates bucket lists and the freelist.
 const nilSlot = int32(-1)
 
-// eslot is one arena cell: an event plus its intrusive list link. All
-// pending events short of the heap tier live in one shared arena, so
-// buckets — tick buckets and far-wheel buckets alike — cost no storage
-// of their own: pushing links a recycled cell into a list, moving an
-// event one tier down relinks the same cell, and the arena grows
-// (amortized, like the heap's backing array) only when the pending
-// count reaches a new peak.
+// eslot is one arena cell: an event plus its intrusive list link, 64
+// bytes — one cache line. It is the only place an event short of the
+// heap tier ever lives: push builds it here, the serial loop dispatches
+// it from here, release recycles the cell. All such events share one
+// arena, so buckets — tick buckets and far-wheel buckets alike — cost no
+// storage of their own: pushing links a recycled cell into a list,
+// moving an event one tier down relinks the same cell, and the arena
+// grows (amortized, like the heap's backing array) only when the
+// pending count reaches a new peak.
 type eslot struct {
 	ev   event
 	next int32
@@ -334,54 +343,54 @@ func (q *ladderQueue) alloc() int32 {
 	return int32(len(q.arena) - 1)
 }
 
+// push allocates the cell of a fresh event keyed (at, pri, seq), links it
+// into the tier at selects — its tick's ring bucket, or a far wheel or
+// the heap past the epoch — with the arbitration's placement, and
+// returns it for the caller to fill in place (kind, endpoints, payload):
+// the event is built where it will be dispatched from, never copied in.
+// The pointer is valid until the next queue operation.
+//
 //arrow:hotpath O(1) enqueue: tick bucket, or a far wheel past the epoch
-func (q *ladderQueue) push(e *event) {
-	if e.at < q.base {
+func (q *ladderQueue) push(at Time, pri int64, seq uint64) *event {
+	if at < q.base {
 		panic("sim: scheduling into the past")
 	}
 	q.size++
-	if e.at >= q.horizon {
-		q.farPush(e)
-		return
+	if at >= q.horizon {
+		return q.farPush(at, pri, seq)
 	}
-	q.bucketPush(e)
-}
-
-// bucketPush links a fresh push into its tick's list with the
-// arbitration's placement.
-//
-//arrow:hotpath list-link into the tick bucket
-func (q *ladderQueue) bucketPush(e *event) {
-	idx := int(e.at) & ringMask
+	idx := int(at) & ringMask
 	b := &q.ring[idx]
 	s := q.alloc()
-	q.arena[s].ev = *e
+	c := &q.arena[s]
+	c.ev.at, c.ev.pri, c.ev.seq = at, pri, seq
 	if b.head == nilSlot {
 		q.occupied[idx>>6] |= 1 << (idx & 63)
 		q.ringCnt++
-		q.arena[s].next = nilSlot
+		c.next = nilSlot
 		b.head, b.tail = s, s
-		return
+		return &c.ev
 	}
 	switch q.arb {
 	case ArbLIFO:
 		// A fresh push has the largest seq, hence the smallest pri:
 		// it pops before everything already listed.
-		q.arena[s].next = b.head
+		c.next = b.head
 		b.head = s
-		return
+		return &c.ev
 	case ArbRandom:
-		if q.curPrepared && e.at == q.base {
+		if q.curPrepared && at == q.base {
 			q.insertSorted(b, s)
-			return
+			return &c.ev
 		}
 	case ArbFIFO:
 		// Largest seq pops last: the tail append below is already
 		// FIFO placement.
 	}
-	q.arena[s].next = nilSlot
+	c.next = nilSlot
 	q.arena[b.tail].next = s
 	b.tail = s
+	return &c.ev
 }
 
 // farPush places a fresh push beyond the current epoch: into the far
@@ -390,22 +399,23 @@ func (q *ladderQueue) bucketPush(e *event) {
 // as in the ring (see the order invariant).
 //
 //arrow:hotpath O(1) far enqueue: one list link, no sift
-func (q *ladderQueue) farPush(e *event) {
-	if (e.at^q.base)>>heapShift != 0 {
+func (q *ladderQueue) farPush(at Time, pri int64, seq uint64) *event {
+	if (at^q.base)>>heapShift != 0 {
 		q.stats.HeapPushes++
-		q.heap.push(*e)
-		return
+		return q.heap.push(at, pri, seq)
 	}
 	s := q.alloc()
-	q.arena[s].ev = *e
-	b, k := q.farBucket(e.at)
+	c := &q.arena[s]
+	c.ev.at, c.ev.pri, c.ev.seq = at, pri, seq
+	b, k := q.farBucket(at)
 	q.stats.FarPushes[k]++
 	if q.arb == ArbLIFO && b.head != nilSlot {
-		q.arena[s].next = b.head
+		c.next = b.head
 		b.head = s
-		return
+	} else {
+		q.appendSlot(b, s)
 	}
-	q.appendSlot(b, s)
+	return &c.ev
 }
 
 // farBucket returns the far-wheel list for time at (and its level),
@@ -497,18 +507,24 @@ func (q *ladderQueue) prepareRandom(b *tickBucket) {
 	i := 0
 	for s := b.head; s != nilSlot; s = q.arena[s].next {
 		q.arena[s].ev = q.scratch[i]
-		q.scratch[i] = event{} // release msg/fn references
+		q.scratch[i] = event{} // release the msg reference
 		i++
 	}
 }
 
-// pop writes the earliest pending event into out, avoiding intermediate
-// copies of the (several-word) event struct on the hottest path.
+// popCell unlinks the earliest pending event's cell and returns it with
+// its slot, or (nil, nilSlot) when nothing is pending. The event is
+// dispatched from the cell — no copy out — and the slot stays out of
+// the freelist until the caller hands it back with release. A handler
+// may grow the arena while the cell is out, so the pointer is good only
+// until the handler is entered; release goes by slot for that reason.
+// refill and compact run only from inside a pop or a peek, never while a
+// cell is out.
 //
 //arrow:hotpath O(1) dequeue
-func (q *ladderQueue) pop(out *event) bool {
+func (q *ladderQueue) popCell() (*event, int32) {
 	if q.size == 0 {
-		return false
+		return nil, nilSlot
 	}
 	for {
 		idx := int(q.base) & ringMask
@@ -519,11 +535,6 @@ func (q *ladderQueue) pop(out *event) bool {
 				q.curPrepared = true
 			}
 			c := &q.arena[s]
-			*out = c.ev
-			// Release only the reference fields; the scalar fields are
-			// dead weight the GC does not scan.
-			c.ev.msg = nil
-			c.ev.fn = nil
 			b.head = c.next
 			if b.head == nilSlot {
 				b.tail = nilSlot
@@ -531,10 +542,8 @@ func (q *ladderQueue) pop(out *event) bool {
 				q.ringCnt--
 				q.curPrepared = false
 			}
-			c.next = q.free
-			q.free = s
 			q.size--
-			return true
+			return &c.ev, s
 		}
 		q.curPrepared = false
 		if q.ringCnt > 0 {
@@ -543,6 +552,18 @@ func (q *ladderQueue) pop(out *event) bool {
 		}
 		q.refill(math.MaxInt64)
 	}
+}
+
+// release returns a popped cell to the freelist. Only the reference
+// field is cleared; the scalar fields are dead weight the GC does not
+// scan.
+//
+//arrow:hotpath one call per dequeue, after the handler returned
+func (q *ladderQueue) release(s int32) {
+	c := &q.arena[s]
+	c.ev.msg = nil
+	c.next = q.free
+	q.free = s
 }
 
 // peekTime returns the timestamp of the earliest pending event without
@@ -689,7 +710,7 @@ func (q *ladderQueue) refill(limit Time) bool {
 func (q *ladderQueue) pourHeap() {
 	for len(q.heap) > 0 && (q.heap[0].at^q.base)>>heapShift == 0 {
 		s := q.alloc()
-		q.arena[s].ev = q.heap.pop()
+		q.heap.pop(&q.arena[s].ev)
 		q.place(s)
 		q.stats.Cascaded++
 	}

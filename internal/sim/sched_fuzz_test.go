@@ -1,17 +1,45 @@
 package sim
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
-// ladderScript replays one byte-script against a ladderQueue and the
-// eventHeap oracle and fails on the first difference. arb picks the
-// arbitration, start the tick the queue is positioned at before the
-// script runs (any alignment relative to the epoch, super-epoch and
-// 2²⁷-block boundaries). Each script byte is one operation: the low
-// three bits choose it, the high five are its argument a.
+// scriptCover is what one ladderScript run reached of the in-place API's
+// hazards, as a bit set: a popped cell held out while the arena
+// reallocated, and the tiers fresh pushes landed in while a cell was out.
+type scriptCover uint8
+
+const (
+	coverGrewHeld scriptCover = 1 << iota
+	coverRingHeld
+	coverWheel0Held
+	coverWheel1Held
+	coverHeapHeld
+	coverAll = 1<<iota - 1
+)
+
+// ladderScript replays one byte-script against a ladderQueue — through
+// push(at, pri, seq) / popCell / release, the way the simulator drives
+// it — and the eventHeap oracle, and fails on the first difference. arb
+// picks the arbitration, start the tick the queue is positioned at
+// before the script runs (any alignment relative to the epoch,
+// super-epoch and 2²⁷-block boundaries). Each script byte is one
+// operation: the low three bits choose it, the high five are its
+// argument a.
 //
-//	0    pop one event from both queues and compare (at, pri, seq)
+//	0    pop one event from both queues and compare (at, pri, seq) and
+//	     the payload filled into the cell at push. With a even the cell
+//	     stays out — like the serial loop's, whose handler is running —
+//	     across the pushes that follow, until the next op that is not a
+//	     push releases it; with a odd it is released at once, like the
+//	     parallel drain's gather
 //	1    push at the position's own tick (a same-tick push; after a pop
 //	     that left the tick non-empty this lands in the bucket being
 //	     drained)
@@ -28,40 +56,78 @@ import (
 // different positions — hence parked in different tiers — meet on one
 // tick and the order across tiers is what the comparison checks.
 // Random arbitration draws priorities from four values so (pri, seq)
-// ties are common. After the script both queues drain to empty.
-func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) {
+// ties are common. A held cell is re-read by slot when it is released:
+// whatever the pushes in between did — recycle the freelist, land in
+// any tier, reallocate the arena under it — it must still hold the
+// event that was popped. After the script both queues drain to empty.
+func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scriptCover {
 	var (
-		lq  ladderQueue
-		h   eventHeap
-		seq uint64
-		rnd = uint64(start)*2862933555777941757 + 3037000493
+		lq    ladderQueue
+		h     eventHeap
+		seq   uint64
+		rnd   = uint64(start)*2862933555777941757 + 3037000493
+		held  = nilSlot // the cell currently out, if any
+		heldE event     // what it held when popped
+		cover scriptCover
 	)
 	lq.init(arb)
-	push := func(at Time) {
-		seq++
-		e := event{at: at, seq: seq}
-		switch arb {
-		case ArbFIFO:
-			e.pri = int64(seq)
-		case ArbLIFO:
-			e.pri = -int64(seq)
-		case ArbRandom:
-			rnd = rnd*6364136223846793005 + 1442695040888963407
-			e.pri = int64(rnd >> 62)
-		}
-		h.push(e)
-		lq.push(&e)
-	}
-	pop := func() {
-		var got event
-		if ok := lq.pop(&got); ok != (len(h) > 0) {
-			t.Fatalf("ladder pop ok=%v with %d events in the oracle", ok, len(h))
-		} else if !ok {
+	release := func() {
+		if held == nilSlot {
 			return
 		}
-		if want := h.pop(); got.at != want.at || got.pri != want.pri || got.seq != want.seq {
-			t.Fatalf("pop %d: ladder (at %d, pri %d, seq %d), heap (at %d, pri %d, seq %d)",
-				seq, got.at, got.pri, got.seq, want.at, want.pri, want.seq)
+		if got := lq.arena[held].ev; got != heldE {
+			t.Fatalf("held cell %d changed while out: popped %+v, now %+v", held, heldE, got)
+		}
+		lq.release(held)
+		held = nilSlot
+	}
+	push := func(at Time) {
+		seq++
+		var pri int64
+		switch arb {
+		case ArbFIFO:
+			pri = int64(seq)
+		case ArbLIFO:
+			pri = -int64(seq)
+		case ArbRandom:
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			pri = int64(rnd >> 62)
+		}
+		h.push(at, pri, seq).to = graph.NodeID(seq)
+		st, arena := lq.stats, cap(lq.arena)
+		ringPush := at < lq.horizon
+		c := lq.push(at, pri, seq)
+		c.kind, c.to = evMessage, graph.NodeID(seq)
+		if held != nilSlot {
+			mark := func(bit scriptCover, hit bool) {
+				if hit {
+					cover |= bit
+				}
+			}
+			mark(coverGrewHeld, cap(lq.arena) != arena)
+			mark(coverRingHeld, ringPush)
+			mark(coverWheel0Held, lq.stats.FarPushes[0] != st.FarPushes[0])
+			mark(coverWheel1Held, lq.stats.FarPushes[1] != st.FarPushes[1])
+			mark(coverHeapHeld, lq.stats.HeapPushes != st.HeapPushes)
+		}
+	}
+	pop := func(hold bool) {
+		release()
+		c, slot := lq.popCell()
+		if (c != nil) != (len(h) > 0) {
+			t.Fatalf("ladder popCell ok=%v with %d events in the oracle", c != nil, len(h))
+		} else if c == nil {
+			return
+		}
+		var want event
+		h.pop(&want)
+		if c.at != want.at || c.pri != want.pri || c.seq != want.seq || c.to != want.to || c.kind != evMessage {
+			t.Fatalf("pop %d: ladder (at %d, pri %d, seq %d, to %d), heap (at %d, pri %d, seq %d, to %d)",
+				seq, c.at, c.pri, c.seq, c.to, want.at, want.pri, want.seq, want.to)
+		}
+		held, heldE = slot, *c
+		if !hold {
+			release()
 		}
 	}
 	check := func() {
@@ -78,12 +144,12 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) {
 	grid := func(stride Time, a byte) Time { return (lq.base/stride + 1 + Time(a%4)) * stride }
 
 	push(start)
-	pop()
+	pop(false)
 	for _, b := range script {
 		a := b >> 3
 		switch b & 7 {
 		case 0:
-			pop()
+			pop(a&1 == 0)
 		case 1:
 			push(lq.base)
 		case 2:
@@ -98,9 +164,10 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) {
 			push(grid(1<<28, a))
 		case 7:
 			if lq.curBucketNonEmpty() || len(h) == 0 {
-				pop()
+				pop(true)
 				break
 			}
+			release()
 			limit := lq.base + 1<<(3*(a%8))
 			tick, ok := lq.nextTickWithin(limit)
 			if want := h[0].at; ok != (want < limit) || (ok && tick != want) {
@@ -113,10 +180,11 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) {
 		check()
 	}
 	for len(h) > 0 {
-		pop()
+		pop(true)
 		check()
 	}
-	pop() // both empty
+	pop(true) // both empty
+	return cover
 }
 
 // FuzzLadderMatchesHeap is the queue-level differential: whatever the
@@ -153,13 +221,66 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 	// the last epoch: the pour that empties the far tier rebuilds the
 	// arena and must keep that epoch's same-tick order.
 	burst := append(rep(400, op(3, 0), op(3, 1), op(3, 2)), rep(100, op(3, 3))...)
+	// A cell held out (op 0 with a even) while 300 pushes outgrow the
+	// arena several times over, then while one push lands in each tier —
+	// same tick, ring, wheel 0, wheel 1, heap: the release must find the
+	// popped event under its slot in the reallocated arena.
+	held := append(rep(8, op(2, 0)), op(0, 0))
+	held = append(held, rep(300, op(2, 3))...)
+	held = append(held, op(0, 0), op(1, 0), op(2, 1), op(3, 0), op(4, 1), op(5, 1), op(6, 0), op(0, 1))
 	for arb := uint8(0); arb < 3; arb++ {
 		f.Add(arb, uint64(1<<27-300)<<24, rep(40, meet...))
 		f.Add(arb, uint64(1<<18-5)<<24, stop)
 		f.Add(arb, uint64(0), burst)
+		f.Add(arb, uint64(0), held)
 	}
 	f.Fuzz(func(t *testing.T, arb uint8, start uint64, script []byte) {
 		// Keep times well inside int64: scripts add at most 2³⁰ per byte.
 		ladderScript(t, Arbitration(arb%3), Time(start>>24), script)
 	})
+}
+
+// TestLadderCorpusReachesHeldCell keeps the committed corpus honest
+// about the in-place API: under every arbitration some entry holds a
+// popped cell across an arena reallocation and lands pushes in the
+// ring, both far wheels and the heap tier while a cell is out.
+func TestLadderCorpusReachesHeldCell(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzLadderMatchesHeap/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus (err %v)", err)
+	}
+	var cover [3]scriptCover
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1", then one Go literal per fuzz argument.
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		var (
+			arb    uint8
+			start  uint64
+			quoted string
+		)
+		if len(lines) != 4 {
+			t.Fatalf("%s: %d lines, want a header and three arguments", name, len(lines))
+		}
+		if _, err := fmt.Sscanf(lines[1], "uint8(%d)", &arb); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := fmt.Sscanf(lines[2], "uint64(%d)", &start); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		quoted = strings.TrimSuffix(strings.TrimPrefix(lines[3], "[]byte("), ")")
+		script, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: script literal: %v", name, err)
+		}
+		cover[arb%3] |= ladderScript(t, Arbitration(arb%3), Time(start>>24), []byte(script))
+	}
+	for arb, c := range cover {
+		if c != coverAll {
+			t.Errorf("%v: the committed corpus misses a held-cell case: reached %05b of %05b", Arbitration(arb), c, coverAll)
+		}
+	}
 }

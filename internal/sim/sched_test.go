@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/tree"
@@ -247,11 +248,10 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
 					push := func(d Time) {
 						seq++
-						e := event{at: now + d, pri: int64(seq), seq: seq}
 						if kind == SchedHeap {
-							h.push(e)
+							h.push(now+d, int64(seq), seq)
 						} else {
-							lq.push(&e)
+							lq.push(now+d, int64(seq), seq)
 						}
 					}
 					for i := 0; i < pending; i++ {
@@ -262,15 +262,31 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					var e event
 					for i := 0; i < b.N; i++ {
 						if kind == SchedHeap {
-							e = h.pop()
+							h.pop(&e)
+							now = e.at
 						} else {
-							lq.pop(&e)
+							c, slot := lq.popCell()
+							now = c.at
+							lq.release(slot)
 						}
-						now = e.at
 						push(1 + Time(rng.Intn(maxDelay)))
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestEventCellIsOneCacheLine pins the layout the in-place event path
+// is built around: a 56-byte event, a 64-byte arena cell.
+func TestEventCellIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Errorf("event is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(eslot{}); got != 64 {
+		t.Errorf("arena cell is %d bytes, want 64 (one cache line)", got)
+	}
+	if got := unsafe.Sizeof(emitOp{}); got != 64 {
+		t.Errorf("emitOp is %d bytes, want 64", got)
 	}
 }

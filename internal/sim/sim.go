@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -116,7 +117,10 @@ type Config struct {
 	// Scheduler selects the event-queue implementation; the zero value is
 	// the ladder queue. Every scheduler realizes the identical event
 	// order, so this is an equivalence-testing and benchmarking knob, not
-	// a semantic one.
+	// a semantic one. Both are driven through the same in-place API —
+	// push(at, pri, seq) hands back the event's storage for the caller to
+	// fill — but only the ladder dispatches an event from its cell;
+	// SchedHeap, the oracle, pops into a local.
 	Scheduler SchedulerKind
 	// Faults is the deterministic liveness schedule; nil (or an empty
 	// plan) leaves the run bit-identical to a fault-free simulator. The
@@ -254,11 +258,22 @@ type Simulator struct {
 	// latency, no faults — per-link arrivals are then monotone by
 	// construction). busy holds each link's earliest next departure under
 	// the LinkTxTime capacity model; nil when capacity is infinite.
-	linkIdx  LinkIndexer
-	fifoFree bool
-	txTime   Time
-	fifo     *linkClock
-	busy     *linkClock
+	//
+	// send resolves a message's link slot once and hands it to every
+	// per-link consumer (both clocks, the fault table). On a TreeTopology
+	// the slot, the weight and the legality check all come from the flat
+	// treeParent/treeWeight arrays resolved at New (treeWeight nil = unit
+	// weights) — two array reads instead of five interface calls per
+	// message; other topologies answer through Latency/Hops/LinkIndex,
+	// the last only when perLink says some per-link state exists.
+	linkIdx    LinkIndexer
+	perLink    bool
+	treeParent []graph.NodeID
+	treeWeight []graph.Weight
+	fifoFree   bool
+	txTime     Time
+	fifo       *linkClock
+	busy       *linkClock
 
 	// Independent seeded streams: rng is the protocol-visible stream
 	// (Context.Rand), latRNG drives the latency model and arbRNG random
@@ -362,7 +377,6 @@ const (
 // model (earliest next departure per link). Zero slots mean "never
 // touched"; both uses only ever store values >= 1.
 type linkClock struct {
-	idx   LinkIndexer
 	dense []Time
 	pages map[int64][]Time
 	m     map[linkKey]Time
@@ -371,7 +385,7 @@ type linkClock struct {
 // newLinkClock picks the storage tier for the given indexer (nil selects
 // the map tier).
 func newLinkClock(li LinkIndexer) *linkClock {
-	c := &linkClock{idx: li}
+	c := &linkClock{}
 	if li == nil {
 		c.m = make(map[linkKey]Time)
 	} else if nl := li.NumLinks(); nl <= fifoDenseMax {
@@ -382,16 +396,17 @@ func newLinkClock(li LinkIndexer) *linkClock {
 	return c
 }
 
-// slot returns the storage cell for link u -> v, materializing its page
-// on the paged tier. The map tier is handled by the callers (a pointer
-// into a Go map is illegal).
+// slot returns the storage cell of the link with dense index link (the
+// slot send resolved: from the tree link table, or the topology's
+// LinkIndex), materializing its page on the paged tier. The map tier is
+// handled by the callers (a pointer into a Go map is illegal).
 //
 //arrow:hotpath both the FIFO clamp and the capacity reservation resolve their cell here
-func (c *linkClock) slot(u, v graph.NodeID) *Time {
+func (c *linkClock) slot(link int) *Time {
 	if c.dense != nil {
-		return &c.dense[c.idx.LinkIndex(u, v)]
+		return &c.dense[link]
 	}
-	idx := int64(c.idx.LinkIndex(u, v))
+	idx := int64(link)
 	page := c.pages[idx>>fifoPageBits]
 	if page == nil {
 		page = make([]Time, 1<<fifoPageBits)
@@ -402,9 +417,10 @@ func (c *linkClock) slot(u, v graph.NodeID) *Time {
 
 // clamp enforces per-link FIFO order: it returns t raised to the link's
 // last recorded arrival and records the result as the new last arrival.
+// link is u -> v's dense slot; the map tier keys by the endpoints.
 //
 //arrow:hotpath one call per send on runs where the FIFO clamp can bind
-func (c *linkClock) clamp(u, v graph.NodeID, t Time) Time {
+func (c *linkClock) clamp(link int, u, v graph.NodeID, t Time) Time {
 	if c.m != nil {
 		key := linkKey{u, v}
 		if last, ok := c.m[key]; ok && t < last {
@@ -413,7 +429,7 @@ func (c *linkClock) clamp(u, v graph.NodeID, t Time) Time {
 		c.m[key] = t
 		return t
 	}
-	s := c.slot(u, v)
+	s := c.slot(link)
 	if t < *s {
 		t = *s
 	}
@@ -427,7 +443,7 @@ func (c *linkClock) clamp(u, v graph.NodeID, t Time) Time {
 // departure+tx.
 //
 //arrow:hotpath one call per send on runs with finite link capacity
-func (c *linkClock) reserve(u, v graph.NodeID, t, tx Time) Time {
+func (c *linkClock) reserve(link int, u, v graph.NodeID, t, tx Time) Time {
 	if c.m != nil {
 		key := linkKey{u, v}
 		if busy, ok := c.m[key]; ok && t < busy {
@@ -436,7 +452,7 @@ func (c *linkClock) reserve(u, v graph.NodeID, t, tx Time) Time {
 		c.m[key] = t + tx
 		return t
 	}
-	s := c.slot(u, v)
+	s := c.slot(link)
 	if t < *s {
 		t = *s
 	}
@@ -492,6 +508,9 @@ func New(cfg Config) *Simulator {
 	if li, ok := cfg.Topology.(LinkIndexer); ok {
 		s.linkIdx = li
 	}
+	if tt, ok := cfg.Topology.(TreeTopology); ok {
+		s.treeParent, s.treeWeight = tt.linkTable()
+	}
 	// Synchronous latency without faults makes per-link arrivals monotone
 	// by construction (send times never decrease and the per-link delay
 	// is a constant; a capacity reservation only ever pushes departures
@@ -506,6 +525,7 @@ func New(cfg Config) *Simulator {
 	}
 	s.ctx = &Context{s: s}
 	s.f = compileFaults(cfg.Faults, cfg.Topology, s.linkIdx)
+	s.perLink = s.linkIdx != nil && (s.fifo != nil || s.busy != nil || s.f != nil)
 	s.scheduleFaults()
 	return s
 }
@@ -597,7 +617,8 @@ func (c *Context) Shard() int { return c.shard }
 //arrow:hotpath every protocol message crosses here (BenchmarkSimSendDispatch)
 func (c *Context) Send(u, v graph.NodeID, msg Message) {
 	if c.buf != nil {
-		c.buf.add(emitOp{idx: c.buf.idx, kind: opSend, u: u, v: v, msg: msg})
+		op := c.buf.add(opSend)
+		op.u, op.v, op.msg = u, v, msg
 		return
 	}
 	c.s.send(u, v, msg)
@@ -616,7 +637,8 @@ func (c *Context) After(d Time, fn TimerFunc) {
 		if fire < c.win.end {
 			panic(fmt.Sprintf("sim: Context.After(%d) inside a parallel window (fires at %d, window ends %d): closure timers cannot execute mid-window (use AfterNode, or run with Workers <= 1)", d, fire, c.win.end))
 		}
-		c.buf.add(emitOp{idx: c.buf.idx, kind: opTimer, t: fire, fn: fn})
+		op := c.buf.add(opTimer)
+		op.t, op.msg = fire, fn
 		return
 	}
 	c.s.scheduleTimer(c.s.now+d, fn)
@@ -637,7 +659,8 @@ func (c *Context) After(d Time, fn TimerFunc) {
 func (c *Context) AfterNode(d Time, v graph.NodeID) {
 	if c.buf != nil {
 		fire := c.evAt + d
-		c.buf.add(emitOp{idx: c.buf.idx, kind: opNodeTimer, t: fire, v: v})
+		op := c.buf.add(opNodeTimer)
+		op.t, op.v = fire, v
 		if fire < c.win.end {
 			if fire < c.evAt {
 				panic(fmt.Sprintf("sim: AfterNode(%d) schedules into the past", d))
@@ -650,7 +673,7 @@ func (c *Context) AfterNode(d Time, v graph.NodeID) {
 		}
 		return
 	}
-	c.s.push(event{at: c.s.now + d, kind: evNodeTimer, to: v})
+	c.s.push(c.s.now+d, evNodeTimer, v, 0, nil)
 }
 
 // RecordRequest forwards one completed request to rec (a no-op when rec
@@ -671,7 +694,8 @@ func (c *Context) RecordRequest(rec stats.Recorder, latency int64, hops int) {
 			c.shardFor(sr).RecordRequest(latency, hops)
 			return
 		}
-		c.buf.add(emitOp{idx: c.buf.idx, kind: opRecord, rec: rec, t: latency, h: hops})
+		op := c.buf.add(opRecord)
+		op.rec, op.t, op.h = rec, latency, hops
 		return
 	}
 	rec.RecordRequest(latency, hops)
@@ -730,21 +754,54 @@ func (c *Context) Rand() *rand.Rand {
 	return c.s.rng
 }
 
-// send is the serial-path delivery: fault gating, latency lookup, and
-// the event push.
+// send is the serial-path delivery: link resolution, fault gating, the
+// latency draw, and the event push.
 //
 //arrow:hotpath one call per message on the serial drain
 func (s *Simulator) send(u, v graph.NodeID, msg Message) {
-	w, ok := s.cfg.Topology.Latency(u, v)
-	if !ok {
-		panic(fmt.Sprintf("sim: illegal send %d -> %d (not connected in topology)", u, v))
+	// Resolve the link once: legality, nominal weight, hop count and the
+	// dense slot every per-link table below is indexed by (-1: unused).
+	var (
+		w    graph.Weight
+		hops = 1
+		link = -1
+	)
+	if p := s.treeParent; p != nil {
+		// A legal tree link joins a child with its parent; the child owns
+		// slots 2·child (up) and 2·child+1 (down), as TreeTopology.LinkIndex
+		// lays them out. The root is its own parent, so u == v must fail
+		// before the parent test.
+		child := u
+		switch {
+		case u == v:
+			s.illegalSend(u, v)
+		case p[u] == v:
+			link = 2 * int(u)
+		case p[v] == u:
+			child, link = v, 2*int(v)+1
+		default:
+			s.illegalSend(u, v)
+		}
+		w = 1
+		if s.treeWeight != nil {
+			w = s.treeWeight[child]
+		}
+	} else {
+		var ok bool
+		if w, ok = s.cfg.Topology.Latency(u, v); !ok {
+			s.illegalSend(u, v)
+		}
+		hops = s.cfg.Topology.Hops(u, v)
+		if s.perLink {
+			link = s.linkIdx.LinkIndex(u, v)
+		}
 	}
 	// Faults are enforced at send time: a down endpoint or link drops or
 	// stalls the message per the plan's policy. healAt stays 0 on the
 	// fault-free fast path (and whenever nothing blocks the send).
 	var healAt Time
 	if s.f != nil {
-		if healAt = s.f.blockedUntil(s, u, v); healAt != 0 {
+		if healAt = s.f.blockedUntil(link, u, v); healAt != 0 {
 			if s.f.policy == FaultDrop || healAt == FaultNever {
 				s.f.dropped++
 				if s.blockedH != nil {
@@ -785,7 +842,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// transmissions and reserves LinkTxTime of the link for itself, so
 	// same-instant senders into one link serialize.
 	if s.busy != nil {
-		depart = s.busy.reserve(u, v, depart, s.txTime)
+		depart = s.busy.reserve(link, u, v, depart, s.txTime)
 	}
 	arrive := depart + delay
 	// FIFO: never overtake an earlier message on this link. Arrivals are
@@ -794,7 +851,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// arrivals are monotone per link by construction, so the clamp is
 	// provably a no-op there.
 	if !s.fifoFree {
-		arrive = s.fifo.clamp(u, v, arrive)
+		arrive = s.fifo.clamp(link, u, v, arrive)
 	}
 	// Safety net for the windowed drain's serial log replay: an arrival
 	// inside the fused window would mean the latency model's MinDelay()
@@ -805,8 +862,13 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 		panic(fmt.Sprintf("sim: message arrives at %d inside the parallel window ending %d — latency model %q violated its MinDelay() bound", arrive, s.replayGuard, s.cfg.Latency.Name()))
 	}
 	s.messages++
-	s.hops += int64(s.cfg.Topology.Hops(u, v))
-	s.push(event{at: arrive, kind: evMessage, to: v, from: u, msg: msg})
+	s.hops += int64(hops)
+	s.push(arrive, evMessage, v, u, msg)
+}
+
+// illegalSend is send's failure for a pair the topology does not connect.
+func (s *Simulator) illegalSend(u, v graph.NodeID) {
+	panic(fmt.Sprintf("sim: illegal send %d -> %d (not connected in topology)", u, v))
 }
 
 // ScheduleAt schedules fn at absolute time t (>= current time). It is the
@@ -826,132 +888,160 @@ func (s *Simulator) ScheduleNodeAt(t Time, v graph.NodeID) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past (t=%d now=%d)", t, s.now))
 	}
-	s.push(event{at: t, kind: evNodeTimer, to: v})
+	s.push(t, evNodeTimer, v, 0, nil)
 }
 
 //arrow:hotpath timer scheduling rides the same event push as sends
 func (s *Simulator) scheduleTimer(t Time, fn TimerFunc) {
-	s.push(event{at: t, kind: evTimer, fn: fn})
+	s.push(t, evTimer, 0, 0, fn)
 }
 
-// push stamps the event's (pri, seq) arbitration order and hands it to
-// the active queue implementation.
+// push stamps the next event's (pri, seq) arbitration order, has the
+// active queue allocate and link its cell, and fills the cell in place.
+// Everything arrives in registers and is stored once, where the event
+// will be dispatched from: no event value exists outside a queue.
 //
 //arrow:hotpath every event enqueue lands here
-func (s *Simulator) push(e event) {
+func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Message) {
 	s.seq++
-	e.seq = s.seq
+	seq := s.seq
+	var pri int64
 	switch s.cfg.Arbitration {
 	case ArbFIFO:
-		e.pri = int64(e.seq)
+		pri = int64(seq)
 	case ArbLIFO:
-		e.pri = -int64(e.seq)
+		pri = -int64(seq)
 	case ArbRandom:
-		e.pri = s.arbRNG.Int63()
+		pri = s.arbRNG.Int63()
 	}
-	// While the parallel drain replays a fused window serially, events
-	// landing inside that window cannot enter the ladder (its buckets
-	// for those ticks were already popped into the batch); they divert
-	// to the window's own (at, pri, seq) heap, which the fallback loop
-	// merges with the remaining batch — the exact serial interleaving.
-	// winEnd is 0 everywhere else, so serial runs pay one predictable
-	// compare.
-	if s.winEnd != 0 && e.at < s.winEnd {
-		s.winDyn.push(e)
+	var c *event
+	switch {
+	case s.winEnd != 0 && at < s.winEnd:
+		// While the parallel drain replays a fused window serially, events
+		// landing inside that window cannot enter the ladder (its buckets
+		// for those ticks were already popped into the batch); they divert
+		// to the window's own (at, pri, seq) heap, which the fallback loop
+		// merges with the remaining batch — the exact serial interleaving.
+		// winEnd is 0 everywhere else, so serial runs pay one predictable
+		// compare.
+		c = s.winDyn.push(at, pri, seq)
+	case s.useHeap:
+		c = s.heap.push(at, pri, seq)
+	default:
+		c = s.lq.push(at, pri, seq)
+	}
+	c.kind, c.to, c.from, c.msg = kind, to, from, msg
+}
+
+// Reserve sizes the event queue's storage for a pending set of the given
+// size in one allocation, so a driver that injects one initial event per
+// node does not ramp the arena up through append's growth steps (which
+// costs several times the final size in cumulative allocation). It
+// changes nothing else: a run is bit-identical with or without it.
+func (s *Simulator) Reserve(pending int) {
+	if s.useHeap {
+		s.heap = slices.Grow(s.heap, pending)
 		return
 	}
-	if s.useHeap {
-		s.heap.push(e)
-	} else {
-		s.lq.push(&e)
-	}
+	s.lq.arena = slices.Grow(s.lq.arena, pending)
 }
 
 // Run processes events until the queue is empty and returns the final
-// simulated time (the makespan).
+// simulated time (the makespan). On the ladder an event is dispatched
+// from its arena cell and the cell released once the handler returned;
+// nothing reads through the cell pointer after a handler is entered
+// (handlers may grow the arena). The heap oracle pops into a local.
 func (s *Simulator) Run() Time {
 	if s.workers > 1 {
 		return s.runParallel()
 	}
 	ctx := s.ctx
-	var e event
+	var popped event // SchedHeap only
 	for {
+		c, slot := &popped, nilSlot
 		if s.useHeap {
 			if len(s.heap) == 0 {
 				break
 			}
-			e = s.heap.pop()
-		} else if !s.lq.pop(&e) {
+			s.heap.pop(c)
+		} else if c, slot = s.lq.popCell(); c == nil {
 			break
 		}
-		if e.at < s.now {
+		if c.at < s.now {
 			panic("sim: time went backwards")
 		}
-		s.now = e.at
+		s.now = c.at
 		s.processed++
 		if s.cfg.MaxEvents > 0 && s.processed > s.cfg.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
 		}
-		s.dispatch(ctx, &e)
+		s.dispatch(ctx, c)
+		if slot != nilSlot {
+			s.lq.release(slot)
+		}
 	}
 	return s.now
 }
 
-// dispatch routes one already-clocked event to its handler. Shared by
-// the serial loop and the parallel drain's serial-fallback path.
+// dispatch routes one already-clocked event to its handler, reading it
+// where it lies: every field a branch needs is loaded before a handler
+// or hook is entered and e is not touched afterwards. Shared by the
+// serial loop and the parallel drain's serial-fallback path.
 //
 //arrow:hotpath every event dequeue lands here
 func (s *Simulator) dispatch(ctx *Context, e *event) {
-	ctx.evTo, ctx.evSeq = e.to, e.seq
+	to := e.to
+	ctx.evTo, ctx.evSeq = to, e.seq
 	switch e.kind {
 	case evTimer:
-		e.fn(ctx)
+		e.msg.(TimerFunc)(ctx)
 	case evNodeTimer:
 		// Per-node liveness gating: a down node does not process
 		// local timers; they are deferred to its recovery instant
 		// (and lost with the node on a permanent failure).
 		if s.f != nil {
-			if upAt := s.f.nodeUpAt[e.to]; upAt != 0 {
+			if upAt := s.f.nodeUpAt[to]; upAt != 0 {
 				if upAt == FaultNever {
 					s.f.timerDropped++
 					return
 				}
 				s.f.timerDeferred++
-				s.push(event{at: upAt, kind: evNodeTimer, to: e.to})
+				s.push(upAt, evNodeTimer, to, 0, nil)
 				return
 			}
 		}
 		h := s.timerH
 		if h == nil {
-			panic(fmt.Sprintf("sim: node timer for node %d with no TimerHandler", e.to))
+			panic(fmt.Sprintf("sim: node timer for node %d with no TimerHandler", to))
 		}
-		h(ctx, e.to)
+		h(ctx, to)
 	case evMessage:
+		from, msg := e.from, e.msg
 		// A destination that died while the message was in flight
 		// blocks delivery: dropped, or redelivered at recovery under
 		// FaultQueue (send-time checks cover everything else).
 		if s.f != nil {
-			if upAt := s.f.nodeUpAt[e.to]; upAt != 0 {
+			if upAt := s.f.nodeUpAt[to]; upAt != 0 {
 				if s.f.policy == FaultDrop || upAt == FaultNever {
 					s.f.dropped++
 					if s.blockedH != nil {
-						s.blockedH(ctx, e.from, e.to, e.msg, upAt, true)
+						s.blockedH(ctx, from, to, msg, upAt, true)
 					}
 					return
 				}
 				s.f.deferred++
 				if s.blockedH != nil {
-					s.blockedH(ctx, e.from, e.to, e.msg, upAt, false)
+					s.blockedH(ctx, from, to, msg, upAt, false)
 				}
-				s.push(event{at: upAt, kind: evMessage, to: e.to, from: e.from, msg: e.msg})
+				s.push(upAt, evMessage, to, from, msg)
 				return
 			}
 		}
 		h := s.allH
 		if h == nil {
-			panic(fmt.Sprintf("sim: message for node %d with no handler", e.to))
+			panic(fmt.Sprintf("sim: message for node %d with no handler", to))
 		}
-		h(ctx, e.to, e.from, e.msg)
+		h(ctx, to, from, msg)
 	case evFault:
 		s.applyFault(ctx, e.msg.(*compiledFault))
 	}

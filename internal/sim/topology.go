@@ -13,10 +13,12 @@ import (
 type TreeTopology struct{ T tree.Nav }
 
 // Latency implements Topology: only tree edges are legal. The check uses
-// the parent relation — O(1) per send, exactly as LinkIndex does —
-// instead of scanning the neighbor list, which is O(degree) and O(n) at
-// the center of a star tree (this is the simulator's hot path: it runs
-// on every message).
+// the parent relation — O(1), exactly as LinkIndex does — instead of
+// scanning the neighbor list, which is O(degree) and O(n) at the center
+// of a star tree. The simulator itself does not call it per message: New
+// resolves a TreeTopology into the flat link table below and send reads
+// that. Latency, Hops and LinkIndex remain the definition the table is
+// tested against, and what fault-plan validation and wrappers use.
 func (t TreeTopology) Latency(u, v graph.NodeID) (graph.Weight, bool) {
 	if u == v {
 		return 0, false
@@ -28,6 +30,34 @@ func (t TreeTopology) Latency(u, v graph.NodeID) (graph.Weight, bool) {
 		return t.T.ParentWeight(v), true
 	}
 	return 0, false
+}
+
+// linkTable resolves the tree into the two flat arrays send decides
+// every tree link from: parent[v] (the root its own parent) and weight[v],
+// the weight of v's parent edge (never read for the root), nil when every
+// edge has weight 1. A navigator that already holds such arrays —
+// *tree.Walker, *tree.Tree — lends them through ParentArrays at no cost;
+// any other Nav (GridNav, a decorator) is asked n times, once.
+func (t TreeTopology) linkTable() (parent []graph.NodeID, weight []graph.Weight) {
+	if pa, ok := t.T.(interface {
+		ParentArrays() ([]graph.NodeID, []graph.Weight)
+	}); ok {
+		return pa.ParentArrays()
+	}
+	n := t.T.NumNodes()
+	parent = make([]graph.NodeID, n)
+	weight = make([]graph.Weight, n)
+	unit := true
+	for v := range parent {
+		node := graph.NodeID(v)
+		parent[v] = t.T.Parent(node)
+		weight[v] = t.T.ParentWeight(node)
+		unit = unit && (weight[v] == 1 || parent[v] == node)
+	}
+	if unit {
+		weight = nil
+	}
+	return parent, weight
 }
 
 // Hops implements Topology: tree edges are single physical links.

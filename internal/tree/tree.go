@@ -135,6 +135,12 @@ func (t *Tree) Parent(v graph.NodeID) graph.NodeID { return t.parent[v] }
 // ParentWeight returns the weight of v's parent edge (0 for the root).
 func (t *Tree) ParentWeight(v graph.NodeID) graph.Weight { return t.pw[v] }
 
+// ParentArrays lends the tree's flat parent and parent-edge-weight
+// arrays, indexed by node (see Walker.ParentArrays). Read-only.
+func (t *Tree) ParentArrays() (parent []graph.NodeID, weight []graph.Weight) {
+	return t.parent, t.pw
+}
+
 // Neighbors returns v's tree-adjacent nodes with edge weights. The slice
 // is owned by the tree and must not be modified.
 func (t *Tree) Neighbors(v graph.NodeID) []graph.Edge { return t.adj[v] }

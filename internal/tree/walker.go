@@ -135,6 +135,15 @@ func (w *Walker) ParentWeight(v graph.NodeID) graph.Weight {
 	return w.pw[v]
 }
 
+// ParentArrays lends the navigator's own flat arrays, indexed by node:
+// parent (the root its own parent) and the parent-edge weights, nil when
+// every edge has weight 1 (the root's entry is never meaningful). The
+// simulator resolves tree links from them instead of calling Parent and
+// ParentWeight per message. Read-only: the arrays are the tree.
+func (w *Walker) ParentArrays() (parent []graph.NodeID, weight []graph.Weight) {
+	return w.parent, w.pw
+}
+
 // Depth returns v's hop depth below the root.
 func (w *Walker) Depth(v graph.NodeID) int32 { return w.depth[v] }
 
