@@ -442,45 +442,21 @@ func BenchmarkClosedLoopScale10k(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// benchArrowDrain runs one closed-loop arrow cell on an implicit binary
-// tree (tree.BinaryWalker — no LCA tables, no per-node closures) twice:
-// serial and under the lookahead-windowed parallel drain at GOMAXPROCS
-// workers. The two sub-benchmarks produce identical simulated results
-// (res.Events backs the reported events/s for both), so their ratio is
-// a pure drain-overhead/speedup reading; windows/Mev is barriers per
-// million events (0 on the serial cell), the quantity a wider lookahead
-// window exists to shrink.
-func benchArrowDrain(b *testing.B, n int, base loop.Spec) {
+// benchArrowScale runs one closed-loop arrow cell on an implicit binary
+// tree (tree.BinaryWalker — no LCA tables, no per-node closures).
+func benchArrowScale(b *testing.B, n int, spec loop.Spec) {
 	t := tree.BinaryWalker(n)
-	counts := []int{1, gort.GOMAXPROCS(0)}
-	if counts[1] == 1 {
-		counts = counts[:1] // single-CPU runner: the two cells are the same
-	}
-	for _, workers := range counts {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("workers=%d", workers)
+	b.ReportAllocs()
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: spec, Root: 0})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			var ds sim.DrainStats
-			spec := base
-			spec.Workers, spec.DrainStats = workers, &ds
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: spec, Root: 0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			if events > 0 {
-				b.ReportMetric(float64(ds.Windows)/(float64(events)/1e6), "windows/Mev")
-			}
-		})
+		events = res.Events
 	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkClosedLoopScale100k is the 100k-node scale cell, an order of
@@ -491,7 +467,7 @@ func benchArrowDrain(b *testing.B, n int, base loop.Spec) {
 // pours, where the arrow cells stay on the ring. far_pushes/req and
 // heap_pushes are the scheduler's own deterministic counts.
 func BenchmarkClosedLoopScale100k(b *testing.B) {
-	benchArrowDrain(b, 100_001, loop.Spec{PerNode: 2})
+	b.Run("arrow", func(b *testing.B) { benchArrowScale(b, 100_001, loop.Spec{PerNode: 2}) })
 	b.Run("centralized", func(b *testing.B) {
 		const n, perNode = 100_000, 4
 		b.ReportAllocs()
@@ -518,27 +494,7 @@ func BenchmarkClosedLoopScale1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("million-node cell: skipped under -short")
 	}
-	benchArrowDrain(b, 1_000_001, loop.Spec{PerNode: 2})
-}
-
-// BenchmarkDrain measures the parallel drain on the two 100k-node cells
-// that stress its commit: linktx1 gives every link capacity (LinkTxTime
-// 1, dense tier), so each replayed send reserves capacity on top of the
-// push; window8 runs SynchronousScaled(8), whose MinDelay widens the
-// window to 8 ticks so each barrier fuses up to 8 ladder buckets.
-// benchcheck's hotpath manifest pins the drain's //arrow:hotpath
-// annotations under it.
-func BenchmarkDrain(b *testing.B) {
-	cells := []struct {
-		name string
-		spec loop.Spec
-	}{
-		{"linktx1", loop.Spec{PerNode: 2, LinkTxTime: 1}},
-		{"window8", loop.Spec{PerNode: 2, Latency: sim.SynchronousScaled(8)}},
-	}
-	for _, c := range cells {
-		b.Run(c.name, func(b *testing.B) { benchArrowDrain(b, 100_001, c.spec) })
-	}
+	benchArrowScale(b, 1_000_001, loop.Spec{PerNode: 2})
 }
 
 // BenchmarkTreeDistance measures the LCA-based dT query, the analysis

@@ -43,18 +43,9 @@
 // topology (no LCA tables, no O(n²) metric), sequential cells reporting
 // bytes/node and events/s. Its -sizes default is 10000,100000,1000000
 // (an explicit -sizes overrides it), its per-node count derives from a
-// 2M total-request budget unless -pernode is passed explicitly, and its
-// cells run the serial event drain unless -workers N (N > 1) selects the
-// lookahead-windowed intra-run drain (results are bit-identical at any
-// count; the default 0 means 1 here, not GOMAXPROCS). Pass -workersweep
-// 1,2,4 to rerun each cell at those drain widths and report events/s and
-// parallel speedup per worker count — reported, never gated; the sweep
-// also verifies the deterministic outputs match across counts. -latscale S (S > 1) runs
-// the cells under the S-scaled synchronous latency model, widening the
-// drain's lookahead window to S ticks so each barrier fuses S ticks'
-// worth of events; the window width, barrier count and mean fused batch
-// size appear as table columns and document fields either way. With
-// -json it emits the versioned arrowbench/scale document.
+// 2M total-request budget unless -pernode is passed explicitly; -workers
+// does not apply (cells are sequential so each one's allocation delta is
+// its own). With -json it emits the versioned arrowbench/scale document.
 //
 // -exp shard is the multi-object tier: every protocol serving k
 // independent objects on one shared 32-node network with per-link
@@ -63,9 +54,9 @@
 // -objects). Each row reports the aggregate cost of the combined
 // traffic plus a fairness summary across objects. Its per-node default
 // is 250 requests unless -pernode is passed explicitly, and -workers
-// fans both the sweep and each run's drain — the output, including the
-// versioned arrowbench/shard JSON document under -json, is
-// byte-identical at any worker count.
+// sizes the sweep pool — the output, including the versioned
+// arrowbench/shard JSON document under -json, is byte-identical at any
+// worker count.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiment (the memory profile is written at exit, after a
@@ -110,9 +101,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	sizes := flag.String("sizes", "2,4,8,16,24,32,48,64,76", "comma-separated node counts for fig10/fig11 and baselines")
 	objects := flag.String("objects", "", "comma-separated object counts for -exp shard (default 16,128,1024)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential); for -exp scale, the drain width of each run (0 = 1, the serial drain)")
-	workerSweep := flag.String("workersweep", "", "comma-separated worker counts for the -exp scale throughput sweep (reported, never gated)")
-	latScale := flag.Int64("latscale", 0, "-exp scale synchronous latency scale (>1 widens the parallel drain's lookahead window to this many ticks)")
+	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	jsonFlag := flag.Bool("json", false, "emit machine-readable JSON tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC, at exit) to this file")
@@ -180,19 +169,12 @@ func main() {
 		"stabilize":   func() error { return runStabilize(*seed) },
 		"churn":       func() error { return runChurn(*perNode, *seed, *workers) },
 		"scale": func() error {
-			cfg := analysis.ScaleConfig{Seed: *seed, Workers: *workers, LatScale: *latScale}
+			cfg := analysis.ScaleConfig{Seed: *seed}
 			if sizesSet {
 				cfg.Sizes = ns
 			}
 			if perNodeSet {
 				cfg.PerNode = *perNode
-			}
-			if *workerSweep != "" {
-				ws, err := parseSizes(*workerSweep)
-				if err != nil {
-					return err
-				}
-				cfg.WorkerSweep = ws
 			}
 			return runScale(cfg)
 		},
@@ -462,9 +444,6 @@ func runScale(cfg analysis.ScaleConfig) error {
 		return emitDoc(analysis.ScaleDocument(cfg, rows))
 	}
 	emit(analysis.ScaleTable(rows))
-	if t := analysis.ScaleSweepTable(rows); t != nil {
-		emit(t)
-	}
 	return nil
 }
 

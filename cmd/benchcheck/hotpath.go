@@ -23,7 +23,7 @@ import (
 // when a mapped benchmark is absent from the bench output (the
 // measurement silently dropped out of CI).
 var hotpathBenchmarks = map[string][]string{
-	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkDrain", "BenchmarkSchedulerPushPop", "BenchmarkClosedLoopScale100k"},
+	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkSchedulerPushPop", "BenchmarkClosedLoopScale100k"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
 	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop", "BenchmarkShardHandle"},
 }

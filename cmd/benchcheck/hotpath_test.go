@@ -83,7 +83,6 @@ func TestCheckHotpathCoverageClean(t *testing.T) {
 	root := hotpathTestTree(t)
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op 0 B/op 0 allocs/op",
-		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
@@ -100,7 +99,6 @@ func TestCheckHotpathCoverageMissingBenchmark(t *testing.T) {
 	root := hotpathTestTree(t)
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
@@ -126,7 +124,6 @@ func TestCheckHotpathCoverageUnmappedPackage(t *testing.T) {
 	}
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
@@ -149,7 +146,6 @@ func TestCheckHotpathCoverageStaleManifestEntry(t *testing.T) {
 	}
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
-		"BenchmarkDrain/linktx1/serial-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",

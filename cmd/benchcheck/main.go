@@ -214,9 +214,8 @@ func checkShardFile(path string) error {
 }
 
 // checkScaleFile validates an arrowbench/scale document's shape: right
-// schema, non-empty rows, positive counts, drain telemetry and
-// scheduler counters present and consistent. Values are
-// machine-dependent and never gated here.
+// schema, non-empty rows, positive counts, scheduler counters present
+// and consistent. Values are machine-dependent and never gated here.
 func checkScaleFile(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -246,21 +245,6 @@ func checkScaleFile(path string) error {
 			return fmt.Errorf("%s: row %d (%s/%s): non-positive n/requests/events (%d/%d/%d)",
 				path, i, r.Protocol, r.Topology, r.N, r.Requests, r.Events)
 		}
-		// Drain telemetry shape: the lookahead window is always at least
-		// one tick, barrier counts cannot be negative, and the mean fused
-		// batch is positive exactly when a parallel window ran.
-		if r.WindowWidth < 1 {
-			return fmt.Errorf("%s: row %d (%s/%s): window_width %d < 1",
-				path, i, r.Protocol, r.Topology, r.WindowWidth)
-		}
-		if r.Windows < 0 {
-			return fmt.Errorf("%s: row %d (%s/%s): negative windows %d",
-				path, i, r.Protocol, r.Topology, r.Windows)
-		}
-		if (r.Windows > 0) != (r.MeanBatch > 0) {
-			return fmt.Errorf("%s: row %d (%s/%s): windows %d inconsistent with mean_batch %g",
-				path, i, r.Protocol, r.Topology, r.Windows, r.MeanBatch)
-		}
 		// Scheduler work counters: required (a document from before they
 		// existed decodes them as zero, so presence is checked on the raw
 		// row), never negative, and far pushes imply the refills that
@@ -278,28 +262,6 @@ func checkScaleFile(path string) error {
 		if r.FarPushes+r.HeapPushes > 0 && r.Refills == 0 {
 			return fmt.Errorf("%s: row %d (%s/%s): %d far and %d heap pushes but no refill",
 				path, i, r.Protocol, r.Topology, r.FarPushes, r.HeapPushes)
-		}
-		for j, p := range r.WorkersSweep {
-			if p.Workers < 1 {
-				return fmt.Errorf("%s: row %d (%s/%s): sweep point %d: workers %d < 1",
-					path, i, r.Protocol, r.Topology, j, p.Workers)
-			}
-			if p.EventsPerSec <= 0 {
-				return fmt.Errorf("%s: row %d (%s/%s): sweep point %d (workers %d): non-positive events_per_sec %g",
-					path, i, r.Protocol, r.Topology, j, p.Workers, p.EventsPerSec)
-			}
-			if p.Speedup <= 0 {
-				return fmt.Errorf("%s: row %d (%s/%s): sweep point %d (workers %d): non-positive speedup %g",
-					path, i, r.Protocol, r.Topology, j, p.Workers, p.Speedup)
-			}
-			if p.Windows < 0 {
-				return fmt.Errorf("%s: row %d (%s/%s): sweep point %d (workers %d): negative windows %d",
-					path, i, r.Protocol, r.Topology, j, p.Workers, p.Windows)
-			}
-			if (p.Windows > 0) != (p.MeanBatch > 0) {
-				return fmt.Errorf("%s: row %d (%s/%s): sweep point %d (workers %d): windows %d inconsistent with mean_batch %g",
-					path, i, r.Protocol, r.Topology, j, p.Workers, p.Windows, p.MeanBatch)
-			}
 		}
 	}
 	return nil

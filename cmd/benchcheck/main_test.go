@@ -240,13 +240,12 @@ func TestCheckShardFile(t *testing.T) {
 // scaleFixture is a one-row arrowbench/scale document as `arrowbench
 // -exp scale -json` writes it (the 20 000-node centralized cell).
 const scaleFixture = `{
-  "schema": "arrowbench/scale/v1",
-  "config": {"sizes": [20000], "per_node": 5, "max_requests": 0, "seed": 1, "workers": 1},
+  "schema": "arrowbench/scale/v2",
+  "config": {"sizes": [20000], "per_node": 5, "max_requests": 0, "seed": 1},
   "rows": [{
     "protocol": "centralized", "topology": "complete", "n": 20000, "per_node": 5,
     "requests": 100000, "makespan": 100001, "events": 399990, "queue_hops": 100000,
     "events_per_sec": 29000000, "alloc_bytes": 7889000, "bytes_per_node": 394.45,
-    "workers": 1, "window_width": 1, "windows": 0, "mean_batch": 0,
     "far_pushes": 99996, "heap_pushes": 0, "refills": 195
   }]
 }`
@@ -270,9 +269,10 @@ func TestCheckScaleFile(t *testing.T) {
 	cases := []struct {
 		name, old, new, want string
 	}{
-		{"wrong schema", "scale/v1", "scale/v0", "schema"},
+		// v1 is the previous schema: the one with the parallel drain's
+		// window and worker columns.
+		{"wrong schema", "scale/v2", "scale/v1", "schema"},
 		{"no events", `"events": 399990`, `"events": 0`, "non-positive"},
-		{"window width", `"window_width": 1`, `"window_width": 0`, "window_width"},
 		{"missing far_pushes", `"far_pushes": 99996, `, ``, `missing scheduler counter "far_pushes"`},
 		{"missing heap_pushes", `"heap_pushes": 0, `, ``, `missing scheduler counter "heap_pushes"`},
 		{"missing refills", `, "refills": 195`, ``, `missing scheduler counter "refills"`},

@@ -395,24 +395,32 @@ func TestTableRenderJSON(t *testing.T) {
 	}
 }
 
-// TestScaleDefaultsToSerialDrain pins the scale experiment's headline
-// rows to the serial drain: a zero Workers must not be rewritten to
-// GOMAXPROCS (the parallel drain measures slower on the same cells), and
-// the document must say which drain produced the numbers.
-func TestScaleDefaultsToSerialDrain(t *testing.T) {
+// TestScaleDocumentHasNoDrainColumns pins schema v2: the parallel drain
+// is gone, so the document carries none of its columns (a reader that
+// still finds one is reading a v1 artifact), while the scheduler
+// counters every row must carry are there.
+func TestScaleDocumentHasNoDrainColumns(t *testing.T) {
 	cfg := ScaleConfig{Sizes: []int{60}, PerNode: 3, Seed: 1}
 	rows, err := ScaleExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := ScaleDocument(cfg, rows)
-	if doc.Config.Workers != 1 {
-		t.Errorf("document config reports workers = %d, want 1", doc.Config.Workers)
+	if doc.Schema != "arrowbench/scale/v2" {
+		t.Errorf("schema = %q", doc.Schema)
 	}
-	for _, r := range doc.Rows {
-		if r.Workers != 1 || r.Windows != 0 {
-			t.Errorf("%s/%s: workers = %d, windows = %d; want the serial drain (1, 0)",
-				r.Protocol, r.Topology, r.Workers, r.Windows)
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"workers", "window", "mean_batch", "lat_scale", "speedup"} {
+		if strings.Contains(string(b), key) {
+			t.Errorf("scale document still carries a %q field", key)
+		}
+	}
+	for _, key := range []string{`"far_pushes"`, `"heap_pushes"`, `"refills"`} {
+		if strings.Count(string(b), key) != len(doc.Rows) {
+			t.Errorf("scale document does not carry %s once per row", key)
 		}
 	}
 }

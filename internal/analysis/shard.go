@@ -31,10 +31,9 @@ type ShardConfig struct {
 	// 0 defaults to 1 (pass a negative value for the infinite-capacity
 	// model, which the config normalizes back to 0).
 	LinkTxTime sim.Time
-	// Workers sets both the sweep pool and each run's lookahead-windowed
-	// drain. Results — including the JSON document — are byte-identical
-	// at any worker count; the field is deliberately absent from the
-	// document for exactly that reason.
+	// Workers sizes the sweep pool. Results — including the JSON
+	// document — are byte-identical at any worker count; the field is
+	// deliberately absent from the document for exactly that reason.
 	Workers int
 }
 
@@ -96,9 +95,8 @@ func shardProtocols() []engine.MultiProtocol {
 }
 
 // ShardExperiment runs the sharding grid. Cells fan across the worker
-// pool with results written in deterministic cell order, and each cell
-// also drains its own run on cfg.Workers simulator workers; both levels
-// of parallelism leave every row byte-identical.
+// pool with results written in deterministic cell order, so every row
+// is byte-identical at any pool size.
 func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
@@ -127,7 +125,6 @@ func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 			Nodes:      n,
 			Workload:   engine.NewClosedLoop(cfg.PerNode).Objects(c.objects).Zipf(c.skew).MustBuild(),
 			Seed:       c.seed,
-			Workers:    cfg.Workers,
 			LinkTxTime: cfg.linkTxTime(),
 			Recorder:   stats.NewDistRecorder(),
 		})

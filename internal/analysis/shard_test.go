@@ -43,8 +43,8 @@ func TestShardExperimentRows(t *testing.T) {
 }
 
 // TestShardDocumentWorkerIdentity is the experiment's headline gate:
-// the marshalled shard document must be byte-identical across worker
-// counts — both the sweep pool and each run's parallel drain.
+// the marshalled shard document must be byte-identical across sweep
+// pool sizes.
 func TestShardDocumentWorkerIdentity(t *testing.T) {
 	cfg := ShardConfig{
 		N:       16,

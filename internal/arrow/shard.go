@@ -17,8 +17,7 @@ import (
 //
 // The flat link array is keyed by (object, node); each entry is the
 // node's arrow for that object and is touched only by events at that
-// node, which is what makes the stepper shard-safe (see
-// shard.ShardSafe).
+// node.
 type ShardForest struct {
 	n    int
 	link []graph.NodeID
@@ -83,7 +82,7 @@ func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (gra
 	return next, false
 }
 
-// ShardSafeStepper marks the forest safe for the parallel drain: every
-// link entry is keyed by the node whose events touch it, across all
-// objects.
+// ShardSafeStepper is the unread shard.ShardSafe marker (every link
+// entry is keyed by the node whose events touch it); kept for bench/,
+// see there.
 func (f *ShardForest) ShardSafeStepper() {}

@@ -22,10 +22,8 @@ import (
 //     (sticky) center, requests caught at the old center re-issue there,
 //     and dropped requests/replies retry once the blocking entity or the
 //     failover completes. The plan must be Healing.
-//   - Workers is accepted for config symmetry but always normalizes to a
-//     serial run: the center is a global serialization point (busyUntil
-//     is shared mutable state), so the lookahead-windowed drain has nothing
-//     to shard. Results are identical at any value.
+//   - Workers is accepted and ignored, as by every driver (see
+//     loop.Spec.Workers).
 type LoopConfig struct {
 	loop.Spec
 	// Center is the coordinator node.
@@ -181,8 +179,6 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	}
 	st.res.Makespan = s.Run()
 	if cfg.DrainStats != nil {
-		// Always the serial drain (window width 1, zero parallel
-		// windows); filled for config symmetry with the other drivers.
 		*cfg.DrainStats = s.DrainStats()
 	}
 	st.res.Events = s.EventsProcessed()

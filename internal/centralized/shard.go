@@ -50,6 +50,6 @@ func (c *ShardCenters) ForwardFind(obj int32, at, from, origin graph.NodeID) (gr
 	return at, true
 }
 
-// ShardSafeStepper marks the stepper safe for the parallel drain:
-// there is no mutable state at all.
+// ShardSafeStepper is the unread shard.ShardSafe marker (there is no
+// mutable state at all); kept for bench/, see there.
 func (c *ShardCenters) ShardSafeStepper() {}

@@ -75,7 +75,6 @@ func loopSpec(inst Instance) loop.Spec {
 		Seed:        inst.Seed,
 		Recorder:    inst.Recorder,
 		Faults:      inst.Faults,
-		Workers:     inst.Workers,
 		LinkTxTime:  inst.LinkTxTime,
 	}
 }

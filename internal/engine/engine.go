@@ -235,13 +235,6 @@ type Instance struct {
 	// completions. Its length must equal Workload.Objects; entries may
 	// be nil to skip an object. Single-object and static runs reject it.
 	ObjectRecorders []stats.Recorder
-	// Workers requests the lookahead-windowed parallel event drain inside each
-	// closed-loop run (see sim.Config.Workers). Results are bit-identical
-	// at any worker count: the driver that cannot shard safely (the
-	// centralized coordinator) and configs outside the drain's support
-	// (faults, non-FIFO arbitration) normalize back to a serial run.
-	// Static workloads ignore it.
-	Workers int
 	// LinkTxTime, when positive, gives every link of the instance's
 	// network finite serialization capacity (see sim.Config.LinkTxTime):
 	// messages on one directed link depart at least LinkTxTime apart, so

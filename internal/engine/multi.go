@@ -26,7 +26,7 @@ type MultiInstance struct {
 	// of 0 or 1 runs the degenerate single-object case through the same
 	// sharded machinery.
 	Workload Workload
-	// Latency, Arbitration, Seed, Workers and LinkTxTime carry the same
+	// Latency, Arbitration, Seed and LinkTxTime carry the same
 	// simulator knobs as Instance. A positive LinkTxTime is what makes
 	// the network shared in a measurable sense: the objects' combined
 	// traffic queues on per-link capacity instead of superposing for
@@ -34,7 +34,6 @@ type MultiInstance struct {
 	Latency     sim.LatencyModel
 	Arbitration sim.Arbitration
 	Seed        int64
-	Workers     int
 	LinkTxTime  sim.Time
 	// Recorder observes the aggregate completion stream (every object);
 	// ObjectRecorders entry o observes exactly object o's completions.
@@ -131,7 +130,6 @@ func shardSpec(m MultiInstance) shard.Spec {
 			Arbitration: m.Arbitration,
 			Seed:        m.Seed,
 			Recorder:    m.Recorder,
-			Workers:     m.Workers,
 			LinkTxTime:  m.LinkTxTime,
 		},
 		Objects:         m.objects(),
@@ -234,7 +232,6 @@ func multiFromInstance(inst Instance, nodes int) MultiInstance {
 		Latency:         inst.Latency,
 		Arbitration:     inst.Arbitration,
 		Seed:            inst.Seed,
-		Workers:         inst.Workers,
 		LinkTxTime:      inst.LinkTxTime,
 		Recorder:        inst.Recorder,
 		ObjectRecorders: inst.ObjectRecorders,

@@ -121,8 +121,8 @@ func Grid(instances []Instance, protocols ...Protocol) []Cell {
 // finished. Calls are claimed dynamically, so uneven cell costs balance
 // across workers; fn must write its result into its own index of a
 // pre-sized slice (no two calls share an index, so no locking is needed).
-// It is a thin re-export of par.ParallelMap, the shared primitive the
-// simulator's lookahead-windowed parallel drain also runs on.
+// It is a thin re-export of par.ParallelMap, the one package arrowlint
+// lets spawn goroutines.
 func ParallelMap(n, workers int, fn func(i int)) { par.ParallelMap(n, workers, fn) }
 
 // ParallelMapErr is ParallelMap for fallible work: it collects every

@@ -205,8 +205,7 @@ type LoopResult = loop.Result
 // ShardDirectory is Ivy's probable-owner state as a shard.Stepper: one
 // owner-pointer set per object, chased with forward path shortening —
 // the pointer updates of Directory's StartFind/ForwardFind without its
-// cross-node chain statistics, so the table is partitioned by node and
-// safe for the parallel drain.
+// cross-node chain statistics.
 type ShardDirectory = shard.Reversal
 
 // NewShardDirectory builds k probable-owner sets over n nodes, object

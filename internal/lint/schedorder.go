@@ -19,8 +19,7 @@ import (
 //   - storing a *sim.Context anywhere that outlives the handler call
 //     (struct field, slice/map element, package var, channel): the
 //     context is only valid during its handler dispatch, and a stashed
-//     context bypasses both the event order and the parallel drain's
-//     op logs;
+//     context schedules outside the event order;
 //   - wall-clock timers (time.Sleep/After/AfterFunc/NewTimer/
 //     NewTicker/Tick) in deterministic packages outside sim: simulated
 //     time is the only clock events may ride;

@@ -40,21 +40,22 @@ type Spec struct {
 	// must be Healing: a permanently dead entity leaves requests
 	// unservable, so the drivers refuse it up front.
 	Faults *sim.FaultPlan
-	// Workers > 1 requests the simulator's lookahead-windowed parallel
-	// drain. The driver normalizes it to serial whenever the run cannot
-	// be reproduced bit-identically in parallel: a stepper that is not
-	// shard.ShardSafe, non-FIFO arbitration, or a fault plan. Results
-	// are bit-identical to a serial run either way.
+	// Workers is accepted and ignored: it selected the simulator's
+	// parallel drain, which was deleted (DESIGN.md, "Why there is no
+	// parallel drain"), and every run is the one serial loop whatever
+	// its value (TestWorkersAccepted pins that). The field stays because
+	// bench/ — frozen between benchmark PRs — sets it; it leaves with
+	// the benchmark PR of ROADMAP item 4b that retires the
+	// drain-parallel workload.
 	Workers int
 	// LinkTxTime, when positive, gives every link finite serialization
 	// capacity (see sim.Config.LinkTxTime); 0 keeps the classic
 	// infinite-capacity model.
 	LinkTxTime sim.Time
-	// DrainStats, when non-nil, receives the run's drain telemetry
-	// (lookahead window width, barrier count, fused batch sizes). It is
-	// an out-pointer rather than a Result field so Result stays exactly
-	// the determinism tuple: telemetry may legitimately differ across
-	// worker counts while Result stays bit-identical.
+	// DrainStats, when non-nil, receives the run's scheduler telemetry
+	// (sim.DrainStats.Sched; the struct's window fields are always zero
+	// and leave with Workers). It is an out-pointer rather than a Result
+	// field so Result stays exactly the determinism tuple.
 	DrainStats *sim.DrainStats
 }
 

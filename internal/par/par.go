@@ -1,8 +1,7 @@
-// Package par holds the dependency-free parallel fan-out primitives
-// shared by the engine's cell sweeps and the simulator's lookahead-windowed
-// parallel drain. It sits below every other internal package (the
-// simulator cannot import engine), so both layers share one
-// implementation of dynamic work claiming.
+// Package par holds the dependency-free parallel fan-out primitive the
+// engine's cell sweeps run on. It is the one place deterministic code
+// may spawn goroutines (arrowlint's determinism check exempts only this
+// package), so the dynamic work claiming exists once.
 package par
 
 import (

@@ -56,6 +56,6 @@ func (r *Reversal) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.
 	return next, false
 }
 
-// ShardSafeStepper marks the table safe for the parallel drain: every
-// entry is keyed by the node whose events touch it.
+// ShardSafeStepper is the unread shard.ShardSafe marker (every entry is
+// keyed by the node whose events touch it); kept for bench/, see there.
 func (r *Reversal) ShardSafeStepper() {}

@@ -45,14 +45,15 @@ type Stepper interface {
 	ForwardFind(obj int32, at, from, origin graph.NodeID) (next graph.NodeID, done bool)
 }
 
-// ShardSafe marks a Stepper whose pointer state is partitioned by node:
-// for every object, StartFind(obj, v) touches only state keyed by v and
-// ForwardFind(obj, at, ...) only state keyed by at. Such a stepper may
-// run under the simulator's lookahead-windowed parallel drain — the node
-// partition is exactly the drain's shard boundary, and the object
-// dimension adds no sharing because each request touches one object's
-// state at one node per event. Steppers with cross-node shared state
-// must not opt in; the driver runs them serially regardless of Workers.
+// ShardSafe marked a Stepper whose pointer state is partitioned by node
+// (StartFind(obj, v) touches only state keyed by v, ForwardFind(obj, at,
+// ...) only state keyed by at), which the deleted parallel drain needed
+// of a stepper it ran on node shards. Nothing in the repo reads the
+// marker any more: every run is the serial loop. It stays, with its
+// ShardSafeStepper methods on arrow.ShardForest, Reversal and
+// centralized.ShardCenters, because bench/ — frozen between benchmark
+// PRs — re-exports it through its decorators and tests that they keep
+// it; it leaves with the benchmark PR of ROADMAP item 4b.
 type ShardSafe interface {
 	ShardSafeStepper()
 }
@@ -136,7 +137,7 @@ func (*findMsg) isShardMsg()  {}
 func (*replyMsg) isShardMsg() {}
 
 // Driver is one closed-loop run, built by New and executed by Run. It
-// is O(n + workers·k), not O(PerNode·n): a node's next request issues
+// is O(n + k), not O(PerNode·n): a node's next request issues
 // only after the completion notification for its previous one, so at
 // most one request per node is in flight, all per-request bookkeeping is
 // keyed by the issuing node, and the pre-boxed messages are reused
@@ -166,11 +167,8 @@ type Driver struct {
 
 	nodes []nodeState
 
-	// resS[shard][obj] accumulates object obj's counters for drain
-	// shard `shard` (one shard on serial runs), so no two workers share
-	// an accumulator; the slots merge after the run (integer sums and a
-	// max — order-independent, hence bit-identical at any worker count).
-	resS [][]loop.Result
+	// res[obj] accumulates object obj's counters.
+	res []loop.Result
 
 	// lost/affected are the fault-recovery state, nil in fault-free
 	// runs — the hot path pays one nil check per issue and per
@@ -181,21 +179,6 @@ type Driver struct {
 	// onComplete, when set, is called at each completion of a run under
 	// faults, before the requester is notified.
 	onComplete func(*sim.Context)
-}
-
-// effectiveWorkers normalizes spec.Workers against everything the
-// parallel drain cannot reproduce bit-identically.
-func effectiveWorkers(step Stepper, spec Spec) int {
-	if spec.Workers <= 1 {
-		return 1
-	}
-	if _, ok := step.(ShardSafe); !ok {
-		return 1
-	}
-	if spec.Arbitration != sim.ArbFIFO || spec.Faults != nil {
-		return 1
-	}
-	return spec.Workers
 }
 
 // eventBudget is the divergence guard: each request costs at most ~2n
@@ -247,7 +230,6 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 		}
 	}
 	k := spec.Objects
-	workers := effectiveWorkers(step, spec)
 	d := &Driver{
 		spec:  spec,
 		step:  step,
@@ -256,12 +238,9 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 		n:     n,
 		think: max(spec.ThinkTime, 1),
 		nodes: make([]nodeState, n),
-		resS:  make([][]loop.Result, workers),
+		res:   make([]loop.Result, k),
 	}
 	d.route, _ = step.(ReplyRouter)
-	for i := range d.resS {
-		d.resS[i] = make([]loop.Result, k)
-	}
 	for v := range d.nodes {
 		nd := &d.nodes[v]
 		nd.remaining = int32(spec.PerNode)
@@ -281,11 +260,9 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 		Seed:        spec.Seed,
 		MaxEvents:   budget,
 		Faults:      spec.Faults,
-		Workers:     workers,
 		LinkTxTime:  spec.LinkTxTime,
 	}
-	// Surface simulator-config violations (negative LinkTxTime, a
-	// parallel drain the normalization above could not repair) as errors
+	// Surface simulator-config violations (negative LinkTxTime) as errors
 	// rather than tripping sim.New's last-resort panic.
 	if err := scfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%s closed loop: %w", proto, err)
@@ -334,15 +311,14 @@ func (d *Driver) Run() (*Result, error) {
 	return res, nil
 }
 
-// merge folds the per-shard, per-object accumulator slots into the
-// per-object results and their aggregate.
+// merge hands the per-object accumulators to the result and sums their
+// aggregate.
 func (d *Driver) merge() *Result {
-	k := d.spec.Objects
 	res := &Result{
 		N:         d.n,
-		Objects:   k,
+		Objects:   d.spec.Objects,
 		Agg:       loop.Result{N: d.n},
-		PerObject: make([]loop.Result, k),
+		PerObject: d.res,
 	}
 	add := func(to, r *loop.Result) {
 		to.Requests += r.Requests
@@ -358,9 +334,6 @@ func (d *Driver) merge() *Result {
 	for o := range res.PerObject {
 		po := &res.PerObject[o]
 		po.N = d.n
-		for s := range d.resS {
-			add(po, &d.resS[s][o])
-		}
 		add(&res.Agg, po)
 	}
 	return res
@@ -391,7 +364,7 @@ func (d *Driver) Blocked(ctx *sim.Context, msg sim.Message, upAt sim.Time, dropp
 	case *replyMsg:
 		d.affected[m.origin] = true
 		if dropped {
-			d.resS[ctx.Shard()][d.nodes[m.origin].find.obj].RepliesLost++
+			d.res[d.nodes[m.origin].find.obj].RepliesLost++
 			d.retryAt(ctx, m.origin, upAt)
 		}
 	}
@@ -429,7 +402,7 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 		// pointer aimed at v (or repair has restored a legal state), so
 		// chains still terminate.
 		d.lost[v] = false
-		d.resS[ctx.Shard()][m.obj].Reissued++
+		d.res[m.obj].Reissued++
 	} else {
 		if nd.remaining == 0 {
 			return
@@ -473,7 +446,7 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 		// Only a ReplyRouter's replies stop short of the requester. The
 		// request's object is still stamped on the requester's own find:
 		// it cannot re-issue before this reply arrives.
-		d.resS[ctx.Shard()][d.nodes[m.origin].find.obj].ReplyHops++
+		d.res[d.nodes[m.origin].find.obj].ReplyHops++
 		ctx.Send(at, d.route.ReplyHop(at, m.origin), m)
 	default:
 		panic(fmt.Sprintf("%s: unexpected message %T", d.proto, msg))
@@ -482,12 +455,10 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 
 // completeAt records the queuing of origin's current request for obj at
 // sink and notifies the requester so it can issue its next request.
-// Counters land in the context's shard slot for the object, and both the
-// per-object and aggregate recordings route through the context, which
-// keeps the parallel drain race-free and the recorders' accumulation
-// order serial.
+// Counters land in the object's accumulator; the per-object and the
+// aggregate recorder each see the request.
 func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
-	res := &d.resS[ctx.Shard()][obj]
+	res := &d.res[obj]
 	nd := &d.nodes[origin]
 	lat := int64(ctx.Now() - nd.issueTime)
 	h := int(nd.find.hops)

@@ -72,10 +72,12 @@ func TestNTAMatchesIvy(t *testing.T) {
 	}
 }
 
-// TestCrossWorkerBitIdentity is the shard tier's determinism gate:
-// every protocol's full result — aggregate, every per-object counter
-// set, and per-object latency histogram snapshots — must be
-// bit-identical between the serial drain and the parallel drain.
+// TestCrossWorkerBitIdentity pins that loop.Spec.Workers is ignored on
+// the multi-object path: every protocol's full result — aggregate,
+// every per-object counter set, and per-object latency histogram
+// snapshots — is bit-identical whatever the field says. (It compared the
+// serial loop with the parallel drain until the drain was deleted; it
+// leaves with the field, ROADMAP item 4b.)
 func TestCrossWorkerBitIdentity(t *testing.T) {
 	const n, k, perNode = 32, 64, 30
 	run := func(name string, workers int) (*shard.Result, []stats.Dist) {
@@ -106,7 +108,7 @@ func TestCrossWorkerBitIdentity(t *testing.T) {
 			serial, serialSnaps := run(name, 1)
 			parallel, parallelSnaps := run(name, 4)
 			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("results diverge across worker counts:\n serial   %+v\n parallel %+v",
+				t.Errorf("results diverge across Workers values:\n 1 %+v\n 4 %+v",
 					serial.Agg, parallel.Agg)
 			}
 			if !reflect.DeepEqual(serialSnaps, parallelSnaps) {

@@ -12,17 +12,6 @@ type LatencyModel interface {
 	// message over a unit-weight edge. Costs measured under the model are
 	// comparable to analytic unit-latency bounds after dividing by Scale.
 	Scale() int64
-	// MinDelay returns a lower bound on any delay the model can produce
-	// for any legal edge weight (weights are >= 1): the model's
-	// conservative lookahead. The parallel drain fuses all ladder ticks
-	// in [t, t+MinDelay()) into one barrier — a handler running at tick
-	// t cannot affect another node before t+MinDelay(). A model that
-	// cannot bound its delays must return 1 (every delay is clamped to
-	// >= 1 anyway, so 1 is always sound and degrades the window to the
-	// classic one-tick batch); a return < 1 marks the model
-	// window-incompatible and Config.Validate rejects it under
-	// Workers > 1.
-	MinDelay() Time
 	// Name identifies the model in experiment output.
 	Name() string
 }
@@ -45,12 +34,7 @@ func SynchronousScaled(scale int64) LatencyModel {
 
 func (m syncModel) Delay(w int64, _ *rand.Rand) Time { return w * m.scale }
 func (m syncModel) Scale() int64                     { return m.scale }
-
-// MinDelay: a unit-weight edge takes exactly scale, and heavier edges
-// take more, so scale is the exact lookahead — the one built-in model
-// whose window is wider than a single tick.
-func (m syncModel) MinDelay() Time { return m.scale }
-func (m syncModel) Name() string   { return "sync" }
+func (m syncModel) Name() string                     { return "sync" }
 
 type asyncUniform struct{ scale int64 }
 
@@ -74,12 +58,7 @@ func (m asyncUniform) Delay(w int64, rng *rand.Rand) Time {
 	return 1 + rng.Int63n(hi)
 }
 func (m asyncUniform) Scale() int64 { return m.scale }
-
-// MinDelay: the uniform draw floors at 1 (a delay of exactly 1 has
-// positive probability on every edge), so the lookahead window is the
-// classic one-tick batch.
-func (m asyncUniform) MinDelay() Time { return 1 }
-func (m asyncUniform) Name() string   { return "async-uniform" }
+func (m asyncUniform) Name() string { return "async-uniform" }
 
 // CounterLatency is an optional LatencyModel extension for models whose
 // per-message delay is a pure function of (edge weight, config seed,
@@ -129,11 +108,7 @@ func (m asyncCounter) DelayFor(w int64, seed int64, seq uint64) Time {
 	return 1 + Time(h%uint64(hi))
 }
 func (m asyncCounter) Scale() int64 { return m.scale }
-
-// MinDelay: the counter hash can land on 1 for any weight, so the
-// window stays one tick wide.
-func (m asyncCounter) MinDelay() Time { return 1 }
-func (m asyncCounter) Name() string   { return "async-counter" }
+func (m asyncCounter) Name() string { return "async-counter" }
 
 type asyncBimodal struct {
 	scale    int64
@@ -161,9 +136,4 @@ func (m asyncBimodal) Delay(w int64, rng *rand.Rand) Time {
 	return w
 }
 func (m asyncBimodal) Scale() int64 { return m.scale }
-
-// MinDelay: the fast mode delivers a unit-weight message in 1, so the
-// bimodal model cannot promise more than the universal one-tick
-// lookahead.
-func (m asyncBimodal) MinDelay() Time { return 1 }
-func (m asyncBimodal) Name() string   { return "async-bimodal" }
+func (m asyncBimodal) Name() string { return "async-bimodal" }

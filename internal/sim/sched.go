@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -97,8 +96,8 @@ func cmpEvent(x, y event) int {
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
 // It is the SchedHeap scheduler — the oracle the ladder queue is tested
-// against — the parallel drain's mid-window queue, and the ladder queue's
-// last tier, for events more than 2²⁷ ticks out.
+// against — and the ladder queue's last tier, for events more than 2²⁷
+// ticks out.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
@@ -227,10 +226,7 @@ type farWheel struct {
 // to the binary heap (more than 2²⁷ ticks from the position), Refills
 // the far buckets opened (one per epoch poured, super-epoch cascaded or
 // heap block poured) and Cascaded the events those refills moved one
-// tier down. All zero under SchedHeap. Deterministic for a fixed config
-// and worker count; the parallel drain holds the position back while a
-// window commits, so its tier split may differ from the serial run's
-// while the event order does not.
+// tier down. All zero under SchedHeap. Deterministic for a fixed config.
 type SchedStats struct {
 	FarPushes  [farLevels]int64
 	HeapPushes int64
@@ -518,8 +514,8 @@ func (q *ladderQueue) prepareRandom(b *tickBucket) {
 // the freelist until the caller hands it back with release. A handler
 // may grow the arena while the cell is out, so the pointer is good only
 // until the handler is entered; release goes by slot for that reason.
-// refill and compact run only from inside a pop or a peek, never while a
-// cell is out.
+// refill and compact run only from inside a pop, never while a cell is
+// out.
 //
 //arrow:hotpath O(1) dequeue
 func (q *ladderQueue) popCell() (*event, int32) {
@@ -550,7 +546,7 @@ func (q *ladderQueue) popCell() (*event, int32) {
 			q.base += Time(nextOccupiedDelta(&q.occupied, idx))
 			continue
 		}
-		q.refill(math.MaxInt64)
+		q.refill()
 	}
 }
 
@@ -564,68 +560,6 @@ func (q *ladderQueue) release(s int32) {
 	c.ev.msg = nil
 	c.next = q.free
 	q.free = s
-}
-
-// peekTime returns the timestamp of the earliest pending event without
-// popping it. It advances the position exactly as pop would (base
-// moves, an empty ring refills from the far tier), so the pops that
-// follow stay O(1); the pending set and its order are untouched. The
-// parallel drain uses it to delimit one tick's batch.
-func (q *ladderQueue) peekTime() (Time, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
-	for {
-		idx := int(q.base) & ringMask
-		if q.ring[idx].head != nilSlot {
-			return q.base, true
-		}
-		q.curPrepared = false
-		if q.ringCnt > 0 {
-			q.base += Time(nextOccupiedDelta(&q.occupied, idx))
-			continue
-		}
-		q.refill(math.MaxInt64)
-	}
-}
-
-// curBucketNonEmpty reports whether the tick at the window base still
-// holds events. Valid right after peekTime returned that tick; unlike
-// another peekTime call it never advances the window, which matters to
-// the parallel drain — events the current tick's handlers schedule must
-// still be allowed at base+1 and later.
-func (q *ladderQueue) curBucketNonEmpty() bool {
-	return q.size > 0 && q.ring[int(q.base)&ringMask].head != nilSlot
-}
-
-// nextTickWithin advances base to the next occupied tick if — and only
-// if — that tick is strictly below limit, returning it. When the next
-// pending tick is at or past limit (or nothing is pending) base stays
-// below limit, so events the caller pushes afterwards at limit and
-// later remain legal: this is how the parallel drain walks every
-// bucket of a lookahead window [t, t+L) without ever moving the
-// position past events the fused batch will commit at t+L. With the
-// ring empty it refills only through far buckets that start below
-// limit (see refill), so even a false return leaves a legal position.
-// Valid only when the bucket at base has just been drained (pop leaves
-// base on the emptied tick).
-func (q *ladderQueue) nextTickWithin(limit Time) (Time, bool) {
-	if q.size == 0 || (q.ringCnt == 0 && !q.refill(limit)) {
-		return 0, false
-	}
-	// The ring holds an event. base sits on the drained tick, or — fresh
-	// from a refill — on the first tick of the poured epoch, which may
-	// itself be occupied.
-	next := q.base
-	if idx := int(next) & ringMask; q.ring[idx].head == nilSlot {
-		next += Time(nextOccupiedDelta(&q.occupied, idx))
-	}
-	if next >= limit {
-		return 0, false
-	}
-	q.curPrepared = false
-	q.base = next
-	return next, true
 }
 
 // nextOccupiedDelta returns the distance from slot idx to the next set
@@ -647,14 +581,11 @@ func nextOccupiedDelta(occupied *[ringSize / 64]uint64, idx int) int {
 // bucket of the lowest non-empty far tier — wheel 0, else wheel 1, else
 // the heap's next 2²⁷-tick block — repositions the ring at that
 // bucket's first tick and moves the bucket's events one tier down, in
-// list order, until the ring holds an event. It stops, returning false,
-// in front of a bucket that starts at or after limit: every position it
-// has taken is then below limit and no bucket is left half-moved, so
-// pushes at limit and later stay legal and land behind what was already
-// cascaded. Called only with the ring empty and events pending.
+// list order, until the ring holds an event. Called only with the ring
+// empty and events pending.
 //
 //arrow:hotpath cascade and pour: one relink per event moved
-func (q *ladderQueue) refill(limit Time) bool {
+func (q *ladderQueue) refill() {
 	for q.ringCnt == 0 {
 		k := 0
 		for k < farLevels && q.far[k].cnt == 0 {
@@ -671,9 +602,6 @@ func (q *ladderQueue) refill(limit Time) bool {
 			start = (q.base>>shift + Time(idx-cur)) << shift
 		} else {
 			start = q.heap[0].at >> shift << shift
-		}
-		if start >= limit {
-			return false
 		}
 		q.curPrepared = false
 		q.base, q.horizon = start, start+ringSize
@@ -697,7 +625,6 @@ func (q *ladderQueue) refill(limit Time) bool {
 			s = next
 		}
 	}
-	return true
 }
 
 // pourHeap moves every heap event of the position's 2²⁷-tick block into

@@ -38,8 +38,7 @@ const (
 //	     the payload filled into the cell at push. With a even the cell
 //	     stays out — like the serial loop's, whose handler is running —
 //	     across the pushes that follow, until the next op that is not a
-//	     push releases it; with a odd it is released at once, like the
-//	     parallel drain's gather
+//	     push releases it; with a odd it is released at once
 //	1    push at the position's own tick (a same-tick push; after a pop
 //	     that left the tick non-empty this lands in the bucket being
 //	     drained)
@@ -48,9 +47,9 @@ const (
 //	4    push on the next multiples of 2¹⁵ (wheel 0 / wheel 1)
 //	5    push on the next multiples of 2²² (wheel 1 / heap)
 //	6    push on the next multiples of 2²⁸ (heap)
-//	7    with the position's tick drained: nextTickWithin a window of
-//	     8^(a%8) ticks, checked against the oracle's minimum — the
-//	     parallel drain's gather step; otherwise a pop
+//	7    a pop that holds its cell (this code used to probe the deleted
+//	     parallel drain's window gather; the committed corpus keeps its
+//	     bytes, so it stays an operation)
 //
 // The grid pushes (3–6) take a%4 as the multiple, so timers armed from
 // different positions — hence parked in different tiers — meet on one
@@ -163,19 +162,7 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		case 6:
 			push(grid(1<<28, a))
 		case 7:
-			if lq.curBucketNonEmpty() || len(h) == 0 {
-				pop(true)
-				break
-			}
-			release()
-			limit := lq.base + 1<<(3*(a%8))
-			tick, ok := lq.nextTickWithin(limit)
-			if want := h[0].at; ok != (want < limit) || (ok && tick != want) {
-				t.Fatalf("nextTickWithin(%d) = (%d, %v), earliest pending %d", limit, tick, ok, want)
-			}
-			if lq.base >= limit {
-				t.Fatalf("nextTickWithin(%d) moved the position to %d", limit, lq.base)
-			}
+			pop(true)
 		}
 		check()
 	}
@@ -189,7 +176,7 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 
 // FuzzLadderMatchesHeap is the queue-level differential: whatever the
 // script, the ladder — ring, both far wheels, heap tier, cascades and
-// pours, windowed refills — pops exactly what the binary heap pops. The
+// pours — pops exactly what the binary heap pops. The
 // seeds are the directed scripts below (one per mechanism) plus the
 // random corpus under testdata/fuzz (each arbitration × four operation
 // mixes, starting next to an alignment boundary); `go test` replays
@@ -213,9 +200,9 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 		}
 	}
 	meet = append(meet, op(2, 0), op(1, 0), op(7, 3), 0, 0, 0, 0, 0, 0)
-	// A window probe that may cascade a super-epoch but must stop in
-	// front of its first occupied epoch, then a push onto the cascaded
-	// tick: it has to land behind the cascaded resident.
+	// A pop that cascades a super-epoch into its first occupied epoch,
+	// then a push onto the cascaded tick: it has to land behind the
+	// cascaded resident.
 	stop := []byte{op(4, 1), op(4, 2), op(7, 5), op(4, 1), op(4, 2), 0, 0, 0, 0}
 	// More than overflowRetainCap residents in wheel 0, few of them in
 	// the last epoch: the pour that empties the far tier rebuilds the
@@ -251,36 +238,48 @@ func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	}
 	var cover [3]scriptCover
 	for _, name := range files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// "go test fuzz v1", then one Go literal per fuzz argument.
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		args := corpusArgs(t, name, 3)
 		var (
-			arb    uint8
-			start  uint64
-			quoted string
+			arb   uint8
+			start uint64
 		)
-		if len(lines) != 4 {
-			t.Fatalf("%s: %d lines, want a header and three arguments", name, len(lines))
-		}
-		if _, err := fmt.Sscanf(lines[1], "uint8(%d)", &arb); err != nil {
+		if _, err := fmt.Sscanf(args[0], "uint8(%d)", &arb); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := fmt.Sscanf(lines[2], "uint64(%d)", &start); err != nil {
+		if _, err := fmt.Sscanf(args[1], "uint64(%d)", &start); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		quoted = strings.TrimSuffix(strings.TrimPrefix(lines[3], "[]byte("), ")")
-		script, err := strconv.Unquote(quoted)
-		if err != nil {
-			t.Fatalf("%s: script literal: %v", name, err)
-		}
-		cover[arb%3] |= ladderScript(t, Arbitration(arb%3), Time(start>>24), []byte(script))
+		script := corpusBytes(t, name, args[2])
+		cover[arb%3] |= ladderScript(t, Arbitration(arb%3), Time(start>>24), script)
 	}
 	for arb, c := range cover {
 		if c != coverAll {
 			t.Errorf("%v: the committed corpus misses a held-cell case: reached %05b of %05b", Arbitration(arb), c, coverAll)
 		}
 	}
+}
+
+// corpusArgs reads one committed fuzz corpus file — "go test fuzz v1",
+// then one Go literal per fuzz argument — and returns the n literals.
+func corpusArgs(t *testing.T, name string, n int) []string {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != n+1 {
+		t.Fatalf("%s: %d lines, want a header and %d arguments", name, len(lines), n)
+	}
+	return lines[1:]
+}
+
+// corpusBytes decodes a corpus file's []byte("...") literal.
+func corpusBytes(t *testing.T, name, lit string) []byte {
+	t.Helper()
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: script literal: %v", name, err)
+	}
+	return []byte(s)
 }

@@ -286,7 +286,4 @@ func TestEventCellIsOneCacheLine(t *testing.T) {
 	if got := unsafe.Sizeof(eslot{}); got != 64 {
 		t.Errorf("arena cell is %d bytes, want 64 (one cache line)", got)
 	}
-	if got := unsafe.Sizeof(emitOp{}); got != 64 {
-		t.Errorf("emitOp is %d bytes, want 64", got)
-	}
 }

@@ -129,25 +129,6 @@ type Config struct {
 	// drivers that accept plans from callers run FaultPlan.Validate first
 	// and return the error).
 	Faults *FaultPlan
-	// Workers > 1 enables the lookahead-windowed parallel drain: all
-	// ladder buckets within one lookahead window [t, t+L) — where L is
-	// the latency model's MinDelay(), the conservative Chandy–Misra–
-	// Bryant bound below which no handler can affect another node — are
-	// fused into one batch, its handlers run on that many workers over
-	// disjoint node shards, and the coordinator replays the logged side
-	// effects through the serial send path in serial event order, so
-	// results stay bit-identical to Workers <= 1 for every latency model
-	// and link-state tier (the equivalence tests pin this, histograms
-	// included). Only the handlers are parallel; on the 2-core host the
-	// benchmark runs on the drain is still slower than Workers 1 (see
-	// DESIGN.md for the measured ratio). Requires FIFO arbitration, the
-	// ladder scheduler, a fault-free plan, and a latency model that
-	// bounds its minimum delay (MinDelay() >= 1) — Validate reports any
-	// conflict as an error and New panics as a last resort; drivers
-	// normalize incompatible configs to serial instead (except the
-	// MinDelay bound, which Validate rejects outright rather than
-	// silently degrading).
-	Workers int
 	// LinkTxTime, when positive, gives every directed link a finite
 	// serialization capacity: consecutive messages on one link depart at
 	// least LinkTxTime apart, so a burst of b messages sent into a link at
@@ -155,9 +136,7 @@ type Config struct {
 	// queues instead of superposing for free. The arrival of a message is
 	// its departure instant plus the usual latency-model delay. Zero (the
 	// default) models infinite capacity and is bit-identical to the
-	// simulator before the knob existed. Compatible with the parallel
-	// drain: departures are reserved during the serial replay of each
-	// tick's side effects.
+	// simulator before the knob existed.
 	LinkTxTime Time
 }
 
@@ -185,56 +164,16 @@ func (c Config) Validate() error {
 	if c.LinkTxTime < 0 {
 		return &ConfigError{Field: "LinkTxTime", Reason: fmt.Sprintf("must be >= 0, got %d", c.LinkTxTime)}
 	}
-	if c.Workers > 1 {
-		// The parallel drain commits a tick's side effects in (pri, seq)
-		// = scheduling order, which is the realized order only under
-		// FIFO arbitration; the batch boundary comes from the ladder's
-		// tick buckets; and fault gating consults mutable shared state
-		// mid-tick. Anything else must run serially.
-		if c.Arbitration != ArbFIFO {
-			return &ConfigError{Field: "Workers", Reason: fmt.Sprintf("parallel drain requires FIFO arbitration, got %v", c.Arbitration)}
-		}
-		if c.Scheduler != SchedLadder {
-			return &ConfigError{Field: "Workers", Reason: fmt.Sprintf("parallel drain requires the ladder scheduler, got %v", c.Scheduler)}
-		}
-		if c.Faults != nil {
-			return &ConfigError{Field: "Workers", Reason: "parallel drain is incompatible with a fault plan"}
-		}
-		if md := c.windowWidth(); md < 1 {
-			lat := c.Latency
-			if lat == nil {
-				lat = Synchronous()
-			}
-			return &ConfigError{Field: "Workers", Reason: fmt.Sprintf(
-				"latency model %q cannot bound its minimum delay (MinDelay() = %d < 1); the parallel drain's lookahead window needs a positive bound", lat.Name(), md)}
-		}
-	}
 	return nil
-}
-
-// windowWidth derives the parallel drain's lookahead window L from the
-// latency model: every cross-node send takes at least MinDelay() ticks,
-// so all events in [t, t+L) are causally independent inputs and fuse
-// into one barrier. A nil model is the synchronous default (L = 1).
-// LinkTxTime needs no clamp here: capacity reservations only push
-// departures later, so an arrival is always >= send tick + MinDelay()
-// regardless of link contention.
-func (c Config) windowWidth() Time {
-	lat := c.Latency
-	if lat == nil {
-		lat = Synchronous()
-	}
-	return lat.MinDelay()
 }
 
 // Simulator is a deterministic discrete-event engine.
 type Simulator struct {
-	cfg     Config
-	now     Time
-	seq     uint64
-	allH    Handler // the one message handler, shared by every node
-	timerH  TimerHandler
-	workers int
+	cfg    Config
+	now    Time
+	seq    uint64
+	allH   Handler // the one message handler, shared by every node
+	timerH TimerHandler
 
 	// f is the compiled fault state (nil without a plan — the hot paths
 	// gate every fault check on that nil). ctx is the one Context handed
@@ -295,37 +234,19 @@ type Simulator struct {
 	syncScale int64
 	ctrLat    CounterLatency
 
-	// window is the parallel drain's lookahead width L (1 on serial
-	// runs): all ladder ticks in [t, t+window) fuse into one barrier.
-	// winEnd is non-zero only while the drain replays a fused window on
-	// the serial-fallback path: push then diverts events landing inside
-	// the window into winDyn (a (at, pri, seq) min-heap) instead of the
-	// ladder, because the window's already-popped batch still holds
-	// events at those ticks. replayGuard is non-zero only during the
-	// serial log replay of a parallel window; send panics if an arrival
-	// undercuts it, catching a latency model whose MinDelay() lied.
-	window      Time
-	winEnd      Time
-	winDyn      eventHeap
-	replayGuard Time
-
-	// Drain telemetry: barriers (fused windows that took the parallel
-	// path) and the events they carried. Serial runs and serial-fallback
-	// windows leave both zero, so windows == barrier count.
-	statWindows      int64
-	statWindowEvents int64
-
 	processed int64 // number of events processed
 	messages  int64
 	hops      int64
 }
 
-// DrainStats is the parallel drain's telemetry: the derived lookahead
-// window width, how many fused windows actually fanned out to the
-// worker pool (the barrier count), and how many events those windows
-// carried. BatchEvents/Windows is the mean parallel batch size — the
-// quantity the window fusion exists to raise. All zero except
-// WindowWidth and Sched on serial runs.
+// DrainStats is the telemetry out-value of a closed-loop run. Only Sched
+// is live. WindowWidth, Windows, BatchEvents and MeanBatch described the
+// lookahead-windowed parallel drain, which was deleted (DESIGN.md, "Why
+// there is no parallel drain"); every run is the serial loop, so they
+// are always zero. They stay because bench/ — frozen between benchmark
+// PRs — reads them for its sim.drain.* rows, and leave with the
+// benchmark PR of ROADMAP item 4b that retires the drain-parallel
+// workload.
 type DrainStats struct {
 	WindowWidth Time
 	Windows     int64
@@ -336,8 +257,7 @@ type DrainStats struct {
 	Sched SchedStats
 }
 
-// MeanBatch returns events per parallel barrier (0 when no window ever
-// fanned out).
+// MeanBatch returns BatchEvents / Windows: always 0 (see DrainStats).
 func (d DrainStats) MeanBatch() float64 {
 	if d.Windows == 0 {
 		return 0
@@ -345,9 +265,9 @@ func (d DrainStats) MeanBatch() float64 {
 	return float64(d.BatchEvents) / float64(d.Windows)
 }
 
-// DrainStats returns the run's drain telemetry (see DrainStats).
+// DrainStats returns the run's telemetry (see DrainStats).
 func (s *Simulator) DrainStats() DrainStats {
-	return DrainStats{WindowWidth: s.window, Windows: s.statWindows, BatchEvents: s.statWindowEvents, Sched: s.SchedStats()}
+	return DrainStats{Sched: s.SchedStats()}
 }
 
 // SchedStats returns the ladder queue's far-tier work counters so far
@@ -487,12 +407,6 @@ func New(cfg Config) *Simulator {
 	s := &Simulator{
 		cfg:     cfg,
 		useHeap: cfg.Scheduler == SchedHeap,
-		workers: cfg.Workers,
-	}
-	s.window = 1
-	if cfg.Workers > 1 {
-		// Validate established windowWidth() >= 1.
-		s.window = cfg.windowWidth()
 	}
 	s.txTime = cfg.LinkTxTime
 	if m, ok := cfg.Latency.(syncModel); ok {
@@ -562,171 +476,58 @@ func (s *Simulator) Hops() int64 { return s.hops }
 func (s *Simulator) EventsProcessed() int64 { return s.processed }
 
 // Context is handed to handlers and timers; it exposes the simulator
-// operations that are legal during event processing. Under the parallel
-// drain each worker gets its own Context whose mutating operations
-// buffer into an op log instead of touching the simulator; the
-// coordinator replays the logs in serial event order.
+// operations that are legal during event processing. A simulator has
+// exactly one.
 type Context struct {
-	s     *Simulator
-	shard int
-	buf   *opBuffer // nil on the serial context
-	win   *winState // nil on the serial context; the worker's window state
+	s *Simulator
 
-	// Identity of the event currently being dispatched through this
-	// context: destination node (0 for closure timers), global sequence
-	// number, and tick. evTo/evSeq key the counter-based Draw/Uniform
-	// RNG, so the same event draws the same values at any worker count
-	// (evSeq is dynSeqUnknown for a node timer executed mid-window,
-	// whose global seq is only reconstructed at commit — Draw panics
-	// there). evAt is the event's own tick: inside a fused window
-	// workers process events at different ticks concurrently, so the
-	// shared s.now cannot serve as "now".
+	// Identity of the event currently being dispatched: destination node
+	// (0 for closure timers) and global sequence number. They key the
+	// counter-based Draw/Uniform RNG.
 	evTo  graph.NodeID
 	evSeq uint64
-	evAt  Time
-
-	// Per-worker shards of ShardableRecorders, created on first use
-	// under the parallel drain and absorbed into their parents in fixed
-	// worker order when the drain finishes. recM resolves a parent to
-	// its shard in O(1) on the record path; recList preserves insertion
-	// order for the deterministic absorb walk.
-	recM    map[stats.Recorder]stats.Recorder
-	recList []recShard
 }
 
 // Now returns the current simulated time: the tick of the event being
-// handled. Under the parallel drain that is the event's own tick
-// (workers run different ticks of one fused window concurrently); on
-// the serial path it is the simulator clock.
-func (c *Context) Now() Time {
-	if c.buf != nil {
-		return c.evAt
-	}
-	return c.s.now
-}
-
-// Shard identifies which worker shard this context serves: 0 on a
-// serial run, the worker index under the parallel drain. Drivers use it
-// to index per-shard accumulator slots so result counting stays
-// race-free without locks.
-func (c *Context) Shard() int { return c.shard }
+// handled.
+func (c *Context) Now() Time { return c.s.now }
 
 // Send transmits msg from u to v. The pair must be connected in the
 // topology. Delivery preserves per-link FIFO order.
 //
 //arrow:hotpath every protocol message crosses here (BenchmarkSimSendDispatch)
-func (c *Context) Send(u, v graph.NodeID, msg Message) {
-	if c.buf != nil {
-		op := c.buf.add(opSend)
-		op.u, op.v, op.msg = u, v, msg
-		return
-	}
-	c.s.send(u, v, msg)
-}
+func (c *Context) Send(u, v graph.NodeID, msg Message) { c.s.send(u, v, msg) }
 
-// After schedules fn to run at node-local time Now()+d. Under the
-// parallel drain the fire time must land at or past the fused window's
-// end: a closure timer is global (it belongs to no node shard), so one
-// firing mid-window could not execute on any single worker without
-// racing. No driver schedules same-window closure timers on a
-// parallel-capable path; batches that already contain them take the
-// serial-fallback route, where everything is legal.
-func (c *Context) After(d Time, fn TimerFunc) {
-	if c.buf != nil {
-		fire := c.evAt + d
-		if fire < c.win.end {
-			panic(fmt.Sprintf("sim: Context.After(%d) inside a parallel window (fires at %d, window ends %d): closure timers cannot execute mid-window (use AfterNode, or run with Workers <= 1)", d, fire, c.win.end))
-		}
-		op := c.buf.add(opTimer)
-		op.t, op.msg = fire, fn
-		return
-	}
-	c.s.scheduleTimer(c.s.now+d, fn)
-}
+// After schedules fn to run at node-local time Now()+d.
+func (c *Context) After(d Time, fn TimerFunc) { c.s.scheduleTimer(c.s.now+d, fn) }
 
 // AfterNode schedules a timer for node v at time Now()+d, dispatched to
 // the simulator's registered TimerHandler. Unlike After it captures no
 // closure: the hot-path timer of a closed-loop run costs zero
-// allocations. Under the parallel drain a timer firing inside the
-// current fused window stays in-shard: it is appended to the worker's
-// ordered mid-window sub-queue and executes there, in exactly the
-// (at, seq) slot the serial run would give it — legal only when v is
-// the worker's own shard, which every parallel-capable driver
-// satisfies by construction (node timers self-target). A cross-shard
-// mid-window timer would race and panics instead.
+// allocations.
 //
 //arrow:hotpath the closed loop's per-completion timer
 func (c *Context) AfterNode(d Time, v graph.NodeID) {
-	if c.buf != nil {
-		fire := c.evAt + d
-		op := c.buf.add(opNodeTimer)
-		op.t, op.v = fire, v
-		if fire < c.win.end {
-			if fire < c.evAt {
-				panic(fmt.Sprintf("sim: AfterNode(%d) schedules into the past", d))
-			}
-			if int(v)%c.s.workers != c.shard {
-				panic(fmt.Sprintf("sim: AfterNode for node %d fires at %d inside the parallel window ending %d but belongs to another shard; cross-node work needs a delay >= the latency model's MinDelay()", v, fire, c.win.end))
-			}
-			c.win.dyn.push(dynEvent{at: fire, ord: c.win.ord, v: v})
-			c.win.ord++
-		}
-		return
-	}
 	c.s.push(c.s.now+d, evNodeTimer, v, 0, nil)
 }
 
 // RecordRequest forwards one completed request to rec (a no-op when rec
-// is nil). Drivers must route recordings through the context rather
-// than calling the recorder directly: under the parallel drain a
-// ShardableRecorder is recorded into the worker's private shard (merged
-// exactly after the drain — bit-identical because the shard state is
-// exact), and any other recorder is deferred to the coordinator's
-// serial replay in event order.
+// is nil).
 //
 //arrow:hotpath runs once per completed request
 func (c *Context) RecordRequest(rec stats.Recorder, latency int64, hops int) {
-	if rec == nil {
-		return
+	if rec != nil {
+		rec.RecordRequest(latency, hops)
 	}
-	if c.buf != nil {
-		if sr, ok := rec.(stats.ShardableRecorder); ok {
-			c.shardFor(sr).RecordRequest(latency, hops)
-			return
-		}
-		op := c.buf.add(opRecord)
-		op.rec, op.t, op.h = rec, latency, hops
-		return
-	}
-	rec.RecordRequest(latency, hops)
-}
-
-// shardFor resolves (creating on first use) this worker's shard of the
-// given parent recorder.
-func (c *Context) shardFor(parent stats.ShardableRecorder) stats.Recorder {
-	if sh, ok := c.recM[parent]; ok {
-		return sh
-	}
-	if c.recM == nil {
-		c.recM = make(map[stats.Recorder]stats.Recorder)
-	}
-	sh := parent.NewShard()
-	c.recM[parent] = sh
-	c.recList = append(c.recList, recShard{parent: parent, shard: sh})
-	return sh
 }
 
 // Draw returns the i-th pseudo-random 64-bit value of the event
 // currently being handled: a pure splitmix64 hash of (config seed,
 // event destination node, event sequence number, i) — the same counter
-// discipline as workload.Zipf — so a protocol drawing randomness
-// through it stays bit-identical on the serial drain and on the
-// parallel drain at any worker count. This is the parallel-safe
-// replacement for Context.Rand.
+// discipline as workload.Zipf — so a draw depends on which event asks
+// for it and not on how many draws other events made before it, unlike
+// the shared stream of Context.Rand.
 func (c *Context) Draw(i int) uint64 {
-	if c.evSeq == dynSeqUnknown {
-		panic("sim: Context.Draw inside a mid-window node timer: its global sequence number is only reconstructed at commit (key randomness on per-node state, or run with Workers <= 1)")
-	}
 	h := DeriveSeed(c.s.cfg.Seed, int(c.evTo))
 	h = DeriveSeed(h, int(c.evSeq))
 	return uint64(DeriveSeed(h, i))
@@ -739,25 +540,20 @@ func (c *Context) Uniform(i int) float64 {
 	return float64(c.Draw(i)>>11) * (1.0 / (1 << 53))
 }
 
-// Rand returns the simulator's seeded RNG (deterministic per run). It is
-// unavailable inside the parallel drain — a shared stream consumed from
-// concurrent workers could not stay deterministic — so protocols that
-// draw from it must run with Workers <= 1. Parallel-safe randomness is
-// available through the counter-based Context.Draw / Context.Uniform.
+// Rand returns the simulator's seeded RNG (deterministic per run): one
+// stream shared by every handler, so a draw depends on all draws before
+// it. Context.Draw / Context.Uniform are the counter-based alternative.
 func (c *Context) Rand() *rand.Rand {
-	if c.buf != nil {
-		panic("sim: Context.Rand is unavailable under the parallel drain (use Context.Draw, or run with Workers <= 1)")
-	}
 	if c.s.rng == nil {
 		c.s.rng = rand.New(rand.NewSource(c.s.cfg.Seed))
 	}
 	return c.s.rng
 }
 
-// send is the serial-path delivery: link resolution, fault gating, the
-// latency draw, and the event push.
+// send delivers one message: link resolution, fault gating, the latency
+// draw, and the event push.
 //
-//arrow:hotpath one call per message on the serial drain
+//arrow:hotpath one call per message
 func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// Resolve the link once: legality, nominal weight, hop count and the
 	// dense slot every per-link table below is indexed by (-1: unused).
@@ -853,14 +649,6 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	if !s.fifoFree {
 		arrive = s.fifo.clamp(link, u, v, arrive)
 	}
-	// Safety net for the windowed drain's serial log replay: an arrival
-	// inside the fused window would mean the latency model's MinDelay()
-	// promised more lookahead than its Delay() honors — the window has
-	// already executed past that tick. Zero (always, outside a replay)
-	// never trips.
-	if arrive < s.replayGuard {
-		panic(fmt.Sprintf("sim: message arrives at %d inside the parallel window ending %d — latency model %q violated its MinDelay() bound", arrive, s.replayGuard, s.cfg.Latency.Name()))
-	}
 	s.messages++
 	s.hops += int64(hops)
 	s.push(arrive, evMessage, v, u, msg)
@@ -915,19 +703,9 @@ func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Messag
 		pri = s.arbRNG.Int63()
 	}
 	var c *event
-	switch {
-	case s.winEnd != 0 && at < s.winEnd:
-		// While the parallel drain replays a fused window serially, events
-		// landing inside that window cannot enter the ladder (its buckets
-		// for those ticks were already popped into the batch); they divert
-		// to the window's own (at, pri, seq) heap, which the fallback loop
-		// merges with the remaining batch — the exact serial interleaving.
-		// winEnd is 0 everywhere else, so serial runs pay one predictable
-		// compare.
-		c = s.winDyn.push(at, pri, seq)
-	case s.useHeap:
+	if s.useHeap {
 		c = s.heap.push(at, pri, seq)
-	default:
+	} else {
 		c = s.lq.push(at, pri, seq)
 	}
 	c.kind, c.to, c.from, c.msg = kind, to, from, msg
@@ -952,9 +730,6 @@ func (s *Simulator) Reserve(pending int) {
 // nothing reads through the cell pointer after a handler is entered
 // (handlers may grow the arena). The heap oracle pops into a local.
 func (s *Simulator) Run() Time {
-	if s.workers > 1 {
-		return s.runParallel()
-	}
 	ctx := s.ctx
 	var popped event // SchedHeap only
 	for {
@@ -985,8 +760,7 @@ func (s *Simulator) Run() Time {
 
 // dispatch routes one already-clocked event to its handler, reading it
 // where it lies: every field a branch needs is loaded before a handler
-// or hook is entered and e is not touched afterwards. Shared by the
-// serial loop and the parallel drain's serial-fallback path.
+// or hook is entered and e is not touched afterwards.
 //
 //arrow:hotpath every event dequeue lands here
 func (s *Simulator) dispatch(ctx *Context, e *event) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -370,5 +372,146 @@ func TestTreeTopologyLinkIndexDense(t *testing.T) {
 	}
 	if want := 2 * (tr.NumNodes() - 1); len(seen) != want {
 		t.Fatalf("indexed %d directed links, want %d", len(seen), want)
+	}
+}
+
+// TestConfigValidate pins the typed validation front door: malformed
+// configs come back as *ConfigError (the drivers and engine surface
+// them as errors), and a well-formed config passes.
+func TestConfigValidate(t *testing.T) {
+	topo := TreeTopology{T: tree.BinaryWalker(8)}
+	bad := []struct {
+		name, field string
+		cfg         Config
+	}{
+		{"nil-topology", "Topology", Config{}},
+		{"negative-tx", "LinkTxTime", Config{Topology: topo, LinkTxTime: -1}},
+	}
+	for _, c := range bad {
+		var ce *ConfigError
+		if err := c.cfg.Validate(); !errors.As(err, &ce) || ce.Field != c.field {
+			t.Errorf("%s: Validate error = %v (%T), want *ConfigError on %s", c.name, err, err, c.field)
+		}
+	}
+	good := Config{Topology: topo, LinkTxTime: 3, Latency: AsyncCounter(2), Arbitration: ArbRandom, Faults: &FaultPlan{}}
+	if err := good.Validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestWindowZeroDelayTimerOrder pins where a node timer lands among
+// events already queued: a zero-delay AfterNode runs within its own
+// tick, after everything scheduled for that tick before it and before
+// every later tick, and a positive delay that lands on an occupied tick
+// runs behind that tick's residents — the (at, seq) order. (The name is
+// from the parallel drain's lookahead window, whose mid-window
+// sub-queue it also checked; this is the serial half.)
+func TestWindowZeroDelayTimerOrder(t *testing.T) {
+	const n = 64
+	type step struct {
+		label string
+		at    Time
+	}
+	s := New(Config{Topology: TreeTopology{T: tree.BinaryWalker(n)}, Latency: SynchronousScaled(8)})
+	order := make([][]step, n)
+	var global []graph.NodeID // nodes in the order their tick-1 timers ran
+	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
+		switch len(order[v]) {
+		case 0: // tick 1: a zero-delay follow-up and one landing on tick 4
+			order[v] = append(order[v], step{"first", ctx.Now()})
+			global = append(global, v)
+			ctx.AfterNode(0, v)
+			ctx.AfterNode(3, v)
+		case 1: // still tick 1
+			order[v] = append(order[v], step{"zero", ctx.Now()})
+			global = append(global, v)
+		case 2: // tick 4, scheduled before the run
+			order[v] = append(order[v], step{"resident", ctx.Now()})
+		default: // tick 4, scheduled at tick 1
+			order[v] = append(order[v], step{"late", ctx.Now()})
+		}
+	})
+	for v := graph.NodeID(0); v < n; v++ {
+		s.ScheduleNodeAt(1, v)
+		s.ScheduleNodeAt(4, v)
+	}
+	s.Run()
+	want := []step{{"first", 1}, {"zero", 1}, {"resident", 4}, {"late", 4}}
+	for v := range order {
+		if !reflect.DeepEqual(order[v], want) {
+			t.Fatalf("node %d ran %v, want %v", v, order[v], want)
+		}
+	}
+	// Across nodes: every pre-scheduled tick-1 timer before any zero-delay
+	// one, both groups in scheduling order.
+	for i, v := range global {
+		if v != graph.NodeID(i%n) {
+			t.Fatalf("tick 1 ran node %d in position %d, want node %d", v, i, i%n)
+		}
+	}
+}
+
+// TestDrawIsPureFunctionOfEvent pins Context.Draw's contract: the value
+// is the splitmix64 hash of (config seed, destination node, event
+// sequence number, i) and nothing else — not the number of draws made
+// before it, by this event or any other, and not Context.Rand's stream.
+func TestDrawIsPureFunctionOfEvent(t *testing.T) {
+	type key struct {
+		to  graph.NodeID
+		seq uint64
+	}
+	run := func(seed int64, noise bool) map[key][2]uint64 {
+		s := New(Config{Topology: lineTopology(4), Seed: seed})
+		got := map[key][2]uint64{}
+		draw := func(ctx *Context) {
+			if noise {
+				ctx.Draw(5)
+				ctx.Uniform(9)
+				ctx.Rand().Int63()
+			}
+			got[key{ctx.evTo, ctx.evSeq}] = [2]uint64{ctx.Draw(0), ctx.Draw(1)}
+			if again := ctx.Draw(0); again != got[key{ctx.evTo, ctx.evSeq}][0] {
+				t.Fatalf("Draw(0) changed within one event: %d then %d", got[key{ctx.evTo, ctx.evSeq}][0], again)
+			}
+		}
+		s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
+			draw(ctx)
+			next := v + 1
+			if next == 4 {
+				next = 2
+			}
+			ctx.Send(v, next, nil)
+		})
+		s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+			draw(ctx)
+			if ctx.Now() < 40 {
+				ctx.AfterNode(2, at)
+			}
+		})
+		s.ScheduleNodeAt(0, 0)
+		s.ScheduleNodeAt(0, 2)
+		s.Run()
+		return got
+	}
+	base := run(11, false)
+	if len(base) < 20 {
+		t.Fatalf("only %d events drew", len(base))
+	}
+	seen := map[uint64]bool{}
+	for k, v := range base {
+		h := DeriveSeed(DeriveSeed(11, int(k.to)), int(k.seq))
+		if want := [2]uint64{uint64(DeriveSeed(h, 0)), uint64(DeriveSeed(h, 1))}; v != want {
+			t.Fatalf("event (to %d, seq %d) drew %v, want %v", k.to, k.seq, v, want)
+		}
+		if seen[v[0]] || seen[v[1]] {
+			t.Fatalf("event (to %d, seq %d) repeated a draw", k.to, k.seq)
+		}
+		seen[v[0]], seen[v[1]] = true, true
+	}
+	if noisy := run(11, true); !reflect.DeepEqual(noisy, base) {
+		t.Error("draws changed when events made extra Draw/Uniform/Rand calls")
+	}
+	if other := run(12, false); reflect.DeepEqual(other, base) {
+		t.Error("draws ignore the config seed")
 	}
 }

@@ -27,11 +27,10 @@ import (
 // rather than floating-point running statistics: integer addition is
 // associative, so any partition of a stream of observations across
 // histogram shards merges back to bit-identical Mean/Std regardless of
-// the partition or the merge order. The parallel drain relies on this to
-// keep per-worker recorder shards byte-identical to a serial run at any
-// worker count. Mean and Std are derived from the accumulators only at
-// query time (Std via an exact big-integer variance numerator, avoiding
-// the catastrophic cancellation of the naive Σv²/n − mean² form).
+// the partition or the merge order (Histogram.Merge). Mean and Std are
+// derived from the accumulators only at query time (Std via an exact
+// big-integer variance numerator, avoiding the catastrophic cancellation
+// of the naive Σv²/n − mean² form).
 //
 // The zero value is ready to use; the bucket array is allocated on the
 // first Record. Histogram is not safe for concurrent use — each sweep
@@ -288,28 +287,6 @@ type Recorder interface {
 	RecordRequest(latency int64, hops int)
 }
 
-// ShardableRecorder is a Recorder whose observations may be partitioned
-// across independent shards and folded back without changing the final
-// state. The parallel drain uses it to record on worker goroutines
-// without serializing: each worker records into its own shard and the
-// coordinator absorbs the shards in a fixed order after the drain.
-//
-// Contract: for ANY partition of a stream of RecordRequest calls across
-// shards, absorbing all shards (in any order) must leave the parent
-// bit-identical to having recorded the whole stream serially. In
-// practice that means the shard state must accumulate exactly —
-// integer counters and exactly-merging histograms, not floating-point
-// running statistics.
-type ShardableRecorder interface {
-	Recorder
-	// NewShard returns a fresh, empty recorder of the same kind whose
-	// observations can later be folded into the parent with Absorb.
-	NewShard() Recorder
-	// Absorb folds a shard previously returned by NewShard into the
-	// parent. The shard must not be used afterwards.
-	Absorb(shard Recorder)
-}
-
 // DistRecorder is the standard Recorder: one fixed-memory Histogram per
 // observed dimension. The zero value is ready to use.
 type DistRecorder struct {
@@ -324,16 +301,4 @@ func NewDistRecorder() *DistRecorder { return &DistRecorder{} }
 func (r *DistRecorder) RecordRequest(latency int64, hops int) {
 	r.Latency.Record(latency)
 	r.Hops.Record(int64(hops))
-}
-
-// NewShard implements ShardableRecorder.
-func (r *DistRecorder) NewShard() Recorder { return &DistRecorder{} }
-
-// Absorb implements ShardableRecorder: Histogram.Merge is exact, so the
-// partition of observations across shards is unobservable in the merged
-// snapshot.
-func (r *DistRecorder) Absorb(shard Recorder) {
-	o := shard.(*DistRecorder)
-	r.Latency.Merge(&o.Latency)
-	r.Hops.Merge(&o.Hops)
 }

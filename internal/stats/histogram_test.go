@@ -161,8 +161,7 @@ func TestHistogramQuantileRankBound(t *testing.T) {
 // Property: merging histograms is exactly equivalent to recording every
 // observation into one histogram — identical buckets (hence quantiles),
 // min/max, count, AND moments. Mean/Std are bit-identical because the
-// moment accumulators are exact integers; the parallel drain's sharded
-// recorders depend on this strict form.
+// moment accumulators are exact integers.
 func TestHistogramMergeEqualsCombined(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -229,8 +228,7 @@ func TestHistogramMomentsMatchExact(t *testing.T) {
 }
 
 // Property: any partition of a stream across shards, absorbed in any
-// order, reproduces the serial histogram bit for bit — the invariant
-// the parallel drain's per-worker recorder shards rely on.
+// order, reproduces the serial histogram bit for bit.
 func TestHistogramShardPartitionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -252,31 +250,6 @@ func TestHistogramShardPartitionExact(t *testing.T) {
 			t.Fatalf("trial %d (w=%d, order %v): sharded snapshot %+v != serial %+v",
 				trial, w, order, merged.Snapshot(), serial.Snapshot())
 		}
-	}
-}
-
-// DistRecorder implements ShardableRecorder with exact absorption.
-func TestDistRecorderShards(t *testing.T) {
-	var _ ShardableRecorder = (*DistRecorder)(nil)
-	parent := NewDistRecorder()
-	serial := NewDistRecorder()
-	s1 := parent.NewShard()
-	s2 := parent.NewShard()
-	obs := [][2]int64{{10, 3}, {20, 0}, {7, 9}, {1 << 40, 2}, {13, 5}}
-	for i, o := range obs {
-		serial.RecordRequest(o[0], int(o[1]))
-		if i%2 == 0 {
-			s1.RecordRequest(o[0], int(o[1]))
-		} else {
-			s2.RecordRequest(o[0], int(o[1]))
-		}
-	}
-	parent.Absorb(s2)
-	parent.Absorb(s1)
-	if parent.Latency.Snapshot() != serial.Latency.Snapshot() ||
-		parent.Hops.Snapshot() != serial.Hops.Snapshot() {
-		t.Fatalf("absorbed shards differ from serial recording:\n%+v\n%+v",
-			parent.Latency.Snapshot(), serial.Latency.Snapshot())
 	}
 }
 

@@ -139,10 +139,8 @@ func Hotspot(n, count int, hotFrac float64, horizon sim.Time, seed int64) queuin
 // Sampling is counter-based rather than stream-based: Draw hashes a
 // (node, request-index) pair through the simulator's splitmix mixer and
 // inverts the CDF on the resulting uniform variate. No shared RNG stream
-// is consumed, so concurrent drivers — in particular the multi-object
-// shard driver under the lookahead-windowed parallel drain — draw object IDs
-// that are bit-identical regardless of event interleaving or worker
-// count.
+// is consumed, so a node's object IDs do not depend on how its requests
+// interleave with every other node's.
 type Zipf struct {
 	k int
 	// cum is the unnormalized CDF: cum[o] = Σ_{j<=o} (j+1)^-skew.

@@ -20,10 +20,8 @@ import (
 // of one closed-loop run over n nodes, divided by the node count.
 // TotalAlloc is the honest metric: transient garbage counts, so a
 // per-request allocation would scale the number with PerNode·n instead
-// of n and blow the gate — and under the parallel drain, a window that
-// failed to recycle its op buffers, sub-queue heaps or staging slices
-// would scale it with the window count. run builds the topology too, so
-// its allocations are counted.
+// of n and blow the gate. run builds the topology too, so its
+// allocations are counted.
 func allocPerNode(t *testing.T, n int, spec loop.Spec, run func(loop.Spec) (*loop.Result, error)) float64 {
 	t.Helper()
 	var ms gort.MemStats
@@ -114,39 +112,5 @@ func TestCentralServeQueueStaysOutOfHeap(t *testing.T) {
 	}
 	if st.Refills == 0 || st.Cascaded < far {
 		t.Errorf("refills = %d, cascaded = %d: every far push must come back through a refill", st.Refills, st.Cascaded)
-	}
-}
-
-// TestScaleBytesPerNodeFlatWindowed is the same gate under the
-// lookahead-windowed parallel drain: workers=4 with SynchronousScaled(8)
-// fuses eight ticks per barrier, so ~a hundred windows run per cell,
-// each re-using the pooled op buffers, in-shard sub-queue heaps, walker
-// scratch and staging slices. A fused window under this saturated load
-// buffers the ENTIRE in-flight frontier (~n events) in four places at
-// once — the gathered batch, the per-worker op logs, the staged commit
-// slices and the ladder re-push — plus the redundant walkers' sub-queue
-// heaps, so its footprint is a small constant multiple of the serial
-// run's ~110 B/node (measured: 750), independent of n. The flatness gate is the real
-// regression catch (a per-window allocation would scale with the window
-// count and blow it); the absolute budget pins the constant at twice
-// the measured value, which a leaked or un-pooled frontier-sized
-// structure (one extra copy ≈ +700 B/node with append's growth ramp)
-// would break.
-func TestScaleBytesPerNodeFlatWindowed(t *testing.T) {
-	const perNode = 4
-	spec := loop.Spec{PerNode: perNode, Workers: 4, Latency: sim.SynchronousScaled(8), DrainStats: &sim.DrainStats{}}
-	small := arrowAllocPerNode(t, 10_001, spec)
-	big := arrowAllocPerNode(t, 100_001, spec)
-	if ds := spec.DrainStats; ds.WindowWidth != 8 || ds.Windows < 1 {
-		t.Fatalf("windowed run did not engage the parallel drain (stats %+v)", *ds)
-	}
-	t.Logf("bytes/node (windowed, %d windows at 100k): n=10001 %.1f, n=100001 %.1f",
-		spec.DrainStats.Windows, small, big)
-	if big > small*1.5 {
-		t.Errorf("bytes/node grew from %.1f (10k) to %.1f (100k): not flat", small, big)
-	}
-	const budget = 1500
-	if big > budget {
-		t.Errorf("bytes/node at 100k = %.1f exceeds the %d-byte budget", big, budget)
 	}
 }
