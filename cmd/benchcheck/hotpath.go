@@ -16,14 +16,16 @@ import (
 // BenchmarkSchedulerPushPop, whose delay=200000 and delay=1<<28 cells
 // are what runs the scheduler's far push, cascade and heap pour in
 // isolation (BenchmarkClosedLoopScale100k/centralized runs them under a
-// protocol), and internal/shard's BenchmarkShardHandle, the driver's
-// message handler at the headline cell's size. The -hotpath check fails when an annotated
+// protocol), and BenchmarkLinkClock, the only one that sends with both
+// link clocks live and through both of their representations, and
+// internal/shard's BenchmarkShardHandle, the driver's message handler at
+// the headline cell's size. The -hotpath check fails when an annotated
 // package is missing from this manifest (a hot path nobody measures),
 // when a manifest entry no longer has annotations (a stale claim), or
 // when a mapped benchmark is absent from the bench output (the
 // measurement silently dropped out of CI).
 var hotpathBenchmarks = map[string][]string{
-	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkSchedulerPushPop", "BenchmarkClosedLoopScale100k"},
+	"repro/internal/sim":         {"BenchmarkSimSendDispatch", "BenchmarkSchedulerPushPop", "BenchmarkLinkClock", "BenchmarkClosedLoopScale100k"},
 	"repro/internal/centralized": {"BenchmarkBaselinesClosedLoop"},
 	"repro/internal/shard":       {"BenchmarkClosedLoopObserved", "BenchmarkBaselinesClosedLoop", "BenchmarkShardClosedLoop", "BenchmarkShardHandle"},
 }

@@ -84,6 +84,7 @@ func TestCheckHotpathCoverageClean(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkLinkClock/complete-1024/table-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
@@ -100,6 +101,7 @@ func TestCheckHotpathCoverageMissingBenchmark(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkLinkClock/complete-1024/table-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
 		"BenchmarkShardClosedLoop/k=16-8 100 10 ns/op",
@@ -125,6 +127,7 @@ func TestCheckHotpathCoverageUnmappedPackage(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkLinkClock/complete-1024/table-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",
@@ -147,6 +150,7 @@ func TestCheckHotpathCoverageStaleManifestEntry(t *testing.T) {
 	bench := writeBenchFile(t,
 		"BenchmarkSimSendDispatch/star-8 100 10 ns/op",
 		"BenchmarkSchedulerPushPop/ladder/pending=1024/delay=200000-8 100 10 ns/op",
+		"BenchmarkLinkClock/complete-1024/table-8 100 10 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkClosedLoopScale100k/centralized-8 100 10 ns/op",
 		"BenchmarkClosedLoopObserved/none-8 100 10 ns/op",
 		"BenchmarkBaselinesClosedLoop/arrow-8 100 10 ns/op",

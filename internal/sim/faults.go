@@ -167,6 +167,9 @@ func (p *FaultPlan) Healing() bool {
 	return down == 0
 }
 
+// linkKey names an undirected link by its endpoints, smaller first.
+type linkKey struct{ u, v graph.NodeID }
+
 func canonicalLink(u, v graph.NodeID) linkKey {
 	if u > v {
 		u, v = v, u
@@ -215,9 +218,8 @@ type faultState struct {
 	// permanent failure). Transition times are >= 0 and Ups strictly
 	// follow Downs, so 0 is never a legal recovery time.
 	nodeUpAt []Time
-	// linkUpAt mirrors nodeUpAt per directed link slot (LinkIndexer
-	// topologies); downLinks is the map fallback.
-	linkUpAt  []Time
+	// downLinks holds the recovery time of every link currently down: it
+	// is sized by the outages in progress, not by the links that exist.
 	downLinks map[linkKey]Time
 	// active counts entities currently down.
 	active int
@@ -230,7 +232,7 @@ type faultState struct {
 
 // compileFaults validates and compiles a plan for one simulator. It never
 // mutates the plan, so a plan can back many concurrent simulators.
-func compileFaults(p *FaultPlan, topo Topology, li LinkIndexer) *faultState {
+func compileFaults(p *FaultPlan, topo Topology) *faultState {
 	if p == nil || len(p.Events) == 0 {
 		return nil
 	}
@@ -239,14 +241,10 @@ func compileFaults(p *FaultPlan, topo Topology, li LinkIndexer) *faultState {
 	}
 	order := sortedEventIndex(p.Events)
 	f := &faultState{
-		policy:   p.Policy,
-		events:   make([]compiledFault, 0, len(order)),
-		nodeUpAt: make([]Time, topo.NumNodes()),
-	}
-	if li != nil {
-		f.linkUpAt = make([]Time, li.NumLinks())
-	} else {
-		f.downLinks = make(map[linkKey]Time)
+		policy:    p.Policy,
+		events:    make([]compiledFault, 0, len(order)),
+		nodeUpAt:  make([]Time, topo.NumNodes()),
+		downLinks: make(map[linkKey]Time),
 	}
 	// Match each Down with its Up to precompute recovery times.
 	for pos, i := range order {
@@ -291,10 +289,10 @@ func (s *Simulator) applyFault(ctx *Context, cf *compiledFault) {
 	ev := cf.ev
 	switch ev.Kind {
 	case LinkDown:
-		f.setLink(s, ev.U, ev.V, cf.upAt)
+		f.downLinks[canonicalLink(ev.U, ev.V)] = cf.upAt
 		f.active++
 	case LinkUp:
-		f.setLink(s, ev.U, ev.V, 0)
+		delete(f.downLinks, canonicalLink(ev.U, ev.V))
 		f.active--
 	case NodeDown:
 		f.nodeUpAt[ev.U] = cf.upAt
@@ -308,35 +306,18 @@ func (s *Simulator) applyFault(ctx *Context, cf *compiledFault) {
 	}
 }
 
-func (f *faultState) setLink(s *Simulator, u, v graph.NodeID, upAt Time) {
-	if f.linkUpAt != nil {
-		f.linkUpAt[s.linkIdx.LinkIndex(u, v)] = upAt
-		f.linkUpAt[s.linkIdx.LinkIndex(v, u)] = upAt
-		return
-	}
-	key := canonicalLink(u, v)
-	if upAt == 0 {
-		delete(f.downLinks, key)
-	} else {
-		f.downLinks[key] = upAt
-	}
-}
-
 // blockedUntil returns the recovery time of whatever blocks a u -> v
-// message, or 0 if nothing does; link is the dense slot send resolved
-// for the pair (unused on the map fallback). With several blockers it
-// returns the latest recovery.
-func (f *faultState) blockedUntil(link int, u, v graph.NodeID) Time {
+// message, or 0 if nothing does. With several blockers it returns the
+// latest recovery.
+func (f *faultState) blockedUntil(u, v graph.NodeID) Time {
 	up := f.nodeUpAt[u]
 	if t := f.nodeUpAt[v]; t > up {
 		up = t
 	}
-	if f.linkUpAt != nil {
-		if t := f.linkUpAt[link]; t > up {
+	if len(f.downLinks) != 0 {
+		if t := f.downLinks[canonicalLink(u, v)]; t > up {
 			up = t
 		}
-	} else if t := f.downLinks[canonicalLink(u, v)]; t > up {
-		up = t
 	}
 	return up
 }

@@ -91,8 +91,8 @@ type Topology interface {
 
 // LinkIndexer is an optional Topology extension: a topology that can
 // enumerate its directed links as a dense index range lets the simulator
-// keep per-link FIFO state in a flat slice instead of a map — the hot
-// path of every send.
+// keep per-link state in a flat slice — when that range is linear in the
+// node count or small (see linkClock) — on the hot path of every send.
 type LinkIndexer interface {
 	// NumLinks returns the number of directed-link slots; LinkIndex
 	// results are in [0, NumLinks).
@@ -191,20 +191,20 @@ type Simulator struct {
 	heap    eventHeap
 	lq      ladderQueue
 
-	// Per-directed-link timestamp state, in tiers (see linkClock). fifo
-	// holds each link's last arrival for the FIFO no-overtake clamp; it
-	// is nil when fifoFree proves the clamp can never bind (synchronous
-	// latency, no faults — per-link arrivals are then monotone by
-	// construction). busy holds each link's earliest next departure under
-	// the LinkTxTime capacity model; nil when capacity is infinite.
+	// Per-directed-link timestamp state (see linkClock). fifo holds each
+	// link's last arrival for the FIFO no-overtake clamp; it is nil when
+	// fifoFree proves the clamp can never bind (synchronous latency, no
+	// faults — per-link arrivals are then monotone by construction). busy
+	// holds each link's earliest next departure under the LinkTxTime
+	// capacity model; nil when capacity is infinite.
 	//
-	// send resolves a message's link slot once and hands it to every
-	// per-link consumer (both clocks, the fault table). On a TreeTopology
-	// the slot, the weight and the legality check all come from the flat
+	// send resolves a message's link once. On a TreeTopology the slot, the
+	// weight and the legality check all come from the flat
 	// treeParent/treeWeight arrays resolved at New (treeWeight nil = unit
 	// weights) — two array reads instead of five interface calls per
-	// message; other topologies answer through Latency/Hops/LinkIndex,
-	// the last only when perLink says some per-link state exists.
+	// message; other topologies answer through Latency/Hops, and through
+	// LinkIndex only when perLink says a dense clock wants the slot (the
+	// table representation and the fault state key by the endpoints).
 	linkIdx    LinkIndexer
 	perLink    bool
 	treeParent []graph.NodeID
@@ -274,82 +274,117 @@ func (s *Simulator) DrainStats() DrainStats {
 // (see SchedStats); all zero under SchedHeap.
 func (s *Simulator) SchedStats() SchedStats { return s.lq.stats }
 
-type linkKey struct{ u, v graph.NodeID }
+// linkEntry is one directed link's clock in the table representation:
+// the endpoints packed as u<<32|v, and the time.
+type linkEntry struct {
+	key uint64
+	val Time
+}
 
 const (
-	// fifoDenseMax caps the flat per-link FIFO slice: a LinkIndexer
-	// reporting more slots (the implicit complete metric's n² explodes
-	// past this around 2k nodes) switches to lazily allocated pages.
-	fifoDenseMax = 1 << 22
-	// fifoPageBits sizes one FIFO page (2^12 slots = 32 KB); pages are
-	// keyed by linkIndex >> fifoPageBits and materialize on first touch.
-	fifoPageBits = 12
-	fifoPageMask = 1<<fifoPageBits - 1
+	// linkLine is the number of 16-byte entries in a 64-byte cache line.
+	// A key's probe window is its home line plus that line's buddy (the
+	// other half of the 128-byte-aligned pair) and never extends further.
+	linkLine = 4
+	// linkTableBits sizes the initial table: 2^4 lines, 1 KB.
+	linkTableBits = 4
 )
 
-// linkClock keeps one monotone Time per directed link, in storage tiers
-// matched to the topology: a flat slice when a LinkIndexer reports a
-// modest link count, lazily allocated pages when the index space is huge
-// (the implicit complete metric at 10⁶ nodes indexes 10¹² links — only
-// touched pages materialize), and a map keyed by endpoint pair otherwise.
-// The simulator instantiates it twice: once for the FIFO no-overtake
-// clamp (last arrival per link) and once for the LinkTxTime capacity
-// model (earliest next departure per link). Zero slots mean "never
-// touched"; both uses only ever store values >= 1.
+// linkClock keeps one monotone Time per directed link. The simulator
+// instantiates it twice: once for the FIFO no-overtake clamp (last
+// arrival per link) and once for the LinkTxTime capacity model (earliest
+// next departure per link). It has two representations, chosen once in
+// newLinkClock from the shape of the topology:
+//
+//   - dense, a flat slice indexed by the slot send resolved, when the
+//     link space is linear in the node count or small — every
+//     TreeTopology (2n slots) and the paper-scale metrics (n <= 181);
+//   - tab, an open-addressed table keyed by the endpoints, for an n² link
+//     space or a topology that is no LinkIndexer. It is sized by the
+//     messages in flight, not by the links that exist, because an entry
+//     expires: a value <= now is indistinguishable from an absent one.
+//     clamp is only ever asked with t = depart + delay >= now + 1 > val
+//     and reserve with t = depart >= now >= val (depart is now, or a
+//     later healAt under FaultQueue), so max(t, val) = t either way. A
+//     lookup that misses therefore claims any expired entry of its
+//     window; a window of live entries doubles the table, which
+//     re-inserts the live entries only. Nothing is deleted or shrunk.
+//
+// Both uses store values >= 1 and the clock starts at 0, so a zeroed
+// entry is free (and a zero dense slot means "never touched").
 type linkClock struct {
 	dense []Time
-	pages map[int64][]Time
-	m     map[linkKey]Time
+	tab   []linkEntry // power-of-two length
+	shift uint        // 64 - log2(lines in tab)
 }
 
-// newLinkClock picks the storage tier for the given indexer (nil selects
-// the map tier).
-func newLinkClock(li LinkIndexer) *linkClock {
-	c := &linkClock{}
-	if li == nil {
-		c.m = make(map[linkKey]Time)
-	} else if nl := li.NumLinks(); nl <= fifoDenseMax {
-		c.dense = make([]Time, nl)
-	} else {
-		c.pages = make(map[int64][]Time)
+// newLinkClock picks the representation for the given topology.
+func newLinkClock(topo Topology) *linkClock {
+	if li, ok := topo.(LinkIndexer); ok {
+		if nl := li.NumLinks(); nl <= max(1<<15, 4*topo.NumNodes()) {
+			return &linkClock{dense: make([]Time, nl)}
+		}
 	}
-	return c
+	return &linkClock{tab: make([]linkEntry, linkLine<<linkTableBits), shift: 64 - linkTableBits}
 }
 
-// slot returns the storage cell of the link with dense index link (the
-// slot send resolved: from the tree link table, or the topology's
-// LinkIndex), materializing its page on the paged tier. The map tier is
-// handled by the callers (a pointer into a Go map is illegal).
+// slot returns the storage cell of the link u -> v: dense[link] (the slot
+// send resolved: from the tree link table, or the topology's LinkIndex),
+// or the table entry holding the pair, claimed from an expired one — and
+// the table grown when the whole window is live — if it holds none.
 //
 //arrow:hotpath both the FIFO clamp and the capacity reservation resolve their cell here
-func (c *linkClock) slot(link int) *Time {
+func (c *linkClock) slot(link int, u, v graph.NodeID, now Time) *Time {
 	if c.dense != nil {
 		return &c.dense[link]
 	}
-	idx := int64(link)
-	page := c.pages[idx>>fifoPageBits]
-	if page == nil {
-		page = make([]Time, 1<<fifoPageBits)
-		c.pages[idx>>fifoPageBits] = page
+	key := uint64(uint32(u))<<32 | uint64(uint32(v))
+	for {
+		line := c.home(key) // line^1 is its buddy
+		w := (*[2 * linkLine]linkEntry)(c.tab[line&^1*linkLine:])
+		var free *linkEntry
+		for i := range w {
+			e := &w[line&1*linkLine^i]
+			if e.key == key {
+				return &e.val
+			}
+			if free == nil && e.val <= now {
+				free = e
+			}
+		}
+		if free != nil {
+			free.key = key
+			return &free.val
+		}
+		c.grow(now)
 	}
-	return &page[idx&fifoPageMask]
+}
+
+// home is key's home line in the table: a Fibonacci hash of the endpoints
+// folded together.
+func (c *linkClock) home(key uint64) int {
+	return int((key ^ key>>32) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// grow doubles the table and re-inserts the live entries. An insertion
+// that finds its new window full grows again, carrying the entries moved
+// so far with it.
+func (c *linkClock) grow(now Time) {
+	old := c.tab
+	c.tab, c.shift = make([]linkEntry, 2*len(old)), c.shift-1
+	for _, e := range old {
+		if e.val > now {
+			*c.slot(-1, graph.NodeID(e.key>>32), graph.NodeID(e.key), now) = e.val
+		}
+	}
 }
 
 // clamp enforces per-link FIFO order: it returns t raised to the link's
 // last recorded arrival and records the result as the new last arrival.
-// link is u -> v's dense slot; the map tier keys by the endpoints.
 //
 //arrow:hotpath one call per send on runs where the FIFO clamp can bind
-func (c *linkClock) clamp(link int, u, v graph.NodeID, t Time) Time {
-	if c.m != nil {
-		key := linkKey{u, v}
-		if last, ok := c.m[key]; ok && t < last {
-			t = last
-		}
-		c.m[key] = t
-		return t
-	}
-	s := c.slot(link)
+func (c *linkClock) clamp(link int, u, v graph.NodeID, now, t Time) Time {
+	s := c.slot(link, u, v, now)
 	if t < *s {
 		t = *s
 	}
@@ -363,16 +398,8 @@ func (c *linkClock) clamp(link int, u, v graph.NodeID, t Time) Time {
 // departure+tx.
 //
 //arrow:hotpath one call per send on runs with finite link capacity
-func (c *linkClock) reserve(link int, u, v graph.NodeID, t, tx Time) Time {
-	if c.m != nil {
-		key := linkKey{u, v}
-		if busy, ok := c.m[key]; ok && t < busy {
-			t = busy
-		}
-		c.m[key] = t + tx
-		return t
-	}
-	s := c.slot(link)
+func (c *linkClock) reserve(link int, u, v graph.NodeID, now, t, tx Time) Time {
+	s := c.slot(link, u, v, now)
 	if t < *s {
 		t = *s
 	}
@@ -432,14 +459,14 @@ func New(cfg Config) *Simulator {
 	// kept at all.
 	s.fifoFree = s.syncScale != 0 && cfg.Faults == nil
 	if !s.fifoFree {
-		s.fifo = newLinkClock(s.linkIdx)
+		s.fifo = newLinkClock(cfg.Topology)
 	}
 	if s.txTime > 0 {
-		s.busy = newLinkClock(s.linkIdx)
+		s.busy = newLinkClock(cfg.Topology)
 	}
 	s.ctx = &Context{s: s}
-	s.f = compileFaults(cfg.Faults, cfg.Topology, s.linkIdx)
-	s.perLink = s.linkIdx != nil && (s.fifo != nil || s.busy != nil || s.f != nil)
+	s.f = compileFaults(cfg.Faults, cfg.Topology)
+	s.perLink = s.fifo != nil && s.fifo.dense != nil || s.busy != nil && s.busy.dense != nil
 	s.scheduleFaults()
 	return s
 }
@@ -556,7 +583,7 @@ func (c *Context) Rand() *rand.Rand {
 //arrow:hotpath one call per message
 func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// Resolve the link once: legality, nominal weight, hop count and the
-	// dense slot every per-link table below is indexed by (-1: unused).
+	// slot a dense link clock below is indexed by (-1: unused).
 	var (
 		w    graph.Weight
 		hops = 1
@@ -597,7 +624,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// fault-free fast path (and whenever nothing blocks the send).
 	var healAt Time
 	if s.f != nil {
-		if healAt = s.f.blockedUntil(link, u, v); healAt != 0 {
+		if healAt = s.f.blockedUntil(u, v); healAt != 0 {
 			if s.f.policy == FaultDrop || healAt == FaultNever {
 				s.f.dropped++
 				if s.blockedH != nil {
@@ -638,7 +665,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// transmissions and reserves LinkTxTime of the link for itself, so
 	// same-instant senders into one link serialize.
 	if s.busy != nil {
-		depart = s.busy.reserve(link, u, v, depart, s.txTime)
+		depart = s.busy.reserve(link, u, v, s.now, depart, s.txTime)
 	}
 	arrive := depart + delay
 	// FIFO: never overtake an earlier message on this link. Arrivals are
@@ -647,7 +674,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// arrivals are monotone per link by construction, so the clamp is
 	// provably a no-op there.
 	if !s.fifoFree {
-		arrive = s.fifo.clamp(link, u, v, arrive)
+		arrive = s.fifo.clamp(link, u, v, s.now, arrive)
 	}
 	s.messages++
 	s.hops += int64(hops)

@@ -45,7 +45,7 @@ type simResult struct {
 //	0  topology: low nibble n = 2 + x%15 nodes; high nibble picks a
 //	   binary tree (the flat link table, dense link clocks), the implicit
 //	   complete metric (Latency/Hops/LinkIndex interface path) or the
-//	   same with its LinkIndexer hidden (map link clocks)
+//	   same with its LinkIndexer hidden (link clocks in the table)
 //	1  latency model: synchronous, scaled synchronous, AsyncUniform or
 //	   AsyncCounter, the scale 1 + (x>>2)%8
 //	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4
@@ -175,7 +175,7 @@ func simScriptsAgree(t *testing.T, script []byte) simResult {
 }
 
 // FuzzSimLadderMatchesHeap is the simulator-level differential: a whole
-// run — topology and link-clock tier, latency model, arbitration, link
+// run — topology and link-clock representation, latency model, arbitration, link
 // capacity, and a stream of sends, closure timers and node timers with
 // delays from the same tick to 300 000 ticks out — delivers the same
 // events in the same order with the same counters under the ladder queue

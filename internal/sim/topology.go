@@ -156,8 +156,8 @@ func (m *MetricTopology) Hops(u, v graph.NodeID) int { return int(m.hops[u][v]) 
 func (m *MetricTopology) NumNodes() int { return len(m.dist) }
 
 // NumLinks implements LinkIndexer: the metric allows any ordered pair, so
-// links are indexed u*n + v. The O(n²) slot array matches the topology's
-// own O(n²) distance matrix.
+// links are indexed u*n + v (the simulator allocates a slot per index
+// only at paper scale; see linkClock).
 func (m *MetricTopology) NumLinks() int { return len(m.dist) * len(m.dist) }
 
 // LinkIndex implements LinkIndexer.
@@ -175,8 +175,9 @@ func (m *MetricTopology) Dist(u, v graph.NodeID) graph.Weight { return m.dist[u]
 // distance matrix behind it. It is what lets the complete-graph
 // protocols (centralized, NTA, Ivy) run at a million nodes — the dense
 // metric tables alone would be terabytes. NumLinks is still nominally
-// n², so the simulator stores the per-link FIFO state in lazily
-// allocated pages rather than a flat slice at that scale.
+// n², so past paper scale (n > 181) the simulator keeps the per-link
+// clocks in a table of the links with messages in flight rather than a
+// flat slice.
 type CompleteTopology struct {
 	N int
 	W graph.Weight

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/queuing"
@@ -148,13 +147,22 @@ type Zipf struct {
 	// instead of normalizing each weight) saves k divisions and keeps
 	// the table exactly reproducible.
 	cum []float64
+	// guide[j] is the first object whose cumulative weight reaches j/G of
+	// the total, G = len(guide)-1 the power of two in [8k, 16k): Sample
+	// starts its scan there instead of bisecting cum.
+	guide []int32
 }
 
-// NewZipf builds the sampler's cumulative popularity table; O(k) space.
+// NewZipf builds the sampler's cumulative popularity table and the guide
+// table over it; O(k) space.
 func NewZipf(k int, skew float64) *Zipf {
 	require(k >= 1, "NewZipf needs k >= 1")
 	require(skew >= 0, "NewZipf needs skew >= 0")
-	z := &Zipf{k: k, cum: make([]float64, k)}
+	g := 8
+	for g < 8*k {
+		g *= 2
+	}
+	z := &Zipf{k: k, cum: make([]float64, k), guide: make([]int32, g+1)}
 	total := 0.0
 	for o := 0; o < k; o++ {
 		w := 1.0
@@ -164,22 +172,35 @@ func NewZipf(k int, skew float64) *Zipf {
 		total += w
 		z.cum[o] = total
 	}
+	o := 0
+	for j := range z.guide {
+		z.guide[j] = z.scan(o, float64(j)/float64(g)*total)
+		o = int(z.guide[j])
+	}
 	return z
+}
+
+// scan returns the first object at or after o whose cumulative weight
+// reaches x, or the last object if none does.
+func (z *Zipf) scan(o int, x float64) int32 {
+	for o < z.k-1 && z.cum[o] < x {
+		o++
+	}
+	return int32(o)
 }
 
 // K returns the object count.
 func (z *Zipf) K() int { return z.k }
 
-// Sample maps a uniform variate u in [0,1) to an object by inverting the
-// cumulative popularity table (binary search, O(log k)).
+// Sample maps a uniform variate u in [0,1] to an object by inverting the
+// cumulative popularity table: the result is
+// sort.SearchFloat64s(cum, u*total), with the last object owning the
+// boundary u*total can round up to. j = floor(u·G) is exact (G is a power
+// of two), so j/G <= u and, rounding being monotone, j/G*total <=
+// u*total: the answer is never before guide[j], and a cell of the guide
+// spans k/G <= 1/8 objects on average, so the scan is O(1) expected.
 func (z *Zipf) Sample(u float64) int32 {
-	i := sort.SearchFloat64s(z.cum, u*z.cum[z.k-1])
-	if i >= z.k {
-		// u*total can round up to exactly total; the last object owns
-		// that boundary.
-		i = z.k - 1
-	}
-	return int32(i)
+	return z.scan(int(z.guide[int(u*float64(len(z.guide)-1))]), u*z.cum[z.k-1])
 }
 
 // Draw returns the object of node's req-th request (req counts from 0).

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -118,5 +120,42 @@ func TestZipfRejectsBadParameters(t *testing.T) {
 			}()
 			NewZipf(tc.k, tc.skew)
 		}()
+	}
+}
+
+// TestZipfGuideMatchesSearch pins Sample's guide-table inversion to the
+// definition it replaced — the bisection sort.SearchFloat64s(cum,
+// u*total), clamped to the last object — for every kind of variate that
+// could tell them apart: random ones, a power-of-two grid that lands on
+// guide-cell edges (u = 1 included), every object boundary cum[o]/total
+// with its two float neighbours, and the largest float64 below 1.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7, 64, 1000, 1024, 5000} {
+		for _, skew := range []float64{0, 0.5, 1.1, 2.5} {
+			z := NewZipf(k, skew)
+			total := z.cum[k-1]
+			check := func(u float64) {
+				want := min(sort.SearchFloat64s(z.cum, u*total), k-1)
+				if got := z.Sample(u); int(got) != want {
+					t.Fatalf("k=%d skew=%g: Sample(%v) = %d, the bisection says %d", k, skew, u, got, want)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			for i := 0; i < 200_000; i++ {
+				check(rng.Float64())
+			}
+			for j := 0; j <= 4096; j++ {
+				check(float64(j) / 4096)
+			}
+			for _, c := range z.cum {
+				u := c / total
+				check(u)
+				check(math.Nextafter(u, 0))
+				if u < 1 {
+					check(math.Nextafter(u, 1))
+				}
+			}
+			check(math.Nextafter(1, 0))
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/arrow"
 	"repro/internal/centralized"
 	"repro/internal/loop"
+	"repro/internal/nta"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -83,6 +84,45 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 		small, big := r.run(10_000), r.run(100_000)
 		t.Logf("%s bytes/node: n=10k %.1f, n=100k %.1f", r.name, small, big)
 		if big > small*1.5 {
+			t.Errorf("%s: bytes/node grew from %.1f (10k) to %.1f (100k): not flat", r.name, small, big)
+		}
+		if big > r.budget {
+			t.Errorf("%s: bytes/node at 100k = %.1f exceeds the %.0f-byte budget", r.name, big, r.budget)
+		}
+	}
+}
+
+// TestCapacityBytesPerNodeFlat pins the link clocks to the messages in
+// flight: an NTA closed loop (one object, so every find chases one tail)
+// on the implicit complete metric with LinkTxTime 1 keeps a capacity
+// clock, and under AsyncUniform(4) a FIFO clamp clock beside it. Either
+// is an expiring table holding the links with a reservation or arrival
+// still ahead of the simulated clock — about n of the n² link ids — so
+// bytes/node stays flat from 10⁴ to 10⁵ nodes. It may double across the
+// decade, since the table grows by doubling and its rounding shows, and
+// stays under budgets well above what the rows measure (208 and 268
+// B/node synchronous, 366 and 604 asynchronous). One slot per link id
+// allocated 64 500 B/node at 10⁵ synchronous and twice that
+// asynchronous.
+func TestCapacityBytesPerNodeFlat(t *testing.T) {
+	rows := []struct {
+		name   string
+		lat    sim.LatencyModel
+		budget float64
+	}{
+		{"sync", nil, 600},
+		{"async-uniform-4", sim.AsyncUniform(4), 900},
+	}
+	for _, r := range rows {
+		run := func(n int) float64 {
+			spec := loop.Spec{PerNode: 5, LinkTxTime: 1, Latency: r.lat, Seed: 1}
+			return allocPerNode(t, n, spec, func(spec loop.Spec) (*loop.Result, error) {
+				return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
+			})
+		}
+		small, big := run(10_000), run(100_000)
+		t.Logf("nta capacity %s bytes/node: n=10k %.1f, n=100k %.1f", r.name, small, big)
+		if big > 2*small {
 			t.Errorf("%s: bytes/node grew from %.1f (10k) to %.1f (100k): not flat", r.name, small, big)
 		}
 		if big > r.budget {
