@@ -45,29 +45,15 @@ type LoopConfig struct {
 // counter shape (see loop.Result).
 type LoopResult = loop.Result
 
-// treeStepper is arrow on one spanning tree as the closed-loop driver's
-// pointer discipline: a one-object ShardForest whose arrows start out
-// along t toward the root, plus the tree route completion notifications
-// take back to the requester (a tree has no direct sink→requester link).
-type treeStepper struct {
-	ShardForest
-	t tree.Nav
-}
-
-// ReplyHop implements shard.ReplyRouter.
-func (s *treeStepper) ReplyHop(at, origin graph.NodeID) graph.NodeID {
-	return s.t.NextHop(at, origin)
-}
-
 // RunClosedLoop executes the closed-loop experiment on tree t — any
 // tree.Nav: the explicit lifted *tree.Tree, or an implicit navigator
 // (tree.Walker, tree.GridNav) for million-node runs. Fault plans
 // require the explicit tree (the stabilize repair engine traverses
 // adjacency the implicit navigators do not materialize).
 func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
-	n := t.NumNodes()
-	if int(cfg.Root) < 0 || int(cfg.Root) >= n {
-		return nil, fmt.Errorf("arrow: root %d out of range", cfg.Root)
+	step, err := NewTreeStepper(t, cfg.Root)
+	if err != nil {
+		return nil, err
 	}
 	var lifted *tree.Tree
 	if cfg.Faults != nil {
@@ -76,7 +62,6 @@ func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
 			return nil, fmt.Errorf("arrow: fault plans require an explicit *tree.Tree (got %T)", t)
 		}
 	}
-	step := &treeStepper{ShardForest{n: n, link: initialLinks(t, cfg.Root)}, t}
 	d, err := shard.New(sim.TreeTopology{T: t}, step, "arrow", shard.Spec{Spec: cfg.Spec, Objects: 1})
 	if err != nil {
 		return nil, err

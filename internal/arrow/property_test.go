@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/loop"
 	"repro/internal/queuing"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/tree"
 	"repro/internal/workload"
@@ -27,20 +28,50 @@ func randomInstance(seed int64) (*tree.Tree, queuing.Set) {
 	return t, set
 }
 
-// Property: the queuing order is always a permutation, for any instance
-// and any delay model.
+// wellQueued checks what every pointer discipline owes a static run on n
+// nodes: the order is a permutation, no two requests share a
+// predecessor, no find takes more than n hops, and at quiescence exactly
+// one node points at itself.
+func wellQueued(res *shard.StaticResult, ptrs []graph.NodeID) bool {
+	if !queuing.ValidOrder(res.Order, len(res.Set)) {
+		return false
+	}
+	preds := map[int]bool{}
+	for _, c := range res.Completions {
+		if preds[c.PredID] || c.Hops > len(ptrs) {
+			return false
+		}
+		preds[c.PredID] = true
+	}
+	self := 0
+	for v, p := range ptrs {
+		if p == graph.NodeID(v) {
+			self++
+		}
+	}
+	return self == 1
+}
+
+// Property: the queuing order is always a permutation (and the run
+// wellQueued), for any instance, any delay model and both pointer
+// disciplines — arrow on the spanning tree, shard.Reversal (NTA, Ivy) on
+// the graph's metric.
 func TestPropertyOrderIsPermutation(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, set := randomInstance(seed)
 		if len(set) == 0 {
 			return true
 		}
+		n := tr.NumNodes()
+		metric := sim.NewMetricTopology(graph.GNP(n, 0.25, seed))
 		for _, lat := range []sim.LatencyModel{nil, sim.AsyncUniform(3)} {
 			res, err := Run(tr, set, Options{Root: tr.Root(), Latency: lat, Seed: seed})
-			if err != nil {
+			if err != nil || !wellQueued(&res.StaticResult, res.FinalLinks) {
 				return false
 			}
-			if !queuing.ValidOrder(res.Order, len(set)) {
+			rev := shard.NewReversal(n, 1, tr.Root())
+			rres, err := shard.Replay(metric, rev, "reversal", set, shard.ReplayOptions{Latency: lat, Seed: seed})
+			if err != nil || !wellQueued(rres, rev.Pointers(0)) {
 				return false
 			}
 		}
@@ -250,5 +281,37 @@ func TestPropertyClosedLoopConservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBurstMatchesClosedLoopPerNode1 holds the two executors of the one
+// protocol step against each other: every node requesting at t = 0
+// through the static replay is the closed loop at PerNode 1, so under
+// synchronous latency the two agree on queue hops, total latency and the
+// worst hop count, whichever way simultaneous events are arbitrated.
+func TestBurstMatchesClosedLoopPerNode1(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(48)
+		tr, err := tree.BFS(graph.GNP(n, 0.2, seed), graph.NodeID(rng.Intn(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := graph.NodeID(rng.Intn(n))
+		for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO} {
+			static, err := Run(tr, workload.OneShot(n, n, seed), Options{Root: root, Arbitration: arb})
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, arb, err)
+			}
+			closed, err := RunClosedLoop(tr, LoopConfig{Spec: loop.Spec{PerNode: 1, Arbitration: arb}, Root: root})
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, arb, err)
+			}
+			if static.TotalHops != closed.QueueHops || static.TotalLatency != closed.TotalLatency || static.MaxHops != closed.MaxQueueHops {
+				t.Fatalf("seed %d n=%d root=%d %v: replay (hops %d, latency %d, max %d) != closed loop (hops %d, latency %d, max %d)",
+					seed, n, root, arb, static.TotalHops, static.TotalLatency, static.MaxHops,
+					closed.QueueHops, closed.TotalLatency, closed.MaxQueueHops)
+			}
+		}
 	}
 }

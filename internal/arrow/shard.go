@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/tree"
 )
 
 // ShardForest is arrow's multi-object pointer state: k independent
@@ -86,3 +87,36 @@ func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (gra
 // entry is keyed by the node whose events touch it); kept for bench/,
 // see there.
 func (f *ShardForest) ShardSafeStepper() {}
+
+// TreeStepper is arrow on one spanning tree — the pointer discipline of
+// every single-object run, static or closed-loop: a one-object
+// ShardForest whose arrows start out along t toward the initial sink,
+// plus the tree route completion notifications take back to the
+// requester (a tree has no direct sink→requester link).
+type TreeStepper struct {
+	ShardForest
+	t tree.Nav
+}
+
+// NewTreeStepper points every node's arrow at its neighbour in t toward
+// root; root points at itself (the unique sink).
+func NewTreeStepper(t tree.Nav, root graph.NodeID) (*TreeStepper, error) {
+	n := t.NumNodes()
+	if int(root) < 0 || int(root) >= n {
+		return nil, fmt.Errorf("arrow: root %d out of range", root)
+	}
+	links := make([]graph.NodeID, n)
+	for v := range links {
+		if node := graph.NodeID(v); node == root {
+			links[v] = node
+		} else {
+			links[v] = t.NextHop(node, root)
+		}
+	}
+	return &TreeStepper{ShardForest{n: n, link: links}, t}, nil
+}
+
+// ReplyHop implements shard.ReplyRouter.
+func (s *TreeStepper) ReplyHop(at, origin graph.NodeID) graph.NodeID {
+	return s.t.NextHop(at, origin)
+}

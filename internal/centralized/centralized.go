@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/queuing"
+	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -35,30 +36,14 @@ type Options struct {
 }
 
 // Completion records the queuing of one request by the centralized
-// protocol.
-type Completion struct {
-	Req queuing.Request
-	// PredID is the predecessor request ID (-1 = the virtual root).
-	PredID int
-	// At is when the requester received the reply naming its predecessor
-	// (the experiment's completion definition in Section 5).
-	At sim.Time
-	// Hops is the physical link traversals of the request + reply pair.
-	Hops int
-}
-
-// Latency returns At − issue time.
-func (c Completion) Latency() int64 { return int64(c.At - c.Req.Time) }
+// protocol: At is when the requester received the reply naming its
+// predecessor (the experiment's completion definition in Section 5),
+// Sink the central node, and Hops = PhysHops the physical link
+// traversals of the request + reply pair.
+type Completion = shard.Completion
 
 // Result aggregates a static-set centralized run.
-type Result struct {
-	Set          queuing.Set
-	Completions  []Completion
-	Order        queuing.Order
-	TotalLatency int64
-	TotalHops    int64
-	Makespan     sim.Time
-}
+type Result = shard.StaticResult
 
 // seqMsg is the static (request-set) run's message family, distinct
 // from the closed-loop family in closedloop.go; the marker method lets
@@ -140,8 +125,7 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 		if origin := set[reqID].Node; origin != eng.center {
 			hops = topo.Hops(origin, eng.center) + topo.Hops(eng.center, origin)
 		}
-		*c = Completion{Req: set[reqID], PredID: predID, At: at, Hops: hops}
-		res.TotalHops += int64(hops)
+		*c = Completion{Req: set[reqID], PredID: predID, At: at, Sink: eng.center, Hops: hops, PhysHops: hops}
 		completed++
 	}
 	admit := func(ctx *sim.Context, reqID int, origin graph.NodeID) {
@@ -182,25 +166,17 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 	if completed != len(set) {
 		return nil, fmt.Errorf("centralized: completed %d of %d requests", completed, len(set))
 	}
-	succ := make(map[int]int, len(set))
+	preds := make([]int, len(set))
 	for i, c := range res.Completions {
-		if _, dup := succ[c.PredID]; dup {
-			return nil, fmt.Errorf("centralized: duplicate successor for request %d", c.PredID)
-		}
-		succ[c.PredID] = i
+		preds[i] = c.PredID
+		res.TotalLatency += c.Latency()
+		res.TotalHops += int64(c.Hops)
+		res.MaxHops = max(res.MaxHops, c.Hops)
 	}
-	order := make(queuing.Order, 0, len(set))
-	cur, ok := succ[-1]
-	for ok {
-		order = append(order, cur)
-		cur, ok = succ[cur]
-	}
-	if len(order) != len(set) {
-		return nil, fmt.Errorf("centralized: broken predecessor chain")
+	order, err := queuing.OrderFromPredecessors(preds)
+	if err != nil {
+		return nil, fmt.Errorf("centralized: %w", err)
 	}
 	res.Order = order
-	for _, c := range res.Completions {
-		res.TotalLatency += c.Latency()
-	}
 	return res, nil
 }

@@ -17,6 +17,7 @@ package directory
 import (
 	"fmt"
 
+	"repro/internal/arrow"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -95,7 +96,9 @@ type arrowDirState struct {
 	t   *tree.Tree
 	cfg Config
 
-	link    []graph.NodeID
+	// step is arrow's pointer state: the find phase is the protocol step
+	// every simulated arrow run executes.
+	step    *arrow.TreeStepper
 	lastReq []int
 
 	origin    []graph.NodeID
@@ -121,27 +124,22 @@ func RunArrow(t *tree.Tree, root graph.NodeID, cfg Config) (*Result, error) {
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("directory: PerNode must be >= 1")
 	}
-	if int(root) < 0 || int(root) >= n {
-		return nil, fmt.Errorf("directory: root %d out of range", root)
+	step, err := arrow.NewTreeStepper(t, root)
+	if err != nil {
+		return nil, fmt.Errorf("directory: %w", err)
 	}
 	cfg.normalize()
 	total := int64(cfg.PerNode) * int64(n)
 	st := &arrowDirState{
 		t:         t,
 		cfg:       cfg,
-		link:      make([]graph.NodeID, n),
+		step:      step,
 		lastReq:   make([]int, n),
 		succ:      make(map[int]int),
 		remaining: make([]int, n),
 		res:       &Result{N: n},
 	}
 	for v := 0; v < n; v++ {
-		node := graph.NodeID(v)
-		if node == root {
-			st.link[v] = node
-		} else {
-			st.link[v] = t.NextHop(node, root)
-		}
 		st.lastReq[v] = -1
 		st.remaining[v] = cfg.PerNode
 	}
@@ -179,15 +177,13 @@ func (st *arrowDirState) issue(ctx *sim.Context, v graph.NodeID) {
 	st.issueTime = append(st.issueTime, ctx.Now())
 	st.hops = append(st.hops, 0)
 
-	if st.link[v] == v {
-		pred := st.lastReq[v]
-		st.lastReq[v] = reqID
+	target, local := st.step.StartFind(0, v)
+	pred := st.lastReq[v]
+	st.lastReq[v] = reqID
+	if local {
 		st.queued(ctx, reqID, pred)
 		return
 	}
-	target := st.link[v]
-	st.lastReq[v] = reqID
-	st.link[v] = v
 	st.hops[reqID]++
 	ctx.Send(v, target, findMsg{reqID: reqID})
 }
@@ -195,9 +191,8 @@ func (st *arrowDirState) issue(ctx *sim.Context, v graph.NodeID) {
 func (st *arrowDirState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
 	case findMsg:
-		next := st.link[at]
-		st.link[at] = from
-		if next != at {
+		next, done := st.step.ForwardFind(0, at, from, st.origin[m.reqID])
+		if !done {
 			st.hops[m.reqID]++
 			ctx.Send(at, next, m)
 			return

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
-	"repro/internal/queuing"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -25,9 +24,8 @@ type adapter interface {
 	nodes(inst Instance) (int, error)
 	// closed runs the protocol's single-object closed loop.
 	closed(inst Instance, spec loop.Spec) (*loop.Result, error)
-	// static replays Instance.Workload.Set and returns the run's share
-	// of the Cost (see staticCost).
-	static(inst Instance) (Cost, error)
+	// static replays Instance.Workload.Set.
+	static(inst Instance) (*shard.StaticResult, error)
 	// stepper builds the protocol's pointer discipline for k objects
 	// sharded over n nodes.
 	stepper(n, k int) (shard.Stepper, error)
@@ -54,9 +52,11 @@ func run(p adapter, inst Instance) (Cost, error) {
 		}
 		cost = loopCost(p.Name(), inst.Label, res)
 	default:
-		if cost, err = p.static(inst); err != nil {
+		res, err := p.static(inst)
+		if err != nil {
 			return Cost{}, err
 		}
+		cost = staticCost(inst.Recorder, res)
 		cost.Protocol, cost.Label, cost.N = p.Name(), inst.Label, n
 	}
 	attachDists(&cost, inst.Recorder)
@@ -105,30 +105,25 @@ func loopCost(proto, label string, r *loop.Result) Cost {
 }
 
 // staticCost maps a static-set run onto the Cost fields such a run
-// populates: the totals its driver summed, plus the locally completed
-// (zero-hop) count and worst hop count tallied from the completion
-// records. The same pass feeds the instance recorder, which is how
-// static runs (whose drivers already retain per-request records) get
-// the same per-request observability as the streaming closed loops.
-func staticCost[C interface{ Latency() int64 }](rec stats.Recorder, cs []C, hops func(C) int,
-	totalLatency, totalHops int64, makespan sim.Time, order queuing.Order) Cost {
+// populates: its totals, plus the locally completed (zero-hop) count
+// tallied from the completion records. The same pass feeds the instance
+// recorder, which is how static runs (which retain per-request records)
+// get the same per-request observability as the streaming closed loops.
+func staticCost(rec stats.Recorder, res *shard.StaticResult) Cost {
 	cost := Cost{
-		Requests:     int64(len(cs)),
-		TotalLatency: totalLatency,
-		QueueHops:    totalHops,
-		Makespan:     makespan,
-		Order:        order,
+		Requests:     int64(len(res.Completions)),
+		TotalLatency: res.TotalLatency,
+		QueueHops:    res.TotalHops,
+		MaxHops:      res.MaxHops,
+		Makespan:     res.Makespan,
+		Order:        res.Order,
 	}
-	for _, c := range cs {
-		h := hops(c)
+	for _, c := range res.Completions {
 		if rec != nil {
-			rec.RecordRequest(c.Latency(), h)
+			rec.RecordRequest(c.Latency(), c.Hops)
 		}
-		if h == 0 {
+		if c.Hops == 0 {
 			cost.LocalCompletions++
-		}
-		if h > cost.MaxHops {
-			cost.MaxHops = h
 		}
 	}
 	return cost
@@ -173,6 +168,10 @@ func (inst Instance) Validate() error {
 		return fmt.Errorf("engine: Instance.ObjectRecorders requires a multi-object workload (Workload.Objects > 1)")
 	case inst.LinkTxTime < 0:
 		return &sim.ConfigError{Field: "LinkTxTime", Reason: fmt.Sprintf("must be >= 0, got %d", inst.LinkTxTime)}
+	case inst.LinkTxTime > 0 && !inst.Workload.Closed():
+		// A static replay models infinite-capacity links; running it
+		// would report those numbers under a finite-capacity label.
+		return &sim.ConfigError{Field: "LinkTxTime", Reason: "requires a closed-loop workload (static-set runs have no link capacity model)"}
 	}
 	return nil
 }
@@ -211,18 +210,13 @@ func (Arrow) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
 	return arrow.RunClosedLoop(inst.Tree, arrow.LoopConfig{Spec: spec, Root: inst.Root})
 }
 
-func (Arrow) static(inst Instance) (Cost, error) {
+func (Arrow) static(inst Instance) (*shard.StaticResult, error) {
 	res, err := arrow.Run(inst.Tree, inst.Workload.Set, arrow.Options{
-		Root:        inst.Root,
-		Latency:     inst.Latency,
-		Arbitration: inst.Arbitration,
-		Seed:        inst.Seed,
-	})
+		Root: inst.Root, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
 	if err != nil {
-		return Cost{}, err
+		return nil, err
 	}
-	return staticCost(inst.Recorder, res.Completions, func(c arrow.Completion) int { return c.Hops },
-		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
+	return &res.StaticResult, nil
 }
 
 func (Arrow) stepper(n, k int) (shard.Stepper, error) { return arrow.NewShardForest(n, k) }
@@ -263,19 +257,9 @@ func (p Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error)
 	})
 }
 
-func (p Centralized) static(inst Instance) (Cost, error) {
-	res, err := centralized.Run(inst.Graph, inst.Workload.Set, centralized.Options{
-		Center:      inst.Root,
-		ServiceTime: p.ServiceTime,
-		Latency:     inst.Latency,
-		Arbitration: inst.Arbitration,
-		Seed:        inst.Seed,
-	})
-	if err != nil {
-		return Cost{}, err
-	}
-	return staticCost(inst.Recorder, res.Completions, func(c centralized.Completion) int { return c.Hops },
-		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
+func (p Centralized) static(inst Instance) (*shard.StaticResult, error) {
+	return centralized.Run(inst.Graph, inst.Workload.Set, centralized.Options{
+		Center: inst.Root, ServiceTime: p.ServiceTime, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
 }
 
 func (Centralized) stepper(n, k int) (shard.Stepper, error) {
@@ -302,18 +286,9 @@ func (NTA) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
 	return nta.RunClosedLoop(inst.Graph, nta.LoopConfig{Spec: spec, Root: inst.Root})
 }
 
-func (NTA) static(inst Instance) (Cost, error) {
-	res, err := nta.Run(inst.Graph, inst.Workload.Set, nta.Options{
-		Root:        inst.Root,
-		Latency:     inst.Latency,
-		Arbitration: inst.Arbitration,
-		Seed:        inst.Seed,
-	})
-	if err != nil {
-		return Cost{}, err
-	}
-	return staticCost(inst.Recorder, res.Completions, func(c nta.Completion) int { return c.Hops },
-		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
+func (NTA) static(inst Instance) (*shard.StaticResult, error) {
+	return nta.Run(inst.Graph, inst.Workload.Set, nta.Options{
+		Root: inst.Root, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
 }
 
 func (NTA) stepper(n, k int) (shard.Stepper, error) { return nta.NewShardReversal(n, k) }
@@ -341,18 +316,13 @@ func (Ivy) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
 	return ivy.RunClosedLoop(inst.Graph, ivy.LoopConfig{Spec: spec, Root: inst.Root})
 }
 
-func (Ivy) static(inst Instance) (Cost, error) {
+func (Ivy) static(inst Instance) (*shard.StaticResult, error) {
 	res, err := ivy.Run(inst.Graph, inst.Workload.Set, ivy.Options{
-		Root:        inst.Root,
-		Latency:     inst.Latency,
-		Arbitration: inst.Arbitration,
-		Seed:        inst.Seed,
-	})
+		Root: inst.Root, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
 	if err != nil {
-		return Cost{}, err
+		return nil, err
 	}
-	return staticCost(inst.Recorder, res.Completions, func(c ivy.Completion) int { return c.Hops },
-		res.TotalLatency, res.TotalHops, res.Makespan, res.Order), nil
+	return &res.StaticResult, nil
 }
 
 func (Ivy) stepper(n, k int) (shard.Stepper, error) { return ivy.NewShardDirectory(n, k) }

@@ -240,7 +240,8 @@ type Instance struct {
 	// messages on one directed link depart at least LinkTxTime apart, so
 	// concurrent traffic — in particular the combined load of a
 	// multi-object run — queues instead of superposing for free. 0 keeps
-	// the classic infinite-capacity model.
+	// the classic infinite-capacity model, the only one static-set runs
+	// have: Validate rejects a positive value on a static workload.
 	LinkTxTime sim.Time
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -561,6 +562,21 @@ func TestFaultsRequireClosedLoop(t *testing.T) {
 	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
 		if _, err := p.Run(inst); err == nil {
 			t.Errorf("%s: static workload with faults accepted", p.Name())
+		}
+	}
+}
+
+// TestLinkTxTimeRequiresClosedLoop: every adapter refuses a static
+// workload with a link capacity rather than silently running the
+// infinite-capacity model under a finite-capacity label.
+func TestLinkTxTimeRequiresClosedLoop(t *testing.T) {
+	inst := sequentialInstance(8, 4)
+	inst.LinkTxTime = 1
+	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
+		_, err := p.Run(inst)
+		var ce *sim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "LinkTxTime" {
+			t.Errorf("%s: static workload with LinkTxTime 1: got error %v, want a *sim.ConfigError naming LinkTxTime", p.Name(), err)
 		}
 	}
 }

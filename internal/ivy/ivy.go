@@ -8,10 +8,11 @@
 // that bound. Like NTA (and unlike arrow), Ivy needs a completely
 // connected network.
 //
-// Directory is the sequential pointer-combinatorics core (Find /
-// FindChain replay a whole chain atomically); Run and RunClosedLoop
-// execute the same pointer discipline step-wise on the discrete-event
-// simulator, with find messages travelling the graph metric.
+// Directory is the sequential pointer-combinatorics model (Find /
+// FindChain replay a whole chain atomically) the tests hold the
+// simulated runs against; Run and RunClosedLoop execute the same pointer
+// discipline step-wise (shard.Reversal) on the discrete-event simulator,
+// with find messages travelling the graph metric.
 package ivy
 
 import (
@@ -67,45 +68,6 @@ func (d *Directory) record(hops int) {
 	if hops > d.chainMax {
 		d.chainMax = hops
 	}
-}
-
-// StartFind begins a distributed find at requester v — the step-wise
-// counterpart of Find/FindChain used when forwarding messages travel over
-// a simulated network instead of being replayed atomically. If v already
-// owns the object the find is a local hit (recorded immediately) and
-// local is true. Otherwise the returned target is the first forwarding
-// destination, and v's pointer redirects at itself: v is the chain's
-// eventual owner, so later finds queue behind it exactly as FindChain's
-// final shortening would arrange.
-func (d *Directory) StartFind(v graph.NodeID) (target graph.NodeID, local bool) {
-	if d.owner[v] == v {
-		d.trueOwn = v
-		d.record(0)
-		return v, true
-	}
-	target = d.owner[v]
-	d.owner[v] = v
-	return target, false
-}
-
-// ForwardFind processes a distributed find for requester v arriving at
-// node at with hops forwarding messages consumed so far (including the
-// one that reached at). The visited pointer shortens at v. If at was the
-// owner, ownership transfers to v, the chain is recorded, and done is
-// true; otherwise the find must be forwarded to next.
-//
-// A sequence of StartFind + ForwardFind steps with no interleaved finds
-// leaves the directory in exactly the state FindChain produces — the
-// step-wise API changes the execution, not the pointer combinatorics.
-func (d *Directory) ForwardFind(at, v graph.NodeID, hops int) (next graph.NodeID, done bool) {
-	next = d.owner[at]
-	d.owner[at] = v
-	if next == at {
-		d.trueOwn = v
-		d.record(hops)
-		return v, true
-	}
-	return next, false
 }
 
 // FindChain is Find exposing the visited pointer chain: the returned

@@ -1,11 +1,10 @@
 package ivy
 
 // Simulator-backed Ivy: find messages follow probable-owner chains as
-// real discrete-event messages over the graph metric, with Directory as
-// the pointer-combinatorics core (StartFind/ForwardFind are its
-// step-wise face). Run replays a static request set; RunClosedLoop is
-// the Section 5 closed-loop regime, driven by the shared closed-loop
-// driver (package shard).
+// real discrete-event messages over the graph metric, the pointer
+// updates being shard.Reversal's. Run replays a static request set
+// (shard.Replay); RunClosedLoop is the Section 5 closed-loop regime
+// (shard.Driver).
 // A find reaching a node with an in-flight request of its own queues
 // behind it (the object will pass through that node), matching the
 // queuing-completion definition the other protocols use.
@@ -32,156 +31,36 @@ type Options struct {
 	Seed int64
 }
 
-// Completion records the ownership transfer serving one request.
-type Completion struct {
-	Req queuing.Request
-	// PredID is the request this one queued behind (-1 = the initial
-	// ownership at the root).
-	PredID int
-	// At is the simulated time the find reached the owner (ownership
-	// transfer — the request is now queued).
-	At sim.Time
-	// Hops is the number of forwarding messages (the pointer-chain
-	// length; each may cross several physical links on non-complete
-	// graphs, see PhysHops).
-	Hops int
-	// PhysHops counts physical link traversals.
-	PhysHops int
-}
+// Completion records the ownership transfer serving one request: PredID
+// is the request it queued behind (-1 = the initial ownership at the
+// root), At the time the find reached the owner, Hops the pointer-chain
+// length in forwarding messages and PhysHops the physical links crossed.
+type Completion = shard.Completion
 
-// Latency returns At − issue time.
-func (c Completion) Latency() int64 { return int64(c.At - c.Req.Time) }
-
-// Result aggregates a static-set Ivy run.
+// Result aggregates a static-set Ivy run; Order is the sequence
+// ownership passes through the requests.
 type Result struct {
-	Set         queuing.Set
-	Completions []Completion
-	// Order is the total order induced by the predecessor chain — the
-	// sequence ownership passes through the requests.
-	Order        queuing.Order
-	TotalLatency int64
-	TotalHops    int64
-	MaxHops      int
-	Makespan     sim.Time
-	// Directory is the final directory state, exposing the amortized
-	// Θ(log n) chain accounting (Ginat–Sleator–Tarjan).
-	Directory *Directory
+	shard.StaticResult
+	// FinalOwners is every node's probable-owner pointer after
+	// quiescence; the owner is the node naming itself.
+	FinalOwners []graph.NodeID
 }
 
-type findMsg struct {
-	reqID  int
-	origin graph.NodeID
-	hops   int
-	phys   int
-}
-
-// Run executes Ivy for a static request set over graph g's metric: finds
-// are forwarded along probable-owner pointers as simulator messages and
-// each visited pointer shortens at the requester.
+// Run executes Ivy for a static request set over graph g's metric: a
+// shard.Replay of the Reversal pointer table the closed loop runs, each
+// visited pointer shortening at the requester.
 func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
-	if err := set.Validate(g.NumNodes()); err != nil {
-		return nil, err
-	}
 	n := g.NumNodes()
 	if int(opts.Root) < 0 || int(opts.Root) >= n {
 		return nil, fmt.Errorf("ivy: root %d out of range", opts.Root)
 	}
-	topo := sim.NewMetricTopology(g)
-	s := sim.New(sim.Config{
-		Topology:    topo,
-		Latency:     opts.Latency,
-		Arbitration: opts.Arbitration,
-		Seed:        opts.Seed,
-		MaxEvents:   sim.SatAdd(sim.SatMul(int64(len(set)), sim.SatMul(int64(n+4), 4)), 1024),
-	})
-	dir := NewDirectory(n, opts.Root)
-	res := &Result{
-		Set:         set,
-		Completions: make([]Completion, len(set)),
-		Directory:   dir,
+	step := shard.NewReversal(n, 1, opts.Root)
+	res, err := shard.Replay(sim.NewMetricTopology(g), step, "ivy", set,
+		shard.ReplayOptions{Latency: opts.Latency, Arbitration: opts.Arbitration, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
 	}
-	for i := range res.Completions {
-		res.Completions[i].PredID = -2
-	}
-	// Pre-boxed messages, one per request: forwarding mutates and
-	// resends the same pointer at every hop, so a chain of length k
-	// costs zero interface boxings instead of k.
-	msgs := make([]findMsg, len(set))
-	// lastReq[v] is the most recent request that made v self-pointing
-	// (pending or owner); -1 marks the initial ownership at the root.
-	lastReq := make([]int, n)
-	for v := range lastReq {
-		lastReq[v] = -1
-	}
-	completed := 0
-	complete := func(ctx *sim.Context, reqID, predID, hops, phys int) {
-		c := &res.Completions[reqID]
-		if c.PredID != -2 {
-			panic("ivy: request completed twice")
-		}
-		*c = Completion{Req: set[reqID], PredID: predID, At: ctx.Now(), Hops: hops, PhysHops: phys}
-		completed++
-	}
-	s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
-		m, ok := msg.(*findMsg)
-		if !ok {
-			panic(fmt.Sprintf("ivy: unexpected message %T", msg))
-		}
-		next, done := dir.ForwardFind(at, m.origin, m.hops)
-		if done {
-			complete(ctx, m.reqID, lastReq[at], m.hops, m.phys)
-			return
-		}
-		m.hops++
-		m.phys += topo.Hops(at, next)
-		ctx.Send(at, next, m)
-	})
-	for _, r := range set {
-		req := r
-		s.ScheduleAt(req.Time, func(ctx *sim.Context) {
-			v := req.Node
-			target, local := dir.StartFind(v)
-			if local {
-				pred := lastReq[v]
-				lastReq[v] = req.ID
-				complete(ctx, req.ID, pred, 0, 0)
-				return
-			}
-			lastReq[v] = req.ID
-			m := &msgs[req.ID]
-			m.reqID, m.origin, m.hops, m.phys = req.ID, v, 1, topo.Hops(v, target)
-			ctx.Send(v, target, m)
-		})
-	}
-	res.Makespan = s.Run()
-	if completed != len(set) {
-		return nil, fmt.Errorf("ivy: completed %d of %d requests", completed, len(set))
-	}
-	succ := make(map[int]int, len(set))
-	for i, c := range res.Completions {
-		if _, dup := succ[c.PredID]; dup {
-			return nil, fmt.Errorf("ivy: duplicate successor for %d", c.PredID)
-		}
-		succ[c.PredID] = i
-	}
-	order := make(queuing.Order, 0, len(set))
-	cur, ok := succ[-1]
-	for ok {
-		order = append(order, cur)
-		cur, ok = succ[cur]
-	}
-	if len(order) != len(set) {
-		return nil, fmt.Errorf("ivy: broken predecessor chain")
-	}
-	res.Order = order
-	for _, c := range res.Completions {
-		res.TotalLatency += c.Latency()
-		res.TotalHops += int64(c.Hops)
-		if c.Hops > res.MaxHops {
-			res.MaxHops = c.Hops
-		}
-	}
-	return res, nil
+	return &Result{StaticResult: *res, FinalOwners: step.Pointers(0)}, nil
 }
 
 // LoopConfig drives the closed-loop Ivy experiment, mirroring
@@ -204,8 +83,8 @@ type LoopResult = loop.Result
 
 // ShardDirectory is Ivy's probable-owner state as a shard.Stepper: one
 // owner-pointer set per object, chased with forward path shortening —
-// the pointer updates of Directory's StartFind/ForwardFind without its
-// cross-node chain statistics.
+// Directory's pointer updates one hop at a time, without its cross-node
+// chain statistics.
 type ShardDirectory = shard.Reversal
 
 // NewShardDirectory builds k probable-owner sets over n nodes, object

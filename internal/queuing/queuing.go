@@ -201,3 +201,30 @@ func EdgeCosts(s Set, root graph.NodeID, o Order, c CostFunc) []int64 {
 	}
 	return out
 }
+
+// OrderFromPredecessors chains a run's predecessor records into its
+// queuing order: preds[i] is the ID of the request queued directly
+// before request i, −1 for the virtual root request. Exactly one request
+// may follow the root and every other request names a distinct
+// predecessor (so the walk from −1 cannot revisit a request); a chain
+// that stops short of covering every request is a protocol bug and is
+// reported, as is a second successor.
+func OrderFromPredecessors(preds []int) (Order, error) {
+	succ := make(map[int]int, len(preds))
+	for i, p := range preds {
+		if _, dup := succ[p]; dup {
+			return nil, fmt.Errorf("queuing: two successors recorded for request %d", p)
+		}
+		succ[p] = i
+	}
+	order := make(Order, 0, len(preds))
+	cur, ok := succ[-1]
+	for ok {
+		order = append(order, cur)
+		cur, ok = succ[cur]
+	}
+	if len(order) != len(preds) {
+		return nil, fmt.Errorf("queuing: predecessor chain from the root covers %d of %d requests", len(order), len(preds))
+	}
+	return order, nil
+}

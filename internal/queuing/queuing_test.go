@@ -2,6 +2,7 @@ package queuing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +238,38 @@ func TestNewSetAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOrderFromPredecessors: the predecessor records of any permutation
+// chain back into that permutation; two successors of one request, a
+// cycle and a chain with no request behind the root are errors.
+func TestOrderFromPredecessors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 40; k++ {
+		want := Order(rng.Perm(k))
+		preds := make([]int, k)
+		prev := -1
+		for _, id := range want {
+			preds[id] = prev
+			prev = id
+		}
+		got, err := OrderFromPredecessors(preds)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, want) && k > 0 {
+			t.Fatalf("k=%d: order %v, want %v", k, got, want)
+		}
+	}
+	for name, preds := range map[string][]int{
+		"two successors": {-1, 0, 0},
+		"cycle":          {-1, 2, 1},
+		"missing root":   {1, 0},
+		"never queued":   {-1, -2},
+	} {
+		if order, err := OrderFromPredecessors(preds); err == nil {
+			t.Errorf("%s %v: accepted as order %v", name, preds, order)
+		}
 	}
 }

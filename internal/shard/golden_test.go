@@ -19,7 +19,7 @@ import (
 	"repro/internal/tree"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/closedloop_golden.json from the current driver")
+var update = flag.Bool("update", false, "rewrite testdata/closedloop_golden.json and testdata/static_golden.json from the current drivers")
 
 const goldenPath = "testdata/closedloop_golden.json"
 

@@ -56,6 +56,11 @@ func (r *Reversal) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.
 	return next, false
 }
 
+// Pointers returns object obj's pointer of every node, indexed by node.
+func (r *Reversal) Pointers(obj int32) []graph.NodeID {
+	return r.ptr[int(obj)*r.n : (int(obj)+1)*r.n]
+}
+
 // ShardSafeStepper is the unread shard.ShardSafe marker (every entry is
 // keyed by the node whose events touch it); kept for bench/, see there.
 func (r *Reversal) ShardSafeStepper() {}

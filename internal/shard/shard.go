@@ -17,6 +17,11 @@
 // aggregate accounting, message pre-boxing, re-issue-at-heal fault
 // recovery and the divergence guard, so they exist once and cannot drift
 // between protocols.
+//
+// Replay is the Stepper's other executor: it runs a static request set
+// (the paper's Section 3 setting) through the same two steps and retains
+// every completion and the queuing order. arrow.Run, nta.Run and ivy.Run
+// are Replay over the stepper their closed loops hand to the Driver.
 package shard
 
 import (
@@ -29,11 +34,16 @@ import (
 	"repro/internal/workload"
 )
 
-// Stepper is a protocol's object-keyed pointer discipline. Both methods
-// mutate only the pointer state of the given object. ForwardFind
-// receives both the previous hop (from) and the requester (origin):
-// tree protocols reverse pointers toward the previous hop (arrow),
-// metric protocols toward the origin (NTA, Ivy).
+// Stepper is a protocol's object-keyed pointer discipline — the two
+// atomic steps of the paper's Section 2, and all the protocol there is:
+// Driver (closed loops) and Replay (static request sets) are its only
+// simulated executors. Both methods mutate only the pointer state of the
+// given object, and only at the node the call is made at (v, at); a
+// started find is done at exactly one node; with no find in flight
+// exactly one node per object holds the tail. ForwardFind receives both
+// the previous hop (from) and the requester (origin): tree protocols
+// reverse pointers toward the previous hop (arrow), metric protocols
+// toward the origin (NTA, Ivy).
 type Stepper interface {
 	// StartFind begins a request for object obj at node v. If v already
 	// holds the object's tail, local is true and no message is sent;
