@@ -1,135 +1,33 @@
-// Package repro's root benchmark harness: one benchmark per paper
-// artifact (Figure 10, Figure 11, the Theorem 4.1 lower-bound instance,
-// the Theorem 3.19 ratio sweep, the Theorem 3.18 NN approximation) plus
-// micro-benchmarks of the hot protocol paths and ablation benches for the
-// design choices listed in DESIGN.md. Reported custom metrics carry the
-// paper's units (hops/op, ratio, makespan).
+// Package repro's root benchmark harness: what measures a layer's
+// wall-clock cost — micro-benchmarks of the hot paths (send/dispatch,
+// histogram record, tree distance, the exact and NN solvers) and whole
+// closed-loop cells up to a million nodes. Simulated quantities
+// (makespan, hops/op, ratios) are not reported here: they are
+// deterministic, so tests and the golden documents under
+// internal/analysis/testdata and internal/shard/testdata pin them.
 package repro
 
 import (
 	"fmt"
-	"math/rand"
 	gort "runtime"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/arrow"
 	"repro/internal/centralized"
-	"repro/internal/directory"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/opt"
 	"repro/internal/queuing"
 	"repro/internal/runtime"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/stabilize"
 	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/tsp"
 	"repro/internal/workload"
 )
-
-// BenchmarkFig10Arrow measures the closed-loop arrow makespan per node
-// count — the arrow curve of Figure 10. The reported "makespan" metric is
-// the figure's y-axis (simulated time units).
-func BenchmarkFig10Arrow(b *testing.B) {
-	for _, n := range []int{2, 8, 16, 32, 64, 76} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			t := tree.BalancedBinary(n)
-			var makespan sim.Time
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: loop.Spec{PerNode: 500}, Root: 0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = res.Makespan
-			}
-			b.ReportMetric(float64(makespan), "makespan")
-		})
-	}
-}
-
-// BenchmarkFig10Centralized measures the centralized curve of Figure 10;
-// its makespan grows linearly with n, unlike arrow's.
-func BenchmarkFig10Centralized(b *testing.B) {
-	for _, n := range []int{2, 8, 16, 32, 64, 76} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := graph.Complete(n)
-			var makespan sim.Time
-			for i := 0; i < b.N; i++ {
-				res, err := centralized.RunClosedLoop(g, centralized.LoopConfig{Spec: loop.Spec{PerNode: 500}, Center: 0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = res.Makespan
-			}
-			b.ReportMetric(float64(makespan), "makespan")
-		})
-	}
-}
-
-// BenchmarkFig11Hops reports arrow's average interprocessor messages per
-// queuing operation — Figure 11's metric.
-func BenchmarkFig11Hops(b *testing.B) {
-	for _, n := range []int{2, 8, 16, 32, 64, 76} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			t := tree.BalancedBinary(n)
-			var hops float64
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: loop.Spec{PerNode: 500}, Root: 0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hops = res.AvgQueueHops()
-			}
-			b.ReportMetric(hops, "hops/op")
-		})
-	}
-}
-
-// BenchmarkLowerBound runs the Theorem 4.1 instance per diameter and
-// reports the measured arrow/opt ratio.
-func BenchmarkLowerBound(b *testing.B) {
-	for _, logD := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("D=%d", 1<<logD), func(b *testing.B) {
-			inst := workload.LowerBound(logD, workload.DefaultK(1<<logD))
-			t := tree.PathTree(inst.D + 1)
-			g := graph.Path(inst.D + 1)
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.Run(t, inst.Set, arrow.Options{Root: inst.Root})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bounds := opt.Compute(g, inst.Root, inst.Set, opt.DistOfGraph(g))
-				ratio = opt.Ratio(res.TotalLatency, bounds.Upper)
-			}
-			b.ReportMetric(ratio, "ratio")
-		})
-	}
-}
-
-// BenchmarkRatioSweep measures the Theorem 3.19 competitive ratio on the
-// standard configuration set (exact optimal denominators).
-func BenchmarkRatioSweep(b *testing.B) {
-	cfgs := analysis.DefaultRatioConfigs(1)
-	for _, cfg := range cfgs {
-		b.Run(cfg.Name+"/"+cfg.WorkName, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				row, err := analysis.MeasureRatio(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = row.Ratio
-			}
-			b.ReportMetric(ratio, "ratio")
-		})
-	}
-}
 
 // BenchmarkNNHeuristic measures the Theorem 3.18 machinery: NN path
 // construction cost over cT instances.
@@ -180,76 +78,6 @@ func BenchmarkArrowProtocolStep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n*perNode)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
-// BenchmarkTreeChoice is the DESIGN.md ablation: same workload, different
-// spanning trees.
-func BenchmarkTreeChoice(b *testing.B) {
-	g := graph.Complete(64)
-	set := workload.Poisson(64, 0.5, 200, 9)
-	for _, kind := range []analysis.TreeKind{
-		analysis.TreeBalancedBinary, analysis.TreeMST, analysis.TreeStar, analysis.TreePath,
-	} {
-		b.Run(kind.String(), func(b *testing.B) {
-			t, err := analysis.BuildTree(kind, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.Run(t, set, arrow.Options{Root: t.Root()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.TotalLatency
-			}
-			b.ReportMetric(float64(cost), "latency")
-		})
-	}
-}
-
-// BenchmarkArbitration is the DESIGN.md ablation over simultaneous-
-// message processing order.
-func BenchmarkArbitration(b *testing.B) {
-	t := tree.BalancedBinary(127)
-	set := workload.OneShot(127, 64, 5)
-	for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom} {
-		b.Run(arb.String(), func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.Run(t, set, arrow.Options{Root: 0, Arbitration: arb, Seed: 7})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.TotalLatency
-			}
-			b.ReportMetric(float64(cost), "latency")
-		})
-	}
-}
-
-// BenchmarkAsyncModels compares delay models (Section 3.8 ablation).
-func BenchmarkAsyncModels(b *testing.B) {
-	t := tree.BalancedBinary(63)
-	set := workload.Bursty(63, 16, 3, 64, 3)
-	models := []sim.LatencyModel{
-		sim.SynchronousScaled(8),
-		sim.AsyncUniform(8),
-		sim.AsyncBimodal(8, 0.1),
-	}
-	for _, m := range models {
-		b.Run(m.Name(), func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				res, err := arrow.Run(t, set, arrow.Options{Root: 0, Latency: m, Seed: 11})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.TotalLatency
-			}
-			b.ReportMetric(float64(cost)/8, "norm-latency")
 		})
 	}
 }
@@ -320,7 +148,11 @@ func BenchmarkSweepSP2(b *testing.B) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				outs := engine.Sweep(analysis.SP2Grid(ns, perNode, 1), w)
+				cells, err := analysis.SP2Grid(ns, perNode, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				outs := engine.Sweep(cells, w)
 				if err := engine.FirstError(outs); err != nil {
 					b.Fatal(err)
 				}
@@ -329,15 +161,19 @@ func BenchmarkSweepSP2(b *testing.B) {
 	}
 }
 
-// BenchmarkSimSendDispatch measures the simulator's send/dispatch hot
-// path — run with -benchmem: the value-typed event heap and dense
-// per-link FIFO state make a steady-state message send allocation-free.
+// sendDispatchCase is one tree shape of the send/dispatch measurement.
 // The star case pins the O(1) tree-edge lookup: half the sends originate
 // at the degree-n center, where a neighbor-list scan would cost O(n) per
 // message. The walker case is the headline scale cell's shape — 100 001
 // nodes, 50 001 messages in flight, so the event arena and the tree link
 // table no longer sit in cache the way the 1 023-node cases' do.
-func BenchmarkSimSendDispatch(b *testing.B) {
+type sendDispatchCase struct {
+	name   string
+	t      tree.Nav
+	leaves []graph.NodeID
+}
+
+func sendDispatchCases() []sendDispatchCase {
 	leafRange := func(lo, hi int) []graph.NodeID {
 		leaves := make([]graph.NodeID, 0, hi-lo)
 		for v := lo; v < hi; v++ {
@@ -345,37 +181,73 @@ func BenchmarkSimSendDispatch(b *testing.B) {
 		}
 		return leaves
 	}
-	cases := []struct {
-		name   string
-		t      tree.Nav
-		leaves []graph.NodeID
-	}{
+	return []sendDispatchCase{
 		{"binary", tree.BalancedBinary(1023), leafRange(511, 1023)},
 		{"star", tree.StarTree(1024), leafRange(512, 1024)},
 		{"walker", tree.BinaryWalker(100001), leafRange(50000, 100001)},
 	}
-	for _, c := range cases {
+}
+
+// pingPong builds the case's simulator and returns the measured body:
+// every leaf sends to its parent, the messages bounce across the
+// leaf-parent links until `sends` of them have been re-sent, and the
+// queue drains. It may be called repeatedly on the one simulator.
+func (c sendDispatchCase) pingPong() func(sends int) {
+	s := sim.New(sim.Config{Topology: sim.TreeTopology{T: c.t}})
+	remaining := 0
+	s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+		if remaining > 0 {
+			remaining--
+			ctx.Send(at, from, msg)
+		}
+	})
+	s.Reserve(len(c.leaves))
+	kick := func(ctx *sim.Context) {
+		for _, v := range c.leaves {
+			ctx.Send(v, c.t.Parent(v), sim.Message(nil))
+		}
+	}
+	return func(sends int) {
+		remaining = sends
+		s.ScheduleAt(s.Now(), kick)
+		s.Run()
+	}
+}
+
+// BenchmarkSimSendDispatch measures the simulator's send/dispatch hot
+// path: the in-place event arena and dense per-link state make a
+// steady-state message send allocation-free, which
+// TestSimSendDispatchZeroAlloc asserts on this same body.
+func BenchmarkSimSendDispatch(b *testing.B) {
+	for _, c := range sendDispatchCases() {
 		b.Run(c.name, func(b *testing.B) {
+			run := c.pingPong()
 			b.ReportAllocs()
-			s := sim.New(sim.Config{Topology: sim.TreeTopology{T: c.t}})
-			remaining := b.N
-			s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
-				if remaining > 0 {
-					remaining--
-					ctx.Send(at, from, msg) // ping-pong across the leaf-parent link
-				}
-			})
-			tr := c.t
-			leaves := c.leaves
-			s.Reserve(len(leaves))
-			s.ScheduleAt(0, func(ctx *sim.Context) {
-				for _, v := range leaves {
-					ctx.Send(v, tr.Parent(v), sim.Message(nil))
-				}
-			})
 			b.ResetTimer()
-			s.Run()
+			run(b.N)
 		})
+	}
+}
+
+// TestSimSendDispatchZeroAlloc is the zero-alloc send invariant as a
+// test: after one warm-up pass (AllocsPerRun's own first call, which
+// grows the arena and the ring to their steady size), 200 000 sends and
+// the dispatches they cause allocate nothing at all — not "0 allocs/op"
+// rounded down over b.N, zero. The malloc counter is process-wide and
+// the body's own count is deterministic, so a runtime background
+// allocation (seen under -race) can only add to a reading: the smallest
+// of three readings is the body's.
+func TestSimSendDispatchZeroAlloc(t *testing.T) {
+	for _, c := range sendDispatchCases() {
+		run := c.pingPong()
+		reading := func() float64 { return testing.AllocsPerRun(1, func() { run(200_000) }) }
+		allocs := reading()
+		for i := 0; i < 2 && allocs != 0; i++ {
+			allocs = min(allocs, reading())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations over 200000 steady-state sends, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -488,8 +360,7 @@ func BenchmarkClosedLoopScale100k(b *testing.B) {
 }
 
 // BenchmarkClosedLoopScale1M is the million-node tier — the scale
-// DESIGN.md targets. Skipped under -short: CI's quick bench smoke
-// passes -short, the dedicated bench job runs it for real.
+// DESIGN.md targets. Skipped under -short; CI's bench smoke runs it once.
 func BenchmarkClosedLoopScale1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("million-node cell: skipped under -short")
@@ -530,83 +401,6 @@ func BenchmarkSimulatorEventLoop(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkDirectories compares the arrow directory against the
-// home-based directory on grids (the E11 experiment).
-func BenchmarkDirectories(b *testing.B) {
-	for _, side := range []int{3, 5, 8} {
-		n := side * side
-		g := graph.Grid(side, side)
-		center, _ := g.Center()
-		t, err := tree.BFS(g, center)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := directory.Config{PerNode: 50}
-		b.Run(fmt.Sprintf("arrow/n=%d", n), func(b *testing.B) {
-			var mk sim.Time
-			for i := 0; i < b.N; i++ {
-				res, err := directory.RunArrow(t, center, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mk = res.Makespan
-			}
-			b.ReportMetric(float64(mk), "makespan")
-		})
-		b.Run(fmt.Sprintf("home/n=%d", n), func(b *testing.B) {
-			var mk sim.Time
-			for i := 0; i < b.N; i++ {
-				res, err := directory.RunHome(g, center, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mk = res.Makespan
-			}
-			b.ReportMetric(float64(mk), "makespan")
-		})
-	}
-}
-
-// BenchmarkStabilize measures repair cost from heavy random corruption.
-func BenchmarkStabilize(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			t := tree.BalancedBinary(n)
-			rng := rand.New(rand.NewSource(1))
-			corrupt := make([][]graph.NodeID, b.N)
-			for i := range corrupt {
-				links := make([]graph.NodeID, n)
-				for v := range links {
-					links[v] = graph.NodeID(rng.Intn(n))
-				}
-				corrupt[i] = links
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := stabilize.Repair(t, corrupt[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIvyAmortized measures the Ivy find chain cost (Ginat et al.'s
-// amortized Θ(log n)).
-func BenchmarkIvyAmortized(b *testing.B) {
-	for _, n := range []int{256, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			d := ivy.NewDirectory(n, 0)
-			rng := rand.New(rand.NewSource(7))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Find(graph.NodeID(rng.Intn(n)))
-			}
-			b.ReportMetric(d.AmortizedChain(), "chain/op")
-		})
-	}
-}
-
 // BenchmarkRuntimeVsSim is the DESIGN.md ablation: the same total-order
 // workload executed on the deterministic simulator and on the goroutine
 // runtime (wall-clock execution engines compared, not protocol cost).
@@ -638,51 +432,6 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 			<-done
 		}
 	})
-}
-
-// BenchmarkOneShot measures the one-shot regime end to end, including
-// the exact optimal computation.
-func BenchmarkOneShot(b *testing.B) {
-	for _, r := range []int{4, 8, 12} {
-		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				rows, err := analysis.OneShotExperiment(32, []int{r}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = rows[0].Ratio
-			}
-			b.ReportMetric(ratio, "ratio")
-		})
-	}
-}
-
-// BenchmarkChurnRecovery measures the full degraded-mode cycle on the
-// arrow closed loop: link churn drops queue messages, the embedded
-// message-driven repair restores the pointer state, and lost requests
-// re-issue. Reported metrics are the recovery costs (repair messages
-// and simulated repair time per run) — deterministic for the fixed
-// plan, so the smoke run doubles as a regression canary for the fault
-// layer.
-func BenchmarkChurnRecovery(b *testing.B) {
-	t := tree.BalancedBinary(63)
-	plan := &sim.FaultPlan{Events: sim.LinkChurn(sim.TreeLinks(t), 2, 40, 30, 1500, 7)}
-	var res *arrow.LoopResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = arrow.RunClosedLoop(t, arrow.LoopConfig{Spec: loop.Spec{PerNode: 30, Faults: plan}, Root: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if res.Dropped == 0 {
-		b.Fatal("churn plan dropped nothing; benchmark is vacuous")
-	}
-	b.ReportMetric(float64(res.RepairMessages), "repair-msgs")
-	b.ReportMetric(float64(res.RepairTime), "repair-time")
-	b.ReportMetric(float64(res.Reissued), "reissued")
 }
 
 // BenchmarkShardClosedLoop measures the multi-object shard driver — the

@@ -33,11 +33,11 @@
 // -workers simulator workers (default GOMAXPROCS); the remaining
 // experiments always use GOMAXPROCS. Results are identical for every
 // worker count. Pass -json to emit every table as a machine-readable
-// JSON document (one per table) instead of aligned text, so CI can
-// track the numbers across commits. For -exp perf, -json emits the
-// versioned arrowbench/perf document instead of generic tables; CI
-// captures it as BENCH_perf.json and gates regressions with
-// cmd/benchcheck.
+// JSON document (one per table) instead of aligned text. For -exp perf,
+// scale, shard, churn and stabilize, -json emits the experiment's
+// versioned arrowbench/<exp> document instead of generic tables; the
+// first four are pinned byte for byte under
+// internal/analysis/testdata (TestDocumentsGolden).
 //
 // -exp scale is the million-node tier: every protocol on its implicit
 // topology (no LCA tables, no O(n²) metric), sequential cells reporting
@@ -413,9 +413,8 @@ func runBaselines(ns []int, perNode int, seed int64, workers int) error {
 
 // runPerf runs the per-request observability experiment: latency and
 // hop distributions for every protocol over the size × workload grid.
-// With -json it emits the versioned arrowbench/perf document (the
-// BENCH_perf.json schema) instead of generic tables, so CI can gate on
-// the deterministic simulated metrics.
+// With -json it emits the versioned arrowbench/perf document instead
+// of generic tables.
 func runPerf(ns []int, perNode int, seed int64, workers int) error {
 	rows, err := analysis.PerfExperiment(ns, perNode, seed, workers)
 	if err != nil {
@@ -433,8 +432,7 @@ func runPerf(ns []int, perNode int, seed int64, workers int) error {
 
 // runScale runs the million-node tier: sequential cells, implicit
 // topologies, per-cell allocation and throughput accounting. With -json
-// it emits the versioned arrowbench/scale document (the BENCH_scale.json
-// schema) for CI's schema check and artifact trail.
+// it emits the versioned arrowbench/scale document.
 func runScale(cfg analysis.ScaleConfig) error {
 	rows, err := analysis.ScaleExperiment(cfg)
 	if err != nil {

@@ -369,6 +369,40 @@ func TestBaselinesClosedLoop(t *testing.T) {
 	}
 }
 
+// TestFlagFedExperimentsReturnErrors: per-node counts and object grids
+// reach these experiments straight from arrowbench flags, so a bad one
+// is an error to report — not a panic, and for the shard grid not a
+// panic inside a sweep worker.
+func TestFlagFedExperimentsReturnErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() error
+		want []string
+	}{
+		{"fig10 and fig11", func() error { _, err := SP2Experiment([]int{4}, 0, 1); return err }, []string{"PerNode must be >= 1"}},
+		{"baselines", func() error { _, err := BaselinesClosedLoop([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
+		{"perf", func() error { _, err := PerfExperiment([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
+		{"churn", func() error { _, err := ChurnExperiment(4, 0, []float64{0, 1}, 1, 0); return err }, []string{"PerNode must be >= 1"}},
+		{"shard per-node", func() error { _, err := ShardExperiment(ShardConfig{}); return err }, []string{"PerNode >= 1"}},
+		{"shard one object under the default skews", func() error {
+			_, err := ShardExperiment(ShardConfig{PerNode: 2, Objects: []int{1}})
+			return err
+		}, []string{"k=1", "s=1.1", "without Objects > 1"}},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if err == nil {
+			t.Errorf("%s: no error", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", c.name, err, w)
+			}
+		}
+	}
+}
+
 // TestTableRenderJSON: the JSON rendering round-trips title, headers and
 // header-aligned row arrays without losing cells — even cells beyond the
 // header count, which a header-keyed encoding would silently drop.
@@ -422,5 +456,34 @@ func TestScaleDocumentHasNoDrainColumns(t *testing.T) {
 		if strings.Count(string(b), key) != len(doc.Rows) {
 			t.Errorf("scale document does not carry %s once per row", key)
 		}
+	}
+}
+
+// TestScaleRowsRefillWhatTheyPark: every run drains its queue, so a
+// push parked in a far wheel or the heap implies the refill that brings
+// it back. n = 2000 puts the centralized coordinator's serve queue past
+// the 512-tick ring, so the invariant is not vacuous.
+func TestScaleRowsRefillWhatTheyPark(t *testing.T) {
+	rows, err := ScaleExperiment(ScaleConfig{Sizes: []int{2000}, PerNode: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := false
+	for _, r := range rows {
+		if r.N <= 0 || r.Requests != int64(r.N)*int64(r.PerNode) || r.Events <= 0 {
+			t.Errorf("%s/%s: n %d, %d requests (per-node %d), %d events", r.Protocol, r.Topology, r.N, r.Requests, r.PerNode, r.Events)
+		}
+		if r.FarPushes < 0 || r.HeapPushes < 0 || r.Refills < 0 {
+			t.Errorf("%s/%s: negative scheduler counter: %+v", r.Protocol, r.Topology, r)
+		}
+		if r.FarPushes+r.HeapPushes > 0 {
+			parked = true
+			if r.Refills == 0 {
+				t.Errorf("%s/%s: %d far and %d heap pushes but no refill", r.Protocol, r.Topology, r.FarPushes, r.HeapPushes)
+			}
+		}
+	}
+	if !parked {
+		t.Error("no cell pushed past the ring; the refill invariant went unchecked")
 	}
 }

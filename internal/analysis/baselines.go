@@ -44,7 +44,11 @@ type BaselineRow struct {
 // BaselinesClosedLoopGrid builds the experiment cells: for each n, every
 // baseline protocol on an identical closed-loop instance. Cells are in
 // n-major order, protocols in baselineProtocols order per n.
-func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64) []engine.Cell {
+func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64) ([]engine.Cell, error) {
+	w, err := engine.NewClosedLoop(perNode).Build()
+	if err != nil {
+		return nil, err
+	}
 	instances := make([]engine.Instance, 0, len(ns))
 	for i, n := range ns {
 		instances = append(instances, engine.Instance{
@@ -52,18 +56,22 @@ func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64) []engine.Cell {
 			Graph:    graph.Complete(n),
 			Tree:     tree.BalancedBinary(n),
 			Root:     0,
-			Workload: engine.NewClosedLoop(perNode).MustBuild(),
+			Workload: w,
 			Seed:     engine.DeriveSeed(seed, i),
 		})
 	}
-	return engine.Grid(instances, baselineProtocols()...)
+	return engine.Grid(instances, baselineProtocols()...), nil
 }
 
 // BaselinesClosedLoop runs the closed-loop baselines grid as one
 // parallel sweep (workers 0 = GOMAXPROCS; results are identical for
 // every worker count) and flattens the outcomes to rows.
 func BaselinesClosedLoop(ns []int, perNode int, seed int64, workers int) ([]BaselineRow, error) {
-	outs := engine.Sweep(BaselinesClosedLoopGrid(ns, perNode, seed), workers)
+	cells, err := BaselinesClosedLoopGrid(ns, perNode, seed)
+	if err != nil {
+		return nil, err
+	}
+	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, fmt.Errorf("analysis: baselines sweep: %w", err)
 	}

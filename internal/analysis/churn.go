@@ -65,7 +65,7 @@ func churnPlan(n, perNode int, rate float64, seed int64) *sim.FaultPlan {
 // churnCells builds the churn grid in rate-major, then workload, then
 // protocol order, each cell with a private recorder (recorders
 // accumulate state; see engine.Grid).
-func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cell, rows []ChurnRow) {
+func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cell, rows []ChurnRow, err error) {
 	g := graph.Complete(n)
 	t := tree.BalancedBinary(n)
 	workloads := ChurnWorkloads()
@@ -73,6 +73,10 @@ func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cel
 	for i, rate := range rates {
 		plan := churnPlan(n, perNode, rate, sim.DeriveSeed(seed, i))
 		for j, w := range workloads {
+			load, err := engine.NewClosedLoop(perNode).Think(w.Think).Build()
+			if err != nil {
+				return nil, nil, err
+			}
 			for _, p := range protocols {
 				cells = append(cells, engine.Cell{
 					Protocol: p,
@@ -81,7 +85,7 @@ func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cel
 						Graph:    g,
 						Tree:     t,
 						Root:     0,
-						Workload: engine.NewClosedLoop(perNode).Think(w.Think).MustBuild(),
+						Workload: load,
 						Seed:     engine.DeriveSeed(seed, i*len(workloads)+j),
 						Faults:   plan,
 						Recorder: stats.NewDistRecorder(),
@@ -93,7 +97,7 @@ func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cel
 			}
 		}
 	}
-	return cells, rows
+	return cells, rows, nil
 }
 
 // ChurnExperiment sweeps fault rate × workload × protocol on a complete
@@ -103,7 +107,10 @@ func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cel
 // centralized by coordinator failover. Cells fan across the worker pool;
 // results are byte-identical for every worker count.
 func ChurnExperiment(n, perNode int, rates []float64, seed int64, workers int) ([]ChurnRow, error) {
-	cells, rows := churnCells(n, perNode, rates, seed)
+	cells, rows, err := churnCells(n, perNode, rates, seed)
+	if err != nil {
+		return nil, err
+	}
 	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, fmt.Errorf("analysis: churn sweep: %w", err)

@@ -36,7 +36,11 @@ type SP2Row struct {
 // closed-loop arrow and centralized protocols on a complete graph with a
 // balanced binary spanning tree. Cells are in n-major order (arrow, then
 // centralized, per n).
-func SP2Grid(ns []int, perNode int, seed int64) []engine.Cell {
+func SP2Grid(ns []int, perNode int, seed int64) ([]engine.Cell, error) {
+	w, err := engine.NewClosedLoop(perNode).Build()
+	if err != nil {
+		return nil, err
+	}
 	instances := make([]engine.Instance, 0, len(ns))
 	for _, n := range ns {
 		instances = append(instances, engine.Instance{
@@ -44,11 +48,11 @@ func SP2Grid(ns []int, perNode int, seed int64) []engine.Cell {
 			Graph:    graph.Complete(n),
 			Tree:     tree.BalancedBinary(n),
 			Root:     0,
-			Workload: engine.NewClosedLoop(perNode).MustBuild(),
+			Workload: w,
 			Seed:     seed,
 		})
 	}
-	return engine.Grid(instances, engine.Arrow{}, engine.Centralized{})
+	return engine.Grid(instances, engine.Arrow{}, engine.Centralized{}), nil
 }
 
 // SP2Experiment reproduces Figures 10 and 11: for each n it runs the
@@ -63,7 +67,11 @@ func SP2Experiment(ns []int, perNode int, seed int64) ([]SP2Row, error) {
 // (0 = GOMAXPROCS, 1 = sequential) — exposed so benchmarks can measure
 // the sweep speedup.
 func SP2ExperimentWorkers(ns []int, perNode int, seed int64, workers int) ([]SP2Row, error) {
-	outs := engine.Sweep(SP2Grid(ns, perNode, seed), workers)
+	cells, err := SP2Grid(ns, perNode, seed)
+	if err != nil {
+		return nil, err
+	}
+	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, fmt.Errorf("analysis: SP2 sweep: %w", err)
 	}

@@ -37,35 +37,35 @@ func PerfWorkloads() []PerfWorkload {
 }
 
 // PerfRow is one protocol × size × workload cell of the perf
-// experiment: full per-request latency and hop distributions, the
-// observability the aggregate BaselineRow cannot express.
+// experiment and one row of its document: full per-request latency and
+// hop distributions, the observability the aggregate BaselineRow cannot
+// express. Every field but EventsPerSec is a simulated quantity,
+// deterministic for a fixed config.
 type PerfRow struct {
-	Protocol string
-	N        int
-	PerNode  int
-	Workload string
-	Requests int64
-	Makespan sim.Time
-	// Events is the simulator event count the cell consumed —
-	// deterministic for a fixed config, like Makespan.
-	Events int64
-	// WallNanos is the cell's wall-clock run time. Unlike every other
-	// field it varies run to run; it exists only to derive the events/sec
-	// throughput and is never a regression-gate input.
-	WallNanos int64
+	Protocol string   `json:"protocol"`
+	N        int      `json:"n"`
+	Workload string   `json:"workload"`
+	Requests int64    `json:"requests"`
+	Makespan sim.Time `json:"makespan"`
+	// Events is the simulator event count the cell consumed.
+	Events int64 `json:"events"`
+	// EventsPerSec is the cell's wall-clock simulator throughput: the one
+	// field that differs between two runs of the same commit. It measures
+	// the host, not the simulation; the golden document holds 0 here.
+	EventsPerSec float64 `json:"events_per_sec"`
 	// Latency is the per-request queuing-latency distribution
 	// (simulated time units), Hops the queue/find hop-count
 	// distribution.
-	Latency stats.Dist
-	Hops    stats.Dist
+	Latency stats.Dist `json:"latency"`
+	Hops    stats.Dist `json:"hops"`
 }
 
-// EventsPerSec is the cell's wall-clock simulator throughput.
-func (r PerfRow) EventsPerSec() float64 {
-	if r.WallNanos <= 0 {
+// eventsPerSec is a cell's wall-clock simulator throughput.
+func eventsPerSec(events, wallNanos int64) float64 {
+	if wallNanos <= 0 {
 		return 0
 	}
-	return float64(r.Events) / (float64(r.WallNanos) * 1e-9)
+	return float64(events) / (float64(wallNanos) * 1e-9)
 }
 
 // perfCells builds the perf experiment cells plus each cell's workload
@@ -75,7 +75,7 @@ func (r PerfRow) EventsPerSec() float64 {
 // cell gets its own Instance with a private DistRecorder — recorders
 // accumulate per-request state, so sharing one across the concurrently
 // swept protocol column would race.
-func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []string) {
+func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []string, err error) {
 	workloads := PerfWorkloads()
 	protocols := baselineProtocols()
 	cells = make([]engine.Cell, 0, len(ns)*len(workloads)*len(protocols))
@@ -84,6 +84,10 @@ func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []
 		g := graph.Complete(n)
 		t := tree.BalancedBinary(n)
 		for j, w := range workloads {
+			load, err := engine.NewClosedLoop(perNode).Think(w.Think).Build()
+			if err != nil {
+				return nil, nil, err
+			}
 			for _, p := range protocols {
 				cells = append(cells, engine.Cell{
 					Protocol: p,
@@ -92,7 +96,7 @@ func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []
 						Graph:    g,
 						Tree:     t,
 						Root:     0,
-						Workload: engine.NewClosedLoop(perNode).Think(w.Think).MustBuild(),
+						Workload: load,
 						Latency:  w.Latency,
 						Seed:     engine.DeriveSeed(seed, i*len(workloads)+j),
 						Recorder: stats.NewDistRecorder(),
@@ -102,7 +106,7 @@ func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []
 			}
 		}
 	}
-	return cells, names
+	return cells, names, nil
 }
 
 // timedProtocol decorates a Protocol with wall-clock measurement into a
@@ -129,7 +133,10 @@ func (t timedProtocol) Run(inst engine.Instance) (engine.Cost, error) {
 // the experiment runs at the paper's 100k-requests-per-node scale
 // without per-request storage.
 func PerfExperiment(ns []int, perNode int, seed int64, workers int) ([]PerfRow, error) {
-	cells, names := perfCells(ns, perNode, seed)
+	cells, names, err := perfCells(ns, perNode, seed)
+	if err != nil {
+		return nil, err
+	}
 	walls := make([]int64, len(cells))
 	for i := range cells {
 		cells[i].Protocol = timedProtocol{p: cells[i].Protocol, wall: &walls[i]}
@@ -141,16 +148,15 @@ func PerfExperiment(ns []int, perNode int, seed int64, workers int) ([]PerfRow, 
 	rows := make([]PerfRow, len(outs))
 	for i, c := range engine.Costs(outs) {
 		rows[i] = PerfRow{
-			Protocol:  c.Protocol,
-			N:         c.N,
-			PerNode:   perNode,
-			Workload:  names[i],
-			Requests:  c.Requests,
-			Makespan:  c.Makespan,
-			Events:    c.Events,
-			WallNanos: walls[i],
-			Latency:   c.Latency,
-			Hops:      c.Hops,
+			Protocol:     c.Protocol,
+			N:            c.N,
+			Workload:     names[i],
+			Requests:     c.Requests,
+			Makespan:     c.Makespan,
+			Events:       c.Events,
+			EventsPerSec: eventsPerSec(c.Events, walls[i]),
+			Latency:      c.Latency,
+			Hops:         c.Hops,
 		}
 	}
 	return rows, nil
@@ -169,7 +175,7 @@ func PerfLatencyTable(rows []PerfRow) *Table {
 		t.AddRow(r.Protocol, r.N, r.Workload, r.Requests,
 			r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999,
 			r.Latency.Max, r.Latency.Mean, r.Latency.Std,
-			r.EventsPerSec()/1e6)
+			r.EventsPerSec/1e6)
 	}
 	return t
 }
@@ -190,65 +196,26 @@ func PerfHopsTable(rows []PerfRow) *Table {
 }
 
 // PerfSchema versions the machine-readable perf document. Bump it on
-// any field rename or semantic change — cmd/benchcheck refuses to
-// compare documents with different schemas. v2 added the deterministic
-// per-cell event count (gated like the other pinned metrics) and the
-// wall-clock events/sec throughput (reported, never gated).
+// any field rename or semantic change. v2 added the deterministic
+// per-cell event count and the wall-clock events/sec throughput.
 const PerfSchema = "arrowbench/perf/v2"
 
-// PerfConfig records the experiment parameters inside the document, so
-// a baseline comparison against a run with different parameters fails
-// loudly instead of reporting nonsense deltas.
+// PerfConfig records the experiment parameters inside the document.
 type PerfConfig struct {
 	Sizes   []int `json:"sizes"`
 	PerNode int   `json:"per_node"`
 	Seed    int64 `json:"seed"`
 }
 
-// PerfDocRow is one row of the perf document. All simulated quantities
-// (makespan, latency and hop distributions) are deterministic for a
-// fixed config, which is what makes the document a meaningful CI
-// regression baseline.
-type PerfDocRow struct {
-	Protocol string `json:"protocol"`
-	N        int    `json:"n"`
-	Workload string `json:"workload"`
-	Requests int64  `json:"requests"`
-	Makespan int64  `json:"makespan"`
-	// Events is the cell's simulator event count — deterministic, so
-	// benchcheck gates it alongside makespan and the quantiles.
-	Events int64 `json:"events"`
-	// EventsPerSec is wall-clock throughput: the one field that differs
-	// between two runs of the same commit. Benchcheck reports it but
-	// never gates on it (shared CI runners make wall-clock deltas noise).
-	EventsPerSec float64    `json:"events_per_sec"`
-	Latency      stats.Dist `json:"latency"`
-	Hops         stats.Dist `json:"hops"`
-}
-
-// PerfDoc is the stable schema of `arrowbench -exp perf -json` — the
-// repo's machine-readable perf trajectory (BENCH_perf.json).
+// PerfDoc is the stable schema of `arrowbench -exp perf -json`; the
+// repo pins one as testdata/perf_golden.json (TestDocumentsGolden).
 type PerfDoc struct {
-	Schema string       `json:"schema"`
-	Config PerfConfig   `json:"config"`
-	Rows   []PerfDocRow `json:"rows"`
+	Schema string     `json:"schema"`
+	Config PerfConfig `json:"config"`
+	Rows   []PerfRow  `json:"rows"`
 }
 
 // PerfDocument assembles the machine-readable perf document.
 func PerfDocument(cfg PerfConfig, rows []PerfRow) PerfDoc {
-	doc := PerfDoc{Schema: PerfSchema, Config: cfg, Rows: make([]PerfDocRow, len(rows))}
-	for i, r := range rows {
-		doc.Rows[i] = PerfDocRow{
-			Protocol:     r.Protocol,
-			N:            r.N,
-			Workload:     r.Workload,
-			Requests:     r.Requests,
-			Makespan:     int64(r.Makespan),
-			Events:       r.Events,
-			EventsPerSec: r.EventsPerSec(),
-			Latency:      r.Latency,
-			Hops:         r.Hops,
-		}
-	}
-	return doc
+	return PerfDoc{Schema: PerfSchema, Config: cfg, Rows: rows}
 }

@@ -47,11 +47,10 @@ func TestPerfExperimentShape(t *testing.T) {
 }
 
 // The perf experiment is a deterministic artifact: same config, same
-// document, at any worker count — the property that makes BENCH_perf.json
-// a meaningful CI baseline. WallNanos (and the events/sec derived from
-// it) is the one deliberate exception: it measures the host, not the
-// simulation, so it is zeroed before the comparison and excluded from
-// benchcheck's gate for the same reason.
+// document, at any worker count — the property that lets
+// perf_golden.json be compared byte for byte. EventsPerSec is the one
+// deliberate exception: it measures the host, not the simulation, so it
+// is zeroed before the comparison here and in the golden.
 func TestPerfExperimentDeterministic(t *testing.T) {
 	a, err := PerfExperiment([]int{8}, 4, 7, 1)
 	if err != nil {
@@ -62,10 +61,10 @@ func TestPerfExperimentDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		a[i].WallNanos = 0
+		a[i].EventsPerSec = 0
 	}
 	for i := range b {
-		b[i].WallNanos = 0
+		b[i].EventsPerSec = 0
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("perf rows differ across worker counts:\n%+v\n%+v", a, b)

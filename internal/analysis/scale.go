@@ -59,45 +59,34 @@ func (c *ScaleConfig) perNode(n int) int {
 }
 
 // ScaleRow is one protocol × topology × size cell of the scale
-// experiment. The simulated quantities (Requests, Makespan, Events,
-// QueueHops) are deterministic for a fixed config; WallNanos and
-// AllocBytes vary run to run and exist for the throughput and
-// bytes-per-node columns only.
+// experiment and one row of its document. Everything but EventsPerSec,
+// AllocBytes and BytesPerNode is a simulated quantity, deterministic
+// for a fixed config; those three measure the host (the golden document
+// holds 0 there).
 type ScaleRow struct {
-	Protocol  string
-	Topology  string
-	N         int
-	PerNode   int
-	Requests  int64
-	Makespan  sim.Time
-	Events    int64
-	QueueHops int64
-	WallNanos int64
+	Protocol     string   `json:"protocol"`
+	Topology     string   `json:"topology"`
+	N            int      `json:"n"`
+	PerNode      int      `json:"per_node"`
+	Requests     int64    `json:"requests"`
+	Makespan     sim.Time `json:"makespan"`
+	Events       int64    `json:"events"`
+	QueueHops    int64    `json:"queue_hops"`
+	EventsPerSec float64  `json:"events_per_sec"`
 	// AllocBytes is the cell's cumulative heap allocation
 	// (runtime.MemStats.TotalAlloc delta across the run) — the honest
 	// "does node state stay flat" number: it includes every transient,
 	// so per-request garbage would show up as growth, not hide behind
-	// the collector.
-	AllocBytes int64
-	// Sched is the run's far-tier scheduler work (sim.SchedStats).
-	// Deterministic for a fixed config.
-	Sched sim.SchedStats
-}
-
-// EventsPerSec is the cell's wall-clock simulator throughput.
-func (r ScaleRow) EventsPerSec() float64 {
-	if r.WallNanos <= 0 {
-		return 0
-	}
-	return float64(r.Events) / (float64(r.WallNanos) * 1e-9)
-}
-
-// BytesPerNode is the cell's allocation footprint per node.
-func (r ScaleRow) BytesPerNode() float64 {
-	if r.N == 0 {
-		return 0
-	}
-	return float64(r.AllocBytes) / float64(r.N)
+	// the collector. BytesPerNode is AllocBytes / N.
+	AllocBytes   int64   `json:"alloc_bytes"`
+	BytesPerNode float64 `json:"bytes_per_node"`
+	// FarPushes, HeapPushes and Refills are the scheduler's far-tier
+	// work counters (sim.SchedStats): pushes parked in the far timing
+	// wheels, pushes that fell through to the binary heap (more than 2²⁷
+	// ticks out), and far buckets opened.
+	FarPushes  int64 `json:"far_pushes"`
+	HeapPushes int64 `json:"heap_pushes"`
+	Refills    int64 `json:"refills"`
 }
 
 // scaleCell is one deferred run: construction of the implicit topology
@@ -180,21 +169,33 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analysis: scale %s/%s n=%d: %w", c.protocol, c.topology, c.n, err)
 		}
+		alloc := int64(ms.TotalAlloc - before)
 		rows = append(rows, ScaleRow{
-			Protocol:   c.protocol,
-			Topology:   c.topology,
-			N:          c.n,
-			PerNode:    c.perNode,
-			Requests:   out.Requests,
-			Makespan:   out.Makespan,
-			Events:     out.Events,
-			QueueHops:  out.QueueHops,
-			WallNanos:  wall,
-			AllocBytes: int64(ms.TotalAlloc - before),
-			Sched:      sched,
+			Protocol:     c.protocol,
+			Topology:     c.topology,
+			N:            c.n,
+			PerNode:      c.perNode,
+			Requests:     out.Requests,
+			Makespan:     out.Makespan,
+			Events:       out.Events,
+			QueueHops:    out.QueueHops,
+			EventsPerSec: eventsPerSec(out.Events, wall),
+			AllocBytes:   alloc,
+			BytesPerNode: float64(alloc) / float64(c.n),
+			FarPushes:    sched.Far(),
+			HeapPushes:   sched.HeapPushes,
+			Refills:      sched.Refills,
 		})
 	}
 	return rows, nil
+}
+
+// perRequest is a per-operation average; 0 for a cell with no requests.
+func perRequest(total, requests int64) float64 {
+	if requests == 0 {
+		return 0
+	}
+	return float64(total) / float64(requests)
 }
 
 // ScaleTable formats the scale rows: deterministic protocol work on the
@@ -207,13 +208,9 @@ func ScaleTable(rows []ScaleRow) *Table {
 			"far_pushes", "heap_pushes", "refills"},
 	}
 	for _, r := range rows {
-		qper := 0.0
-		if r.Requests > 0 {
-			qper = float64(r.QueueHops) / float64(r.Requests)
-		}
 		t.AddRow(r.Protocol, r.Topology, r.N, r.PerNode, r.Requests,
-			int64(r.Makespan), r.Events, qper, r.EventsPerSec()/1e6, r.BytesPerNode(),
-			r.Sched.Far(), r.Sched.HeapPushes, r.Sched.Refills)
+			int64(r.Makespan), r.Events, perRequest(r.QueueHops, r.Requests), r.EventsPerSec/1e6, r.BytesPerNode,
+			r.FarPushes, r.HeapPushes, r.Refills)
 	}
 	return t
 }
@@ -232,37 +229,11 @@ type ScaleDocConfig struct {
 	Seed        int64 `json:"seed"`
 }
 
-// ScaleDocRow is one row of the scale document. Requests, Makespan,
-// Events and QueueHops are deterministic for a fixed config;
-// EventsPerSec and the byte columns are machine-dependent and reported
-// for trend reading, never gated.
-type ScaleDocRow struct {
-	Protocol     string  `json:"protocol"`
-	Topology     string  `json:"topology"`
-	N            int     `json:"n"`
-	PerNode      int     `json:"per_node"`
-	Requests     int64   `json:"requests"`
-	Makespan     int64   `json:"makespan"`
-	Events       int64   `json:"events"`
-	QueueHops    int64   `json:"queue_hops"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocBytes   int64   `json:"alloc_bytes"`
-	BytesPerNode float64 `json:"bytes_per_node"`
-	// FarPushes, HeapPushes and Refills are the scheduler's far-tier
-	// work counters (sim.SchedStats): pushes parked in the far timing
-	// wheels, pushes that fell through to the binary heap (more than 2²⁷
-	// ticks out), and far buckets opened. Deterministic for a fixed
-	// config; benchcheck requires the fields and checks their shape.
-	FarPushes  int64 `json:"far_pushes"`
-	HeapPushes int64 `json:"heap_pushes"`
-	Refills    int64 `json:"refills"`
-}
-
 // ScaleDoc is the stable schema of `arrowbench -exp scale -json`.
 type ScaleDoc struct {
 	Schema string         `json:"schema"`
 	Config ScaleDocConfig `json:"config"`
-	Rows   []ScaleDocRow  `json:"rows"`
+	Rows   []ScaleRow     `json:"rows"`
 }
 
 // ScaleDocument assembles the machine-readable scale document.
@@ -271,31 +242,12 @@ func ScaleDocument(cfg ScaleConfig, rows []ScaleRow) ScaleDoc {
 	if maxReq <= 0 && cfg.PerNode <= 0 {
 		maxReq = 2_000_000
 	}
-	doc := ScaleDoc{
+	return ScaleDoc{
 		Schema: ScaleSchema,
 		Config: ScaleDocConfig{
 			Sizes: cfg.sizes(), PerNode: cfg.PerNode,
 			MaxRequests: maxReq, Seed: cfg.Seed,
 		},
-		Rows: make([]ScaleDocRow, len(rows)),
+		Rows: rows,
 	}
-	for i, r := range rows {
-		doc.Rows[i] = ScaleDocRow{
-			Protocol:     r.Protocol,
-			Topology:     r.Topology,
-			N:            r.N,
-			PerNode:      r.PerNode,
-			Requests:     r.Requests,
-			Makespan:     int64(r.Makespan),
-			Events:       r.Events,
-			QueueHops:    r.QueueHops,
-			EventsPerSec: r.EventsPerSec(),
-			AllocBytes:   r.AllocBytes,
-			BytesPerNode: r.BytesPerNode(),
-			FarPushes:    r.Sched.Far(),
-			HeapPushes:   r.Sched.HeapPushes,
-			Refills:      r.Sched.Refills,
-		}
-	}
-	return doc
 }

@@ -68,19 +68,27 @@ func (c *ShardConfig) linkTxTime() sim.Time {
 	return c.LinkTxTime
 }
 
-// ShardRow is one protocol × objects × skew cell: the aggregate cost of
-// the combined traffic, its latency distribution, and the fairness
-// summary across the objects. Every field is a simulated quantity —
-// deterministic for a fixed config, no wall-clock anywhere — so the
-// rows gate reliably in CI.
+// ShardRow is one protocol × objects × skew cell and one row of the
+// shard document: the aggregate cost of the combined traffic, its
+// latency and hop distributions, and the fairness summary across the
+// objects. Every field is a simulated quantity — deterministic for a
+// fixed config, no wall-clock anywhere.
 type ShardRow struct {
-	Protocol string
-	N        int
-	Objects  int
-	Skew     float64
-	PerNode  int
-	Cost     engine.Cost
-	Fairness engine.Fairness
+	Protocol     string          `json:"protocol"`
+	N            int             `json:"n"`
+	Objects      int             `json:"objects"`
+	Skew         float64         `json:"skew"`
+	PerNode      int             `json:"per_node"`
+	Requests     int64           `json:"requests"`
+	QueueHops    int64           `json:"queue_hops"`
+	ReplyHops    int64           `json:"reply_hops"`
+	LocalComps   int64           `json:"local_completions"`
+	TotalLatency int64           `json:"total_latency"`
+	Makespan     sim.Time        `json:"makespan"`
+	Events       int64           `json:"events"`
+	Latency      stats.Dist      `json:"latency"`
+	Hops         stats.Dist      `json:"hops"`
+	Fairness     engine.Fairness `json:"fairness"`
 }
 
 // shardProtocols returns the experiment's protocol columns in
@@ -120,10 +128,14 @@ func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 	rows := make([]ShardRow, len(cells))
 	err := engine.ParallelMapErr(len(cells), cfg.Workers, func(i int) error {
 		c := cells[i]
+		load, err := engine.NewClosedLoop(cfg.PerNode).Objects(c.objects).Zipf(c.skew).Build()
+		if err != nil {
+			return fmt.Errorf("analysis: shard k=%d s=%g: %w", c.objects, c.skew, err)
+		}
 		mc, err := c.proto.RunMulti(engine.MultiInstance{
 			Label:      fmt.Sprintf("n=%d/k=%d/s=%g", n, c.objects, c.skew),
 			Nodes:      n,
-			Workload:   engine.NewClosedLoop(cfg.PerNode).Objects(c.objects).Zipf(c.skew).MustBuild(),
+			Workload:   load,
 			Seed:       c.seed,
 			LinkTxTime: cfg.linkTxTime(),
 			Recorder:   stats.NewDistRecorder(),
@@ -131,14 +143,23 @@ func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 		if err != nil {
 			return fmt.Errorf("analysis: shard %s k=%d s=%g: %w", c.proto.Name(), c.objects, c.skew, err)
 		}
+		agg := mc.Aggregate
 		rows[i] = ShardRow{
-			Protocol: c.proto.Name(),
-			N:        n,
-			Objects:  c.objects,
-			Skew:     c.skew,
-			PerNode:  cfg.PerNode,
-			Cost:     mc.Aggregate,
-			Fairness: mc.Fairness,
+			Protocol:     c.proto.Name(),
+			N:            n,
+			Objects:      c.objects,
+			Skew:         c.skew,
+			PerNode:      cfg.PerNode,
+			Requests:     agg.Requests,
+			QueueHops:    agg.QueueHops,
+			ReplyHops:    agg.ReplyHops,
+			LocalComps:   agg.LocalCompletions,
+			TotalLatency: agg.TotalLatency,
+			Makespan:     agg.Makespan,
+			Events:       agg.Events,
+			Latency:      agg.Latency,
+			Hops:         agg.Hops,
+			Fairness:     mc.Fairness,
 		}
 		return nil
 	})
@@ -157,8 +178,8 @@ func ShardTable(rows []ShardRow) *Table {
 			"lat p50", "lat p99", "makespan", "req min/max", "avglat max", "avglat p99"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Protocol, r.Objects, r.Skew, r.Cost.Requests, r.Cost.AvgQueueHops(),
-			r.Cost.Latency.P50, r.Cost.Latency.P99, int64(r.Cost.Makespan),
+		t.AddRow(r.Protocol, r.Objects, r.Skew, r.Requests, perRequest(r.QueueHops, r.Requests),
+			r.Latency.P50, r.Latency.P99, int64(r.Makespan),
 			fmt.Sprintf("%d/%d", r.Fairness.MinRequests, r.Fairness.MaxRequests),
 			r.Fairness.MaxAvgLatency, r.Fairness.P99AvgLatency)
 	}
@@ -181,36 +202,16 @@ type ShardDocConfig struct {
 	LinkTxTime int64     `json:"link_tx_time"`
 }
 
-// ShardDocRow is one row of the shard document. Every field is
-// deterministic for a fixed config — no wall-clock quantities.
-type ShardDocRow struct {
-	Protocol     string          `json:"protocol"`
-	N            int             `json:"n"`
-	Objects      int             `json:"objects"`
-	Skew         float64         `json:"skew"`
-	PerNode      int             `json:"per_node"`
-	Requests     int64           `json:"requests"`
-	QueueHops    int64           `json:"queue_hops"`
-	ReplyHops    int64           `json:"reply_hops"`
-	LocalComps   int64           `json:"local_completions"`
-	TotalLatency int64           `json:"total_latency"`
-	Makespan     int64           `json:"makespan"`
-	Events       int64           `json:"events"`
-	Latency      stats.Dist      `json:"latency"`
-	Hops         stats.Dist      `json:"hops"`
-	Fairness     engine.Fairness `json:"fairness"`
-}
-
 // ShardDoc is the stable schema of `arrowbench -exp shard -json`.
 type ShardDoc struct {
 	Schema string         `json:"schema"`
 	Config ShardDocConfig `json:"config"`
-	Rows   []ShardDocRow  `json:"rows"`
+	Rows   []ShardRow     `json:"rows"`
 }
 
 // ShardDocument assembles the machine-readable shard document.
 func ShardDocument(cfg ShardConfig, rows []ShardRow) ShardDoc {
-	doc := ShardDoc{
+	return ShardDoc{
 		Schema: ShardSchema,
 		Config: ShardDocConfig{
 			N:          cfg.n(),
@@ -220,26 +221,6 @@ func ShardDocument(cfg ShardConfig, rows []ShardRow) ShardDoc {
 			Seed:       cfg.Seed,
 			LinkTxTime: int64(cfg.linkTxTime()),
 		},
-		Rows: make([]ShardDocRow, len(rows)),
+		Rows: rows,
 	}
-	for i, r := range rows {
-		doc.Rows[i] = ShardDocRow{
-			Protocol:     r.Protocol,
-			N:            r.N,
-			Objects:      r.Objects,
-			Skew:         r.Skew,
-			PerNode:      r.PerNode,
-			Requests:     r.Cost.Requests,
-			QueueHops:    r.Cost.QueueHops,
-			ReplyHops:    r.Cost.ReplyHops,
-			LocalComps:   r.Cost.LocalCompletions,
-			TotalLatency: r.Cost.TotalLatency,
-			Makespan:     int64(r.Cost.Makespan),
-			Events:       r.Cost.Events,
-			Latency:      r.Cost.Latency,
-			Hops:         r.Cost.Hops,
-			Fairness:     r.Fairness,
-		}
-	}
-	return doc
 }

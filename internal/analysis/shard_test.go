@@ -25,16 +25,31 @@ func TestShardExperimentRows(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
 	for _, r := range rows {
-		if r.Cost.Requests != int64(cfg.N)*int64(cfg.PerNode) {
+		if r.Requests != int64(cfg.N)*int64(cfg.PerNode) {
 			t.Errorf("%s k=%d s=%g: %d requests, want %d",
-				r.Protocol, r.Objects, r.Skew, r.Cost.Requests, cfg.N*cfg.PerNode)
+				r.Protocol, r.Objects, r.Skew, r.Requests, cfg.N*cfg.PerNode)
 		}
 		if r.Fairness.Objects != r.Objects {
 			t.Errorf("%s k=%d: fairness ranges over %d objects", r.Protocol, r.Objects, r.Fairness.Objects)
 		}
-		if r.Cost.Latency.Count != r.Cost.Requests {
+		if r.Latency.Count != r.Requests {
 			t.Errorf("%s k=%d s=%g: latency dist counted %d of %d requests",
-				r.Protocol, r.Objects, r.Skew, r.Cost.Latency.Count, r.Cost.Requests)
+				r.Protocol, r.Objects, r.Skew, r.Latency.Count, r.Requests)
+		}
+		if r.Events <= 0 {
+			t.Errorf("%s k=%d s=%g: %d events", r.Protocol, r.Objects, r.Skew, r.Events)
+		}
+		// The per-object request counts partition the row's requests, so
+		// their extremes must bracket the mean; the per-object latency
+		// extremes must be ordered around the p99.
+		f, k := r.Fairness, int64(r.Objects)
+		if f.MinRequests > f.MaxRequests || f.MinRequests*k > r.Requests || f.MaxRequests*k < r.Requests {
+			t.Errorf("%s k=%d s=%g: request bounds [%d, %d] cannot partition %d requests",
+				r.Protocol, r.Objects, r.Skew, f.MinRequests, f.MaxRequests, r.Requests)
+		}
+		if f.MinAvgLatency > f.P99AvgLatency || f.P99AvgLatency > f.MaxAvgLatency {
+			t.Errorf("%s k=%d s=%g: latency extremes unordered (min %g, p99 %g, max %g)",
+				r.Protocol, r.Objects, r.Skew, f.MinAvgLatency, f.P99AvgLatency, f.MaxAvgLatency)
 		}
 	}
 	if out := ShardTable(rows).Render(); out == "" {

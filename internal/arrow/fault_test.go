@@ -101,7 +101,7 @@ func TestClosedLoopFaultRunsDeterministic(t *testing.T) {
 
 // TestClosedLoopEmptyPlanBitIdentical: a nil plan and an empty plan
 // produce byte-identical results — the acceptance criterion protecting
-// the pinned BENCH_perf metrics.
+// the pinned perf document (perf_golden.json).
 func TestClosedLoopEmptyPlanBitIdentical(t *testing.T) {
 	tr := tree.BalancedBinary(31)
 	base, err := RunClosedLoop(tr, LoopConfig{Spec: loop.Spec{PerNode: 50}, Root: 0})

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// HotpathAnalyzer is the static twin of benchcheck's zero-alloc gate.
-// A function whose doc comment carries //arrow:hotpath declares that it
+// HotpathAnalyzer is the static twin of the zero-alloc send test
+// (TestSimSendDispatchZeroAlloc). A function whose doc comment carries //arrow:hotpath declares that it
 // runs on the per-send/per-event path and must not allocate at steady
 // state. The analyzer rejects the four allocation sources that have
 // actually bitten this codebase, and one copy source:

@@ -1,7 +1,7 @@
 // Package lint is arrowlint: a static-analysis suite that enforces the
 // repo's determinism, hot-path, and protocol invariants at compile
 // time. It is the static twin of the dynamic gates — the
-// sweep-determinism property tests, benchcheck's zero-alloc gate, and
+// sweep-determinism property tests, the zero-alloc send test, and
 // the scheduler-equivalence traces — and exists so that a stray
 // time.Now, a global math/rand call, an unordered map iteration, or a
 // capturing closure on a send path is a vet error today instead of a

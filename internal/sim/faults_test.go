@@ -306,8 +306,8 @@ func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 			LinkChurn(TreeLinks(tr), 2, horizon/20, 5, horizon, 3),
 			NodeChurn(15, func(v graph.NodeID) bool { return v != 0 }, 1, horizon/20, 5, horizon, 4)...)}
 		starts := []Time{0, horizon / 3, 2 * horizon / 3}
-		run := func(k SchedulerKind) ([]string, SchedStats) {
-			s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan, Scheduler: k})
+		run := func(k schedulerKind) ([]string, SchedStats) {
+			s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan, scheduler: k})
 			var trace []string
 			s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
 				trace = append(trace, fmt.Sprintf("m:%d:%d<-%d", ctx.Now(), at, from))
@@ -330,8 +330,8 @@ func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 			trace = append(trace, fmt.Sprintf("end:%d:%d:%d", s.Now(), s.MessagesDropped(), s.MessagesDeferred()))
 			return trace, s.SchedStats()
 		}
-		heap, _ := run(SchedHeap)
-		ladder, st := run(SchedLadder)
+		heap, _ := run(schedHeap)
+		ladder, st := run(schedLadder)
 		if !reflect.DeepEqual(heap, ladder) {
 			t.Fatalf("horizon %d: schedulers diverged under faults:\nheap n=%d\nladder n=%d", horizon, len(heap), len(ladder))
 		}

@@ -7,30 +7,31 @@ import (
 	"repro/internal/graph"
 )
 
-// SchedulerKind selects the event-queue implementation backing a
+// schedulerKind selects the event-queue implementation backing a
 // Simulator. Both schedulers realize the exact same total event order —
 // ascending (at, pri, seq) — so a run's trace, metrics and makespan are
 // bit-identical under either; TestSchedulerEquivalence pins that. The
 // selector exists for that equivalence test and for benchmarking the two
-// against each other, not as a tuning knob.
-type SchedulerKind uint8
+// against each other inside this package; it is not part of Config's
+// public surface.
+type schedulerKind uint8
 
 const (
-	// SchedLadder is the default: a hierarchical timing wheel — a
+	// schedLadder is the default: a hierarchical timing wheel — a
 	// per-tick bucket ring for the near-future delays that dominate the
 	// synchronous model, two far wheels for delays up to 2²⁷ ticks, all
 	// O(1) push/pop, and a binary heap only beyond that.
-	SchedLadder SchedulerKind = iota
-	// SchedHeap is the previous implementation: a single binary min-heap,
+	schedLadder schedulerKind = iota
+	// schedHeap is the previous implementation: a single binary min-heap,
 	// O(log pending) per operation.
-	SchedHeap
+	schedHeap
 )
 
-func (k SchedulerKind) String() string {
+func (k schedulerKind) String() string {
 	switch k {
-	case SchedLadder:
+	case schedLadder:
 		return "ladder"
-	case SchedHeap:
+	case schedHeap:
 		return "heap"
 	default:
 		return "scheduler(?)"
@@ -95,7 +96,7 @@ func cmpEvent(x, y event) int {
 // eventHeap is a hand-rolled min-heap of event values: events live inline
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
-// It is the SchedHeap scheduler — the oracle the ladder queue is tested
+// It is the schedHeap scheduler — the oracle the ladder queue is tested
 // against — and the ladder queue's last tier, for events more than 2²⁷
 // ticks out.
 type eventHeap []event
@@ -226,7 +227,7 @@ type farWheel struct {
 // to the binary heap (more than 2²⁷ ticks from the position), Refills
 // the far buckets opened (one per epoch poured, super-epoch cascaded or
 // heap block poured) and Cascaded the events those refills moved one
-// tier down. All zero under SchedHeap. Deterministic for a fixed config.
+// tier down. All zero under schedHeap. Deterministic for a fixed config.
 type SchedStats struct {
 	FarPushes  [farLevels]int64
 	HeapPushes int64

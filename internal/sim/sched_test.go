@@ -31,7 +31,7 @@ type traceEntry struct {
 // trace. All randomness flows through the simulator's own seeded
 // streams, so for a fixed config the trace is a pure function of the
 // event order the scheduler realizes.
-func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyModel, seed int64) ([]traceEntry, SchedStats) {
+func runTrace(t *testing.T, kind schedulerKind, arb Arbitration, lat LatencyModel, seed int64) ([]traceEntry, SchedStats) {
 	t.Helper()
 	tr := tree.PathTree(4)
 	s := New(Config{
@@ -39,7 +39,7 @@ func runTrace(t *testing.T, kind SchedulerKind, arb Arbitration, lat LatencyMode
 		Latency:     lat,
 		Arbitration: arb,
 		Seed:        seed,
-		Scheduler:   kind,
+		scheduler:   kind,
 		MaxEvents:   200000,
 	})
 	var trace []traceEntry
@@ -110,8 +110,8 @@ func TestSchedulerEquivalence(t *testing.T) {
 		for _, lm := range models {
 			for seed := int64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%v/%s/seed=%d", arb, lm.name, seed)
-				heap, _ := runTrace(t, SchedHeap, arb, lm.m, seed)
-				ladder, st := runTrace(t, SchedLadder, arb, lm.m, seed)
+				heap, _ := runTrace(t, schedHeap, arb, lm.m, seed)
+				ladder, st := runTrace(t, schedLadder, arb, lm.m, seed)
 				if st.FarPushes[0] == 0 || st.FarPushes[1] == 0 || st.HeapPushes == 0 || st.Cascaded == 0 {
 					t.Errorf("%s: ladder run missed a tier (stats %+v)", name, st)
 				}
@@ -235,7 +235,7 @@ func TestSatMulSatAdd(t *testing.T) {
 // the heap tier beyond 2²⁷ ticks. Run with -benchmem: the steady state
 // of both schedulers is allocation-free.
 func BenchmarkSchedulerPushPop(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedLadder, SchedHeap} {
+	for _, kind := range []schedulerKind{schedLadder, schedHeap} {
 		for _, pending := range []int{64, 1024, 65536} {
 			for _, maxDelay := range []int{16, 4096, 200000, 1 << 28} {
 				name := fmt.Sprintf("%v/pending=%d/delay=%d", kind, pending, maxDelay)
@@ -248,7 +248,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
 					push := func(d Time) {
 						seq++
-						if kind == SchedHeap {
+						if kind == schedHeap {
 							h.push(now+d, int64(seq), seq)
 						} else {
 							lq.push(now+d, int64(seq), seq)
@@ -261,7 +261,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					b.ResetTimer()
 					var e event
 					for i := 0; i < b.N; i++ {
-						if kind == SchedHeap {
+						if kind == schedHeap {
 							h.pop(&e)
 							now = e.at
 						} else {

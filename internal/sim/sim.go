@@ -114,14 +114,15 @@ type Config struct {
 	// MaxEvents aborts the run (with a panic describing a likely protocol
 	// bug) after this many events; 0 means no limit.
 	MaxEvents int64
-	// Scheduler selects the event-queue implementation; the zero value is
-	// the ladder queue. Every scheduler realizes the identical event
-	// order, so this is an equivalence-testing and benchmarking knob, not
-	// a semantic one. Both are driven through the same in-place API —
-	// push(at, pri, seq) hands back the event's storage for the caller to
-	// fill — but only the ladder dispatches an event from its cell;
-	// SchedHeap, the oracle, pops into a local.
-	Scheduler SchedulerKind
+	// scheduler selects the event-queue implementation; the zero value is
+	// the ladder queue. Unexported: only this package's tests set it, to
+	// run the binary heap as the oracle the ladder is compared against
+	// (TestSchedulerEquivalence and the two ladder-vs-heap fuzz targets).
+	// Both are driven through the same in-place API — push(at, pri, seq)
+	// hands back the event's storage for the caller to fill — but only
+	// the ladder dispatches an event from its cell; the heap pops into a
+	// local.
+	scheduler schedulerKind
 	// Faults is the deterministic liveness schedule; nil (or an empty
 	// plan) leaves the run bit-identical to a fault-free simulator. The
 	// plan is read-only and may be shared across simulators; it is
@@ -184,7 +185,7 @@ type Simulator struct {
 	blockedH BlockedHandler
 
 	// The pending-event scheduler: the ladder queue by default, the
-	// binary heap when cfg.Scheduler is SchedHeap. A two-way branch on a
+	// binary heap when cfg.scheduler is schedHeap. A two-way branch on a
 	// bool keeps the hot path devirtualized (an interface call per
 	// push/pop costs more than the queue operation itself).
 	useHeap bool
@@ -271,7 +272,7 @@ func (s *Simulator) DrainStats() DrainStats {
 }
 
 // SchedStats returns the ladder queue's far-tier work counters so far
-// (see SchedStats); all zero under SchedHeap.
+// (see SchedStats); all zero under schedHeap.
 func (s *Simulator) SchedStats() SchedStats { return s.lq.stats }
 
 // linkEntry is one directed link's clock in the table representation:
@@ -433,7 +434,7 @@ func New(cfg Config) *Simulator {
 	}
 	s := &Simulator{
 		cfg:     cfg,
-		useHeap: cfg.Scheduler == SchedHeap,
+		useHeap: cfg.scheduler == schedHeap,
 	}
 	s.txTime = cfg.LinkTxTime
 	if m, ok := cfg.Latency.(syncModel); ok {
@@ -758,7 +759,7 @@ func (s *Simulator) Reserve(pending int) {
 // (handlers may grow the arena). The heap oracle pops into a local.
 func (s *Simulator) Run() Time {
 	ctx := s.ctx
-	var popped event // SchedHeap only
+	var popped event // schedHeap only
 	for {
 		c, slot := &popped, nilSlot
 		if s.useHeap {

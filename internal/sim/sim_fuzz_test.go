@@ -59,7 +59,7 @@ type simResult struct {
 // consumed in dispatch order, so two schedulers that order events alike
 // read the same ops, and two that do not diverge in the trace at once.
 // When the stream runs out events stop scheduling and the run drains.
-func simScript(kind SchedulerKind, script []byte) simResult {
+func simScript(kind schedulerKind, script []byte) simResult {
 	var hdr [4]byte
 	ops := script[copy(hdr[:], script):]
 	n := 2 + int(hdr[0]&15)%15
@@ -91,7 +91,7 @@ func simScript(kind SchedulerKind, script []byte) simResult {
 		Latency:     lat,
 		Arbitration: arb,
 		Seed:        int64(hdr[3] >> 2),
-		Scheduler:   kind,
+		scheduler:   kind,
 		LinkTxTime:  Time(hdr[2]>>2) % 4,
 		MaxEvents:   int64(4*len(script) + 64),
 	})
@@ -157,7 +157,7 @@ func simScriptsAgree(t *testing.T, script []byte) simResult {
 	if len(script) > 4096 {
 		script = script[:4096]
 	}
-	want, got := simScript(SchedHeap, script), simScript(SchedLadder, script)
+	want, got := simScript(schedHeap, script), simScript(schedLadder, script)
 	for i := 0; i < len(want.trace) && i < len(got.trace); i++ {
 		if got.trace[i] != want.trace[i] {
 			t.Fatalf("delivery %d: ladder %+v, heap %+v", i, got.trace[i], want.trace[i])

@@ -249,7 +249,7 @@ func (h *Histogram) Quantile(p float64) int64 {
 
 // Dist is the fixed-size summary of a Histogram: the streaming moments
 // plus the standard tail quantiles. The JSON tags are the wire shape of
-// the machine-readable perf output (BENCH_perf.json), so renaming a
+// the arrowbench -json documents (and their golden files), so renaming a
 // field is a schema change.
 type Dist struct {
 	Count int64   `json:"count"`
