@@ -243,7 +243,7 @@ func fatal(err error) {
 }
 
 func runSP2(ns []int, perNode int, seed int64, workers int, fig10, fig11 bool) error {
-	rows, err := analysis.SP2ExperimentWorkers(ns, perNode, seed, workers)
+	rows, err := analysis.SP2Experiment(ns, perNode, seed, workers)
 	if err != nil {
 		return err
 	}

@@ -8,16 +8,15 @@
 // Standalone mode simply re-execs `go vet -vettool=<self>` with the
 // same package patterns, so both paths run the identical protocol:
 // per-package vet configs, compiler export data for imports, build
-// cache integration. Individual analyzers can be disabled with
-// -determinism=false, -hotpath=false, -msgswitch=false,
-// -schedorder=false.
+// cache integration. The whole suite always runs; a finding that is
+// meant is silenced where it occurs, with an
+// `//arrow:allow <check> <reason>` directive.
 //
 // Findings exit 2; usage or typecheck errors exit 1; clean exits 0.
 package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -42,33 +41,24 @@ func run(args []string) int {
 	fs.SetOutput(os.Stderr)
 	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (vet protocol handshake)")
 	fs.String("V", "", "print version and exit (cmd/go protocol)")
-	enable := map[string]*bool{}
-	for _, a := range lint.Suite() {
-		if a.Name == "arrowdir" {
-			continue // directive validation cannot be disabled
-		}
-		enable[a.Name] = fs.Bool(a.Name, true, a.Doc)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 	if *printFlags {
-		return printFlagsJSON()
-	}
-	enabled := map[string]bool{"arrowdir": true}
-	for name, on := range enable {
-		enabled[name] = *on
+		// The vet handshake asks which flags to pass through: none.
+		fmt.Println("[]")
+		return 0
 	}
 	rest := fs.Args()
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return lint.RunVet(os.Stderr, rest[0], enabled)
+		return lint.RunVet(os.Stderr, rest[0])
 	}
-	return standalone(enabled, rest)
+	return standalone(rest)
 }
 
 // standalone re-execs `go vet -vettool=<self>` so package loading,
 // export data, and caching all come from the real toolchain.
-func standalone(enabled map[string]bool, patterns []string) int {
+func standalone(patterns []string) int {
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "arrowlint: %v\n", err)
@@ -77,14 +67,7 @@ func standalone(enabled map[string]bool, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	vetArgs := []string{"vet", "-vettool=" + self}
-	for _, a := range lint.Suite() {
-		if on, ok := enabled[a.Name]; ok && !on && a.Name != "arrowdir" {
-			vetArgs = append(vetArgs, "-"+a.Name+"=false")
-		}
-	}
-	vetArgs = append(vetArgs, patterns...)
-	cmd := exec.Command("go", vetArgs...)
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, patterns...)...)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	cmd.Stdin = os.Stdin
@@ -121,30 +104,5 @@ func printVersion() int {
 		return 1
 	}
 	fmt.Printf("arrowlint version devel buildID=%x\n", h.Sum(nil))
-	return 0
-}
-
-// printFlagsJSON implements the `-flags` handshake: go vet asks the
-// tool which flags it accepts so it can pass them through.
-func printFlagsJSON() int {
-	type vetFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []vetFlag
-	for _, a := range lint.Suite() {
-		if a.Name == "arrowdir" {
-			continue
-		}
-		out = append(out, vetFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "arrowlint: %v\n", err)
-		return 1
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
 	return 0
 }

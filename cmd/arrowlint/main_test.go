@@ -73,30 +73,6 @@ func Stamp() time.Time { return time.Now() }
 	}
 }
 
-// TestArrowlintFlagDisablesAnalyzer checks the -<analyzer>=false flags
-// survive the trip through go vet's flag handshake: with -determinism
-// off, the same scratch violation goes unreported.
-func TestArrowlintFlagDisablesAnalyzer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and a scratch module; skipped in -short")
-	}
-	bin := buildArrowlint(t)
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(dir, "bad.go"), `//arrow:deterministic
-package bad
-
-import "time"
-
-func Stamp() time.Time { return time.Now() }
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "-determinism=false", "./...")
-	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("-determinism=false still reported findings:\n%s\n(%v)", out, err)
-	}
-}
-
 func writeFile(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {

@@ -5,7 +5,6 @@
 package repro
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -22,38 +21,6 @@ import (
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
-
-// TestWorkloadCSVThroughProtocol runs a workload, persists it to CSV,
-// reloads it, and verifies the protocol reproduces the identical result —
-// the reproducibility pipeline end to end.
-func TestWorkloadCSVThroughProtocol(t *testing.T) {
-	tr := tree.BalancedBinary(31)
-	set := workload.Poisson(31, 0.6, 120, 5)
-	res1, err := arrow.Run(tr, set, arrow.Options{Root: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := workload.WriteCSV(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := workload.ReadCSV(&buf, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := arrow.Run(tr, reloaded, arrow.Options{Root: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.TotalLatency != res2.TotalLatency || res1.Makespan != res2.Makespan {
-		t.Error("reloaded workload produced different costs")
-	}
-	for i := range res1.Order {
-		if res1.Order[i] != res2.Order[i] {
-			t.Fatal("reloaded workload produced a different order")
-		}
-	}
-}
 
 // TestSimAndRuntimeAgreeSequentially drives the simulator and the
 // goroutine runtime with the same sequential request sequence; both must
@@ -198,7 +165,7 @@ func TestAllQueuingProtocolsAgreeOnSequentialOrder(t *testing.T) {
 // TestExperimentHarnessEndToEnd smoke-runs every experiment entry point
 // at reduced scale — the arrowbench surface.
 func TestExperimentHarnessEndToEnd(t *testing.T) {
-	if _, err := analysis.SP2Experiment([]int{2, 4}, 50, 1); err != nil {
+	if _, err := analysis.SP2Experiment([]int{2, 4}, 50, 1, 0); err != nil {
 		t.Error(err)
 	}
 	if _, err := analysis.LowerBoundSweep([]int{3}); err != nil {

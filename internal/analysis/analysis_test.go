@@ -62,7 +62,7 @@ func TestBuildTreeRejectsNonEmbeddable(t *testing.T) {
 }
 
 func TestSP2ExperimentShape(t *testing.T) {
-	rows, err := SP2Experiment([]int{2, 8, 32}, 200, 1)
+	rows, err := SP2Experiment([]int{2, 8, 32}, 200, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestFlagFedExperimentsReturnErrors(t *testing.T) {
 		run  func() error
 		want []string
 	}{
-		{"fig10 and fig11", func() error { _, err := SP2Experiment([]int{4}, 0, 1); return err }, []string{"PerNode must be >= 1"}},
+		{"fig10 and fig11", func() error { _, err := SP2Experiment([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
 		{"baselines", func() error { _, err := BaselinesClosedLoop([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
 		{"perf", func() error { _, err := PerfExperiment([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
 		{"churn", func() error { _, err := ChurnExperiment(4, 0, []float64{0, 1}, 1, 0); return err }, []string{"PerNode must be >= 1"}},

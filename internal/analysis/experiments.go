@@ -57,16 +57,9 @@ func SP2Grid(ns []int, perNode int, seed int64) ([]engine.Cell, error) {
 
 // SP2Experiment reproduces Figures 10 and 11: for each n it runs the
 // closed-loop arrow and centralized protocols on a complete graph. Cells
-// run in parallel across GOMAXPROCS workers; results are identical to a
-// sequential run.
-func SP2Experiment(ns []int, perNode int, seed int64) ([]SP2Row, error) {
-	return SP2ExperimentWorkers(ns, perNode, seed, 0)
-}
-
-// SP2ExperimentWorkers is SP2Experiment with an explicit worker count
-// (0 = GOMAXPROCS, 1 = sequential) — exposed so benchmarks can measure
-// the sweep speedup.
-func SP2ExperimentWorkers(ns []int, perNode int, seed int64, workers int) ([]SP2Row, error) {
+// run in parallel across the given worker count (0 = GOMAXPROCS, 1 =
+// sequential); results are identical at every count.
+func SP2Experiment(ns []int, perNode int, seed int64, workers int) ([]SP2Row, error) {
 	cells, err := SP2Grid(ns, perNode, seed)
 	if err != nil {
 		return nil, err

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/tree"
 )
 
 // ShardConfig drives the multi-object sharding experiment: every
@@ -19,8 +21,9 @@ type ShardConfig struct {
 	N int
 	// PerNode is the closed-loop requests per node in every cell.
 	PerNode int
-	// Objects are the object counts of the grid; nil defaults to
-	// 16, 128, 1024.
+	// Objects are the object counts of the grid, each at least 2 (one
+	// object is the classic single-object loop, not a shard cell); nil
+	// defaults to 16, 128, 1024.
 	Objects []int
 	// Skews are the Zipf popularity exponents of the grid; nil defaults
 	// to 0 (uniform) and 1.1 (the classic hot-object regime).
@@ -91,80 +94,75 @@ type ShardRow struct {
 	Fairness     engine.Fairness `json:"fairness"`
 }
 
-// shardProtocols returns the experiment's protocol columns in
-// deterministic order.
-func shardProtocols() []engine.MultiProtocol {
-	return []engine.MultiProtocol{
-		engine.Arrow{},
-		engine.Centralized{},
-		engine.NTA{},
-		engine.Ivy{},
+// shardProtocols returns the experiment's protocol columns in the order
+// the shard document has always listed them (baselineProtocols puts NTA
+// before centralized).
+func shardProtocols() []engine.Protocol {
+	return []engine.Protocol{
+		engine.Arrow{}, engine.Centralized{}, engine.NTA{}, engine.Ivy{},
 	}
 }
 
-// ShardExperiment runs the sharding grid. Cells fan across the worker
-// pool with results written in deterministic cell order, so every row
-// is byte-identical at any pool size.
+// ShardExperiment runs the sharding grid as one engine.Sweep: objects,
+// then skew, then protocol, every cell with its own seed and recorder.
+// Outcomes come back in cell order, so every row is byte-identical at
+// any pool size. Graph and Tree only tell the adapters the node count: a
+// multi-object cell runs on the implicit complete metric (see
+// engine.Cost.PerObject).
 func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
 	}
 	n := cfg.n()
-	protos := shardProtocols()
-	type cell struct {
-		proto   engine.MultiProtocol
-		objects int
-		skew    float64
-		seed    int64
-	}
-	var cells []cell
+	g := graph.Complete(n)
+	t := tree.BalancedBinary(n)
+	var cells []engine.Cell
 	for _, k := range cfg.objects() {
 		for _, s := range cfg.skews() {
-			for _, p := range protos {
-				cells = append(cells, cell{p, k, s, sim.DeriveSeed(cfg.Seed, len(cells))})
+			load, err := engine.NewClosedLoop(cfg.PerNode).Objects(k).Zipf(s).Build()
+			if err != nil {
+				return nil, fmt.Errorf("analysis: shard k=%d s=%g: %w", k, s, err)
+			}
+			for _, p := range shardProtocols() {
+				cells = append(cells, engine.Cell{
+					Protocol: p,
+					Instance: engine.Instance{
+						Label:      fmt.Sprintf("n=%d/k=%d/s=%g", n, k, s),
+						Graph:      g,
+						Tree:       t,
+						Workload:   load,
+						Seed:       engine.DeriveSeed(cfg.Seed, len(cells)),
+						LinkTxTime: cfg.linkTxTime(),
+						Recorder:   stats.NewDistRecorder(),
+					},
+				})
 			}
 		}
 	}
-	rows := make([]ShardRow, len(cells))
-	err := engine.ParallelMapErr(len(cells), cfg.Workers, func(i int) error {
-		c := cells[i]
-		load, err := engine.NewClosedLoop(cfg.PerNode).Objects(c.objects).Zipf(c.skew).Build()
-		if err != nil {
-			return fmt.Errorf("analysis: shard k=%d s=%g: %w", c.objects, c.skew, err)
-		}
-		mc, err := c.proto.RunMulti(engine.MultiInstance{
-			Label:      fmt.Sprintf("n=%d/k=%d/s=%g", n, c.objects, c.skew),
-			Nodes:      n,
-			Workload:   load,
-			Seed:       c.seed,
-			LinkTxTime: cfg.linkTxTime(),
-			Recorder:   stats.NewDistRecorder(),
-		})
-		if err != nil {
-			return fmt.Errorf("analysis: shard %s k=%d s=%g: %w", c.proto.Name(), c.objects, c.skew, err)
-		}
-		agg := mc.Aggregate
+	outs := engine.Sweep(cells, cfg.Workers)
+	if err := engine.FirstError(outs); err != nil {
+		return nil, fmt.Errorf("analysis: shard sweep: %w", err)
+	}
+	rows := make([]ShardRow, len(outs))
+	for i, c := range engine.Costs(outs) {
+		w := cells[i].Instance.Workload
 		rows[i] = ShardRow{
-			Protocol:     c.proto.Name(),
+			Protocol:     c.Protocol,
 			N:            n,
-			Objects:      c.objects,
-			Skew:         c.skew,
+			Objects:      w.Objects,
+			Skew:         w.Skew,
 			PerNode:      cfg.PerNode,
-			Requests:     agg.Requests,
-			QueueHops:    agg.QueueHops,
-			ReplyHops:    agg.ReplyHops,
-			LocalComps:   agg.LocalCompletions,
-			TotalLatency: agg.TotalLatency,
-			Makespan:     agg.Makespan,
-			Events:       agg.Events,
-			Latency:      agg.Latency,
-			Hops:         agg.Hops,
-			Fairness:     mc.Fairness,
+			Requests:     c.Requests,
+			QueueHops:    c.QueueHops,
+			ReplyHops:    c.ReplyHops,
+			LocalComps:   c.LocalCompletions,
+			TotalLatency: c.TotalLatency,
+			Makespan:     c.Makespan,
+			Events:       c.Events,
+			Latency:      c.Latency,
+			Hops:         c.Hops,
+			Fairness:     c.Fairness,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

@@ -10,13 +10,15 @@
 // message to the old link or — if u was the sink — completes the queuing
 // of a behind id(u).
 //
-// The two steps are written once, as ShardForest.StartFind and
-// ForwardFind; Run (a static request set) and RunClosedLoop hand them to
-// package shard's two executors. Both run on the deterministic
-// discrete-event simulator (package sim) under synchronous or
-// asynchronous delay models and record exactly the costs the paper
-// analyzes: per-request latency (Definition 3.2), queue-message hops, the
-// induced total order, and the final pointer configuration.
+// The two steps are written once, as Start and Forward over one link
+// cell; ShardForest applies them to its flat link array, Run (a static
+// request set) and RunClosedLoop hand that to package shard's two
+// executors, and package runtime applies them to its per-node cells.
+// Run and RunClosedLoop run on the deterministic discrete-event
+// simulator (package sim) under synchronous or asynchronous delay models
+// and record exactly the costs the paper analyzes: per-request latency
+// (Definition 3.2), queue-message hops, the induced total order, and the
+// final pointer configuration.
 package arrow
 
 import (

@@ -180,9 +180,9 @@ func TestTotalOrderInvariants(t *testing.T) {
 			t.Errorf("trial %d: final sink %d != last request node %d",
 				trial, res.FinalSink, last.Node)
 		}
-		// Hop bound: every request travels at most the tree's hop diameter.
-		a, b := tr.DiameterEndpoints()
-		maxHops := tr.Hops(a, b)
+		// Hop bound: every request travels at most the tree's hop diameter
+		// (a BFS tree of a unit-weight graph: its diameter counts hops).
+		maxHops := int(tr.Diameter())
 		for _, c := range res.Completions {
 			if c.Hops > maxHops {
 				t.Errorf("trial %d: request %d used %d hops > hop-diameter %d",

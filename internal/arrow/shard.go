@@ -57,30 +57,40 @@ func NewShardForest(n, k int) (*ShardForest, error) {
 	return f, nil
 }
 
-// StartFind begins a request for obj at v: a self arrow means v already
-// holds the object's tail; otherwise the request follows the arrow and
-// v's arrow flips to self (the new pending tail direction).
-func (f *ShardForest) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
-	i := int(obj)*f.n + int(v)
-	if f.link[i] == v {
-		return v, true
-	}
-	target := f.link[i]
-	f.link[i] = v
-	return target, false
+// Start is the protocol's first step on v's link cell for one object: the
+// request follows the arrow to target and the arrow flips to v itself —
+// v is where the next request will find this one. local reports that the
+// arrow already pointed at v: v holds the object's tail, the request
+// queues behind v's previous one and no message is sent.
+//
+// Start and Forward are all the arrow protocol there is. Every executor
+// calls them — the simulator's through ShardForest, the live goroutine
+// runtime on its own per-node link slices — so each keeps the storage
+// layout that suits it and none has a pointer flip of its own.
+func Start(link *graph.NodeID, v graph.NodeID) (target graph.NodeID, local bool) {
+	target = *link
+	*link = v
+	return target, target == v
 }
 
-// ForwardFind applies arrow's path reversal for obj at node at: the
-// arrow flips back toward the previous hop, and a self arrow means the
-// chase found the tail here.
+// Forward is the protocol's second step, the atomic path reversal at node
+// at for a find arriving from from: the arrow flips back toward the
+// previous hop and the find moves on to where it pointed. done reports
+// that it pointed at at itself: the chase found the tail here.
+func Forward(link *graph.NodeID, at, from graph.NodeID) (next graph.NodeID, done bool) {
+	next = *link
+	*link = from
+	return next, next == at
+}
+
+// StartFind implements shard.Stepper with Start on (obj, v)'s cell.
+func (f *ShardForest) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
+	return Start(&f.link[int(obj)*f.n+int(v)], v)
+}
+
+// ForwardFind implements shard.Stepper with Forward on (obj, at)'s cell.
 func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.NodeID, bool) {
-	i := int(obj)*f.n + int(at)
-	next := f.link[i]
-	f.link[i] = from
-	if next == at {
-		return at, true
-	}
-	return next, false
+	return Forward(&f.link[int(obj)*f.n+int(at)], at, from)
 }
 
 // ShardSafeStepper is the unread shard.ShardSafe marker (every link

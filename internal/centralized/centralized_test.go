@@ -1,6 +1,7 @@
 package centralized
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -130,6 +131,10 @@ func TestClosedLoopAveragesAndValidation(t *testing.T) {
 	}
 	if _, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: 0}, Center: 0}); err == nil {
 		t.Error("expected PerNode validation error")
+	}
+	// 2³² + 3 requests per node would run 3 if stored truncated.
+	if _, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: 1<<32 + 3}, Center: 0}); err == nil || !strings.Contains(err.Error(), "PerNode must be <=") {
+		t.Errorf("PerNode 2^32+3: got %v, want the upper-bound error", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package centralized
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/loop"
@@ -107,6 +108,10 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	n := topo.NumNodes()
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("centralized: PerNode must be >= 1")
+	}
+	if cfg.PerNode > math.MaxInt32 {
+		// clState.remaining is an int32: a larger count would truncate.
+		return nil, fmt.Errorf("centralized: PerNode must be <= %d, got %d", math.MaxInt32, cfg.PerNode)
 	}
 	if int(cfg.Center) < 0 || int(cfg.Center) >= n {
 		return nil, fmt.Errorf("centralized: center %d out of range", cfg.Center)

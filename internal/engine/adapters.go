@@ -15,7 +15,7 @@ import (
 )
 
 // adapter is what differs between the built-in protocols; the
-// closed-loop, multi-object and static paths (run, runMulti) exist once.
+// closed-loop, multi-object and static paths (run, runSharded) exist once.
 type adapter interface {
 	Protocol
 	// nodes returns the size of the topology the protocol runs on —
@@ -43,8 +43,7 @@ func run(p adapter, inst Instance) (Cost, error) {
 	var cost Cost
 	switch {
 	case inst.Workload.Multi():
-		mc, err := runMulti(p, multiFromInstance(inst, n))
-		return mc.Aggregate, err
+		return runSharded(p, inst, n)
 	case inst.Workload.Closed():
 		res, err := p.closed(inst, loopSpec(inst))
 		if err != nil {
@@ -150,9 +149,7 @@ func attachDists(c *Cost, rec stats.Recorder) {
 // knobs the drivers cannot repair by normalization (they surface as
 // the simulator's own typed *sim.ConfigError, the same error
 // sim.Config.Validate returns, so callers see one error vocabulary
-// whether a bad knob is caught here or at driver level). Worker-count
-// incompatibilities are deliberately NOT rejected: drivers normalize
-// those to a serial drain, which is a supported configuration.
+// whether a bad knob is caught here or at driver level).
 func (inst Instance) Validate() error {
 	if err := inst.Workload.validate(); err != nil {
 		return err
@@ -195,9 +192,6 @@ func (Arrow) Name() string { return "arrow" }
 
 // Run implements Protocol.
 func (p Arrow) Run(inst Instance) (Cost, error) { return run(p, inst) }
-
-// RunMulti implements MultiProtocol.
-func (p Arrow) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
 
 func (Arrow) nodes(inst Instance) (int, error) {
 	if inst.Tree == nil {
@@ -243,9 +237,6 @@ func (Centralized) Name() string { return "centralized" }
 // Run implements Protocol.
 func (p Centralized) Run(inst Instance) (Cost, error) { return run(p, inst) }
 
-// RunMulti implements MultiProtocol.
-func (p Centralized) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
-
 func (p Centralized) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
 
 func (p Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
@@ -277,9 +268,6 @@ func (NTA) Name() string { return "nta" }
 // Run implements Protocol.
 func (p NTA) Run(inst Instance) (Cost, error) { return run(p, inst) }
 
-// RunMulti implements MultiProtocol.
-func (p NTA) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
-
 func (p NTA) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
 
 func (NTA) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
@@ -306,9 +294,6 @@ func (Ivy) Name() string { return "ivy" }
 
 // Run implements Protocol.
 func (p Ivy) Run(inst Instance) (Cost, error) { return run(p, inst) }
-
-// RunMulti implements MultiProtocol.
-func (p Ivy) RunMulti(m MultiInstance) (MultiCost, error) { return runMulti(p, m) }
 
 func (p Ivy) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
 

@@ -124,9 +124,7 @@ func NewStatic(set queuing.Set) *WorkloadSpec {
 // Think sets the closed-loop think time (delay between learning
 // completion and issuing the next request; 0 = one local step).
 func (s *WorkloadSpec) Think(d sim.Time) *WorkloadSpec {
-	if s.w.Set != nil && s.err == nil {
-		s.err = fmt.Errorf("engine: Think applies to closed-loop workloads, not static sets")
-	}
+	s.closedOnly("Think")
 	if d < 0 && s.err == nil {
 		s.err = fmt.Errorf("engine: ThinkTime must be >= 0, got %d", d)
 	}
@@ -138,28 +136,26 @@ func (s *WorkloadSpec) Think(d sim.Time) *WorkloadSpec {
 // spreads over k independent protocol instances sharing one network.
 // k <= 1 keeps the classic single-object run.
 func (s *WorkloadSpec) Objects(k int) *WorkloadSpec {
-	if s.w.Set != nil && s.err == nil {
-		s.err = fmt.Errorf("engine: Objects applies to closed-loop workloads, not static sets")
-	}
-	if k < 0 && s.err == nil {
-		s.err = fmt.Errorf("engine: Objects must be >= 0, got %d", k)
-	}
+	s.closedOnly("Objects")
 	s.w.Objects = k
 	return s
 }
 
-// Zipf sets the object-popularity exponent (see Workload.Skew); call it
-// after Objects.
+// Zipf sets the object-popularity exponent (see Workload.Skew), before
+// or after Objects.
 func (s *WorkloadSpec) Zipf(skew float64) *WorkloadSpec {
-	if s.err == nil {
-		if skew < 0 {
-			s.err = fmt.Errorf("engine: Zipf skew must be >= 0, got %g", skew)
-		} else if skew != 0 && s.w.Objects <= 1 {
-			s.err = fmt.Errorf("engine: Zipf skew %g without Objects > 1 has nothing to skew", skew)
-		}
-	}
 	s.w.Skew = skew
 	return s
+}
+
+// closedOnly records what Build's validate cannot see: a closed-loop
+// knob applied to a static set, whose Workload would ignore the value.
+// The object dimension's ranges and cross-field rules are validate's, so
+// they do not depend on the order of the chain.
+func (s *WorkloadSpec) closedOnly(knob string) {
+	if s.w.Set != nil && s.err == nil {
+		s.err = fmt.Errorf("engine: %s applies to closed-loop workloads, not static sets", knob)
+	}
 }
 
 // Build returns the validated workload or the first construction error.
@@ -305,6 +301,15 @@ type Cost struct {
 	Availability float64
 	// Order is the induced total order (static-set runs; nil otherwise).
 	Order queuing.Order
+	// PerObject and Fairness carry the object dimension of a multi-object
+	// run (Workload.Objects > 1); nil and zero otherwise. PerObject[o] is
+	// object o's own cost: Makespan and Events stay zero there (they are
+	// whole-run quantities, reported on the enclosing Cost), and
+	// Latency/Hops are populated for objects whose
+	// Instance.ObjectRecorders entry is a *stats.DistRecorder. Fairness
+	// summarizes the spread across PerObject.
+	PerObject []Cost
+	Fairness  Fairness
 }
 
 // AvgLatency returns mean per-request latency.

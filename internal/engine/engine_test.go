@@ -420,19 +420,31 @@ func TestGridRejectsRecorderSharedAcrossInstances(t *testing.T) {
 }
 
 // TestParallelMap: every index is visited exactly once, for pool sizes
-// below, at, and above the item count.
+// below, at, and above the item count, and the error returned is the
+// first in index order whatever order the calls finished in.
 func TestParallelMap(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		const n = 100
 		var visits [n]atomic.Int32
-		ParallelMap(n, workers, func(i int) { visits[i].Add(1) })
+		err := ParallelMapErr(n, workers, func(i int) error {
+			visits[i].Add(1)
+			if i%40 == 7 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 7" {
+			t.Errorf("workers %d: got error %v, want item 7's", workers, err)
+		}
 		for i := range visits {
 			if got := visits[i].Load(); got != 1 {
 				t.Fatalf("workers %d: index %d visited %d times", workers, i, got)
 			}
 		}
 	}
-	ParallelMap(0, 4, func(i int) { t.Error("fn called for n=0") })
+	if err := ParallelMapErr(0, 4, func(i int) error { return errors.New("fn called for n=0") }); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestDeriveSeed: adjacent cells get decorrelated seeds.

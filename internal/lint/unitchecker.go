@@ -51,7 +51,7 @@ type VetConfig struct {
 // RunVet executes one unit-checker invocation against the vet config at
 // cfgPath and returns the process exit code: 0 clean, 1 tool/typecheck
 // error, 2 findings.
-func RunVet(w io.Writer, cfgPath string, enabled map[string]bool) int {
+func RunVet(w io.Writer, cfgPath string) int {
 	cfg, err := readVetConfig(cfgPath)
 	if err != nil {
 		fmt.Fprintf(w, "arrowlint: %v\n", err)
@@ -68,7 +68,7 @@ func RunVet(w io.Writer, cfgPath string, enabled map[string]bool) int {
 	if cfg.VetxOnly {
 		return 0 // dependency pass: facts only, no diagnostics wanted
 	}
-	diags, err := analyzeUnit(cfg, enabled)
+	diags, err := analyzeUnit(cfg)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -106,8 +106,8 @@ func readVetConfig(path string) (*VetConfig, error) {
 }
 
 // analyzeUnit parses and typechecks the unit described by cfg and runs
-// the suite over it.
-func analyzeUnit(cfg *VetConfig, enabled map[string]bool) ([]Diagnostic, error) {
+// the whole suite over it.
+func analyzeUnit(cfg *VetConfig) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, 0, len(cfg.GoFiles))
 	for _, name := range cfg.GoFiles {
@@ -147,7 +147,7 @@ func analyzeUnit(cfg *VetConfig, enabled map[string]bool) ([]Diagnostic, error) 
 	if len(typeErrs) > 0 {
 		return nil, typeErrs[0]
 	}
-	return RunSuite(fset, files, pkg, info, cfg.ImportPath, cfg.ModulePath, enabled)
+	return RunSuite(fset, files, pkg, info, cfg.ImportPath, cfg.ModulePath, nil)
 }
 
 func buildArch() string {

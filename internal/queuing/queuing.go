@@ -73,17 +73,6 @@ func (s Set) Validate(numNodes int) error {
 	return nil
 }
 
-// MaxTime returns the largest request time (0 for an empty set).
-func (s Set) MaxTime() sim.Time {
-	var m sim.Time
-	for _, r := range s {
-		if r.Time > m {
-			m = r.Time
-		}
-	}
-	return m
-}
-
 // Nodes returns the distinct nodes issuing requests.
 func (s Set) Nodes() []graph.NodeID {
 	seen := map[graph.NodeID]bool{}

@@ -65,14 +65,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestMaxTimeAndNodes(t *testing.T) {
 	set := NewSet([]Request{{Node: 2, Time: 3}, {Node: 2, Time: 9}, {Node: 0, Time: 1}})
-	if set.MaxTime() != 9 {
-		t.Errorf("MaxTime = %d, want 9", set.MaxTime())
+	// A set is sorted by time: its last request carries the largest.
+	if last := set[len(set)-1].Time; last != 9 {
+		t.Errorf("last request at %d, want the largest time 9", last)
 	}
 	if nodes := set.Nodes(); len(nodes) != 2 {
 		t.Errorf("Nodes = %v, want 2 distinct", nodes)
-	}
-	if (Set{}).MaxTime() != 0 {
-		t.Error("empty MaxTime should be 0")
 	}
 }
 

@@ -13,10 +13,11 @@
 // time, and a send enqueues at the target immediately (only the
 // target's processing is deferred), so every link is FIFO. Node state
 // passes from one carrier to the next through the node's mutex. The
-// runtime complements the deterministic simulator (package arrow): the
-// simulator measures the paper's cost model exactly, while this runtime
-// demonstrates the protocol under real, racy concurrency (run the tests
-// with -race).
+// runtime complements the deterministic simulator (package arrow) and
+// runs the same two protocol steps, arrow.Start and arrow.Forward, on
+// its own node-major link storage: the simulator measures the paper's
+// cost model exactly, while this runtime demonstrates the protocol under
+// real, racy concurrency (run the tests with -race).
 //
 // The runtime is a sharded multi-object service: Options.Objects runs k
 // independent arrow instances over the same tree and the same nodes,
@@ -35,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arrow"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
@@ -331,15 +333,6 @@ func (net *Network) Request(v graph.NodeID) int64 {
 	return id
 }
 
-// TryRequest is Request that reports rejection instead of panicking:
-// ok is false when the network is not running or the admission window
-// is full. A request accepted here is guaranteed to complete before
-// Stop returns.
-func (net *Network) TryRequest(v graph.NodeID) (id int64, ok bool) {
-	id, err := net.Submit(v, 0)
-	return id, err == nil
-}
-
 // Submit is the object-keyed request front door: it issues a queuing
 // request for object obj at node v. It fails fast with ErrStopped when
 // the network is not running and with a typed *OverloadError when the
@@ -444,17 +437,13 @@ func (net *Network) Stop() {
 	<-net.stopped
 }
 
-// Links returns a snapshot of object 0's link pointers. Only valid
-// after Stop (otherwise racy by construction).
-func (net *Network) Links() []graph.NodeID { return net.LinksFor(0) }
-
 // LinksFor returns a snapshot of object obj's link pointers. Only valid
 // after Stop (otherwise racy by construction).
 func (net *Network) LinksFor(obj int32) []graph.NodeID {
 	select {
 	case <-net.stopped:
 	default:
-		panic("runtime: Links before Stop")
+		panic("runtime: LinksFor before Stop")
 	}
 	if int(obj) < 0 || int(obj) >= net.objects {
 		panic(fmt.Sprintf("runtime: object %d out of range (network serves %d)", obj, net.objects))
@@ -523,33 +512,31 @@ func (net *Network) carry(cur *node) {
 	}
 }
 
-// initiate and pathReversal are the protocol's two steps. Each returns
-// the node its send claimed, if any.
+// initiate and pathReversal run the protocol's two steps, arrow.Start and
+// arrow.Forward, on the node's link cell for the message's object. Each
+// returns the node its send claimed, if any.
 func (nd *node) initiate(m *msg) *node {
 	if m.done != nil {
 		defer close(m.done)
 	}
 	o := m.obj
-	if nd.link[o] == nd.id {
-		pred := nd.lastReq[o]
-		nd.lastReq[o] = m.reqID
+	target, local := arrow.Start(&nd.link[o], nd.id)
+	pred := nd.lastReq[o]
+	nd.lastReq[o] = m.reqID
+	if local {
 		nd.net.complete(Completion{
 			ReqID: m.reqID, PredID: pred, Object: o,
 			Origin: nd.id, Sink: nd.id, At: nd.net.opts.Clock(),
 		})
 		return nil
 	}
-	target := nd.link[o]
-	nd.lastReq[o] = m.reqID
-	nd.link[o] = nd.id
 	return nd.send(target, msg{reqID: m.reqID, obj: o, origin: nd.id, from: nd.id, hops: 1})
 }
 
 func (nd *node) pathReversal(m *msg) *node {
 	o := m.obj
-	next := nd.link[o]
-	nd.link[o] = m.from
-	if next != nd.id {
+	next, done := arrow.Forward(&nd.link[o], nd.id, m.from)
+	if !done {
 		fwd := *m
 		fwd.from = nd.id
 		fwd.hops++

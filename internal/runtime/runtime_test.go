@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -122,7 +123,7 @@ func TestPointerInvariantAfterQuiescence(t *testing.T) {
 	}
 	wg.Wait()
 	comps := finish()
-	links := net.Links()
+	links := net.LinksFor(0)
 	sink, err := arrow.VerifySinkReachability(tr, links)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestStopIdempotentAndGuards(t *testing.T) {
 
 // TestRequestStopRace hammers Request against Stop (run with -race):
 // every accepted request must complete before Stop returns, rejected
-// ones must fail fast via TryRequest, and nothing may deadlock — the
+// ones must fail fast with ErrStopped, and nothing may deadlock — the
 // regression this pins down is an issue racing past the running check
 // into a node whose loop already exited, wedging Stop in wg.Wait().
 func TestRequestStopRace(t *testing.T) {
@@ -228,7 +229,7 @@ func TestRequestStopRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 50; i++ {
-					if _, ok := net.TryRequest(graph.NodeID((w*50 + i) % n)); !ok {
+					if _, err := net.Submit(graph.NodeID((w*50+i)%n), 0); err != nil {
 						return // network stopped underneath us
 					}
 					atomic.AddInt64(&accepted, 1)
@@ -243,8 +244,8 @@ func TestRequestStopRace(t *testing.T) {
 			t.Fatalf("trial %d: accepted %d requests but %d completed",
 				trial, atomic.LoadInt64(&accepted), completed)
 		}
-		if _, ok := net.TryRequest(3); ok {
-			t.Fatalf("trial %d: TryRequest accepted after Stop", trial)
+		if _, err := net.Submit(3, 0); !errors.Is(err, ErrStopped) {
+			t.Fatalf("trial %d: Submit after Stop returned %v, want ErrStopped", trial, err)
 		}
 	}
 }
@@ -292,8 +293,8 @@ func TestConcurrentStops(t *testing.T) {
 			defer wg.Done()
 			net.Stop()
 			// Stop returned, so the network must be fully stopped:
-			// Links panics otherwise.
-			net.Links()
+			// LinksFor panics otherwise.
+			net.LinksFor(0)
 		}()
 	}
 	wg.Wait()
@@ -305,12 +306,12 @@ func TestLinksBeforeStopPanics(t *testing.T) {
 	net.Start()
 	defer func() {
 		if recover() == nil {
-			t.Error("Links before Stop should panic")
+			t.Error("LinksFor before Stop should panic")
 		}
 		finish := collect(net)
 		finish()
 	}()
-	net.Links()
+	net.LinksFor(0)
 }
 
 func TestManyRequestsFromSameNode(t *testing.T) {

@@ -26,6 +26,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/loop"
@@ -217,6 +218,10 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	n := topo.NumNodes()
 	if spec.PerNode < 1 {
 		return nil, fmt.Errorf("%s: PerNode must be >= 1", proto)
+	}
+	if spec.PerNode > math.MaxInt32 {
+		// nodeState.remaining is an int32: a larger count would truncate.
+		return nil, fmt.Errorf("%s: PerNode must be <= %d, got %d", proto, math.MaxInt32, spec.PerNode)
 	}
 	if spec.Objects < 1 {
 		return nil, fmt.Errorf("%s: Objects must be >= 1, got %d", proto, spec.Objects)
@@ -478,9 +483,13 @@ func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.Node
 	if h > res.MaxQueueHops {
 		res.MaxQueueHops = h
 	}
-	ctx.RecordRequest(d.spec.Recorder, lat, h)
+	if rec := d.spec.Recorder; rec != nil {
+		rec.RecordRequest(lat, h)
+	}
 	if d.spec.ObjectRecorders != nil {
-		ctx.RecordRequest(d.spec.ObjectRecorders[obj], lat, h)
+		if rec := d.spec.ObjectRecorders[obj]; rec != nil {
+			rec.RecordRequest(lat, h)
+		}
 	}
 	if d.affected != nil {
 		if d.affected[origin] {

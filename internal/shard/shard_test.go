@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arrow"
@@ -207,15 +208,20 @@ func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		spec shard.Spec
+		want string // substring of the error; "" = any
 	}{
-		{"zero objects", shard.Spec{Spec: loop.Spec{PerNode: 1}}},
-		{"negative skew", shard.Spec{Spec: loop.Spec{PerNode: 1}, Objects: 4, Skew: -1}},
-		{"no requests", shard.Spec{Objects: 4}},
-		{"faults", shard.Spec{
+		{name: "zero objects", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}}},
+		{name: "negative skew", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}, Objects: 4, Skew: -1}},
+		{name: "no requests", spec: shard.Spec{Objects: 4}},
+		// Stored truncated, 2³² + 3 requests per node would run 3 and only
+		// then fail the completion count: the refusal must come up front.
+		{name: "per-node beyond int32", spec: shard.Spec{Spec: loop.Spec{PerNode: 1<<32 + 3}, Objects: 4},
+			want: "PerNode must be <="},
+		{name: "faults", spec: shard.Spec{
 			Spec:    loop.Spec{PerNode: 1, Faults: &sim.FaultPlan{}},
 			Objects: 4,
 		}},
-		{"recorder length", shard.Spec{
+		{name: "recorder length", spec: shard.Spec{
 			Spec:            loop.Spec{PerNode: 1},
 			Objects:         4,
 			ObjectRecorders: make([]stats.Recorder, 3),
@@ -223,8 +229,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := shard.Run(sim.NewCompleteTopology(n), step, "nta", tc.spec); err == nil {
-				t.Errorf("spec %+v was accepted", tc.spec)
+			_, err := shard.Run(sim.NewCompleteTopology(n), step, "nta", tc.spec)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("spec %+v: got error %v, want one mentioning %q", tc.spec, err, tc.want)
 			}
 		})
 	}

@@ -348,15 +348,6 @@ func (s *Simulator) MessagesDeferred() int64 {
 	return s.f.deferred
 }
 
-// TimersDeferred returns the number of node timers deferred because their
-// node was down when they fired.
-func (s *Simulator) TimersDeferred() int64 {
-	if s.f == nil {
-		return 0
-	}
-	return s.f.timerDeferred
-}
-
 // ActiveFaults re-exposes Simulator.ActiveFaults to handlers.
 func (c *Context) ActiveFaults() int { return c.s.ActiveFaults() }
 

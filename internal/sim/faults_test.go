@@ -141,8 +141,8 @@ func TestNodeDownGatesTimersAndDelivery(t *testing.T) {
 	if timerAt != 9 {
 		t.Errorf("deferred timer fired at %d, want 9", timerAt)
 	}
-	if s.TimersDeferred() != 1 {
-		t.Errorf("timers deferred = %d, want 1", s.TimersDeferred())
+	if s.f.timerDeferred != 1 {
+		t.Errorf("timers deferred = %d, want 1", s.f.timerDeferred)
 	}
 	if !droppedInFlight {
 		t.Error("in-flight message to a dead node was not blocked at delivery")

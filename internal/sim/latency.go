@@ -66,7 +66,7 @@ func (m asyncUniform) Name() string { return "async-uniform" }
 // The draws therefore do not depend on the order an RNG stream is
 // consumed in, only on the message's deterministic global sequence
 // number, and the model keeps no stream state. This is the same
-// counter-based discipline as workload.Zipf and Context.Draw.
+// counter-based discipline as workload.Zipf.
 type CounterLatency interface {
 	LatencyModel
 	// DelayFor returns the delay for the message that will be (or was)

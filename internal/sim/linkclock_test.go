@@ -73,7 +73,8 @@ type find struct {
 // tokenRun drives a self-contained token-bouncing protocol over topo —
 // every node fires a timer, sends a token to the root, the root bounces
 // it back, the origin records the round trip and re-issues after a think
-// time drawn from the counter-based Context.Draw.
+// time that is a pure function of (node, round), so the jitter cannot
+// depend on the event order under test.
 func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx Time, faults *FaultPlan) tokenResult {
 	n := nav.NumNodes()
 	rec := &seqRecorder{dist: stats.NewDistRecorder()}
@@ -101,10 +102,10 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 			ctx.Send(at, nav.NextHop(at, m.origin), m)
 			return
 		}
-		ctx.RecordRequest(rec, int64(ctx.Now()-issue[at]), int(nav.Depth(at))*2)
+		rec.RecordRequest(int64(ctx.Now()-issue[at]), int(nav.Depth(at))*2)
 		left[at]--
 		if left[at] > 0 {
-			ctx.AfterNode(1+Time(ctx.Draw(0)%3), at)
+			ctx.AfterNode(1+Time(uint64(DeriveSeed(int64(at), left[at]))%3), at)
 		}
 	})
 	for v := 1; v < n; v++ {

@@ -28,9 +28,9 @@ type traceEntry struct {
 // same-tick scheduling during the current tick's drain, and far-future
 // delays that reach every tier of the ladder (ring-crossing, both far
 // wheels, the heap beyond 2²⁷ ticks) — and records the processed-event
-// trace. All randomness flows through the simulator's own seeded
-// streams, so for a fixed config the trace is a pure function of the
-// event order the scheduler realizes.
+// trace. The workload's choices come from one stream seeded like the
+// simulator's own, so for a fixed config the trace is a pure function of
+// the event order the scheduler realizes.
 func runTrace(t *testing.T, kind schedulerKind, arb Arbitration, lat LatencyModel, seed int64) ([]traceEntry, SchedStats) {
 	t.Helper()
 	tr := tree.PathTree(4)
@@ -44,12 +44,12 @@ func runTrace(t *testing.T, kind schedulerKind, arb Arbitration, lat LatencyMode
 	})
 	var trace []traceEntry
 	budget := 4000
+	r := rand.New(rand.NewSource(seed))
 	spawn := func(ctx *Context, at graph.NodeID) {
 		if budget <= 0 {
 			return
 		}
 		budget--
-		r := ctx.Rand()
 		switch r.Intn(5) {
 		case 0:
 			// Far-future node timer, snapped to one of four grids so each

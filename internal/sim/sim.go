@@ -24,7 +24,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // Time is a simulated timestamp. The synchronous model of the paper uses
@@ -215,14 +214,13 @@ type Simulator struct {
 	fifo       *linkClock
 	busy       *linkClock
 
-	// Independent seeded streams: rng is the protocol-visible stream
-	// (Context.Rand), latRNG drives the latency model and arbRNG random
-	// arbitration. Separate streams mean enabling random latency does not
-	// perturb arbitration draws and vice versa. Each stream is created on
-	// first use: seeding one costs a 607-word lagged-Fibonacci warm-up,
-	// a measurable fraction of a short run, and a synchronous FIFO run —
-	// the common case — touches none of them.
-	rng    *rand.Rand
+	// Independent seeded streams: latRNG drives the latency model and
+	// arbRNG random arbitration, so enabling random latency does not
+	// perturb arbitration draws and vice versa. Each is created on first
+	// use: seeding one costs a 607-word lagged-Fibonacci warm-up, a
+	// measurable fraction of a short run, and a synchronous FIFO run — the
+	// common case — touches neither. Handlers get no stream: a protocol
+	// that needs randomness keys its own draws (workload.Zipf does).
 	latRNG *rand.Rand
 	arbRNG *rand.Rand
 
@@ -505,15 +503,9 @@ func (s *Simulator) EventsProcessed() int64 { return s.processed }
 
 // Context is handed to handlers and timers; it exposes the simulator
 // operations that are legal during event processing. A simulator has
-// exactly one.
+// exactly one, and it carries no state of its own.
 type Context struct {
 	s *Simulator
-
-	// Identity of the event currently being dispatched: destination node
-	// (0 for closure timers) and global sequence number. They key the
-	// counter-based Draw/Uniform RNG.
-	evTo  graph.NodeID
-	evSeq uint64
 }
 
 // Now returns the current simulated time: the tick of the event being
@@ -537,45 +529,6 @@ func (c *Context) After(d Time, fn TimerFunc) { c.s.scheduleTimer(c.s.now+d, fn)
 //arrow:hotpath the closed loop's per-completion timer
 func (c *Context) AfterNode(d Time, v graph.NodeID) {
 	c.s.push(c.s.now+d, evNodeTimer, v, 0, nil)
-}
-
-// RecordRequest forwards one completed request to rec (a no-op when rec
-// is nil).
-//
-//arrow:hotpath runs once per completed request
-func (c *Context) RecordRequest(rec stats.Recorder, latency int64, hops int) {
-	if rec != nil {
-		rec.RecordRequest(latency, hops)
-	}
-}
-
-// Draw returns the i-th pseudo-random 64-bit value of the event
-// currently being handled: a pure splitmix64 hash of (config seed,
-// event destination node, event sequence number, i) — the same counter
-// discipline as workload.Zipf — so a draw depends on which event asks
-// for it and not on how many draws other events made before it, unlike
-// the shared stream of Context.Rand.
-func (c *Context) Draw(i int) uint64 {
-	h := DeriveSeed(c.s.cfg.Seed, int(c.evTo))
-	h = DeriveSeed(h, int(c.evSeq))
-	return uint64(DeriveSeed(h, i))
-}
-
-// Uniform returns the i-th uniform variate in [0, 1) of the current
-// event, derived from Draw(i) by the same top-53-bit mapping as
-// workload.Zipf.
-func (c *Context) Uniform(i int) float64 {
-	return float64(c.Draw(i)>>11) * (1.0 / (1 << 53))
-}
-
-// Rand returns the simulator's seeded RNG (deterministic per run): one
-// stream shared by every handler, so a draw depends on all draws before
-// it. Context.Draw / Context.Uniform are the counter-based alternative.
-func (c *Context) Rand() *rand.Rand {
-	if c.s.rng == nil {
-		c.s.rng = rand.New(rand.NewSource(c.s.cfg.Seed))
-	}
-	return c.s.rng
 }
 
 // send delivers one message: link resolution, fault gating, the latency
@@ -793,7 +746,6 @@ func (s *Simulator) Run() Time {
 //arrow:hotpath every event dequeue lands here
 func (s *Simulator) dispatch(ctx *Context, e *event) {
 	to := e.to
-	ctx.evTo, ctx.evSeq = to, e.seq
 	switch e.kind {
 	case evTimer:
 		e.msg.(TimerFunc)(ctx)

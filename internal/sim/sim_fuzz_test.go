@@ -20,12 +20,16 @@ var simDelays = [16]Time{0, 0, 1, 2, 3, 7, 64, 511, 512, 513, 700, 4096, 1 << 15
 // in its heap tier.
 var simStarts = [4]Time{0, 1<<18 - 700, 1<<27 - 600, 1<<27 - 300_000}
 
-// simDelivery is one dispatched event as a handler sees it.
+// simDelivery is one dispatched event as a handler sees it. tag tells
+// apart two messages, or two closures, that agree on everything else: the
+// scheduling site stamps the payload with the sequence number the
+// simulator is about to assign. Node timers carry no payload (tag 0), so
+// no handler can tell two of them on one node and tick apart either.
 type simDelivery struct {
 	at       Time
 	kind     evKind
 	to, from graph.NodeID
-	seq      uint64
+	tag      uint64
 }
 
 // simResult is everything a scheduler could change about a run.
@@ -99,8 +103,9 @@ func simScript(kind schedulerKind, script []byte) simResult {
 	_, isTree := topo.(TreeTopology)
 	var act func(ctx *Context, at graph.NodeID)
 	closure := func(at graph.NodeID) TimerFunc {
+		tag := s.seq + 1
 		return func(ctx *Context) {
-			res.trace = append(res.trace, simDelivery{ctx.Now(), evTimer, at, -1, ctx.evSeq})
+			res.trace = append(res.trace, simDelivery{ctx.Now(), evTimer, at, -1, tag})
 			act(ctx, at)
 		}
 	}
@@ -122,7 +127,7 @@ func simScript(kind schedulerKind, script []byte) simResult {
 						to = 1 // the root of the two-node tree asked for child 2
 					}
 				}
-				ctx.Send(at, to, nil)
+				ctx.Send(at, to, s.seq+1)
 			case 1:
 				res.closures++
 				ctx.After(simDelays[a&15], closure(at))
@@ -133,11 +138,11 @@ func simScript(kind schedulerKind, script []byte) simResult {
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-		res.trace = append(res.trace, simDelivery{ctx.Now(), evMessage, at, from, ctx.evSeq})
+		res.trace = append(res.trace, simDelivery{ctx.Now(), evMessage, at, from, msg.(uint64)})
 		act(ctx, at)
 	})
 	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
-		res.trace = append(res.trace, simDelivery{ctx.Now(), evNodeTimer, v, -1, ctx.evSeq})
+		res.trace = append(res.trace, simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
 		act(ctx, v)
 	})
 	start := simStarts[hdr[3]%4]

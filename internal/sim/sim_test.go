@@ -450,68 +450,3 @@ func TestWindowZeroDelayTimerOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestDrawIsPureFunctionOfEvent pins Context.Draw's contract: the value
-// is the splitmix64 hash of (config seed, destination node, event
-// sequence number, i) and nothing else — not the number of draws made
-// before it, by this event or any other, and not Context.Rand's stream.
-func TestDrawIsPureFunctionOfEvent(t *testing.T) {
-	type key struct {
-		to  graph.NodeID
-		seq uint64
-	}
-	run := func(seed int64, noise bool) map[key][2]uint64 {
-		s := New(Config{Topology: lineTopology(4), Seed: seed})
-		got := map[key][2]uint64{}
-		draw := func(ctx *Context) {
-			if noise {
-				ctx.Draw(5)
-				ctx.Uniform(9)
-				ctx.Rand().Int63()
-			}
-			got[key{ctx.evTo, ctx.evSeq}] = [2]uint64{ctx.Draw(0), ctx.Draw(1)}
-			if again := ctx.Draw(0); again != got[key{ctx.evTo, ctx.evSeq}][0] {
-				t.Fatalf("Draw(0) changed within one event: %d then %d", got[key{ctx.evTo, ctx.evSeq}][0], again)
-			}
-		}
-		s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
-			draw(ctx)
-			next := v + 1
-			if next == 4 {
-				next = 2
-			}
-			ctx.Send(v, next, nil)
-		})
-		s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-			draw(ctx)
-			if ctx.Now() < 40 {
-				ctx.AfterNode(2, at)
-			}
-		})
-		s.ScheduleNodeAt(0, 0)
-		s.ScheduleNodeAt(0, 2)
-		s.Run()
-		return got
-	}
-	base := run(11, false)
-	if len(base) < 20 {
-		t.Fatalf("only %d events drew", len(base))
-	}
-	seen := map[uint64]bool{}
-	for k, v := range base {
-		h := DeriveSeed(DeriveSeed(11, int(k.to)), int(k.seq))
-		if want := [2]uint64{uint64(DeriveSeed(h, 0)), uint64(DeriveSeed(h, 1))}; v != want {
-			t.Fatalf("event (to %d, seq %d) drew %v, want %v", k.to, k.seq, v, want)
-		}
-		if seen[v[0]] || seen[v[1]] {
-			t.Fatalf("event (to %d, seq %d) repeated a draw", k.to, k.seq)
-		}
-		seen[v[0]], seen[v[1]] = true, true
-	}
-	if noisy := run(11, true); !reflect.DeepEqual(noisy, base) {
-		t.Error("draws changed when events made extra Draw/Uniform/Rand calls")
-	}
-	if other := run(12, false); reflect.DeepEqual(other, base) {
-		t.Error("draws ignore the config seed")
-	}
-}

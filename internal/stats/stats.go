@@ -51,15 +51,6 @@ func Of(xs []float64) Summary {
 	return s
 }
 
-// OfInts computes a Summary of integer samples.
-func OfInts(xs []int64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Of(fs)
-}
-
 // Percentile returns the p-th percentile (0..100) of an ascending-sorted
 // sample using linear interpolation. Panics if the sample is unsorted in
 // debug-style usage is avoided; callers must sort.
@@ -93,20 +84,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive samples (0 if any
-// sample is non-positive or the slice is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

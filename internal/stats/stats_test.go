@@ -31,14 +31,6 @@ func TestSummarySingleValue(t *testing.T) {
 	}
 }
 
-func TestOfIntsMatchesFloats(t *testing.T) {
-	a := OfInts([]int64{3, 1, 4, 1, 5})
-	b := Of([]float64{3, 1, 4, 1, 5})
-	if a != b {
-		t.Errorf("int summary %+v != float summary %+v", a, b)
-	}
-}
-
 func TestPercentileInterpolation(t *testing.T) {
 	sorted := []float64{0, 10}
 	if p := Percentile(sorted, 50); p != 5 {
@@ -55,21 +47,12 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if m := Mean([]float64{2, 4, 6}); m != 4 {
 		t.Errorf("mean = %f", m)
 	}
 	if m := Mean(nil); m != 0 {
 		t.Errorf("empty mean = %f", m)
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-9 {
-		t.Errorf("geomean = %f, want 2", g)
-	}
-	if g := GeoMean([]float64{1, -1}); g != 0 {
-		t.Errorf("geomean with negatives = %f, want 0", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("empty geomean = %f", g)
 	}
 }
 

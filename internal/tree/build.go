@@ -229,9 +229,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
 type nodeItem struct {
 	node graph.NodeID
 	key  graph.Weight

@@ -14,12 +14,6 @@ func (t *Tree) KthAncestor(v graph.NodeID, k int) graph.NodeID {
 	return v
 }
 
-// IsAncestor reports whether a is an ancestor of v (every node is its own
-// ancestor).
-func (t *Tree) IsAncestor(a, v graph.NodeID) bool {
-	return t.LCA(a, v) == a
-}
-
 // NextHop returns u's tree neighbour on the unique path from u to target.
 // It panics if u == target (there is no next hop).
 func (t *Tree) NextHop(u, target graph.NodeID) graph.NodeID {

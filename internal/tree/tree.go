@@ -145,9 +145,6 @@ func (t *Tree) ParentArrays() (parent []graph.NodeID, weight []graph.Weight) {
 // is owned by the tree and must not be modified.
 func (t *Tree) Neighbors(v graph.NodeID) []graph.Edge { return t.adj[v] }
 
-// Degree returns the number of tree edges incident to v.
-func (t *Tree) Degree(v graph.NodeID) int { return len(t.adj[v]) }
-
 // Depth returns the weighted distance from the root to v.
 func (t *Tree) Depth(v graph.NodeID) graph.Weight { return t.depthW[v] }
 
@@ -187,24 +184,6 @@ func (t *Tree) Dist(u, v graph.NodeID) graph.Weight {
 	return t.depthW[u] + t.depthW[v] - 2*t.depthW[l]
 }
 
-// PathTo returns the tree path from u to v inclusive of both endpoints.
-func (t *Tree) PathTo(u, v graph.NodeID) []graph.NodeID {
-	l := t.LCA(u, v)
-	var up []graph.NodeID
-	for x := u; x != l; x = t.parent[x] {
-		up = append(up, x)
-	}
-	up = append(up, l)
-	var down []graph.NodeID
-	for x := v; x != l; x = t.parent[x] {
-		down = append(down, x)
-	}
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
-}
-
 // Diameter returns the weighted diameter of the tree, computed with two
 // breadth/depth sweeps (the classic double-sweep is exact on trees).
 func (t *Tree) Diameter() graph.Weight {
@@ -214,16 +193,6 @@ func (t *Tree) Diameter() graph.Weight {
 	far, _ := t.farthestFrom(t.root)
 	_, d := t.farthestFrom(far)
 	return d
-}
-
-// DiameterEndpoints returns two nodes realizing the tree diameter.
-func (t *Tree) DiameterEndpoints() (graph.NodeID, graph.NodeID) {
-	if t.n == 1 {
-		return t.root, t.root
-	}
-	a, _ := t.farthestFrom(t.root)
-	b, _ := t.farthestFrom(a)
-	return a, b
 }
 
 func (t *Tree) farthestFrom(src graph.NodeID) (graph.NodeID, graph.Weight) {

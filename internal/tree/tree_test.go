@@ -83,28 +83,6 @@ func TestLCAKnownTree(t *testing.T) {
 	}
 }
 
-func TestPathToEndpoints(t *testing.T) {
-	tr := BalancedBinary(15)
-	p := tr.PathTo(7, 14)
-	if p[0] != 7 || p[len(p)-1] != 14 {
-		t.Errorf("path endpoints %v", p)
-	}
-	if len(p) != 7 {
-		t.Errorf("path length %d, want 7 nodes", len(p))
-	}
-	for i := 1; i < len(p); i++ {
-		found := false
-		for _, e := range tr.Neighbors(p[i-1]) {
-			if e.To == p[i] {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("path step (%d,%d) not a tree edge", p[i-1], p[i])
-		}
-	}
-}
-
 func TestNextHopWalksToTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := BalancedBinary(31)
@@ -356,8 +334,8 @@ func TestSpanningTreesAreSubgraphs(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(6)
-	if uf.Sets() != 6 {
-		t.Errorf("initial sets = %d, want 6", uf.Sets())
+	if uf.sets != 6 {
+		t.Errorf("initial sets = %d, want 6", uf.sets)
 	}
 	if !uf.Union(0, 1) || !uf.Union(2, 3) || !uf.Union(0, 2) {
 		t.Error("unions of disjoint sets must succeed")
@@ -371,8 +349,8 @@ func TestUnionFind(t *testing.T) {
 	if uf.Find(4) == uf.Find(0) {
 		t.Error("4 should be separate")
 	}
-	if uf.Sets() != 3 {
-		t.Errorf("sets = %d, want 3", uf.Sets())
+	if uf.sets != 3 {
+		t.Errorf("sets = %d, want 3", uf.sets)
 	}
 }
 

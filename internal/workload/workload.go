@@ -216,21 +216,3 @@ func (z *Zipf) Draw(seed int64, node graph.NodeID, req int64) int32 {
 	u := float64(uint64(h)>>11) * (1.0 / (1 << 53))
 	return z.Sample(u)
 }
-
-// TwoNodePingPong returns count alternating requests from the two
-// endpoints of a diameter path, spaced gap apart. The workload of the
-// Ω(s) part of Theorem 4.1's lower bound.
-func TwoNodePingPong(u, v graph.NodeID, count int, gap sim.Time) queuing.Set {
-	require(u >= 0 && v >= 0, "TwoNodePingPong needs non-negative nodes")
-	require(count >= 0, "TwoNodePingPong needs count >= 0")
-	require(gap >= 0, "TwoNodePingPong needs gap >= 0")
-	reqs := make([]queuing.Request, count)
-	for i := range reqs {
-		node := u
-		if i%2 == 1 {
-			node = v
-		}
-		reqs[i] = queuing.Request{Node: node, Time: sim.Time(i) * gap}
-	}
-	return queuing.NewSet(reqs)
-}

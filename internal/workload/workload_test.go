@@ -156,9 +156,6 @@ func TestConstructorInputValidation(t *testing.T) {
 		{"Hotspot/hotFrac>1", func() { Hotspot(5, 4, 1.5, 10, 1) }},
 		{"Hotspot/horizon=0", func() { Hotspot(5, 4, 0.5, 0, 1) }},
 		{"Hotspot/horizon<0", func() { Hotspot(5, 4, 0.5, -3, 1) }},
-		{"TwoNodePingPong/count<0", func() { TwoNodePingPong(0, 1, -1, 10) }},
-		{"TwoNodePingPong/gap<0", func() { TwoNodePingPong(0, 1, 4, -1) }},
-		{"TwoNodePingPong/node<0", func() { TwoNodePingPong(-1, 1, 4, 10) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +187,6 @@ func TestConstructorBoundaryInputs(t *testing.T) {
 		{"Bursty/bursts=0", func() int { return len(Bursty(1, 1, 0, 0, 1)) }},
 		{"Hotspot/count=0", func() int { return len(Hotspot(1, 0, 0, 1, 1)) }},
 		{"Hotspot/horizon=1", func() int { return len(Hotspot(3, 7, 1, 1, 1)) }},
-		{"TwoNodePingPong/count=0", func() int { return len(TwoNodePingPong(0, 1, 0, 0)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,16 +194,6 @@ func TestConstructorBoundaryInputs(t *testing.T) {
 				t.Fatalf("impossible size %d", got)
 			}
 		})
-	}
-}
-
-func TestTwoNodePingPong(t *testing.T) {
-	set := TwoNodePingPong(3, 9, 4, 10)
-	if len(set) != 4 {
-		t.Fatalf("|R| = %d", len(set))
-	}
-	if set[0].Node != 3 || set[1].Node != 9 || set[2].Node != 3 || set[3].Node != 9 {
-		t.Errorf("alternation broken: %v", set)
 	}
 }
 
