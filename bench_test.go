@@ -148,7 +148,7 @@ func BenchmarkSweepSP2(b *testing.B) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, err := analysis.SP2Grid(ns, perNode, 1)
+				cells, err := analysis.BaselinesClosedLoopGrid(ns, perNode, 1, engine.Arrow{}, engine.Centralized{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,8 @@
 package repro
 
 import (
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -162,47 +164,51 @@ func TestAllQueuingProtocolsAgreeOnSequentialOrder(t *testing.T) {
 	}
 }
 
-// TestExperimentHarnessEndToEnd smoke-runs every experiment entry point
-// at reduced scale — the arrowbench surface.
+// TestExperimentHarnessEndToEnd smoke-runs every entry of
+// analysis.Experiments — the arrowbench surface — at reduced flag values
+// (the experiments no flag feeds run at their own sizes; all of them
+// take seconds in total). Every entry must return at least one non-empty
+// table, and the entries with a versioned document must marshal it with
+// their schema string.
 func TestExperimentHarnessEndToEnd(t *testing.T) {
-	if _, err := analysis.SP2Experiment([]int{2, 4}, 50, 1, 0); err != nil {
-		t.Error(err)
+	smoke := analysis.Params{
+		Sizes: []int{2, 4}, PerNode: 10, Seed: 1, Objects: []int{4},
+		SizesSet: true, PerNodeSet: true,
 	}
-	if _, err := analysis.LowerBoundSweep([]int{3}); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.SequentialExperiment([]int{8}, 10, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.TreeChoiceExperiment(8, 6, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.ArbitrationExperiment(15, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.AsyncExperiment(8, 4, 4, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.StretchExperiment(3, []int{1, 2}); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.OneShotExperiment(16, []int{4}, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.DirectoryExperiment([]int{2}, 10, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.CommTreeExperiment(4, 10, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.StabilizeExperiment([]int{15}, 0.3, 3, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.AdversarialSearch(8, 6, 30, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := analysis.NNApproximationSweep([]int{6}, 1, 1); err != nil {
-		t.Error(err)
+	documented := map[string]bool{"perf": true, "stabilize": true, "churn": true, "scale": true, "shard": true}
+	seen := map[string]bool{}
+	for _, e := range analysis.Experiments {
+		if e.Name == "" || e.Name == "all" || e.Desc == "" || seen[e.Name] {
+			t.Errorf("entry %q (%q): name must be unique and not \"all\", description non-empty", e.Name, e.Desc)
+		}
+		seen[e.Name] = true
+		res, err := e.Run(smoke)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if len(res.Tables) == 0 {
+			t.Errorf("%s: no table", e.Name)
+		}
+		for _, tbl := range res.Tables {
+			if len(tbl.Rows) == 0 {
+				t.Errorf("%s: table %q has no rows", e.Name, tbl.Title)
+			}
+			for _, row := range tbl.Rows {
+				if len(row) != len(tbl.Headers) {
+					t.Errorf("%s: table %q has a row of %d cells under %d headers", e.Name, tbl.Title, len(row), len(tbl.Headers))
+				}
+			}
+		}
+		if (res.Doc != nil) != documented[e.Name] {
+			t.Errorf("%s: document present = %v, want %v", e.Name, res.Doc != nil, documented[e.Name])
+		}
+		if res.Doc != nil {
+			b, err := json.Marshal(res.Doc)
+			if want := `{"schema":"arrowbench/` + e.Name + `/v`; err != nil || !strings.HasPrefix(string(b), want) {
+				t.Errorf("%s: document %.40q (err %v), want prefix %s", e.Name, b, err, want)
+			}
+		}
 	}
 	// The competitive-ratio denominator machinery.
 	g := graph.Grid(4, 4)

@@ -25,8 +25,9 @@ type TreeChoiceRow struct {
 }
 
 // TreeChoiceExperiment runs the same workload on a complete graph under
-// several spanning trees; the per-tree cells run as one parallel sweep.
-func TreeChoiceExperiment(n, requests int, seed int64) ([]TreeChoiceRow, error) {
+// several spanning trees; the per-tree cells run as one sweep across the
+// worker pool (0 = GOMAXPROCS).
+func TreeChoiceExperiment(n, requests int, seed int64, workers int) ([]TreeChoiceRow, error) {
 	g := graph.Complete(n)
 	set := workload.Poisson(n, 0.5, sim.Time(4*requests), seed)
 	if len(set) == 0 {
@@ -55,7 +56,7 @@ func TreeChoiceExperiment(n, requests int, seed int64) ([]TreeChoiceRow, error) 
 			Seed:     seed,
 		}
 	}
-	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), 0)
+	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, fmt.Errorf("analysis: tree ablation: %w", err)
 	}
@@ -99,8 +100,8 @@ type AsyncRow struct {
 }
 
 // AsyncExperiment runs the same workload under synchronous and
-// asynchronous delay models.
-func AsyncExperiment(n, requests int, scale int64, seed int64) ([]AsyncRow, error) {
+// asynchronous delay models, one sweep across the worker pool.
+func AsyncExperiment(n, requests int, scale int64, seed int64, workers int) ([]AsyncRow, error) {
 	g := graph.Complete(n)
 	t := tree.BalancedBinary(n)
 	set := workload.Bursty(n, requests/2, 2, sim.Time(8*scale), seed)
@@ -133,7 +134,7 @@ func AsyncExperiment(n, requests int, scale int64, seed int64) ([]AsyncRow, erro
 			Seed:     seed,
 		}
 	}
-	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), 0)
+	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, fmt.Errorf("analysis: async ablation: %w", err)
 	}
@@ -174,8 +175,8 @@ type ArbitrationRow struct {
 }
 
 // ArbitrationExperiment runs one high-contention instance under all
-// arbitration policies, as one parallel sweep.
-func ArbitrationExperiment(n int, seed int64) ([]ArbitrationRow, error) {
+// arbitration policies, as one sweep across the worker pool.
+func ArbitrationExperiment(n int, seed int64, workers int) ([]ArbitrationRow, error) {
 	t := tree.BalancedBinary(n)
 	set := workload.OneShot(n, n/2, seed)
 	arbs := []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom}
@@ -190,7 +191,7 @@ func ArbitrationExperiment(n int, seed int64) ([]ArbitrationRow, error) {
 			Seed:        seed,
 		}
 	}
-	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), 0)
+	outs := engine.Sweep(engine.Grid(instances, engine.Arrow{}), workers)
 	if err := engine.FirstError(outs); err != nil {
 		return nil, err
 	}
@@ -232,10 +233,10 @@ type StretchRow struct {
 // StretchExperiment builds PathWithShortcuts(D, s) for each s, places the
 // Theorem 4.1 instance on the multiples of s (exactly the Theorem 4.2
 // construction), and measures the ratio growth ~ s·log(D/s)/loglog(D/s).
-// Stretches run in parallel.
-func StretchExperiment(logDOverS int, stretches []int) ([]StretchRow, error) {
+// Stretches run across the worker pool (0 = GOMAXPROCS).
+func StretchExperiment(logDOverS int, stretches []int, workers int) ([]StretchRow, error) {
 	rows := make([]StretchRow, len(stretches))
-	err := engine.ParallelMapErr(len(stretches), 0, func(i int) error {
+	err := engine.ParallelMapErr(len(stretches), workers, func(i int) error {
 		s := stretches[i]
 		inner := workload.LowerBound(logDOverS, workload.DefaultK(1<<logDOverS))
 		d := inner.D * s

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTableRendering(t *testing.T) {
 func TestBuildTreeKinds(t *testing.T) {
 	g := graph.Complete(15)
 	for _, kind := range []TreeKind{
-		TreeBalancedBinary, TreeMST, TreeKruskal, TreeBFS, TreeSPT, TreeStar, TreePath,
+		TreeBalancedBinary, TreeMST, TreeBFS, TreeStar, TreePath,
 	} {
 		tr, err := BuildTree(kind, g)
 		if err != nil {
@@ -61,18 +62,22 @@ func TestBuildTreeRejectsNonEmbeddable(t *testing.T) {
 	}
 }
 
-func TestSP2ExperimentShape(t *testing.T) {
-	rows, err := SP2Experiment([]int{2, 8, 32}, 200, 1, 0)
+// TestFigureRowsShape: Figures 10 and 11 are views of the closed-loop
+// baselines grid run with the {arrow, centralized} subset.
+func TestFigureRowsShape(t *testing.T) {
+	ns := []int{2, 8, 32}
+	rows, err := figureRows(Params{Sizes: ns, PerNode: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	if len(rows) != 2*len(ns) {
+		t.Fatalf("%d rows, want arrow and centralized per size", len(rows))
 	}
+	arrow, central := []BaselineRow{rows[0], rows[2], rows[4]}, []BaselineRow{rows[1], rows[3], rows[5]}
 	// Figure 10's shape: centralized makespan grows ~linearly (x4 per
 	// size step here), arrow's grows much slower.
-	centralGrowth := float64(rows[2].CentralMakespan) / float64(rows[0].CentralMakespan)
-	arrowGrowth := float64(rows[2].ArrowMakespan) / float64(rows[0].ArrowMakespan)
+	centralGrowth := float64(central[2].Makespan) / float64(central[0].Makespan)
+	arrowGrowth := float64(arrow[2].Makespan) / float64(arrow[0].Makespan)
 	if centralGrowth < 8 {
 		t.Errorf("centralized growth %.1fx over 16x nodes, want >= 8x", centralGrowth)
 	}
@@ -80,16 +85,25 @@ func TestSP2ExperimentShape(t *testing.T) {
 		t.Errorf("arrow growth %.1fx should be far below centralized %.1fx", arrowGrowth, centralGrowth)
 	}
 	// Figure 11's range: around 1-2 hops per op under saturation.
-	for _, r := range rows {
-		if r.AvgHops < 0 || r.AvgHops > 4 {
-			t.Errorf("n=%d: avg hops %.2f outside plausible range", r.N, r.AvgHops)
+	for _, r := range arrow {
+		if r.Protocol != "arrow" || r.AvgQueueHops < 0 || r.AvgQueueHops > 4 {
+			t.Errorf("%s n=%d: avg hops %.2f outside plausible range", r.Protocol, r.N, r.AvgQueueHops)
 		}
 	}
-	if out := Fig10Table(rows).Render(); !strings.Contains(out, "Figure 10") {
-		t.Error("fig10 table malformed")
+	// The views read the same numbers off the full four-protocol rows:
+	// the regime is synchronous FIFO, so no cell draws from its seed.
+	full, err := BaselinesClosedLoop(ns, 200, 99, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out := Fig11Table(rows).Render(); !strings.Contains(out, "Figure 11") {
-		t.Error("fig11 table malformed")
+	for _, view := range []func([]BaselineRow) *Table{Fig10Table, Fig11Table} {
+		got := view(rows)
+		if len(got.Rows) != len(ns) || !strings.Contains(got.Title, "Figure 1") {
+			t.Errorf("%q has %d rows, want %d", got.Title, len(got.Rows), len(ns))
+		}
+		if got.Render() != view(full).Render() {
+			t.Errorf("%q differs between the two-protocol and the four-protocol rows", got.Title)
+		}
 	}
 }
 
@@ -193,7 +207,7 @@ func TestVerifyNNOrderDetectsViolation(t *testing.T) {
 }
 
 func TestLowerBoundSweepRuns(t *testing.T) {
-	rows, err := LowerBoundSweep([]int{3, 4})
+	rows, err := LowerBoundSweep([]int{3, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +225,7 @@ func TestLowerBoundSweepRuns(t *testing.T) {
 }
 
 func TestSequentialExperimentBounds(t *testing.T) {
-	rows, err := SequentialExperiment([]int{8, 16}, 20, 5)
+	rows, err := SequentialExperiment([]int{8, 16}, 20, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +240,7 @@ func TestSequentialExperimentBounds(t *testing.T) {
 }
 
 func TestTreeChoiceExperiment(t *testing.T) {
-	rows, err := TreeChoiceExperiment(16, 12, 2)
+	rows, err := TreeChoiceExperiment(16, 12, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +266,7 @@ func TestTreeChoiceExperiment(t *testing.T) {
 }
 
 func TestArbitrationExperimentCompletes(t *testing.T) {
-	rows, err := ArbitrationExperiment(31, 3)
+	rows, err := ArbitrationExperiment(31, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +281,7 @@ func TestArbitrationExperimentCompletes(t *testing.T) {
 }
 
 func TestAsyncExperimentNormalization(t *testing.T) {
-	rows, err := AsyncExperiment(16, 8, 4, 2)
+	rows, err := AsyncExperiment(16, 8, 4, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +298,7 @@ func TestAsyncExperimentNormalization(t *testing.T) {
 }
 
 func TestStretchExperimentScaling(t *testing.T) {
-	rows, err := StretchExperiment(3, []int{1, 4})
+	rows, err := StretchExperiment(3, []int{1, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,13 +393,16 @@ func TestFlagFedExperimentsReturnErrors(t *testing.T) {
 		run  func() error
 		want []string
 	}{
-		{"fig10 and fig11", func() error { _, err := SP2Experiment([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
+		{"fig10 and fig11", func() error { _, err := figureRows(Params{Sizes: []int{4}, Seed: 1}); return err }, []string{"PerNode must be >= 1"}},
 		{"baselines", func() error { _, err := BaselinesClosedLoop([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
-		{"perf", func() error { _, err := PerfExperiment([]int{4}, 0, 1, 0); return err }, []string{"PerNode must be >= 1"}},
-		{"churn", func() error { _, err := ChurnExperiment(4, 0, []float64{0, 1}, 1, 0); return err }, []string{"PerNode must be >= 1"}},
-		{"shard per-node", func() error { _, err := ShardExperiment(ShardConfig{}); return err }, []string{"PerNode >= 1"}},
+		{"perf", func() error { _, err := PerfExperiment(PerfConfig{Sizes: []int{4}, Seed: 1}, 0); return err }, []string{"PerNode must be >= 1"}},
+		{"churn", func() error {
+			_, err := ChurnExperiment(ChurnConfig{N: 4, Rates: []float64{0, 1}, Seed: 1}, 0)
+			return err
+		}, []string{"PerNode must be >= 1"}},
+		{"shard per-node", func() error { _, err := ShardExperiment(ShardConfig{}, 0); return err }, []string{"PerNode >= 1"}},
 		{"shard one object under the default skews", func() error {
-			_, err := ShardExperiment(ShardConfig{PerNode: 2, Objects: []int{1}})
+			_, err := ShardExperiment(ShardConfig{PerNode: 2, Objects: []int{1}}, 0)
 			return err
 		}, []string{"k=1", "s=1.1", "without Objects > 1"}},
 	}
@@ -404,12 +421,11 @@ func TestFlagFedExperimentsReturnErrors(t *testing.T) {
 }
 
 // TestTableRenderJSON: the JSON rendering round-trips title, headers and
-// header-aligned row arrays without losing cells — even cells beyond the
-// header count, which a header-keyed encoding would silently drop.
+// header-aligned row arrays.
 func TestTableRenderJSON(t *testing.T) {
 	tbl := &Table{Title: "T", Headers: []string{"a", "b"}}
 	tbl.AddRow(1, 2.5)
-	tbl.AddRow("x", "y", "overflow")
+	tbl.AddRow("x", "y")
 	var doc struct {
 		Title   string     `json:"title"`
 		Headers []string   `json:"headers"`
@@ -421,11 +437,34 @@ func TestTableRenderJSON(t *testing.T) {
 	if doc.Title != "T" || len(doc.Headers) != 2 || len(doc.Rows) != 2 {
 		t.Fatalf("document shape wrong: %+v", doc)
 	}
-	if doc.Rows[0][0] != "1" || doc.Rows[0][1] != "2.500" {
-		t.Errorf("row cells wrong: %+v", doc.Rows[0])
+	if doc.Rows[0][0] != "1" || doc.Rows[0][1] != "2.500" || doc.Rows[1][1] != "y" {
+		t.Errorf("row cells wrong: %+v", doc.Rows)
 	}
-	if len(doc.Rows[1]) != 3 || doc.Rows[1][2] != "overflow" {
-		t.Errorf("overflow cell lost: %+v", doc.Rows[1])
+}
+
+// TestTableRejectsRowOfWrongWidth: a row wider (or narrower) than the
+// headers is refused by AddRow, with the table named, so Render — which
+// used to index past its column widths on the wide row RenderJSON
+// accepted — and RenderJSON never see a ragged table.
+func TestTableRejectsRowOfWrongWidth(t *testing.T) {
+	for _, cells := range [][]any{{1, 2}, {}} {
+		tbl := &Table{Title: "ragged", Headers: []string{"a"}}
+		tbl.AddRow("ok")
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, `table "ragged"`) || !strings.Contains(msg, "1 headers") {
+					t.Errorf("AddRow(%v) under one header: recovered %q", cells, msg)
+				}
+			}()
+			tbl.AddRow(cells...)
+		}()
+		if len(tbl.Rows) != 1 {
+			t.Errorf("AddRow(%v) kept the row", cells)
+		}
+		if out := tbl.Render(); !strings.Contains(out, "ok") {
+			t.Errorf("Render after the refused row: %q", out)
+		}
+		tbl.RenderJSON()
 	}
 }
 
@@ -434,12 +473,10 @@ func TestTableRenderJSON(t *testing.T) {
 // still finds one is reading a v1 artifact), while the scheduler
 // counters every row must carry are there.
 func TestScaleDocumentHasNoDrainColumns(t *testing.T) {
-	cfg := ScaleConfig{Sizes: []int{60}, PerNode: 3, Seed: 1}
-	rows, err := ScaleExperiment(cfg)
+	doc, err := ScaleExperiment(ScaleConfig{Sizes: []int{60}, PerNode: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := ScaleDocument(cfg, rows)
 	if doc.Schema != "arrowbench/scale/v2" {
 		t.Errorf("schema = %q", doc.Schema)
 	}
@@ -464,12 +501,12 @@ func TestScaleDocumentHasNoDrainColumns(t *testing.T) {
 // it back. n = 2000 puts the centralized coordinator's serve queue past
 // the 512-tick ring, so the invariant is not vacuous.
 func TestScaleRowsRefillWhatTheyPark(t *testing.T) {
-	rows, err := ScaleExperiment(ScaleConfig{Sizes: []int{2000}, PerNode: 2, Seed: 1})
+	doc, err := ScaleExperiment(ScaleConfig{Sizes: []int{2000}, PerNode: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parked := false
-	for _, r := range rows {
+	for _, r := range doc.Rows {
 		if r.N <= 0 || r.Requests != int64(r.N)*int64(r.PerNode) || r.Events <= 0 {
 			t.Errorf("%s/%s: n %d, %d requests (per-node %d), %d events", r.Protocol, r.Topology, r.N, r.Requests, r.PerNode, r.Events)
 		}

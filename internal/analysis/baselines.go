@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // baselineProtocols is the fixed protocol set of the baselines grid, in
@@ -41,10 +43,14 @@ type BaselineRow struct {
 	LocalFrac float64
 }
 
-// BaselinesClosedLoopGrid builds the experiment cells: for each n, every
-// baseline protocol on an identical closed-loop instance. Cells are in
-// n-major order, protocols in baselineProtocols order per n.
-func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64) ([]engine.Cell, error) {
+// BaselinesClosedLoopGrid builds the experiment cells: for each n, each
+// of the given protocols (none = all of baselineProtocols) on an
+// identical closed-loop instance. Cells are in n-major order, protocols
+// in argument order per n.
+func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64, protocols ...engine.Protocol) ([]engine.Cell, error) {
+	if len(protocols) == 0 {
+		protocols = baselineProtocols()
+	}
 	w, err := engine.NewClosedLoop(perNode).Build()
 	if err != nil {
 		return nil, err
@@ -60,14 +66,14 @@ func BaselinesClosedLoopGrid(ns []int, perNode int, seed int64) ([]engine.Cell, 
 			Seed:     engine.DeriveSeed(seed, i),
 		})
 	}
-	return engine.Grid(instances, baselineProtocols()...), nil
+	return engine.Grid(instances, protocols...), nil
 }
 
 // BaselinesClosedLoop runs the closed-loop baselines grid as one
 // parallel sweep (workers 0 = GOMAXPROCS; results are identical for
 // every worker count) and flattens the outcomes to rows.
-func BaselinesClosedLoop(ns []int, perNode int, seed int64, workers int) ([]BaselineRow, error) {
-	cells, err := BaselinesClosedLoopGrid(ns, perNode, seed)
+func BaselinesClosedLoop(ns []int, perNode int, seed int64, workers int, protocols ...engine.Protocol) ([]BaselineRow, error) {
+	cells, err := BaselinesClosedLoopGrid(ns, perNode, seed, protocols...)
 	if err != nil {
 		return nil, err
 	}
@@ -107,4 +113,76 @@ func BaselinesClosedLoopTable(rows []BaselineRow) *Table {
 			r.AvgQueueHops, r.AvgReplyHops, r.LocalFrac)
 	}
 	return t
+}
+
+// Fig10Table formats Figure 10 from closed-loop baseline rows: per n,
+// the arrow row beside the centralized row that follows it. Arrow's
+// makespan stays nearly flat as n grows; centralized's grows linearly.
+func Fig10Table(rows []BaselineRow) *Table {
+	t := &Table{
+		Title:   "Figure 10 — total latency (makespan), arrow vs centralized",
+		Headers: []string{"n", "reqs/node", "arrow makespan", "centralized makespan", "arrow avg lat", "central avg lat"},
+	}
+	var ar BaselineRow
+	for _, r := range rows {
+		switch r.Protocol {
+		case engine.Arrow{}.Name():
+			ar = r
+		case engine.Centralized{}.Name():
+			t.AddRow(r.N, r.PerNode, ar.Makespan, r.Makespan, ar.AvgLatency, r.AvgLatency)
+		}
+	}
+	return t
+}
+
+// Fig11Table formats Figure 11, arrow's hop counts, from the arrow rows
+// of closed-loop baseline rows.
+func Fig11Table(rows []BaselineRow) *Table {
+	t := &Table{
+		Title:   "Figure 11 — avg interprocessor messages per queuing op (arrow)",
+		Headers: []string{"n", "avg queue hops/op", "local completions", "reply hops/op"},
+	}
+	for _, r := range rows {
+		if r.Protocol == (engine.Arrow{}).Name() {
+			t.AddRow(r.N, r.AvgQueueHops, r.LocalFrac, r.AvgReplyHops)
+		}
+	}
+	return t
+}
+
+// BaselinesStaticTable runs every baseline protocol on one shared static
+// Poisson workload (complete graph, n = 48) as one sweep and formats the
+// costs against the optimal-cost bound.
+func BaselinesStaticTable(seed int64, workers int) (*Table, error) {
+	const n = 48
+	g := graph.Complete(n)
+	set := workload.Poisson(n, 1.0, 200, seed)
+	if len(set) == 0 {
+		return nil, fmt.Errorf("analysis: baselines: empty workload")
+	}
+	inst := engine.Instance{
+		Label:    fmt.Sprintf("complete%d", n),
+		Graph:    g,
+		Tree:     tree.BalancedBinary(n),
+		Root:     0,
+		Workload: engine.NewStatic(set).MustBuild(),
+		Seed:     seed,
+	}
+	outs := engine.Sweep(engine.Grid([]engine.Instance{inst}, baselineProtocols()...), workers)
+	if err := engine.FirstError(outs); err != nil {
+		return nil, err
+	}
+	bounds := opt.Compute(g, 0, set, opt.DistOfGraph(g))
+	den := bounds.Upper
+	if bounds.Exact {
+		den = bounds.Lower
+	}
+	t := &Table{
+		Title:   fmt.Sprintf("Baselines — complete graph n=%d, |R|=%d Poisson requests (static)", n, len(set)),
+		Headers: []string{"protocol", "total latency", "messages", "makespan", "ratio vs opt bound"},
+	}
+	for _, c := range engine.Costs(outs) {
+		t.AddRow(c.Protocol, c.TotalLatency, c.QueueHops, c.Makespan, opt.Ratio(c.TotalLatency, den))
+	}
+	return t, nil
 }

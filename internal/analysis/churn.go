@@ -62,73 +62,53 @@ func churnPlan(n, perNode int, rate float64, seed int64) *sim.FaultPlan {
 	return &sim.FaultPlan{Events: sim.NodeChurn(n, nil, rate, meanDown, start, horizon, seed)}
 }
 
-// churnCells builds the churn grid in rate-major, then workload, then
-// protocol order, each cell with a private recorder (recorders
-// accumulate state; see engine.Grid).
-func churnCells(n, perNode int, rates []float64, seed int64) (cells []engine.Cell, rows []ChurnRow, err error) {
-	g := graph.Complete(n)
-	t := tree.BalancedBinary(n)
-	workloads := ChurnWorkloads()
-	protocols := baselineProtocols()
-	for i, rate := range rates {
-		plan := churnPlan(n, perNode, rate, sim.DeriveSeed(seed, i))
-		for j, w := range workloads {
-			load, err := engine.NewClosedLoop(perNode).Think(w.Think).Build()
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, p := range protocols {
-				cells = append(cells, engine.Cell{
-					Protocol: p,
-					Instance: engine.Instance{
-						Label:    fmt.Sprintf("rate=%g/%s", rate, w.Name),
-						Graph:    g,
-						Tree:     t,
-						Root:     0,
-						Workload: load,
-						Seed:     engine.DeriveSeed(seed, i*len(workloads)+j),
-						Faults:   plan,
-						Recorder: stats.NewDistRecorder(),
-					},
-				})
-				rows = append(rows, ChurnRow{
-					N: n, PerNode: perNode, Workload: w.Name, Rate: rate,
-				})
-			}
-		}
-	}
-	return cells, rows, nil
-}
-
 // ChurnExperiment sweeps fault rate × workload × protocol on a complete
 // graph with a balanced binary spanning tree: node churn at each rate
 // (an identical failure trace for every protocol), arrow recovering by
 // message-driven self-stabilizing repair, NTA/Ivy by re-issue, and
 // centralized by coordinator failover. Cells fan across the worker pool;
-// results are byte-identical for every worker count.
-func ChurnExperiment(n, perNode int, rates []float64, seed int64, workers int) ([]ChurnRow, error) {
-	cells, rows, err := churnCells(n, perNode, rates, seed)
+// the arrowbench/churn document it returns is byte-identical for every
+// worker count.
+func ChurnExperiment(cfg ChurnConfig, workers int) (Document[ChurnConfig, ChurnRow], error) {
+	doc := Document[ChurnConfig, ChurnRow]{Schema: ChurnSchema, Config: cfg}
+	g := graph.Complete(cfg.N)
+	t := tree.BalancedBinary(cfg.N)
+	cells, pos, err := closedLoopCells(len(cfg.Rates), cfg.PerNode, cfg.Seed, ChurnWorkloads(), func(i int) engine.Instance {
+		return engine.Instance{
+			Label:  fmt.Sprintf("rate=%g", cfg.Rates[i]),
+			Graph:  g,
+			Tree:   t,
+			Faults: churnPlan(cfg.N, cfg.PerNode, cfg.Rates[i], sim.DeriveSeed(cfg.Seed, i)),
+		}
+	})
 	if err != nil {
-		return nil, err
+		return doc, err
 	}
 	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
-		return nil, fmt.Errorf("analysis: churn sweep: %w", err)
+		return doc, fmt.Errorf("analysis: churn sweep: %w", err)
 	}
+	doc.Rows = make([]ChurnRow, len(outs))
 	for i, c := range engine.Costs(outs) {
-		rows[i].Protocol = c.Protocol
-		rows[i].Requests = c.Requests
-		rows[i].Dropped = c.Dropped
-		rows[i].Deferred = c.Deferred
-		rows[i].Reissued = c.Reissued
-		rows[i].Repairs = c.RepairEpisodes
-		rows[i].RepairMs = c.RepairMessages
-		rows[i].RepairTime = int64(c.RepairTime)
-		rows[i].Availability = c.Availability
-		rows[i].Makespan = c.Makespan
-		rows[i].Latency = c.Latency
+		doc.Rows[i] = ChurnRow{
+			Protocol:     c.Protocol,
+			N:            cfg.N,
+			PerNode:      cfg.PerNode,
+			Workload:     pos[i].workload,
+			Rate:         cfg.Rates[pos[i].outer],
+			Requests:     c.Requests,
+			Dropped:      c.Dropped,
+			Deferred:     c.Deferred,
+			Reissued:     c.Reissued,
+			Repairs:      c.RepairEpisodes,
+			RepairMs:     c.RepairMessages,
+			RepairTime:   int64(c.RepairTime),
+			Availability: c.Availability,
+			Makespan:     c.Makespan,
+			Latency:      c.Latency,
+		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // ChurnAvailabilityTable formats availability and recovery cost per
@@ -165,24 +145,12 @@ func ChurnLatencyTable(rows []ChurnRow) *Table {
 // any field rename or semantic change.
 const ChurnSchema = "arrowbench/churn/v1"
 
-// ChurnConfig records the experiment parameters inside the document.
+// ChurnConfig is the churn experiment's parameters, recorded inside its
+// document. Every row field is deterministic, so the document is
+// byte-identical across runs and worker counts.
 type ChurnConfig struct {
 	N       int       `json:"n"`
 	PerNode int       `json:"per_node"`
 	Rates   []float64 `json:"rates"`
 	Seed    int64     `json:"seed"`
-}
-
-// ChurnDoc is the stable schema of `arrowbench -exp churn -json`. Every
-// row field is deterministic, so the document is byte-identical across
-// runs and worker counts.
-type ChurnDoc struct {
-	Schema string      `json:"schema"`
-	Config ChurnConfig `json:"config"`
-	Rows   []ChurnRow  `json:"rows"`
-}
-
-// ChurnDocument assembles the machine-readable churn document.
-func ChurnDocument(cfg ChurnConfig, rows []ChurnRow) ChurnDoc {
-	return ChurnDoc{Schema: ChurnSchema, Config: cfg, Rows: rows}
 }

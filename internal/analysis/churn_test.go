@@ -10,11 +10,11 @@ import (
 func TestChurnExperimentDeterministicJSON(t *testing.T) {
 	cfg := ChurnConfig{N: 12, PerNode: 60, Rates: []float64{0, 1}, Seed: 5}
 	marshal := func(workers int) string {
-		rows, err := ChurnExperiment(cfg.N, cfg.PerNode, cfg.Rates, cfg.Seed, workers)
+		doc, err := ChurnExperiment(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(ChurnDocument(cfg, rows))
+		b, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,10 +33,11 @@ func TestChurnExperimentDeterministicJSON(t *testing.T) {
 // fault-free 1.0 but stays high, and the faulty cells show recovery
 // activity.
 func TestChurnExperimentDegradesGracefully(t *testing.T) {
-	rows, err := ChurnExperiment(16, 80, []float64{0, 2}, 3, 0)
+	doc, err := ChurnExperiment(ChurnConfig{N: 16, PerNode: 80, Rates: []float64{0, 2}, Seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := doc.Rows
 	protocols := map[string]bool{}
 	var faultyCells, activity int
 	for _, r := range rows {
@@ -76,11 +77,11 @@ func TestChurnExperimentDegradesGracefully(t *testing.T) {
 // carry both the oracle and the message-driven costs, agreeing on
 // convergence and the surviving sink.
 func TestStabilizeExperimentComparesImplementations(t *testing.T) {
-	rows, err := StabilizeExperiment([]int{15, 31}, 0.3, 5, 1)
+	doc, err := StabilizeExperiment(StabilizeConfig{Sizes: []int{15, 31}, CorruptFrac: 0.3, Trials: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	for _, r := range doc.Rows {
 		if !r.AllConverged || !r.SimConverged {
 			t.Fatalf("n=%d: convergence failure: %+v", r.N, r)
 		}

@@ -15,101 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// SP2Row is one point of the Section 5 experiment: a complete graph of n
-// nodes with a balanced binary spanning tree, every node issuing perNode
-// closed-loop queuing requests. Arrow's makespan stays nearly flat as n
-// grows; the centralized protocol's makespan grows linearly (Figure 10).
-// AvgHops is Figure 11's metric.
-type SP2Row struct {
-	N                int
-	PerNode          int
-	ArrowMakespan    sim.Time
-	CentralMakespan  sim.Time
-	ArrowAvgLatency  float64
-	CentralAvgLat    float64
-	AvgHops          float64 // queue-message hops per op (Figure 11)
-	ReplyHopsPerOp   float64
-	LocalCompletions float64 // fraction of requests finding predecessors locally
-}
-
-// SP2Grid builds the Figure 10/11 experiment cells: for each n, the
-// closed-loop arrow and centralized protocols on a complete graph with a
-// balanced binary spanning tree. Cells are in n-major order (arrow, then
-// centralized, per n).
-func SP2Grid(ns []int, perNode int, seed int64) ([]engine.Cell, error) {
-	w, err := engine.NewClosedLoop(perNode).Build()
-	if err != nil {
-		return nil, err
-	}
-	instances := make([]engine.Instance, 0, len(ns))
-	for _, n := range ns {
-		instances = append(instances, engine.Instance{
-			Label:    fmt.Sprintf("n=%d", n),
-			Graph:    graph.Complete(n),
-			Tree:     tree.BalancedBinary(n),
-			Root:     0,
-			Workload: w,
-			Seed:     seed,
-		})
-	}
-	return engine.Grid(instances, engine.Arrow{}, engine.Centralized{}), nil
-}
-
-// SP2Experiment reproduces Figures 10 and 11: for each n it runs the
-// closed-loop arrow and centralized protocols on a complete graph. Cells
-// run in parallel across the given worker count (0 = GOMAXPROCS, 1 =
-// sequential); results are identical at every count.
-func SP2Experiment(ns []int, perNode int, seed int64, workers int) ([]SP2Row, error) {
-	cells, err := SP2Grid(ns, perNode, seed)
-	if err != nil {
-		return nil, err
-	}
-	outs := engine.Sweep(cells, workers)
-	if err := engine.FirstError(outs); err != nil {
-		return nil, fmt.Errorf("analysis: SP2 sweep: %w", err)
-	}
-	rows := make([]SP2Row, 0, len(ns))
-	for i, n := range ns {
-		ar, ce := outs[2*i].Cost, outs[2*i+1].Cost
-		rows = append(rows, SP2Row{
-			N:                n,
-			PerNode:          perNode,
-			ArrowMakespan:    ar.Makespan,
-			CentralMakespan:  ce.Makespan,
-			ArrowAvgLatency:  ar.AvgLatency(),
-			CentralAvgLat:    ce.AvgLatency(),
-			AvgHops:          ar.AvgQueueHops(),
-			ReplyHopsPerOp:   float64(ar.ReplyHops) / float64(ar.Requests),
-			LocalCompletions: float64(ar.LocalCompletions) / float64(ar.Requests),
-		})
-	}
-	return rows, nil
-}
-
-// Fig10Table formats the Figure 10 comparison.
-func Fig10Table(rows []SP2Row) *Table {
-	t := &Table{
-		Title:   "Figure 10 — total latency (makespan), arrow vs centralized",
-		Headers: []string{"n", "reqs/node", "arrow makespan", "centralized makespan", "arrow avg lat", "central avg lat"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.N, r.PerNode, r.ArrowMakespan, r.CentralMakespan, r.ArrowAvgLatency, r.CentralAvgLat)
-	}
-	return t
-}
-
-// Fig11Table formats the Figure 11 hop counts.
-func Fig11Table(rows []SP2Row) *Table {
-	t := &Table{
-		Title:   "Figure 11 — avg interprocessor messages per queuing op (arrow)",
-		Headers: []string{"n", "avg queue hops/op", "local completions", "reply hops/op"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.N, r.AvgHops, r.LocalCompletions, r.ReplyHopsPerOp)
-	}
-	return t
-}
-
 // LowerBoundRow is one point of the Theorem 4.1 experiment.
 type LowerBoundRow struct {
 	LogD     int
@@ -130,10 +35,10 @@ type LowerBoundRow struct {
 
 // LowerBoundSweep runs the Theorem 4.1 instance for each diameter
 // exponent, measuring how the arrow/optimal gap grows with D. The
-// diameters run in parallel.
-func LowerBoundSweep(logDs []int) ([]LowerBoundRow, error) {
+// diameters run across the worker pool (0 = GOMAXPROCS).
+func LowerBoundSweep(logDs []int, workers int) ([]LowerBoundRow, error) {
 	rows := make([]LowerBoundRow, len(logDs))
-	err := engine.ParallelMapErr(len(logDs), 0, func(i int) error {
+	err := engine.ParallelMapErr(len(logDs), workers, func(i int) error {
 		logD := logDs[i]
 		inst := workload.LowerBound(logD, workload.DefaultK(1<<logD))
 		g := graph.Path(inst.D + 1)
@@ -267,9 +172,9 @@ func MeasureRatios(cfgs []RatioConfig, workers int) ([]RatioRow, error) {
 }
 
 // RatioTable formats competitive-ratio measurements.
-func RatioTable(title string, rows []RatioRow) *Table {
+func RatioTable(rows []RatioRow) *Table {
 	t := &Table{
-		Title: title,
+		Title: "Theorem 3.19 — measured competitive ratio vs O(s log D)",
 		Headers: []string{"topology", "tree", "workload", "n", "|R|", "s", "D",
 			"cost(arrow)", "opt", "exact", "ratio", "s*log2(3D)"},
 	}
@@ -323,10 +228,11 @@ type SequentialRow struct {
 }
 
 // SequentialExperiment validates the sequential-case bounds on complete
-// graphs with balanced binary trees. Node counts run in parallel.
-func SequentialExperiment(ns []int, requests int, seed int64) ([]SequentialRow, error) {
+// graphs with balanced binary trees. Node counts run across the worker
+// pool (0 = GOMAXPROCS).
+func SequentialExperiment(ns []int, requests int, seed int64, workers int) ([]SequentialRow, error) {
 	rows := make([]SequentialRow, len(ns))
-	err := engine.ParallelMapErr(len(ns), 0, func(i int) error {
+	err := engine.ParallelMapErr(len(ns), workers, func(i int) error {
 		n := ns[i]
 		g := graph.Complete(n)
 		t := tree.BalancedBinary(n)
@@ -484,6 +390,18 @@ func NNApproximationSweep(sizes []int, trialsPerSize int, seed int64) ([]NNAppro
 		}
 	}
 	return rows, nil
+}
+
+// NNApproxTable formats the Theorem 3.18 sweep.
+func NNApproxTable(rows []NNApproxRow) *Table {
+	t := &Table{
+		Title:   "Theorem 3.18 — NN heuristic vs exact optimum (random instances)",
+		Headers: []string{"points", "NN cost", "opt tour", "ratio", "bound"},
+	}
+	for _, r := range rows {
+		t.AddRow(r.Points, r.NNCost, r.Opt, r.Ratio, r.Bound)
+	}
+	return t
 }
 
 // randomTreeInstance builds a random tree on n+? nodes and n requests for

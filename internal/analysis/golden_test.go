@@ -52,30 +52,25 @@ func TestDocumentsGolden(t *testing.T) {
 		build func() (any, error)
 	}{
 		{"perf", func() (any, error) {
-			cfg := PerfConfig{Sizes: []int{64, 76}, PerNode: 500, Seed: 1}
-			rows, err := PerfExperiment(cfg.Sizes, cfg.PerNode, cfg.Seed, 0)
-			for i := range rows {
-				rows[i].EventsPerSec = 0
+			doc, err := PerfExperiment(PerfConfig{Sizes: []int{64, 76}, PerNode: 500, Seed: 1}, 0)
+			for i := range doc.Rows {
+				doc.Rows[i].EventsPerSec = 0
 			}
-			return PerfDocument(cfg, rows), err
+			return doc, err
 		}},
 		{"scale", func() (any, error) {
-			cfg := ScaleConfig{Sizes: []int{2000, 5000}, PerNode: 20, Seed: 1}
-			rows, err := ScaleExperiment(cfg)
-			for i := range rows {
-				rows[i].EventsPerSec, rows[i].AllocBytes, rows[i].BytesPerNode = 0, 0, 0
+			doc, err := ScaleExperiment(ScaleConfig{Sizes: []int{2000, 5000}, PerNode: 20, Seed: 1})
+			for i := range doc.Rows {
+				r := &doc.Rows[i]
+				r.EventsPerSec, r.AllocBytes, r.BytesPerNode = 0, 0, 0
 			}
-			return ScaleDocument(cfg, rows), err
+			return doc, err
 		}},
 		{"shard", func() (any, error) {
-			cfg := ShardConfig{Objects: []int{16, 128}, PerNode: 50, Seed: 1}
-			rows, err := ShardExperiment(cfg)
-			return ShardDocument(cfg, rows), err
+			return ShardExperiment(ShardConfig{Objects: []int{16, 128}, PerNode: 50, Seed: 1}, 0)
 		}},
 		{"churn", func() (any, error) {
-			cfg := ChurnConfig{N: 24, PerNode: 120, Rates: []float64{0, 0.5, 1, 2}, Seed: 1}
-			rows, err := ChurnExperiment(cfg.N, cfg.PerNode, cfg.Rates, cfg.Seed, 0)
-			return ChurnDocument(cfg, rows), err
+			return ChurnExperiment(ChurnConfig{N: 24, PerNode: 120, Rates: []float64{0, 0.5, 1, 2}, Seed: 1}, 0)
 		}},
 	}
 	for _, d := range docs {

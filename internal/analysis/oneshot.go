@@ -30,15 +30,16 @@ type OneShotRow struct {
 
 // OneShotExperiment sweeps request-set sizes on a complete graph with the
 // balanced binary tree, measuring the ratio against s·log|R|. Set sizes
-// run in parallel (the exact optimum dominates each cell's cost).
-func OneShotExperiment(n int, rs []int, seed int64) ([]OneShotRow, error) {
+// run across the worker pool (the exact optimum dominates each cell's
+// cost).
+func OneShotExperiment(n int, rs []int, seed int64, workers int) ([]OneShotRow, error) {
 	g := graph.Complete(n)
 	t := tree.BalancedBinary(n)
 	s := t.EdgeStretch(g)
 	d := t.Diameter()
 	dg := opt.DistOfGraph(g)
 	rows := make([]OneShotRow, len(rs))
-	err := engine.ParallelMapErr(len(rs), 0, func(i int) error {
+	err := engine.ParallelMapErr(len(rs), workers, func(i int) error {
 		r := rs[i]
 		set := workload.OneShot(n, r, seed+int64(r))
 		cost, err := engine.Arrow{}.Run(engine.Instance{

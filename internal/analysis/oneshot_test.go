@@ -6,7 +6,7 @@ import (
 )
 
 func TestOneShotExperimentBounds(t *testing.T) {
-	rows, err := OneShotExperiment(32, []int{2, 4, 8}, 1)
+	rows, err := OneShotExperiment(32, []int{2, 4, 8}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,45 +68,44 @@ func eventsPerSec(events, wallNanos int64) float64 {
 	return float64(events) / (float64(wallNanos) * 1e-9)
 }
 
-// perfCells builds the perf experiment cells plus each cell's workload
-// name (the names slice is index-aligned with the cells, so row
-// assembly never re-derives the grid nesting positionally). Cells are
-// size-major, then workload, then protocol. Unlike engine.Grid, every
-// cell gets its own Instance with a private DistRecorder — recorders
-// accumulate per-request state, so sharing one across the concurrently
-// swept protocol column would race.
-func perfCells(ns []int, perNode int, seed int64) (cells []engine.Cell, names []string, err error) {
-	workloads := PerfWorkloads()
+// gridPos locates one cell of a closed-loop grid: its outer-axis index
+// and its workload's name.
+type gridPos struct {
+	outer    int
+	workload string
+}
+
+// closedLoopCells builds the (outer axis × workload × protocol) grid the
+// perf and churn experiments share: outer-major, then workload, then
+// baselineProtocols order. base(i) supplies what outer index i fixes
+// (label, graph, tree, fault plan); the builder adds the workload, its
+// delay model, the seed DeriveSeed(seed, i·len(workloads)+j) and a
+// private DistRecorder. Unlike engine.Grid, every cell gets its own
+// Instance: recorders accumulate per-request state, so sharing one
+// across the concurrently swept protocol column would race. pos is
+// index-aligned with cells, so row assembly never re-derives the grid
+// nesting positionally.
+func closedLoopCells(outer, perNode int, seed int64, workloads []PerfWorkload, base func(i int) engine.Instance) (cells []engine.Cell, pos []gridPos, err error) {
 	protocols := baselineProtocols()
-	cells = make([]engine.Cell, 0, len(ns)*len(workloads)*len(protocols))
-	names = make([]string, 0, cap(cells))
-	for i, n := range ns {
-		g := graph.Complete(n)
-		t := tree.BalancedBinary(n)
+	for i := 0; i < outer; i++ {
+		inst := base(i)
 		for j, w := range workloads {
 			load, err := engine.NewClosedLoop(perNode).Think(w.Think).Build()
 			if err != nil {
 				return nil, nil, err
 			}
 			for _, p := range protocols {
-				cells = append(cells, engine.Cell{
-					Protocol: p,
-					Instance: engine.Instance{
-						Label:    fmt.Sprintf("n=%d/%s", n, w.Name),
-						Graph:    g,
-						Tree:     t,
-						Root:     0,
-						Workload: load,
-						Latency:  w.Latency,
-						Seed:     engine.DeriveSeed(seed, i*len(workloads)+j),
-						Recorder: stats.NewDistRecorder(),
-					},
-				})
-				names = append(names, w.Name)
+				c := inst
+				c.Label += "/" + w.Name
+				c.Workload, c.Latency = load, w.Latency
+				c.Seed = engine.DeriveSeed(seed, i*len(workloads)+j)
+				c.Recorder = stats.NewDistRecorder()
+				cells = append(cells, engine.Cell{Protocol: p, Instance: c})
+				pos = append(pos, gridPos{outer: i, workload: w.Name})
 			}
 		}
 	}
-	return cells, names, nil
+	return cells, pos, nil
 }
 
 // timedProtocol decorates a Protocol with wall-clock measurement into a
@@ -127,15 +126,20 @@ func (t timedProtocol) Run(inst engine.Instance) (engine.Cost, error) {
 	return cost, err
 }
 
-// PerfExperiment runs the perf grid as one parallel sweep (workers 0 =
-// GOMAXPROCS; results are identical for every worker count) and
-// flattens the outcomes to rows. Histogram memory is fixed per cell, so
+// PerfExperiment runs the perf grid — size × workload × protocol — as
+// one parallel sweep (workers 0 = GOMAXPROCS; results are identical for
+// every worker count) and returns the arrowbench/perf document, pinned
+// as testdata/perf_golden.json. Histogram memory is fixed per cell, so
 // the experiment runs at the paper's 100k-requests-per-node scale
 // without per-request storage.
-func PerfExperiment(ns []int, perNode int, seed int64, workers int) ([]PerfRow, error) {
-	cells, names, err := perfCells(ns, perNode, seed)
+func PerfExperiment(cfg PerfConfig, workers int) (Document[PerfConfig, PerfRow], error) {
+	doc := Document[PerfConfig, PerfRow]{Schema: PerfSchema, Config: cfg}
+	cells, pos, err := closedLoopCells(len(cfg.Sizes), cfg.PerNode, cfg.Seed, PerfWorkloads(), func(i int) engine.Instance {
+		n := cfg.Sizes[i]
+		return engine.Instance{Label: fmt.Sprintf("n=%d", n), Graph: graph.Complete(n), Tree: tree.BalancedBinary(n)}
+	})
 	if err != nil {
-		return nil, err
+		return doc, err
 	}
 	walls := make([]int64, len(cells))
 	for i := range cells {
@@ -143,14 +147,14 @@ func PerfExperiment(ns []int, perNode int, seed int64, workers int) ([]PerfRow, 
 	}
 	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
-		return nil, fmt.Errorf("analysis: perf sweep: %w", err)
+		return doc, fmt.Errorf("analysis: perf sweep: %w", err)
 	}
-	rows := make([]PerfRow, len(outs))
+	doc.Rows = make([]PerfRow, len(outs))
 	for i, c := range engine.Costs(outs) {
-		rows[i] = PerfRow{
+		doc.Rows[i] = PerfRow{
 			Protocol:     c.Protocol,
 			N:            c.N,
-			Workload:     names[i],
+			Workload:     pos[i].workload,
 			Requests:     c.Requests,
 			Makespan:     c.Makespan,
 			Events:       c.Events,
@@ -159,7 +163,7 @@ func PerfExperiment(ns []int, perNode int, seed int64, workers int) ([]PerfRow, 
 			Hops:         c.Hops,
 		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // PerfLatencyTable formats the per-request queuing-latency percentiles
@@ -200,22 +204,10 @@ func PerfHopsTable(rows []PerfRow) *Table {
 // per-cell event count and the wall-clock events/sec throughput.
 const PerfSchema = "arrowbench/perf/v2"
 
-// PerfConfig records the experiment parameters inside the document.
+// PerfConfig is the perf experiment's parameters, recorded inside its
+// document.
 type PerfConfig struct {
 	Sizes   []int `json:"sizes"`
 	PerNode int   `json:"per_node"`
 	Seed    int64 `json:"seed"`
-}
-
-// PerfDoc is the stable schema of `arrowbench -exp perf -json`; the
-// repo pins one as testdata/perf_golden.json (TestDocumentsGolden).
-type PerfDoc struct {
-	Schema string     `json:"schema"`
-	Config PerfConfig `json:"config"`
-	Rows   []PerfRow  `json:"rows"`
-}
-
-// PerfDocument assembles the machine-readable perf document.
-func PerfDocument(cfg PerfConfig, rows []PerfRow) PerfDoc {
-	return PerfDoc{Schema: PerfSchema, Config: cfg, Rows: rows}
 }

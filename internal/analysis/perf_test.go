@@ -9,10 +9,11 @@ import (
 
 func TestPerfExperimentShape(t *testing.T) {
 	ns := []int{8, 12}
-	rows, err := PerfExperiment(ns, 5, 1, 0)
+	doc, err := PerfExperiment(PerfConfig{Sizes: ns, PerNode: 5, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := doc.Rows
 	workloads := PerfWorkloads()
 	wantRows := len(ns) * len(workloads) * len(baselineProtocols())
 	if len(rows) != wantRows {
@@ -52,19 +53,20 @@ func TestPerfExperimentShape(t *testing.T) {
 // deliberate exception: it measures the host, not the simulation, so it
 // is zeroed before the comparison here and in the golden.
 func TestPerfExperimentDeterministic(t *testing.T) {
-	a, err := PerfExperiment([]int{8}, 4, 7, 1)
+	cfg := PerfConfig{Sizes: []int{8}, PerNode: 4, Seed: 7}
+	a, err := PerfExperiment(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PerfExperiment([]int{8}, 4, 7, 4)
+	b, err := PerfExperiment(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		a[i].EventsPerSec = 0
+	for i := range a.Rows {
+		a.Rows[i].EventsPerSec = 0
 	}
-	for i := range b {
-		b[i].EventsPerSec = 0
+	for i := range b.Rows {
+		b.Rows[i].EventsPerSec = 0
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("perf rows differ across worker counts:\n%+v\n%+v", a, b)
@@ -72,20 +74,19 @@ func TestPerfExperimentDeterministic(t *testing.T) {
 }
 
 func TestPerfDocumentRoundTrip(t *testing.T) {
-	rows, err := PerfExperiment([]int{8}, 3, 2, 0)
+	cfg := PerfConfig{Sizes: []int{8}, PerNode: 3, Seed: 2}
+	doc, err := PerfExperiment(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PerfConfig{Sizes: []int{8}, PerNode: 3, Seed: 2}
-	doc := PerfDocument(cfg, rows)
-	if doc.Schema != PerfSchema || len(doc.Rows) != len(rows) {
+	if doc.Schema != PerfSchema || !reflect.DeepEqual(doc.Config, cfg) || len(doc.Rows) != 3*len(baselineProtocols()) {
 		t.Fatalf("document header: %+v", doc)
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back PerfDoc
+	var back Document[PerfConfig, PerfRow]
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}

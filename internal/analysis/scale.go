@@ -24,38 +24,37 @@ import (
 // holds n = 10⁶ in flat per-node state.
 type ScaleConfig struct {
 	// Sizes are the node counts; nil defaults to 10k, 100k, 1M.
-	Sizes []int
+	Sizes []int `json:"sizes"`
 	// PerNode fixes requests per node when positive. When 0, each size
 	// issues max(1, MaxRequests/n) per node so total work stays roughly
 	// flat across sizes instead of exploding with n.
-	PerNode int
+	PerNode int `json:"per_node"`
 	// MaxRequests is the total-request budget behind the PerNode=0
 	// default; 0 defaults to 2 million.
-	MaxRequests int64
+	MaxRequests int64 `json:"max_requests"`
 	// Seed derives each cell's simulation seed.
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
-func (c *ScaleConfig) sizes() []int {
-	if len(c.Sizes) > 0 {
-		return c.Sizes
+// resolved returns the config with its defaults filled in: what the
+// experiment runs and what its document records.
+func (c ScaleConfig) resolved() ScaleConfig {
+	if len(c.Sizes) == 0 {
+		c.Sizes = []int{10_000, 100_000, 1_000_000}
 	}
-	return []int{10_000, 100_000, 1_000_000}
+	if c.MaxRequests <= 0 && c.PerNode <= 0 {
+		c.MaxRequests = 2_000_000
+	}
+	return c
 }
 
-func (c *ScaleConfig) perNode(n int) int {
+// perNode is the per-node request count of an n-node cell of a resolved
+// config.
+func (c ScaleConfig) perNode(n int) int {
 	if c.PerNode > 0 {
 		return c.PerNode
 	}
-	budget := c.MaxRequests
-	if budget <= 0 {
-		budget = 2_000_000
-	}
-	per := budget / int64(n)
-	if per < 1 {
-		per = 1
-	}
-	return int(per)
+	return int(max(1, c.MaxRequests/int64(n)))
 }
 
 // ScaleRow is one protocol × topology × size cell of the scale
@@ -113,7 +112,7 @@ func gridSide(n int) int {
 
 func scaleCells(cfg *ScaleConfig) []scaleCell {
 	var cells []scaleCell
-	for i, n := range cfg.sizes() {
+	for i, n := range cfg.Sizes {
 		per := cfg.perNode(n)
 		side := gridSide(n)
 		seed := sim.DeriveSeed(cfg.Seed, i)
@@ -153,10 +152,11 @@ func scaleCells(cfg *ScaleConfig) []scaleCell {
 // ScaleExperiment runs the scale grid. Cells run strictly sequentially —
 // unlike the other experiments there is no sweep-level parallelism,
 // because each cell's allocation delta must not include a concurrent
-// neighbor's heap traffic.
-func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
-	cells := scaleCells(&cfg)
-	rows := make([]ScaleRow, 0, len(cells))
+// neighbor's heap traffic. It returns the arrowbench/scale document.
+func ScaleExperiment(cfg ScaleConfig) (Document[ScaleConfig, ScaleRow], error) {
+	doc := Document[ScaleConfig, ScaleRow]{Schema: ScaleSchema, Config: cfg.resolved()}
+	cells := scaleCells(&doc.Config)
+	doc.Rows = make([]ScaleRow, 0, len(cells))
 	var ms runtime.MemStats
 	for _, c := range cells {
 		runtime.GC()
@@ -167,10 +167,10 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 		wall := time.Since(start).Nanoseconds() //arrow:allow determinism report-only wall clock: scale events/s is machine-dependent and never gated
 		runtime.ReadMemStats(&ms)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: scale %s/%s n=%d: %w", c.protocol, c.topology, c.n, err)
+			return doc, fmt.Errorf("analysis: scale %s/%s n=%d: %w", c.protocol, c.topology, c.n, err)
 		}
 		alloc := int64(ms.TotalAlloc - before)
-		rows = append(rows, ScaleRow{
+		doc.Rows = append(doc.Rows, ScaleRow{
 			Protocol:     c.protocol,
 			Topology:     c.topology,
 			N:            c.n,
@@ -187,7 +187,7 @@ func ScaleExperiment(cfg ScaleConfig) ([]ScaleRow, error) {
 			Refills:      sched.Refills,
 		})
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // perRequest is a per-operation average; 0 for a cell with no requests.
@@ -220,34 +220,3 @@ func ScaleTable(rows []ScaleRow) *Table {
 // columns (workers, window_width, windows, mean_batch, workers_sweep,
 // lat_scale, worker_sweep) with the drain itself.
 const ScaleSchema = "arrowbench/scale/v2"
-
-// ScaleDocConfig records the experiment parameters inside the document.
-type ScaleDocConfig struct {
-	Sizes       []int `json:"sizes"`
-	PerNode     int   `json:"per_node"`
-	MaxRequests int64 `json:"max_requests"`
-	Seed        int64 `json:"seed"`
-}
-
-// ScaleDoc is the stable schema of `arrowbench -exp scale -json`.
-type ScaleDoc struct {
-	Schema string         `json:"schema"`
-	Config ScaleDocConfig `json:"config"`
-	Rows   []ScaleRow     `json:"rows"`
-}
-
-// ScaleDocument assembles the machine-readable scale document.
-func ScaleDocument(cfg ScaleConfig, rows []ScaleRow) ScaleDoc {
-	maxReq := cfg.MaxRequests
-	if maxReq <= 0 && cfg.PerNode <= 0 {
-		maxReq = 2_000_000
-	}
-	return ScaleDoc{
-		Schema: ScaleSchema,
-		Config: ScaleDocConfig{
-			Sizes: cfg.sizes(), PerNode: cfg.PerNode,
-			MaxRequests: maxReq, Seed: cfg.Seed,
-		},
-		Rows: rows,
-	}
-}

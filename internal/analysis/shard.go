@@ -18,57 +18,43 @@ import (
 // distributions instead of superposing for free.
 type ShardConfig struct {
 	// N is the shared network's node count; 0 defaults to 32.
-	N int
+	N int `json:"n"`
 	// PerNode is the closed-loop requests per node in every cell.
-	PerNode int
+	PerNode int `json:"per_node"`
 	// Objects are the object counts of the grid, each at least 2 (one
 	// object is the classic single-object loop, not a shard cell); nil
 	// defaults to 16, 128, 1024.
-	Objects []int
+	Objects []int `json:"objects"`
 	// Skews are the Zipf popularity exponents of the grid; nil defaults
 	// to 0 (uniform) and 1.1 (the classic hot-object regime).
-	Skews []float64
+	Skews []float64 `json:"skews"`
 	// Seed derives each cell's simulation seed.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// LinkTxTime is the shared network's per-link serialization time;
 	// 0 defaults to 1 (pass a negative value for the infinite-capacity
-	// model, which the config normalizes back to 0).
-	LinkTxTime sim.Time
-	// Workers sizes the sweep pool. Results — including the JSON
-	// document — are byte-identical at any worker count; the field is
-	// deliberately absent from the document for exactly that reason.
-	Workers int
+	// model, which resolves to 0).
+	LinkTxTime sim.Time `json:"link_tx_time"`
 }
 
-func (c *ShardConfig) n() int {
-	if c.N > 0 {
-		return c.N
+// resolved returns the config with its defaults filled in: what the
+// experiment runs and what its document records.
+func (c ShardConfig) resolved() ShardConfig {
+	if c.N <= 0 {
+		c.N = 32
 	}
-	return 32
-}
-
-func (c *ShardConfig) objects() []int {
-	if len(c.Objects) > 0 {
-		return c.Objects
+	if len(c.Objects) == 0 {
+		c.Objects = []int{16, 128, 1024}
 	}
-	return []int{16, 128, 1024}
-}
-
-func (c *ShardConfig) skews() []float64 {
-	if len(c.Skews) > 0 {
-		return c.Skews
+	if len(c.Skews) == 0 {
+		c.Skews = []float64{0, 1.1}
 	}
-	return []float64{0, 1.1}
-}
-
-func (c *ShardConfig) linkTxTime() sim.Time {
-	if c.LinkTxTime < 0 {
-		return 0
+	switch {
+	case c.LinkTxTime < 0:
+		c.LinkTxTime = 0
+	case c.LinkTxTime == 0:
+		c.LinkTxTime = 1
 	}
-	if c.LinkTxTime == 0 {
-		return 1
-	}
-	return c.LinkTxTime
+	return c
 }
 
 // ShardRow is one protocol × objects × skew cell and one row of the
@@ -103,52 +89,54 @@ func shardProtocols() []engine.Protocol {
 	}
 }
 
-// ShardExperiment runs the sharding grid as one engine.Sweep: objects,
-// then skew, then protocol, every cell with its own seed and recorder.
-// Outcomes come back in cell order, so every row is byte-identical at
-// any pool size. Graph and Tree only tell the adapters the node count: a
+// ShardExperiment runs the sharding grid as one engine.Sweep across the
+// worker pool: objects, then skew, then protocol, every cell with its
+// own seed and recorder. Outcomes come back in cell order, so the
+// arrowbench/shard document it returns is byte-identical at any pool
+// size. Graph and Tree only tell the adapters the node count: a
 // multi-object cell runs on the implicit complete metric (see
 // engine.Cost.PerObject).
-func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
+func ShardExperiment(cfg ShardConfig, workers int) (Document[ShardConfig, ShardRow], error) {
+	cfg = cfg.resolved()
+	doc := Document[ShardConfig, ShardRow]{Schema: ShardSchema, Config: cfg}
 	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
+		return doc, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
 	}
-	n := cfg.n()
-	g := graph.Complete(n)
-	t := tree.BalancedBinary(n)
+	g := graph.Complete(cfg.N)
+	t := tree.BalancedBinary(cfg.N)
 	var cells []engine.Cell
-	for _, k := range cfg.objects() {
-		for _, s := range cfg.skews() {
+	for _, k := range cfg.Objects {
+		for _, s := range cfg.Skews {
 			load, err := engine.NewClosedLoop(cfg.PerNode).Objects(k).Zipf(s).Build()
 			if err != nil {
-				return nil, fmt.Errorf("analysis: shard k=%d s=%g: %w", k, s, err)
+				return doc, fmt.Errorf("analysis: shard k=%d s=%g: %w", k, s, err)
 			}
 			for _, p := range shardProtocols() {
 				cells = append(cells, engine.Cell{
 					Protocol: p,
 					Instance: engine.Instance{
-						Label:      fmt.Sprintf("n=%d/k=%d/s=%g", n, k, s),
+						Label:      fmt.Sprintf("n=%d/k=%d/s=%g", cfg.N, k, s),
 						Graph:      g,
 						Tree:       t,
 						Workload:   load,
 						Seed:       engine.DeriveSeed(cfg.Seed, len(cells)),
-						LinkTxTime: cfg.linkTxTime(),
+						LinkTxTime: cfg.LinkTxTime,
 						Recorder:   stats.NewDistRecorder(),
 					},
 				})
 			}
 		}
 	}
-	outs := engine.Sweep(cells, cfg.Workers)
+	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
-		return nil, fmt.Errorf("analysis: shard sweep: %w", err)
+		return doc, fmt.Errorf("analysis: shard sweep: %w", err)
 	}
-	rows := make([]ShardRow, len(outs))
+	doc.Rows = make([]ShardRow, len(outs))
 	for i, c := range engine.Costs(outs) {
 		w := cells[i].Instance.Workload
-		rows[i] = ShardRow{
+		doc.Rows[i] = ShardRow{
 			Protocol:     c.Protocol,
-			N:            n,
+			N:            cfg.N,
 			Objects:      w.Objects,
 			Skew:         w.Skew,
 			PerNode:      cfg.PerNode,
@@ -164,7 +152,7 @@ func ShardExperiment(cfg ShardConfig) ([]ShardRow, error) {
 			Fairness:     c.Fairness,
 		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // ShardTable formats the shard rows: aggregate traffic on the left,
@@ -187,38 +175,3 @@ func ShardTable(rows []ShardRow) *Table {
 // ShardSchema versions the machine-readable shard document (see
 // PerfSchema for the bump discipline).
 const ShardSchema = "arrowbench/shard/v1"
-
-// ShardDocConfig records the experiment parameters inside the document.
-// Workers is deliberately absent: the document is byte-identical at any
-// worker count, and including it would break exactly that property.
-type ShardDocConfig struct {
-	N          int       `json:"n"`
-	PerNode    int       `json:"per_node"`
-	Objects    []int     `json:"objects"`
-	Skews      []float64 `json:"skews"`
-	Seed       int64     `json:"seed"`
-	LinkTxTime int64     `json:"link_tx_time"`
-}
-
-// ShardDoc is the stable schema of `arrowbench -exp shard -json`.
-type ShardDoc struct {
-	Schema string         `json:"schema"`
-	Config ShardDocConfig `json:"config"`
-	Rows   []ShardRow     `json:"rows"`
-}
-
-// ShardDocument assembles the machine-readable shard document.
-func ShardDocument(cfg ShardConfig, rows []ShardRow) ShardDoc {
-	return ShardDoc{
-		Schema: ShardSchema,
-		Config: ShardDocConfig{
-			N:          cfg.n(),
-			PerNode:    cfg.PerNode,
-			Objects:    cfg.objects(),
-			Skews:      cfg.skews(),
-			Seed:       cfg.Seed,
-			LinkTxTime: int64(cfg.linkTxTime()),
-		},
-		Rows: rows,
-	}
-}

@@ -16,10 +16,11 @@ func TestShardExperimentRows(t *testing.T) {
 		Skews:   []float64{0, 1.1},
 		Seed:    3,
 	}
-	rows, err := ShardExperiment(cfg)
+	doc, err := ShardExperiment(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := doc.Rows
 	wantRows := len(cfg.Objects) * len(cfg.Skews) * 4
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
@@ -69,13 +70,11 @@ func TestShardDocumentWorkerIdentity(t *testing.T) {
 		Seed:    7,
 	}
 	marshal := func(workers int) []byte {
-		c := cfg
-		c.Workers = workers
-		rows, err := ShardExperiment(c)
+		doc, err := ShardExperiment(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.MarshalIndent(ShardDocument(c, rows), "", "  ")
+		b, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,19 +37,23 @@ type StabilizeRow struct {
 // StabilizeExperiment corrupts a fraction of pointers uniformly at
 // random and measures repair cost across trials — the round-based
 // oracle's rounds/de-cycles/merges and the message-driven protocol's
-// messages/time/episodes on the same instances (the E14 experiment).
-func StabilizeExperiment(ns []int, corruptFrac float64, trials int, seed int64) ([]StabilizeRow, error) {
-	rows := make([]StabilizeRow, 0, len(ns))
-	for _, n := range ns {
+// messages/time/episodes on the same instances (the E14 experiment). It
+// returns the arrowbench/stabilize document; every field is
+// deterministic for a fixed config.
+func StabilizeExperiment(cfg StabilizeConfig) (Document[StabilizeConfig, StabilizeRow], error) {
+	doc := Document[StabilizeConfig, StabilizeRow]{
+		Schema: StabilizeSchema, Config: cfg, Rows: make([]StabilizeRow, 0, len(cfg.Sizes)),
+	}
+	for _, n := range cfg.Sizes {
 		t := tree.BalancedBinary(n)
-		rng := rand.New(rand.NewSource(seed + int64(n)))
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		row := StabilizeRow{
-			N: n, Trials: trials, CorruptFrac: corruptFrac,
+			N: n, Trials: cfg.Trials, CorruptFrac: cfg.CorruptFrac,
 			AllConverged: true, SinksAgree: true, SimConverged: true,
 		}
 		var sumRounds, sumDecycles, sumMerges int64
 		var sumMsgs, sumTime, sumEpisodes int64
-		for trial := 0; trial < trials; trial++ {
+		for trial := 0; trial < cfg.Trials; trial++ {
 			links := make([]graph.NodeID, n)
 			for v := range links {
 				node := graph.NodeID(v)
@@ -59,13 +63,13 @@ func StabilizeExperiment(ns []int, corruptFrac float64, trials int, seed int64) 
 					links[v] = t.NextHop(node, 0)
 				}
 			}
-			for k := 0; k < int(float64(n)*corruptFrac); k++ {
+			for k := 0; k < int(float64(n)*cfg.CorruptFrac); k++ {
 				links[rng.Intn(n)] = graph.NodeID(rng.Intn(n))
 			}
 			simLinks := append([]graph.NodeID(nil), links...)
 			res, err := stabilize.Repair(t, links)
 			if err != nil {
-				return nil, err
+				return doc, err
 			}
 			if _, ok := stabilize.IsLegal(t, links); !ok {
 				row.AllConverged = false
@@ -77,7 +81,7 @@ func StabilizeExperiment(ns []int, corruptFrac float64, trials int, seed int64) 
 				row.MaxRounds = res.Rounds
 			}
 			simRes, err := stabilize.RunSim(t, simLinks, stabilize.SimOptions{
-				Seed: seed + int64(n) + int64(trial),
+				Seed: cfg.Seed + int64(n) + int64(trial),
 			})
 			if err != nil {
 				row.SimConverged = false
@@ -96,15 +100,15 @@ func StabilizeExperiment(ns []int, corruptFrac float64, trials int, seed int64) 
 				row.MaxSimTime = int64(simRes.ConvergenceTime)
 			}
 		}
-		row.AvgRounds = float64(sumRounds) / float64(trials)
-		row.AvgDecycles = float64(sumDecycles) / float64(trials)
-		row.AvgMerges = float64(sumMerges) / float64(trials)
-		row.AvgMessages = float64(sumMsgs) / float64(trials)
-		row.AvgSimTime = float64(sumTime) / float64(trials)
-		row.AvgEpisodes = float64(sumEpisodes) / float64(trials)
-		rows = append(rows, row)
+		row.AvgRounds = float64(sumRounds) / float64(cfg.Trials)
+		row.AvgDecycles = float64(sumDecycles) / float64(cfg.Trials)
+		row.AvgMerges = float64(sumMerges) / float64(cfg.Trials)
+		row.AvgMessages = float64(sumMsgs) / float64(cfg.Trials)
+		row.AvgSimTime = float64(sumTime) / float64(cfg.Trials)
+		row.AvgEpisodes = float64(sumEpisodes) / float64(cfg.Trials)
+		doc.Rows = append(doc.Rows, row)
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // StabilizeTable formats the self-stabilization experiment: oracle
@@ -128,23 +132,11 @@ func StabilizeTable(rows []StabilizeRow) *Table {
 // StabilizeSchema versions the machine-readable stabilize document.
 const StabilizeSchema = "arrowbench/stabilize/v1"
 
-// StabilizeConfig records the experiment parameters inside the document.
+// StabilizeConfig is the stabilize experiment's parameters, recorded
+// inside its document.
 type StabilizeConfig struct {
 	Sizes       []int   `json:"sizes"`
 	CorruptFrac float64 `json:"corrupt_frac"`
 	Trials      int     `json:"trials"`
 	Seed        int64   `json:"seed"`
-}
-
-// StabilizeDoc is the stable schema of `arrowbench -exp stabilize
-// -json`; every field is deterministic for a fixed config.
-type StabilizeDoc struct {
-	Schema string          `json:"schema"`
-	Config StabilizeConfig `json:"config"`
-	Rows   []StabilizeRow  `json:"rows"`
-}
-
-// StabilizeDocument assembles the machine-readable stabilize document.
-func StabilizeDocument(cfg StabilizeConfig, rows []StabilizeRow) StabilizeDoc {
-	return StabilizeDoc{Schema: StabilizeSchema, Config: cfg, Rows: rows}
 }

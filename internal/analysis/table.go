@@ -17,8 +17,14 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row of stringified cells.
+// AddRow appends a row of stringified cells, one per header. It is the
+// one place a row's width is checked, so Render and RenderJSON always see
+// the same rectangular table; a mismatch is a bug in the calling
+// experiment and panics.
 func (t *Table) AddRow(cells ...any) {
+	if len(cells) != len(t.Headers) {
+		panic(fmt.Sprintf("analysis: table %q: row of %d cells under %d headers", t.Title, len(cells), len(t.Headers)))
+	}
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -41,7 +47,7 @@ func (t *Table) Render() string {
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
+			if len(cell) > widths[i] {
 				widths[i] = len(cell)
 			}
 		}
@@ -76,8 +82,8 @@ func (t *Table) Render() string {
 // the headers (cell values keep Render's string formatting) — so CI can
 // track experiment output across commits without scraping aligned text.
 // Rows stay arrays rather than header-keyed objects: an object would
-// silently drop cells beyond the header count or under duplicate header
-// names, truncating exactly the artifact CI relies on.
+// silently drop cells under duplicate header names, truncating exactly
+// the artifact CI relies on.
 func (t *Table) RenderJSON() string {
 	type doc struct {
 		Title   string     `json:"title"`

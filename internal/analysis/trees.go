@@ -16,12 +16,8 @@ const (
 	TreeBalancedBinary TreeKind = iota
 	// TreeMST is Prim's minimum spanning tree (Demmer–Herlihy's choice).
 	TreeMST
-	// TreeKruskal is Kruskal's MST (differs from Prim only on ties).
-	TreeKruskal
 	// TreeBFS is the breadth-first tree from the graph center.
 	TreeBFS
-	// TreeSPT is the Dijkstra shortest-path tree from the graph center.
-	TreeSPT
 	// TreeStar is a star centered on node 0 — a "home node" topology;
 	// only valid when the graph has the needed edges.
 	TreeStar
@@ -36,12 +32,8 @@ func (k TreeKind) String() string {
 		return "balanced-binary"
 	case TreeMST:
 		return "mst-prim"
-	case TreeKruskal:
-		return "mst-kruskal"
 	case TreeBFS:
 		return "bfs"
-	case TreeSPT:
-		return "spt"
 	case TreeStar:
 		return "star"
 	case TreePath:
@@ -64,14 +56,9 @@ func BuildTree(kind TreeKind, g *graph.Graph) (*tree.Tree, error) {
 		return t, nil
 	case TreeMST:
 		return tree.PrimMST(g, 0)
-	case TreeKruskal:
-		return tree.KruskalMST(g, 0)
 	case TreeBFS:
 		c, _ := g.Center()
 		return tree.BFS(g, c)
-	case TreeSPT:
-		c, _ := g.Center()
-		return tree.ShortestPathTree(g, c)
 	case TreeStar:
 		t := tree.StarTree(g.NumNodes())
 		if err := checkEmbeds(t, g); err != nil {

@@ -63,8 +63,8 @@ type replyMsg struct {
 func (reqMsg) isSeqMsg()   {}
 func (replyMsg) isSeqMsg() {}
 
-// engine holds the central node's serialization state, shared by static
-// and closed-loop runs.
+// engine holds the central node's serialization state for the static Run
+// (the closed loop has its own serve, see closedloop.go).
 type engine struct {
 	center    graph.NodeID
 	service   sim.Time

@@ -224,7 +224,7 @@ type Instance struct {
 	// recording Instance (a Recorder or any ObjectRecorders entry)
 	// across its protocol column (the copies would race under Sweep) —
 	// grids that record build one Instance per cell, with fresh
-	// recorders for every object slot (as analysis.PerfExperiment does).
+	// recorders for every object slot (as analysis.closedLoopCells does).
 	Recorder stats.Recorder
 	// ObjectRecorders, when non-nil, attaches one recorder per object of
 	// a multi-object run: entry o observes exactly object o's

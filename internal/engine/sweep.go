@@ -66,7 +66,7 @@ func Costs(outs []Outcome) []Cost {
 // have concurrently swept cells feed the same accumulating state — a
 // data race under Sweep, and conflated distributions even sequentially.
 // Grids that record build one Instance per cell, with fresh recorders
-// for every object slot (as analysis.PerfExperiment does).
+// for every object slot (as analysis.closedLoopCells does).
 func Grid(instances []Instance, protocols ...Protocol) []Cell {
 	// seen is a slice scan, not a map: instance counts are tiny, the
 	// scan's order is the deterministic instance order by construction,

@@ -35,6 +35,7 @@ var keptExports = map[string]string{
 	"internal/sim.TreeLinks":                "the candidate link set those LinkChurn plans are drawn over",
 	"internal/stats.Histogram.Buckets":      "pins the histogram's fixed-memory property",
 	"internal/stats.Of":                     "the exact sorted-sample summary the streaming histogram's moments are compared with",
+	"internal/tree.KruskalMST":              "the reference MST PrimMST's weight is compared with (TestMSTWeightsAgree)",
 	"internal/tree.GridNav.Depth":           "hop depth, the navigators' common accessor (see Walker.Depth)",
 	"internal/tree.Tree.Depth":              "weighted depth, read by TestHopsAndDepth",
 	"internal/tree.Walker.Depth":            "hop depth, the round-trip length sim's token-protocol tests record",

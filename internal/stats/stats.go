@@ -52,8 +52,8 @@ func Of(xs []float64) Summary {
 }
 
 // Percentile returns the p-th percentile (0..100) of an ascending-sorted
-// sample using linear interpolation. Panics if the sample is unsorted in
-// debug-style usage is avoided; callers must sort.
+// sample using linear interpolation. The order is not checked: callers
+// must sort.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

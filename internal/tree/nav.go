@@ -8,8 +8,8 @@ import "repro/internal/graph"
 // queries over O(n log n) binary-lifting tables; the implicit
 // implementations in this package (Walker, GridNav) answer the same
 // queries by on-the-fly parent walks over O(n) — or O(1) — state, which
-// is what makes million-node trees affordable (ROADMAP item 1: the LCA
-// tables were the memory wall).
+// is what makes million-node trees affordable (the LCA tables were the
+// memory wall).
 type Nav interface {
 	// NumNodes returns the node count.
 	NumNodes() int
