@@ -401,19 +401,29 @@ func BenchmarkSimulatorEventLoop(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkRuntimeVsSim is the DESIGN.md ablation: the same total-order
-// workload executed on the deterministic simulator and on the goroutine
-// runtime (wall-clock execution engines compared, not protocol cost).
+// BenchmarkRuntimeVsSim is the DESIGN.md ablation: one request set —
+// 128 requests at nodes r mod 31, all at time 0 — executed on the
+// deterministic simulator and on the goroutine runtime (wall-clock
+// execution engines compared, not protocol cost). ns/req is one run of
+// the whole set, start to quiescence, per request.
 func BenchmarkRuntimeVsSim(b *testing.B) {
 	const n, requests = 31, 128
 	t := tree.BalancedBinary(n)
+	reqs := make([]queuing.Request, requests)
+	for r := range reqs {
+		reqs[r].Node = graph.NodeID(r % n)
+	}
+	set := queuing.NewSet(reqs)
+	perRequest := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(set)), "ns/req")
+	}
 	b.Run("sim", func(b *testing.B) {
-		set := workload.OneShot(n, n/2, 3)
 		for i := 0; i < b.N; i++ {
 			if _, err := arrow.Run(t, set, arrow.Options{Root: 0}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		perRequest(b)
 	})
 	b.Run("goroutines", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -425,12 +435,13 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 				}
 				close(done)
 			}()
-			for r := 0; r < requests; r++ {
-				net.Request(graph.NodeID(r % n))
+			for _, r := range set {
+				net.Request(r.Node)
 			}
 			net.Stop()
 			<-done
 		}
+		perRequest(b)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 
 // TestCompletionOrderIsFIFO pins delivery order = completion order
 // without leaning on Wait. One goroutine submits every request at object
-// 0's sink, so the requests complete inside initiate, in mailbox order:
+// 0's sink, so the requests complete inside initiate, in delivery order:
 // complete runs in ReqID order. The window keeps the submitter a step
 // ahead of a consumer that alternates between parking in receive (the
 // direct handoff) and staying away for 0-7us (the backlog), sweeping
@@ -69,7 +70,7 @@ func TestCompletionOrderIsFIFO(t *testing.T) {
 // once, so only different objects' messages share a link. Each round
 // parks every object's sink at node 0 and then issues one request per
 // object at node 1, from one goroutine: node 1 forwards them over the
-// one link in mailbox order, node 0 completes them in arrival order,
+// one link in delivery order, node 0 completes them in arrival order,
 // and completions are delivered in completion order. A send whose
 // enqueue is deferred until its node is released lets the node's next
 // carrier overtake it.
@@ -291,7 +292,8 @@ func TestIdleNetworkOwnsNoNodeGoroutines(t *testing.T) {
 
 // TestLargeNetworkIsCheap bounds what a node costs to build and run: a
 // node is a struct and two one-element slices, plus mailbox buffers at
-// the few nodes the requests touch (161 bytes per node measured). The
+// the few nodes the requests touch (204 bytes per node measured; 161
+// before the node gained its state word and head slot). The
 // goroutine-per-node design — two channels and two goroutines each —
 // measured 1818 on this test.
 func TestLargeNetworkIsCheap(t *testing.T) {
@@ -350,9 +352,9 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 // eight submitters bounce object 0's sink across one edge — every
 // request makes each of the two nodes claim the other — while Stop
 // races them. Every accepted request must complete exactly once, Stop
-// must return (a message left in a mailbox whose carrier cleared busy
-// without re-checking it would hang Stop), and every object must end
-// with one sink.
+// must return (a message left in a mailbox whose carrier released the
+// node without re-checking it would hang Stop), and every object must
+// end with one sink.
 func TestStopRaceAdjacentNodes(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		tr := tree.BalancedBinary(15)
@@ -416,6 +418,144 @@ func TestStopRaceAdjacentNodes(t *testing.T) {
 	}
 }
 
+// queued is one edge of an object's queue: req was queued behind pred.
+type queued struct{ req, pred int64 }
+
+// checkChain verifies the paper's total-order guarantee on one object's
+// completions, as the runtime-live benchmark does: the (request,
+// predecessor) pairs form a single chain that starts at the virtual
+// root request -1 and passes through every request exactly once.
+func checkChain(chain []queued) error {
+	next := make(map[int64]int64, len(chain))
+	for _, q := range chain {
+		if succ, dup := next[q.pred]; dup {
+			return fmt.Errorf("requests %d and %d both queued behind %d", succ, q.req, q.pred)
+		}
+		next[q.pred] = q.req
+	}
+	at, seen := int64(-1), 0
+	for {
+		succ, ok := next[at]
+		if !ok {
+			break
+		}
+		at = succ
+		seen++
+		if seen > len(chain) {
+			return fmt.Errorf("queue order has a cycle through request %d", at)
+		}
+	}
+	if seen != len(chain) {
+		return fmt.Errorf("queue order reaches %d of %d requests from the root", seen, len(chain))
+	}
+	return nil
+}
+
+// TestClaimUnderContention drives every transition of the node state
+// word at once. Eight submitters issue requests for four objects at
+// both ends of one edge, so a delivery often finds its node held (the
+// locked path in deliver: append, then publish pending) and a carrier
+// often finds its node refilled when it tries to release it. The
+// consumer stalls now and then: the admission window fills, and the
+// submitters return in a burst once it drains. A 1µs hop delay parks
+// the carrier in every send, mid-turn, so releases fail at -cpu 1 too
+// (a 1ns timer has fired before the scheduler looks for other work).
+// The requests come in rounds, each waited out to quiescence: a lost
+// hand-off strands a request in a mailbox, and that round never
+// settles. Every request must complete exactly once, each object's
+// queue must be one chain, and every object must end with one sink.
+func TestClaimUnderContention(t *testing.T) {
+	for _, hop := range []time.Duration{0, time.Microsecond} {
+		t.Run(fmt.Sprintf("hop=%dns", hop.Nanoseconds()), func(t *testing.T) { claimUnderContention(t, hop) })
+	}
+}
+
+func claimUnderContention(t *testing.T, hop time.Duration) {
+	const submitters, rounds, perRound, objects, window = 8, 250, 16, 4, 16
+	tr := tree.PathTree(2)
+	net := New(tr, 0, Options{Objects: objects, MaxInFlight: window, HopDelay: hop})
+	net.Start()
+	completed := 0
+	chains := make([][]queued, objects)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for c := range net.Completions() {
+			completed++
+			chains[c.Object] = append(chains[c.Object], queued{c.ReqID, c.PredID})
+			if len(chains[c.Object])%97 == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	// settle fails the test unless done returns by a second past the
+	// deadline, when the submitters stop retrying.
+	settle := func(what string, done func()) {
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			done()
+		}()
+		select {
+		case <-returned:
+		case <-time.After(time.Until(deadline) + time.Second):
+			t.Fatalf("%s hung with %d requests in flight", what, net.InFlight())
+		}
+	}
+	var accepted atomic.Int64
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < submitters; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perRound; i++ {
+					v, obj := graph.NodeID((w+i)%2), int32((w+round+i/2)%objects)
+					for {
+						_, err := net.Submit(v, obj)
+						if err == nil {
+							accepted.Add(1)
+							break
+						}
+						var ov *OverloadError
+						if !errors.As(err, &ov) {
+							t.Error(err)
+							return
+						}
+						if time.Now().After(deadline) {
+							return
+						}
+						runtime.Gosched()
+					}
+				}
+			}(w)
+		}
+		// Quiescence after every round: a request stranded in a mailbox
+		// is rescued by the next delivery that takes the locked path, so
+		// only the end of a burst shows it.
+		settle(fmt.Sprintf("round %d", round), func() {
+			wg.Wait()
+			net.Wait()
+		})
+	}
+	settle("Stop", net.Stop)
+	<-drained
+	// With the counts equal, one chain per object means every request
+	// completed exactly once: a repeat forks or loops its chain.
+	if int64(completed) != accepted.Load() {
+		t.Fatalf("accepted %d requests but %d completed", accepted.Load(), completed)
+	}
+	for o := int32(0); o < objects; o++ {
+		if err := checkChain(chains[o]); err != nil {
+			t.Errorf("object %d: %v", o, err)
+		}
+		if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(o)); err != nil {
+			t.Errorf("object %d: %v", o, err)
+		}
+	}
+}
+
 // TestSubmitIsAsynchronous: Submit never runs protocol steps on the
 // caller. Every request here crosses a 3-hop path with a 5ms hop delay;
 // a Submit that carried its own request would take 15ms to return.
@@ -445,10 +585,20 @@ func TestSubmitIsAsynchronous(t *testing.T) {
 	}
 }
 
+// cpuNS returns the user+sys CPU time the process has used so far.
+func cpuNS() int64 {
+	var ru syscall.Rusage
+	// Getrusage(RUSAGE_SELF) cannot fail with a valid pointer.
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
 // BenchmarkRuntimeClosedLoop is the sub-second signal beside the
 // runtime-live ledger workload: closed-loop clients, each waiting for
 // its own completion before submitting again, on that workload's shape
 // (63-node balanced tree, 16 objects, window 64, zero hop delay).
+// cpu-ns/req is the process's CPU time over the timed loop per request,
+// the quantity behind runtime-live's cpu_s_per_mreq.
 func BenchmarkRuntimeClosedLoop(b *testing.B) {
 	const n, objects, window = 63, 16, 64
 	for _, clients := range []int{1, 2, 8} {
@@ -470,6 +620,7 @@ func BenchmarkRuntimeClosedLoop(b *testing.B) {
 			}()
 			b.ReportAllocs()
 			b.ResetTimer()
+			cpu0 := cpuNS()
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
@@ -493,6 +644,7 @@ func BenchmarkRuntimeClosedLoop(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/req")
+			b.ReportMetric(float64(cpuNS()-cpu0)/float64(b.N), "cpu-ns/req")
 			net.Stop()
 			<-drained
 		})

@@ -1,23 +1,27 @@
 // Package runtime is a live, concurrent implementation of the arrow
-// protocol. A tree node is passive state — its link pointers and a FIFO
-// mailbox behind a mutex — and a tree edge is an append to the target's
-// mailbox. Nodes are activation-driven: a delivery that finds its target
-// idle claims it, and a carrier goroutine processes a claimed node's
-// messages one batch at a time, unlocked. A carrier that claims a node
+// protocol. A tree node is passive state — its link pointers, one atomic
+// state word (idle, held or pending) and a FIFO mailbox behind a mutex —
+// and a tree edge is a delivery to the target. Nodes are activation-
+// driven: a delivery that finds its target idle claims it with one
+// compare-and-swap and parks the message in the node's head slot, and a
+// carrier goroutine processes a claimed node's messages, unlocked. Only a
+// delivery to a node that is already held takes the mutex, appends to
+// the mailbox and marks the node pending. A carrier that claims a node
 // by sending to it drains that node next, so an uncontended path
-// reversal is one goroutine walking the path; an idle network owns no
-// node goroutines at all.
+// reversal is one goroutine walking the path with two compare-and-swaps
+// per hop and no lock; an idle network owns no node goroutines at all.
 //
 // This is the paper's asynchronous message-passing model: a node has at
 // most one carrier at a time, so it processes its messages one at a
-// time, and a send enqueues at the target immediately (only the
-// target's processing is deferred), so every link is FIFO. Node state
-// passes from one carrier to the next through the node's mutex. The
-// runtime complements the deterministic simulator (package arrow) and
-// runs the same two protocol steps, arrow.Start and arrow.Forward, on
-// its own node-major link storage: the simulator measures the paper's
-// cost model exactly, while this runtime demonstrates the protocol under
-// real, racy concurrency (run the tests with -race).
+// time, and a send completes its delivery before the sender moves on
+// (only the target's processing is deferred), so every link is FIFO.
+// Node state passes from one carrier to the next through the state
+// word (see node for its invariant). The runtime complements the
+// deterministic simulator (package arrow) and runs the same two protocol
+// steps, arrow.Start and arrow.Forward, on its own node-major link
+// storage: the simulator measures the paper's cost model exactly, while
+// this runtime demonstrates the protocol under real, racy concurrency
+// (run the tests with -race).
 //
 // The runtime is a sharded multi-object service: Options.Objects runs k
 // independent arrow instances over the same tree and the same nodes,
@@ -143,7 +147,7 @@ type Network struct {
 	wg      sync.WaitGroup // carriers
 }
 
-// msg is the one mailbox message: an issue (a request entering the
+// msg is the one node message: an issue (a request entering the
 // protocol at this node) or a queue message travelling towards the
 // sink. origin, from and hops are meaningful on queue messages only.
 type msg struct {
@@ -156,20 +160,44 @@ type msg struct {
 	done   chan<- struct{} // issue only, optional: closed once initiation is processed
 }
 
+// The values of node.state.
+const (
+	idle    uint32 = iota // no carrier holds the node
+	held                  // a carrier holds the node
+	pending               // a carrier holds the node and has mail to swap out
+)
+
 // node owns one slot of every object's pointer state: link[o] is the
 // node's arrow for object o, lastReq[o] its most recent request on that
-// object's queue. Both, and spare, belong to the carrier holding the
-// node, from the delivery that set busy until the carrier clears it. mu
-// guards queue and busy and hands the rest from one carrier to the next.
+// object's queue. Both, and head, hasHead and spare, belong to the
+// carrier holding the node, from the delivery that claimed it until the
+// carrier's release; the state word hands them from one carrier to the
+// next. mu guards queue alone.
+//
+// A delivery to an idle node claims it with CAS(idle, held) and parks
+// its message in head: no lock, no append. A delivery to a node that is
+// not idle locks mu, appends to queue and, still under mu, publishes
+// with Swap(pending): an old value of idle means it claimed the node
+// (the holder left between its CAS and the publish), held or pending
+// that the holder will find the mail. The holder handles head, then, if
+// the state is pending, swaps the mailbox out under mu and stores held
+// there, and releases with CAS(held, idle); a failed release means the
+// node was refilled. Invariant: held implies the mailbox is empty,
+// except while a deliverer holds mu between its append and its publish;
+// only the holder leaves pending, and only the holder returns the node
+// to idle.
 type node struct {
 	id      graph.NodeID
 	link    []graph.NodeID
 	lastReq []int64
 	net     *Network
 
+	state   atomic.Uint32
+	hasHead bool
+	head    msg // the message whose delivery claimed the node
+
 	mu    sync.Mutex
 	queue []msg // mailbox, FIFO
-	busy  bool  // a carrier holds the node
 	spare []msg // the drained batch's buffer: queue and spare double-buffer
 }
 
@@ -357,12 +385,12 @@ func (net *Network) RequestSync(v graph.NodeID) int64 {
 }
 
 // admit atomically checks that the network is running, applies the
-// admission window, and enqueues the issue message, starting a carrier
+// admission window, and delivers the issue message, starting a carrier
 // if that claimed the node: protocol steps never run on the caller.
-// Holding mu's read side across check+enqueue closes the Submit/Stop
+// Holding mu's read side across check+deliver closes the Submit/Stop
 // race: once Stop's writer section flips running, no new issue can
-// reach a mailbox, and every issue that won the race is covered by
-// Stop's quiescence wait.
+// reach a node, and every issue that won the race is covered by Stop's
+// quiescence wait.
 func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done chan struct{}, err error) {
 	if int(v) < 0 || int(v) >= len(net.nodes) {
 		return 0, nil, fmt.Errorf("runtime: node %d out of range", v)
@@ -455,61 +483,76 @@ func (net *Network) LinksFor(obj int32) []graph.NodeID {
 	return links
 }
 
-// deliver appends m to the node's mailbox and reports whether that
-// claimed the node: it was idle, and the caller must now see that a
-// carrier drains it.
+// deliver hands m to the node and reports whether that claimed the
+// node: it was idle, and the caller must now see that a carrier drains
+// it. An idle node takes m in its head slot; a held one in its mailbox.
 func (nd *node) deliver(m msg) (claimed bool) {
+	if nd.state.CompareAndSwap(idle, held) {
+		nd.head, nd.hasHead = m, true
+		return true
+	}
 	nd.mu.Lock()
 	nd.queue = append(nd.queue, m)
-	claimed = !nd.busy
-	nd.busy = true
+	claimed = nd.state.Swap(pending) == idle
 	nd.mu.Unlock()
 	return claimed
 }
 
 // carry drains claimed nodes, starting at cur, until it holds none. Per
-// turn it handles one batch of cur's mailbox, unlocked, and releases cur
-// only under the lock after finding the mailbox empty. Of the nodes its
-// sends claim it keeps one (next) to drain itself — the run-to-
-// completion chain of an uncontended path reversal — and starts a
-// carrier for each further one, so claimed nodes never wait while
-// processors idle. If cur refilled during the turn and next is held,
-// the two swap: a hot node cannot starve the chain behind it.
+// turn it handles cur's head message, if a delivery parked one, then,
+// if cur is pending, one batch swapped out of its mailbox, unlocked, and
+// tries to release cur. Of the nodes its sends claim it keeps one (next)
+// to drain itself — the run-to-completion chain of an uncontended path
+// reversal — and starts a carrier for each further one, so claimed
+// nodes never wait while processors idle. If cur refilled during the
+// turn and next is held, the two swap: a hot node cannot starve the
+// chain behind it.
 func (net *Network) carry(cur *node) {
 	defer net.wg.Done()
 	var next *node
 	for cur != nil {
-		cur.mu.Lock()
-		batch := cur.queue
-		cur.queue = cur.spare
-		cur.mu.Unlock()
-		for i := range batch {
-			var to *node
-			if m := &batch[i]; m.issue {
-				to = cur.initiate(m)
-			} else {
-				to = cur.pathReversal(m)
-			}
-			switch {
-			case to == nil:
-			case next == nil:
-				next = to
-			default:
-				net.wg.Add(1)
-				go net.carry(to)
-			}
+		if cur.hasHead {
+			cur.hasHead = false
+			next = net.handle(cur, &cur.head, next)
 		}
-		cur.mu.Lock()
-		cur.spare = batch[:0]
-		idle := len(cur.queue) == 0
-		cur.busy = !idle
-		cur.mu.Unlock()
-		if idle {
+		if cur.state.Load() == pending {
+			cur.mu.Lock()
+			batch := cur.queue
+			cur.queue = cur.spare
+			cur.state.Store(held)
+			cur.mu.Unlock()
+			for i := range batch {
+				next = net.handle(cur, &batch[i], next)
+			}
+			cur.spare = batch[:0]
+		}
+		if cur.state.CompareAndSwap(held, idle) {
 			cur, next = next, nil
 		} else if next != nil {
 			cur, next = next, cur
 		}
 	}
+}
+
+// handle runs m's protocol step at nd. It returns the node the carrier
+// drains next: the one m's send claimed if next is nil, else next, with
+// a fresh carrier started for the claimed node.
+func (net *Network) handle(nd *node, m *msg, next *node) *node {
+	var to *node
+	if m.issue {
+		to = nd.initiate(m)
+	} else {
+		to = nd.pathReversal(m)
+	}
+	switch {
+	case to == nil:
+	case next == nil:
+		return to
+	default:
+		net.wg.Add(1)
+		go net.carry(to)
+	}
+	return next
 }
 
 // initiate and pathReversal run the protocol's two steps, arrow.Start and

@@ -86,23 +86,13 @@ func TestTotalOrderUnderConcurrency(t *testing.T) {
 		if len(comps) != requests {
 			t.Fatalf("trial %d: %d completions, want %d", trial, len(comps), requests)
 		}
-		// Predecessor chain must be a total order: unique predecessors,
-		// exactly one request behind the virtual root.
-		succ := make(map[int64]int64, requests)
-		for _, c := range comps {
-			if _, dup := succ[c.PredID]; dup {
-				t.Fatalf("trial %d: duplicate successor for %d", trial, c.PredID)
-			}
-			succ[c.PredID] = c.ReqID
+		// Predecessor chain must be a total order.
+		chain := make([]queued, len(comps))
+		for i, c := range comps {
+			chain[i] = queued{c.ReqID, c.PredID}
 		}
-		count := 0
-		cur, ok := succ[-1]
-		for ok {
-			count++
-			cur, ok = succ[cur]
-		}
-		if count != requests {
-			t.Fatalf("trial %d: chain covers %d of %d", trial, count, requests)
+		if err := checkChain(chain); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

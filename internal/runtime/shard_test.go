@@ -53,26 +53,13 @@ func TestMultiObjectTotalOrders(t *testing.T) {
 	if len(comps) != requests {
 		t.Fatalf("%d completions, want %d", len(comps), requests)
 	}
-	perObj := make(map[int32][]Completion)
+	chains := make([][]queued, k)
 	for _, c := range comps {
-		perObj[c.Object] = append(perObj[c.Object], c)
+		chains[c.Object] = append(chains[c.Object], queued{c.ReqID, c.PredID})
 	}
-	for o, cs := range perObj {
-		succ := make(map[int64]int64, len(cs))
-		for _, c := range cs {
-			if _, dup := succ[c.PredID]; dup {
-				t.Fatalf("object %d: duplicate successor for %d", o, c.PredID)
-			}
-			succ[c.PredID] = c.ReqID
-		}
-		count := 0
-		cur, ok := succ[-1]
-		for ok {
-			count++
-			cur, ok = succ[cur]
-		}
-		if count != len(cs) {
-			t.Fatalf("object %d: chain covers %d of %d", o, count, len(cs))
+	for o, chain := range chains {
+		if err := checkChain(chain); err != nil {
+			t.Fatalf("object %d: %v", o, err)
 		}
 	}
 	// Every object's pointer state must independently satisfy the sink
