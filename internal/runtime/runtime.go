@@ -9,7 +9,11 @@
 // the mailbox and marks the node pending. A carrier that claims a node
 // by sending to it drains that node next, so an uncontended path
 // reversal is one goroutine walking the path with two compare-and-swaps
-// per hop and no lock; an idle network owns no node goroutines at all.
+// per hop and no lock. A carrier that runs out of claimed nodes parks,
+// up to maxParked of them, and takes the next claimed node handed to
+// it, so a steady-state Submit starts no goroutine and allocates
+// nothing. An idle network owns the collector and at most maxParked
+// parked carriers, whatever the number of nodes.
 //
 // This is the paper's asynchronous message-passing model: a node has at
 // most one carrier at a time, so it processes its messages one at a
@@ -57,7 +61,6 @@ type Completion struct {
 	Origin graph.NodeID
 	Sink   graph.NodeID
 	Hops   int
-	At     time.Time
 }
 
 // Options tunes a Network.
@@ -65,11 +68,6 @@ type Options struct {
 	// HopDelay, if positive, delays each message hop to emulate network
 	// latency in demonstrations.
 	HopDelay time.Duration
-	// Clock supplies Completion.At timestamps; nil defaults to time.Now.
-	// Tests inject a fixed clock here so completion records compare
-	// deterministically; the live network is wall-clock by design
-	// everywhere else (see the runtime-vs-sim agreement check).
-	Clock func() time.Time
 	// Objects is the number of independent protocol instances the
 	// network serves (0 and 1 both mean one object). Object o's tree is
 	// the shared spanning tree re-rooted at (root + o) mod n, so the k
@@ -104,9 +102,14 @@ func (e *OverloadError) Error() string {
 		e.Node, e.Object, e.Limit)
 }
 
-// Network runs k sharded arrow instances over a spanning tree. It owns
-// one collector goroutine between Start and Stop, plus carriers only
-// while some node has unprocessed messages.
+// maxParked bounds the carriers waiting on Network.park for a claimed
+// node. Two cover a closed loop: one carrier finishes a request while
+// the other takes the next.
+const maxParked = 2
+
+// Network runs k sharded arrow instances over a spanning tree. Between
+// Start and Stop it owns one collector goroutine, the carriers draining
+// claimed nodes, and at most maxParked parked carriers.
 type Network struct {
 	t       *tree.Tree
 	root    graph.NodeID
@@ -133,18 +136,25 @@ type Network struct {
 	// decrements it, so its value is the exact number of admitted
 	// requests whose completion the consumer has not received.
 	inflightN atomic.Int64
-	accepted  atomic.Int64
 	rejected  atomic.Int64
 	// mu orders request admission against shutdown: Submit holds the
-	// read side while it checks running, enqueues and counts the carrier
-	// it starts in wg, Stop holds the write side while it flips running.
+	// read side while it checks running, enqueues and dispatches the node
+	// it claimed, Stop holds the write side while it flips running.
 	// Without it a Submit racing Stop could pass the running check and
-	// start a carrier after Stop's wg.Wait() returned.
+	// dispatch after Stop closed park.
 	mu      sync.RWMutex
 	started atomic.Bool
 	running atomic.Bool
 	stopped chan struct{}
-	wg      sync.WaitGroup // carriers
+	wg      sync.WaitGroup // carriers, parked ones included
+	// park hands a claimed node to a parked carrier; parked counts the
+	// carriers receiving on it. Stop closes park, which ends them.
+	park   chan *node
+	parked atomic.Int32
+
+	// onComplete, if set before Start, runs at the start of every
+	// complete call: a test seam for refilling a node mid-turn.
+	onComplete func()
 }
 
 // msg is the one node message: an issue (a request entering the
@@ -215,9 +225,6 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 	if opts.MaxInFlight < 0 {
 		panic(fmt.Sprintf("runtime: MaxInFlight must be >= 0, got %d", opts.MaxInFlight))
 	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	k := opts.Objects
 	if k < 1 {
 		k = 1
@@ -231,6 +238,7 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 		wake:        make(chan struct{}, 1),
 		completions: make(chan Completion),
 		stopped:     make(chan struct{}),
+		park:        make(chan *node),
 	}
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
@@ -258,7 +266,7 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 func (net *Network) Objects() int { return net.objects }
 
 // Accepted returns the number of requests admitted so far.
-func (net *Network) Accepted() int64 { return net.accepted.Load() }
+func (net *Network) Accepted() int64 { return net.nextReq.Load() }
 
 // Rejected returns the number of requests refused by the admission
 // window (*OverloadError rejections; ErrStopped refusals don't count —
@@ -269,8 +277,9 @@ func (net *Network) Rejected() int64 { return net.rejected.Load() }
 // has not yet been delivered on Completions.
 func (net *Network) InFlight() int64 { return net.inflightN.Load() }
 
-// Start opens the network for requests and launches the collector — the
-// only goroutine an idle network owns. It must be called exactly once.
+// Start opens the network for requests and launches the collector, the
+// one goroutine a network owns before its first request. It must be
+// called exactly once.
 func (net *Network) Start() {
 	// Both flag flips happen under mu, so a Stop that observes
 	// started==true inside its own locked section also observes
@@ -289,6 +298,9 @@ func (net *Network) Start() {
 // the consumer directly, which succeeds whenever the consumer is parked
 // in receive; otherwise c joins the backlog the collector drains.
 func (net *Network) complete(c Completion) {
+	if net.onComplete != nil {
+		net.onComplete()
+	}
 	net.compMu.Lock()
 	if net.undelivered == 0 {
 		select {
@@ -385,8 +397,8 @@ func (net *Network) RequestSync(v graph.NodeID) int64 {
 }
 
 // admit atomically checks that the network is running, applies the
-// admission window, and delivers the issue message, starting a carrier
-// if that claimed the node: protocol steps never run on the caller.
+// admission window, and delivers the issue message, dispatching the node
+// if that claimed it: protocol steps never run on the caller.
 // Holding mu's read side across check+deliver closes the Submit/Stop
 // race: once Stop's writer section flips running, no new issue can
 // reach a node, and every issue that won the race is covered by Stop's
@@ -422,13 +434,11 @@ func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done 
 	}
 	id = net.nextReq.Add(1) - 1
 	net.inflight.Add(1)
-	net.accepted.Add(1)
 	if sync {
 		done = make(chan struct{})
 	}
 	if nd := net.nodes[v]; nd.deliver(msg{reqID: id, obj: obj, issue: true, done: done}) {
-		net.wg.Add(1)
-		go net.carry(nd)
+		net.dispatch(nd)
 	}
 	return id, done, nil
 }
@@ -457,6 +467,12 @@ func (net *Network) Stop() {
 	}
 	if stopping {
 		net.Wait()
+		// Only a claim is dispatched, and a claim is a message in flight:
+		// after the last completion none is left, and admit, which
+		// dispatches under mu's read side, already sees running false. So
+		// nothing sends on park any more, and closing it ends the parked
+		// carriers and any that park later.
+		close(net.park)
 		net.wg.Wait()
 		close(net.wake)
 	}
@@ -498,17 +514,43 @@ func (nd *node) deliver(m msg) (claimed bool) {
 	return claimed
 }
 
+// dispatch sees that a carrier drains nd, which the caller claimed: a
+// parked carrier takes it if one is waiting, otherwise a new carrier
+// starts.
+func (net *Network) dispatch(nd *node) {
+	select {
+	case net.park <- nd:
+	default:
+		net.wg.Add(1)
+		go net.carrier(nd)
+	}
+}
+
+// carrier carries nd, then parks for the next claimed node while fewer
+// than maxParked carriers are parked, and exits otherwise, or when Stop
+// closes park.
+func (net *Network) carrier(nd *node) {
+	defer net.wg.Done()
+	for nd != nil {
+		net.carry(nd)
+		if net.parked.Add(1) > maxParked {
+			net.parked.Add(-1)
+			return
+		}
+		nd = <-net.park
+		net.parked.Add(-1)
+	}
+}
+
 // carry drains claimed nodes, starting at cur, until it holds none. Per
 // turn it handles cur's head message, if a delivery parked one, then,
 // if cur is pending, one batch swapped out of its mailbox, unlocked, and
 // tries to release cur. Of the nodes its sends claim it keeps one (next)
 // to drain itself — the run-to-completion chain of an uncontended path
-// reversal — and starts a carrier for each further one, so claimed
-// nodes never wait while processors idle. If cur refilled during the
-// turn and next is held, the two swap: a hot node cannot starve the
-// chain behind it.
+// reversal — and dispatches each further one, so claimed nodes never
+// wait while processors idle. If cur refilled during the turn and next
+// is held, the two swap: a hot node cannot starve the chain behind it.
 func (net *Network) carry(cur *node) {
-	defer net.wg.Done()
 	var next *node
 	for cur != nil {
 		if cur.hasHead {
@@ -536,7 +578,7 @@ func (net *Network) carry(cur *node) {
 
 // handle runs m's protocol step at nd. It returns the node the carrier
 // drains next: the one m's send claimed if next is nil, else next, with
-// a fresh carrier started for the claimed node.
+// the claimed node dispatched.
 func (net *Network) handle(nd *node, m *msg, next *node) *node {
 	var to *node
 	if m.issue {
@@ -549,8 +591,7 @@ func (net *Network) handle(nd *node, m *msg, next *node) *node {
 	case next == nil:
 		return to
 	default:
-		net.wg.Add(1)
-		go net.carry(to)
+		net.dispatch(to)
 	}
 	return next
 }
@@ -569,7 +610,7 @@ func (nd *node) initiate(m *msg) *node {
 	if local {
 		nd.net.complete(Completion{
 			ReqID: m.reqID, PredID: pred, Object: o,
-			Origin: nd.id, Sink: nd.id, At: nd.net.opts.Clock(),
+			Origin: nd.id, Sink: nd.id,
 		})
 		return nil
 	}
@@ -592,7 +633,6 @@ func (nd *node) pathReversal(m *msg) *node {
 		Origin: m.origin,
 		Sink:   nd.id,
 		Hops:   m.hops,
-		At:     nd.net.opts.Clock(),
 	})
 	return nil
 }

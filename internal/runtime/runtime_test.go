@@ -327,29 +327,3 @@ func TestManyRequestsFromSameNode(t *testing.T) {
 		t.Errorf("only %d local completions, want >= 49", local)
 	}
 }
-
-// TestInjectedClock pins the Options.Clock seam: every completion
-// timestamp must come from the injected clock, not the wall clock, so
-// tests (and trace comparisons) can reason about At deterministically.
-func TestInjectedClock(t *testing.T) {
-	var ticks atomic.Int64
-	epoch := time.Unix(1_000_000, 0)
-	tr := tree.BalancedBinary(7)
-	net := New(tr, 0, Options{Clock: func() time.Time {
-		return epoch.Add(time.Duration(ticks.Add(1)) * time.Second)
-	}})
-	net.Start()
-	finish := collect(net)
-	net.RequestSync(5)
-	net.RequestSync(3)
-	comps := finish()
-	if len(comps) != 2 {
-		t.Fatalf("got %d completions, want 2", len(comps))
-	}
-	for i, c := range comps {
-		want := epoch.Add(time.Duration(i+1) * time.Second)
-		if !c.At.Equal(want) {
-			t.Errorf("completion %d At = %v, want %v (injected clock)", i, c.At, want)
-		}
-	}
-}
