@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -263,11 +264,10 @@ func waitGoroutines(t *testing.T, when string, lo, hi int) {
 	}
 }
 
-// TestIdleNetworkParksAtMostMaxParkedCarriers: whatever the tree size,
-// a started network owns the collector and nothing else until a request
-// arrives, keeps at most maxParked carriers besides it once quiescent,
-// and owns nothing after Stop.
-func TestIdleNetworkParksAtMostMaxParkedCarriers(t *testing.T) {
+// TestIdleNetworkOwnsNoCarriers: whatever the tree size, a started
+// network owns the collector and nothing else, before its requests and
+// once they are quiescent, and owns nothing after Stop.
+func TestIdleNetworkOwnsNoCarriers(t *testing.T) {
 	for _, n := range []int{7, 4095} {
 		base := settledGoroutines()
 		net := New(tree.BalancedBinary(n), 0, Options{})
@@ -284,7 +284,7 @@ func TestIdleNetworkParksAtMostMaxParkedCarriers(t *testing.T) {
 			net.Request(graph.NodeID(i * 31 % n))
 		}
 		net.Wait()
-		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+2, base+2+maxParked)
+		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+2, base+2)
 		net.Stop()
 		<-drained
 		waitGoroutines(t, fmt.Sprintf("n=%d after Stop", n), base, base)
@@ -325,9 +325,8 @@ func TestLargeNetworkIsCheap(t *testing.T) {
 }
 
 // TestSubmitSteadyStateAllocs pins "no allocation per request": once the
-// mailbox buffers are warm and a carrier is parked, a request is handed
-// to that carrier instead of a new goroutine, and costs nothing per node
-// it crosses.
+// mailbox buffers are warm, a request from one client walks on the
+// caller, starts no goroutine, and costs nothing per node it crosses.
 func TestSubmitSteadyStateAllocs(t *testing.T) {
 	const n = 63
 	net := New(tree.BalancedBinary(n), 0, Options{MaxInFlight: 64})
@@ -558,33 +557,152 @@ func claimUnderContention(t *testing.T, hop time.Duration) {
 	}
 }
 
-// TestSubmitIsAsynchronous: Submit never runs protocol steps on the
-// caller. Every request here crosses a 3-hop path with a 5ms hop delay;
-// a Submit that carried its own request would take 15ms to return.
-func TestSubmitIsAsynchronous(t *testing.T) {
-	const hopDelay = 5 * time.Millisecond
-	net := New(tree.PathTree(4), 0, Options{HopDelay: hopDelay})
+// TestSubmitCarriesItsOwnRequest: with one submitter nothing contends,
+// so every Submit walks its request to the sink and returns with it
+// completed. Nobody receives, so each completion is counted in
+// undelivered from the moment it completes.
+func TestSubmitCarriesItsOwnRequest(t *testing.T) {
+	const n, requests = 63, 200
+	net := New(tree.BalancedBinary(n), 0, Options{})
 	net.Start()
-	finish := collect(net)
-	fastest := time.Hour
-	for _, v := range []graph.NodeID{3, 0, 3, 0} {
-		start := time.Now()
-		if _, err := net.Submit(v, 0); err != nil {
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i <= requests; i++ {
+		if _, err := net.Submit(graph.NodeID(rng.Intn(n)), 0); err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d < fastest {
-			fastest = d
-		}
-		net.Wait()
-	}
-	for _, c := range finish() {
-		if c.Hops != 3 {
-			t.Errorf("request %d took %d hops, want 3", c.ReqID, c.Hops)
+		net.compMu.Lock()
+		undelivered := net.undelivered
+		net.compMu.Unlock()
+		if undelivered != i {
+			t.Fatalf("after Submit %d: %d requests completed, want %d", i, undelivered, i)
 		}
 	}
-	if fastest >= hopDelay {
-		t.Errorf("fastest Submit took %v, want under one hop delay (%v)", fastest, hopDelay)
+	if comps := collect(net)(); len(comps) != requests {
+		t.Errorf("%d completions, want %d", len(comps), requests)
 	}
+}
+
+// TestSubmitRunsOnlyItsOwnRequest: a Submit never runs another
+// request's step. Request A completes at node 0, object 0's sink, and
+// its completion hook stalls while A's Submit holds node 0. Request B,
+// submitted at the far end of the path, walks three hops and queues in
+// node 0's mailbox; its Submit must return all the same. When A
+// resumes, its release of node 0 fails, and B's step must go to a
+// carrier: B's completion hook waits for A's Submit to return, which
+// never happens if A's caller runs B's step itself.
+func TestSubmitRunsOnlyItsOwnRequest(t *testing.T) {
+	const timeout = 5 * time.Second
+	net := New(tree.PathTree(4), 0, Options{})
+	aHolds, bSubmitted, aReturned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	net.onComplete = func() {
+		switch calls.Add(1) {
+		case 1: // A, holding node 0
+			close(aHolds)
+			<-bSubmitted
+		case 2: // B, queued at node 0 behind A
+			select {
+			case <-aReturned:
+			case <-time.After(timeout):
+				t.Errorf("B's step waited %v for A's Submit to return: A's caller runs it", timeout)
+			}
+		}
+	}
+	net.Start()
+	finish := collect(net)
+	var a int64
+	go func() {
+		defer close(aReturned)
+		var err error
+		if a, err = net.Submit(0, 0); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-aHolds
+	var b int64
+	select {
+	case b = <-submitAsync(t, net, 3):
+	case <-time.After(timeout):
+		t.Fatalf("B's Submit did not return in %v while A held node 0", timeout)
+	}
+	close(bSubmitted)
+	<-aReturned
+	comps := finish()
+	if len(comps) != 2 {
+		t.Fatalf("%d completions, want 2", len(comps))
+	}
+	if c := comps[1]; c.ReqID != b || c.PredID != a || c.Hops != 3 {
+		t.Errorf("B's completion = %+v, want request %d queued behind %d after 3 hops", c, b, a)
+	}
+}
+
+// TestWalkHandsOffLockedPathClaim: a Submit whose issue claims its node
+// through the locked path — the holder released the node between the
+// delivery's failed compare-and-swap and its publish — finds its message
+// in the mailbox, not in the head slot, and must hand the node to a
+// carrier. Request A holds node 0 in its completion hook while the test
+// holds node 0's mutex, so request B's delivery stops inside deliver,
+// past its compare-and-swap. A then releases node 0, and B publishes to
+// an idle node. The head slot still holds A's issue: a walk that ran it
+// would complete A twice.
+func TestWalkHandsOffLockedPathClaim(t *testing.T) {
+	net := New(tree.PathTree(2), 0, Options{})
+	nd := net.nodes[0]
+	aHolds, resume := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	net.onComplete = func() {
+		if calls.Add(1) == 1 {
+			close(aHolds)
+			<-resume
+		}
+	}
+	net.Start()
+	finish := collect(net)
+	aReturned := submitAsync(t, net, 0)
+	<-aHolds
+	nd.mu.Lock()
+	bReturned := submitAsync(t, net, 0)
+	waitForDeliverOnMailboxLock(t)
+	close(resume)
+	a := <-aReturned
+	nd.mu.Unlock()
+	b := <-bReturned
+	comps := finish()
+	if len(comps) != 2 {
+		t.Fatalf("%d completions, want 2", len(comps))
+	}
+	if c := comps[1]; c.ReqID != b || c.PredID != a {
+		t.Errorf("B's completion = %+v, want request %d queued behind %d", c, b, a)
+	}
+}
+
+// submitAsync submits a request for object 0 at v on a goroutine of its
+// own and sends its ID once Submit returns.
+func submitAsync(t *testing.T, net *Network, v graph.NodeID) <-chan int64 {
+	ids := make(chan int64, 1)
+	go func() {
+		id, err := net.Submit(v, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		ids <- id
+	}()
+	return ids
+}
+
+// waitForDeliverOnMailboxLock polls the goroutine stacks until one is
+// waiting for a node's mailbox mutex inside deliver.
+func waitForDeliverOnMailboxLock(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("sync.(*Mutex)")) && bytes.Contains(g, []byte("(*node).deliver")) {
+				return
+			}
+		}
+	}
+	t.Fatal("no delivery reached the mailbox lock in 5s")
 }
 
 // cpuNS returns the user+sys CPU time the process has used so far.
@@ -600,9 +718,9 @@ func cpuNS() int64 {
 // its own completion before submitting again, on that workload's shape
 // (63-node balanced tree, 16 objects, window 64, zero hop delay).
 // cpu-ns/req is the process's CPU time over the timed loop per request,
-// the quantity behind runtime-live's cpu_s_per_mreq. Parked carriers
-// take the submitted nodes, so it reports 0 allocs/op at every client
-// count.
+// the quantity behind runtime-live's cpu_s_per_mreq. A Submit walks its
+// own request and a carrier starts only for a contended node, so it
+// reports 0 allocs/op at every client count.
 func BenchmarkRuntimeClosedLoop(b *testing.B) {
 	const n, objects, window = 63, 16, 64
 	for _, clients := range []int{1, 2, 8} {

@@ -3,24 +3,23 @@
 // state word (idle, held or pending) and a FIFO mailbox behind a mutex —
 // and a tree edge is a delivery to the target. Nodes are activation-
 // driven: a delivery that finds its target idle claims it with one
-// compare-and-swap and parks the message in the node's head slot, and a
-// carrier goroutine processes a claimed node's messages, unlocked. Only a
-// delivery to a node that is already held takes the mutex, appends to
-// the mailbox and marks the node pending. A carrier that claims a node
-// by sending to it drains that node next, so an uncontended path
-// reversal is one goroutine walking the path with two compare-and-swaps
-// per hop and no lock. A carrier that runs out of claimed nodes parks,
-// up to maxParked of them, and takes the next claimed node handed to
-// it, so a steady-state Submit starts no goroutine and allocates
-// nothing. An idle network owns the collector and at most maxParked
-// parked carriers, whatever the number of nodes.
+// compare-and-swap and parks the message in the node's head slot, and
+// the goroutine that claimed the node processes its messages, unlocked.
+// Only a delivery to a node that is already held takes the mutex,
+// appends to the mailbox and marks the node pending. Submit walks its
+// own request on the caller's goroutine, one step and one release per
+// node it claims, so an uncontended path reversal costs the caller two
+// compare-and-swaps per hop, no lock and no goroutine handoff. A node
+// holding other requests' mail goes to a carrier goroutine: carriers
+// serve only contention, and an idle network owns only its collector,
+// whatever the number of nodes.
 //
-// This is the paper's asynchronous message-passing model: a node has at
-// most one carrier at a time, so it processes its messages one at a
-// time, and a send completes its delivery before the sender moves on
-// (only the target's processing is deferred), so every link is FIFO.
-// Node state passes from one carrier to the next through the state
-// word (see node for its invariant). The runtime complements the
+// This is the paper's asynchronous message-passing model: a node is held
+// by at most one goroutine at a time, so it processes its messages one
+// at a time, and a send completes its delivery before the sender moves
+// on (only the target's processing is deferred), so every link is FIFO.
+// Node state passes from one holder to the next through the state word
+// (see node for its invariant). The runtime complements the
 // deterministic simulator (package arrow) and runs the same two protocol
 // steps, arrow.Start and arrow.Forward, on its own node-major link
 // storage: the simulator measures the paper's cost model exactly, while
@@ -66,7 +65,8 @@ type Completion struct {
 // Options tunes a Network.
 type Options struct {
 	// HopDelay, if positive, delays each message hop to emulate network
-	// latency in demonstrations.
+	// latency in demonstrations. The goroutine carrying the message
+	// sleeps, so a Submit sleeps the hops of its own request it walks.
 	HopDelay time.Duration
 	// Objects is the number of independent protocol instances the
 	// network serves (0 and 1 both mean one object). Object o's tree is
@@ -102,14 +102,9 @@ func (e *OverloadError) Error() string {
 		e.Node, e.Object, e.Limit)
 }
 
-// maxParked bounds the carriers waiting on Network.park for a claimed
-// node. Two cover a closed loop: one carrier finishes a request while
-// the other takes the next.
-const maxParked = 2
-
 // Network runs k sharded arrow instances over a spanning tree. Between
-// Start and Stop it owns one collector goroutine, the carriers draining
-// claimed nodes, and at most maxParked parked carriers.
+// Start and Stop it owns one collector goroutine and the carriers
+// draining contended nodes; uncontended steps run on Submit's caller.
 type Network struct {
 	t       *tree.Tree
 	root    graph.NodeID
@@ -138,19 +133,15 @@ type Network struct {
 	inflightN atomic.Int64
 	rejected  atomic.Int64
 	// mu orders request admission against shutdown: Submit holds the
-	// read side while it checks running, enqueues and dispatches the node
-	// it claimed, Stop holds the write side while it flips running.
-	// Without it a Submit racing Stop could pass the running check and
-	// dispatch after Stop closed park.
+	// read side while it checks running, counts and delivers its issue,
+	// Stop holds the write side while it flips running, so an admitted
+	// request is counted before Stop's quiescence wait starts and Stop
+	// waits for the walk that follows, outside the lock.
 	mu      sync.RWMutex
 	started atomic.Bool
 	running atomic.Bool
 	stopped chan struct{}
-	wg      sync.WaitGroup // carriers, parked ones included
-	// park hands a claimed node to a parked carrier; parked counts the
-	// carriers receiving on it. Stop closes park, which ends them.
-	park   chan *node
-	parked atomic.Int32
+	wg      sync.WaitGroup // carriers
 
 	// onComplete, if set before Start, runs at the start of every
 	// complete call: a test seam for refilling a node mid-turn.
@@ -172,17 +163,17 @@ type msg struct {
 
 // The values of node.state.
 const (
-	idle    uint32 = iota // no carrier holds the node
-	held                  // a carrier holds the node
-	pending               // a carrier holds the node and has mail to swap out
+	idle    uint32 = iota // nobody holds the node
+	held                  // a walk or a carrier holds the node
+	pending               // the holder has mail to swap out
 )
 
 // node owns one slot of every object's pointer state: link[o] is the
 // node's arrow for object o, lastReq[o] its most recent request on that
 // object's queue. Both, and head, hasHead and spare, belong to the
-// carrier holding the node, from the delivery that claimed it until the
-// carrier's release; the state word hands them from one carrier to the
-// next. mu guards queue alone.
+// goroutine holding the node — a walking Submit or a carrier — from the
+// delivery that claimed it until the holder's release; the state word
+// hands them from one holder to the next. mu guards queue alone.
 //
 // A delivery to an idle node claims it with CAS(idle, held) and parks
 // its message in head: no lock, no append. A delivery to a node that is
@@ -238,7 +229,6 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 		wake:        make(chan struct{}, 1),
 		completions: make(chan Completion),
 		stopped:     make(chan struct{}),
-		park:        make(chan *node),
 	}
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
@@ -293,10 +283,11 @@ func (net *Network) Start() {
 	go net.collect()
 }
 
-// complete queues c for the consumer without ever blocking the carrier
+// complete queues c for the consumer without ever blocking the caller
 // on a slow (or absent) one. When nothing is queued ahead of c it tries
 // the consumer directly, which succeeds whenever the consumer is parked
-// in receive; otherwise c joins the backlog the collector drains.
+// in receive; otherwise c joins the backlog the collector drains. The
+// wake-up goes out under compMu, as walkers are not in wg (see Stop).
 func (net *Network) complete(c Completion) {
 	if net.onComplete != nil {
 		net.onComplete()
@@ -313,11 +304,11 @@ func (net *Network) complete(c Completion) {
 	}
 	net.backlog = append(net.backlog, c)
 	net.undelivered++
-	net.compMu.Unlock()
 	select {
 	case net.wake <- struct{}{}:
 	default: // a wake-up is already pending
 	}
+	net.compMu.Unlock()
 }
 
 // delivered releases the admission slot of a request whose completion
@@ -378,9 +369,11 @@ func (net *Network) Request(v graph.NodeID) int64 {
 // the network is not running and with a typed *OverloadError when the
 // admission window (Options.MaxInFlight) is full; an accepted request
 // is guaranteed to complete before Stop returns, with its completion on
-// Completions.
+// Completions. While the path is uncontended the caller's goroutine
+// carries the request (see walk).
 func (net *Network) Submit(v graph.NodeID, obj int32) (id int64, err error) {
-	id, _, err = net.admit(v, obj, false)
+	id, nd, err := net.admit(v, obj, nil)
+	net.walk(nd)
 	return id, err
 }
 
@@ -388,22 +381,25 @@ func (net *Network) Submit(v graph.NodeID, obj int32) (id int64, err error) {
 // protocol initiation step has executed (not until queuing completes).
 // Useful for tests that need a deterministic issue order.
 func (net *Network) RequestSync(v graph.NodeID) int64 {
-	id, done, err := net.admit(v, 0, true)
+	done := make(chan struct{})
+	id, nd, err := net.admit(v, 0, done)
 	if err != nil {
 		panic("runtime: " + err.Error())
 	}
+	net.walk(nd)
 	<-done
 	return id
 }
 
 // admit atomically checks that the network is running, applies the
-// admission window, and delivers the issue message, dispatching the node
-// if that claimed it: protocol steps never run on the caller.
+// admission window, and delivers the issue message, with done to close
+// once initiation is processed. It returns the node the delivery
+// claimed, if any, for the caller to walk once admit has returned.
 // Holding mu's read side across check+deliver closes the Submit/Stop
 // race: once Stop's writer section flips running, no new issue can
 // reach a node, and every issue that won the race is covered by Stop's
 // quiescence wait.
-func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done chan struct{}, err error) {
+func (net *Network) admit(v graph.NodeID, obj int32, done chan<- struct{}) (id int64, claimed *node, err error) {
 	if int(v) < 0 || int(v) >= len(net.nodes) {
 		return 0, nil, fmt.Errorf("runtime: node %d out of range", v)
 	}
@@ -434,13 +430,10 @@ func (net *Network) admit(v graph.NodeID, obj int32, sync bool) (id int64, done 
 	}
 	id = net.nextReq.Add(1) - 1
 	net.inflight.Add(1)
-	if sync {
-		done = make(chan struct{})
-	}
 	if nd := net.nodes[v]; nd.deliver(msg{reqID: id, obj: obj, issue: true, done: done}) {
-		net.dispatch(nd)
+		claimed = nd
 	}
-	return id, done, nil
+	return id, claimed, nil
 }
 
 // Wait blocks until every accepted request's completion has been
@@ -467,12 +460,10 @@ func (net *Network) Stop() {
 	}
 	if stopping {
 		net.Wait()
-		// Only a claim is dispatched, and a claim is a message in flight:
-		// after the last completion none is left, and admit, which
-		// dispatches under mu's read side, already sees running false. So
-		// nothing sends on park any more, and closing it ends the parked
-		// carriers and any that park later.
-		close(net.park)
+		// A carrier starts only for a node holding a message in flight,
+		// so none starts after the last completion. A walker is not in
+		// wg: it wakes the collector under compMu, before its completion
+		// can be delivered, and then touches only its node's state word.
 		net.wg.Wait()
 		close(net.wake)
 	}
@@ -500,8 +491,8 @@ func (net *Network) LinksFor(obj int32) []graph.NodeID {
 }
 
 // deliver hands m to the node and reports whether that claimed the
-// node: it was idle, and the caller must now see that a carrier drains
-// it. An idle node takes m in its head slot; a held one in its mailbox.
+// node: it was idle, and the caller now holds it. An idle node takes m
+// in its head slot; a held one in its mailbox.
 func (nd *node) deliver(m msg) (claimed bool) {
 	if nd.state.CompareAndSwap(idle, held) {
 		nd.head, nd.hasHead = m, true
@@ -514,43 +505,43 @@ func (nd *node) deliver(m msg) (claimed bool) {
 	return claimed
 }
 
-// dispatch sees that a carrier drains nd, which the caller claimed: a
-// parked carrier takes it if one is waiting, otherwise a new carrier
-// starts.
-func (net *Network) dispatch(nd *node) {
-	select {
-	case net.park <- nd:
-	default:
-		net.wg.Add(1)
-		go net.carrier(nd)
+// walk carries the caller's request from cur, the node its issue
+// claimed: per node it runs the head message's step, which is the
+// request's, releases the node and moves to the node the send claimed,
+// until a send claims none. It never runs another request's step: a
+// node claimed through the locked path (the message is in the mailbox)
+// or refilled before its release goes to a carrier.
+func (net *Network) walk(cur *node) {
+	for cur != nil {
+		if !cur.hasHead {
+			net.dispatch(cur)
+			return
+		}
+		cur.hasHead = false
+		next := cur.step(&cur.head)
+		if !cur.state.CompareAndSwap(held, idle) {
+			net.dispatch(cur)
+		}
+		cur = next
 	}
 }
 
-// carrier carries nd, then parks for the next claimed node while fewer
-// than maxParked carriers are parked, and exits otherwise, or when Stop
-// closes park.
-func (net *Network) carrier(nd *node) {
-	defer net.wg.Done()
-	for nd != nil {
-		net.carry(nd)
-		if net.parked.Add(1) > maxParked {
-			net.parked.Add(-1)
-			return
-		}
-		nd = <-net.park
-		net.parked.Add(-1)
-	}
+// dispatch starts a carrier for nd, which the caller claimed and will
+// not drain itself.
+func (net *Network) dispatch(nd *node) {
+	net.wg.Add(1)
+	go net.carry(nd)
 }
 
 // carry drains claimed nodes, starting at cur, until it holds none. Per
 // turn it handles cur's head message, if a delivery parked one, then,
 // if cur is pending, one batch swapped out of its mailbox, unlocked, and
 // tries to release cur. Of the nodes its sends claim it keeps one (next)
-// to drain itself — the run-to-completion chain of an uncontended path
-// reversal — and dispatches each further one, so claimed nodes never
-// wait while processors idle. If cur refilled during the turn and next
-// is held, the two swap: a hot node cannot starve the chain behind it.
+// to drain itself and dispatches each further one. If cur refilled
+// during the turn and next is held, the two swap: a hot node cannot
+// starve the chain behind it.
 func (net *Network) carry(cur *node) {
+	defer net.wg.Done()
 	var next *node
 	for cur != nil {
 		if cur.hasHead {
@@ -580,13 +571,7 @@ func (net *Network) carry(cur *node) {
 // drains next: the one m's send claimed if next is nil, else next, with
 // the claimed node dispatched.
 func (net *Network) handle(nd *node, m *msg, next *node) *node {
-	var to *node
-	if m.issue {
-		to = nd.initiate(m)
-	} else {
-		to = nd.pathReversal(m)
-	}
-	switch {
+	switch to := nd.step(m); {
 	case to == nil:
 	case next == nil:
 		return to
@@ -596,9 +581,17 @@ func (net *Network) handle(nd *node, m *msg, next *node) *node {
 	return next
 }
 
-// initiate and pathReversal run the protocol's two steps, arrow.Start and
-// arrow.Forward, on the node's link cell for the message's object. Each
-// returns the node its send claimed, if any.
+// step runs m's protocol step at nd. initiate and pathReversal run the
+// protocol's two steps, arrow.Start and arrow.Forward, on the node's
+// link cell for the message's object. Each returns the node its send
+// claimed, if any.
+func (nd *node) step(m *msg) *node {
+	if m.issue {
+		return nd.initiate(m)
+	}
+	return nd.pathReversal(m)
+}
+
 func (nd *node) initiate(m *msg) *node {
 	if m.done != nil {
 		defer close(m.done)
