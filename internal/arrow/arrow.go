@@ -41,7 +41,8 @@ type Options struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneously arriving messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration.
+	// Seed keys the random latency and arbitration draws: each hashes
+	// (Seed, event seq).
 	Seed int64
 	// Tracer observes protocol steps; nil disables tracing.
 	Tracer Tracer

@@ -80,7 +80,7 @@ func (w Workload) validate() error {
 		return fmt.Errorf("engine: multi-object workloads require a closed loop (static sets carry no object dimension)")
 	}
 	if w.Skew != 0 {
-		if w.Skew < 0 {
+		if !(w.Skew >= 0) { // NaN too
 			return fmt.Errorf("engine: workload Skew must be >= 0, got %g", w.Skew)
 		}
 		if w.Objects <= 1 {
@@ -199,7 +199,8 @@ type Instance struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneous messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration, per cell.
+	// Seed keys the cell's random latency and arbitration draws: each
+	// hashes (Seed, event seq).
 	Seed int64
 	// Faults is the deterministic liveness schedule the cell runs under
 	// (nil = fault-free, bit-identical to a simulator without the fault

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -206,6 +207,7 @@ func TestWorkloadSpecBuild(t *testing.T) {
 		{"zipf then one object", engine.NewClosedLoop(5).Zipf(1.1).Objects(1), "without Objects > 1"},
 		{"one object then zipf", engine.NewClosedLoop(5).Objects(1).Zipf(1.1), "without Objects > 1"},
 		{"negative skew first", engine.NewClosedLoop(5).Zipf(-1).Objects(8), "Skew must be >= 0"},
+		{"NaN skew", engine.NewClosedLoop(5).Objects(8).Zipf(math.NaN()), "Skew must be >= 0"},
 		{"negative objects", engine.NewClosedLoop(5).Objects(-2), "Objects must be >= 0"},
 		{"negative think", engine.NewClosedLoop(5).Think(-1), "ThinkTime must be >= 0"},
 		{"no requests", engine.NewClosedLoop(0).Objects(8), "PerNode must be >= 1"},

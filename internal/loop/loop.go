@@ -24,7 +24,9 @@ type Spec struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneous messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration.
+	// Seed keys the random latency and arbitration draws, each a hash of
+	// (Seed, event seq), and on the multi-object tier the Zipf object
+	// draws.
 	Seed int64
 	// Recorder, when non-nil, receives every completed request's queuing
 	// latency and hop count as it completes (fixed-memory streaming
@@ -45,7 +47,7 @@ type Spec struct {
 	// parallel drain"), and every run is the one serial loop whatever
 	// its value (TestWorkersAccepted pins that). The field stays because
 	// bench/ — frozen between benchmark PRs — sets it; it leaves with
-	// the benchmark PR of ROADMAP item 4b that retires the
+	// the benchmark PR of ROADMAP item 1 that retires the
 	// drain-parallel workload.
 	Workers int
 	// LinkTxTime, when positive, gives every link finite serialization

@@ -26,7 +26,8 @@ type Options struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneous messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration.
+	// Seed keys the random latency and arbitration draws: each hashes
+	// (Seed, event seq).
 	Seed int64
 }
 

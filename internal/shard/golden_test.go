@@ -29,7 +29,7 @@ type goldenCase struct {
 	Proto   string `json:"proto"` // arrow (balanced binary tree) | nta | ivy (complete metric)
 	N       int    `json:"n"`
 	PerNode int    `json:"per_node"`
-	Latency string `json:"latency"` // sync | async4 | counter4
+	Latency string `json:"latency"` // sync | async4
 	Think   int64  `json:"think"`
 	LinkTx  int64  `json:"link_tx"`
 	Root    int    `json:"root"`
@@ -50,7 +50,7 @@ func goldenCases() []goldenCase {
 	var cs []goldenCase
 	for _, proto := range []string{"arrow", "nta", "ivy"} {
 		for _, n := range []int{1, 2, 24, 76} {
-			for _, lat := range []string{"sync", "async4", "counter4"} {
+			for _, lat := range []string{"sync", "async4"} {
 				for _, think := range []int64{0, 16} {
 					for _, tx := range []int64{0, 1} {
 						cs = append(cs, goldenCase{Proto: proto, N: n, PerNode: 12, Latency: lat, Think: think, LinkTx: tx})
@@ -91,8 +91,6 @@ func goldenLatency(name string) sim.LatencyModel {
 		return nil
 	case "async4":
 		return sim.AsyncUniform(4)
-	case "counter4":
-		return sim.AsyncCounter(4)
 	}
 	panic("unknown latency " + name)
 }

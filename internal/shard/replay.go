@@ -15,7 +15,8 @@ type ReplayOptions struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneously arriving messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration.
+	// Seed keys the random latency and arbitration draws: each hashes
+	// (Seed, event seq).
 	Seed int64
 	// Observer watches the run step by step; nil disables it.
 	Observer Observer

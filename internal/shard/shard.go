@@ -64,7 +64,7 @@ type Stepper interface {
 // ShardSafeStepper methods on arrow.ShardForest, Reversal and
 // centralized.ShardCenters, because bench/ — frozen between benchmark
 // PRs — re-exports it through its decorators and tests that they keep
-// it; it leaves with the benchmark PR of ROADMAP item 4b.
+// it; it leaves with the benchmark PR of ROADMAP item 1.
 type ShardSafe interface {
 	ShardSafeStepper()
 }
@@ -226,7 +226,7 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	if spec.Objects < 1 {
 		return nil, fmt.Errorf("%s: Objects must be >= 1, got %d", proto, spec.Objects)
 	}
-	if spec.Skew < 0 {
+	if !(spec.Skew >= 0) { // NaN too
 		return nil, fmt.Errorf("%s: Skew must be >= 0, got %g", proto, spec.Skew)
 	}
 	if spec.ObjectRecorders != nil && len(spec.ObjectRecorders) != spec.Objects {

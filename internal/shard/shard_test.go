@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestNTAMatchesIvy(t *testing.T) {
 // every per-object counter set, and per-object latency histogram
 // snapshots — is bit-identical whatever the field says. (It compared the
 // serial loop with the parallel drain until the drain was deleted; it
-// leaves with the field, ROADMAP item 4b.)
+// leaves with the field, ROADMAP item 1.)
 func TestCrossWorkerBitIdentity(t *testing.T) {
 	const n, k, perNode = 32, 64, 30
 	run := func(name string, workers int) (*shard.Result, []stats.Dist) {
@@ -212,6 +213,8 @@ func TestSpecValidation(t *testing.T) {
 	}{
 		{name: "zero objects", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}}},
 		{name: "negative skew", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}, Objects: 4, Skew: -1}},
+		{name: "NaN skew", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}, Objects: 4, Skew: math.NaN()},
+			want: "Skew must be >= 0"},
 		{name: "no requests", spec: shard.Spec{Objects: 4}},
 		// Stored truncated, 2³² + 3 requests per node would run 3 and only
 		// then fail the completion count: the refusal must come up front.

@@ -26,7 +26,7 @@ type staticCase struct {
 	Proto   string `json:"proto"`   // arrow (spanning tree) | nta | ivy (graph metric)
 	Shape   string `json:"shape"`   // path | star | binary | bfs (arrow); complete | ring | gnp (nta, ivy)
 	N       int    `json:"n"`       // node count
-	Latency string `json:"latency"` // sync | async4 | counter4 | bimodal
+	Latency string `json:"latency"` // sync | async4 | bimodal
 	Arb     string `json:"arb"`     // fifo | lifo | random
 	Root    int    `json:"root"`    // initial sink / tail holder / owner
 	Set     string `json:"set"`     // poisson | burst | sequential
@@ -70,7 +70,7 @@ func staticCases() []staticCase {
 					// Off the tree root (arrow), off node 0 (NTA, Ivy).
 					roots = append(roots, n/3)
 				}
-				for _, lat := range []string{"sync", "async4", "counter4", "bimodal"} {
+				for _, lat := range []string{"sync", "async4", "bimodal"} {
 					for _, arb := range []string{"fifo", "lifo", "random"} {
 						for _, root := range roots {
 							for _, set := range []string{"poisson", "burst", "sequential"} {
@@ -213,13 +213,22 @@ func runStatic(c staticCase) (staticRow, error) {
 // sink. The file is compared byte for byte; -update rewrites it, only
 // when a change of behaviour is meant.
 //
+// The rows were regenerated once since, when the simulator's latency and
+// random-arbitration draws became hashes of (seed, event seq) instead of
+// reads from two RNG streams. What moved: every async4 and bimodal row
+// whose delays changed, and random-arbitration rows whose same-tick ties
+// the new priorities break differently. No sync row under fifo or lifo
+// moved. AsyncUniform took the hash AsyncCounter used, so each counter4
+// row became a byte copy of its async4 twin, and that axis was dropped
+// (the closed-loop golden lost its counter4 rows for the same reason).
+//
 // Mutations of Replay and the steppers, each verified to fail this test:
 //
 //	skip the pointer flip on a forwarded find      ShardForest.ForwardFind: arrow rows stop with a
 //	                                               two-successors error; Reversal.ForwardFind: nta, ivy
 //	write lastReq[v] before reading it at a        the first row already (a request queued behind
 //	local completion                               itself breaks the chain)
-//	inject requests in node order, not set order   193 rows: poisson sets under random arbitration
+//	inject requests in node order, not set order   139 rows: poisson sets under random arbitration
 //	count PhysHops as Hops                         the ring and gnp rows of nta and ivy
 func TestStaticGolden(t *testing.T) {
 	var buf bytes.Buffer

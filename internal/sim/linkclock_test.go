@@ -117,7 +117,7 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 }
 
 // TestLinkClockRepresentationsAgree is the cross-representation
-// identity: with a stream-RNG latency model (so the FIFO clamp binds) and
+// identity: with a random latency model (so the FIFO clamp binds) and
 // finite link capacity (so the busy clock binds), the token protocol
 // produces one result whether the per-link clocks live in the dense slice
 // behind the flat tree link table or in the expiring table — reached both

@@ -5,22 +5,23 @@
 //   - synchronous execution, where every message on an edge of weight w is
 //     delivered exactly w time units after it is sent (the paper's unit
 //     latency model when w = 1);
-//   - asynchronous execution, where message delays are drawn per message
-//     from a seeded RNG, normalized so the slowest message over an edge of
-//     weight w takes w·scale units (Section 3.8's "slowest message is 1"
-//     scaling), while link FIFO order is preserved;
+//   - asynchronous execution, where each message's delay hashes (seed,
+//     message sequence number), normalized so the slowest message over an
+//     edge of weight w takes w·scale units (Section 3.8's "slowest message
+//     is 1" scaling), while link FIFO order is preserved;
 //   - configurable arbitration of simultaneously arriving messages (FIFO /
 //     LIFO / seeded random), matching the paper's claim that the analysis
 //     holds for any local processing order.
 //
 // The simulator is single-threaded and fully deterministic for a fixed
-// seed, which makes protocol costs exactly reproducible.
+// seed, which makes protocol costs exactly reproducible. Every random
+// draw — a latency or a random-arbitration priority — is a pure function
+// of the seed and the event's sequence number; no RNG stream is kept.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/graph"
@@ -108,7 +109,8 @@ type Config struct {
 	Latency LatencyModel
 	// Arbitration of simultaneous events; defaults to ArbFIFO.
 	Arbitration Arbitration
-	// Seed drives random arbitration and random latency; ignored otherwise.
+	// Seed keys every random latency and arbitration draw, each hashed
+	// with the event's sequence number; ignored otherwise.
 	Seed int64
 	// MaxEvents aborts the run (with a panic describing a likely protocol
 	// bug) after this many events; 0 means no limit.
@@ -214,24 +216,17 @@ type Simulator struct {
 	fifo       *linkClock
 	busy       *linkClock
 
-	// Independent seeded streams: latRNG drives the latency model and
-	// arbRNG random arbitration, so enabling random latency does not
-	// perturb arbitration draws and vice versa. Each is created on first
-	// use: seeding one costs a 607-word lagged-Fibonacci warm-up, a
-	// measurable fraction of a short run, and a synchronous FIFO run — the
-	// common case — touches neither. Handlers get no stream: a protocol
-	// that needs randomness keys its own draws (workload.Zipf does).
-	latRNG *rand.Rand
-	arbRNG *rand.Rand
+	// arbSeed keys random arbitration: an event's priority hashes its
+	// sequence number under this seed, derived apart from the config seed
+	// the latency model hashes under, so enabling random arbitration does
+	// not perturb delays and vice versa. Handlers get no draws: a protocol
+	// that needs randomness keys its own (workload.Zipf does).
+	arbSeed int64
 
 	// syncScale caches the synchronous latency model's scale, letting
-	// send compute the (deterministic) delay without an interface call
-	// or a latency RNG; 0 means the model is not synchronous. ctrLat is
-	// non-nil when the latency model is seq-keyed (CounterLatency):
-	// delays are then pure functions of the message's global sequence
-	// number and no RNG stream is kept.
+	// send compute the (deterministic) delay without an interface call;
+	// 0 means the model is not synchronous.
 	syncScale int64
-	ctrLat    CounterLatency
 
 	processed int64 // number of events processed
 	messages  int64
@@ -244,7 +239,7 @@ type Simulator struct {
 // there is no parallel drain"); every run is the serial loop, so they
 // are always zero. They stay because bench/ — frozen between benchmark
 // PRs — reads them for its sim.drain.* rows, and leave with the
-// benchmark PR of ROADMAP item 4b that retires the drain-parallel
+// benchmark PR of ROADMAP item 1 that retires the drain-parallel
 // workload.
 type DrainStats struct {
 	WindowWidth Time
@@ -408,9 +403,9 @@ func (c *linkClock) reserve(link int, u, v graph.NodeID, now, t, tx Time) Time {
 
 // DeriveSeed derives an independent stream seed from a base seed via a
 // splitmix64 step, so streams are decorrelated even for adjacent base
-// seeds or stream indices. The simulator uses it for its internal
-// latency/arbitration streams; the engine layer reuses it for per-cell
-// experiment seeds.
+// seeds or stream indices. The simulator hashes every latency and
+// arbitration draw with it, the event's sequence number as the stream;
+// the engine layer reuses it for per-cell experiment seeds.
 func DeriveSeed(seed int64, stream int) int64 {
 	z := uint64(seed) + (uint64(stream)+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -438,12 +433,7 @@ func New(cfg Config) *Simulator {
 	if m, ok := cfg.Latency.(syncModel); ok {
 		s.syncScale = m.scale
 	}
-	if cl, ok := cfg.Latency.(CounterLatency); ok {
-		s.ctrLat = cl
-	}
-	if cfg.Arbitration == ArbRandom {
-		s.arbRNG = rand.New(rand.NewSource(DeriveSeed(cfg.Seed, 2)))
-	}
+	s.arbSeed = DeriveSeed(cfg.Seed, 2)
 	s.lq.init(cfg.Arbitration)
 	if li, ok := cfg.Topology.(LinkIndexer); ok {
 		s.linkIdx = li
@@ -592,18 +582,10 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 			}
 		}
 	}
-	var delay Time
-	if s.syncScale != 0 {
-		delay = w * s.syncScale
-	} else if s.ctrLat != nil {
-		// Seq-keyed delay: the event pushed below will be stamped
-		// s.seq+1.
-		delay = s.ctrLat.DelayFor(w, s.cfg.Seed, s.seq+1)
-	} else {
-		if s.latRNG == nil {
-			s.latRNG = rand.New(rand.NewSource(DeriveSeed(s.cfg.Seed, 1)))
-		}
-		delay = s.cfg.Latency.Delay(w, s.latRNG)
+	delay := w * s.syncScale
+	if s.syncScale == 0 {
+		// Seq-keyed delay: the event pushed below will be stamped s.seq+1.
+		delay = s.cfg.Latency.Delay(w, s.cfg.Seed, s.seq+1)
 	}
 	if delay < 1 {
 		delay = 1
@@ -681,7 +663,7 @@ func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Messag
 	case ArbLIFO:
 		pri = -int64(seq)
 	case ArbRandom:
-		pri = s.arbRNG.Int63()
+		pri = DeriveSeed(s.arbSeed, int(seq))
 	}
 	var c *event
 	if s.useHeap {

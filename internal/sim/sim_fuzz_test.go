@@ -38,7 +38,7 @@ type simResult struct {
 	msgs, hops, events   int64
 	trace                []simDelivery
 	sched                SchedStats // ladder only; not compared
-	model                byte       // 0 sync, 1 scaled sync, 2 AsyncUniform, 3 AsyncCounter
+	model                byte       // 0 sync, 1 scaled sync, 2 AsyncUniform, 3 AsyncBimodal
 	arb                  Arbitration
 	closures, nodeTimers int
 }
@@ -51,7 +51,7 @@ type simResult struct {
 //	   complete metric (Latency/Hops/LinkIndex interface path) or the
 //	   same with its LinkIndexer hidden (link clocks in the table)
 //	1  latency model: synchronous, scaled synchronous, AsyncUniform or
-//	   AsyncCounter, the scale 1 + (x>>2)%8
+//	   AsyncBimodal with slow probability 0.25, the scale 1 + (x>>2)%8
 //	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4
 //	3  start tick simStarts[x%4], seed x>>2
 //
@@ -87,7 +87,7 @@ func simScript(kind schedulerKind, script []byte) simResult {
 	case 2:
 		lat = AsyncUniform(scale)
 	case 3:
-		lat = AsyncCounter(scale)
+		lat = AsyncBimodal(scale, 0.25)
 	}
 	arb := Arbitration((hdr[2] & 3) % 3)
 	s := New(Config{

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -171,22 +171,43 @@ func TestArbitrationOrders(t *testing.T) {
 	}
 }
 
+// TestLatencyModels checks the seq-keyed draws over seq 1…10⁴ at one
+// seed: the uniform model covers its range exactly, the bimodal model's
+// slow share is its probability, and a draw is a pure function of (w,
+// seed, seq).
 func TestLatencyModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if d := Synchronous().Delay(3, rng); d != 3 {
+	const seed, draws = 11, 10_000
+	if d := Synchronous().Delay(3, seed, 1); d != 3 {
 		t.Errorf("sync delay = %d, want 3", d)
 	}
-	if d := SynchronousScaled(10).Delay(3, rng); d != 30 {
+	if d := SynchronousScaled(10).Delay(3, seed, 1); d != 30 {
 		t.Errorf("scaled sync delay = %d, want 30", d)
 	}
-	for i := 0; i < 100; i++ {
-		if d := AsyncUniform(5).Delay(2, rng); d < 1 || d > 10 {
-			t.Fatalf("async uniform delay %d out of [1,10]", d)
+	uniform, bimodal := AsyncUniform(5), AsyncBimodal(5, 0.3)
+	seen := map[Time]int{}
+	slow := 0
+	for seq := uint64(1); seq <= draws; seq++ {
+		d := uniform.Delay(2, seed, seq)
+		if d < 1 || d > 10 {
+			t.Fatalf("seq %d: async uniform delay %d out of [1,10]", seq, d)
 		}
-		d := AsyncBimodal(5, 0.5).Delay(2, rng)
-		if d != 2 && d != 10 {
-			t.Fatalf("bimodal delay %d, want 2 or 10", d)
+		seen[d]++
+		switch b := bimodal.Delay(2, seed, seq); b {
+		case 10:
+			slow++
+		case 2:
+		default:
+			t.Fatalf("seq %d: bimodal delay %d, want 2 or 10", seq, b)
 		}
+		if uniform.Delay(2, seed, seq) != d || bimodal.Delay(2, seed, seq) != bimodal.Delay(2, seed, seq) {
+			t.Fatalf("seq %d: a repeated (w, seed, seq) changed its delay", seq)
+		}
+	}
+	if len(seen) != 10 {
+		t.Errorf("async uniform at w = 2 returned %d distinct delays %v, want all of [1, 10]", len(seen), seen)
+	}
+	if share := float64(slow) / draws; math.Abs(share-0.3) > 0.02 {
+		t.Errorf("bimodal slow share %.4f, want 0.3 ± 0.02", share)
 	}
 }
 
@@ -196,6 +217,7 @@ func TestLatencyModelValidation(t *testing.T) {
 		func() { AsyncUniform(0) },
 		func() { AsyncBimodal(0, 0.5) },
 		func() { AsyncBimodal(2, 1.5) },
+		func() { AsyncBimodal(2, math.NaN()) },
 	} {
 		func() {
 			defer func() {
@@ -287,10 +309,11 @@ func TestDeterministicMakespan(t *testing.T) {
 	}
 }
 
-// TestSplitRNGStreams: latency draws and arbitration draws come from
-// independent streams, so enabling random arbitration must not perturb
-// message delays. With strictly increasing send times there are no ties
-// to arbitrate, so arrivals under ArbFIFO and ArbRandom must coincide.
+// TestSplitRNGStreams: latency draws and arbitration draws hash the event
+// seq under separately derived seeds, so enabling random arbitration must
+// not perturb message delays. With strictly increasing send times there
+// are no ties to arbitrate, so arrivals under ArbFIFO and ArbRandom must
+// coincide.
 func TestSplitRNGStreams(t *testing.T) {
 	run := func(arb Arbitration) []Time {
 		s := New(Config{
@@ -393,7 +416,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: Validate error = %v (%T), want *ConfigError on %s", c.name, err, err, c.field)
 		}
 	}
-	good := Config{Topology: topo, LinkTxTime: 3, Latency: AsyncCounter(2), Arbitration: ArbRandom, Faults: &FaultPlan{}}
+	good := Config{Topology: topo, LinkTxTime: 3, Latency: AsyncUniform(2), Arbitration: ArbRandom, Faults: &FaultPlan{}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

@@ -582,7 +582,8 @@ type SimOptions struct {
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneous messages.
 	Arbitration sim.Arbitration
-	// Seed drives random latency/arbitration.
+	// Seed keys the random latency and arbitration draws: each hashes
+	// (Seed, event seq).
 	Seed int64
 	// MaxEpisodes bounds repair episodes (0 = NumNodes + 8).
 	MaxEpisodes int

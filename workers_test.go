@@ -2,7 +2,7 @@
 // field selected the simulator's parallel drain until the drain was
 // deleted (DESIGN.md, "Why there is no parallel drain"); bench/ — frozen
 // between benchmark PRs — still sets it, so it stays until the benchmark
-// PR of ROADMAP item 4b, and every test in this file leaves with it.
+// PR of ROADMAP item 1, and every test in this file leaves with it.
 // They exist so the field cannot quietly grow a second code path in the
 // meantime. TestParallelCommitBitIdentical and
 // TestParallelCommitLoopDriver keep the names they had when they
@@ -87,7 +87,7 @@ func runShardOnce(t *testing.T, proto string, workers int, lat sim.LatencyModel,
 
 // TestParallelCommitBitIdentical sweeps Workers ∈ {1,2,4,8} across
 // every stepper of the multi-object driver under capacity contention,
-// counter-RNG and scaled latency, comparing the complete output —
+// counter-keyed and scaled latency, comparing the complete output —
 // including exact histogram moments — against the Workers 1 run.
 func TestParallelCommitBitIdentical(t *testing.T) {
 	cases := []struct {
@@ -96,8 +96,8 @@ func TestParallelCommitBitIdentical(t *testing.T) {
 		tx   sim.Time
 	}{
 		{"capacity", nil, 2},
-		{"counter", sim.AsyncCounter(3), 0},
-		{"counter/capacity", sim.AsyncCounter(3), 1},
+		{"counter", sim.AsyncUniform(3), 0},
+		{"counter/capacity", sim.AsyncUniform(3), 1},
 		{"window8", sim.SynchronousScaled(8), 0},
 		{"window8/capacity", sim.SynchronousScaled(8), 2},
 	}
@@ -118,7 +118,7 @@ func TestParallelCommitBitIdentical(t *testing.T) {
 
 // TestParallelCommitLoopDriver is the same pin on the single-object
 // path with a recorder attached: arrow on an implicit binary tree with
-// counter-RNG latency and link capacity, Workers 1 vs 4 vs 8.
+// counter-keyed latency and link capacity, Workers 1 vs 4 vs 8.
 func TestParallelCommitLoopDriver(t *testing.T) {
 	run := func(workers int) (*arrow.LoopResult, stats.Dist, stats.Dist) {
 		rec := stats.NewDistRecorder()
@@ -126,7 +126,7 @@ func TestParallelCommitLoopDriver(t *testing.T) {
 			Spec: loop.Spec{
 				PerNode:    5,
 				Seed:       3,
-				Latency:    sim.AsyncCounter(2),
+				Latency:    sim.AsyncUniform(2),
 				Recorder:   rec,
 				Workers:    workers,
 				LinkTxTime: 1,
