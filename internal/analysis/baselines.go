@@ -28,7 +28,7 @@ func baselineProtocols() []engine.Protocol {
 // but not another would skew the comparison. The nta and ivy rows are
 // identical by construction, not by measurement: both protocols chase
 // and reverse pointers with the same step rule under this cost model
-// (see nta's reversalStepper and TestClosedLoopMatchesIvy).
+// (see shard.Reversal and TestClosedLoopMatchesIvy).
 type BaselineRow struct {
 	Protocol     string
 	N            int

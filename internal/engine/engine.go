@@ -68,10 +68,14 @@ func (w Workload) Closed() bool { return w.Set == nil && w.PerNode > 0 }
 func (w Workload) Multi() bool { return w.Objects > 1 }
 
 // validate rejects the ambiguous workload that is neither a static set
-// nor a well-formed closed loop, and malformed object dimensions.
+// nor a well-formed closed loop, a negative think time, and malformed
+// object dimensions.
 func (w Workload) validate() error {
 	if w.Set == nil && w.PerNode < 1 {
 		return fmt.Errorf("engine: workload has neither a static request set nor a positive closed-loop PerNode")
+	}
+	if w.ThinkTime < 0 {
+		return fmt.Errorf("engine: ThinkTime must be >= 0, got %d", w.ThinkTime)
 	}
 	if w.Objects < 0 {
 		return fmt.Errorf("engine: workload Objects must be >= 0, got %d", w.Objects)
@@ -125,9 +129,6 @@ func NewStatic(set queuing.Set) *WorkloadSpec {
 // completion and issuing the next request; 0 = one local step).
 func (s *WorkloadSpec) Think(d sim.Time) *WorkloadSpec {
 	s.closedOnly("Think")
-	if d < 0 && s.err == nil {
-		s.err = fmt.Errorf("engine: ThinkTime must be >= 0, got %d", d)
-	}
 	s.w.ThinkTime = d
 	return s
 }

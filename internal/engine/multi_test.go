@@ -168,6 +168,19 @@ func TestMultiValidation(t *testing.T) {
 			t.Errorf("got %v, want fault rejection", err)
 		}
 	})
+	t.Run("negative think in a literal", func(t *testing.T) {
+		// Not built through Think: the literal reaches Validate directly,
+		// and no adapter may run it as think time 1.
+		inst := engine.Instance{Graph: g, Tree: tr, Workload: engine.Workload{PerNode: 5, ThinkTime: -3}}
+		if err := inst.Validate(); err == nil || !strings.Contains(err.Error(), "ThinkTime must be >= 0, got -3") {
+			t.Errorf("Validate: got %v, want ThinkTime rejection", err)
+		}
+		for _, p := range multiProtocols() {
+			if _, err := p.Run(inst); err == nil {
+				t.Errorf("%s ran a negative think time", p.Name())
+			}
+		}
+	})
 	t.Run("static multi workload", func(t *testing.T) {
 		if _, err := engine.NewStatic(nil).Objects(4).Build(); err == nil {
 			t.Error("builder accepted Objects on a static set")

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -283,58 +285,61 @@ func TestChurnGeneratorsDeterministicAndHealing(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalenceWithFaults: the heap and ladder schedulers
-// realize the identical trace when fault transitions are interleaved
-// with messages and deferred deliveries. The plan's horizon decides
-// which scheduler tiers hold the pre-scheduled transitions and the
-// deliveries deferred to a heal: 200 ticks stays in the ring, 600 000
-// fills both far wheels, 2²⁹ reaches the heap — each checked against
-// the ladder's own counters. Message traffic restarts at three points of
-// the horizon so it meets transitions cascading out of every tier.
+// TestSchedulerEquivalenceWithFaults: the ladder realizes the binary
+// heap's trace when fault transitions, which sim.New pushes itself, are
+// interleaved with messages and deferred deliveries. The trace length
+// and FNV-1a 64 digest of each horizon's trace were captured from a run
+// under a binary-heap scheduler, and the ladder run must reproduce them.
+// The plan's horizon decides which tiers hold the pre-scheduled
+// transitions and the deliveries deferred to a heal: 200 ticks stays in
+// the ring, 600 000 fills both far wheels, 2²⁹ reaches the heap — each
+// checked against the ladder's own counters. Message traffic restarts at
+// three points of the horizon so it meets transitions cascading out of
+// every tier.
 func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 	tr := tree.BalancedBinary(15)
 	for _, c := range []struct {
 		horizon              Time
-		wheel0, wheel1, heap bool // tiers the ladder run must have pushed into
+		wheel0, wheel1, heap bool   // tiers the ladder run must have pushed into
+		n                    int    // heap-run trace length
+		digest               uint64 // heap-run FNV-1a 64 of the trace joined by newlines
 	}{
-		{200, false, false, false},
-		{600_000, true, true, false},
-		{1 << 29, false, true, true},
+		{200, false, false, false, 5203, 0x6cf815769108c70f},
+		{600_000, true, true, false, 5593, 0xbb7f3a69354d8ce6},
+		{1 << 29, false, true, true, 6042, 0x5114d04964a90297},
 	} {
 		horizon := c.horizon
 		plan := &FaultPlan{Policy: FaultQueue, Events: append(
 			LinkChurn(TreeLinks(tr), 2, horizon/20, 5, horizon, 3),
 			NodeChurn(15, func(v graph.NodeID) bool { return v != 0 }, 1, horizon/20, 5, horizon, 4)...)}
-		starts := []Time{0, horizon / 3, 2 * horizon / 3}
-		run := func(k schedulerKind) ([]string, SchedStats) {
-			s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan, scheduler: k})
-			var trace []string
-			s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-				trace = append(trace, fmt.Sprintf("m:%d:%d<-%d", ctx.Now(), at, from))
-				if ctx.Now() < msg.(Time)+150 {
-					ctx.Send(at, from, msg)
-				}
-			})
-			s.SetFaultObserver(func(ctx *Context, ev FaultEvent) {
-				trace = append(trace, fmt.Sprintf("f:%d:%v:%d,%d", ctx.Now(), ev.Kind, ev.U, ev.V))
-			})
-			for _, start := range starts {
-				for v := 1; v < 15; v++ {
-					leaf := graph.NodeID(v)
-					s.ScheduleAt(start+Time(v%3), func(ctx *Context) {
-						ctx.Send(leaf, tr.Parent(leaf), start)
-					})
-				}
+		s := New(Config{Topology: TreeTopology{T: tr}, Faults: plan})
+		var trace []string
+		s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+			trace = append(trace, fmt.Sprintf("m:%d:%d<-%d", ctx.Now(), at, from))
+			if ctx.Now() < msg.(Time)+150 {
+				ctx.Send(at, from, msg)
 			}
-			s.Run()
-			trace = append(trace, fmt.Sprintf("end:%d:%d:%d", s.Now(), s.MessagesDropped(), s.MessagesDeferred()))
-			return trace, s.SchedStats()
+		})
+		s.SetFaultObserver(func(ctx *Context, ev FaultEvent) {
+			trace = append(trace, fmt.Sprintf("f:%d:%v:%d,%d", ctx.Now(), ev.Kind, ev.U, ev.V))
+		})
+		for _, start := range []Time{0, horizon / 3, 2 * horizon / 3} {
+			for v := 1; v < 15; v++ {
+				leaf := graph.NodeID(v)
+				s.ScheduleAt(start+Time(v%3), func(ctx *Context) {
+					ctx.Send(leaf, tr.Parent(leaf), start)
+				})
+			}
 		}
-		heap, _ := run(schedHeap)
-		ladder, st := run(schedLadder)
-		if !reflect.DeepEqual(heap, ladder) {
-			t.Fatalf("horizon %d: schedulers diverged under faults:\nheap n=%d\nladder n=%d", horizon, len(heap), len(ladder))
+		s.Run()
+		trace = append(trace, fmt.Sprintf("end:%d:%d:%d", s.Now(), s.MessagesDropped(), s.MessagesDeferred()))
+		h := fnv.New64a()
+		h.Write([]byte(strings.Join(trace, "\n")))
+		if len(trace) != c.n || h.Sum64() != c.digest {
+			t.Errorf("horizon %d: trace of %d entries with digest %016x, the heap run's had %d with %016x",
+				horizon, len(trace), h.Sum64(), c.n, c.digest)
 		}
+		st := s.SchedStats()
 		if (c.wheel0 && st.FarPushes[0] == 0) || (c.wheel1 && st.FarPushes[1] == 0) || (c.heap && st.HeapPushes == 0) {
 			t.Errorf("horizon %d: run did not reach the far tiers it was sized for (stats %+v)", horizon, st)
 		}

@@ -7,37 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-// schedulerKind selects the event-queue implementation backing a
-// Simulator. Both schedulers realize the exact same total event order —
-// ascending (at, pri, seq) — so a run's trace, metrics and makespan are
-// bit-identical under either; TestSchedulerEquivalence pins that. The
-// selector exists for that equivalence test and for benchmarking the two
-// against each other inside this package; it is not part of Config's
-// public surface.
-type schedulerKind uint8
-
-const (
-	// schedLadder is the default: a hierarchical timing wheel — a
-	// per-tick bucket ring for the near-future delays that dominate the
-	// synchronous model, two far wheels for delays up to 2²⁷ ticks, all
-	// O(1) push/pop, and a binary heap only beyond that.
-	schedLadder schedulerKind = iota
-	// schedHeap is the previous implementation: a single binary min-heap,
-	// O(log pending) per operation.
-	schedHeap
-)
-
-func (k schedulerKind) String() string {
-	switch k {
-	case schedLadder:
-		return "ladder"
-	case schedHeap:
-		return "heap"
-	default:
-		return "scheduler(?)"
-	}
-}
-
 type evKind uint8
 
 const (
@@ -63,8 +32,8 @@ type event struct {
 }
 
 // before is the scheduler total order: time, then arbitration priority,
-// then scheduling sequence (unique, so the order is total and every
-// scheduler realizes the same one).
+// then scheduling sequence (unique, so the order is total: the ladder
+// queue and the heap realize the same one).
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -96,9 +65,8 @@ func cmpEvent(x, y event) int {
 // eventHeap is a hand-rolled min-heap of event values: events live inline
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
-// It is the schedHeap scheduler — the oracle the ladder queue is tested
-// against — and the ladder queue's last tier, for events more than 2²⁷
-// ticks out.
+// It is the ladder queue's last tier, for events more than 2²⁷ ticks
+// out, and the oracle the ladder queue is tested against.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
@@ -108,7 +76,7 @@ func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 // payload) — valid until the next heap operation. The append is the
 // amortized backing-array grow, zero-alloc at steady state.
 //
-//arrow:hotpath heap-scheduler enqueue
+//arrow:hotpath heap-tier enqueue beyond 2²⁷ ticks
 func (h *eventHeap) push(at Time, pri int64, seq uint64) *event {
 	*h = append(*h, event{at: at, pri: pri, seq: seq})
 	a := *h
@@ -227,7 +195,7 @@ type farWheel struct {
 // to the binary heap (more than 2²⁷ ticks from the position), Refills
 // the far buckets opened (one per epoch poured, super-epoch cascaded or
 // heap block poured) and Cascaded the events those refills moved one
-// tier down. All zero under schedHeap. Deterministic for a fixed config.
+// tier down. Deterministic for a fixed config.
 type SchedStats struct {
 	FarPushes  [farLevels]int64
 	HeapPushes int64
@@ -244,7 +212,7 @@ func (st SchedStats) Far() int64 {
 	return n
 }
 
-// ladderQueue is the default scheduler, a hierarchical timing wheel
+// ladderQueue is the simulator's event queue, a hierarchical timing wheel
 // over one shared event arena: a ring of per-tick bucket lists for the
 // current 512-tick epoch, far wheel 0 with one list per later epoch of
 // the current super-epoch (2¹⁸ ticks), far wheel 1 with one list per

@@ -14,35 +14,24 @@ import (
 // farStrides are the grids runTrace snaps its far-future timers to.
 var farStrides = [...]Time{700, 1 << 15, 1 << 22, 1 << 28}
 
-// traceEntry is one processed event, the unit of the cross-scheduler
-// equivalence property: two schedulers are equivalent iff they produce
-// identical traces.
-type traceEntry struct {
-	at       Time
-	kind     evKind
-	to, from graph.NodeID
-}
-
 // runTrace drives a randomized workload that exercises every scheduler
 // code path — unit and multi-tick delays, node and closure timers,
 // same-tick scheduling during the current tick's drain, and far-future
 // delays that reach every tier of the ladder (ring-crossing, both far
-// wheels, the heap beyond 2²⁷ ticks) — and records the processed-event
-// trace. The workload's choices come from one stream seeded like the
-// simulator's own, so for a fixed config the trace is a pure function of
-// the event order the scheduler realizes.
-func runTrace(t *testing.T, kind schedulerKind, arb Arbitration, lat LatencyModel, seed int64) ([]traceEntry, SchedStats) {
-	t.Helper()
+// wheels, the heap beyond 2²⁷ ticks) — and logs its pushes and
+// deliveries for checkHeapOrder. The workload's choices come from one
+// stream seeded like the simulator's own, so for a fixed config the
+// trace is a pure function of the event order the scheduler realizes.
+func runTrace(arb Arbitration, lat LatencyModel, seed int64) (*pushLog, SchedStats) {
 	tr := tree.PathTree(4)
 	s := New(Config{
 		Topology:    TreeTopology{T: tr},
 		Latency:     lat,
 		Arbitration: arb,
 		Seed:        seed,
-		scheduler:   kind,
 		MaxEvents:   200000,
 	})
-	var trace []traceEntry
+	l := &pushLog{s: s}
 	budget := 4000
 	r := rand.New(rand.NewSource(seed))
 	spawn := func(ctx *Context, at graph.NodeID) {
@@ -61,42 +50,49 @@ func runTrace(t *testing.T, kind schedulerKind, arb Arbitration, lat LatencyMode
 			stride := farStrides[r.Intn(len(farStrides))]
 			target := (ctx.Now()/stride + 1 + Time(r.Intn(3))) * stride
 			ctx.AfterNode(target-ctx.Now(), at)
+			l.pushed(evNodeTimer, target, at, -1)
 		case 1:
 			// Same-tick closure timer: inserts into the bucket being
 			// drained right now.
-			to := at
+			to, tag := at, s.seq+1
 			ctx.After(0, func(ctx *Context) {
-				trace = append(trace, traceEntry{ctx.Now(), evTimer, to, -1})
+				l.deliver(simDelivery{ctx.Now(), evTimer, to, -1, tag})
 			})
+			l.pushed(evTimer, ctx.Now(), at, -1)
 		case 2:
-			ctx.AfterNode(Time(1+r.Intn(7)), at)
+			d := Time(1 + r.Intn(7))
+			ctx.AfterNode(d, at)
+			l.pushed(evNodeTimer, ctx.Now()+d, at, -1)
 		default:
 			next := at - 1
 			if at == 0 {
 				next = 1
 			}
-			ctx.Send(at, next, nil)
+			ctx.Send(at, next, s.seq+1)
+			l.pushed(evMessage, 0, next, at)
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-		trace = append(trace, traceEntry{ctx.Now(), evMessage, at, from})
+		l.deliver(simDelivery{ctx.Now(), evMessage, at, from, msg.(uint64)})
 		spawn(ctx, at)
 		spawn(ctx, at)
 	})
 	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
-		trace = append(trace, traceEntry{ctx.Now(), evNodeTimer, v, -1})
+		l.deliver(simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
 		spawn(ctx, v)
 	})
 	for v := graph.NodeID(0); v < 4; v++ {
 		s.ScheduleNodeAt(Time(v)*700, v) // staggered past the first horizon
+		l.pushed(evNodeTimer, Time(v)*700, v, -1)
 	}
 	s.Run()
-	return trace, s.SchedStats()
+	return l, s.SchedStats()
 }
 
 // TestSchedulerEquivalence pins the tentpole invariant: the ladder queue
 // realizes the exact (at, pri, seq) total order of the binary heap —
-// event for event — across arbitration modes, latency models and seeds.
+// event for event, checked against a heap replay of each run's own
+// pushes — across arbitration modes, latency models and seeds.
 func TestSchedulerEquivalence(t *testing.T) {
 	models := []struct {
 		name string
@@ -109,23 +105,13 @@ func TestSchedulerEquivalence(t *testing.T) {
 	for _, arb := range []Arbitration{ArbFIFO, ArbLIFO, ArbRandom} {
 		for _, lm := range models {
 			for seed := int64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%v/%s/seed=%d", arb, lm.name, seed)
-				heap, _ := runTrace(t, schedHeap, arb, lm.m, seed)
-				ladder, st := runTrace(t, schedLadder, arb, lm.m, seed)
-				if st.FarPushes[0] == 0 || st.FarPushes[1] == 0 || st.HeapPushes == 0 || st.Cascaded == 0 {
-					t.Errorf("%s: ladder run missed a tier (stats %+v)", name, st)
-				}
-				if len(heap) != len(ladder) {
-					t.Errorf("%s: trace lengths differ: heap %d, ladder %d", name, len(heap), len(ladder))
-					continue
-				}
-				for i := range heap {
-					if heap[i] != ladder[i] {
-						t.Errorf("%s: traces diverge at event %d: heap %+v, ladder %+v",
-							name, i, heap[i], ladder[i])
-						break
+				t.Run(fmt.Sprintf("%v/%s/seed=%d", arb, lm.name, seed), func(t *testing.T) {
+					l, st := runTrace(arb, lm.m, seed)
+					if st.FarPushes[0] == 0 || st.FarPushes[1] == 0 || st.HeapPushes == 0 || st.Cascaded == 0 {
+						t.Errorf("run missed a tier (stats %+v)", st)
 					}
-				}
+					checkHeapOrder(t, arb, seed, l)
+				})
 			}
 		}
 	}
@@ -232,10 +218,11 @@ func TestSatMulSatAdd(t *testing.T) {
 // delay=16 stays within the ladder's ring (the synchronous regime);
 // 4096 spreads over far wheel 0, 200000 over both far wheels (the
 // centralized coordinator's serve queue at 10⁵ nodes), and 1<<28 is
-// the heap tier beyond 2²⁷ ticks. Run with -benchmem: the steady state
-// of both schedulers is allocation-free.
+// the heap tier beyond 2²⁷ ticks. ladder is the simulator's queue, heap
+// the eventHeap alone. Run with -benchmem: the steady state of both is
+// allocation-free.
 func BenchmarkSchedulerPushPop(b *testing.B) {
-	for _, kind := range []schedulerKind{schedLadder, schedHeap} {
+	for _, kind := range []string{"ladder", "heap"} {
 		for _, pending := range []int{64, 1024, 65536} {
 			for _, maxDelay := range []int{16, 4096, 200000, 1 << 28} {
 				name := fmt.Sprintf("%v/pending=%d/delay=%d", kind, pending, maxDelay)
@@ -248,7 +235,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
 					push := func(d Time) {
 						seq++
-						if kind == schedHeap {
+						if kind == "heap" {
 							h.push(now+d, int64(seq), seq)
 						} else {
 							lq.push(now+d, int64(seq), seq)
@@ -261,7 +248,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 					b.ResetTimer()
 					var e event
 					for i := 0; i < b.N; i++ {
-						if kind == schedHeap {
+						if kind == "heap" {
 							h.pop(&e)
 							now = e.at
 						} else {

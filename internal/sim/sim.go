@@ -115,15 +115,6 @@ type Config struct {
 	// MaxEvents aborts the run (with a panic describing a likely protocol
 	// bug) after this many events; 0 means no limit.
 	MaxEvents int64
-	// scheduler selects the event-queue implementation; the zero value is
-	// the ladder queue. Unexported: only this package's tests set it, to
-	// run the binary heap as the oracle the ladder is compared against
-	// (TestSchedulerEquivalence and the two ladder-vs-heap fuzz targets).
-	// Both are driven through the same in-place API — push(at, pri, seq)
-	// hands back the event's storage for the caller to fill — but only
-	// the ladder dispatches an event from its cell; the heap pops into a
-	// local.
-	scheduler schedulerKind
 	// Faults is the deterministic liveness schedule; nil (or an empty
 	// plan) leaves the run bit-identical to a fault-free simulator. The
 	// plan is read-only and may be shared across simulators; it is
@@ -185,13 +176,8 @@ type Simulator struct {
 	faultH   FaultObserver
 	blockedH BlockedHandler
 
-	// The pending-event scheduler: the ladder queue by default, the
-	// binary heap when cfg.scheduler is schedHeap. A two-way branch on a
-	// bool keeps the hot path devirtualized (an interface call per
-	// push/pop costs more than the queue operation itself).
-	useHeap bool
-	heap    eventHeap
-	lq      ladderQueue
+	// lq is the pending-event queue (see ladderQueue).
+	lq ladderQueue
 
 	// Per-directed-link timestamp state (see linkClock). fifo holds each
 	// link's last arrival for the FIFO no-overtake clamp; it is nil when
@@ -265,7 +251,7 @@ func (s *Simulator) DrainStats() DrainStats {
 }
 
 // SchedStats returns the ladder queue's far-tier work counters so far
-// (see SchedStats); all zero under schedHeap.
+// (see SchedStats).
 func (s *Simulator) SchedStats() SchedStats { return s.lq.stats }
 
 // linkEntry is one directed link's clock in the table representation:
@@ -425,10 +411,7 @@ func New(cfg Config) *Simulator {
 	if cfg.Latency == nil {
 		cfg.Latency = Synchronous()
 	}
-	s := &Simulator{
-		cfg:     cfg,
-		useHeap: cfg.scheduler == schedHeap,
-	}
+	s := &Simulator{cfg: cfg}
 	s.txTime = cfg.LinkTxTime
 	if m, ok := cfg.Latency.(syncModel); ok {
 		s.syncScale = m.scale
@@ -648,9 +631,9 @@ func (s *Simulator) scheduleTimer(t Time, fn TimerFunc) {
 }
 
 // push stamps the next event's (pri, seq) arbitration order, has the
-// active queue allocate and link its cell, and fills the cell in place.
+// queue allocate and link its cell, and fills the cell in place.
 // Everything arrives in registers and is stored once, where the event
-// will be dispatched from: no event value exists outside a queue.
+// will be dispatched from: no event value exists outside the queue.
 //
 //arrow:hotpath every event enqueue lands here
 func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Message) {
@@ -665,12 +648,7 @@ func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Messag
 	case ArbRandom:
 		pri = DeriveSeed(s.arbSeed, int(seq))
 	}
-	var c *event
-	if s.useHeap {
-		c = s.heap.push(at, pri, seq)
-	} else {
-		c = s.lq.push(at, pri, seq)
-	}
+	c := s.lq.push(at, pri, seq)
 	c.kind, c.to, c.from, c.msg = kind, to, from, msg
 }
 
@@ -680,33 +658,21 @@ func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Messag
 // costs several times the final size in cumulative allocation). It
 // changes nothing else: a run is bit-identical with or without it.
 func (s *Simulator) Reserve(pending int) {
-	if s.useHeap {
-		s.heap = slices.Grow(s.heap, pending)
-		return
-	}
 	s.lq.arena = slices.Grow(s.lq.arena, pending)
 }
 
 // Run processes events until the queue is empty and returns the final
-// simulated time (the makespan). On the ladder an event is dispatched
-// from its arena cell and the cell released once the handler returned;
-// nothing reads through the cell pointer after a handler is entered
-// (handlers may grow the arena). The heap oracle pops into a local.
+// simulated time (the makespan). An event is dispatched from its arena
+// cell and the cell released once the handler returned; nothing reads
+// through the cell pointer after a handler is entered (handlers may grow
+// the arena). Time never runs backwards: the queue pops in ascending
+// time and refuses a push before its position.
 func (s *Simulator) Run() Time {
 	ctx := s.ctx
-	var popped event // schedHeap only
 	for {
-		c, slot := &popped, nilSlot
-		if s.useHeap {
-			if len(s.heap) == 0 {
-				break
-			}
-			s.heap.pop(c)
-		} else if c, slot = s.lq.popCell(); c == nil {
-			break
-		}
-		if c.at < s.now {
-			panic("sim: time went backwards")
+		c, slot := s.lq.popCell()
+		if c == nil {
+			return s.now
 		}
 		s.now = c.at
 		s.processed++
@@ -714,11 +680,8 @@ func (s *Simulator) Run() Time {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
 		}
 		s.dispatch(ctx, c)
-		if slot != nilSlot {
-			s.lq.release(slot)
-		}
+		s.lq.release(slot)
 	}
-	return s.now
 }
 
 // dispatch routes one already-clocked event to its handler, reading it

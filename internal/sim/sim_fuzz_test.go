@@ -2,7 +2,6 @@ package sim
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -20,31 +19,21 @@ var simDelays = [16]Time{0, 0, 1, 2, 3, 7, 64, 511, 512, 513, 700, 4096, 1 << 15
 // in its heap tier.
 var simStarts = [4]Time{0, 1<<18 - 700, 1<<27 - 600, 1<<27 - 300_000}
 
-// simDelivery is one dispatched event as a handler sees it. tag tells
-// apart two messages, or two closures, that agree on everything else: the
-// scheduling site stamps the payload with the sequence number the
-// simulator is about to assign. Node timers carry no payload (tag 0), so
-// no handler can tell two of them on one node and tick apart either.
-type simDelivery struct {
-	at       Time
-	kind     evKind
-	to, from graph.NodeID
-	tag      uint64
-}
-
-// simResult is everything a scheduler could change about a run.
+// simResult is one script's run: what checkHeapOrder replays, and what
+// TestSimCorpusReachesEveryTier counts.
 type simResult struct {
 	makespan             Time
-	msgs, hops, events   int64
-	trace                []simDelivery
-	sched                SchedStats // ladder only; not compared
-	model                byte       // 0 sync, 1 scaled sync, 2 AsyncUniform, 3 AsyncBimodal
+	msgs, events         int64
+	log                  pushLog
+	sched                SchedStats
+	model                byte // 0 sync, 1 scaled sync, 2 AsyncUniform, 3 AsyncBimodal
 	arb                  Arbitration
+	seed                 int64
 	closures, nodeTimers int
 }
 
-// simScript runs one byte-script as a whole simulation under the given
-// scheduler. The first four bytes configure it:
+// simScript runs one byte-script as a whole simulation. The first four
+// bytes configure it:
 //
 //	0  topology: low nibble n = 2 + x%15 nodes; high nibble picks a
 //	   binary tree (the flat link table, dense link clocks), the implicit
@@ -60,10 +49,11 @@ type simResult struct {
 // low two bits 0 = send to a neighbour (the argument picks which), 1 =
 // Context.After, 2 = Context.AfterNode on the event's node, 3 = nothing;
 // for the timers the argument's low four bits index simDelays. Ops are
-// consumed in dispatch order, so two schedulers that order events alike
-// read the same ops, and two that do not diverge in the trace at once.
-// When the stream runs out events stop scheduling and the run drains.
-func simScript(kind schedulerKind, script []byte) simResult {
+// consumed in dispatch order, so a run that orders events wrongly reads
+// different ops from the first wrong delivery on. When the stream runs
+// out events stop scheduling and the run drains. Every scheduling call is
+// logged for checkHeapOrder.
+func simScript(script []byte) simResult {
 	var hdr [4]byte
 	ops := script[copy(hdr[:], script):]
 	n := 2 + int(hdr[0]&15)%15
@@ -89,23 +79,23 @@ func simScript(kind schedulerKind, script []byte) simResult {
 	case 3:
 		lat = AsyncBimodal(scale, 0.25)
 	}
-	arb := Arbitration((hdr[2] & 3) % 3)
+	arb, seed := Arbitration((hdr[2]&3)%3), int64(hdr[3]>>2)
 	s := New(Config{
 		Topology:    topo,
 		Latency:     lat,
 		Arbitration: arb,
-		Seed:        int64(hdr[3] >> 2),
-		scheduler:   kind,
+		Seed:        seed,
 		LinkTxTime:  Time(hdr[2]>>2) % 4,
 		MaxEvents:   int64(4*len(script) + 64),
 	})
-	res := simResult{model: hdr[1] % 4, arb: arb}
+	res := simResult{log: pushLog{s: s}, model: hdr[1] % 4, arb: arb, seed: seed}
+	l := &res.log
 	_, isTree := topo.(TreeTopology)
 	var act func(ctx *Context, at graph.NodeID)
 	closure := func(at graph.NodeID) TimerFunc {
 		tag := s.seq + 1
 		return func(ctx *Context) {
-			res.trace = append(res.trace, simDelivery{ctx.Now(), evTimer, at, -1, tag})
+			l.deliver(simDelivery{ctx.Now(), evTimer, at, -1, tag})
 			act(ctx, at)
 		}
 	}
@@ -128,66 +118,63 @@ func simScript(kind schedulerKind, script []byte) simResult {
 					}
 				}
 				ctx.Send(at, to, s.seq+1)
+				l.pushed(evMessage, 0, to, at)
 			case 1:
 				res.closures++
 				ctx.After(simDelays[a&15], closure(at))
+				l.pushed(evTimer, ctx.Now()+simDelays[a&15], at, -1)
 			case 2:
 				res.nodeTimers++
 				ctx.AfterNode(simDelays[a&15], at)
+				l.pushed(evNodeTimer, ctx.Now()+simDelays[a&15], at, -1)
 			}
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
-		res.trace = append(res.trace, simDelivery{ctx.Now(), evMessage, at, from, msg.(uint64)})
+		l.deliver(simDelivery{ctx.Now(), evMessage, at, from, msg.(uint64)})
 		act(ctx, at)
 	})
 	s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
-		res.trace = append(res.trace, simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
+		l.deliver(simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
 		act(ctx, v)
 	})
 	start := simStarts[hdr[3]%4]
 	for v := 0; v < n; v++ {
 		s.ScheduleNodeAt(start+Time(v%3), graph.NodeID(v))
+		l.pushed(evNodeTimer, start+Time(v%3), graph.NodeID(v), -1)
 	}
 	res.makespan = s.Run()
-	res.msgs, res.hops, res.events = s.Messages(), s.Hops(), s.EventsProcessed()
+	res.msgs, res.events = s.Messages(), s.EventsProcessed()
 	res.sched = s.SchedStats()
 	return res
 }
 
-// simScriptsAgree runs the script under both schedulers and fails on the
-// first difference; it returns the ladder's run.
+// simScriptsAgree runs the script and fails at the first delivery the
+// heap replay of its own pushes orders differently (checkHeapOrder), or
+// if the simulator's event count and makespan disagree with the trace;
+// it returns the run.
 func simScriptsAgree(t *testing.T, script []byte) simResult {
 	t.Helper()
 	if len(script) > 4096 {
 		script = script[:4096]
 	}
-	want, got := simScript(schedHeap, script), simScript(schedLadder, script)
-	for i := 0; i < len(want.trace) && i < len(got.trace); i++ {
-		if got.trace[i] != want.trace[i] {
-			t.Fatalf("delivery %d: ladder %+v, heap %+v", i, got.trace[i], want.trace[i])
-		}
+	r := simScript(script)
+	checkHeapOrder(t, r.arb, r.seed, &r.log)
+	trace := r.log.trace
+	if r.events != int64(len(trace)) || len(trace) > 0 && r.makespan != trace[len(trace)-1].at {
+		t.Fatalf("simulator reports %d events to tick %d for a trace of %d deliveries", r.events, r.makespan, len(trace))
 	}
-	sched := got.sched
-	got.sched = want.sched
-	if !reflect.DeepEqual(got, want) {
-		nl, nh := len(got.trace), len(want.trace)
-		got.trace, want.trace = nil, nil
-		t.Fatalf("same deliveries up to the shorter trace (%d ladder, %d heap), then:\nladder %+v\n  heap %+v", nl, nh, got, want)
-	}
-	got.sched = sched
-	return got
+	return r
 }
 
 // FuzzSimLadderMatchesHeap is the simulator-level differential: a whole
-// run — topology and link-clock representation, latency model, arbitration, link
-// capacity, and a stream of sends, closure timers and node timers with
-// delays from the same tick to 300 000 ticks out — delivers the same
-// events in the same order with the same counters under the ladder queue
-// as under the binary heap. FuzzLadderMatchesHeap checks the queue in
-// isolation; this one checks it with send's clamps, reservations and
-// sequence-keyed latency draws in the loop. Seeds are the committed
-// corpus under testdata/fuzz.
+// run — topology and link-clock representation, latency model,
+// arbitration, link capacity, and a stream of sends, closure timers and
+// node timers with delays from the same tick to 300 000 ticks out —
+// delivers its events in the order a binary heap pops the run's own
+// pushes. FuzzLadderMatchesHeap checks the queue in isolation; this one
+// checks it with send's clamps, reservations and sequence-keyed latency
+// draws in the loop. Seeds are the committed corpus under testdata/fuzz.
 func FuzzSimLadderMatchesHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) { simScriptsAgree(t, script) })
 }

@@ -105,6 +105,37 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestContextPastPanics: a negative delay from a handler reaches the
+// event queue, whose push is the only check left between a handler and
+// time running backwards.
+func TestContextPastPanics(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		schedule func(ctx *Context)
+	}{
+		{"After", func(ctx *Context) { ctx.After(-1, func(ctx *Context) {}) }},
+		{"AfterNode", func(ctx *Context) { ctx.AfterNode(-1, 0) }},
+	} {
+		name, schedule := c.name, c.schedule
+		s := New(Config{Topology: lineTopology(2)})
+		s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {})
+		ran := false
+		s.ScheduleAt(5, func(ctx *Context) {
+			defer func() {
+				if r := recover(); r != "sim: scheduling into the past" {
+					t.Errorf("%s(-1): recovered %v, want the queue's past-time panic", name, r)
+				}
+			}()
+			ran = true
+			schedule(ctx)
+		})
+		s.Run()
+		if !ran {
+			t.Fatalf("%s: the scheduling timer never ran", name)
+		}
+	}
+}
+
 func TestAfterRelativeTimer(t *testing.T) {
 	s := New(Config{Topology: lineTopology(2)})
 	var fired Time
