@@ -166,11 +166,16 @@ func BenchmarkSweepSP2(b *testing.B) {
 // at the degree-n center, where a neighbor-list scan would cost O(n) per
 // message. The walker case is the headline scale cell's shape — 100 001
 // nodes, 50 001 messages in flight, so the event arena and the tree link
-// table no longer sit in cache the way the 1 023-node cases' do.
+// table no longer sit in cache the way the 1 023-node cases' do. random
+// and async are the walker under random arbitration — every tick's
+// bucket is sorted by hashed priority — and under AsyncUniform(4), whose
+// seq-keyed delays go through the latency model and the FIFO clamp.
 type sendDispatchCase struct {
 	name   string
 	t      tree.Nav
 	leaves []graph.NodeID
+	arb    sim.Arbitration
+	lat    sim.LatencyModel
 }
 
 func sendDispatchCases() []sendDispatchCase {
@@ -181,10 +186,14 @@ func sendDispatchCases() []sendDispatchCase {
 		}
 		return leaves
 	}
+	walker := tree.BinaryWalker(100001)
+	walkerLeaves := leafRange(50000, 100001)
 	return []sendDispatchCase{
-		{"binary", tree.BalancedBinary(1023), leafRange(511, 1023)},
-		{"star", tree.StarTree(1024), leafRange(512, 1024)},
-		{"walker", tree.BinaryWalker(100001), leafRange(50000, 100001)},
+		{name: "binary", t: tree.BalancedBinary(1023), leaves: leafRange(511, 1023)},
+		{name: "star", t: tree.StarTree(1024), leaves: leafRange(512, 1024)},
+		{name: "walker", t: walker, leaves: walkerLeaves},
+		{name: "random", t: walker, leaves: walkerLeaves, arb: sim.ArbRandom},
+		{name: "async", t: walker, leaves: walkerLeaves, lat: sim.AsyncUniform(4)},
 	}
 }
 
@@ -193,7 +202,7 @@ func sendDispatchCases() []sendDispatchCase {
 // leaf-parent links until `sends` of them have been re-sent, and the
 // queue drains. It may be called repeatedly on the one simulator.
 func (c sendDispatchCase) pingPong() func(sends int) {
-	s := sim.New(sim.Config{Topology: sim.TreeTopology{T: c.t}})
+	s := sim.New(sim.Config{Topology: sim.TreeTopology{T: c.t}, Arbitration: c.arb, Latency: c.lat, Seed: 1})
 	remaining := 0
 	s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
 		if remaining > 0 {

@@ -153,6 +153,7 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 			panic(fmt.Sprintf("centralized: unexpected message %T", msg))
 		}
 	})
+	s.Reserve(len(set))
 	for _, r := range set {
 		req := r
 		s.ScheduleAt(req.Time, func(ctx *sim.Context) {

@@ -156,6 +156,7 @@ func RunArrow(t *tree.Tree, root graph.NodeID, cfg Config) (*Result, error) {
 	st.objAt = root
 	st.objFree = true
 	st.objAfter = -1
+	s.Reserve(n)
 	for v := 0; v < n; v++ {
 		node := graph.NodeID(v)
 		s.ScheduleAt(0, func(ctx *sim.Context) { st.issue(ctx, node) })

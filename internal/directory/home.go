@@ -75,6 +75,7 @@ func RunHome(g *graph.Graph, home graph.NodeID, cfg Config) (*Result, error) {
 		MaxEvents:   total*32 + 4096,
 	})
 	s.SetAllHandlers(st.handle)
+	s.Reserve(n)
 	for v := 0; v < n; v++ {
 		node := graph.NodeID(v)
 		s.ScheduleAt(0, func(ctx *sim.Context) { st.issue(ctx, node) })

@@ -130,6 +130,7 @@ func Replay(topo sim.Topology, step Stepper, proto string, set queuing.Set, opts
 	s.SetAllHandlers(r.handle)
 	// Injection in set order fixes the event sequence, hence every
 	// arbitration and latency draw.
+	s.Reserve(len(set))
 	for i := range set {
 		m := &r.finds[i]
 		m.Req, m.PredID = set[i], pending

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -17,59 +18,47 @@ const (
 	evFault
 )
 
-// event is one pending event: 56 bytes, so an arena cell (event plus its
-// list link) is one 64-byte cache line. msg carries the payload of every
-// kind — a message's Message, an evTimer's TimerFunc (funcs are
-// pointer-shaped: no boxing allocation), an evFault's *compiledFault.
+// event is one pending event and, in the arena, its own cell: 48 bytes.
+// msg carries the payload of every kind — a message's Message, an
+// evTimer's TimerFunc (funcs are pointer-shaped: no boxing allocation),
+// an evFault's *compiledFault. next is the intrusive list link of the
+// cell's bucket or of the freelist. The arbitration priority is not
+// stored: it is a function of seq (see ladderQueue.pri).
 type event struct {
 	at   Time
-	pri  int64
 	seq  uint64
-	kind evKind
+	msg  Message
 	to   graph.NodeID
 	from graph.NodeID
-	msg  Message
+	next int32
+	kind evKind
 }
 
-// before is the scheduler total order: time, then arbitration priority,
-// then scheduling sequence (unique, so the order is total: the ladder
-// queue and the heap realize the same one).
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.pri != o.pri {
-		return e.pri < o.pri
-	}
-	return e.seq < o.seq
-}
-
-// samePriBefore is the within-bucket order: all bucket events share a
-// timestamp, so only (pri, seq) discriminates.
-func samePriBefore(x, y *event) bool {
-	if x.pri != y.pri {
-		return x.pri < y.pri
-	}
-	return x.seq < y.seq
-}
-
-// cmpEvent adapts samePriBefore for slices.SortFunc. A top-level
-// function rather than a closure so sorting a bucket allocates nothing.
-func cmpEvent(x, y event) int {
-	if samePriBefore(&x, &y) {
-		return -1
-	}
-	return 1
+// heapEntry is one heap-tier event with its arbitration priority, the
+// one place a priority is kept: the heap orders by it on every sift.
+type heapEntry struct {
+	pri int64
+	ev  event
 }
 
 // eventHeap is a hand-rolled min-heap of event values: events live inline
 // in the backing array, so pushing a message costs zero heap allocations
 // (container/heap would box every event through its any-typed interface).
-// It is the ladder queue's last tier, for events more than 2²⁷ ticks
-// out, and the oracle the ladder queue is tested against.
-type eventHeap []event
+// It pops in ascending (at, pri, seq) — seq is unique, so the order is
+// total. It is the ladder queue's last tier, for events more than 2²⁷
+// ticks out, and the oracle the ladder queue is tested against.
+type eventHeap []heapEntry
 
-func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+func (h eventHeap) less(i, j int) bool {
+	x, y := &h[i], &h[j]
+	if x.ev.at != y.ev.at {
+		return x.ev.at < y.ev.at
+	}
+	if x.pri != y.pri {
+		return x.pri < y.pri
+	}
+	return x.ev.seq < y.ev.seq
+}
 
 // push appends an event carrying only its key, sifts it up and returns
 // its final address for the caller to fill in the rest (kind, endpoints,
@@ -78,7 +67,7 @@ func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 //
 //arrow:hotpath heap-tier enqueue beyond 2²⁷ ticks
 func (h *eventHeap) push(at Time, pri int64, seq uint64) *event {
-	*h = append(*h, event{at: at, pri: pri, seq: seq})
+	*h = append(*h, heapEntry{pri: pri, ev: event{at: at, seq: seq}})
 	a := *h
 	i := len(a) - 1
 	for i > 0 {
@@ -89,7 +78,7 @@ func (h *eventHeap) push(at Time, pri int64, seq uint64) *event {
 		a[i], a[parent] = a[parent], a[i]
 		i = parent
 	}
-	return &a[i]
+	return &a[i].ev
 }
 
 // pop moves the earliest event into out.
@@ -98,9 +87,9 @@ func (h *eventHeap) push(at Time, pri int64, seq uint64) *event {
 func (h *eventHeap) pop(out *event) {
 	a := *h
 	n := len(a) - 1
-	*out = a[0]
+	*out = a[0].ev
 	a[0] = a[n]
-	a[n] = event{} // release the msg reference
+	a[n] = heapEntry{} // release the msg reference
 	a = a[:n]
 	*h = a
 	i := 0
@@ -159,18 +148,21 @@ const (
 // nilSlot terminates bucket lists and the freelist.
 const nilSlot = int32(-1)
 
-// eslot is one arena cell: an event plus its intrusive list link, 64
-// bytes — one cache line. It is the only place an event short of the
-// heap tier ever lives: push builds it here, the serial loop dispatches
-// it from here, release recycles the cell. All such events share one
-// arena, so buckets — tick buckets and far-wheel buckets alike — cost no
-// storage of their own: pushing links a recycled cell into a list,
-// moving an event one tier down relinks the same cell, and the arena
-// grows (amortized, like the heap's backing array) only when the
-// pending count reaches a new peak.
-type eslot struct {
-	ev   event
-	next int32
+// sortKey is one event of a bucket being sorted for random arbitration:
+// its order key and its arena slot.
+type sortKey struct {
+	pri  int64
+	seq  uint64
+	slot int32
+}
+
+// cmpKey orders sort keys by (pri, seq). A top-level function rather
+// than a closure so sorting a bucket allocates nothing.
+func cmpKey(x, y sortKey) int {
+	if c := cmp.Compare(x.pri, y.pri); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // tickBucket is an intrusive singly-linked list of arena slots: one
@@ -261,7 +253,10 @@ func (st SchedStats) Far() int64 {
 // copied — and O(log heap) only beyond 2²⁷ ticks. Arena cells recycle
 // through a freelist, so the steady state allocates nothing.
 type ladderQueue struct {
-	arb     Arbitration
+	arb Arbitration
+	// arbSeed keys random arbitration: an event's priority hashes its
+	// sequence number under this seed (see pri).
+	arbSeed int64
 	base    Time // tick currently being drained; no pending event is earlier
 	horizon Time // end of base's epoch: the ring covers [base, horizon)
 	size    int  // total pending events (ring + wheels + heap)
@@ -270,18 +265,26 @@ type ladderQueue struct {
 	// arbitration (set when its drain starts, cleared when base moves).
 	curPrepared bool
 
-	arena    []eslot
-	free     int32 // freelist head through eslot.next
+	// arena is the only place an event short of the heap tier ever
+	// lives: push builds it in a cell, the serial loop dispatches it from
+	// there, release recycles the cell. Buckets — tick buckets and
+	// far-wheel buckets alike — cost no storage of their own: pushing
+	// links a recycled cell into a list, moving an event one tier down
+	// relinks the same cell, and the arena grows (amortized, like the
+	// heap's backing array) only when the pending count reaches a new
+	// peak.
+	arena    []event
+	free     int32 // freelist head through event.next
 	occupied [ringSize / 64]uint64
 	ring     [ringSize]tickBucket
 	far      [farLevels]farWheel
 	heap     eventHeap
-	scratch  []event // random-arbitration sort buffer, recycled
+	scratch  []sortKey // random-arbitration sort buffer, recycled
 	stats    SchedStats
 }
 
-func (q *ladderQueue) init(arb Arbitration) {
-	q.arb = arb
+func (q *ladderQueue) init(arb Arbitration, arbSeed int64) {
+	q.arb, q.arbSeed = arb, arbSeed
 	q.horizon = ringSize
 	q.free = nilSlot
 	empty := tickBucket{head: nilSlot, tail: nilSlot}
@@ -295,6 +298,24 @@ func (q *ladderQueue) init(arb Arbitration) {
 	}
 }
 
+// pri is the arbitration priority of the event scheduled seq-th: events
+// of one tick pop in ascending (pri, seq). FIFO is seq, LIFO −seq, and
+// random a hash of seq under arbSeed, derived apart from the config seed
+// the latency model hashes under, so enabling random arbitration does
+// not perturb delays and vice versa. It is a pure function of seq, so no
+// cell stores it; it is computed only where an order is decided — the
+// random-arbitration sort, insertSorted and the heap tier.
+func (q *ladderQueue) pri(seq uint64) int64 {
+	switch q.arb {
+	case ArbLIFO:
+		return -int64(seq)
+	case ArbRandom:
+		return DeriveSeed(q.arbSeed, int(seq))
+	case ArbFIFO:
+	}
+	return int64(seq)
+}
+
 // alloc returns a free arena slot, growing the arena at a new pending
 // peak.
 //
@@ -304,11 +325,11 @@ func (q *ladderQueue) alloc() int32 {
 		q.free = q.arena[s].next
 		return s
 	}
-	q.arena = append(q.arena, eslot{})
+	q.arena = append(q.arena, event{})
 	return int32(len(q.arena) - 1)
 }
 
-// push allocates the cell of a fresh event keyed (at, pri, seq), links it
+// push allocates the cell of a fresh event keyed (at, seq), links it
 // into the tier at selects — its tick's ring bucket, or a far wheel or
 // the heap past the epoch — with the arbitration's placement, and
 // returns it for the caller to fill in place (kind, endpoints, payload):
@@ -316,25 +337,25 @@ func (q *ladderQueue) alloc() int32 {
 // The pointer is valid until the next queue operation.
 //
 //arrow:hotpath O(1) enqueue: tick bucket, or a far wheel past the epoch
-func (q *ladderQueue) push(at Time, pri int64, seq uint64) *event {
+func (q *ladderQueue) push(at Time, seq uint64) *event {
 	if at < q.base {
 		panic("sim: scheduling into the past")
 	}
 	q.size++
 	if at >= q.horizon {
-		return q.farPush(at, pri, seq)
+		return q.farPush(at, seq)
 	}
 	idx := int(at) & ringMask
 	b := &q.ring[idx]
 	s := q.alloc()
 	c := &q.arena[s]
-	c.ev.at, c.ev.pri, c.ev.seq = at, pri, seq
+	c.at, c.seq = at, seq
 	if b.head == nilSlot {
 		q.occupied[idx>>6] |= 1 << (idx & 63)
 		q.ringCnt++
 		c.next = nilSlot
 		b.head, b.tail = s, s
-		return &c.ev
+		return c
 	}
 	switch q.arb {
 	case ArbLIFO:
@@ -342,11 +363,11 @@ func (q *ladderQueue) push(at Time, pri int64, seq uint64) *event {
 		// it pops before everything already listed.
 		c.next = b.head
 		b.head = s
-		return &c.ev
+		return c
 	case ArbRandom:
 		if q.curPrepared && at == q.base {
 			q.insertSorted(b, s)
-			return &c.ev
+			return c
 		}
 	case ArbFIFO:
 		// Largest seq pops last: the tail append below is already
@@ -355,7 +376,7 @@ func (q *ladderQueue) push(at Time, pri int64, seq uint64) *event {
 	c.next = nilSlot
 	q.arena[b.tail].next = s
 	b.tail = s
-	return &c.ev
+	return c
 }
 
 // farPush places a fresh push beyond the current epoch: into the far
@@ -364,14 +385,14 @@ func (q *ladderQueue) push(at Time, pri int64, seq uint64) *event {
 // as in the ring (see the order invariant).
 //
 //arrow:hotpath O(1) far enqueue: one list link, no sift
-func (q *ladderQueue) farPush(at Time, pri int64, seq uint64) *event {
+func (q *ladderQueue) farPush(at Time, seq uint64) *event {
 	if (at^q.base)>>heapShift != 0 {
 		q.stats.HeapPushes++
-		return q.heap.push(at, pri, seq)
+		return q.heap.push(at, q.pri(seq), seq)
 	}
 	s := q.alloc()
 	c := &q.arena[s]
-	c.ev.at, c.ev.pri, c.ev.seq = at, pri, seq
+	c.at, c.seq = at, seq
 	b, k := q.farBucket(at)
 	q.stats.FarPushes[k]++
 	if q.arb == ArbLIFO && b.head != nilSlot {
@@ -380,7 +401,7 @@ func (q *ladderQueue) farPush(at Time, pri int64, seq uint64) *event {
 	} else {
 		q.appendSlot(b, s)
 	}
-	return &c.ev
+	return c
 }
 
 // farBucket returns the far-wheel list for time at (and its level),
@@ -419,7 +440,7 @@ func (q *ladderQueue) appendSlot(b *tickBucket, s int32) {
 //
 //arrow:hotpath relink one tier down: no event copy
 func (q *ladderQueue) place(s int32) {
-	at := q.arena[s].ev.at
+	at := q.arena[s].at
 	if at >= q.horizon {
 		b, _ := q.farBucket(at)
 		q.appendSlot(b, s)
@@ -438,8 +459,8 @@ func (q *ladderQueue) place(s int32) {
 // bucket. Only same-tick scheduling during the tick's own drain under
 // random arbitration lands here, so the list walk is off the hot path.
 func (q *ladderQueue) insertSorted(b *tickBucket, s int32) {
-	e := &q.arena[s].ev
-	if samePriBefore(e, &q.arena[b.head].ev) {
+	k := sortKey{pri: q.pri(q.arena[s].seq), seq: q.arena[s].seq}
+	if q.keyBefore(k, b.head) {
 		q.arena[s].next = b.head
 		b.head = s
 		return
@@ -447,7 +468,7 @@ func (q *ladderQueue) insertSorted(b *tickBucket, s int32) {
 	p := b.head
 	for {
 		n := q.arena[p].next
-		if n == nilSlot || samePriBefore(e, &q.arena[n].ev) {
+		if n == nilSlot || q.keyBefore(k, n) {
 			break
 		}
 		p = n
@@ -459,22 +480,30 @@ func (q *ladderQueue) insertSorted(b *tickBucket, s int32) {
 	}
 }
 
-// prepareRandom sorts the current bucket's list contents by (pri, seq):
+// keyBefore reports whether key k pops before the event in slot s.
+func (q *ladderQueue) keyBefore(k sortKey, s int32) bool {
+	seq := q.arena[s].seq
+	return cmpKey(k, sortKey{pri: q.pri(seq), seq: seq}) < 0
+}
+
+// prepareRandom sorts the current bucket's list by (pri, seq):
 // random-arbitration priorities arrive in push order, not sorted order.
-// The list structure is kept and only the stored events permuted, via a
-// recycled scratch buffer and an allocation-free comparator.
+// It sorts the list's keys in a recycled scratch buffer with an
+// allocation-free comparator and relinks the cells in that order; the
+// events stay where they are, so the bucket's head changes.
 func (q *ladderQueue) prepareRandom(b *tickBucket) {
-	q.scratch = q.scratch[:0]
+	keys := q.scratch[:0]
 	for s := b.head; s != nilSlot; s = q.arena[s].next {
-		q.scratch = append(q.scratch, q.arena[s].ev)
+		seq := q.arena[s].seq
+		keys = append(keys, sortKey{pri: q.pri(seq), seq: seq, slot: s})
 	}
-	slices.SortFunc(q.scratch, cmpEvent)
-	i := 0
-	for s := b.head; s != nilSlot; s = q.arena[s].next {
-		q.arena[s].ev = q.scratch[i]
-		q.scratch[i] = event{} // release the msg reference
-		i++
+	slices.SortFunc(keys, cmpKey)
+	for i := 1; i < len(keys); i++ {
+		q.arena[keys[i-1].slot].next = keys[i].slot
 	}
+	b.head, b.tail = keys[0].slot, keys[len(keys)-1].slot
+	q.arena[b.tail].next = nilSlot
+	q.scratch = keys
 }
 
 // popCell unlinks the earliest pending event's cell and returns it with
@@ -494,11 +523,12 @@ func (q *ladderQueue) popCell() (*event, int32) {
 	for {
 		idx := int(q.base) & ringMask
 		b := &q.ring[idx]
-		if s := b.head; s != nilSlot {
+		if b.head != nilSlot {
 			if q.arb == ArbRandom && !q.curPrepared {
-				q.prepareRandom(b)
+				q.prepareRandom(b) // relinks: read the head after it
 				q.curPrepared = true
 			}
+			s := b.head
 			c := &q.arena[s]
 			b.head = c.next
 			if b.head == nilSlot {
@@ -508,7 +538,7 @@ func (q *ladderQueue) popCell() (*event, int32) {
 				q.curPrepared = false
 			}
 			q.size--
-			return &c.ev, s
+			return c, s
 		}
 		q.curPrepared = false
 		if q.ringCnt > 0 {
@@ -526,7 +556,7 @@ func (q *ladderQueue) popCell() (*event, int32) {
 //arrow:hotpath one call per dequeue, after the handler returned
 func (q *ladderQueue) release(s int32) {
 	c := &q.arena[s]
-	c.ev.msg = nil
+	c.msg = nil
 	c.next = q.free
 	q.free = s
 }
@@ -570,7 +600,7 @@ func (q *ladderQueue) refill() {
 			idx = cur + nextOccupiedDelta(&q.far[k].occupied, cur)
 			start = (q.base>>shift + Time(idx-cur)) << shift
 		} else {
-			start = q.heap[0].at >> shift << shift
+			start = q.heap[0].ev.at >> shift << shift
 		}
 		q.curPrepared = false
 		q.base, q.horizon = start, start+ringSize
@@ -604,9 +634,9 @@ func (q *ladderQueue) refill() {
 //
 //arrow:hotpath heap block pour: one sift-down and one link per event
 func (q *ladderQueue) pourHeap() {
-	for len(q.heap) > 0 && (q.heap[0].at^q.base)>>heapShift == 0 {
+	for len(q.heap) > 0 && (q.heap[0].ev.at^q.base)>>heapShift == 0 {
 		s := q.alloc()
-		q.heap.pop(&q.arena[s].ev)
+		q.heap.pop(&q.arena[s])
 		q.place(s)
 		q.stats.Cascaded++
 	}
@@ -624,10 +654,11 @@ func (q *ladderQueue) compact(head int32) int32 {
 	if len(q.arena) <= overflowRetainCap || len(q.arena) <= 4*q.size {
 		return head
 	}
-	fresh := make([]eslot, q.size)
+	fresh := make([]event, q.size)
 	i := 0
 	for s := head; s != nilSlot; s = q.arena[s].next {
-		fresh[i] = eslot{ev: q.arena[s].ev, next: int32(i + 1)}
+		fresh[i] = q.arena[s]
+		fresh[i].next = int32(i + 1)
 		i++
 	}
 	fresh[i-1].next = nilSlot

@@ -26,15 +26,15 @@ const (
 )
 
 // ladderScript replays one byte-script against a ladderQueue — through
-// push(at, pri, seq) / popCell / release, the way the simulator drives
-// it — and the eventHeap oracle, and fails on the first difference. arb
+// push(at, seq) / popCell / release, the way the simulator drives it —
+// and the eventHeap oracle, and fails on the first difference. arb
 // picks the arbitration, start the tick the queue is positioned at
 // before the script runs (any alignment relative to the epoch,
 // super-epoch and 2²⁷-block boundaries). Each script byte is one
 // operation: the low three bits choose it, the high five are its
 // argument a.
 //
-//	0    pop one event from both queues and compare (at, pri, seq) and
+//	0    pop one event from both queues and compare (at, seq) and
 //	     the payload filled into the cell at push. With a even the cell
 //	     stays out — like the serial loop's, whose handler is running —
 //	     across the pushes that follow, until the next op that is not a
@@ -53,28 +53,28 @@ const (
 //
 // The grid pushes (3–6) take a%4 as the multiple, so timers armed from
 // different positions — hence parked in different tiers — meet on one
-// tick and the order across tiers is what the comparison checks.
-// Random arbitration draws priorities from four values so (pri, seq)
-// ties are common. A held cell is re-read by slot when it is released:
-// whatever the pushes in between did — recycle the freelist, land in
-// any tier, reallocate the arena under it — it must still hold the
-// event that was popped. After the script both queues drain to empty.
+// tick and the order across tiers is what the comparison checks. The
+// heap takes each event's priority from the queue's own lq.pri(seq),
+// the one function both sides order by. A held cell is re-read by slot
+// when it is released: whatever the pushes in between did — recycle the
+// freelist, land in any tier, reallocate the arena under it — it must
+// still hold the event that was popped. After the script both queues
+// drain to empty.
 func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scriptCover {
 	var (
 		lq    ladderQueue
 		h     eventHeap
 		seq   uint64
-		rnd   = uint64(start)*2862933555777941757 + 3037000493
 		held  = nilSlot // the cell currently out, if any
 		heldE event     // what it held when popped
 		cover scriptCover
 	)
-	lq.init(arb)
+	lq.init(arb, int64(start))
 	release := func() {
 		if held == nilSlot {
 			return
 		}
-		if got := lq.arena[held].ev; got != heldE {
+		if got := lq.arena[held]; got != heldE {
 			t.Fatalf("held cell %d changed while out: popped %+v, now %+v", held, heldE, got)
 		}
 		lq.release(held)
@@ -82,20 +82,10 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 	}
 	push := func(at Time) {
 		seq++
-		var pri int64
-		switch arb {
-		case ArbFIFO:
-			pri = int64(seq)
-		case ArbLIFO:
-			pri = -int64(seq)
-		case ArbRandom:
-			rnd = rnd*6364136223846793005 + 1442695040888963407
-			pri = int64(rnd >> 62)
-		}
-		h.push(at, pri, seq).to = graph.NodeID(seq)
+		h.push(at, lq.pri(seq), seq).to = graph.NodeID(seq)
 		st, arena := lq.stats, cap(lq.arena)
 		ringPush := at < lq.horizon
-		c := lq.push(at, pri, seq)
+		c := lq.push(at, seq)
 		c.kind, c.to = evMessage, graph.NodeID(seq)
 		if held != nilSlot {
 			mark := func(bit scriptCover, hit bool) {
@@ -120,9 +110,9 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		}
 		var want event
 		h.pop(&want)
-		if c.at != want.at || c.pri != want.pri || c.seq != want.seq || c.to != want.to || c.kind != evMessage {
-			t.Fatalf("pop %d: ladder (at %d, pri %d, seq %d, to %d), heap (at %d, pri %d, seq %d, to %d)",
-				seq, c.at, c.pri, c.seq, c.to, want.at, want.pri, want.seq, want.to)
+		if c.at != want.at || c.seq != want.seq || c.to != want.to || c.kind != evMessage {
+			t.Fatalf("pop %d: ladder (at %d, seq %d, to %d), heap (at %d, seq %d, to %d)",
+				seq, c.at, c.seq, c.to, want.at, want.seq, want.to)
 		}
 		held, heldE = slot, *c
 		if !hold {
@@ -136,8 +126,8 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		if lq.horizon&ringMask != 0 || lq.base >= lq.horizon || lq.horizon-lq.base > ringSize {
 			t.Fatalf("ring window [%d, %d) is not inside one aligned epoch", lq.base, lq.horizon)
 		}
-		if len(h) > 0 && h[0].at < lq.base {
-			t.Fatalf("position %d passed the pending event at %d", lq.base, h[0].at)
+		if len(h) > 0 && h[0].ev.at < lq.base {
+			t.Fatalf("position %d passed the pending event at %d", lq.base, h[0].ev.at)
 		}
 	}
 	grid := func(stride Time, a byte) Time { return (lq.base/stride + 1 + Time(a%4)) * stride }

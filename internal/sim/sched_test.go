@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -228,7 +229,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 				name := fmt.Sprintf("%v/pending=%d/delay=%d", kind, pending, maxDelay)
 				b.Run(name, func(b *testing.B) {
 					var lq ladderQueue
-					lq.init(ArbFIFO)
+					lq.init(ArbFIFO, 0)
 					var h eventHeap
 					var seq uint64
 					now := Time(0)
@@ -238,7 +239,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 						if kind == "heap" {
 							h.push(now+d, int64(seq), seq)
 						} else {
-							lq.push(now+d, int64(seq), seq)
+							lq.push(now+d, seq)
 						}
 					}
 					for i := 0; i < pending; i++ {
@@ -264,13 +265,34 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 	}
 }
 
-// TestEventCellIsOneCacheLine pins the layout the in-place event path
-// is built around: a 56-byte event, a 64-byte arena cell.
-func TestEventCellIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 56 {
-		t.Errorf("event is %d bytes, want 56", got)
+// TestEventCellLayout pins the layout the in-place event path is built
+// around: an event is its own arena cell, list link included, and
+// stores no priority — 48 bytes.
+func TestEventCellLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Errorf("event is %d bytes, want 48", got)
 	}
-	if got := unsafe.Sizeof(eslot{}); got != 64 {
-		t.Errorf("arena cell is %d bytes, want 64 (one cache line)", got)
+}
+
+// TestReserveAllocatesOneArena pins the bytes Reserve costs: one arena
+// of 48-byte cells, sized once. The smallest of three readings keeps a
+// background allocation out of the count.
+func TestReserveAllocatesOneArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate slices.Grow's made slice separately")
+	}
+	const pending = 100_000
+	const limit = 48*pending + 8<<10
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Reserve(pending)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > limit {
+		t.Errorf("Reserve(%d) allocated %d bytes, want at most %d (48-byte cells plus one 8 KiB page)", pending, best, limit)
 	}
 }

@@ -202,13 +202,6 @@ type Simulator struct {
 	fifo       *linkClock
 	busy       *linkClock
 
-	// arbSeed keys random arbitration: an event's priority hashes its
-	// sequence number under this seed, derived apart from the config seed
-	// the latency model hashes under, so enabling random arbitration does
-	// not perturb delays and vice versa. Handlers get no draws: a protocol
-	// that needs randomness keys its own (workload.Zipf does).
-	arbSeed int64
-
 	// syncScale caches the synchronous latency model's scale, letting
 	// send compute the (deterministic) delay without an interface call;
 	// 0 means the model is not synchronous.
@@ -416,8 +409,10 @@ func New(cfg Config) *Simulator {
 	if m, ok := cfg.Latency.(syncModel); ok {
 		s.syncScale = m.scale
 	}
-	s.arbSeed = DeriveSeed(cfg.Seed, 2)
-	s.lq.init(cfg.Arbitration)
+	// Random arbitration hashes seq under its own stream of the config
+	// seed. Handlers get no draws: a protocol that needs randomness keys
+	// its own (workload.Zipf does).
+	s.lq.init(cfg.Arbitration, DeriveSeed(cfg.Seed, 2))
 	if li, ok := cfg.Topology.(LinkIndexer); ok {
 		s.linkIdx = li
 	}
@@ -630,25 +625,16 @@ func (s *Simulator) scheduleTimer(t Time, fn TimerFunc) {
 	s.push(t, evTimer, 0, 0, fn)
 }
 
-// push stamps the next event's (pri, seq) arbitration order, has the
-// queue allocate and link its cell, and fills the cell in place.
-// Everything arrives in registers and is stored once, where the event
-// will be dispatched from: no event value exists outside the queue.
+// push stamps the next event's seq — which fixes its arbitration order
+// (see ladderQueue.pri) — has the queue allocate and link its cell, and
+// fills the cell in place. Everything arrives in registers and is stored
+// once, where the event will be dispatched from: no event value exists
+// outside the queue.
 //
 //arrow:hotpath every event enqueue lands here
 func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Message) {
 	s.seq++
-	seq := s.seq
-	var pri int64
-	switch s.cfg.Arbitration {
-	case ArbFIFO:
-		pri = int64(seq)
-	case ArbLIFO:
-		pri = -int64(seq)
-	case ArbRandom:
-		pri = DeriveSeed(s.arbSeed, int(seq))
-	}
-	c := s.lq.push(at, pri, seq)
+	c := s.lq.push(at, s.seq)
 	c.kind, c.to, c.from, c.msg = kind, to, from, msg
 }
 

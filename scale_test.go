@@ -61,11 +61,11 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // little), and stays under an absolute per-node budget that a single
 // stray O(n log n) table would immediately break (the lifted tree alone
 // costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). The
-// budgets are about twice what the rows measure: arrow 108 B/node — the
-// 64-byte event cell of an arena the driver reserves in one step
+// budgets are about twice what the rows measure: arrow 92 B/node — the
+// 48-byte event cell of an arena the driver reserves in one step
 // (Simulator.Reserve; ramping it up through append cost 445), the
 // 32-byte nodeState and 12 bytes of Walker and link arrays — and
-// centralized 82. The centralized row holds ~n serve-finish timers in
+// centralized 66. The centralized row holds ~n serve-finish timers in
 // the scheduler's far tier for the whole run; they live in the arena
 // reserved for the n initial timers, so a second n-entry structure for
 // the far tier (the binary heap cost ~340 B/node in append growth)
