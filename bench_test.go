@@ -161,48 +161,68 @@ func BenchmarkSweepSP2(b *testing.B) {
 	}
 }
 
-// sendDispatchCase is one tree shape of the send/dispatch measurement.
-// The star case pins the O(1) tree-edge lookup: half the sends originate
-// at the degree-n center, where a neighbor-list scan would cost O(n) per
-// message. The walker case is the headline scale cell's shape — 100 001
-// nodes, 50 001 messages in flight, so the event arena and the tree link
-// table no longer sit in cache the way the 1 023-node cases' do. random
-// and async are the walker under random arbitration — every tick's
-// bucket is sorted by hashed priority — and under AsyncUniform(4), whose
-// seq-keyed delays go through the latency model and the FIFO clamp.
+// sendDispatchCase is one topology of the send/dispatch measurement:
+// every sender sends to its peer, and each delivery is sent straight
+// back. The star case pins the O(1) tree-edge lookup: half the sends
+// originate at the degree-n center, where a neighbor-list scan would
+// cost O(n) per message. The walker case is the headline scale cell's
+// shape — 100 001 nodes, 50 001 messages in flight, so the event arena
+// and the tree link table no longer sit in cache the way the 1 023-node
+// cases' do. random and async are the walker under random arbitration —
+// every tick's bucket is sorted by hashed priority — and under
+// AsyncUniform(4), whose seq-keyed delays go through the latency model
+// and the FIFO clamp. linktx is the walker with LinkTxTime 1, so every
+// send reserves its link's dense clock slot. complete sends between
+// distinct nodes of a 1 024-node CompleteTopology, as NTA and the
+// centralized home do, with LinkTxTime 1: past 181 nodes its n² links
+// are clocked in the expiring table. metric is the materialized
+// complete metric at paper scale, whose Latency and Hops read the
+// graph's all-pairs matrix.
 type sendDispatchCase struct {
-	name   string
-	t      tree.Nav
-	leaves []graph.NodeID
-	arb    sim.Arbitration
-	lat    sim.LatencyModel
+	name    string
+	topo    sim.Topology
+	senders []graph.NodeID
+	peer    func(graph.NodeID) graph.NodeID
+	arb     sim.Arbitration
+	lat     sim.LatencyModel
+	txTime  sim.Time
 }
 
 func sendDispatchCases() []sendDispatchCase {
-	leafRange := func(lo, hi int) []graph.NodeID {
-		leaves := make([]graph.NodeID, 0, hi-lo)
+	nodeRange := func(lo, hi int) []graph.NodeID {
+		nodes := make([]graph.NodeID, 0, hi-lo)
 		for v := lo; v < hi; v++ {
-			leaves = append(leaves, graph.NodeID(v))
+			nodes = append(nodes, graph.NodeID(v))
 		}
-		return leaves
+		return nodes
 	}
-	walker := tree.BinaryWalker(100001)
-	walkerLeaves := leafRange(50000, 100001)
+	onTree := func(name string, t tree.Nav, leaves []graph.NodeID) sendDispatchCase {
+		return sendDispatchCase{name: name, topo: sim.TreeTopology{T: t}, senders: leaves, peer: t.Parent}
+	}
+	// across pairs node v of the lower half with v+n/2.
+	across := func(n int) func(graph.NodeID) graph.NodeID {
+		return func(v graph.NodeID) graph.NodeID { return v + graph.NodeID(n/2) }
+	}
+	walker := onTree("walker", tree.BinaryWalker(100001), nodeRange(50000, 100001))
+	random, async, linktx := walker, walker, walker
+	random.name, random.arb = "random", sim.ArbRandom
+	async.name, async.lat = "async", sim.AsyncUniform(4)
+	linktx.name, linktx.txTime = "linktx", 1
 	return []sendDispatchCase{
-		{name: "binary", t: tree.BalancedBinary(1023), leaves: leafRange(511, 1023)},
-		{name: "star", t: tree.StarTree(1024), leaves: leafRange(512, 1024)},
-		{name: "walker", t: walker, leaves: walkerLeaves},
-		{name: "random", t: walker, leaves: walkerLeaves, arb: sim.ArbRandom},
-		{name: "async", t: walker, leaves: walkerLeaves, lat: sim.AsyncUniform(4)},
+		onTree("binary", tree.BalancedBinary(1023), nodeRange(511, 1023)),
+		onTree("star", tree.StarTree(1024), nodeRange(512, 1024)),
+		walker, random, async, linktx,
+		{name: "complete", topo: sim.NewCompleteTopology(1024), senders: nodeRange(0, 512), peer: across(1024), txTime: 1},
+		{name: "metric", topo: sim.NewMetricTopology(graph.Complete(64)), senders: nodeRange(0, 32), peer: across(64)},
 	}
 }
 
 // pingPong builds the case's simulator and returns the measured body:
-// every leaf sends to its parent, the messages bounce across the
-// leaf-parent links until `sends` of them have been re-sent, and the
+// every sender sends to its peer, the messages bounce across the
+// sender-peer links until `sends` of them have been re-sent, and the
 // queue drains. It may be called repeatedly on the one simulator.
 func (c sendDispatchCase) pingPong() func(sends int) {
-	s := sim.New(sim.Config{Topology: sim.TreeTopology{T: c.t}, Arbitration: c.arb, Latency: c.lat, Seed: 1})
+	s := sim.New(sim.Config{Topology: c.topo, Arbitration: c.arb, Latency: c.lat, LinkTxTime: c.txTime, Seed: 1})
 	remaining := 0
 	s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
 		if remaining > 0 {
@@ -210,10 +230,10 @@ func (c sendDispatchCase) pingPong() func(sends int) {
 			ctx.Send(at, from, msg)
 		}
 	})
-	s.Reserve(len(c.leaves))
+	s.Reserve(len(c.senders))
 	kick := func(ctx *sim.Context) {
-		for _, v := range c.leaves {
-			ctx.Send(v, c.t.Parent(v), sim.Message(nil))
+		for _, v := range c.senders {
+			ctx.Send(v, c.peer(v), sim.Message(nil))
 		}
 	}
 	return func(sends int) {
@@ -240,9 +260,9 @@ func BenchmarkSimSendDispatch(b *testing.B) {
 
 // TestSimSendDispatchZeroAlloc is the zero-alloc send invariant as a
 // test: after one warm-up pass (AllocsPerRun's own first call, which
-// grows the arena and the ring to their steady size), 200 000 sends and
-// the dispatches they cause allocate nothing at all — not "0 allocs/op"
-// rounded down over b.N, zero. The malloc counter is process-wide and
+// grows the arena, the ring and any link table to their steady size),
+// 200 000 sends and the dispatches they cause allocate nothing at all —
+// not "0 allocs/op" rounded down over b.N, zero. The malloc counter is process-wide and
 // the body's own count is deterministic, so a runtime background
 // allocation (seen under -race) can only add to a reading: the smallest
 // of three readings is the body's.
@@ -261,12 +281,12 @@ func TestSimSendDispatchZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHistogramRecord measures the streaming histogram's record
-// hot path — run with -benchmem: after the one-time bucket allocation,
-// records are allocation-free, which is what lets every closed-loop
-// completion feed it.
+// hot path — run with -benchmem: once the bucket array has grown to the
+// largest value, records are allocation-free, which is what lets every
+// closed-loop completion feed it.
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h stats.Histogram
-	h.Record(0) // allocate the fixed bucket array up front
+	h.Record(0xFFFFF) // grow the bucket array to the largest value up front
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense in [0, NumNodes).
@@ -35,6 +36,10 @@ type Graph struct {
 	adj      [][]Edge
 	edges    int
 	unitOnly bool // true while every added edge has weight 1
+	// allPairs memoizes AllPairs until the next AddEdge. Sweep workers
+	// share one *Graph, so it is atomic: racing callers may each compute
+	// the matrix, and all of them compute the same one.
+	allPairs atomic.Pointer[[][]Weight]
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -72,6 +77,7 @@ func (g *Graph) AddEdge(u, v NodeID, w Weight) {
 	if w != 1 {
 		g.unitOnly = false
 	}
+	g.allPairs.Store(nil)
 }
 
 // HasEdge reports whether an edge between u and v exists.

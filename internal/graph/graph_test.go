@@ -121,6 +121,24 @@ func TestShortestPathEndpointsAndLength(t *testing.T) {
 	}
 }
 
+// TestAllPairsMemoizedUntilAddEdge: callers between two AddEdge calls
+// share one matrix, and AddEdge drops it, so a shortcut's distances show
+// while the matrix handed out earlier stays as it was.
+func TestAllPairsMemoizedUntilAddEdge(t *testing.T) {
+	g := Path(5)
+	d := g.AllPairs()
+	if &g.AllPairs()[0][0] != &d[0][0] {
+		t.Fatal("a second AllPairs recomputed the matrix")
+	}
+	g.AddEdge(0, 4, 1)
+	if got := g.AllPairs()[0][4]; got != 1 {
+		t.Errorf("after the shortcut dG(0,4) = %d, want 1", got)
+	}
+	if d[0][4] != 4 {
+		t.Errorf("AddEdge changed a matrix already handed out: dG(0,4) = %d, want 4", d[0][4])
+	}
+}
+
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)

@@ -11,7 +11,8 @@ func (g *Graph) ShortestFrom(src NodeID) []Weight {
 	if g.unitOnly {
 		return g.bfs(src)
 	}
-	return g.dijkstra(src)
+	dist, _ := g.dijkstra(src, -1, false)
+	return dist
 }
 
 // Dist returns the shortest-path distance dG(u, v).
@@ -54,12 +55,23 @@ func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
 func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
-func (g *Graph) dijkstra(src NodeID) []Weight {
+// dijkstra runs Dijkstra from src and stops once stop is popped (-1:
+// never). With withPrev it also returns each node's predecessor on its
+// shortest path (-1 for src and unreached nodes). Stopping early cannot
+// change the predecessor chain of stop: every node on it was popped
+// before stop, and a popped node's prev is final.
+func (g *Graph) dijkstra(src, stop NodeID, withPrev bool) (dist []Weight, prev []NodeID) {
 	n := g.NumNodes()
-	dist := make([]Weight, n)
+	dist = make([]Weight, n)
 	done := make([]bool, n)
 	for i := range dist {
 		dist[i] = Infinity
+	}
+	if withPrev {
+		prev = make([]NodeID, n)
+		for i := range prev {
+			prev[i] = -1
+		}
 	}
 	dist[src] = 0
 	q := &pq{{node: src, dist: 0}}
@@ -70,14 +82,30 @@ func (g *Graph) dijkstra(src NodeID) []Weight {
 			continue
 		}
 		done[u] = true
+		if u == stop {
+			break
+		}
 		for _, e := range g.adj[u] {
 			if nd := dist[u] + e.W; nd < dist[e.To] {
 				dist[e.To] = nd
+				if withPrev {
+					prev[e.To] = u
+				}
 				heap.Push(q, pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
-	return dist
+	return dist, prev
+}
+
+// ShortestTree returns a shortest-path tree rooted at src as a
+// predecessor array: prev[v] is v's predecessor on the path
+// ShortestPath(src, v) returns, and -1 for src and for unreachable nodes.
+// One Dijkstra pass yields every path ShortestPath would find from src.
+func (g *Graph) ShortestTree(src NodeID) []NodeID {
+	g.check(src)
+	_, prev := g.dijkstra(src, -1, true)
+	return prev
 }
 
 // ShortestPath returns one shortest path from src to dst as a node sequence
@@ -86,43 +114,13 @@ func (g *Graph) dijkstra(src NodeID) []Weight {
 func (g *Graph) ShortestPath(src, dst NodeID) ([]NodeID, Weight) {
 	g.check(src)
 	g.check(dst)
-	n := g.NumNodes()
-	dist := make([]Weight, n)
-	prev := make([]NodeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = Infinity
-		prev[i] = -1
-	}
-	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.W; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
-				heap.Push(q, pqItem{node: e.To, dist: nd})
-			}
-		}
-	}
+	dist, prev := g.dijkstra(src, dst, true)
 	if dist[dst] == Infinity {
 		return nil, Infinity
 	}
 	var path []NodeID
 	for v := dst; v != -1; v = prev[v] {
 		path = append(path, v)
-		if v == src {
-			break
-		}
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
@@ -132,13 +130,19 @@ func (g *Graph) ShortestPath(src, dst NodeID) ([]NodeID, Weight) {
 
 // AllPairs returns the full distance matrix dG. It runs one shortest-path
 // pass per node: O(n·(m + n log n)) for weighted graphs, O(n·(n+m)) for
-// unit graphs.
+// unit graphs. The matrix is memoized until the next AddEdge, so every
+// caller between two AddEdge calls shares one; it is owned by the graph
+// and must not be modified.
 func (g *Graph) AllPairs() [][]Weight {
+	if d := g.allPairs.Load(); d != nil {
+		return *d
+	}
 	n := g.NumNodes()
 	d := make([][]Weight, n)
 	for i := 0; i < n; i++ {
 		d[i] = g.ShortestFrom(NodeID(i))
 	}
+	g.allPairs.Store(&d)
 	return d
 }
 

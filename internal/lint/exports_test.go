@@ -25,6 +25,7 @@ var keptExports = map[string]string{
 	"internal/analysis.LongestEdgeCT":       "Lemma 3.13's quantity, which TestLongestEdgeBoundLemma313 holds under 3D",
 	"internal/arrow.VerifySinkReachability": "the one-sink pointer invariant the arrow and runtime tests assert at quiescence",
 	"internal/graph.Graph.Connected":        "what the generator tests check every generated graph for",
+	"internal/graph.Graph.ShortestPath":     "one shortest path, the reference every weighted MetricTopology hop count is checked against (TestMetricTopologyHopsMatchShortestPath)",
 	"internal/ivy.Directory":                "the sequential pointer-chain model the simulated Ivy runs are held against",
 	"internal/ivy.NewDirectory":             "constructor of the Directory reference model",
 	"internal/lint.NewLoader":               "loads the analyzer fixtures under testdata/src for the harness tests; cmd/arrowlint is handed its packages by go vet",
@@ -33,7 +34,7 @@ var keptExports = map[string]string{
 	"internal/runtime.Network.LinksFor":     "the live network's final pointers, what its tests hand to VerifySinkReachability",
 	"internal/sim.LinkChurn":                "tree-link outage plans for the engine, shard-golden, arrow and sim fault tests",
 	"internal/sim.TreeLinks":                "the candidate link set those LinkChurn plans are drawn over",
-	"internal/stats.Histogram.Buckets":      "pins the histogram's fixed-memory property",
+	"internal/stats.Histogram.Buckets":      "pins the histogram's bounded-memory property",
 	"internal/stats.Of":                     "the exact sorted-sample summary the streaming histogram's moments are compared with",
 	"internal/tree.KruskalMST":              "the reference MST PrimMST's weight is compared with (TestMSTWeightsAgree)",
 	"internal/tree.GridNav.Depth":           "hop depth, the navigators' common accessor (see Walker.Depth)",

@@ -99,43 +99,38 @@ func (t DirectTopology) NumNodes() int { return t.G.NumNodes() }
 // (the centralized baseline, NTA, Ivy). Hop accounting charges the
 // shortest path's edge count per logical message.
 type MetricTopology struct {
-	dist [][]graph.Weight
-	hops [][]int32
+	dist [][]graph.Weight // the graph's memoized AllPairs matrix
+	hops [][]int32        // nil on unit graphs, where hops equal dist
 }
 
-// NewMetricTopology precomputes all-pairs distances and hop counts of g.
+// NewMetricTopology takes g's all-pairs distances, computed once per
+// graph and shared with every other caller of g.AllPairs. A unit graph
+// needs nothing else: the hop count of a shortest path is its length. A
+// weighted graph also gets a hop matrix, the edge counts of the paths
+// ShortestPath returns, from one shortest-path tree per source.
 func NewMetricTopology(g *graph.Graph) *MetricTopology {
-	n := g.NumNodes()
-	m := &MetricTopology{
-		dist: g.AllPairs(),
-		hops: make([][]int32, n),
-	}
-	// Hop counts: shortest path edge count under the weighted metric. For
-	// unit graphs hops == dist; otherwise recompute paths per source pair
-	// lazily would be costly, so we count hops along one weighted shortest
-	// path via repeated ShortestPath only for non-unit graphs.
+	m := &MetricTopology{dist: g.AllPairs()}
 	if g.Unit() {
-		for i := 0; i < n; i++ {
-			m.hops[i] = make([]int32, n)
-			for j := 0; j < n; j++ {
-				if m.dist[i][j] != graph.Infinity {
-					m.hops[i][j] = int32(m.dist[i][j])
-				}
-			}
-		}
 		return m
 	}
-	for i := 0; i < n; i++ {
-		m.hops[i] = make([]int32, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+	n := g.NumNodes()
+	m.hops = make([][]int32, n)
+	for i := range m.hops {
+		prev := g.ShortestTree(graph.NodeID(i))
+		hops := make([]int32, n)
+		// hops[v] is one more than its predecessor's; 0 marks the source,
+		// an unreachable node, or a node not yet counted.
+		var count func(v graph.NodeID) int32
+		count = func(v graph.NodeID) int32 {
+			if p := prev[v]; p != -1 && hops[v] == 0 {
+				hops[v] = count(p) + 1
 			}
-			path, _ := g.ShortestPath(graph.NodeID(i), graph.NodeID(j))
-			if path != nil {
-				m.hops[i][j] = int32(len(path) - 1)
-			}
+			return hops[v]
 		}
+		for j := range hops {
+			count(graph.NodeID(j))
+		}
+		m.hops[i] = hops
 	}
 	return m
 }
@@ -149,8 +144,16 @@ func (m *MetricTopology) Latency(u, v graph.NodeID) (graph.Weight, bool) {
 	return d, true
 }
 
-// Hops implements Topology.
-func (m *MetricTopology) Hops(u, v graph.NodeID) int { return int(m.hops[u][v]) }
+// Hops implements Topology. Disconnected pairs count 0 hops.
+func (m *MetricTopology) Hops(u, v graph.NodeID) int {
+	if m.hops != nil {
+		return int(m.hops[u][v])
+	}
+	if d := m.dist[u][v]; d != graph.Infinity {
+		return int(d)
+	}
+	return 0
+}
 
 // NumNodes implements Topology.
 func (m *MetricTopology) NumNodes() int { return len(m.dist) }

@@ -6,13 +6,14 @@ import (
 	"math/bits"
 )
 
-// Histogram is a fixed-memory streaming histogram of non-negative int64
+// Histogram is a bounded-memory streaming histogram of non-negative int64
 // observations (latencies in simulated time units, hop counts), built for
 // the closed-loop drivers' per-request observability: recording is O(1)
-// and allocation-free at steady state, memory is a fixed ~15KB bucket
-// array regardless of how many observations are recorded (the paper-scale
-// runs record 100k requests per node), and quantile queries carry a
-// bounded relative error.
+// and allocation-free once the largest value has been seen, memory
+// depends on that largest value and never on how many observations are
+// recorded (the paper-scale runs record 100k requests per node) — at
+// most a ~15KB bucket array — and quantile queries carry a bounded
+// relative error.
 //
 // Buckets are HDR-style log-linear: values below 2^histSubBits are
 // recorded exactly, and every octave above is split into 2^histSubBits
@@ -32,8 +33,10 @@ import (
 // big-integer variance numerator, avoiding the catastrophic cancellation
 // of the naive Σv²/n − mean² form).
 //
-// The zero value is ready to use; the bucket array is allocated on the
-// first Record. Histogram is not safe for concurrent use — each sweep
+// The zero value is ready to use. The bucket array grows one octave
+// (2^histSubBits buckets) at a time, to the end of the octave holding
+// the largest value recorded: hop counts need a few hundred bytes, not
+// the full array. Histogram is not safe for concurrent use — each sweep
 // cell must own its recorder.
 type Histogram struct {
 	counts []int64
@@ -92,16 +95,25 @@ func (h *Histogram) addSq(hi, lo uint64) {
 	h.sumSqLo, h.sumSqHi = l, hh
 }
 
+// grow extends the bucket array to the end of bucket i's octave. The top
+// octave ends at histBuckets, so the array never exceeds it.
+func (h *Histogram) grow(i int) {
+	counts := make([]int64, (i>>histSubBits+1)<<histSubBits)
+	copy(counts, h.counts)
+	h.counts = counts
+}
+
 // Record adds one observation. Negative values are clamped to zero (the
 // drivers only produce non-negative latencies and hop counts).
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if h.counts == nil {
-		h.counts = make([]int64, histBuckets)
+	i := histIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
 	}
-	h.counts[histIndex(v)]++
+	h.counts[i]++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -126,8 +138,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make([]int64, histBuckets)
+	if len(o.counts) > len(h.counts) {
+		h.grow(len(o.counts) - 1)
 	}
 	for i, c := range o.counts {
 		if c != 0 {
@@ -200,9 +212,9 @@ func (h *Histogram) Std() float64 {
 	return math.Sqrt(f / (n * n))
 }
 
-// Buckets returns the number of allocated bucket slots — fixed at
-// histBuckets after the first Record, independent of Count. Tests use it
-// to pin the fixed-memory property.
+// Buckets returns the number of allocated bucket slots: the end of the
+// octave holding Max, at most histBuckets, independent of Count. Tests
+// use it to pin the bounded-memory property.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Quantile returns an estimate of the p-th percentile (0..100): the
@@ -287,7 +299,7 @@ type Recorder interface {
 	RecordRequest(latency int64, hops int)
 }
 
-// DistRecorder is the standard Recorder: one fixed-memory Histogram per
+// DistRecorder is the standard Recorder: one bounded-memory Histogram per
 // observed dimension. The zero value is ready to use.
 type DistRecorder struct {
 	Latency Histogram

@@ -49,21 +49,58 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-// The memory pin: bucket storage is a fixed-size array, independent of
-// how many observations are recorded.
+// The memory pin: bucket storage ends at the octave boundary of the
+// largest value recorded, so it is fixed by Max — never by how many
+// observations were recorded — and bounded by histBuckets. Merging grows
+// the receiver to the wider of the two arrays.
 func TestHistogramFixedMemory(t *testing.T) {
+	octaveEnd := func(h *Histogram) int { return (histIndex(h.Max())>>histSubBits + 1) << histSubBits }
+	var h Histogram
+	for _, v := range []int64{0, 31, 32, 75, 1000, 1 << 20, 1 << 40, 1<<62 + 12345, math.MaxInt64} {
+		h.Record(v)
+		if h.Buckets() != octaveEnd(&h) || h.Buckets() > histBuckets {
+			t.Fatalf("after recording %d: %d bucket slots, want the octave end %d (at most %d)",
+				v, h.Buckets(), octaveEnd(&h), histBuckets)
+		}
+	}
+	if h.Buckets() != histBuckets {
+		t.Fatalf("MaxInt64 recorded: %d bucket slots, want all %d", h.Buckets(), histBuckets)
+	}
+
+	const top = 99999 * 37
 	var small, large Histogram
 	for i := 0; i < 1000; i++ {
-		small.Record(int64(i))
+		small.Record(int64(i) * 3700)
 	}
+	small.Record(top)
 	for i := 0; i < 100000; i++ {
 		large.Record(int64(i) * 37)
 	}
-	if small.Buckets() != large.Buckets() {
-		t.Fatalf("bucket storage grew with sample size: %d vs %d", small.Buckets(), large.Buckets())
+	if small.Max() != large.Max() || small.Buckets() != large.Buckets() || small.Buckets() != octaveEnd(&small) {
+		t.Fatalf("equal max %d: %d slots after 1000 observations, %d after 100000, want both %d",
+			top, small.Buckets(), large.Buckets(), octaveEnd(&small))
 	}
-	if small.Buckets() != histBuckets {
-		t.Fatalf("bucket storage = %d slots, want the fixed %d", small.Buckets(), histBuckets)
+
+	rng := rand.New(rand.NewSource(5))
+	var narrow, wide [2]Histogram
+	var serial Histogram
+	for i := 0; i < 2000; i++ {
+		part := &narrow
+		v := rng.Int63n(100)
+		if i%2 == 1 {
+			part, v = &wide, rng.Int63n(1<<30)
+		}
+		part[0].Record(v)
+		part[1].Record(v)
+		serial.Record(v)
+	}
+	wide[0].Merge(&narrow[0])
+	narrow[1].Merge(&wide[1])
+	for name, m := range map[string]*Histogram{"narrow into wide": &wide[0], "wide into narrow": &narrow[1]} {
+		if m.Snapshot() != serial.Snapshot() || m.Buckets() != serial.Buckets() {
+			t.Errorf("%s: snapshot %+v with %d slots, serial %+v with %d",
+				name, m.Snapshot(), m.Buckets(), serial.Snapshot(), serial.Buckets())
+		}
 	}
 }
 
@@ -262,5 +299,21 @@ func TestDistRecorder(t *testing.T) {
 	}
 	if r.Latency.Max() != 20 || r.Hops.Max() != 3 || r.Hops.Min() != 0 {
 		t.Errorf("recorder state: %+v %+v", r.Latency.Snapshot(), r.Hops.Snapshot())
+	}
+}
+
+// Once a recorder has seen its largest latency and hop count, recording
+// at or below them allocates nothing: the closed loops call it on every
+// completion.
+func TestDistRecorderSteadyStateAllocs(t *testing.T) {
+	r := NewDistRecorder()
+	r.RecordRequest(1<<20, 75)
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		r.RecordRequest(i*997%(1<<20), int(i%76))
+	})
+	if allocs != 0 {
+		t.Errorf("RecordRequest at or below the recorded maximum: %v allocations, want 0", allocs)
 	}
 }
