@@ -90,42 +90,17 @@ func shardProtocols() []engine.Protocol {
 }
 
 // ShardExperiment runs the sharding grid as one engine.Sweep across the
-// worker pool: objects, then skew, then protocol, every cell with its
-// own seed and recorder. Outcomes come back in cell order, so the
-// arrowbench/shard document it returns is byte-identical at any pool
-// size. Graph and Tree only tell the adapters the node count: a
-// multi-object cell runs on the implicit complete metric (see
-// engine.Cost.PerObject).
+// worker pool: objects, then skew, then protocol (see shardCells).
+// Outcomes come back in cell order, so the arrowbench/shard document it
+// returns is byte-identical at any pool size. Graph and Tree only tell
+// the adapters the node count: a multi-object cell runs on the implicit
+// complete metric (see engine.Cost.PerObject).
 func ShardExperiment(cfg ShardConfig, workers int) (Document[ShardConfig, ShardRow], error) {
 	cfg = cfg.resolved()
 	doc := Document[ShardConfig, ShardRow]{Schema: ShardSchema, Config: cfg}
-	if cfg.PerNode < 1 {
-		return doc, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
-	}
-	g := graph.Complete(cfg.N)
-	t := tree.BalancedBinary(cfg.N)
-	var cells []engine.Cell
-	for _, k := range cfg.Objects {
-		for _, s := range cfg.Skews {
-			load, err := engine.NewClosedLoop(cfg.PerNode).Objects(k).Zipf(s).Build()
-			if err != nil {
-				return doc, fmt.Errorf("analysis: shard k=%d s=%g: %w", k, s, err)
-			}
-			for _, p := range shardProtocols() {
-				cells = append(cells, engine.Cell{
-					Protocol: p,
-					Instance: engine.Instance{
-						Label:      fmt.Sprintf("n=%d/k=%d/s=%g", cfg.N, k, s),
-						Graph:      g,
-						Tree:       t,
-						Workload:   load,
-						Seed:       engine.DeriveSeed(cfg.Seed, len(cells)),
-						LinkTxTime: cfg.LinkTxTime,
-						Recorder:   stats.NewDistRecorder(),
-					},
-				})
-			}
-		}
+	cells, err := shardCells(cfg)
+	if err != nil {
+		return doc, err
 	}
 	outs := engine.Sweep(cells, workers)
 	if err := engine.FirstError(outs); err != nil {
@@ -155,6 +130,45 @@ func ShardExperiment(cfg ShardConfig, workers int) (Document[ShardConfig, ShardR
 	return doc, nil
 }
 
+// shardCells builds the grid of a resolved config, objects-major, then
+// skew, then protocol, every cell with its own recorder. Cell (i, j) —
+// Objects[i], Skews[j] — runs every protocol on the seed
+// DeriveSeed(Seed, i·len(Skews)+j), so the protocols of one row are
+// compared on one request stream, as PerfExperiment compares them per
+// size and workload.
+func shardCells(cfg ShardConfig) ([]engine.Cell, error) {
+	if cfg.PerNode < 1 {
+		return nil, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
+	}
+	g := graph.Complete(cfg.N)
+	t := tree.BalancedBinary(cfg.N)
+	var cells []engine.Cell
+	for i, k := range cfg.Objects {
+		for j, s := range cfg.Skews {
+			load, err := engine.NewClosedLoop(cfg.PerNode).Objects(k).Zipf(s).Build()
+			if err != nil {
+				return nil, fmt.Errorf("analysis: shard k=%d s=%g: %w", k, s, err)
+			}
+			seed := engine.DeriveSeed(cfg.Seed, i*len(cfg.Skews)+j)
+			for _, p := range shardProtocols() {
+				cells = append(cells, engine.Cell{
+					Protocol: p,
+					Instance: engine.Instance{
+						Label:      fmt.Sprintf("n=%d/k=%d/s=%g", cfg.N, k, s),
+						Graph:      g,
+						Tree:       t,
+						Workload:   load,
+						Seed:       seed,
+						LinkTxTime: cfg.LinkTxTime,
+						Recorder:   stats.NewDistRecorder(),
+					},
+				})
+			}
+		}
+	}
+	return cells, nil
+}
+
 // ShardTable formats the shard rows: aggregate traffic on the left,
 // the fairness spread across objects on the right.
 func ShardTable(rows []ShardRow) *Table {
@@ -173,5 +187,7 @@ func ShardTable(rows []ShardRow) *Table {
 }
 
 // ShardSchema versions the machine-readable shard document (see
-// PerfSchema for the bump discipline).
-const ShardSchema = "arrowbench/shard/v1"
+// PerfSchema for the bump discipline). v2 seeds each (objects, skew)
+// row by its grid coordinates, one seed for all of its protocols, where
+// v1 gave every cell its own; the same config yields different rows.
+const ShardSchema = "arrowbench/shard/v2"

@@ -91,3 +91,36 @@ func TestShardDocumentWorkerIdentity(t *testing.T) {
 		t.Error("shard document leaks a workers field; byte-identity across -workers would be vacuous")
 	}
 }
+
+// TestShardRowSharesOneSeed: every protocol of one (objects, skew) row
+// runs on one seed, so the row compares protocols on one request stream
+// rather than on seed noise, and distinct rows get distinct seeds.
+func TestShardRowSharesOneSeed(t *testing.T) {
+	cfg := ShardConfig{PerNode: 1, Objects: []int{4, 32, 256}, Skews: []float64{0, 1.1}, Seed: 5}.resolved()
+	cells, err := shardCells(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		k int
+		s float64
+	}
+	seeds := map[row]int64{}
+	rows := map[int64]row{}
+	for _, c := range cells {
+		w := c.Instance.Workload
+		r, seed := row{w.Objects, w.Skew}, c.Instance.Seed
+		if prev, ok := seeds[r]; ok && prev != seed {
+			t.Errorf("k=%d s=%g: %s runs on seed %d, an earlier protocol of the row on %d",
+				r.k, r.s, c.Protocol.Name(), seed, prev)
+		}
+		seeds[r] = seed
+		if other, ok := rows[seed]; ok && other != r {
+			t.Errorf("rows %+v and %+v share seed %d", other, r, seed)
+		}
+		rows[seed] = r
+	}
+	if want := len(cfg.Objects) * len(cfg.Skews); len(seeds) != want {
+		t.Errorf("%d rows, want %d", len(seeds), want)
+	}
+}
