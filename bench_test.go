@@ -82,7 +82,7 @@ func BenchmarkArrowProtocolStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines compares the engine's four queuing protocols end to
+// BenchmarkBaselines compares the engine's three queuing protocols end to
 // end on an identical workload, each through its engine adapter.
 func BenchmarkBaselines(b *testing.B) {
 	const n = 48
@@ -92,9 +92,7 @@ func BenchmarkBaselines(b *testing.B) {
 		Root:     0,
 		Workload: engine.NewStatic(workload.Poisson(n, 1.0, 200, 1)).MustBuild(),
 	}
-	for _, p := range []engine.Protocol{
-		engine.Arrow{}, engine.NTA{}, engine.Centralized{}, engine.Ivy{},
-	} {
+	for _, p := range []engine.Protocol{engine.Arrow{}, engine.NTA{}, engine.Centralized{}} {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Run(inst); err != nil {
@@ -105,7 +103,7 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselinesClosedLoop compares the four protocols under the
+// BenchmarkBaselinesClosedLoop compares the three protocols under the
 // paper's closed-loop regime (the workload the headline figures plot) —
 // now that every adapter supports it. Reported hops/op is Figure 11's
 // metric per protocol.
@@ -117,9 +115,7 @@ func BenchmarkBaselinesClosedLoop(b *testing.B) {
 		Root:     0,
 		Workload: engine.NewClosedLoop(perNode).MustBuild(),
 	}
-	for _, p := range []engine.Protocol{
-		engine.Arrow{}, engine.NTA{}, engine.Centralized{}, engine.Ivy{},
-	} {
+	for _, p := range []engine.Protocol{engine.Arrow{}, engine.NTA{}, engine.Centralized{}} {
 		b.Run(p.Name(), func(b *testing.B) {
 			var hops float64
 			for i := 0; i < b.N; i++ {
@@ -475,7 +471,7 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 }
 
 // BenchmarkShardClosedLoop measures the multi-object shard driver — the
-// hot issue/forward path shared by all four protocol steppers — with k
+// hot issue/forward path shared by all three protocol steppers — with k
 // arrow instances contending on one capacity-1 complete network. The
 // reported ops/s is completed requests over wall clock; run with
 // -benchmem to watch the driver's flat per-run allocation profile.

@@ -14,21 +14,18 @@ import (
 // baselineProtocols is the fixed protocol set of the baselines grid, in
 // table order.
 func baselineProtocols() []engine.Protocol {
-	return []engine.Protocol{
-		engine.Arrow{}, engine.NTA{}, engine.Centralized{}, engine.Ivy{},
-	}
+	return []engine.Protocol{engine.Arrow{}, engine.NTA{}, engine.Centralized{}}
 }
 
 // BaselineRow is one protocol × size cell of the closed-loop baselines
-// experiment: all four queuing protocols under the paper's Section 5
+// experiment: all three queuing protocols under the paper's Section 5
 // regime (every node keeps one request in flight), on a complete graph
 // with a balanced binary spanning tree for arrow. Queue and reply
 // traffic are reported in separate columns: the paper charges only queue
 // messages to the protocol, and folding the reply leg into one protocol
-// but not another would skew the comparison. The nta and ivy rows are
-// identical by construction, not by measurement: both protocols chase
-// and reverse pointers with the same step rule under this cost model
-// (see shard.Reversal and TestClosedLoopMatchesIvy).
+// but not another would skew the comparison. There is no ivy row: for a
+// find Ivy makes NTA's pointer update, so its row was the nta row (see
+// shard.Reversal).
 type BaselineRow struct {
 	Protocol     string
 	N            int

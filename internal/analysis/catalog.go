@@ -110,7 +110,7 @@ var Experiments = []Experiment{
 		rows, err := NNApproximationSweep([]int{6, 8, 10, 12}, 4, p.Seed)
 		return result(err, nil, NNApproxTable(rows))
 	}},
-	{Name: "baselines", Desc: "arrow vs NTA vs centralized vs Ivy, closed loop + static", Run: func(p Params) (Result, error) {
+	{Name: "baselines", Desc: "arrow vs NTA vs centralized, closed loop + static", Run: func(p Params) (Result, error) {
 		rows, err := BaselinesClosedLoop(p.Sizes, p.PerNode, p.Seed, p.Workers)
 		if err != nil {
 			return Result{}, err

@@ -65,7 +65,7 @@ func churnPlan(n, perNode int, rate float64, seed int64) *sim.FaultPlan {
 // ChurnExperiment sweeps fault rate × workload × protocol on a complete
 // graph with a balanced binary spanning tree: node churn at each rate
 // (an identical failure trace for every protocol), arrow recovering by
-// message-driven self-stabilizing repair, NTA/Ivy by re-issue, and
+// message-driven self-stabilizing repair, NTA by re-issue, and
 // centralized by coordinator failover. Cells fan across the worker pool;
 // the arrowbench/churn document it returns is byte-identical for every
 // worker count.

@@ -65,8 +65,8 @@ func TestChurnExperimentDegradesGracefully(t *testing.T) {
 			t.Fatalf("arrow re-issued without repair: %+v", r)
 		}
 	}
-	if len(protocols) != 4 {
-		t.Fatalf("expected 4 protocols, saw %v", protocols)
+	if want := len(baselineProtocols()); len(protocols) != want {
+		t.Fatalf("expected %d protocols, saw %v", want, protocols)
 	}
 	if activity == 0 {
 		t.Fatalf("no faulty cell dropped anything (%d faulty cells); scenario vacuous", faultyCells)

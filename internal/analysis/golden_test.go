@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -108,5 +109,80 @@ func TestDocumentsGolden(t *testing.T) {
 			t.Fatalf("%s: document has %d lines, golden has %d (rerun with -update only if the change is meant)",
 				path, len(gotLines), len(wantLines))
 		})
+	}
+}
+
+// TestGoldenProtocolColumnsDistinct reads every golden of this package
+// and of internal/shard and fails when two protocols hold the same
+// multiset of rows once the protocol name and the host fields are
+// blanked: such a column is one algorithm under two names, and a table
+// that prints both presents one set of numbers as a comparison. It runs
+// after TestDocumentsGolden, so `-run Golden -update` with a duplicate
+// protocol in a grid writes the goldens and then fails here.
+func TestGoldenProtocolColumnsDistinct(t *testing.T) {
+	var paths []string
+	for _, dir := range []string{"testdata", filepath.Join("..", "shard", "testdata")} {
+		ps, err := filepath.Glob(filepath.Join(dir, "*_golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, ps...)
+	}
+	if len(paths) < 6 {
+		t.Fatalf("found %d goldens, want at least 6: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Rows []map[string]any `json:"rows"`
+		}
+		rows := &doc.Rows
+		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+			rows = &[]map[string]any{}
+			err = json.Unmarshal(data, rows)
+		} else {
+			err = json.Unmarshal(data, &doc)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		columns := map[string][]string{}
+		for _, r := range *rows {
+			proto, _ := r["protocol"].(string)
+			if proto == "" {
+				proto, _ = r["proto"].(string)
+			}
+			delete(r, "protocol")
+			delete(r, "proto")
+			for _, host := range []string{"events_per_sec", "alloc_bytes", "bytes_per_node"} {
+				delete(r, host)
+			}
+			line, err := json.Marshal(r) // map keys marshal sorted
+			if err != nil {
+				t.Fatal(err)
+			}
+			columns[proto] = append(columns[proto], string(line))
+		}
+		if len(columns) < 2 {
+			t.Errorf("%s: %d protocol columns; the check is vacuous", path, len(columns))
+		}
+		protos := make([]string, 0, len(columns))
+		for proto := range columns {
+			protos = append(protos, proto)
+		}
+		sort.Strings(protos)
+		seen := map[string]string{}
+		for _, proto := range protos {
+			col := columns[proto]
+			sort.Strings(col)
+			key := strings.Join(col, "\n")
+			if other, ok := seen[key]; ok {
+				t.Errorf("%s: protocols %q and %q hold the same %d rows", path, other, proto, len(col))
+			}
+			seen[key] = proto
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/sim"
@@ -140,9 +139,6 @@ func scaleCells(cfg *ScaleConfig) []scaleCell {
 			}),
 			cell("nta", "complete", n, func(spec loop.Spec) (*loop.Result, error) {
 				return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
-			}),
-			cell("ivy", "complete", n, func(spec loop.Spec) (*loop.Result, error) {
-				return ivy.RunClosedLoopTopo(sim.NewCompleteTopology(n), ivy.LoopConfig{Spec: spec})
 			}),
 		)
 	}

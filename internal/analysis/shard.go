@@ -22,8 +22,9 @@ type ShardConfig struct {
 	// PerNode is the closed-loop requests per node in every cell.
 	PerNode int `json:"per_node"`
 	// Objects are the object counts of the grid, each at least 2 (one
-	// object is the classic single-object loop, not a shard cell); nil
-	// defaults to 16, 128, 1024.
+	// object is the classic single-object loop, not a shard cell; a
+	// smaller count is a *sim.ConfigError); nil defaults to 16, 128,
+	// 1024.
 	Objects []int `json:"objects"`
 	// Skews are the Zipf popularity exponents of the grid; nil defaults
 	// to 0 (uniform) and 1.1 (the classic hot-object regime).
@@ -84,9 +85,7 @@ type ShardRow struct {
 // the shard document has always listed them (baselineProtocols puts NTA
 // before centralized).
 func shardProtocols() []engine.Protocol {
-	return []engine.Protocol{
-		engine.Arrow{}, engine.Centralized{}, engine.NTA{}, engine.Ivy{},
-	}
+	return []engine.Protocol{engine.Arrow{}, engine.Centralized{}, engine.NTA{}}
 }
 
 // ShardExperiment runs the sharding grid as one engine.Sweep across the
@@ -139,6 +138,13 @@ func ShardExperiment(cfg ShardConfig, workers int) (Document[ShardConfig, ShardR
 func shardCells(cfg ShardConfig) ([]engine.Cell, error) {
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("analysis: shard experiment needs PerNode >= 1, got %d", cfg.PerNode)
+	}
+	for _, k := range cfg.Objects {
+		if k < 2 {
+			return nil, fmt.Errorf("analysis: shard experiment: %w", &sim.ConfigError{
+				Field:  "Objects",
+				Reason: fmt.Sprintf("every object count must be >= 2 (one object is the single-object loop, not a shard cell), got %d", k)})
+		}
 	}
 	g := graph.Complete(cfg.N)
 	t := tree.BalancedBinary(cfg.N)

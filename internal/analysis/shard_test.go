@@ -3,7 +3,10 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestShardExperimentRows pins the grid's shape and the per-row
@@ -21,7 +24,7 @@ func TestShardExperimentRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := doc.Rows
-	wantRows := len(cfg.Objects) * len(cfg.Skews) * 4
+	wantRows := len(cfg.Objects) * len(cfg.Skews) * len(shardProtocols())
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
@@ -122,5 +125,23 @@ func TestShardRowSharesOneSeed(t *testing.T) {
 	}
 	if want := len(cfg.Objects) * len(cfg.Skews); len(seeds) != want {
 		t.Errorf("%d rows, want %d", len(seeds), want)
+	}
+}
+
+// TestShardRejectsObjectsBelowTwo: an object count below 2 is not a
+// shard cell. Under skew 0 the workload builder accepts it, so without
+// the config check the grid would run it as a single-object loop with
+// an all-zero fairness block; it must be a typed error naming Objects,
+// returned before any cell runs.
+func TestShardRejectsObjectsBelowTwo(t *testing.T) {
+	for _, k := range []int{1, 0, -3} {
+		doc, err := ShardExperiment(ShardConfig{N: 8, PerNode: 5, Objects: []int{k}, Skews: []float64{0}}, 1)
+		var ce *sim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Objects" {
+			t.Errorf("Objects {%d}: got error %v, want a *sim.ConfigError on Objects", k, err)
+		}
+		if len(doc.Rows) != 0 {
+			t.Errorf("Objects {%d}: %d rows returned beside the error", k, len(doc.Rows))
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arrow"
 	"repro/internal/centralized"
 	"repro/internal/graph"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/shard"
@@ -281,33 +280,14 @@ func (NTA) static(inst Instance) (*shard.StaticResult, error) {
 
 func (NTA) stepper(n, k int) (shard.Stepper, error) { return nta.NewShardReversal(n, k) }
 
-// Ivy runs the Li–Hudak probable-owner directory on the discrete-event
-// simulator: find messages follow probable-owner chains as real messages
-// over the graph metric (QueueHops counts forwarding messages — the
-// amortized-Θ(log n) quantity — and TotalLatency their simulated cost).
-// Its multi-object tier runs k independent probable-owner sets over the
-// shared metric (see ivy.ShardDirectory).
-type Ivy struct{}
+// Ivy is NTA under the name "ivy": for a find, Li–Hudak's path
+// shortening makes NTA's pointer update, so both ran one stepper. It
+// exists only because bench/ runs it and keys a digest on its name;
+// ROADMAP item 1 deletes it.
+type Ivy struct{ NTA }
 
 // Name implements Protocol.
 func (Ivy) Name() string { return "ivy" }
 
 // Run implements Protocol.
 func (p Ivy) Run(inst Instance) (Cost, error) { return run(p, inst) }
-
-func (p Ivy) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
-
-func (Ivy) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
-	return ivy.RunClosedLoop(inst.Graph, ivy.LoopConfig{Spec: spec, Root: inst.Root})
-}
-
-func (Ivy) static(inst Instance) (*shard.StaticResult, error) {
-	res, err := ivy.Run(inst.Graph, inst.Workload.Set, ivy.Options{
-		Root: inst.Root, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return &res.StaticResult, nil
-}
-
-func (Ivy) stepper(n, k int) (shard.Stepper, error) { return ivy.NewShardDirectory(n, k) }

@@ -1,6 +1,6 @@
 // Package engine is the reusable experiment layer above the protocol
 // packages: a single Protocol interface with a standard Cost result, one
-// adapter per queuing protocol (arrow, centralized, NTA, Ivy), and a
+// adapter per queuing protocol (arrow, centralized, NTA), and a
 // sharded parallel runner (Sweep) that fans independent experiment cells
 // across a worker pool while returning results in deterministic cell
 // order — byte-identical to a sequential run.
@@ -182,7 +182,7 @@ func (s *WorkloadSpec) MustBuild() Workload {
 
 // Instance is one fully specified experiment cell input: topology,
 // workload and simulation options. Graph is required by the completely
-// connected protocols (centralized, NTA, Ivy); Tree by arrow. Either may
+// connected protocols (centralized, NTA); Tree by arrow. Either may
 // be nil when no cell protocol needs it.
 type Instance struct {
 	// Label names the cell in experiment output (e.g. "n=32").
@@ -192,7 +192,7 @@ type Instance struct {
 	// Tree is the spanning tree T arrow runs on.
 	Tree *tree.Tree
 	// Root is the initial sink (arrow), central node (centralized) or
-	// initial owner (NTA, Ivy).
+	// initial tail holder (NTA).
 	Root graph.NodeID
 	// Workload is the traffic.
 	Workload Workload
@@ -208,7 +208,7 @@ type Instance struct {
 	// layer). Only closed-loop workloads support faults; the plan is
 	// read-only and may be shared across cells, so a sweep stays
 	// byte-identical across worker counts. Arrow recovers by
-	// message-driven self-stabilizing repair, NTA/Ivy by re-issue, and
+	// message-driven self-stabilizing repair, NTA by re-issue, and
 	// centralized by deterministic coordinator failover.
 	Faults *sim.FaultPlan
 	// Recorder, when non-nil, receives every completed request's queuing
@@ -333,7 +333,7 @@ func (c Cost) AvgQueueHops() float64 {
 // Protocol is a queuing protocol the engine can run on an Instance.
 // Implementations must be stateless values: the same Protocol is invoked
 // concurrently from multiple sweep workers. Every built-in adapter
-// (Arrow, Centralized, NTA, Ivy) supports both static-set and
+// (Arrow, Centralized, NTA) supports both static-set and
 // closed-loop workloads.
 type Protocol interface {
 	// Name identifies the protocol in experiment output.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -48,11 +49,9 @@ func determinismGrid(seed int64) []Cell {
 				Cell{Protocol: Arrow{}, Instance: inst},
 				Cell{Protocol: NTA{}, Instance: inst},
 				Cell{Protocol: Centralized{}, Instance: inst},
-				Cell{Protocol: Ivy{}, Instance: inst},
 				Cell{Protocol: Arrow{}, Instance: loopInst},
 				Cell{Protocol: Centralized{}, Instance: loopInst},
 				Cell{Protocol: NTA{}, Instance: loopInst},
-				Cell{Protocol: Ivy{}, Instance: loopInst},
 			)
 			i++
 		}
@@ -156,7 +155,7 @@ func TestRecorderDistributionsConsistent(t *testing.T) {
 		if mode == "static" {
 			w = NewStatic(workload.Poisson(n, 0.7, 60, 3)).MustBuild()
 		}
-		for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
+		for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}} {
 			rec := stats.NewDistRecorder()
 			cost, err := p.Run(Instance{
 				Graph:    graph.Complete(n),
@@ -235,7 +234,7 @@ func sequentialInstance(n, requests int) Instance {
 // every protocol must queue in issue order.
 func TestAdaptersAgreeOnSequentialOrder(t *testing.T) {
 	inst := sequentialInstance(16, 12)
-	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
+	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}} {
 		cost, err := p.Run(inst)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -265,7 +264,7 @@ func TestClosedLoopAdapters(t *testing.T) {
 		Root:     0,
 		Workload: NewClosedLoop(perNode).MustBuild(),
 	}
-	for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
+	for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}} {
 		cost, err := p.Run(inst)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -302,7 +301,7 @@ func TestEmptyStaticWorkloadStaysStatic(t *testing.T) {
 		Root:     0,
 		Workload: NewStatic(nil).MustBuild(),
 	}
-	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
+	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}} {
 		cost, err := p.Run(inst)
 		if err != nil {
 			t.Fatalf("%s: empty static set errored: %v", p.Name(), err)
@@ -327,7 +326,7 @@ func TestEmptyStaticWorkloadStaysStatic(t *testing.T) {
 // descriptive error rather than wrong numbers, in both workload modes.
 func TestAdapterTopologyErrors(t *testing.T) {
 	for _, w := range []Workload{NewClosedLoop(5).MustBuild(), NewStatic(workload.OneShot(8, 2, 1)).MustBuild()} {
-		for _, p := range []Protocol{NTA{}, Ivy{}, Centralized{}} {
+		for _, p := range []Protocol{NTA{}, Centralized{}} {
 			if _, err := p.Run(Instance{Workload: w}); err == nil {
 				t.Errorf("%s: expected error for nil graph (closed=%v)", p.Name(), w.Closed())
 			}
@@ -464,27 +463,48 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestIvyAdapterCost: a request at the owner completes locally, and the
-// serialized clock charges metric distance along pointer chains.
-func TestIvyAdapterCost(t *testing.T) {
-	g := graph.Complete(4)
-	set := queuing.NewSet([]queuing.Request{
-		{Node: 0, Time: 0},  // at the initial owner: local
-		{Node: 2, Time: 10}, // one chain hop to 0
-		{Node: 2, Time: 30}, // local again (2 owns it now)
-	})
-	cost, err := Ivy{}.Run(Instance{Graph: g, Root: 0, Workload: NewStatic(set).MustBuild()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.LocalCompletions != 2 {
-		t.Errorf("local completions = %d, want 2", cost.LocalCompletions)
-	}
-	if cost.QueueHops != 1 {
-		t.Errorf("queue hops = %d, want 1", cost.QueueHops)
-	}
-	if cost.MaxHops != 1 {
-		t.Errorf("max hops = %d, want 1", cost.MaxHops)
+// TestIvyIsNTA pins the bench-only shim: Ivy{}.Run is NTA{}.Run under
+// the name "ivy", field for field — distributions, per-object costs and
+// fault counters included — on static, closed-loop, multi-object and
+// faulted instances.
+func TestIvyIsNTA(t *testing.T) {
+	const n = 16
+	g := graph.Complete(n)
+	base := Instance{Graph: g, Root: 3, Latency: sim.AsyncUniform(4), Arbitration: sim.ArbRandom, Seed: 11}
+	static, closed, multi, faulted := base, base, base, base
+	static.Workload = NewStatic(workload.Poisson(n, 0.8, 60, 5)).MustBuild()
+	closed.Workload = NewClosedLoop(20).Think(3).MustBuild()
+	multi.Workload = NewClosedLoop(20).Objects(8).Zipf(1.1).MustBuild()
+	multi.LinkTxTime = 1
+	faulted.Workload = NewClosedLoop(30).MustBuild()
+	faulted.Faults = &sim.FaultPlan{Events: sim.NodeChurn(n, nil, 1.5, 25, 20, 600, 7)}
+	for _, c := range []struct {
+		name string
+		inst Instance
+	}{{"static", static}, {"closed", closed}, {"multi", multi}, {"faulted", faulted}} {
+		run := func(p Protocol) Cost {
+			inst := c.inst
+			inst.Recorder = stats.NewDistRecorder()
+			cost, err := p.Run(inst)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, p.Name(), err)
+			}
+			return cost
+		}
+		want, got := run(NTA{}), run(Ivy{})
+		if c.name == "multi" && len(want.PerObject) != 8 || c.name == "faulted" && want.Dropped == 0 {
+			t.Fatalf("%s: instance is vacuous: %+v", c.name, want)
+		}
+		if got.Protocol != "ivy" || want.Protocol != "nta" {
+			t.Errorf("%s: protocols %q and %q, want ivy and nta", c.name, got.Protocol, want.Protocol)
+		}
+		got.Protocol = want.Protocol
+		for o := range got.PerObject {
+			got.PerObject[o].Protocol = want.PerObject[o].Protocol
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Ivy diverged from NTA:\n ivy %+v\n nta %+v", c.name, got, want)
+		}
 	}
 }
 
@@ -510,7 +530,7 @@ func faultGrid(seed int64) []Cell {
 			Faults:   plan,
 			Recorder: stats.NewDistRecorder(),
 		}
-		for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}, Ivy{}} {
+		for _, p := range []Protocol{Arrow{}, Centralized{}, NTA{}} {
 			c := inst
 			c.Recorder = stats.NewDistRecorder()
 			cells = append(cells, Cell{Protocol: p, Instance: c})
@@ -573,7 +593,7 @@ func TestFaultsRequireClosedLoop(t *testing.T) {
 	}}
 	inst := sequentialInstance(8, 4)
 	inst.Faults = plan
-	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
+	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}} {
 		if _, err := p.Run(inst); err == nil {
 			t.Errorf("%s: static workload with faults accepted", p.Name())
 		}
@@ -586,7 +606,7 @@ func TestFaultsRequireClosedLoop(t *testing.T) {
 func TestLinkTxTimeRequiresClosedLoop(t *testing.T) {
 	inst := sequentialInstance(8, 4)
 	inst.LinkTxTime = 1
-	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}, Ivy{}} {
+	for _, p := range []Protocol{Arrow{}, NTA{}, Centralized{}} {
 		_, err := p.Run(inst)
 		var ce *sim.ConfigError
 		if !errors.As(err, &ce) || ce.Field != "LinkTxTime" {

@@ -12,15 +12,10 @@ import (
 	"repro/internal/tree"
 )
 
-// multiProtocols returns the four adapters; every one runs the
+// multiProtocols returns the three adapters; every one runs the
 // multi-object tier through the one Protocol.Run.
 func multiProtocols() []engine.Protocol {
-	return []engine.Protocol{
-		engine.Arrow{},
-		engine.Centralized{},
-		engine.NTA{},
-		engine.Ivy{},
-	}
+	return []engine.Protocol{engine.Arrow{}, engine.Centralized{}, engine.NTA{}}
 }
 
 // TestShardedRunAllProtocols runs every adapter's sharded tier and checks
@@ -192,7 +187,7 @@ func TestMultiValidation(t *testing.T) {
 		}
 	})
 	t.Run("recorder length mismatch", func(t *testing.T) {
-		_, err := engine.Ivy{}.Run(engine.Instance{
+		_, err := engine.NTA{}.Run(engine.Instance{
 			Graph:           g,
 			Workload:        multi,
 			ObjectRecorders: make([]stats.Recorder, 3),
@@ -283,6 +278,6 @@ func TestGridRejectsSharedObjectRecorder(t *testing.T) {
 		}()
 		engine.Grid([]engine.Instance{
 			{Label: "a", Workload: w, ObjectRecorders: []stats.Recorder{shared, nil}},
-		}, engine.NTA{}, engine.Ivy{})
+		}, engine.NTA{}, engine.Centralized{})
 	})
 }

@@ -9,17 +9,22 @@
 // connected network.
 //
 // Directory is the sequential pointer-combinatorics model (Find /
-// FindChain replay a whole chain atomically) the tests hold the
-// simulated runs against; Run and RunClosedLoop execute the same pointer
-// discipline step-wise (shard.Reversal) on the discrete-event simulator,
-// with find messages travelling the graph metric.
+// FindChain replay a whole chain atomically). For a find, Ivy's path
+// shortening makes NTA's pointer update, so the simulator runs one
+// path-reversal stepper for both (shard.Reversal, see package nta), and
+// Directory is the oracle that stepper's chains are held against.
 package ivy
 
 import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/nta"
 )
+
+// NewShardDirectory is nta.NewShardReversal. It exists only because
+// bench/ calls it; ROADMAP item 1 deletes it.
+func NewShardDirectory(n, k int) (*nta.ShardReversal, error) { return nta.NewShardReversal(n, k) }
 
 // Directory is a sequential model of the Ivy ownership directory: it
 // captures exactly the pointer-chain combinatorics that the amortized

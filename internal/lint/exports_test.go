@@ -26,8 +26,8 @@ var keptExports = map[string]string{
 	"internal/arrow.VerifySinkReachability": "the one-sink pointer invariant the arrow and runtime tests assert at quiescence",
 	"internal/graph.Graph.Connected":        "what the generator tests check every generated graph for",
 	"internal/graph.Graph.ShortestPath":     "one shortest path, the reference every weighted MetricTopology hop count is checked against (TestMetricTopologyHopsMatchShortestPath)",
-	"internal/ivy.Directory":                "the sequential pointer-chain model the simulated Ivy runs are held against",
-	"internal/ivy.NewDirectory":             "constructor of the Directory reference model",
+	"internal/ivy.Directory":                "Li–Hudak's sequential pointer-chain model, the oracle shard.Reversal's chains are held against (TestReversalMatchesDirectory)",
+	"internal/ivy.NewDirectory":             "constructor of that Directory oracle",
 	"internal/lint.NewLoader":               "loads the analyzer fixtures under testdata/src for the harness tests; cmd/arrowlint is handed its packages by go vet",
 	"internal/opt.DistOfTree":               "dT as a DistFunc: the tests' reference for arrow's cost cA and the tree stretch",
 	"internal/queuing.CA":                   "eq. (1)'s arrow cost cA, the reference arrow's measured latency is compared with",

@@ -1,14 +1,13 @@
 package loop_test
 
 // External test package: the loop driver is exercised through its real
-// consumers (NTA and Ivy), matching how the engine adapters drive it.
+// consumer (NTA), matching how the engine adapters drive it.
 
 import (
 	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/sim"
@@ -20,50 +19,39 @@ func churnPlan(n int, rate float64, seed int64) *sim.FaultPlan {
 	return &sim.FaultPlan{Events: sim.NodeChurn(n, nil, rate, 25, 20, 600, seed)}
 }
 
-// TestForwardingLoopsSurviveNodeChurn: NTA and Ivy closed loops complete
+// TestForwardingLoopsSurviveNodeChurn: NTA's closed loop completes
 // every request under node churn — dropped finds re-issue at heal,
 // dropped replies resume the requester's loop.
 func TestForwardingLoopsSurviveNodeChurn(t *testing.T) {
 	const n, perNode = 24, 30
 	g := graph.Complete(n)
 	plan := churnPlan(n, 1.5, 7)
-	run := func(name string) *nta.LoopResult {
-		switch name {
-		case "nta":
-			res, err := nta.RunClosedLoop(g, nta.LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Root: 0})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return res
-		default:
-			res, err := ivy.RunClosedLoop(g, ivy.LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Root: 0})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return res
+	run := func() *nta.LoopResult {
+		res, err := nta.RunClosedLoop(g, nta.LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Root: 0})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	for _, name := range []string{"nta", "ivy"} {
-		res := run(name)
-		if want := int64(n * perNode); res.Requests != want {
-			t.Fatalf("%s: completed %d of %d", name, res.Requests, want)
-		}
-		if res.Dropped == 0 {
-			t.Fatalf("%s: churn plan dropped nothing; scenario vacuous", name)
-		}
-		if res.Reissued == 0 && res.RepliesLost == 0 {
-			t.Fatalf("%s: drops without any recovery activity: %+v", name, res)
-		}
-		if res.Affected == 0 || res.Affected > res.Requests {
-			t.Fatalf("%s: implausible affected count: %+v", name, res)
-		}
-		if res.RepairMessages != 0 || res.RepairEpisodes != 0 {
-			t.Fatalf("%s: forwarding protocol reported repair traffic: %+v", name, res)
-		}
-		// Determinism: an identical run returns identical counters.
-		if again := run(name); !reflect.DeepEqual(res, again) {
-			t.Fatalf("%s: fault run not deterministic", name)
-		}
+	res := run()
+	if want := int64(n * perNode); res.Requests != want {
+		t.Fatalf("completed %d of %d", res.Requests, want)
+	}
+	if res.Dropped == 0 {
+		t.Fatal("churn plan dropped nothing; scenario vacuous")
+	}
+	if res.Reissued == 0 && res.RepliesLost == 0 {
+		t.Fatalf("drops without any recovery activity: %+v", res)
+	}
+	if res.Affected == 0 || res.Affected > res.Requests {
+		t.Fatalf("implausible affected count: %+v", res)
+	}
+	if res.RepairMessages != 0 || res.RepairEpisodes != 0 {
+		t.Fatalf("forwarding protocol reported repair traffic: %+v", res)
+	}
+	// Determinism: an identical run returns identical counters.
+	if again := run(); !reflect.DeepEqual(res, again) {
+		t.Fatal("fault run not deterministic")
 	}
 }
 
@@ -92,11 +80,11 @@ func TestForwardingLoopQueuePolicy(t *testing.T) {
 // the forwarding drivers — a nil and an empty plan agree byte for byte.
 func TestForwardingLoopEmptyPlanBitIdentical(t *testing.T) {
 	g := graph.Complete(12)
-	base, err := ivy.RunClosedLoop(g, ivy.LoopConfig{Spec: loop.Spec{PerNode: 25}, Root: 0})
+	base, err := nta.RunClosedLoop(g, nta.LoopConfig{Spec: loop.Spec{PerNode: 25}, Root: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := ivy.RunClosedLoop(g, ivy.LoopConfig{Spec: loop.Spec{PerNode: 25, Faults: &sim.FaultPlan{}}, Root: 0})
+	empty, err := nta.RunClosedLoop(g, nta.LoopConfig{Spec: loop.Spec{PerNode: 25, Faults: &sim.FaultPlan{}}, Root: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

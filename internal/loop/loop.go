@@ -1,7 +1,7 @@
 // Package loop holds the closed-loop types every protocol driver shares:
-// Spec, the run knobs all four LoopConfigs embed, and Result, the counter
-// tuple all four return. The driver that executes a Spec for the
-// pointer-chasing protocols (arrow, NTA, Ivy) is package shard's; the
+// Spec, the run knobs all three LoopConfigs embed, and Result, the counter
+// tuple all three return. The driver that executes a Spec for the
+// pointer-chasing protocols (arrow, NTA) is package shard's; the
 // centralized coordinator keeps its own (see DESIGN.md).
 package loop
 
@@ -11,8 +11,8 @@ import (
 )
 
 // Spec drives a closed-loop run (the Section 5 regime). It is the one
-// run-spec shared by every protocol driver: arrow, centralized, NTA and
-// Ivy all embed it in their LoopConfig, so the common knobs exist once
+// run-spec shared by every protocol driver: arrow, centralized and NTA
+// all embed it in their LoopConfig, so the common knobs exist once
 // and cannot drift between protocols.
 type Spec struct {
 	// PerNode is the number of requests each node issues.
@@ -36,7 +36,7 @@ type Spec struct {
 	// Faults, when non-nil, is the deterministic liveness schedule the
 	// run executes under. A dropped find loses the request and a dropped
 	// completion notification strands its requester; each protocol
-	// recovers its own way (NTA/Ivy re-issue once the blocking entity
+	// recovers its own way (NTA re-issues once the blocking entity
 	// recovers, arrow repairs its pointer state first, the centralized
 	// coordinator fails over — see the protocol's LoopConfig). The plan
 	// must be Healing: a permanently dead entity leaves requests
@@ -62,8 +62,8 @@ type Spec struct {
 }
 
 // Result aggregates a closed-loop run: one counter tuple for every
-// protocol (arrow.LoopResult, centralized.LoopResult, nta.LoopResult
-// and ivy.LoopResult are all this type), so the engine layer maps any
+// protocol (arrow.LoopResult, centralized.LoopResult and nta.LoopResult
+// are all this type), so the engine layer maps any
 // run to its Cost through one conversion. Counters rather than
 // per-request records keep multi-million-request runs cheap. QueueHops
 // and ReplyHops count messages, each one link traversal: a tree edge

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/graph"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/sim"
@@ -26,7 +25,7 @@ const goldenPath = "testdata/closedloop_golden.json"
 // goldenCase names one single-object closed-loop run. Every field is a
 // plain value so the committed file describes its own rows.
 type goldenCase struct {
-	Proto   string `json:"proto"` // arrow (balanced binary tree) | nta | ivy (complete metric)
+	Proto   string `json:"proto"` // arrow (balanced binary tree) | nta (complete metric)
 	N       int    `json:"n"`
 	PerNode int    `json:"per_node"`
 	Latency string `json:"latency"` // sync | async4
@@ -48,7 +47,7 @@ type goldenRow struct {
 // goldenCases is the matrix the rows were captured over, in file order.
 func goldenCases() []goldenCase {
 	var cs []goldenCase
-	for _, proto := range []string{"arrow", "nta", "ivy"} {
+	for _, proto := range []string{"arrow", "nta"} {
 		for _, n := range []int{1, 2, 24, 76} {
 			for _, lat := range []string{"sync", "async4"} {
 				for _, think := range []int64{0, 16} {
@@ -59,24 +58,20 @@ func goldenCases() []goldenCase {
 			}
 		}
 		// A non-zero root moves the initial sink off the tree root
-		// (arrow) and off node 0 (NTA, Ivy).
+		// (arrow) and off node 0 (NTA).
 		for _, n := range []int{24, 76} {
 			for _, lat := range []string{"sync", "async4"} {
 				cs = append(cs, goldenCase{Proto: proto, N: n, PerNode: 12, Latency: lat, Root: n / 3})
 			}
 		}
 	}
-	// Healing fault plans: the forwarding protocols recover by re-issue
-	// at heal; arrow's link-churn rows drop queue messages, so they run
-	// freeze → drain → repair → re-issue (RepairEpisodes > 0).
-	for _, proto := range []string{"nta", "ivy"} {
-		cs = append(cs,
-			goldenCase{Proto: proto, N: 24, PerNode: 30, Latency: "sync", Faults: "node-churn"},
-			goldenCase{Proto: proto, N: 24, PerNode: 30, Latency: "async4", Think: 16, Root: 5, Faults: "node-churn"},
-			goldenCase{Proto: proto, N: 16, PerNode: 20, Latency: "sync", Faults: "node-queue"},
-		)
-	}
+	// Healing fault plans: NTA recovers by re-issue at heal; arrow's
+	// link-churn rows drop queue messages, so they run freeze → drain →
+	// repair → re-issue (RepairEpisodes > 0).
 	cs = append(cs,
+		goldenCase{Proto: "nta", N: 24, PerNode: 30, Latency: "sync", Faults: "node-churn"},
+		goldenCase{Proto: "nta", N: 24, PerNode: 30, Latency: "async4", Think: 16, Root: 5, Faults: "node-churn"},
+		goldenCase{Proto: "nta", N: 16, PerNode: 20, Latency: "sync", Faults: "node-queue"},
 		goldenCase{Proto: "arrow", N: 31, PerNode: 40, Latency: "sync", Faults: "link-churn"},
 		goldenCase{Proto: "arrow", N: 31, PerNode: 40, Latency: "async4", Think: 16, Root: 9, Faults: "link-churn"},
 		goldenCase{Proto: "arrow", N: 24, PerNode: 30, Latency: "sync", Faults: "node-churn"},
@@ -140,8 +135,6 @@ func runGolden(c goldenCase) (goldenRow, error) {
 		}
 	case "nta":
 		res, err = nta.RunClosedLoopTopo(sim.NewCompleteTopology(c.N), nta.LoopConfig{Spec: spec, Root: root})
-	case "ivy":
-		res, err = ivy.RunClosedLoopTopo(sim.NewCompleteTopology(c.N), ivy.LoopConfig{Spec: spec, Root: root})
 	default:
 		err = fmt.Errorf("unknown protocol %q", c.Proto)
 	}
@@ -153,10 +146,11 @@ func runGolden(c goldenCase) (goldenRow, error) {
 
 // TestClosedLoopGolden pins the single driver to the tuples the three
 // drivers it replaced produced at the commit before they were deleted
-// (arrow's private loop, and package loop's under NTA and Ivy): every
+// (arrow's private loop, and package loop's under NTA and Ivy; the Ivy
+// rows were NTA's twins and were dropped with the simulated Ivy): every
 // counter of loop.Result plus the latency and hop histogram snapshots,
 // fault-free and under healing fault plans. A swapped reversal target
-// in any stepper (previous hop for arrow, requester for NTA/Ivy) or a
+// in any stepper (previous hop for arrow, requester for NTA) or a
 // swapped reply route (tree-routed for arrow, direct otherwise) changes
 // hop counts or latencies in some row.
 func TestClosedLoopGolden(t *testing.T) {

@@ -2,15 +2,13 @@ package shard
 
 import "repro/internal/graph"
 
-// Reversal is the pointer table NTA and Ivy share: k independent pointer
-// sets over the same n nodes, every pointer of a set initially naming
-// that object's root. A request chases the pointers to the node that
-// names itself, and every node it visits — the requester included —
-// redirects its pointer to the requester. NTA calls the pointers "last"
-// and the self-pointing node the tail holder; Ivy calls them probable
-// owners and the chase forward path shortening. The pointer updates are
-// step for step the same, so the two protocols' closed-loop rows are
-// identical by construction (nta's TestClosedLoopMatchesIvy pins it).
+// Reversal is NTA's pointer table: k independent pointer sets over the
+// same n nodes, every pointer of a set initially naming that object's
+// root. A request chases the pointers to the node that names itself
+// (the tail holder), and every node it visits — the requester included —
+// redirects its pointer to the requester. Ivy's path shortening makes
+// the same update for a find, so this one stepper serves both, held
+// against ivy.Directory's atomic chains (TestReversalMatchesDirectory).
 type Reversal struct {
 	n   int
 	ptr []graph.NodeID
@@ -54,11 +52,6 @@ func (r *Reversal) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.
 		return origin, true
 	}
 	return next, false
-}
-
-// Pointers returns object obj's pointer of every node, indexed by node.
-func (r *Reversal) Pointers(obj int32) []graph.NodeID {
-	return r.ptr[int(obj)*r.n : (int(obj)+1)*r.n]
 }
 
 // ShardSafeStepper is the unread shard.ShardSafe marker (every entry is

@@ -1,5 +1,5 @@
 // Package shard is the closed-loop driver for every pointer-chasing
-// protocol (arrow, NTA, Ivy, and the sharded coordinator): every node
+// protocol (arrow, NTA, and the sharded coordinator): every node
 // issues PerNode requests one at a time, each request chases its
 // object's pointer discipline hop by hop as real simulator messages, the
 // node where the chase ends notifies the requester, and the requester
@@ -20,8 +20,8 @@
 //
 // Replay is the Stepper's other executor: it runs a static request set
 // (the paper's Section 3 setting) through the same two steps and retains
-// every completion and the queuing order. arrow.Run, nta.Run and ivy.Run
-// are Replay over the stepper their closed loops hand to the Driver.
+// every completion and the queuing order. arrow.Run and nta.Run are
+// Replay over the stepper their closed loops hand to the Driver.
 package shard
 
 import (
@@ -44,7 +44,7 @@ import (
 // exactly one node per object holds the tail. ForwardFind receives both
 // the previous hop (from) and the requester (origin): tree protocols
 // reverse pointers toward the previous hop (arrow), metric protocols
-// toward the origin (NTA, Ivy).
+// toward the origin (NTA).
 type Stepper interface {
 	// StartFind begins a request for object obj at node v. If v already
 	// holds the object's tail, local is true and no message is sent;

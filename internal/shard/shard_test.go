@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/shard"
@@ -28,10 +27,6 @@ func steppers(t *testing.T, n, k int) map[string]shard.Stepper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := ivy.NewShardDirectory(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctr, err := centralized.NewShardCenters(n, k)
 	if err != nil {
 		t.Fatal(err)
@@ -39,38 +34,7 @@ func steppers(t *testing.T, n, k int) map[string]shard.Stepper {
 	return map[string]shard.Stepper{
 		"arrow":       forest,
 		"nta":         rev,
-		"ivy":         dir,
 		"centralized": ctr,
-	}
-}
-
-// TestNTAMatchesIvy extends the protocols' step-for-step identity (see
-// shard.Reversal) to the multi-object tier.
-func TestNTAMatchesIvy(t *testing.T) {
-	const n, k, perNode = 16, 8, 20
-	spec := shard.Spec{
-		Spec:    loop.Spec{PerNode: perNode, Seed: 3},
-		Objects: k,
-		Skew:    1.1,
-	}
-	rev, err := nta.NewShardReversal(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := ivy.NewShardDirectory(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := shard.Run(sim.NewCompleteTopology(n), rev, "nta", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := shard.Run(sim.NewCompleteTopology(n), dir, "ivy", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("nta and ivy shard runs diverged:\n nta %+v\n ivy %+v", a.Agg, b.Agg)
 	}
 }
 
@@ -105,7 +69,7 @@ func TestCrossWorkerBitIdentity(t *testing.T) {
 		}
 		return res, snaps
 	}
-	for _, name := range []string{"arrow", "nta", "ivy", "centralized"} {
+	for _, name := range []string{"arrow", "nta", "centralized"} {
 		t.Run(name, func(t *testing.T) {
 			serial, serialSnaps := run(name, 1)
 			parallel, parallelSnaps := run(name, 4)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/graph"
-	"repro/internal/ivy"
 	"repro/internal/nta"
 	"repro/internal/queuing"
 	"repro/internal/shard"
@@ -23,8 +22,8 @@ const staticGoldenPath = "testdata/static_golden.json"
 // staticCase names one static-set run; every field is a plain value so
 // the committed file describes its own rows.
 type staticCase struct {
-	Proto   string `json:"proto"`   // arrow (spanning tree) | nta | ivy (graph metric)
-	Shape   string `json:"shape"`   // path | star | binary | bfs (arrow); complete | ring | gnp (nta, ivy)
+	Proto   string `json:"proto"`   // arrow (spanning tree) | nta (graph metric)
+	Shape   string `json:"shape"`   // path | star | binary | bfs (arrow); complete | ring | gnp (nta)
 	N       int    `json:"n"`       // node count
 	Latency string `json:"latency"` // sync | async4 | bimodal
 	Arb     string `json:"arb"`     // fifo | lifo | random
@@ -34,8 +33,8 @@ type staticCase struct {
 
 // staticRow is a case with everything the run reports, one column per
 // completion field (indexed by request ID). Sink and the final pointer
-// state are arrow's; PhysHops is NTA's and Ivy's (on a tree every hop is
-// one link).
+// state are arrow's; PhysHops is NTA's (on a tree every hop is one
+// link).
 type staticRow struct {
 	staticCase
 	Makespan     int64   `json:"makespan"`
@@ -61,13 +60,12 @@ func staticCases() []staticCase {
 	}{
 		{"arrow", []string{"path", "star", "binary", "bfs"}},
 		{"nta", []string{"complete", "ring", "gnp"}},
-		{"ivy", []string{"complete", "ring", "gnp"}},
 	} {
 		for _, shape := range p.shapes {
 			for _, n := range []int{1, 2, 24, 76} {
 				roots := []int{0}
 				if n/3 != 0 {
-					// Off the tree root (arrow), off node 0 (NTA, Ivy).
+					// Off the tree root (arrow), off node 0 (NTA).
 					roots = append(roots, n/3)
 				}
 				for _, lat := range []string{"sync", "async4", "bimodal"} {
@@ -174,11 +172,6 @@ func runStatic(c staticCase) (staticRow, error) {
 		}
 	case "nta":
 		res, err = nta.Run(staticGraph(c.Shape, c.N), set, nta.Options{Root: root, Latency: lat, Arbitration: arb, Seed: 7})
-	case "ivy":
-		var r *ivy.Result
-		if r, err = ivy.Run(staticGraph(c.Shape, c.N), set, ivy.Options{Root: root, Latency: lat, Arbitration: arb, Seed: 7}); err == nil {
-			res = &r.StaticResult
-		}
 	default:
 		err = fmt.Errorf("unknown protocol %q", c.Proto)
 	}
@@ -189,7 +182,7 @@ func runStatic(c staticCase) (staticRow, error) {
 	row.Order = append([]int{}, res.Order...)
 	row.Pred, row.At, row.Hops = make([]int, len(set)), make([]int64, len(set)), make([]int, len(set))
 	// The drivers the rows were captured from reported a sink under arrow
-	// and physical hops under NTA and Ivy.
+	// and physical hops under NTA.
 	last := make([]int, len(set))
 	if c.Proto == "arrow" {
 		row.Sink = last
@@ -205,9 +198,9 @@ func runStatic(c staticCase) (staticRow, error) {
 	return row, nil
 }
 
-// TestStaticGolden pins arrow.Run, nta.Run and ivy.Run — all three are
-// shard.Replay over the protocol's Stepper — to what the three private
-// static drivers they replaced produced at the commit before they were
+// TestStaticGolden pins arrow.Run and nta.Run — both are shard.Replay
+// over the protocol's Stepper — to what the private static drivers they
+// replaced produced at the commit before they were
 // deleted: every completion (predecessor, time, hops, sink or physical
 // hops), the order, the makespan and totals, and arrow's final links and
 // sink. The file is compared byte for byte; -update rewrites it, only
@@ -221,15 +214,17 @@ func runStatic(c staticCase) (staticRow, error) {
 // moved. AsyncUniform took the hash AsyncCounter used, so each counter4
 // row became a byte copy of its async4 twin, and that axis was dropped
 // (the closed-loop golden lost its counter4 rows for the same reason).
+// The ivy rows, byte copies of their nta twins because the simulated Ivy
+// ran nta's stepper, were dropped with it; no other row moved.
 //
 // Mutations of Replay and the steppers, each verified to fail this test:
 //
 //	skip the pointer flip on a forwarded find      ShardForest.ForwardFind: arrow rows stop with a
-//	                                               two-successors error; Reversal.ForwardFind: nta, ivy
+//	                                               two-successors error; Reversal.ForwardFind: nta
 //	write lastReq[v] before reading it at a        the first row already (a request queued behind
 //	local completion                               itself breaks the chain)
 //	inject requests in node order, not set order   139 rows: poisson sets under random arbitration
-//	count PhysHops as Hops                         the ring and gnp rows of nta and ivy
+//	count PhysHops as Hops                         the ring and gnp rows of nta
 func TestStaticGolden(t *testing.T) {
 	var buf bytes.Buffer
 	cases := staticCases()

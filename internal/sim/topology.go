@@ -96,7 +96,7 @@ func (t DirectTopology) NumNodes() int { return t.G.NumNodes() }
 
 // MetricTopology allows any pair of nodes to exchange messages with
 // latency dG(u, v), modelling protocols that route over shortest paths
-// (the centralized baseline, NTA, Ivy). Hop accounting charges the
+// (the centralized baseline, NTA). Hop accounting charges the
 // shortest path's edge count per logical message.
 type MetricTopology struct {
 	dist [][]graph.Weight // the graph's memoized AllPairs matrix
@@ -176,7 +176,7 @@ func (m *MetricTopology) Dist(u, v graph.NodeID) graph.Weight { return m.dist[u]
 // NewMetricTopology(graph.Complete(n)): every ordered pair of distinct
 // nodes is connected by a direct link of weight W, with no O(n²)
 // distance matrix behind it. It is what lets the complete-graph
-// protocols (centralized, NTA, Ivy) run at a million nodes — the dense
+// protocols (centralized, NTA) run at a million nodes — the dense
 // metric tables alone would be terabytes. NumLinks is still nominally
 // n², so past paper scale (n > 181) the simulator keeps the per-link
 // clocks in a table of the links with messages in flight rather than a

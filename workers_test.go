@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
-	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/shard"
@@ -40,8 +39,6 @@ func newShardStepper(t *testing.T, proto string, n, k int) shard.Stepper {
 		st, err = centralized.NewShardCenters(n, k)
 	case "nta":
 		st, err = nta.NewShardReversal(n, k)
-	case "ivy":
-		st, err = ivy.NewShardDirectory(n, k)
 	default:
 		t.Fatalf("unknown proto %q", proto)
 	}
@@ -101,7 +98,7 @@ func TestParallelCommitBitIdentical(t *testing.T) {
 		{"window8", sim.SynchronousScaled(8), 0},
 		{"window8/capacity", sim.SynchronousScaled(8), 2},
 	}
-	for _, proto := range []string{"arrow", "centralized", "nta", "ivy"} {
+	for _, proto := range []string{"arrow", "centralized", "nta"} {
 		for _, tc := range cases {
 			t.Run(proto+"/"+tc.name, func(t *testing.T) {
 				base := runShardOnce(t, proto, 1, tc.lat, tc.tx)
@@ -148,7 +145,7 @@ func TestParallelCommitLoopDriver(t *testing.T) {
 	}
 }
 
-// TestWorkersAccepted pins the contract at each of the four closed-loop
+// TestWorkersAccepted pins the contract at each of the three closed-loop
 // entry points: Workers 4 returns the Result of Workers 0, the drain
 // half of the telemetry is zero, and the scheduler half equals the
 // Workers 0 run's.
@@ -167,9 +164,6 @@ func TestWorkersAccepted(t *testing.T) {
 		}},
 		{"nta", func(spec loop.Spec) (*loop.Result, error) {
 			return nta.RunClosedLoopTopo(complete, nta.LoopConfig{Spec: spec})
-		}},
-		{"ivy", func(spec loop.Spec) (*loop.Result, error) {
-			return ivy.RunClosedLoopTopo(complete, ivy.LoopConfig{Spec: spec})
 		}},
 	}
 	for _, p := range protos {
