@@ -41,8 +41,9 @@ var update = flag.Bool("update", false, "rewrite testdata/{perf,scale,shard,chur
 //	sim ringBits 9 -> 8                             scale golden alone (far_pushes 2 -> 34): perf, shard
 //	                                                and churn stay green, as does every sim test — work
 //	                                                counters are gated on their own
-//	a fifth protocol in baselineProtocols()         perf and churn goldens (an extra row per cell), and
-//	                                                TestBaselinesClosedLoop
+//	engine.Ivy{} back in baselineProtocols()        perf and churn goldens (an extra row per cell), and
+//	                                                TestBaselinesClosedLoop; after -update,
+//	                                                TestGoldenProtocolColumnsDistinct (ivy = nta)
 //	box a value per call in Simulator.send          root TestSimSendDispatchZeroAlloc, all three cases
 //	                                                (200 512 allocations), shard.TestReplayAllocsPerRequest
 //	delete BenchmarkShardHandle                     lint.TestHotpathCoverage

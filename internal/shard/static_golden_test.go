@@ -223,7 +223,7 @@ func runStatic(c staticCase) (staticRow, error) {
 //	                                               two-successors error; Reversal.ForwardFind: nta
 //	write lastReq[v] before reading it at a        the first row already (a request queued behind
 //	local completion                               itself breaks the chain)
-//	inject requests in node order, not set order   139 rows: poisson sets under random arbitration
+//	inject requests in node order, not set order   98 rows: poisson sets under random arbitration
 //	count PhysHops as Hops                         the ring and gnp rows of nta
 func TestStaticGolden(t *testing.T) {
 	var buf bytes.Buffer
