@@ -463,17 +463,41 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
+// TestIvyAdapterCost: the bench-only shim Ivy accounts a static run as
+// path reversal does — a find at the owner completes locally, a remote
+// one costs its chain.
+func TestIvyAdapterCost(t *testing.T) {
+	g := graph.Complete(4)
+	set := queuing.NewSet([]queuing.Request{
+		{Node: 0, Time: 0},  // at the initial owner: local
+		{Node: 2, Time: 10}, // one chain hop to 0
+		{Node: 2, Time: 30}, // local again (2 owns it now)
+	})
+	cost, err := Ivy{}.Run(Instance{Graph: g, Root: 0, Workload: NewStatic(set).MustBuild()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.LocalCompletions != 2 {
+		t.Errorf("local completions = %d, want 2", cost.LocalCompletions)
+	}
+	if cost.QueueHops != 1 {
+		t.Errorf("queue hops = %d, want 1", cost.QueueHops)
+	}
+	if cost.MaxHops != 1 {
+		t.Errorf("max hops = %d, want 1", cost.MaxHops)
+	}
+}
+
 // TestIvyIsNTA pins the bench-only shim: Ivy{}.Run is NTA{}.Run under
 // the name "ivy", field for field — distributions, per-object costs and
-// fault counters included — on static, closed-loop, multi-object and
-// faulted instances.
+// fault counters included — on static, multi-object and faulted
+// instances (nta's TestClosedLoopMatchesIvy covers the closed loop).
 func TestIvyIsNTA(t *testing.T) {
 	const n = 16
 	g := graph.Complete(n)
 	base := Instance{Graph: g, Root: 3, Latency: sim.AsyncUniform(4), Arbitration: sim.ArbRandom, Seed: 11}
-	static, closed, multi, faulted := base, base, base, base
+	static, multi, faulted := base, base, base
 	static.Workload = NewStatic(workload.Poisson(n, 0.8, 60, 5)).MustBuild()
-	closed.Workload = NewClosedLoop(20).Think(3).MustBuild()
 	multi.Workload = NewClosedLoop(20).Objects(8).Zipf(1.1).MustBuild()
 	multi.LinkTxTime = 1
 	faulted.Workload = NewClosedLoop(30).MustBuild()
@@ -481,7 +505,7 @@ func TestIvyIsNTA(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		inst Instance
-	}{{"static", static}, {"closed", closed}, {"multi", multi}, {"faulted", faulted}} {
+	}{{"static", static}, {"multi", multi}, {"faulted", faulted}} {
 		run := func(p Protocol) Cost {
 			inst := c.inst
 			inst.Recorder = stats.NewDistRecorder()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
+	"repro/internal/ivy"
 	"repro/internal/loop"
 	"repro/internal/nta"
 	"repro/internal/shard"
@@ -35,6 +36,36 @@ func steppers(t *testing.T, n, k int) map[string]shard.Stepper {
 		"arrow":       forest,
 		"nta":         rev,
 		"centralized": ctr,
+	}
+}
+
+// TestNTAMatchesIvy pins the bench-only shim ivy.NewShardDirectory: a
+// multi-object run over it is the run over nta.NewShardReversal.
+func TestNTAMatchesIvy(t *testing.T) {
+	const n, k, perNode = 16, 8, 20
+	spec := shard.Spec{
+		Spec:    loop.Spec{PerNode: perNode, Seed: 3},
+		Objects: k,
+		Skew:    1.1,
+	}
+	rev, err := nta.NewShardReversal(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := ivy.NewShardDirectory(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := shard.Run(sim.NewCompleteTopology(n), rev, "nta", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := shard.Run(sim.NewCompleteTopology(n), dir, "ivy", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("nta and ivy shard runs diverged:\n nta %+v\n ivy %+v", a.Agg, b.Agg)
 	}
 }
 
