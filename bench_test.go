@@ -18,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/loop"
+	"repro/internal/nta"
 	"repro/internal/opt"
 	"repro/internal/queuing"
 	"repro/internal/runtime"
@@ -471,35 +472,45 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 }
 
 // BenchmarkShardClosedLoop measures the multi-object shard driver — the
-// hot issue/forward path shared by all three protocol steppers — with k
-// arrow instances contending on one capacity-1 complete network. The
+// hot issue/forward path shared by the protocol steppers — with k arrow
+// or NTA instances contending on one capacity-1 complete network. The
 // reported ops/s is completed requests over wall clock; run with
-// -benchmem to watch the driver's flat per-run allocation profile.
+// -benchmem to watch the driver's flat per-run allocation profile. The
+// n = 1024, k = 1024 case builds a full-size pointer table each run, so
+// its B/op is dominated by the table's two-byte cells.
 func BenchmarkShardClosedLoop(b *testing.B) {
-	const n, perNode = 32, 16
-	for _, k := range []int{16, 256} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			topo := sim.NewCompleteTopology(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step, err := arrow.NewShardForest(n, k)
-				if err != nil {
-					b.Fatal(err)
+	steppers := []struct {
+		name string
+		make func(n, k int) (shard.Stepper, error)
+	}{
+		{"arrow", func(n, k int) (shard.Stepper, error) { return arrow.NewShardForest(n, k) }},
+		{"nta", func(n, k int) (shard.Stepper, error) { return nta.NewShardReversal(n, k) }},
+	}
+	for _, c := range []struct{ n, k, perNode int }{{32, 16, 16}, {32, 256, 16}, {1024, 1024, 5}} {
+		for _, st := range steppers {
+			b.Run(fmt.Sprintf("%s/n=%d/k=%d", st.name, c.n, c.k), func(b *testing.B) {
+				topo := sim.NewCompleteTopology(c.n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step, err := st.make(c.n, c.k)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := shard.Run(topo, step, st.name, shard.Spec{
+						Spec:    loop.Spec{PerNode: c.perNode, Seed: 1, LinkTxTime: 1},
+						Objects: c.k,
+						Skew:    1.1,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if want := c.n * c.perNode; res.Agg.Requests != int64(want) {
+						b.Fatalf("completed %d requests, want %d", res.Agg.Requests, want)
+					}
 				}
-				res, err := shard.Run(topo, step, "arrow", shard.Spec{
-					Spec:    loop.Spec{PerNode: perNode, Seed: 1, LinkTxTime: 1},
-					Objects: k,
-					Skew:    1.1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Agg.Requests != n*perNode {
-					b.Fatalf("completed %d requests, want %d", res.Agg.Requests, n*perNode)
-				}
-			}
-			b.ReportMetric(float64(n*perNode)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
+				b.ReportMetric(float64(c.n*c.perNode)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			})
+		}
 	}
 }

@@ -11,9 +11,9 @@
 // of a behind id(u).
 //
 // The two steps are written once, as Start and Forward over one link
-// cell; ShardForest applies them to its flat link array, Run (a static
-// request set) and RunClosedLoop hand that to package shard's two
-// executors, and package runtime applies them to its per-node cells.
+// cell; ShardForest and TreeStepper apply them to their tables, Run (a
+// static request set) and RunClosedLoop hand a TreeStepper to package
+// shard's two executors, and package runtime to its per-node cells.
 // Run and RunClosedLoop run on the deterministic discrete-event
 // simulator (package sim) under synchronous or asynchronous delay models
 // and record exactly the costs the paper analyzes: per-request latency

@@ -81,7 +81,10 @@ func TestPropertyOrderIsPermutation(t *testing.T) {
 			if err != nil || !wellQueued(&res.StaticResult, res.FinalLinks) {
 				return false
 			}
-			rev := shard.NewReversal(n, 1, tr.Root())
+			rev, err := shard.NewReversal(n, 1, tr.Root())
+			if err != nil {
+				return false
+			}
 			rres, err := shard.Replay(metric, rev, "reversal", set, shard.ReplayOptions{Latency: lat, Seed: seed})
 			if err != nil || !wellQueued(rres, spendPointers(rev, n)) {
 				return false

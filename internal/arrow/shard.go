@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/tree"
 )
 
@@ -16,16 +17,17 @@ import (
 // per-link traffic across the whole network, while every tree keeps the
 // O(log n) depth the protocol's competitive bound charges.
 //
-// The flat link array is keyed by (object, node); each entry is the
+// The flat link table is keyed by (object, node); each entry is the
 // node's arrow for that object and is touched only by events at that
 // node.
 type ShardForest struct {
 	n    int
-	link []graph.NodeID
+	link shard.Cells
 }
 
 // NewShardForest builds the k rotated trees with every arrow pointing
-// toward the object's root (the initial tail holder). O(k·n) space.
+// toward the object's root (the initial tail holder): k·n shard.Cells,
+// 2·k·n bytes up to 65 536 nodes and 4·k·n beyond.
 func NewShardForest(n, k int) (*ShardForest, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("arrow: shard forest needs n >= 1, got %d", n)
@@ -33,7 +35,7 @@ func NewShardForest(n, k int) (*ShardForest, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("arrow: shard forest needs k >= 1 objects, got %d", k)
 	}
-	f := &ShardForest{n: n, link: make([]graph.NodeID, k*n)}
+	f := &ShardForest{n: n, link: shard.NewCells(n, k*n)}
 	for o := 0; o < k; o++ {
 		root := o % n
 		base := o * n
@@ -44,14 +46,14 @@ func NewShardForest(n, k int) (*ShardForest, error) {
 			}
 			if l == 0 {
 				// The root's arrow points to itself: it holds the tail.
-				f.link[base+v] = graph.NodeID(v)
+				f.link.Set(base+v, graph.NodeID(v))
 				continue
 			}
 			p := (l-1)/2 + root
 			if p >= n {
 				p -= n
 			}
-			f.link[base+v] = graph.NodeID(p)
+			f.link.Set(base+v, graph.NodeID(p))
 		}
 	}
 	return f, nil
@@ -64,7 +66,8 @@ func NewShardForest(n, k int) (*ShardForest, error) {
 // queues behind v's previous one and no message is sent.
 //
 // Start and Forward are all the arrow protocol there is. Every executor
-// calls them — the simulator's through ShardForest, the live goroutine
+// calls them — the simulator's through ShardForest (on a local copy of
+// a two- or four-byte table cell) and TreeStepper, the live goroutine
 // runtime on its own per-node link slices — so each keeps the storage
 // layout that suits it and none has a pointer flip of its own.
 func Start(link *graph.NodeID, v graph.NodeID) (target graph.NodeID, local bool) {
@@ -83,14 +86,22 @@ func Forward(link *graph.NodeID, at, from graph.NodeID) (next graph.NodeID, done
 	return next, next == at
 }
 
-// StartFind implements shard.Stepper with Start on (obj, v)'s cell.
+// StartFind implements shard.Stepper with Start on a copy of (obj, v)'s cell.
 func (f *ShardForest) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
-	return Start(&f.link[int(obj)*f.n+int(v)], v)
+	i := int(obj)*f.n + int(v)
+	link := f.link.Get(i)
+	target, local := Start(&link, v)
+	f.link.Set(i, link)
+	return target, local
 }
 
-// ForwardFind implements shard.Stepper with Forward on (obj, at)'s cell.
+// ForwardFind implements shard.Stepper with Forward, likewise.
 func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.NodeID, bool) {
-	return Forward(&f.link[int(obj)*f.n+int(at)], at, from)
+	i := int(obj)*f.n + int(at)
+	link := f.link.Get(i)
+	next, done := Forward(&link, at, from)
+	f.link.Set(i, link)
+	return next, done
 }
 
 // ShardSafeStepper is the unread shard.ShardSafe marker (every link
@@ -99,13 +110,14 @@ func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (gra
 func (f *ShardForest) ShardSafeStepper() {}
 
 // TreeStepper is arrow on one spanning tree — the pointer discipline of
-// every single-object run, static or closed-loop: a one-object
-// ShardForest whose arrows start out along t toward the initial sink,
-// plus the tree route completion notifications take back to the
-// requester (a tree has no direct sink→requester link).
+// every single-object run, static or closed-loop: one arrow per node,
+// starting out along t toward the initial sink, plus the tree route
+// completion notifications take back to the requester (a tree has no
+// direct sink→requester link). The arrows stay a plain slice: the
+// stabilize engine repairs it in place and Result.FinalLinks returns it.
 type TreeStepper struct {
-	ShardForest
-	t tree.Nav
+	link []graph.NodeID
+	t    tree.Nav
 }
 
 // NewTreeStepper points every node's arrow at its neighbour in t toward
@@ -123,7 +135,17 @@ func NewTreeStepper(t tree.Nav, root graph.NodeID) (*TreeStepper, error) {
 			links[v] = t.NextHop(node, root)
 		}
 	}
-	return &TreeStepper{ShardForest{n: n, link: links}, t}, nil
+	return &TreeStepper{links, t}, nil
+}
+
+// StartFind implements shard.Stepper with Start on v's arrow.
+func (s *TreeStepper) StartFind(_ int32, v graph.NodeID) (graph.NodeID, bool) {
+	return Start(&s.link[v], v)
+}
+
+// ForwardFind implements shard.Stepper with Forward on at's arrow.
+func (s *TreeStepper) ForwardFind(_ int32, at, from, _ graph.NodeID) (graph.NodeID, bool) {
+	return Forward(&s.link[at], at, from)
 }
 
 // ReplyHop implements shard.ReplyRouter.

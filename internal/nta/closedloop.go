@@ -1,8 +1,6 @@
 package nta
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/loop"
 	"repro/internal/shard"
@@ -34,15 +32,10 @@ type LoopResult = loop.Result
 type ShardReversal = shard.Reversal
 
 // NewShardReversal builds k last-pointer sets over n nodes, object o's
-// pointers initially converging on root_o = o mod n; O(k·n) space.
+// pointers initially converging on root_o = o mod n: 2·k·n bytes up to
+// 65 536 nodes, 4·k·n beyond (see shard.Cells).
 func NewShardReversal(n, k int) (*ShardReversal, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("nta: shard reversal needs n >= 1, got %d", n)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("nta: shard reversal needs k >= 1 objects, got %d", k)
-	}
-	return shard.NewReversal(n, k, 0), nil
+	return shard.NewReversal(n, k, 0)
 }
 
 // RunClosedLoop executes the closed-loop NTA experiment over graph g's
@@ -57,11 +50,10 @@ func RunClosedLoop(g *graph.Graph, cfg LoopConfig) (*LoopResult, error) {
 // the implicit sim.CompleteTopology keeps million-node runs free of the
 // O(n²) distance matrix.
 func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
-	n := topo.NumNodes()
-	if int(cfg.Root) < 0 || int(cfg.Root) >= n {
-		return nil, fmt.Errorf("nta: root %d out of range", cfg.Root)
+	step, err := shard.NewReversal(topo.NumNodes(), 1, cfg.Root)
+	if err != nil {
+		return nil, err
 	}
-	step := shard.NewReversal(n, 1, cfg.Root)
 	res, err := shard.Run(topo, step, "nta", shard.Spec{Spec: cfg.Spec, Objects: 1})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,6 @@
 package nta
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/queuing"
 	"repro/internal/shard"
@@ -41,10 +39,10 @@ type Result = shard.StaticResult
 // Run executes NTA for a static request set over graph g's metric: a
 // shard.Replay of the Reversal pointer table the closed loop runs.
 func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
-	n := g.NumNodes()
-	if int(opts.Root) < 0 || int(opts.Root) >= n {
-		return nil, fmt.Errorf("nta: root %d out of range", opts.Root)
+	step, err := shard.NewReversal(g.NumNodes(), 1, opts.Root)
+	if err != nil {
+		return nil, err
 	}
-	return shard.Replay(sim.NewMetricTopology(g), shard.NewReversal(n, 1, opts.Root), "nta", set,
+	return shard.Replay(sim.NewMetricTopology(g), step, "nta", set,
 		shard.ReplayOptions{Latency: opts.Latency, Arbitration: opts.Arbitration, Seed: opts.Seed})
 }

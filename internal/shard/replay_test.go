@@ -37,7 +37,11 @@ func TestReplayChecks(t *testing.T) {
 	topo := sim.NewCompleteTopology(n)
 	burst := workload.OneShot(n, n, 1)
 
-	_, err := Replay(topo, NewReversal(n, 1, 0), "p", queuing.Set{{ID: 0, Node: n}}, ReplayOptions{})
+	rev, err := NewReversal(n, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Replay(topo, rev, "p", queuing.Set{{ID: 0, Node: n}}, ReplayOptions{})
 	wantErr(t, err, "out-of-range node")
 
 	// Every node claims the tail: all of them follow the virtual root.
@@ -83,8 +87,11 @@ func TestReplayAllocsPerRequest(t *testing.T) {
 	set := workload.Poisson(n, 2, 500, 9)
 	var res *StaticResult
 	allocs := testing.AllocsPerRun(5, func() {
-		var err error
-		if res, err = Replay(topo, NewReversal(n, 1, 0), "nta", set, ReplayOptions{}); err != nil {
+		rev, err := NewReversal(n, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = Replay(topo, rev, "nta", set, ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -30,7 +30,10 @@ func TestReversalMatchesDirectory(t *testing.T) {
 			reqs[i] = queuing.Request{Node: graph.NodeID(rng.Intn(n)), Time: sim.Time(i * 2 * n)}
 		}
 		set := queuing.NewSet(reqs)
-		step := shard.NewReversal(n, 1, 0)
+		step, err := shard.NewReversal(n, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := shard.Replay(sim.NewMetricTopology(graph.Complete(n)), step, "reversal", set, shard.ReplayOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -81,7 +84,11 @@ func TestReversalAmortizedChainBound(t *testing.T) {
 	if len(set) < 100 {
 		t.Fatalf("workload too small: %d", len(set))
 	}
-	res, err := shard.Replay(sim.NewMetricTopology(graph.Complete(n)), shard.NewReversal(n, 1, 0), "reversal", set, shard.ReplayOptions{})
+	step, err := shard.NewReversal(n, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := shard.Replay(sim.NewMetricTopology(graph.Complete(n)), step, "reversal", set, shard.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,11 @@ func TestReversalAmortizedChainBound(t *testing.T) {
 // Reversal's amortized chains within the same 3·log₂ n.
 func TestReversalClosedLoopAmortizedChains(t *testing.T) {
 	const n = 64
-	out, err := shard.Run(sim.NewCompleteTopology(n), shard.NewReversal(n, 1, 0), "reversal",
+	step, err := shard.NewReversal(n, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := shard.Run(sim.NewCompleteTopology(n), step, "reversal",
 		shard.Spec{Spec: loop.Spec{PerNode: 40}, Objects: 1})
 	if err != nil {
 		t.Fatal(err)
