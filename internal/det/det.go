@@ -2,7 +2,7 @@
 // helpers. Go randomizes map range order on purpose; in this codebase
 // anything that feeds results, messages, or scheduling must be a pure
 // function of the seed, so map iteration in deterministic packages is a
-// vet error (arrowlint's determinism analyzer). When a map is the right
+// lint failure (arrowlint's determinism analyzer). When a map is the right
 // container, iterate it through SortedKeys: the order is then fixed by
 // the keys themselves, independent of insertion history and runtime
 // hashing — deterministic by construction, not by discipline.

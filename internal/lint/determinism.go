@@ -23,7 +23,6 @@ import (
 // timing/seeding idioms of their own.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, map iteration, and stray goroutines in deterministic packages",
 	Run:  runDeterminism,
 }
 
@@ -61,10 +60,8 @@ func runDeterminism(pass *Pass) error {
 					}
 				}
 			case *ast.RangeStmt:
-				if t := pass.Info.TypeOf(n.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						pass.Reportf(n.Pos(), "map iteration order is random and this package is deterministic: iterate sorted keys (det.SortedKeys) or keep a slice")
-					}
+				if t := pass.Info.TypeOf(n.X); t != nil && mapsOnly(t) {
+					pass.Reportf(n.Pos(), "map iteration order is random and this package is deterministic: iterate sorted keys (det.SortedKeys) or keep a slice")
 				}
 			case *ast.GoStmt:
 				if pass.Pkg.Name() != "par" {
@@ -75,6 +72,33 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// mapsOnly reports whether every type in t's type set has a map as its
+// underlying type, so that ranging over t iterates a map. A type
+// parameter's underlying type is its constraint interface, whose type
+// set is the intersection of its embedded elements: one element that
+// holds only maps (a union of map terms, or an interface of them) is
+// enough.
+func mapsOnly(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return true
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if mapsOnly(u.EmbeddedType(i)) {
+				return true
+			}
+		}
+	case *types.Union:
+		for i := 0; i < u.Len(); i++ {
+			if !mapsOnly(u.Term(i).Type()) {
+				return false
+			}
+		}
+		return u.Len() > 0
+	}
+	return false
 }
 
 // calleePkgFunc resolves a call of the form pkg.Func to its package

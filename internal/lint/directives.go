@@ -48,11 +48,16 @@ type directives struct {
 	deterministic bool
 }
 
+// covers reports whether the directive suppresses check at pos.
+func (a allowSite) covers(check string, pos token.Position) bool {
+	return a.check == check && a.filename == pos.Filename &&
+		pos.Line >= a.fromLine && pos.Line <= a.toLine
+}
+
 // allowed reports whether an //arrow:allow for check covers pos.
 func (d *directives) allowed(check string, pos token.Position) bool {
 	for _, a := range d.allows {
-		if a.check == check && a.filename == pos.Filename &&
-			pos.Line >= a.fromLine && pos.Line <= a.toLine {
+		if a.covers(check, pos) {
 			return true
 		}
 	}
@@ -144,10 +149,9 @@ func declDocRanges(f *ast.File) map[*ast.CommentGroup]ast.Decl {
 // DirectiveAnalyzer validates arrowlint directives themselves: unknown
 // verbs, allow without a known check name, and allow without a reason
 // are findings — a typoed directive that silently suppresses nothing
-// (or worse, everything) must not pass vet.
+// (or worse, everything) must not pass the lint.
 var DirectiveAnalyzer = &Analyzer{
 	Name: "arrowdir",
-	Doc:  "validate //arrow: directive syntax (allow needs a known check and a reason)",
 	Run:  runDirectiveCheck,
 }
 

@@ -28,7 +28,7 @@ var keptExports = map[string]string{
 	"internal/graph.Graph.ShortestPath":     "one shortest path, the reference every weighted MetricTopology hop count is checked against (TestMetricTopologyHopsMatchShortestPath)",
 	"internal/ivy.Directory":                "Li–Hudak's sequential pointer-chain model, the oracle shard.Reversal's chains are held against (TestReversalMatchesDirectory)",
 	"internal/ivy.NewDirectory":             "constructor of that Directory oracle",
-	"internal/lint.NewLoader":               "loads the analyzer fixtures under testdata/src for the harness tests; cmd/arrowlint is handed its packages by go vet",
+	"internal/lint.NewLoader":               "loads the analyzer fixtures under testdata/src for the harness tests; TestRepoClean loads the repo through go list instead",
 	"internal/opt.DistOfTree":               "dT as a DistFunc: the tests' reference for arrow's cost cA and the tree stretch",
 	"internal/queuing.CA":                   "eq. (1)'s arrow cost cA, the reference arrow's measured latency is compared with",
 	"internal/runtime.Network.LinksFor":     "the live network's final pointers, what its tests hand to VerifySinkReachability",

@@ -81,7 +81,7 @@ func runFixture(t *testing.T, path string, analyzers ...string) {
 	for _, a := range analyzers {
 		enabled[a] = true
 	}
-	diags, err := RunSuite(lp.Fset, lp.Files, lp.Pkg, lp.Info, lp.Path, "repro", enabled)
+	diags, err := runSuite(lp.Fset, lp.Files, lp.Pkg, lp.Info, lp.Path, "repro", enabled)
 	if err != nil {
 		t.Fatalf("running suite on %s: %v", path, err)
 	}

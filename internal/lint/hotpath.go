@@ -38,7 +38,6 @@ import (
 // takes an //arrow:allow hotpath <reason>.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "functions marked //arrow:hotpath must not allocate or copy wide structs: no fmt, capturing closures, interface boxing, unsized append, or struct over four words by value",
 	Run:  runHotpath,
 }
 

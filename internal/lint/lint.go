@@ -4,15 +4,14 @@
 // sweep-determinism property tests, the zero-alloc send test, and
 // the scheduler-equivalence traces — and exists so that a stray
 // time.Now, a global math/rand call, an unordered map iteration, or a
-// capturing closure on a send path is a vet error today instead of a
-// flaky CI run three PRs from now.
+// capturing closure on a send path is a test failure today instead of
+// a flaky CI run three PRs from now.
 //
 // The suite is built directly on go/ast and go/types (the module is
 // dependency-free by policy; golang.org/x/tools is not available), with
 // a small framework mirroring the x/tools go/analysis shape: each
-// check is an Analyzer with a Run func over a Pass, and
-// cmd/arrowlint drives the suite both standalone and as a
-// `go vet -vettool` plugin.
+// check is an Analyzer with a Run func over a Pass. TestRepoClean runs
+// the suite over every package of the module, test files included.
 //
 // Four analyzers:
 //
@@ -37,23 +36,25 @@
 // Suppression: a finding is silenced by an `//arrow:allow <check>
 // <reason>` directive on the same line, the line above, or in the doc
 // comment of the enclosing declaration. The reason is mandatory; the
-// directive analyzer rejects malformed or unknown directives.
+// directive analyzer rejects malformed or unknown directives, and
+// TestRepoClean rejects a directive that suppresses nothing.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // An Analyzer describes one static check. It mirrors the
 // golang.org/x/tools/go/analysis Analyzer shape so the suite reads
-// familiarly, but carries only what the arrowlint driver needs.
+// familiarly, but carries only what this suite needs.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 
@@ -87,9 +88,9 @@ type Diagnostic struct {
 }
 
 // Reportf files a finding at pos. Findings covered by a matching
-// //arrow:allow directive are marked suppressed and dropped by the
-// drivers (the test harness still sees them, so fixtures can prove a
-// suppression works).
+// //arrow:allow directive are marked suppressed: TestRepoClean fails
+// only on the others, and the fixture harness sees both, so fixtures
+// can prove a suppression works.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	d := Diagnostic{
@@ -148,8 +149,8 @@ var deterministicPackages = []string{
 	"repro/internal/lint",
 }
 
-// canonicalPath strips the test-variant suffix go vet appends to a
-// package under test ("repro/internal/sim [repro/internal/sim.test]").
+// canonicalPath strips the test-variant suffix go list gives a package
+// compiled for a test ("repro/internal/sim [repro/internal/sim.test]").
 func canonicalPath(path string) string {
 	if i := strings.IndexByte(path, ' '); i >= 0 {
 		return path[:i]
@@ -178,10 +179,10 @@ func Suite() []*Analyzer {
 	}
 }
 
-// RunSuite analyzes one package with every analyzer in the suite whose
+// runSuite analyzes one package with every analyzer in the suite whose
 // name is enabled (nil enabled = all) and returns the diagnostics,
 // including suppressed ones, in source order.
-func RunSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, path, module string, enabled map[string]bool) ([]Diagnostic, error) {
+func runSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, path, module string, enabled map[string]bool) ([]Diagnostic, error) {
 	dirs := scanDirectives(fset, files)
 	var out []Diagnostic
 	for _, a := range Suite() {
@@ -203,29 +204,15 @@ func RunSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *
 			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
-	sortDiagnostics(out)
+	// Source order, then check name; the sort is stable, so one check's
+	// findings at one position keep the order they were reported in.
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Check, b.Check),
+		)
+	})
 	return out, nil
-}
-
-func sortDiagnostics(ds []Diagnostic) {
-	// Insertion sort: diagnostic counts are tiny and this avoids pulling
-	// sort.Slice's reflection into the hot vet path for nothing.
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && lessDiag(ds[j], ds[j-1]); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-func lessDiag(a, b Diagnostic) bool {
-	if a.Pos.Filename != b.Pos.Filename {
-		return a.Pos.Filename < b.Pos.Filename
-	}
-	if a.Pos.Line != b.Pos.Line {
-		return a.Pos.Line < b.Pos.Line
-	}
-	if a.Pos.Column != b.Pos.Column {
-		return a.Pos.Column < b.Pos.Column
-	}
-	return a.Check < b.Check
 }

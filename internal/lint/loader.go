@@ -1,16 +1,13 @@
 package lint
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -21,11 +18,11 @@ import (
 // This file is the source-level package loader behind the analysistest
 // harness: it typechecks a fixture directory tree without the go build
 // graph. Fixture packages may import sibling fixture packages (resolved
-// from source, recursively) and anything the toolchain can provide
-// export data for (resolved via `go list -export`, which works offline
+// from source, recursively) and the standard library, whose export
+// data the gc importer finds through `go list -export` (offline,
 // against the local build cache).
 
-// LoadedPackage is one typechecked package ready for RunSuite.
+// LoadedPackage is one typechecked package ready for runSuite.
 type LoadedPackage struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -51,7 +48,7 @@ func NewLoader(root string) *Loader {
 		fset: token.NewFileSet(),
 		pkgs: map[string]*LoadedPackage{},
 	}
-	l.gc = importer.ForCompiler(l.fset, "gc", exportDataLookup)
+	l.gc = importer.ForCompiler(l.fset, "gc", nil)
 	return l
 }
 
@@ -94,13 +91,7 @@ func (l *Loader) load(path string) (*LoadedPackage, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("fixture %q has no Go files", path)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
+	info := newInfo()
 	cfg := &types.Config{
 		Importer: importerFunc(func(ipath string) (*types.Package, error) {
 			if _, err := os.Stat(filepath.Join(l.Root, filepath.FromSlash(ipath))); err == nil {
@@ -123,44 +114,17 @@ func (l *Loader) load(path string) (*LoadedPackage, error) {
 	return lp, nil
 }
 
+// newInfo returns the type information the analyzers read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// exportDataLookup resolves an import to compiler export data via
-// `go list -export`. The gc importer falls back to this only for
-// packages it cannot find installed, so the exec cost is paid once per
-// uncached package per process.
-func exportDataLookup(path string) (io.ReadCloser, error) {
-	out, err := goListExport(path)
-	if err != nil {
-		return nil, err
-	}
-	return os.Open(out)
-}
-
-var (
-	exportCacheMu sync.Mutex
-	exportCache   = map[string]string{}
-)
-
-func goListExport(path string) (string, error) {
-	exportCacheMu.Lock()
-	defer exportCacheMu.Unlock()
-	if f, ok := exportCache[path]; ok {
-		return f, nil
-	}
-	cmd := exec.Command("go", "list", "-export", "-f", "{{.Export}}", path)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("go list -export %s: %v\n%s", path, err, stderr.String())
-	}
-	f := strings.TrimSpace(stdout.String())
-	if f == "" {
-		return "", fmt.Errorf("go list -export %s: no export data", path)
-	}
-	exportCache[path] = f
-	return f, nil
-}

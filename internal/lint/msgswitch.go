@@ -32,10 +32,9 @@ import (
 //     value count once).
 //
 // Marker methods travel through export data, so cross-package switches
-// stay checkable under go vet's one-package-at-a-time protocol.
+// stay checkable one package at a time.
 var MsgswitchAnalyzer = &Analyzer{
 	Name: "msgswitch",
-	Doc:  "type switches over is*Msg marker interfaces and repo enums must be exhaustive",
 	Run:  runMsgswitch,
 }
 
@@ -233,9 +232,6 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 func inModule(pass *Pass, pkg *types.Package) bool {
 	if pkg == pass.Pkg {
 		return true
-	}
-	if pass.Module == "" {
-		return false
 	}
 	path := canonicalPath(pkg.Path())
 	return path == pass.Module || strings.HasPrefix(path, pass.Module+"/")

@@ -32,7 +32,6 @@ import (
 // internal/sim.
 var SchedorderAnalyzer = &Analyzer{
 	Name: "schedorder",
-	Doc:  "events and timers go through the (at, pri, seq) scheduler API; no scheduler internals outside internal/sim",
 	Run:  runSchedorder,
 }
 

@@ -65,3 +65,35 @@ func Spawn(done chan struct{}) {
 func WallAllowed() time.Time {
 	return time.Now() // want:allowed `time\.Now in deterministic package detfix`
 }
+
+// IterateGeneric ranges over a type parameter whose type set holds only
+// maps: still a map iteration.
+func IterateGeneric[M ~map[K]V, K comparable, V any](m M) int {
+	n := 0
+	for range m { // want `map iteration order is random`
+		n++
+	}
+	return n
+}
+
+// mapOf is a named constraint holding only maps.
+type mapOf[K comparable, V any] interface {
+	~map[K]V
+}
+
+func IterateConstrained[M mapOf[K, V], K comparable, V any](m M) int {
+	n := 0
+	for range m { // want `map iteration order is random`
+		n++
+	}
+	return n
+}
+
+// IterateSlice ranges over a type parameter of slices: no finding.
+func IterateSlice[S ~[]E, E any](s S) int {
+	n := 0
+	for range s {
+		n++
+	}
+	return n
+}
