@@ -172,9 +172,9 @@ func BenchmarkSweepSP2(b *testing.B) {
 // send reserves its link's dense clock slot. complete sends between
 // distinct nodes of a 1 024-node CompleteTopology, as NTA and the
 // centralized home do, with LinkTxTime 1: past 181 nodes its n² links
-// are clocked in the expiring table. metric is the materialized
-// complete metric at paper scale, whose Latency and Hops read the
-// graph's all-pairs matrix.
+// are clocked in the senders' outboxes and the expiring table. metric is
+// the materialized complete metric at paper scale, whose Latency and Hops
+// read the graph's all-pairs matrix.
 type sendDispatchCase struct {
 	name    string
 	topo    sim.Topology

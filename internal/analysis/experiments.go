@@ -26,7 +26,10 @@ type LowerBoundRow struct {
 	// OptUpper is the cost of the best offline order we can construct
 	// under cOpt (theory: O(D)).
 	OptUpper int64
-	// OptLower is a certified lower bound on costOpt.
+	// OptLower is opt.Bounds.Lower: costOpt itself up to
+	// opt.MaxExactRequests requests, beyond that the uncertified
+	// ManhattanMST/12 estimate, which can exceed costOpt (ROADMAP item
+	// 14).
 	OptLower int64
 	// Ratio is CostArrow / OptUpper — a lower bound on the true
 	// competitive ratio achieved by the instance.

@@ -4,11 +4,14 @@
 // communicates over the graph G (not just the tree T).
 //
 // Exact computation is a minimum-cost Hamiltonian path under the
-// asymmetric cost cOpt (eq. (4)), solved with Held–Karp for small request
-// sets. For larger sets the package computes the Manhattan-MST lower
-// bound from Lemmas 3.15–3.17 (any order's Manhattan cost is at least the
-// MST weight under cM, and CM <= 12·CO), plus achievable upper bounds via
-// nearest-neighbour and 2-opt orders over cOpt.
+// asymmetric cost cOpt (eq. (4)), solved with Held–Karp for up to
+// MaxExactRequests requests. Beyond that the package reports the
+// Manhattan-MST weight under cM divided by 12 as an uncertified estimate,
+// not a lower bound: the pairwise step cM <= 12·cO fails for requests
+// spread out in time, and on complete24/sequential it reads 15 against an
+// exact optimum of 10 (ROADMAP item 14 replaces it with a certified
+// bound). Achievable upper bounds come from nearest-neighbour and 2-opt
+// orders over cOpt.
 package opt
 
 import (
@@ -20,8 +23,9 @@ import (
 
 // Bounds summarizes what we can say about costOpt for a request set.
 type Bounds struct {
-	// Lower is the best lower bound available on costOpt: the exact value
-	// when Exact, otherwise the Manhattan-MST bound.
+	// Lower is the exact costOpt when Exact. Otherwise it is
+	// ManhattanMST/12, an uncertified estimate that can exceed costOpt
+	// (see the package doc and ROADMAP item 14).
 	Lower int64
 	// Upper is an achievable ordering's cost under cOpt: the minimum of
 	// the NN and 2-opt improved orders (an upper bound on min_π Σ cOpt,
@@ -32,7 +36,9 @@ type Bounds struct {
 	// ExactOrder is the optimal order when Exact.
 	ExactOrder queuing.Order
 	// ManhattanMST is the MST weight over requests ∪ {root} under
-	// cM(dG); Lower >= ManhattanMST/12 by the Lemma 3.17 chain.
+	// cM(dG). ManhattanMST/12 is not a certified lower bound on costOpt:
+	// the Lemma 3.17 chain's step cM <= 12·cO fails for requests spread
+	// out in time.
 	ManhattanMST int64
 }
 

@@ -234,3 +234,38 @@ func TestSpecValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestLinkStats pins the link clocks' counters on the shard-capacity
+// shape at a quarter of its size: the complete metric (n > 181, so the
+// capacity clock is the expiring one), one object per node under Zipf
+// 1.1, LinkTxTime 1. The run is synchronous and fault-free, so there is
+// no FIFO clock and nothing can count a FIFO bind. Spills say how often
+// a sender's four ways did not settle its lookup: centralized's homes
+// fan out to every requester at once, arrow's and NTA's senders rarely
+// have more than four links busy.
+func TestLinkStats(t *testing.T) {
+	const n, k, perNode = 256, 256, 20
+	want := map[string]sim.LinkStats{
+		"arrow":       {CapacityBinds: 322, Spills: 533},
+		"centralized": {CapacityBinds: 3, Spills: 2065, Grows: 3},
+		"nta":         {CapacityBinds: 273, Spills: 319, Grows: 2},
+	}
+	for _, name := range []string{"arrow", "centralized", "nta"} {
+		d, err := shard.New(sim.NewCompleteTopology(n), steppers(t, n, k)[name], name, shard.Spec{
+			Spec:    loop.Spec{PerNode: perNode, LinkTxTime: 1, Seed: 1},
+			Objects: k,
+			Skew:    1.1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := d.Sim().LinkStats()
+		t.Logf("%s: %d sends, %+v", name, d.Sim().Messages(), got)
+		if got != want[name] {
+			t.Errorf("%s: link clock counters %+v, want %+v", name, got, want[name])
+		}
+	}
+}

@@ -1,20 +1,29 @@
-// Tests of linkClock's two representations. The expiring table is
-// checked against the dense slice as its oracle, at three levels: single
-// probe windows (TestLinkTableWindow), byte-scripted clamp / reserve /
-// advance sequences (FuzzLinkClockMatchesDense and its committed corpus)
-// and whole simulations (TestLinkClockRepresentationsAgree).
+// Tests of linkClock's two representations. The expiring one (outboxes
+// and table) is checked against the dense slice as its oracle: single
+// probe windows (TestLinkTableWindow), one sending node's outbox
+// (TestLinkOutbox), byte-scripted clamp / reservation / clock-advance
+// sequences (FuzzLinkClockMatchesDense and its committed corpus) and
+// whole simulations (TestLinkClockRepresentationsAgree).
 //
 // Mutation table — each edit to sim.go was applied by hand and the suite
-// run; the tests named are the ones that failed:
+// run; the tests named are the ones that failed (TestLinkStats is in
+// internal/shard):
 //
-//	claim an entry one tick early     TestLinkTableWindow, the fuzz corpus,
-//	(slot: e.val <= now+1)            TestLinkClockRepresentationsAgree
+//	claim an entry one tick early     TestLinkTableWindow, the fuzz corpus
+//	(slot: e.val <= now+1)            (seed-claim-edge), TestLinkStats
 //	skip the buddy line on lookup     TestLinkTableWindow, the fuzz corpus
 //	(slot: e.key == key && i < linkLine)
-//	drop live entries in grow         TestLinkTableWindow,
-//	(grow: e.val > now+1)             TestLinkClockRepresentationsAgree
+//	drop live entries in grow         TestLinkTableWindow, the fuzz corpus
+//	(grow: e.val > now+1)             (seed-grow-edge), TestLinkStats
 //	pass depart, not s.now, as now    TestLinkClockRepresentationsAgree
-//	(send: reserve, clamp or both)    (the fault-queue leg only)
+//	(send: either advance call)       (the fault-queue leg only)
+//	skip the spill check              TestLinkOutbox, the fuzz corpus,
+//	(advance: free >= 0 alone)        TestLinkClockRepresentationsAgree,
+//	                                  TestLinkStats
+//	claim a way one tick early        as the spill check
+//	(advance: o.at[i] > now+1)
+//	never raise spill                 as the spill check
+//	(advance: no o.spill store)
 package sim
 
 import (
@@ -75,7 +84,7 @@ type find struct {
 // it back, the origin records the round trip and re-issues after a think
 // time that is a pure function of (node, round), so the jitter cannot
 // depend on the event order under test.
-func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx Time, faults *FaultPlan) tokenResult {
+func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx Time, faults *FaultPlan) (tokenResult, LinkStats) {
 	n := nav.NumNodes()
 	rec := &seqRecorder{dist: stats.NewDistRecorder()}
 	s := New(Config{Topology: topo, Latency: lat, Seed: 7, LinkTxTime: tx, Faults: faults})
@@ -113,64 +122,106 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 	}
 	mk := s.Run()
 	return tokenResult{mk, s.Messages(), s.Hops(), s.EventsProcessed(), s.MessagesDeferred(),
-		rec.dist.Latency.Snapshot(), rec.dist.Hops.Snapshot(), rec.calls}
+		rec.dist.Latency.Snapshot(), rec.dist.Hops.Snapshot(), rec.calls}, s.LinkStats()
 }
 
 // TestLinkClockRepresentationsAgree is the cross-representation
 // identity: with a random latency model (so the FIFO clamp binds) and
 // finite link capacity (so the busy clock binds), the token protocol
-// produces one result whether the per-link clocks live in the dense slice
-// behind the flat tree link table or in the expiring table — reached both
-// through an n² link space and through a topology with no LinkIndexer.
-// The faulted leg stalls messages behind link outages under FaultQueue,
-// so reservations are asked with depart = healAt > now while the entries
-// around them expire against now.
+// produces one result, and the clocks bind as often, whether the
+// per-link clocks live in a dense slice or in the expiring outboxes and
+// table. On the 300-node binary tree the dense slice sits behind the flat
+// tree link table and the expiring clocks are reached both through an n²
+// link space and through a topology with no LinkIndexer; no node there
+// has more than three links, so every lookup stays in its outbox. On the
+// 64-node complete metric the tokens run over a two-level tree whose root
+// has twelve children, each relaying four or five tokens: the root
+// answers dozens of tokens at once over twelve links and its lookups
+// spill to the table. The faulted leg stalls messages behind link
+// outages under FaultQueue, so advance is asked with depart = healAt >
+// now while the entries around it expire against now.
 func TestLinkClockRepresentationsAgree(t *testing.T) {
-	nav := tree.BinaryWalker(300)
-	tt := TreeTopology{T: nav}
-	reps := []struct {
+	wideParent := make([]graph.NodeID, 64)
+	for v := 13; v < len(wideParent); v++ {
+		wideParent[v] = graph.NodeID(1 + v%12)
+	}
+	binary, wide := tree.BinaryWalker(300), tree.MustWalkerFromParents(0, wideParent, nil)
+	tt, complete := TreeTopology{T: binary}, NewCompleteTopology(64)
+	isDense := func(c *linkClock) bool { return c.dense != nil && c.tab == nil && c.out == nil }
+	isTable := func(c *linkClock) bool { return c.dense == nil && c.tab != nil && c.out != nil }
+	type rep struct {
 		name  string
 		topo  Topology
 		check func(c *linkClock) bool
-	}{
-		{"dense", tt, func(c *linkClock) bool { return c.dense != nil && c.tab == nil }},
-		{"table-sparse", sparseTopo{tt}, func(c *linkClock) bool { return c.dense == nil && c.tab != nil }},
-		{"table-noindex", noIdxTopo{tt}, func(c *linkClock) bool { return c.dense == nil && c.tab != nil }},
 	}
-	// Every other node loses its parent link once, for 30 to 79 ticks,
-	// while the links into the root are queued hundreds of ticks deep: a
-	// stalled message's healAt lies beyond most live entries of its window.
-	outages := &FaultPlan{Policy: FaultQueue}
-	for v := graph.NodeID(1); int(v) < nav.NumNodes(); v += 2 {
-		down := Time(2 + v%40)
-		outages.Events = append(outages.Events,
-			FaultEvent{At: down, Kind: LinkDown, U: v, V: nav.Parent(v)},
-			FaultEvent{At: down + Time(30+v%50), Kind: LinkUp, U: nav.Parent(v), V: v})
-	}
-	for _, leg := range []struct {
+	shapes := []struct {
 		name   string
-		faults *FaultPlan
-	}{{"fault-free", nil}, {"fault-queue", outages}} {
-		var want tokenResult
-		for i, rep := range reps {
-			probe := New(Config{Topology: rep.topo, Latency: AsyncUniform(4), LinkTxTime: 1, Faults: leg.faults})
-			if !rep.check(probe.fifo) || !rep.check(probe.busy) {
-				t.Fatalf("%s: the wrapper did not select that representation", rep.name)
-			}
-			got := tokenRun(nav, rep.topo, 4, AsyncUniform(4), 1, leg.faults)
-			if len(got.calls) != 4*(nav.NumNodes()-1) {
-				t.Fatalf("%s/%s: %d requests recorded, want %d", leg.name, rep.name, len(got.calls), 4*(nav.NumNodes()-1))
-			}
-			if (got.deferred != 0) != (leg.faults != nil) {
-				t.Fatalf("%s/%s: %d messages stalled behind an outage", leg.name, rep.name, got.deferred)
-			}
-			if i == 0 {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				got.calls, want.calls = nil, nil
-				t.Fatalf("%s: %s diverged from %s:\n got %+v\nwant %+v", leg.name, rep.name, reps[0].name, got, want)
+		nav    *tree.Walker
+		reps   []rep
+		spills bool // whether the expiring clocks must reach the table
+	}{
+		{"binary-300", binary, []rep{
+			{"dense", tt, isDense},
+			{"table-sparse", sparseTopo{tt}, isTable},
+			{"table-noindex", noIdxTopo{tt}, isTable},
+		}, false},
+		{"complete-64-wide", wide, []rep{
+			{"dense", complete, isDense},
+			{"table-noindex", noIdxTopo{complete}, isTable},
+		}, true},
+	}
+	for _, sh := range shapes {
+		nav := sh.nav
+		// Every other node loses its parent link once, for 30 to 79 ticks,
+		// while the links into the root are queued hundreds of ticks deep:
+		// a stalled message's healAt lies beyond most live entries of its
+		// window.
+		outages := &FaultPlan{Policy: FaultQueue}
+		for v := graph.NodeID(1); int(v) < nav.NumNodes(); v += 2 {
+			down := Time(2 + v%40)
+			outages.Events = append(outages.Events,
+				FaultEvent{At: down, Kind: LinkDown, U: v, V: nav.Parent(v)},
+				FaultEvent{At: down + Time(30+v%50), Kind: LinkUp, U: nav.Parent(v), V: v})
+		}
+		for _, leg := range []struct {
+			name   string
+			faults *FaultPlan
+		}{{"fault-free", nil}, {"fault-queue", outages}} {
+			name := sh.name + "/" + leg.name
+			var want tokenResult
+			var wantStats LinkStats
+			for i, rep := range sh.reps {
+				probe := New(Config{Topology: rep.topo, Latency: AsyncUniform(4), LinkTxTime: 1, Faults: leg.faults})
+				if !rep.check(probe.fifo) || !rep.check(probe.busy) {
+					t.Fatalf("%s: the wrapper did not select that representation", rep.name)
+				}
+				got, st := tokenRun(nav, rep.topo, 4, AsyncUniform(4), 1, leg.faults)
+				if len(got.calls) != 4*(nav.NumNodes()-1) {
+					t.Fatalf("%s/%s: %d requests recorded, want %d", name, rep.name, len(got.calls), 4*(nav.NumNodes()-1))
+				}
+				if (got.deferred != 0) != (leg.faults != nil) {
+					t.Fatalf("%s/%s: %d messages stalled behind an outage", name, rep.name, got.deferred)
+				}
+				if st.FIFOBinds == 0 || st.CapacityBinds == 0 {
+					t.Fatalf("%s/%s: clocks bound %+v: the run does not exercise both", name, rep.name, st)
+				}
+				if i == 0 {
+					if st.Spills != 0 || st.Grows != 0 {
+						t.Fatalf("%s/%s: a dense clock counted table work %+v", name, rep.name, st)
+					}
+					want, wantStats = got, st
+					continue
+				}
+				if (st.Spills != 0) != sh.spills {
+					t.Errorf("%s/%s: %d lookups spilled to the table, want spills %v", name, rep.name, st.Spills, sh.spills)
+				}
+				if st.FIFOBinds != wantStats.FIFOBinds || st.CapacityBinds != wantStats.CapacityBinds {
+					t.Errorf("%s: %s bound %+v, %s %+v", name, rep.name, st, sh.reps[0].name, wantStats)
+				}
+				if !reflect.DeepEqual(got, want) {
+					got.calls, want.calls = nil, nil
+					t.Fatalf("%s: %s diverged from %s:\n got %+v\nwant %+v", name, rep.name, sh.reps[0].name, got, want)
+				}
 			}
 		}
 	}
@@ -179,13 +230,17 @@ func TestLinkClockRepresentationsAgree(t *testing.T) {
 // BenchmarkLinkClock measures one send + dispatch with both link clocks
 // live (AsyncUniform(4), LinkTxTime 1) under each representation, on the
 // three shapes that decide the choice in newLinkClock: a paper-scale
-// complete metric (dense by the rule; 64² slots sit in L1/L2, the table
-// costs a hash and a scan more), the shard tier's 1024-node complete
-// metric (table by the rule; dense is two 8 MB arrays touched at random)
-// and the headline 100 001-node tree (dense by the rule: 2n slots next to
-// the parent table the send just read). The representation is forced
-// after New, so each shape runs both. Steady state allocates nothing: the
-// warm-up pass has already grown the table to the in-flight set.
+// complete metric (dense by the rule; 64² slots sit in L1/L2, the
+// expiring clock costs an outbox scan more), the shard tier's 1024-node
+// complete metric (expiring by the rule; dense is two 8 MB arrays touched
+// at random) and the headline 100 001-node tree (dense by the rule: 2n
+// slots next to the parent table the send just read). The representation
+// is forced after New, so each shape runs both; "table" names the
+// expiring one. Steady state allocates nothing: the warm-up pass has
+// already grown the table to the in-flight set. On a shared 2-vCPU Xeon,
+// ten alternated -cpu 1 pairs, the outboxes took the table cases from
+// 104, 105 and 201 ns/op to 75, 59 and 133 (10/10 each); the dense cases
+// did not move.
 func BenchmarkLinkClock(b *testing.B) {
 	walker := tree.BinaryWalker(100001)
 	shapes := []struct {
@@ -260,33 +315,35 @@ var linkAdvance = [8]Time{1, 1, 1, 2, 3, 8, 64, 400}
 // depart (a healAt under FaultQueue); mostly not at all.
 var linkAhead = [4]Time{0, 0, 1, 40}
 
-// linkScript replays one byte-script against the table and against its
-// oracle, the dense slice, and fails on the first returned time that
-// differs. Byte 0 sizes the id space: n = 2 + x%31 nodes, n² links. Then
-// one op per leading byte, its low two bits the kind and the rest the
-// argument a:
+// linkScript replays one byte-script against the expiring clock and
+// against its oracle, the dense slice, and fails on the first returned
+// time that differs. Byte 0 sizes the id space: n = 2 + x%31 nodes, n²
+// links. Then one op per leading byte, its low two bits the kind and the
+// rest the argument a:
 //
 //	0     the clock advances by linkAdvance[a&7]
-//	1     clamp(u, v, now+1+a%16), u and v the next two bytes mod n
-//	2, 3  reserve(u, v, now+linkAhead[a&3], tx), u and v likewise and tx
-//	      in 1…300 from a third byte
+//	1     the clamp: advance(u, v, now+1+a%16, hold 0), u and v the next
+//	      two bytes mod n
+//	2, 3  a reservation: advance(u, v, now+linkAhead[a&3], tx), u and v
+//	      likewise and tx in 1…300 from a third byte
 //
 // so t obeys the invariant send guarantees — a clamp is asked with t >
 // now, a reservation with t >= now — and long reservations keep entries
-// live across many ops: windows fill and the table grows. It returns how
-// many times the table doubled and, when observe is set, how many
-// insertions took over the expired entry of a different key (found by
-// scanning the whole table around each op — too slow to fuzz with).
-func linkScript(t *testing.T, script []byte, observe bool) (grows, reuses int) {
+// live across many ops: outboxes fill, lookups spill, windows fill and
+// the table grows. It returns the clock's table doublings and spills
+// and, when observe is set, how many insertions took over the expired
+// table entry of a different key (found by scanning the whole table
+// around each spilled op — too slow to fuzz with).
+func linkScript(t *testing.T, script []byte, observe bool) (grows, spills int64, reuses int) {
 	t.Helper()
 	if len(script) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	n := 2 + int(script[0])%31
 	tab := newLinkClock(noIdxTopo{NewCompleteTopology(n)})
 	dense := &linkClock{dense: make([]Time, n*n)}
-	if tab.dense != nil || len(tab.tab) != linkLine<<linkTableBits {
-		t.Fatal("test premise broken: a topology with no LinkIndexer did not get the initial table")
+	if tab.dense != nil || len(tab.out) != n || len(tab.tab) != linkLine<<linkTableBits {
+		t.Fatal("test premise broken: a topology with no LinkIndexer did not get the outboxes and the initial table")
 	}
 	used := func() (k int) {
 		for _, e := range tab.tab {
@@ -317,35 +374,33 @@ func linkScript(t *testing.T, script []byte, observe bool) (grows, reuses int) {
 		}
 		u, v, tx := graph.NodeID(int(ops[0])%n), graph.NodeID(int(ops[1])%n), 1+Time(ops[2])*299/255
 		ops = ops[3:]
-		size, before, fresh := len(tab.tab), 0, false
+		size, spilled, before, fresh := len(tab.tab), tab.spills, 0, false
 		if observe {
 			before, fresh = used(), !holds(uint64(u)<<32|uint64(v))
 		}
-		var got, want Time
-		if kind == 1 {
-			at := now + 1 + Time(a%16)
-			got, want = tab.clamp(-1, u, v, now, at), dense.clamp(int(u)*n+int(v), u, v, now, at)
-		} else {
-			at := now + linkAhead[a&3]
-			got, want = tab.reserve(-1, u, v, now, at, tx), dense.reserve(int(u)*n+int(v), u, v, now, at, tx)
+		at, hold := now+1+Time(a%16), Time(0)
+		if kind != 1 {
+			at, hold = now+linkAhead[a&3], tx
 		}
+		got, want := tab.advance(-1, u, v, now, at, hold), dense.advance(int(u)*n+int(v), u, v, now, at, hold)
 		if got != want {
-			t.Fatalf("now %d, link %d -> %d (kind %d): the table answers %d, the dense slice %d", now, u, v, kind, got, want)
+			t.Fatalf("now %d, link %d -> %d (kind %d): the expiring clock answers %d, the dense slice %d", now, u, v, kind, got, want)
 		}
-		for ; size < len(tab.tab); size *= 2 {
-			grows++
-		}
-		if observe && fresh && size == len(tab.tab) && used() == before {
+		if observe && tab.spills > spilled && fresh && size == len(tab.tab) && used() == before {
 			reuses++
 		}
 	}
-	return grows, reuses
+	if tab.binds != dense.binds {
+		t.Fatalf("the expiring clock bound %d times, the dense slice %d", tab.binds, dense.binds)
+	}
+	return tab.grows, tab.spills, reuses
 }
 
 // FuzzLinkClockMatchesDense is the link clock's differential: any script
 // of clamps, reservations and clock advances that respects send's
-// invariant gets the same answers from the expiring table as from one
-// slot per link. Seeds are the committed corpus under testdata/fuzz.
+// invariant gets the same answers from the outboxes and expiring table
+// as from one slot per link. Seeds are the committed corpus under
+// testdata/fuzz.
 func FuzzLinkClockMatchesDense(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 8192 {
@@ -357,25 +412,29 @@ func FuzzLinkClockMatchesDense(f *testing.F) {
 
 // TestLinkClockCorpusGrowsAndReuses keeps the committed corpus worth
 // replaying: at least six scripts, two of which double the table twice or
-// more and one of which hands an expired entry to a different link.
+// more, one of which spills lookups past the outboxes and one of which
+// hands an expired table entry to a different link.
 func TestLinkClockCorpusGrowsAndReuses(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLinkClockMatchesDense/*")
 	if err != nil || len(files) < 6 {
 		t.Fatalf("committed corpus has %d scripts (err %v), want at least 6", len(files), err)
 	}
-	grewTwice, reused := 0, 0
+	grewTwice, spilled, reused := 0, 0, 0
 	for _, name := range files {
-		grows, reuses := linkScript(t, corpusBytes(t, name, corpusArgs(t, name, 1)[0]), true)
-		t.Logf("%s: the table doubled %d times and re-used %d expired entries", filepath.Base(name), grows, reuses)
+		grows, spills, reuses := linkScript(t, corpusBytes(t, name, corpusArgs(t, name, 1)[0]), true)
+		t.Logf("%s: %d lookups spilled, the table doubled %d times and re-used %d expired entries", filepath.Base(name), spills, grows, reuses)
 		if grows >= 2 {
 			grewTwice++
+		}
+		if spills > 0 {
+			spilled++
 		}
 		if reuses > 0 {
 			reused++
 		}
 	}
-	if grewTwice < 2 || reused < 1 {
-		t.Errorf("%d scripts double the table twice, %d re-use an expired entry; want at least 2 and 1", grewTwice, reused)
+	if grewTwice < 2 || spilled < 1 || reused < 1 {
+		t.Errorf("%d scripts double the table twice, %d spill, %d re-use an expired entry; want at least 2, 1 and 1", grewTwice, spilled, reused)
 	}
 }
 
@@ -396,21 +455,24 @@ func windowKeys(line int, pair bool, count int) []graph.NodeID {
 
 const windowSrc graph.NodeID = 3
 
-// TestLinkTableWindow drives one probe window through its four cases with
-// links chosen to collide: a fifth link of a full home line lands in the
-// buddy line and is found there again; an expired entry is handed to a
-// new link without the table growing; an entry that is still live — its
-// value one tick ahead of the clock — is not; and a ninth live link
-// doubles the table, every live value surviving the move.
+// TestLinkTableWindow drives one probe window of the table, through slot,
+// through its four cases with links chosen to collide: a fifth link of a
+// full home line lands in the buddy line and is found there again; an
+// expired entry is handed to a new link without the table growing; an
+// entry that is still live — its value one tick ahead of the clock — is
+// not; and a ninth live link doubles the table, every live value
+// surviving the move.
 func TestLinkTableWindow(t *testing.T) {
 	fresh := func() *linkClock { return newLinkClock(noIdxTopo{NewCompleteTopology(8)}) }
 	const size = linkLine << linkTableBits
-	// reserve at tick 10 for one tick: busy until 11.
+	// At tick 10, a link busy until 11.
 	hold := func(c *linkClock, v graph.NodeID) {
 		t.Helper()
-		if got := c.reserve(-1, windowSrc, v, 10, 10, 1); got != 10 {
-			t.Fatalf("first reservation of %d -> %d departs at %d, want 10", windowSrc, v, got)
+		s := c.slot(windowSrc, v, 10)
+		if *s != 0 {
+			t.Fatalf("the first lookup of %d -> %d found the value %d, want a free entry", windowSrc, v, *s)
 		}
+		*s = 11
 	}
 
 	c := fresh()
@@ -418,8 +480,8 @@ func TestLinkTableWindow(t *testing.T) {
 	for _, v := range same[:linkLine+1] {
 		hold(c, v)
 	}
-	if got := c.reserve(-1, windowSrc, same[linkLine], 10, 10, 1); got != 11 || len(c.tab) != size {
-		t.Errorf("the fifth link of one home line departs at %d in a table of %d, want 11 and %d: not found in the buddy line", got, len(c.tab), size)
+	if got := *c.slot(windowSrc, same[linkLine], 10); got != 11 || len(c.tab) != size {
+		t.Errorf("the fifth link of one home line holds %d in a table of %d, want 11 and %d: not found in the buddy line", got, len(c.tab), size)
 	}
 
 	c = fresh()
@@ -428,8 +490,9 @@ func TestLinkTableWindow(t *testing.T) {
 		hold(c, v)
 	}
 	// Tick 11: all eight entries (busy until 11) have expired.
-	if got := c.reserve(-1, windowSrc, pair[2*linkLine], 11, 11, 1); got != 11 || len(c.tab) != size {
-		t.Errorf("a ninth link at tick 11 departs at %d in a table of %d, want 11 and %d: an expired entry was not re-used", got, len(c.tab), size)
+	s := c.slot(windowSrc, pair[2*linkLine], 11)
+	if *s > 11 || len(c.tab) != size || c.slot(windowSrc, pair[2*linkLine], 11) != s {
+		t.Errorf("a ninth link at tick 11 got an entry holding %d in a table of %d, want an expired entry of a table of %d that it keeps", *s, len(c.tab), size)
 	}
 
 	c = fresh()
@@ -438,12 +501,69 @@ func TestLinkTableWindow(t *testing.T) {
 	}
 	// Still tick 10: all eight are live, the ninth must not evict one.
 	hold(c, pair[2*linkLine])
-	if len(c.tab) != 2*size {
-		t.Errorf("a ninth live link left the table at %d entries, want %d", len(c.tab), 2*size)
+	if len(c.tab) != 2*size || c.grows != 1 {
+		t.Errorf("a ninth live link left the table at %d entries after %d doublings, want %d and 1", len(c.tab), c.grows, 2*size)
 	}
 	for _, v := range pair {
-		if got := c.reserve(-1, windowSrc, v, 10, 10, 1); got != 11 {
-			t.Errorf("after the ninth link, %d -> %d departs at %d, want 11: its live entry was lost", windowSrc, v, got)
+		if got := *c.slot(windowSrc, v, 10); got != 11 {
+			t.Errorf("after the ninth link, %d -> %d holds %d, want 11: its live entry was lost", windowSrc, v, got)
 		}
+	}
+}
+
+// TestLinkOutbox drives one sending node's outbox through its four cases:
+// a link with a live way is found there; an expired way is handed to a
+// new link; a fifth live link spills to the table and raises the node's
+// spill; and once every way has expired, a link that spilled with a
+// longer reservation is still found in the table, not given a way.
+func TestLinkOutbox(t *testing.T) {
+	const u graph.NodeID = 2
+	c := newLinkClock(noIdxTopo{NewCompleteTopology(16)})
+	o := &c.out[u]
+	reserve := func(v graph.NodeID, now, hold, want Time) {
+		t.Helper()
+		if got := c.advance(-1, u, v, now, now, hold); got != want {
+			t.Fatalf("at tick %d, %d -> %d departs at %d, want %d", now, u, v, got, want)
+		}
+	}
+	tableEmpty := func() bool {
+		for _, e := range c.tab {
+			if e.val != 0 {
+				return false
+			}
+		}
+		return true
+	}
+
+	// A way hit: the second reservation of 2 -> 5 waits for the first.
+	reserve(5, 10, 1, 10)
+	reserve(5, 10, 1, 11)
+	if o.to[0] != 5 || o.at[0] != 12 || c.spills != 0 || c.binds != 1 || !tableEmpty() {
+		t.Errorf("after two reservations of one link: way 0 = (%d, %d), %d spills, %d binds; want (5, 12), 0 and 1 in an empty table",
+			o.to[0], o.at[0], c.spills, c.binds)
+	}
+
+	// An expired way reused: at tick 12 the way of 2 -> 5 is free again.
+	for _, v := range []graph.NodeID{6, 7, 8} {
+		reserve(v, 11, 2, 11)
+	}
+	reserve(9, 12, 1, 12)
+	if o.to != [linkWays]graph.NodeID{9, 6, 7, 8} || c.spills != 0 || !tableEmpty() {
+		t.Errorf("at tick 12 the ways hold %v after %d spills, want [9 6 7 8], none, in an empty table", o.to, c.spills)
+	}
+
+	// A fifth live link spills: all four ways are busy past tick 12.
+	reserve(10, 12, 30, 12)
+	if c.spills != 1 || o.spill != 42 || tableEmpty() || o.to != [linkWays]graph.NodeID{9, 6, 7, 8} {
+		t.Errorf("the fifth live link: %d spills, spill %d, ways %v; want 1, 42 and the ways kept, the link in the table",
+			c.spills, o.spill, o.to)
+	}
+
+	// At tick 20 every way has expired, but 2 -> 10 is busy until 42 in the
+	// table: it is found there and departs then.
+	reserve(10, 20, 1, 42)
+	if c.spills != 2 || o.spill != 43 || o.to != [linkWays]graph.NodeID{9, 6, 7, 8} {
+		t.Errorf("the spilled link after its node's ways expired: %d spills, spill %d, ways %v; want 2, 43 and no way claimed",
+			c.spills, o.spill, o.to)
 	}
 }

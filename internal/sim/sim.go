@@ -192,7 +192,7 @@ type Simulator struct {
 	// weights) — two array reads instead of five interface calls per
 	// message; other topologies answer through Latency/Hops, and through
 	// LinkIndex only when perLink says a dense clock wants the slot (the
-	// table representation and the fault state key by the endpoints).
+	// expiring representation and the fault state key by the endpoints).
 	linkIdx    LinkIndexer
 	perLink    bool
 	treeParent []graph.NodeID
@@ -261,7 +261,18 @@ const (
 	linkLine = 4
 	// linkTableBits sizes the initial table: 2^4 lines, 1 KB.
 	linkTableBits = 4
+	// linkWays is the number of links a sending node's outbox holds.
+	linkWays = 4
 )
+
+// outbox is one sending node's record in front of the table: four ways,
+// each a destination and its link's time, and spill, the latest time any
+// of the node's links was given in the table. 56 bytes.
+type outbox struct {
+	to    [linkWays]graph.NodeID
+	at    [linkWays]Time
+	spill Time
+}
 
 // linkClock keeps one monotone Time per directed link. The simulator
 // instantiates it twice: once for the FIFO no-overtake clamp (last
@@ -272,23 +283,37 @@ const (
 //   - dense, a flat slice indexed by the slot send resolved, when the
 //     link space is linear in the node count or small — every
 //     TreeTopology (2n slots) and the paper-scale metrics (n <= 181);
-//   - tab, an open-addressed table keyed by the endpoints, for an n² link
-//     space or a topology that is no LinkIndexer. It is sized by the
+//   - expiring, for an n² link space or a topology that is no
+//     LinkIndexer: one outbox per sending node in front of an
+//     open-addressed table keyed by the endpoints. It is sized by the
 //     messages in flight, not by the links that exist, because an entry
 //     expires: a value <= now is indistinguishable from an absent one.
-//     clamp is only ever asked with t = depart + delay >= now + 1 > val
-//     and reserve with t = depart >= now >= val (depart is now, or a
-//     later healAt under FaultQueue), so max(t, val) = t either way. A
-//     lookup that misses therefore claims any expired entry of its
-//     window; a window of live entries doubles the table, which
-//     re-inserts the live entries only. Nothing is deleted or shrunk.
+//     advance is asked with t = depart + delay >= now + 1 > val by the
+//     clamp and t = depart >= now >= val by the reservation (depart is
+//     now, or a later healAt under FaultQueue), so max(t, val) = t
+//     either way.
+//
+// A lookup of u -> v in the expiring representation takes a live way of
+// out[u] whose destination is v; failing that, the table when u may have
+// a live link there (spill > now) or every way is live; failing that,
+// the first expired way. A way is only claimed while u holds no live
+// table entry and a table entry only while no live way matches, so a
+// link has at most one live entry. A table lookup that misses claims any
+// expired entry of its window; a window of live entries doubles the
+// table, which re-inserts the live entries only. Nothing is deleted or
+// shrunk.
 //
 // Both uses store values >= 1 and the clock starts at 0, so a zeroed
 // entry is free (and a zero dense slot means "never touched").
 type linkClock struct {
 	dense []Time
+	out   []outbox    // one per sending node
 	tab   []linkEntry // power-of-two length
 	shift uint        // 64 - log2(lines in tab)
+
+	// binds counts the times advance raised t; spills the lookups sent
+	// to the table; grows the table's doublings (see LinkStats).
+	binds, spills, grows int64
 }
 
 // newLinkClock picks the representation for the given topology.
@@ -298,19 +323,62 @@ func newLinkClock(topo Topology) *linkClock {
 			return &linkClock{dense: make([]Time, nl)}
 		}
 	}
-	return &linkClock{tab: make([]linkEntry, linkLine<<linkTableBits), shift: 64 - linkTableBits}
+	return &linkClock{
+		out: make([]outbox, topo.NumNodes()),
+		tab: make([]linkEntry, linkLine<<linkTableBits), shift: 64 - linkTableBits,
+	}
 }
 
-// slot returns the storage cell of the link u -> v: dense[link] (the slot
-// send resolved: from the tree link table, or the topology's LinkIndex),
-// or the table entry holding the pair, claimed from an expired one — and
-// the table grown when the whole window is live — if it holds none.
+// advance moves the clock of the link u -> v past t and returns t raised
+// to the link's time; the link's time becomes that result plus hold. The
+// FIFO clamp passes the arrival and hold 0 (the link's last arrival); the
+// capacity reservation passes the departure and hold LinkTxTime (the
+// link's earliest next departure). link is the slot send resolved for a
+// dense clock.
 //
-//arrow:hotpath both the FIFO clamp and the capacity reservation resolve their cell here
-func (c *linkClock) slot(link int, u, v graph.NodeID, now Time) *Time {
+//arrow:hotpath one call per send on runs with a FIFO clamp or finite link capacity
+func (c *linkClock) advance(link int, u, v graph.NodeID, now, t, hold Time) Time {
 	if c.dense != nil {
-		return &c.dense[link]
+		return c.bump(&c.dense[link], t, hold)
 	}
+	o := &c.out[u]
+	free := -1
+	for i := range o.to {
+		if o.at[i] > now {
+			if o.to[i] == v {
+				return c.bump(&o.at[i], t, hold)
+			}
+		} else if free < 0 {
+			free = i
+		}
+	}
+	if free >= 0 && o.spill <= now {
+		// An expired way's value is <= now <= t: nothing to raise.
+		o.to[free], o.at[free] = v, t+hold
+		return t
+	}
+	c.spills++
+	t = c.bump(c.slot(u, v, now), t, hold)
+	o.spill = max(o.spill, t+hold)
+	return t
+}
+
+// bump raises t to the cell's value, stores t+hold and returns t.
+func (c *linkClock) bump(s *Time, t, hold Time) Time {
+	if t < *s {
+		t = *s
+		c.binds++
+	}
+	*s = t + hold
+	return t
+}
+
+// slot returns the table entry holding the link u -> v, claimed from an
+// expired one — and the table grown when the whole window is live — if
+// the table holds none.
+//
+//arrow:hotpath the lookups advance spills past the outbox resolve their entry here
+func (c *linkClock) slot(u, v graph.NodeID, now Time) *Time {
 	key := uint64(uint32(u))<<32 | uint64(uint32(v))
 	for {
 		line := c.home(key) // line^1 is its buddy
@@ -343,41 +411,42 @@ func (c *linkClock) home(key uint64) int {
 // that finds its new window full grows again, carrying the entries moved
 // so far with it.
 func (c *linkClock) grow(now Time) {
+	c.grows++
 	old := c.tab
 	c.tab, c.shift = make([]linkEntry, 2*len(old)), c.shift-1
 	for _, e := range old {
 		if e.val > now {
-			*c.slot(-1, graph.NodeID(e.key>>32), graph.NodeID(e.key), now) = e.val
+			*c.slot(graph.NodeID(e.key>>32), graph.NodeID(e.key), now) = e.val
 		}
 	}
 }
 
-// clamp enforces per-link FIFO order: it returns t raised to the link's
-// last recorded arrival and records the result as the new last arrival.
-//
-//arrow:hotpath one call per send on runs where the FIFO clamp can bind
-func (c *linkClock) clamp(link int, u, v graph.NodeID, now, t Time) Time {
-	s := c.slot(link, u, v, now)
-	if t < *s {
-		t = *s
-	}
-	*s = t
-	return t
+// LinkStats counts what the per-link clocks did in one run. Every count
+// is a pure function of the run's configuration.
+type LinkStats struct {
+	// FIFOBinds is the number of arrivals the FIFO clamp raised to an
+	// earlier message's arrival on the same link.
+	FIFOBinds int64
+	// CapacityBinds is the number of departures a LinkTxTime reservation
+	// delayed behind an earlier transmission on the same link.
+	CapacityBinds int64
+	// Spills is the number of lookups the expiring clocks sent past the
+	// sender's outbox to the table.
+	Spills int64
+	// Grows is the number of times an expiring clock's table doubled.
+	Grows int64
 }
 
-// reserve claims the link u -> v for one transmission of duration tx not
-// earlier than t: it returns the departure instant (t, or the link's
-// pending busy-until time if later) and marks the link busy until
-// departure+tx.
-//
-//arrow:hotpath one call per send on runs with finite link capacity
-func (c *linkClock) reserve(link int, u, v graph.NodeID, now, t, tx Time) Time {
-	s := c.slot(link, u, v, now)
-	if t < *s {
-		t = *s
+// LinkStats returns the link clocks' counters so far (see LinkStats).
+func (s *Simulator) LinkStats() LinkStats {
+	var st LinkStats
+	if c := s.fifo; c != nil {
+		st.FIFOBinds, st.Spills, st.Grows = c.binds, c.spills, c.grows
 	}
-	*s = t + tx
-	return t
+	if c := s.busy; c != nil {
+		st.CapacityBinds, st.Spills, st.Grows = c.binds, st.Spills+c.spills, st.Grows+c.grows
+	}
+	return st
 }
 
 // DeriveSeed derives an independent stream seed from a base seed via a
@@ -579,7 +648,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// transmissions and reserves LinkTxTime of the link for itself, so
 	// same-instant senders into one link serialize.
 	if s.busy != nil {
-		depart = s.busy.reserve(link, u, v, s.now, depart, s.txTime)
+		depart = s.busy.advance(link, u, v, s.now, depart, s.txTime)
 	}
 	arrive := depart + delay
 	// FIFO: never overtake an earlier message on this link. Arrivals are
@@ -588,7 +657,7 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	// arrivals are monotone per link by construction, so the clamp is
 	// provably a no-op there.
 	if !s.fifoFree {
-		arrive = s.fifo.clamp(link, u, v, s.now, arrive)
+		arrive = s.fifo.advance(link, u, v, s.now, arrive, 0)
 	}
 	s.messages++
 	s.hops += int64(hops)

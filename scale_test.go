@@ -96,14 +96,15 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 // flight: an NTA closed loop (one object, so every find chases one tail)
 // on the implicit complete metric with LinkTxTime 1 keeps a capacity
 // clock, and under AsyncUniform(4) a FIFO clamp clock beside it. Either
-// is an expiring table holding the links with a reservation or arrival
-// still ahead of the simulated clock — about n of the n² link ids — so
+// is an expiring clock: a 56-byte outbox per sending node and a table of
+// the links that spill past it with a reservation or arrival still ahead
+// of the simulated clock — about n of the n² link ids in all — so
 // bytes/node stays flat from 10⁴ to 10⁵ nodes. It may double across the
 // decade, since the table grows by doubling and its rounding shows, and
-// stays under budgets well above what the rows measure (208 and 268
-// B/node synchronous, 366 and 604 asynchronous). One slot per link id
-// allocated 64 500 B/node at 10⁵ synchronous and twice that
-// asynchronous.
+// stays under budgets well above what the rows measure (194 and 182
+// B/node synchronous, 302 and 280 asynchronous; the table alone read 189
+// and 252, 399 and 588). One slot per link id allocated 64 500 B/node at
+// 10⁵ synchronous and twice that asynchronous.
 func TestCapacityBytesPerNodeFlat(t *testing.T) {
 	rows := []struct {
 		name   string
