@@ -70,14 +70,14 @@ func TestTreeLinkTableMatchesInterface(t *testing.T) {
 					busy, fifo := append([]Time(nil), s.busy.dense...), append([]Time(nil), s.fifo.dense...)
 					s.send(u, v, nil)
 					c, slot := s.lq.popCell()
-					if c == nil || c.to != v || c.from != u || c.kind != evMessage {
+					if c == nil || c.to != v || c.from != u || c.kind() != evMessage {
 						t.Fatalf("send %d -> %d queued %+v", u, v, c)
 					}
-					if got := c.at - s.now; got != w {
+					if got := s.lq.base - s.now; got != w {
 						t.Errorf("send %d -> %d took %d ticks, Latency says %d", u, v, got, w)
 					}
 					link := tt.LinkIndex(u, v)
-					busy[link], fifo[link] = s.now+1, c.at
+					busy[link], fifo[link] = s.now+1, s.lq.base
 					s.lq.release(slot)
 					for i := range busy {
 						if s.busy.dense[i] != busy[i] || s.fifo.dense[i] != fifo[i] {

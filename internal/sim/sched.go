@@ -18,21 +18,57 @@ const (
 	evFault
 )
 
-// event is one pending event and, in the arena, its own cell: 48 bytes.
-// msg carries the payload of every kind — a message's Message, an
-// evTimer's TimerFunc (funcs are pointer-shaped: no boxing allocation),
-// an evFault's *compiledFault. next is the intrusive list link of the
-// cell's bucket or of the freelist. The arbitration priority is not
-// stored: it is a function of seq (see ladderQueue.pri).
+// event is one pending event as a full value: the heap tier's element
+// and the oracle's. msg carries the payload of every kind — a message's
+// Message, an evTimer's TimerFunc (funcs are pointer-shaped: no boxing
+// allocation), an evFault's *compiledFault. The arbitration priority is
+// not stored: it is a function of seq (see ladderQueue.pri).
 type event struct {
 	at   Time
 	seq  uint64
 	msg  Message
 	to   graph.NodeID
 	from graph.NodeID
-	next int32
 	kind evKind
 }
+
+// cell is one pending event short of the heap tier, stored as its own
+// arena cell: 32 bytes, so cells tile 64-byte lines two to a line and
+// none straddles a line boundary. next is the intrusive list link of the cell's bucket or of the
+// freelist; tk holds the event's time as its offset inside the
+// position's 2²⁷-tick block (the low heapShift bits) with the kind in
+// the bits above.
+//
+// Why the offset is exact: a push links a cell into the arena only when
+// (at^base)>>heapShift == 0 — anything else goes to the heap — so every
+// cell's time shares base's block when it is pushed. base leaves its
+// block only in refill's heap branch, and only with the ring and both
+// wheels empty, that is with no cell pending; pourHeap then fills cells
+// from the heap block base has just entered. So at every moment every
+// pending cell's time is base&^blockMask | offset (see cellAt), and a
+// popped cell's time is base itself.
+//
+// The sequence number is not stored either. Under FIFO and LIFO the
+// order invariant (see ladderQueue) makes list order the arbitration
+// order, so nothing reads it; random arbitration keeps it in a column
+// beside the arena (ladderQueue.seqs).
+type cell struct {
+	msg  Message
+	to   graph.NodeID
+	from graph.NodeID
+	next int32
+	tk   uint32
+}
+
+// blockMask selects a time's offset inside its 2²⁷-tick block.
+const blockMask = 1<<heapShift - 1
+
+// The kind must fit in tk above the offset bits: a compile error (the
+// constant overflows uint32) if evFault outgrows them.
+const _ uint32 = uint32(evFault)<<heapShift | blockMask
+
+// kind returns the cell's event kind.
+func (c *cell) kind() evKind { return evKind(c.tk >> heapShift) }
 
 // heapEntry is one heap-tier event with its arbitration priority, the
 // one place a priority is kept: the heap orders by it on every sift.
@@ -181,14 +217,18 @@ type farWheel struct {
 	bucket   [ringSize]tickBucket
 }
 
-// SchedStats counts the ladder queue's far-tier work — every counter
-// sits on a branch the ring path never takes. FarPushes[k] is fresh
-// pushes that landed in far wheel k, HeapPushes those that fell through
-// to the binary heap (more than 2²⁷ ticks from the position), Refills
-// the far buckets opened (one per epoch poured, super-epoch cascaded or
-// heap block poured) and Cascaded the events those refills moved one
-// tier down. Deterministic for a fixed config.
+// SchedStats counts the ladder queue's pushes by tier and its far-tier
+// work. RingPushes is fresh pushes that landed directly in the tick
+// ring, FarPushes[k] those that landed in far wheel k, HeapPushes those
+// that fell through to the binary heap (more than 2²⁷ ticks from the
+// position); the three sum to the run's pushes. Refills is the far
+// buckets opened (one per epoch poured, super-epoch cascaded or heap
+// block poured) and Cascaded the events those refills moved one tier
+// down. Every counter the queue keeps sits on a branch the ring path
+// never takes: RingPushes is derived by (*Simulator).SchedStats from the
+// run's push count. Deterministic for a fixed config.
 type SchedStats struct {
+	RingPushes int64
 	FarPushes  [farLevels]int64
 	HeapPushes int64
 	Refills    int64
@@ -251,7 +291,9 @@ func (st SchedStats) Far() int64 {
 // Push and pop are O(1) at every wheel tier — an event more than 512
 // ticks out is relinked at most twice on its way to the ring, never
 // copied — and O(log heap) only beyond 2²⁷ ticks. Arena cells recycle
-// through a freelist, so the steady state allocates nothing.
+// through a freelist, so the steady state allocates nothing. A cell
+// stores its time only as an offset in the position's 2²⁷-tick block
+// and no sequence number (see cell).
 type ladderQueue struct {
 	arb Arbitration
 	// arbSeed keys random arbitration: an event's priority hashes its
@@ -273,8 +315,13 @@ type ladderQueue struct {
 	// relinks the same cell, and the arena grows (amortized, like the
 	// heap's backing array) only when the pending count reaches a new
 	// peak.
-	arena    []event
-	free     int32 // freelist head through event.next
+	arena []cell
+	// seqs is the sequence-number column beside the arena, one entry per
+	// slot, kept only under random arbitration (nil otherwise): the one
+	// mode whose order is not list order, so the sort and insertSorted
+	// read it.
+	seqs     []uint64
+	free     int32 // freelist head through cell.next
 	occupied [ringSize / 64]uint64
 	ring     [ringSize]tickBucket
 	far      [farLevels]farWheel
@@ -316,8 +363,8 @@ func (q *ladderQueue) pri(seq uint64) int64 {
 	return int64(seq)
 }
 
-// alloc returns a free arena slot, growing the arena at a new pending
-// peak.
+// alloc returns a free arena slot, growing the arena — and under
+// random arbitration the seq column with it — at a new pending peak.
 //
 //arrow:hotpath one slot per enqueue; the arena append grows only at a new pending peak
 func (q *ladderQueue) alloc() int32 {
@@ -325,37 +372,65 @@ func (q *ladderQueue) alloc() int32 {
 		q.free = q.arena[s].next
 		return s
 	}
-	q.arena = append(q.arena, event{})
+	q.arena = append(q.arena, cell{})
+	if q.arb == ArbRandom {
+		q.seqs = append(q.seqs, 0)
+	}
 	return int32(len(q.arena) - 1)
 }
 
-// push allocates the cell of a fresh event keyed (at, seq), links it
-// into the tier at selects — its tick's ring bucket, or a far wheel or
-// the heap past the epoch — with the arbitration's placement, and
-// returns it for the caller to fill in place (kind, endpoints, payload):
-// the event is built where it will be dispatched from, never copied in.
-// The pointer is valid until the next queue operation.
+// cellTK packs a cell's tk: the offset of at in its 2²⁷-tick block,
+// which must be the position's (see cell), and the kind above it.
+func cellTK(at Time, kind evKind) uint32 {
+	return uint32(at&blockMask) | uint32(kind)<<heapShift
+}
+
+// cellAt returns the time of the pending event in slot s: its offset in
+// the position's 2²⁷-tick block, which every pending cell shares (see
+// cell).
+func (q *ladderQueue) cellAt(s int32) Time {
+	return q.base&^blockMask | Time(q.arena[s].tk&blockMask)
+}
+
+// push enqueues a fresh event scheduled seq-th: it fills its heap entry
+// when at lies beyond the position's 2²⁷-tick block, else its cell
+// (and under random arbitration its seq), and links the cell into the
+// tier at selects — its tick's ring bucket, or a far wheel past the
+// epoch — with the arbitration's placement. The event is built where it
+// will be dispatched from, never copied in. The fill is written out
+// field by field, here: a composite literal of the five-field cell goes
+// through a stack temporary, and a helper would exceed the inlining
+// budget and cost a call on every push.
 //
 //arrow:hotpath O(1) enqueue: tick bucket, or a far wheel past the epoch
-func (q *ladderQueue) push(at Time, seq uint64) *event {
+func (q *ladderQueue) push(at Time, seq uint64, kind evKind, to, from graph.NodeID, msg Message) {
 	if at < q.base {
 		panic("sim: scheduling into the past")
 	}
 	q.size++
+	if at >= q.horizon && (at^q.base)>>heapShift != 0 {
+		q.stats.HeapPushes++
+		e := q.heap.push(at, q.pri(seq), seq)
+		e.kind, e.to, e.from, e.msg = kind, to, from, msg
+		return
+	}
+	s := q.alloc()
+	c := &q.arena[s]
+	c.msg, c.to, c.from, c.next, c.tk = msg, to, from, nilSlot, cellTK(at, kind)
+	if q.arb == ArbRandom {
+		q.seqs[s] = seq
+	}
 	if at >= q.horizon {
-		return q.farPush(at, seq)
+		q.farLink(s, at)
+		return
 	}
 	idx := int(at) & ringMask
 	b := &q.ring[idx]
-	s := q.alloc()
-	c := &q.arena[s]
-	c.at, c.seq = at, seq
 	if b.head == nilSlot {
 		q.occupied[idx>>6] |= 1 << (idx & 63)
 		q.ringCnt++
-		c.next = nilSlot
 		b.head, b.tail = s, s
-		return c
+		return
 	}
 	switch q.arb {
 	case ArbLIFO:
@@ -363,45 +438,36 @@ func (q *ladderQueue) push(at Time, seq uint64) *event {
 		// it pops before everything already listed.
 		c.next = b.head
 		b.head = s
-		return c
+		return
 	case ArbRandom:
 		if q.curPrepared && at == q.base {
 			q.insertSorted(b, s)
-			return c
+			return
 		}
 	case ArbFIFO:
 		// Largest seq pops last: the tail append below is already
 		// FIFO placement.
 	}
-	c.next = nilSlot
 	q.arena[b.tail].next = s
 	b.tail = s
-	return c
 }
 
-// farPush places a fresh push beyond the current epoch: into the far
-// wheel whose alignment it shares with the position, or the heap past
-// 2²⁷ ticks. Placement within the list follows the arbitration exactly
-// as in the ring (see the order invariant).
+// farLink links the freshly filled slot s, due at at beyond the current
+// epoch but inside the position's 2²⁷-tick block, into the far wheel
+// whose alignment it shares with the position. Placement within the
+// list follows the arbitration exactly as in the ring (see the order
+// invariant).
 //
 //arrow:hotpath O(1) far enqueue: one list link, no sift
-func (q *ladderQueue) farPush(at Time, seq uint64) *event {
-	if (at^q.base)>>heapShift != 0 {
-		q.stats.HeapPushes++
-		return q.heap.push(at, q.pri(seq), seq)
-	}
-	s := q.alloc()
-	c := &q.arena[s]
-	c.at, c.seq = at, seq
+func (q *ladderQueue) farLink(s int32, at Time) {
 	b, k := q.farBucket(at)
 	q.stats.FarPushes[k]++
 	if q.arb == ArbLIFO && b.head != nilSlot {
-		c.next = b.head
+		q.arena[s].next = b.head
 		b.head = s
 	} else {
 		q.appendSlot(b, s)
 	}
-	return c
 }
 
 // farBucket returns the far-wheel list for time at (and its level),
@@ -440,7 +506,7 @@ func (q *ladderQueue) appendSlot(b *tickBucket, s int32) {
 //
 //arrow:hotpath relink one tier down: no event copy
 func (q *ladderQueue) place(s int32) {
-	at := q.arena[s].at
+	at := q.cellAt(s)
 	if at >= q.horizon {
 		b, _ := q.farBucket(at)
 		q.appendSlot(b, s)
@@ -459,7 +525,7 @@ func (q *ladderQueue) place(s int32) {
 // bucket. Only same-tick scheduling during the tick's own drain under
 // random arbitration lands here, so the list walk is off the hot path.
 func (q *ladderQueue) insertSorted(b *tickBucket, s int32) {
-	k := sortKey{pri: q.pri(q.arena[s].seq), seq: q.arena[s].seq}
+	k := sortKey{pri: q.pri(q.seqs[s]), seq: q.seqs[s]}
 	if q.keyBefore(k, b.head) {
 		q.arena[s].next = b.head
 		b.head = s
@@ -482,7 +548,7 @@ func (q *ladderQueue) insertSorted(b *tickBucket, s int32) {
 
 // keyBefore reports whether key k pops before the event in slot s.
 func (q *ladderQueue) keyBefore(k sortKey, s int32) bool {
-	seq := q.arena[s].seq
+	seq := q.seqs[s]
 	return cmpKey(k, sortKey{pri: q.pri(seq), seq: seq}) < 0
 }
 
@@ -494,7 +560,7 @@ func (q *ladderQueue) keyBefore(k sortKey, s int32) bool {
 func (q *ladderQueue) prepareRandom(b *tickBucket) {
 	keys := q.scratch[:0]
 	for s := b.head; s != nilSlot; s = q.arena[s].next {
-		seq := q.arena[s].seq
+		seq := q.seqs[s]
 		keys = append(keys, sortKey{pri: q.pri(seq), seq: seq, slot: s})
 	}
 	slices.SortFunc(keys, cmpKey)
@@ -507,7 +573,8 @@ func (q *ladderQueue) prepareRandom(b *tickBucket) {
 }
 
 // popCell unlinks the earliest pending event's cell and returns it with
-// its slot, or (nil, nilSlot) when nothing is pending. The event is
+// its slot, or (nil, nilSlot) when nothing is pending. The event's time
+// is the position, base, which popCell has moved to it. The event is
 // dispatched from the cell — no copy out — and the slot stays out of
 // the freelist until the caller hands it back with release. A handler
 // may grow the arena while the cell is out, so the pointer is good only
@@ -516,7 +583,7 @@ func (q *ladderQueue) prepareRandom(b *tickBucket) {
 // out.
 //
 //arrow:hotpath O(1) dequeue
-func (q *ladderQueue) popCell() (*event, int32) {
+func (q *ladderQueue) popCell() (*cell, int32) {
 	if q.size == 0 {
 		return nil, nilSlot
 	}
@@ -627,16 +694,23 @@ func (q *ladderQueue) refill() {
 }
 
 // pourHeap moves every heap event of the position's 2²⁷-tick block into
-// the arena. The wheels and the ring are empty when it runs (refill
-// reaches the heap last), and the heap emits each tick's events in
-// ascending (pri, seq), so appending them is final order. A completely
-// drained heap releases its oversized backing array.
+// the arena, converting each into a cell (and its seq into the column
+// under random arbitration). The wheels and the ring are empty when it
+// runs (refill reaches the heap last), and the heap emits each tick's
+// events in ascending (pri, seq), so appending them is final order. A
+// completely drained heap releases its oversized backing array.
 //
 //arrow:hotpath heap block pour: one sift-down and one link per event
 func (q *ladderQueue) pourHeap() {
+	var e event
 	for len(q.heap) > 0 && (q.heap[0].ev.at^q.base)>>heapShift == 0 {
+		q.heap.pop(&e)
 		s := q.alloc()
-		q.heap.pop(&q.arena[s])
+		c := &q.arena[s]
+		c.msg, c.to, c.from, c.tk = e.msg, e.to, e.from, cellTK(e.at, e.kind)
+		if q.arb == ArbRandom {
+			q.seqs[s] = e.seq
+		}
 		q.place(s)
 		q.stats.Cascaded++
 	}
@@ -648,20 +722,28 @@ func (q *ladderQueue) pourHeap() {
 // compact runs when the far tier has just emptied: the list at head
 // holds every pending event. If the arena is a burst's leftover — above
 // the retain cap and more than four times the live count — it is
-// rebuilt around that list (slots 0..size-1, same order) and the old
-// array released. Returns the list's new head.
+// rebuilt around that list (slots 0..size-1, same order), the seq
+// column with it under random arbitration, and the old arrays released.
+// Returns the list's new head.
 func (q *ladderQueue) compact(head int32) int32 {
 	if len(q.arena) <= overflowRetainCap || len(q.arena) <= 4*q.size {
 		return head
 	}
-	fresh := make([]event, q.size)
+	fresh := make([]cell, q.size)
+	var seqs []uint64
+	if q.arb == ArbRandom {
+		seqs = make([]uint64, q.size)
+	}
 	i := 0
 	for s := head; s != nilSlot; s = q.arena[s].next {
 		fresh[i] = q.arena[s]
 		fresh[i].next = int32(i + 1)
+		if seqs != nil {
+			seqs[i] = q.seqs[s]
+		}
 		i++
 	}
 	fresh[i-1].next = nilSlot
-	q.arena, q.free = fresh, nilSlot
+	q.arena, q.seqs, q.free = fresh, seqs, nilSlot
 	return 0
 }

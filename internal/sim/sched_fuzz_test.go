@@ -13,7 +13,9 @@ import (
 
 // scriptCover is what one ladderScript run reached of the in-place API's
 // hazards, as a bit set: a popped cell held out while the arena
-// reallocated, and the tiers fresh pushes landed in while a cell was out.
+// reallocated, the tiers fresh pushes landed in while a cell was out,
+// and the two places a cell is rebuilt rather than relinked — a pour
+// of the heap tier into cells, and compact's rebuilt arena.
 type scriptCover uint8
 
 const (
@@ -22,11 +24,13 @@ const (
 	coverWheel0Held
 	coverWheel1Held
 	coverHeapHeld
+	coverPour
+	coverCompact
 	coverAll = 1<<iota - 1
 )
 
 // ladderScript replays one byte-script against a ladderQueue — through
-// push(at, seq) / popCell / release, the way the simulator drives it —
+// push / popCell / release, the way the simulator drives it —
 // and the eventHeap oracle, and fails on the first difference. arb
 // picks the arbitration, start the tick the queue is positioned at
 // before the script runs (any alignment relative to the epoch,
@@ -34,8 +38,10 @@ const (
 // operation: the low three bits choose it, the high five are its
 // argument a.
 //
-//	0    pop one event from both queues and compare (at, seq) and
-//	     the payload filled into the cell at push. With a even the cell
+//	0    pop one event from both queues and compare the time (the
+//	     position popCell moved to), the kind and the endpoint the push
+//	     stamped with its seq — and under random arbitration the seq
+//	     column, which the pour and compact rebuild. With a even the cell
 //	     stays out — like the serial loop's, whose handler is running —
 //	     across the pushes that follow, until the next op that is not a
 //	     push releases it; with a odd it is released at once
@@ -66,7 +72,7 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		h     eventHeap
 		seq   uint64
 		held  = nilSlot // the cell currently out, if any
-		heldE event     // what it held when popped
+		heldE cell      // what it held when popped
 		cover scriptCover
 	)
 	lq.init(arb, int64(start))
@@ -82,11 +88,14 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 	}
 	push := func(at Time) {
 		seq++
-		h.push(at, lq.pri(seq), seq).to = graph.NodeID(seq)
+		// Every kind, so a kind that spills into the offset bits moves
+		// the recovered time.
+		kind := evKind(seq % uint64(evFault+1))
+		e := h.push(at, lq.pri(seq), seq)
+		e.kind, e.to = kind, graph.NodeID(seq)
 		st, arena := lq.stats, cap(lq.arena)
 		ringPush := at < lq.horizon
-		c := lq.push(at, seq)
-		c.kind, c.to = evMessage, graph.NodeID(seq)
+		lq.push(at, seq, kind, graph.NodeID(seq), 0, nil)
 		if held != nilSlot {
 			mark := func(bit scriptCover, hit bool) {
 				if hit {
@@ -102,7 +111,14 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 	}
 	pop := func(hold bool) {
 		release()
+		heap, arena := len(lq.heap), len(lq.arena)
 		c, slot := lq.popCell()
+		if len(lq.heap) < heap {
+			cover |= coverPour
+		}
+		if len(lq.arena) < arena {
+			cover |= coverCompact
+		}
 		if (c != nil) != (len(h) > 0) {
 			t.Fatalf("ladder popCell ok=%v with %d events in the oracle", c != nil, len(h))
 		} else if c == nil {
@@ -110,9 +126,12 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		}
 		var want event
 		h.pop(&want)
-		if c.at != want.at || c.seq != want.seq || c.to != want.to || c.kind != evMessage {
-			t.Fatalf("pop %d: ladder (at %d, seq %d, to %d), heap (at %d, seq %d, to %d)",
-				seq, c.at, c.seq, c.to, want.at, want.seq, want.to)
+		if lq.base != want.at || c.to != want.to || c.kind() != want.kind {
+			t.Fatalf("pop %d: ladder (at %d, to %d, kind %d), heap (at %d, to %d, kind %d)",
+				seq, lq.base, c.to, c.kind(), want.at, want.to, want.kind)
+		}
+		if arb == ArbRandom && lq.seqs[slot] != want.seq {
+			t.Fatalf("pop %d: seq column holds %d for the event scheduled %d-th", seq, lq.seqs[slot], want.seq)
 		}
 		held, heldE = slot, *c
 		if !hold {
@@ -220,7 +239,10 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 // TestLadderCorpusReachesHeldCell keeps the committed corpus honest
 // about the in-place API: under every arbitration some entry holds a
 // popped cell across an arena reallocation and lands pushes in the
-// ring, both far wheels and the heap tier while a cell is out.
+// ring, both far wheels and the heap tier while a cell is out, and some
+// entry pours the heap tier into cells and has compact rebuild the
+// arena (seed-*-compact does both; under random arbitration both carry
+// the seq column).
 func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLadderMatchesHeap/*")
 	if err != nil || len(files) == 0 {
@@ -244,7 +266,7 @@ func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	}
 	for arb, c := range cover {
 		if c != coverAll {
-			t.Errorf("%v: the committed corpus misses a held-cell case: reached %05b of %05b", Arbitration(arb), c, coverAll)
+			t.Errorf("%v: the committed corpus misses a case: reached %07b of %07b", Arbitration(arb), c, coverAll)
 		}
 	}
 }

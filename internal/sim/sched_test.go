@@ -1,3 +1,29 @@
+// Tests of the ladder queue against the eventHeap oracle: whole
+// simulations replayed through a heap (TestSchedulerEquivalence), the
+// cell's block-offset encoding at its edges (TestLadderBlockOffsets),
+// far-tier storage release, and the arena's byte pins.
+//
+// Mutation table — each edit to sched.go was applied in a copy of the
+// tree and the package's tests run; the tests named are the ones that
+// failed (FuzzLadderMatchesHeap replays its committed corpus, and
+// TestLadderCorpusReachesHeldCell that corpus):
+//
+//	cellAt rebuilds the time from the    TestLadderBlockOffsets
+//	epoch, not the block (base&^ringMask)
+//	compact leaves the seq column        FuzzLadderMatchesHeap
+//	unpermuted (no q.seqs store)         (seed-random-compact),
+//	                                     TestLadderCorpusReachesHeldCell
+//	pourHeap drops the seq (no           TestLadderBlockOffsets,
+//	q.seqs store)                        FuzzLadderMatchesHeap
+//	the kind packed one bit lower,       TestLadderBlockOffsets,
+//	overlapping the offset (cellTK and   FuzzLadderMatchesHeap,
+//	kind shift by heapShift-1)           TestSchedulerEquivalence
+//
+// The order mutants of the intrusive lists — LIFO prepend skipped in
+// farLink, prepareRandom skipped in popCell, ring push appending under
+// LIFO, pri returning +seq under LIFO, insertSorted's comparison
+// reversed, popCell reading b.head before prepareRandom relinks — each
+// fail TestSchedulerEquivalence.
 package sim
 
 import (
@@ -114,6 +140,108 @@ func TestSchedulerEquivalence(t *testing.T) {
 					checkHeapOrder(t, arb, seed, l)
 				})
 			}
+		}
+	}
+}
+
+// TestLadderBlockOffsets pins the cell's time encoding at its edges:
+// events at offsets 0, 1 and 2²⁷−1 of a block and just past the block's
+// end, pushed from positions in the previous block, reach the heap tier,
+// are poured into cells when the position enters their block, and the
+// one at 2²⁷−1 goes on through wheel 1 and a cascade. After the first
+// pop of each tick every target not yet passed is pushed again, so
+// residents of different tiers meet on one tick and the tick being
+// drained takes same-tick pushes. Two more targets lie 600 and 2¹⁸+7
+// ticks past the start, in the start's own block unless it is the last
+// tick. Every pop is checked against eventHeap — time (the position),
+// kind and the seq the endpoint carries — under each arbitration, and
+// after every batch of pushes each pending cell's cellAt against the
+// time it was pushed at, from wherever the position stands.
+func TestLadderBlockOffsets(t *testing.T) {
+	const block = Time(1) << heapShift
+	const b = 5 * block
+	blockTargets := []Time{b, b + 1, b + block - 1, b + block, b + block + 1}
+	starts := []struct {
+		name string
+		at   Time
+	}{
+		{"block-start", b - block},
+		{"last-super-epoch", b - 1<<(2*ringBits) - 3},
+		{"last-tick", b - 1},
+	}
+	for _, arb := range []Arbitration{ArbFIFO, ArbLIFO, ArbRandom} {
+		for _, st := range starts {
+			t.Run(fmt.Sprintf("%v/%s", arb, st.name), func(t *testing.T) {
+				// Two more targets in the start's own block, into wheel 0
+				// and wheel 1: cells whose time differs from the position
+				// in bits it has set.
+				targets := append([]Time{st.at + 600, st.at + 1<<(2*ringBits) + 7}, blockTargets...)
+				var (
+					lq     ladderQueue
+					h      eventHeap
+					seq    uint64
+					pushed = map[graph.NodeID]Time{} // push time by seq
+				)
+				lq.init(arb, 7)
+				push := func(at Time) {
+					seq++
+					pushed[graph.NodeID(seq)] = at
+					kind := evKind(seq % uint64(evFault+1))
+					e := h.push(at, lq.pri(seq), seq)
+					e.kind, e.to = kind, graph.NodeID(seq)
+					lq.push(at, seq, kind, graph.NodeID(seq), 0, nil)
+				}
+				checkCells := func() {
+					lists := append([]tickBucket(nil), lq.ring[:]...)
+					for k := range lq.far {
+						lists = append(lists, lq.far[k].bucket[:]...)
+					}
+					for _, l := range lists {
+						for s := l.head; s != nilSlot; s = lq.arena[s].next {
+							if got, want := lq.cellAt(s), pushed[lq.arena[s].to]; got != want {
+								t.Fatalf("position %d: cell of seq %d reads time %d, pushed at %d", lq.base, lq.arena[s].to, got, want)
+							}
+						}
+					}
+				}
+				pop := func() {
+					c, slot := lq.popCell()
+					var want event
+					h.pop(&want)
+					if lq.base != want.at || c.to != want.to || c.kind() != want.kind {
+						t.Fatalf("ladder (at %d, seq %d, kind %d), heap (at %d, seq %d, kind %d)",
+							lq.base, c.to, c.kind(), want.at, want.to, want.kind)
+					}
+					lq.release(slot)
+				}
+				push(st.at)
+				pop()
+				for range 3 {
+					for _, at := range targets {
+						push(at)
+					}
+				}
+				checkCells()
+				last := Time(-1)
+				for len(h) > 0 {
+					pop()
+					if lq.base != last {
+						last = lq.base
+						for _, at := range targets {
+							if at >= last {
+								push(at)
+							}
+						}
+						checkCells()
+					}
+				}
+				if lq.size != 0 {
+					t.Fatalf("ladder holds %d events after the oracle drained", lq.size)
+				}
+				if sst := lq.stats; sst.HeapPushes == 0 || sst.FarPushes[1] == 0 || sst.Cascaded == 0 {
+					t.Errorf("run missed the heap pour, wheel 1 or a cascade (stats %+v)", sst)
+				}
+			})
 		}
 	}
 }
@@ -239,7 +367,7 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 						if kind == "heap" {
 							h.push(now+d, int64(seq), seq)
 						} else {
-							lq.push(now+d, seq)
+							lq.push(now+d, seq, evMessage, 0, 0, nil)
 						}
 					}
 					for i := 0; i < pending; i++ {
@@ -253,8 +381,8 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 							h.pop(&e)
 							now = e.at
 						} else {
-							c, slot := lq.popCell()
-							now = c.at
+							_, slot := lq.popCell()
+							now = lq.base
 							lq.release(slot)
 						}
 						push(1 + Time(rng.Intn(maxDelay)))
@@ -267,32 +395,43 @@ func BenchmarkSchedulerPushPop(b *testing.B) {
 
 // TestEventCellLayout pins the layout the in-place event path is built
 // around: an event is its own arena cell, list link included, and
-// stores no priority — 48 bytes.
+// stores no priority, no sequence number and only its time's offset in
+// the position's block — 32 bytes, two to a cache line.
 func TestEventCellLayout(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 48 {
-		t.Errorf("event is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(cell{}); got != 32 {
+		t.Errorf("cell is %d bytes, want 32", got)
 	}
 }
 
 // TestReserveAllocatesOneArena pins the bytes Reserve costs: one arena
-// of 48-byte cells, sized once. The smallest of three readings keeps a
+// of 32-byte cells, sized once, plus under random arbitration one
+// 8-byte seq column beside it. The smallest of three readings keeps a
 // background allocation out of the count.
 func TestReserveAllocatesOneArena(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race builds allocate slices.Grow's made slice separately")
 	}
 	const pending = 100_000
-	const limit = 48*pending + 8<<10
-	best := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s.Reserve(pending)
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	if best > limit {
-		t.Errorf("Reserve(%d) allocated %d bytes, want at most %d (48-byte cells plus one 8 KiB page)", pending, best, limit)
+	for _, r := range []struct {
+		arb      Arbitration
+		perEvent uint64
+	}{
+		{ArbFIFO, 32},
+		{ArbRandom, 40},
+	} {
+		limit := r.perEvent*pending + 8<<10
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}, Arbitration: r.arb})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Reserve(pending)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if best > limit {
+			t.Errorf("%v: Reserve(%d) allocated %d bytes, want at most %d (%d bytes per event plus one 8 KiB page)",
+				r.arb, pending, best, limit, r.perEvent)
+		}
 	}
 }

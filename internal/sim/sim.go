@@ -243,9 +243,15 @@ func (s *Simulator) DrainStats() DrainStats {
 	return DrainStats{Sched: s.SchedStats()}
 }
 
-// SchedStats returns the ladder queue's far-tier work counters so far
-// (see SchedStats).
-func (s *Simulator) SchedStats() SchedStats { return s.lq.stats }
+// SchedStats returns the ladder queue's counters so far (see
+// SchedStats). The ring push count is every push not counted on a far
+// branch: each event is stamped with the next seq, so seq is the
+// number of pushes.
+func (s *Simulator) SchedStats() SchedStats {
+	st := s.lq.stats
+	st.RingPushes = int64(s.seq) - st.Far() - st.HeapPushes
+	return st
+}
 
 // linkEntry is one directed link's clock in the table representation:
 // the endpoints packed as u<<32|v, and the time.
@@ -695,33 +701,37 @@ func (s *Simulator) scheduleTimer(t Time, fn TimerFunc) {
 }
 
 // push stamps the next event's seq — which fixes its arbitration order
-// (see ladderQueue.pri) — has the queue allocate and link its cell, and
-// fills the cell in place. Everything arrives in registers and is stored
-// once, where the event will be dispatched from: no event value exists
-// outside the queue.
+// (see ladderQueue.pri) — and has the queue store the event. Everything
+// arrives in registers and is stored once, where the event will be
+// dispatched from: no event value exists outside the queue.
 //
 //arrow:hotpath every event enqueue lands here
 func (s *Simulator) push(at Time, kind evKind, to, from graph.NodeID, msg Message) {
 	s.seq++
-	c := s.lq.push(at, s.seq)
-	c.kind, c.to, c.from, c.msg = kind, to, from, msg
+	s.lq.push(at, s.seq, kind, to, from, msg)
 }
 
 // Reserve sizes the event queue's storage for a pending set of the given
-// size in one allocation, so a driver that injects one initial event per
-// node does not ramp the arena up through append's growth steps (which
-// costs several times the final size in cumulative allocation). It
-// changes nothing else: a run is bit-identical with or without it.
+// size in one step — the arena of 32-byte cells, and under ArbRandom
+// the 8-byte seq column beside it — so a driver that injects one
+// initial event per node does not ramp the arena up through append's
+// growth steps (which costs several times the final size in cumulative
+// allocation). It changes nothing else: a run is bit-identical with or
+// without it.
 func (s *Simulator) Reserve(pending int) {
 	s.lq.arena = slices.Grow(s.lq.arena, pending)
+	if s.lq.arb == ArbRandom {
+		s.lq.seqs = slices.Grow(s.lq.seqs, pending)
+	}
 }
 
 // Run processes events until the queue is empty and returns the final
 // simulated time (the makespan). An event is dispatched from its arena
 // cell and the cell released once the handler returned; nothing reads
 // through the cell pointer after a handler is entered (handlers may grow
-// the arena). Time never runs backwards: the queue pops in ascending
-// time and refuses a push before its position.
+// the arena). The clock is the queue's position, which popCell moves to
+// the popped event's tick. Time never runs backwards: the queue pops in
+// ascending time and refuses a push before its position.
 func (s *Simulator) Run() Time {
 	ctx := s.ctx
 	for {
@@ -729,7 +739,7 @@ func (s *Simulator) Run() Time {
 		if c == nil {
 			return s.now
 		}
-		s.now = c.at
+		s.now = s.lq.base
 		s.processed++
 		if s.cfg.MaxEvents > 0 && s.processed > s.cfg.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
@@ -744,9 +754,9 @@ func (s *Simulator) Run() Time {
 // or hook is entered and e is not touched afterwards.
 //
 //arrow:hotpath every event dequeue lands here
-func (s *Simulator) dispatch(ctx *Context, e *event) {
+func (s *Simulator) dispatch(ctx *Context, e *cell) {
 	to := e.to
-	switch e.kind {
+	switch e.kind() {
 	case evTimer:
 		e.msg.(TimerFunc)(ctx)
 	case evNodeTimer:

@@ -61,11 +61,11 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // little), and stays under an absolute per-node budget that a single
 // stray O(n log n) table would immediately break (the lifted tree alone
 // costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). The
-// budgets are about twice what the rows measure: arrow 92 B/node — the
-// 48-byte event cell of an arena the driver reserves in one step
-// (Simulator.Reserve; ramping it up through append cost 445), the
-// 32-byte nodeState and 12 bytes of Walker and link arrays — and
-// centralized 66. The centralized row holds ~n serve-finish timers in
+// budgets are about three times what the rows measure: arrow 76 B/node
+// — the 32-byte event cell of an arena the driver reserves in one step
+// (Simulator.Reserve; ramping it up through append cost 445, and
+// 48-byte cells read 92), the 32-byte nodeState and 12 bytes of Walker
+// and link arrays — and centralized 49 (66 with 48-byte cells). The centralized row holds ~n serve-finish timers in
 // the scheduler's far tier for the whole run; they live in the arena
 // reserved for the n initial timers, so a second n-entry structure for
 // the far tier (the binary heap cost ~340 B/node in append growth)
@@ -101,9 +101,10 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 // of the simulated clock — about n of the n² link ids in all — so
 // bytes/node stays flat from 10⁴ to 10⁵ nodes. It may double across the
 // decade, since the table grows by doubling and its rounding shows, and
-// stays under budgets well above what the rows measure (194 and 182
-// B/node synchronous, 302 and 280 asynchronous; the table alone read 189
-// and 252, 399 and 588). One slot per link id allocated 64 500 B/node at
+// stays under budgets well above what the rows measure (178 and 166
+// B/node synchronous, 287 and 264 asynchronous; 194/182 and 302/280
+// with 48-byte event cells; the table alone read 189 and 252, 399 and
+// 588). One slot per link id allocated 64 500 B/node at
 // 10⁵ synchronous and twice that asynchronous.
 func TestCapacityBytesPerNodeFlat(t *testing.T) {
 	rows := []struct {
@@ -153,5 +154,56 @@ func TestCentralServeQueueStaysOutOfHeap(t *testing.T) {
 	}
 	if st.Refills == 0 || st.Cascaded < far {
 		t.Errorf("refills = %d, cascaded = %d: every far push must come back through a refill", st.Refills, st.Cascaded)
+	}
+}
+
+// TestSchedPushesByTier pins where small closed loops' pushes land in
+// the scheduler — the tick ring, far wheel 0 or 1, or the heap beyond
+// 2²⁷ ticks — as exact counts, and that the three tiers account for
+// every event the run consumed. The synchronous arrow loop never leaves
+// the ring; a think time moves the timer of every request but each
+// node's last into wheel 0 (1000 ticks), wheel 1 (2¹⁸) or the heap
+// (2²⁷); the centralized coordinator parks the serve-finish timers that
+// wait past the epoch in wheel 0; NTA under AsyncUniform(4) keeps its
+// random delays in the ring.
+func TestSchedPushesByTier(t *testing.T) {
+	const n, perNode = 64, 10
+	arrowRun := func(spec loop.Spec) (*loop.Result, error) {
+		return arrow.RunClosedLoop(tree.BinaryWalker(n), arrow.LoopConfig{Spec: spec, Root: 0})
+	}
+	rows := []struct {
+		name string
+		spec loop.Spec
+		run  func(loop.Spec) (*loop.Result, error)
+		want [4]int64 // ring, wheel 0, wheel 1, heap
+	}{
+		{"arrow", loop.Spec{}, arrowRun, [4]int64{3090, 0, 0, 0}},
+		{"arrow-think-1000", loop.Spec{ThinkTime: 1000}, arrowRun, [4]int64{4336, 576, 0, 0}},
+		{"arrow-think-2^18", loop.Spec{ThinkTime: 1 << 18}, arrowRun, [4]int64{4336, 0, 576, 0}},
+		{"arrow-think-2^27", loop.Spec{ThinkTime: 1 << 27}, arrowRun, [4]int64{4336, 0, 0, 576}},
+		{"centralized", loop.Spec{}, func(spec loop.Spec) (*loop.Result, error) {
+			return centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{Spec: spec})
+		}, [4]int64{2476, 64, 0, 0}},
+		{"nta-async4", loop.Spec{Latency: sim.AsyncUniform(4), Seed: 1}, func(spec loop.Spec) (*loop.Result, error) {
+			return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
+		}, [4]int64{2051, 0, 0, 0}},
+	}
+	for _, r := range rows {
+		var ds sim.DrainStats
+		spec := r.spec
+		spec.PerNode, spec.DrainStats = perNode, &ds
+		res, err := r.run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ds.Sched
+		got := [4]int64{st.RingPushes, st.FarPushes[0], st.FarPushes[1], st.HeapPushes}
+		t.Logf("%s: %d events, pushes ring/wheel0/wheel1/heap %v", r.name, res.Events, got)
+		if got != r.want {
+			t.Errorf("%s: pushes ring/wheel0/wheel1/heap %v, want %v", r.name, got, r.want)
+		}
+		if sum := got[0] + got[1] + got[2] + got[3]; sum != res.Events {
+			t.Errorf("%s: %d pushes across the tiers, %d events consumed", r.name, sum, res.Events)
+		}
 	}
 }
