@@ -476,8 +476,9 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 // or NTA instances contending on one capacity-1 complete network. The
 // reported ops/s is completed requests over wall clock; run with
 // -benchmem to watch the driver's flat per-run allocation profile. The
-// n = 1024, k = 1024 case builds a full-size pointer table each run, so
-// its B/op is dominated by the table's two-byte cells.
+// n = 1024, k = 1024 case builds a full-size pointer table each run:
+// 256 KiB of 2-bit arrow codes or 1.25 MiB of 10-bit NTA pointers, the
+// latter most of its B/op.
 func BenchmarkShardClosedLoop(b *testing.B) {
 	steppers := []struct {
 		name string

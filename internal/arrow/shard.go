@@ -17,46 +17,98 @@ import (
 // per-link traffic across the whole network, while every tree keeps the
 // O(log n) depth the protocol's competitive bound charges.
 //
-// The flat link table is keyed by (object, node); each entry is the
-// node's arrow for that object and is touched only by events at that
-// node.
+// The link table is keyed by (object, node); each entry is the node's
+// arrow for that object and is touched only by events at that node. An
+// arrow names the node itself or one of its tree neighbours, so a cell
+// is a 2-bit code read against the node's heap label (toRoot, self,
+// left, right).
 type ShardForest struct {
 	n    int
 	link shard.Cells
 }
 
+// The arrow codes. toRoot is 0, so a zeroed table is the initial forest.
+const (
+	toRoot uint32 = iota // the node's parent label (l-1)/2
+	self                 // the node itself: it holds the object's tail
+	left                 // the node's left child label 2l+1
+	right                // the node's right child label 2l+2
+)
+
 // NewShardForest builds the k rotated trees with every arrow pointing
-// toward the object's root (the initial tail holder): k·n shard.Cells,
-// 2·k·n bytes up to 65 536 nodes and 4·k·n beyond.
+// toward the object's root (the initial tail holder): k·n 2-bit
+// shard.Cells, ⌈2·k·n/8⌉ + 8 bytes, of which only the k root cells are
+// written. n < 1 or k < 1 is a *sim.ConfigError naming the field.
 func NewShardForest(n, k int) (*ShardForest, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("arrow: shard forest needs n >= 1, got %d", n)
+	if err := shard.CheckShape(n, k); err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("arrow: shard forest needs k >= 1 objects, got %d", k)
-	}
-	f := &ShardForest{n: n, link: shard.NewCells(n, k*n)}
-	for o := 0; o < k; o++ {
-		root := o % n
-		base := o * n
-		for v := 0; v < n; v++ {
-			l := v - root
-			if l < 0 {
-				l += n
-			}
-			if l == 0 {
-				// The root's arrow points to itself: it holds the tail.
-				f.link.Set(base+v, graph.NodeID(v))
-				continue
-			}
-			p := (l-1)/2 + root
-			if p >= n {
-				p -= n
-			}
-			f.link.Set(base+v, graph.NodeID(p))
+	f := &ShardForest{n: n, link: shard.NewCells(2, k*n)}
+	for o, root := 0, 0; o < k; o++ {
+		f.link.Set(o*n+root, self)
+		if root++; root == n {
+			root = 0
 		}
 	}
 	return f, nil
+}
+
+// place returns obj's root and v's heap label in obj's tree. The root is
+// obj itself unless there are more objects than nodes.
+func (f *ShardForest) place(obj int32, v graph.NodeID) (root, l int) {
+	root = int(obj)
+	if root >= f.n {
+		root %= f.n
+	}
+	l = int(v) - root
+	return root, l + f.n&(l>>63) // mod n without a branch on v < root
+}
+
+// named returns the label code names at the node with label l: l - 1,
+// l, 2l + 1 or 2l + 2, halved for toRoot, so (l-1)/2, l and the two
+// children. It computes rather than branches: the codes a chase reads
+// are as good as random.
+func named(code uint32, l int) int {
+	c := int(code & 3)
+	return (l + l&-(c>>1) + c - 1) >> (1 >> c)
+}
+
+// decode returns the node arrow code names at the node with label l in
+// the tree rooted at root.
+func (f *ShardForest) decode(code uint32, root, l int) graph.NodeID {
+	t := named(code, l) + root
+	if t >= f.n {
+		t -= f.n
+	}
+	return graph.NodeID(t)
+}
+
+// encode returns the code of an arrow at the node with label l naming
+// to, and whether a code names it: to must be that node or one of its
+// tree neighbours. The code is picked by arithmetic and checked with one
+// compare, named(code) against to's label.
+func (f *ShardForest) encode(to graph.NodeID, root, l int) (uint32, bool) {
+	lt := int(to) - root
+	lt += f.n & (lt >> 63)
+	code := uint32(lt - 2*l + 1) // left or right if to is a child; else out of range, and named says so
+	if lt < l {
+		code = toRoot
+	}
+	if lt == l {
+		code = self
+	}
+	return code, named(code, l) == lt
+}
+
+// notNeighbour is the panic value of a find forwarded from a node that
+// is not a tree neighbour of at: no previous hop of the protocol is one.
+type notNeighbour struct {
+	obj    int32
+	at, to graph.NodeID
+}
+
+func (e notNeighbour) Error() string {
+	return fmt.Sprintf("arrow: object %d's arrow at node %d cannot name node %d: not a neighbour in the object's tree", e.obj, e.at, e.to)
 }
 
 // Start is the protocol's first step on v's link cell for one object: the
@@ -66,8 +118,8 @@ func NewShardForest(n, k int) (*ShardForest, error) {
 // queues behind v's previous one and no message is sent.
 //
 // Start and Forward are all the arrow protocol there is. Every executor
-// calls them — the simulator's through ShardForest (on a local copy of
-// a two- or four-byte table cell) and TreeStepper, the live goroutine
+// calls them — the simulator's through ShardForest (on the decoded copy
+// of a 2-bit table cell) and TreeStepper, the live goroutine
 // runtime on its own per-node link slices — so each keeps the storage
 // layout that suits it and none has a pointer flip of its own.
 func Start(link *graph.NodeID, v graph.NodeID) (target graph.NodeID, local bool) {
@@ -86,21 +138,32 @@ func Forward(link *graph.NodeID, at, from graph.NodeID) (next graph.NodeID, done
 	return next, next == at
 }
 
-// StartFind implements shard.Stepper with Start on a copy of (obj, v)'s cell.
+// StartFind implements shard.Stepper with Start on (obj, v)'s decoded
+// arrow.
 func (f *ShardForest) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
 	i := int(obj)*f.n + int(v)
-	link := f.link.Get(i)
+	root, l := f.place(obj, v)
+	link := f.decode(f.link.Get(i), root, l)
 	target, local := Start(&link, v)
-	f.link.Set(i, link)
+	code, ok := f.encode(link, root, l)
+	if !ok {
+		panic(notNeighbour{obj, v, link})
+	}
+	f.link.Set(i, code)
 	return target, local
 }
 
 // ForwardFind implements shard.Stepper with Forward, likewise.
 func (f *ShardForest) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.NodeID, bool) {
 	i := int(obj)*f.n + int(at)
-	link := f.link.Get(i)
+	root, l := f.place(obj, at)
+	link := f.decode(f.link.Get(i), root, l)
 	next, done := Forward(&link, at, from)
-	f.link.Set(i, link)
+	code, ok := f.encode(link, root, l)
+	if !ok {
+		panic(notNeighbour{obj, at, link})
+	}
+	f.link.Set(i, code)
 	return next, done
 }
 

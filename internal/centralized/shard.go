@@ -1,9 +1,8 @@
 package centralized
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
+	"repro/internal/shard"
 )
 
 // ShardCenters is the centralized scheme's multi-object discipline:
@@ -18,13 +17,11 @@ type ShardCenters struct {
 	n int
 }
 
-// NewShardCenters validates the dimensions; no per-object state exists.
+// NewShardCenters validates the dimensions — n < 1 or k < 1 is a
+// *sim.ConfigError naming the field; no per-object state exists.
 func NewShardCenters(n, k int) (*ShardCenters, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("centralized: shard centers need n >= 1, got %d", n)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("centralized: shard centers need k >= 1 objects, got %d", k)
+	if err := shard.CheckShape(n, k); err != nil {
+		return nil, err
 	}
 	return &ShardCenters{n: n}, nil
 }

@@ -32,8 +32,8 @@ type LoopResult = loop.Result
 type ShardReversal = shard.Reversal
 
 // NewShardReversal builds k last-pointer sets over n nodes, object o's
-// pointers initially converging on root_o = o mod n: 2·k·n bytes up to
-// 65 536 nodes, 4·k·n beyond (see shard.Cells).
+// pointers initially converging on root_o = o mod n: bits.Len(n-1) bits
+// a pointer, ⌈w·k·n/8⌉ + 8 bytes in all (see shard.Cells).
 func NewShardReversal(n, k int) (*ShardReversal, error) {
 	return shard.NewReversal(n, k, 0)
 }

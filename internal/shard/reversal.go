@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -15,90 +16,72 @@ import (
 // the same update for a find, so this one stepper serves both, held
 // against ivy.Directory's atomic chains (TestReversalMatchesDirectory).
 type Reversal struct {
-	n   int
-	ptr Cells
+	n    int
+	root int
+	ptr  Cells
 }
 
 // NewReversal builds k pointer sets over n nodes, object o's pointers
 // initially naming node (root + o) mod n — so k instances share no
-// initial hotspot — in k·n Cells. n < 1, k < 1 or a root outside
+// initial hotspot. A cell holds its pointer XOR that initial holder in
+// bits.Len(n-1) bits, so the zeroed table is the initial state and the
+// k·n cells take ⌈w·k·n/8⌉ + 8 bytes. n < 1, k < 1 or a root outside
 // [0, n) is a *sim.ConfigError naming the field.
 func NewReversal(n, k int, root graph.NodeID) (*Reversal, error) {
-	switch {
-	case n < 1:
-		return nil, &sim.ConfigError{Field: "n", Reason: fmt.Sprintf("must be >= 1, got %d", n)}
-	case k < 1:
-		return nil, &sim.ConfigError{Field: "k", Reason: fmt.Sprintf("must be >= 1 objects, got %d", k)}
-	case root < 0 || int(root) >= n:
+	if err := CheckShape(n, k); err != nil {
+		return nil, err
+	}
+	if root < 0 || int(root) >= n {
 		return nil, &sim.ConfigError{Field: "root", Reason: fmt.Sprintf("must be in [0, %d), got %d", n, root)}
 	}
-	r := &Reversal{n: n, ptr: NewCells(n, k*n)}
-	for o := 0; o < k; o++ {
-		home := graph.NodeID((int(root) + o) % n)
-		for i := o * n; i < (o+1)*n; i++ {
-			r.ptr.Set(i, home)
-		}
+	return &Reversal{n: n, root: int(root), ptr: NewCells(bits.Len(uint(n-1)), k*n)}, nil
+}
+
+// CheckShape rejects a multi-object stepper shape no object set fits:
+// n < 1 or k < 1 is a *sim.ConfigError naming the field.
+func CheckShape(n, k int) error {
+	switch {
+	case n < 1:
+		return &sim.ConfigError{Field: "n", Reason: fmt.Sprintf("must be >= 1, got %d", n)}
+	case k < 1:
+		return &sim.ConfigError{Field: "k", Reason: fmt.Sprintf("must be >= 1 objects, got %d", k)}
 	}
-	return r, nil
+	return nil
+}
+
+// home returns obj's initial holder, (root + obj) mod n; the division
+// is left for object counts beyond n - root.
+func (r *Reversal) home(obj int32) graph.NodeID {
+	h := r.root + int(obj)
+	if h >= r.n {
+		h %= r.n
+	}
+	return graph.NodeID(h)
 }
 
 // StartFind begins a request for obj at v: a self pointer means v holds
 // the object already; otherwise the request chases v's pointer and v
 // names itself (it is about to hold the object).
 func (r *Reversal) StartFind(obj int32, v graph.NodeID) (graph.NodeID, bool) {
-	i := int(obj)*r.n + int(v)
-	target := r.ptr.Get(i)
+	i, h := int(obj)*r.n+int(v), r.home(obj)
+	target := graph.NodeID(r.ptr.Get(i)) ^ h
 	if target == v {
 		return v, true
 	}
-	r.ptr.Set(i, v)
+	r.ptr.Set(i, uint32(v^h))
 	return target, false
 }
 
 // ForwardFind redirects at's pointer for obj to the requester and
 // continues the chase; a self pointer means the object was here.
 func (r *Reversal) ForwardFind(obj int32, at, from, origin graph.NodeID) (graph.NodeID, bool) {
-	i := int(obj)*r.n + int(at)
-	next := r.ptr.Get(i)
-	r.ptr.Set(i, origin)
+	i, h := int(obj)*r.n+int(at), r.home(obj)
+	next := graph.NodeID(r.ptr.Get(i)) ^ h
+	r.ptr.Set(i, uint32(origin^h))
 	if next == at {
 		return origin, true
 	}
 	return next, false
-}
-
-// Cells is a flat table of node IDs, the pointer storage of Reversal and
-// arrow.ShardForest: two bytes a cell when n <= 65 536 (every ID fits a
-// uint16), four otherwise. NewCells picks the width once from n; Get and
-// Set hide it.
-type Cells struct {
-	narrow []uint16
-	wide   []graph.NodeID
-}
-
-// NewCells returns size cells naming node 0, wide enough for n nodes.
-func NewCells(n, size int) Cells {
-	if n <= 1<<16 {
-		return Cells{narrow: make([]uint16, size)}
-	}
-	return Cells{wide: make([]graph.NodeID, size)}
-}
-
-// Get returns the node cell i names.
-func (c *Cells) Get(i int) graph.NodeID {
-	if c.wide != nil {
-		return c.wide[i]
-	}
-	return graph.NodeID(c.narrow[i])
-}
-
-// Set points cell i at node v.
-func (c *Cells) Set(i int, v graph.NodeID) {
-	if c.wide != nil {
-		c.wide[i] = v
-		return
-	}
-	c.narrow[i] = uint16(v)
 }
 
 // ShardSafeStepper is the unread shard.ShardSafe marker (every entry is

@@ -101,10 +101,11 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 // of the simulated clock — about n of the n² link ids in all — so
 // bytes/node stays flat from 10⁴ to 10⁵ nodes. It may double across the
 // decade, since the table grows by doubling and its rounding shows, and
-// stays under budgets well above what the rows measure (178 and 166
-// B/node synchronous, 287 and 264 asynchronous; 194/182 and 302/280
-// with 48-byte event cells; the table alone read 189 and 252, 399 and
-// 588). One slot per link id allocated 64 500 B/node at
+// stays under budgets well above what the rows measure (178 and 164
+// B/node synchronous, 287 and 262 asynchronous, with bits.Len(n-1)-bit
+// pointer cells; 178/166 and 287/264 with two- and four-byte cells,
+// 194/182 and 302/280 with 48-byte event cells; the table alone read
+// 189 and 252, 399 and 588). One slot per link id allocated 64 500 B/node at
 // 10⁵ synchronous and twice that asynchronous.
 func TestCapacityBytesPerNodeFlat(t *testing.T) {
 	rows := []struct {
