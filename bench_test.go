@@ -171,10 +171,12 @@ func BenchmarkSweepSP2(b *testing.B) {
 // and the FIFO clamp. linktx is the walker with LinkTxTime 1, so every
 // send reserves its link's dense clock slot. complete sends between
 // distinct nodes of a 1 024-node CompleteTopology, as NTA and the
-// centralized home do, with LinkTxTime 1: past 181 nodes its n² links
-// are clocked in the senders' outboxes and the expiring table. metric is
-// the materialized complete metric at paper scale, whose Latency and Hops
-// read the graph's all-pairs matrix.
+// centralized home do, with LinkTxTime 1: its n² links, like every n²
+// link space, are clocked in the senders' outboxes and the expiring
+// table. metric is the materialized complete metric at paper scale,
+// whose Latency and Hops read the graph's all-pairs matrix; metric-async
+// is the same under AsyncUniform(4), so the FIFO clamp's expiring clock
+// is live as well.
 type sendDispatchCase struct {
 	name    string
 	topo    sim.Topology
@@ -205,12 +207,14 @@ func sendDispatchCases() []sendDispatchCase {
 	random.name, random.arb = "random", sim.ArbRandom
 	async.name, async.lat = "async", sim.AsyncUniform(4)
 	linktx.name, linktx.txTime = "linktx", 1
+	metric := sim.NewMetricTopology(graph.Complete(64))
 	return []sendDispatchCase{
 		onTree("binary", tree.BalancedBinary(1023), nodeRange(511, 1023)),
 		onTree("star", tree.StarTree(1024), nodeRange(512, 1024)),
 		walker, random, async, linktx,
 		{name: "complete", topo: sim.NewCompleteTopology(1024), senders: nodeRange(0, 512), peer: across(1024), txTime: 1},
-		{name: "metric", topo: sim.NewMetricTopology(graph.Complete(64)), senders: nodeRange(0, 32), peer: across(64)},
+		{name: "metric", topo: metric, senders: nodeRange(0, 32), peer: across(64)},
+		{name: "metric-async", topo: metric, senders: nodeRange(0, 32), peer: across(64), lat: sim.AsyncUniform(4)},
 	}
 }
 
@@ -280,14 +284,23 @@ func TestSimSendDispatchZeroAlloc(t *testing.T) {
 // BenchmarkHistogramRecord measures the streaming histogram's record
 // hot path — run with -benchmem: once the bucket array has grown to the
 // largest value, records are allocation-free, which is what lets every
-// closed-loop completion feed it.
+// closed-loop completion feed it. wide records every value up to
+// 0xFFFFF, nearly all of them past the exact buckets; small records only
+// the values below 32, each of which has an exact bucket of its own.
 func BenchmarkHistogramRecord(b *testing.B) {
-	var h stats.Histogram
-	h.Record(0xFFFFF) // grow the bucket array to the largest value up front
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i) & 0xFFFFF)
+	for _, c := range []struct {
+		name string
+		mask int64
+	}{{"wide", 0xFFFFF}, {"small", 31}} {
+		b.Run(c.name, func(b *testing.B) {
+			var h stats.Histogram
+			h.Record(c.mask) // grow the bucket array to the largest value up front
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Record(int64(i) & c.mask)
+			}
+		})
 	}
 }
 

@@ -48,3 +48,20 @@ func TestLowerBoundExplicitDepth(t *testing.T) {
 		t.Errorf("explicit depth not honoured:\n%s", out)
 	}
 }
+
+// TestLowerBoundLabelsTheEstimate checks the report's wording of
+// Bounds.Lower: a lower bound only when it is the exact optimum (D = 16,
+// 15 requests, within Held–Karp's reach), and an uncertified estimate
+// otherwise (D = 32, 20 requests), because ManhattanMST/12 can exceed
+// the optimum.
+func TestLowerBoundLabelsTheEstimate(t *testing.T) {
+	exact := capture(t, config{logD: 4})
+	if !strings.Contains(exact, "optimal cost lower bound: 16 (exact)") {
+		t.Errorf("exact instance does not report its optimum as exact:\n%s", exact)
+	}
+	estimate := capture(t, config{logD: 5})
+	if strings.Contains(estimate, "lower bound") || !strings.Contains(estimate, "optimal cost estimate:") ||
+		!strings.Contains(estimate, "uncertified") {
+		t.Errorf("inexact instance must label ManhattanMST/12 an uncertified estimate, not a lower bound:\n%s", estimate)
+	}
+}

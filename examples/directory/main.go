@@ -74,8 +74,12 @@ func main() {
 	fmt.Printf("\nobject travel, arrow order over tree:   %d\n", travelTree)
 	fmt.Printf("object travel, arrow order over graph:  %d\n", travelGraph)
 	fmt.Printf("object travel, clairvoyant optimal:     %d\n", optTravel)
-	fmt.Printf("queuing latency: arrow=%d, optimal in [%d, %d]\n",
-		res.TotalLatency, bounds.Lower, bounds.Upper)
+	if bounds.Exact {
+		fmt.Printf("queuing latency: arrow=%d, optimal=%d (exact)\n", res.TotalLatency, bounds.Lower)
+	} else {
+		fmt.Printf("queuing latency: arrow=%d, optimal at most %d (estimate %d: ManhattanMST/12, uncertified, can exceed the optimum)\n",
+			res.TotalLatency, bounds.Upper, bounds.Lower)
+	}
 }
 
 func requestNodes(set queuing.Set) []graph.NodeID {

@@ -55,6 +55,7 @@ func main() {
 		fmt.Printf("competitive ratio:   %.2f (theory bound O(s log D))\n",
 			opt.Ratio(res.TotalLatency, bounds.Lower))
 	} else {
-		fmt.Printf("optimal offline:     in [%d, %d]\n", bounds.Lower, bounds.Upper)
+		fmt.Printf("optimal offline:     at most %d (estimate %d: ManhattanMST/12, uncertified, can exceed the optimum)\n",
+			bounds.Upper, bounds.Lower)
 	}
 }

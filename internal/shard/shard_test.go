@@ -236,8 +236,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestLinkStats pins the link clocks' counters on the shard-capacity
-// shape at a quarter of its size: the complete metric (n > 181, so the
-// capacity clock is the expiring one), one object per node under Zipf
+// shape at a quarter of its size: the complete metric (an n² link space,
+// so the capacity clock is the expiring one), one object per node under Zipf
 // 1.1, LinkTxTime 1. The run is synchronous and fault-free, so there is
 // no FIFO clock and nothing can count a FIFO bind. Spills say how often
 // a sender's four ways did not settle its lookup: centralized's homes

@@ -134,10 +134,12 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 // tree link table and the expiring clocks are reached both through an n²
 // link space and through a topology with no LinkIndexer; no node there
 // has more than three links, so every lookup stays in its outbox. On the
-// 64-node complete metric the tokens run over a two-level tree whose root
-// has twelve children, each relaying four or five tokens: the root
-// answers dozens of tokens at once over twelve links and its lookups
-// spill to the table. The faulted leg stalls messages behind link
+// 64-node two-level tree whose root has twelve children, each relaying
+// four or five tokens, the root answers dozens of tokens at once over
+// twelve links: the tree's dense slice is the reference, and the 64-node
+// complete metric — an n² link space, expiring whether it is reached
+// through its LinkIndexer or not — carries the same tokens over the same
+// links, its root's lookups spilling to the table. The faulted leg stalls messages behind link
 // outages under FaultQueue, so advance is asked with depart = healAt >
 // now while the entries around it expire against now.
 func TestLinkClockRepresentationsAgree(t *testing.T) {
@@ -147,6 +149,7 @@ func TestLinkClockRepresentationsAgree(t *testing.T) {
 	}
 	binary, wide := tree.BinaryWalker(300), tree.MustWalkerFromParents(0, wideParent, nil)
 	tt, complete := TreeTopology{T: binary}, NewCompleteTopology(64)
+	wideTree := TreeTopology{T: wide}
 	isDense := func(c *linkClock) bool { return c.dense != nil && c.tab == nil && c.out == nil }
 	isTable := func(c *linkClock) bool { return c.dense == nil && c.tab != nil && c.out != nil }
 	type rep struct {
@@ -166,7 +169,8 @@ func TestLinkClockRepresentationsAgree(t *testing.T) {
 			{"table-noindex", noIdxTopo{tt}, isTable},
 		}, false},
 		{"complete-64-wide", wide, []rep{
-			{"dense", complete, isDense},
+			{"dense", wideTree, isDense},
+			{"table-complete", complete, isTable},
 			{"table-noindex", noIdxTopo{complete}, isTable},
 		}, true},
 	}
@@ -227,11 +231,40 @@ func TestLinkClockRepresentationsAgree(t *testing.T) {
 	}
 }
 
+// TestLinkClockRepresentationByShape pins newLinkClock's rule: a tree's
+// 2n link slots get dense clocks, and an n² link space gets the expiring
+// ones at paper scale too — the implicit complete metric and the
+// materialized one alike.
+func TestLinkClockRepresentationByShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		topo  Topology
+		dense bool
+	}{
+		{"tree-binary-76", TreeTopology{T: tree.BalancedBinary(76)}, true},
+		{"tree-walker-3", TreeTopology{T: tree.BinaryWalker(3)}, true},
+		{"complete-64", NewCompleteTopology(64), false},
+		{"metric-complete-76", NewMetricTopology(graph.Complete(76)), false},
+		{"metric-complete-4", NewMetricTopology(graph.Complete(4)), false},
+	} {
+		s := New(Config{Topology: tc.topo, Latency: AsyncUniform(4), LinkTxTime: 1})
+		for _, c := range []*linkClock{s.fifo, s.busy} {
+			if dense := c.dense != nil && c.out == nil; dense != tc.dense {
+				t.Errorf("%s: dense clock %v, want %v", tc.name, dense, tc.dense)
+			}
+		}
+		if s.perLink != tc.dense {
+			t.Errorf("%s: perLink %v, want %v", tc.name, s.perLink, tc.dense)
+		}
+	}
+}
+
 // BenchmarkLinkClock measures one send + dispatch with both link clocks
 // live (AsyncUniform(4), LinkTxTime 1) under each representation, on the
 // three shapes that decide the choice in newLinkClock: a paper-scale
-// complete metric (dense by the rule; 64² slots sit in L1/L2, the
-// expiring clock costs an outbox scan more), the shard tier's 1024-node
+// complete metric (expiring by the rule, as is every n² link space: the
+// dense clock's 64² slots sit in L1/L2 and save the outbox scan, but are
+// allocated whole for a few links in flight), the shard tier's 1024-node
 // complete metric (expiring by the rule; dense is two 8 MB arrays touched
 // at random) and the headline 100 001-node tree (dense by the rule: 2n
 // slots next to the parent table the send just read). The representation

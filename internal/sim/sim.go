@@ -287,9 +287,9 @@ type outbox struct {
 // newLinkClock from the shape of the topology:
 //
 //   - dense, a flat slice indexed by the slot send resolved, when the
-//     link space is linear in the node count or small — every
-//     TreeTopology (2n slots) and the paper-scale metrics (n <= 181);
-//   - expiring, for an n² link space or a topology that is no
+//     link space is linear in the node count — at most 4n slots and not
+//     every ordered pair: every TreeTopology (2n slots) from n = 3 on;
+//   - expiring, for an n² link space at any n or a topology that is no
 //     LinkIndexer: one outbox per sending node in front of an
 //     open-addressed table keyed by the endpoints. It is sized by the
 //     messages in flight, not by the links that exist, because an entry
@@ -322,10 +322,15 @@ type linkClock struct {
 	binds, spills, grows int64
 }
 
-// newLinkClock picks the representation for the given topology.
+// newLinkClock picks the representation for the given topology. A dense
+// clock of n² slots pays for every ordered pair up front — 46 KB at the
+// paper's n = 76 — while the expiring clock is sized by the messages in
+// flight. An n² space with n <= 4 also fits in 4n slots, hence the
+// second test.
 func newLinkClock(topo Topology) *linkClock {
 	if li, ok := topo.(LinkIndexer); ok {
-		if nl := li.NumLinks(); nl <= max(1<<15, 4*topo.NumNodes()) {
+		n := topo.NumNodes()
+		if nl := li.NumLinks(); nl <= 4*n && nl < n*n {
 			return &linkClock{dense: make([]Time, nl)}
 		}
 	}

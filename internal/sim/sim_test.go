@@ -378,8 +378,9 @@ func TestSplitRNGStreams(t *testing.T) {
 	}
 }
 
-// TestFIFOLinkOrderOnMetricTopology exercises the dense LinkIndexer path
-// of MetricTopology: per-link FIFO order must survive random delays.
+// TestFIFOLinkOrderOnMetricTopology exercises MetricTopology's n² link
+// space and the expiring FIFO clock it gets: per-link FIFO order must
+// survive random delays.
 func TestFIFOLinkOrderOnMetricTopology(t *testing.T) {
 	g := graph.Grid(3, 3)
 	topo := NewMetricTopology(g)

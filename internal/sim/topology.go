@@ -159,8 +159,9 @@ func (m *MetricTopology) Hops(u, v graph.NodeID) int {
 func (m *MetricTopology) NumNodes() int { return len(m.dist) }
 
 // NumLinks implements LinkIndexer: the metric allows any ordered pair, so
-// links are indexed u*n + v (the simulator allocates a slot per index
-// only at paper scale; see linkClock).
+// links are indexed u*n + v. An n² link space gets the expiring clock,
+// keyed by the endpoints (see linkClock), so send never asks for the
+// index.
 func (m *MetricTopology) NumLinks() int { return len(m.dist) * len(m.dist) }
 
 // LinkIndex implements LinkIndexer.
@@ -178,9 +179,8 @@ func (m *MetricTopology) Dist(u, v graph.NodeID) graph.Weight { return m.dist[u]
 // distance matrix behind it. It is what lets the complete-graph
 // protocols (centralized, NTA) run at a million nodes — the dense
 // metric tables alone would be terabytes. NumLinks is still nominally
-// n², so past paper scale (n > 181) the simulator keeps the per-link
-// clocks in a table of the links with messages in flight rather than a
-// flat slice.
+// n², so at every n the simulator keeps the per-link clocks in a table
+// of the links with messages in flight rather than a flat slice.
 type CompleteTopology struct {
 	N int
 	W graph.Weight

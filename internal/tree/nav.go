@@ -5,7 +5,8 @@ import "repro/internal/graph"
 // Nav is the navigation interface the arrow protocol's drivers and
 // sim.TreeTopology actually need from a spanning tree: parent pointers,
 // next-hop routing and distances. *Tree satisfies it with O(log n)
-// queries over O(n log n) binary-lifting tables; the implicit
+// distances over O(n log n) binary-lifting tables and next hops from
+// O(n) Euler-tour intervals; the implicit
 // implementations in this package (Walker, GridNav) answer the same
 // queries by on-the-fly parent walks over O(n) — or O(1) — state, which
 // is what makes million-node trees affordable (the LCA tables were the

@@ -2,31 +2,35 @@ package tree
 
 import "repro/internal/graph"
 
-// KthAncestor returns v's ancestor k levels up, or the root if k exceeds
-// v's depth.
-func (t *Tree) KthAncestor(v graph.NodeID, k int) graph.NodeID {
-	for b := 0; k > 0 && b <= t.logN; b++ {
-		if k&1 == 1 {
-			v = t.up[b][v]
-		}
-		k >>= 1
-	}
-	return v
-}
-
 // NextHop returns u's tree neighbour on the unique path from u to target.
 // It panics if u == target (there is no next hop).
+//
+// The path climbs unless target lies in u's subtree, which one compare
+// of Euler-tour entry times decides. Below u it steps to target itself
+// when target is u's child, else into the child whose preorder interval
+// holds target's entry time, found by binary search over u's children
+// in entry order: O(log deg), a dozen probes at a node with 4,096
+// children.
 func (t *Tree) NextHop(u, target graph.NodeID) graph.NodeID {
 	if u == target {
 		panic("tree: NextHop with u == target")
 	}
-	l := t.LCA(u, target)
-	if l != u {
-		// Path first climbs toward the LCA.
+	at := t.tin[target]
+	if uint32(at-t.tin[u]) >= uint32(t.size[u]) {
 		return t.parent[u]
 	}
-	// u is an ancestor of target: descend to the child of u on the path,
-	// i.e. target's ancestor one level below u.
-	k := int(t.depth[target] - t.depth[u] - 1)
-	return t.KthAncestor(target, k)
+	if t.parent[target] == u {
+		return target
+	}
+	// The first child's entry is tin[u]+1 <= at, so lo stays valid.
+	kids := t.kids[t.kidOff[u]:t.kidOff[u+1]]
+	lo := 0
+	for n := len(kids); n > 1; {
+		half := n >> 1
+		if t.tin[kids[lo+half]] <= at {
+			lo += half
+		}
+		n -= half
+	}
+	return kids[lo]
 }

@@ -1,8 +1,9 @@
 // Package tree implements the pre-selected spanning tree T the arrow
 // protocol operates on: tree construction (BFS tree, Prim and Kruskal
 // MSTs, balanced binary, path, star), exact tree distances dT via binary
-// lifting LCA, tree diameter, and the stretch s = max dT/dG of T relative
-// to its graph (Definition 3.1 in the paper).
+// lifting LCA, next-hop routing via Euler-tour intervals, tree diameter,
+// and the stretch s = max dT/dG of T relative to its graph (Definition
+// 3.1 in the paper).
 package tree
 
 import (
@@ -25,6 +26,14 @@ type Tree struct {
 	depth  []int32        // unweighted depth from root (for LCA)
 	up     [][]graph.NodeID
 	logN   int
+
+	// Euler-tour intervals (for NextHop): v's subtree is the preorder
+	// range [tin[v], tin[v]+size[v]), and kids[kidOff[v]:kidOff[v+1]]
+	// lists v's children in ascending tin.
+	tin    []int32
+	size   []int32
+	kidOff []int32
+	kids   []graph.NodeID
 }
 
 // FromParents builds a tree from a parent array. parent[root] must equal
@@ -81,8 +90,8 @@ func MustFromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.Weight
 	return t
 }
 
-// index computes depths and the binary-lifting table, verifying
-// reachability of every node from the root.
+// index computes depths, the binary-lifting table and the Euler-tour
+// intervals, verifying reachability of every node from the root.
 func (t *Tree) index() error {
 	n := t.n
 	t.depthW = make([]graph.Weight, n)
@@ -108,6 +117,7 @@ func (t *Tree) index() error {
 	if len(order) != n {
 		return fmt.Errorf("tree: only %d of %d nodes reachable from root", len(order), n)
 	}
+	t.euler(order)
 	t.logN = 1
 	for 1<<t.logN < n {
 		t.logN++
@@ -121,6 +131,43 @@ func (t *Tree) index() error {
 		}
 	}
 	return nil
+}
+
+// euler numbers the nodes in preorder. Subtree sizes come from a
+// reverse sweep of the BFS order; the children lists are filled in BFS
+// order too, so each lists its nodes in the order their entry times are
+// then handed out, each child's after its elder siblings' subtrees. No
+// recursion, so a path of any length is fine.
+func (t *Tree) euler(order []graph.NodeID) {
+	n := t.n
+	t.tin = make([]int32, n)
+	t.size = make([]int32, n)
+	t.kidOff = make([]int32, n+1)
+	t.kids = make([]graph.NodeID, n-1)
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		t.size[v]++
+		if v != t.root {
+			t.size[t.parent[v]] += t.size[v]
+			t.kidOff[t.parent[v]+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		t.kidOff[v+1] += t.kidOff[v]
+	}
+	fill := append([]int32(nil), t.kidOff[:n]...)
+	for _, v := range order[1:] {
+		p := t.parent[v]
+		t.kids[fill[p]] = v
+		fill[p]++
+	}
+	for _, u := range order {
+		at := t.tin[u] + 1
+		for _, c := range t.kids[t.kidOff[u]:t.kidOff[u+1]] {
+			t.tin[c] = at
+			at += t.size[c]
+		}
+	}
 }
 
 // NumNodes returns the number of nodes in the tree.

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -107,16 +108,111 @@ func TestNextHopWalksToTarget(t *testing.T) {
 	}
 }
 
-func TestKthAncestor(t *testing.T) {
-	tr := BalancedBinary(15)
-	if a := tr.KthAncestor(7, 1); a != 3 {
-		t.Errorf("KthAncestor(7,1) = %d, want 3", a)
+// TestTreeNextHopMatchesDist checks NextHop on every ordered pair of
+// distinct nodes against the distance oracle: the hop is a tree
+// neighbour of u, and it lies on the u–target path, dT(u, target) =
+// w(u, next) + dT(next, target). The trees cover a deep path, a star
+// whose centre has every other node as a child, the paper's binary tree
+// and random weighted trees under permuted labels (so neither the root
+// nor children are in index order).
+func TestTreeNextHopMatchesDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	trees := map[string]*Tree{
+		"binary-64": BalancedBinary(64), "binary-13": BalancedBinary(13),
+		"path-64": PathTree(64), "star-64": StarTree(64), "star-2": StarTree(2),
 	}
-	if a := tr.KthAncestor(7, 3); a != 0 {
-		t.Errorf("KthAncestor(7,3) = %d, want 0", a)
+	for i, n := range []int{1, 2, 3, 17, 64} {
+		perm := rng.Perm(n)
+		parent := make([]graph.NodeID, n)
+		pw := make([]graph.Weight, n)
+		parent[perm[0]] = graph.NodeID(perm[0])
+		for j := 1; j < n; j++ {
+			parent[perm[j]] = graph.NodeID(perm[rng.Intn(j)])
+			pw[perm[j]] = graph.Weight(1 + rng.Intn(9))
+		}
+		tr, err := FromParents(graph.NodeID(perm[0]), parent, pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[fmt.Sprintf("random-%d-%d", i, n)] = tr
 	}
-	if a := tr.KthAncestor(7, 99); a != 0 {
-		t.Errorf("KthAncestor(7,99) = %d, want root", a)
+	for name, tr := range trees {
+		n := graph.NodeID(tr.NumNodes())
+		for u := graph.NodeID(0); u < n; u++ {
+			for target := graph.NodeID(0); target < n; target++ {
+				if u == target {
+					continue
+				}
+				next := tr.NextHop(u, target)
+				w := graph.Weight(-1)
+				for _, e := range tr.Neighbors(u) {
+					if e.To == next {
+						w = e.W
+					}
+				}
+				if w < 0 {
+					t.Fatalf("%s: NextHop(%d, %d) = %d, not a tree neighbour of %d", name, u, target, next, u)
+				}
+				if got, want := w+tr.Dist(next, target), tr.Dist(u, target); got != want {
+					t.Fatalf("%s: NextHop(%d, %d) = %d is off the path: w %d + dT(%d, %d) = %d, dT(%d, %d) = %d",
+						name, u, target, next, w, next, target, got, u, target, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTreeNextHop times one NextHop: over every ordered pair of the
+// paper's 76-node binary tree; from the centre of a 4096-node star to
+// each leaf in turn (the target is a child: no search); and from the
+// centre of a 4096-node spider — 63 legs of 65 nodes — to each leg's far
+// end, where the downward child is found by binary search over 63
+// children.
+func BenchmarkTreeNextHop(b *testing.B) {
+	type pair struct{ u, t graph.NodeID }
+	const legs, leg = 63, 65
+	spiderParent := make([]graph.NodeID, 1+legs*leg)
+	spiderWeight := make([]graph.Weight, len(spiderParent))
+	var spiderPairs []pair
+	for j := 0; j < legs; j++ {
+		for k := 0; k < leg; k++ {
+			v := 1 + j*leg + k
+			spiderParent[v], spiderWeight[v] = graph.NodeID(v-1), 1
+			if k == 0 {
+				spiderParent[v] = 0
+			}
+		}
+		spiderPairs = append(spiderPairs, pair{0, graph.NodeID((j + 1) * leg)})
+	}
+	binary, star := BalancedBinary(76), StarTree(4096)
+	spider := MustFromParents(0, spiderParent, spiderWeight)
+	var binaryPairs, starPairs []pair
+	for u := graph.NodeID(0); u < 76; u++ {
+		for v := graph.NodeID(0); v < 76; v++ {
+			if u != v {
+				binaryPairs = append(binaryPairs, pair{u, v})
+			}
+		}
+	}
+	for v := graph.NodeID(1); v < 4096; v++ {
+		starPairs = append(starPairs, pair{0, v})
+	}
+	for _, bc := range []struct {
+		name  string
+		tr    *Tree
+		pairs []pair
+	}{{"binary-76", binary, binaryPairs}, {"star-4096", star, starPairs}, {"spider-4096", spider, spiderPairs}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink graph.NodeID
+			for i := 0; i < b.N; i++ {
+				p := bc.pairs[i%len(bc.pairs)]
+				sink |= bc.tr.NextHop(p.u, p.t)
+			}
+			if sink < 0 {
+				b.Fatal("negative node id")
+			}
+		})
 	}
 }
 
