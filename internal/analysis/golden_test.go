@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/{perf,scale,shard,churn}_golden.json from the current experiments")
+var update = flag.Bool("update", false, "rewrite testdata/{perf,scale,shard,churn}_golden.json and testdata/directory_golden.txt from the current experiments")
 
 // TestDocumentsGolden regenerates the four versioned arrowbench -json
 // documents and compares them byte for byte against testdata. Every
@@ -110,6 +111,54 @@ func TestDocumentsGolden(t *testing.T) {
 			t.Fatalf("%s: document has %d lines, golden has %d (rerun with -update only if the change is meant)",
 				path, len(gotLines), len(wantLines))
 		})
+	}
+}
+
+// TestDirectoryGolden pins `arrowbench -exp directory` (seed 1): the
+// table it prints, then every DirectoryRow field one row per line —
+// FindHops included, which the table omits. The file is text, not a
+// *_golden.json document: its rows have no protocol column for
+// TestGoldenProtocolColumnsDistinct to read. `-run Golden -update`
+// rewrites it with the other goldens.
+func TestDirectoryGolden(t *testing.T) {
+	var exp *Experiment
+	for i := range Experiments {
+		if Experiments[i].Name == "directory" {
+			exp = &Experiments[i]
+		}
+	}
+	if exp == nil {
+		t.Fatal("no directory experiment in the catalog")
+	}
+	res, err := exp.Run(Params{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := DirectoryExperiment([]int{2, 3, 5, 8}, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, tab := range res.Tables {
+		b.WriteString(tab.Render() + "\n")
+	}
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%+v\n", r)
+	}
+	got := []byte(b.String())
+	path := filepath.Join("testdata", "directory_golden.txt")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs (rerun with -update only if the change is meant):\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -139,5 +140,42 @@ func TestDirectoryHoldTimeStretchesMakespan(t *testing.T) {
 	if slow.Makespan <= fast.Makespan {
 		t.Errorf("hold time 10 makespan %d not above hold time 1 makespan %d",
 			slow.Makespan, fast.Makespan)
+	}
+}
+
+// directoryPins holds both directories' results under asynchronous
+// latency and non-FIFO arbitration, captured from the two hand-written
+// loops the shared closed loop replaced: every field must stay bit-identical.
+var directoryPins = []struct {
+	name string
+	arb  sim.Arbitration
+	home bool
+	want Result
+}{
+	{"arrow/lifo", sim.ArbLIFO, false, Result{N: 15, Acquires: 300, Makespan: 2012, AcquireLatency: 27914, FindHops: 557, ObjectHops: 557}},
+	{"arrow/random", sim.ArbRandom, false, Result{N: 15, Acquires: 300, Makespan: 1998, AcquireLatency: 27704, FindHops: 557, ObjectHops: 557}},
+	{"home/lifo", sim.ArbLIFO, true, Result{N: 16, Acquires: 320, Makespan: 3485, AcquireLatency: 52453, FindHops: 640, ObjectHops: 1280}},
+	{"home/random", sim.ArbRandom, true, Result{N: 16, Acquires: 320, Makespan: 3579, AcquireLatency: 53974, FindHops: 640, ObjectHops: 1280}},
+}
+
+func TestDirectoryAsyncPins(t *testing.T) {
+	for _, p := range directoryPins {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := Config{PerNode: 20, HoldTime: 2, ThinkTime: 3,
+				Latency: sim.AsyncUniform(4), Arbitration: p.arb, Seed: 11}
+			var got *Result
+			var err error
+			if p.home {
+				got, err = RunHome(graph.Grid(4, 4), 5, cfg)
+			} else {
+				got, err = RunArrow(tree.BalancedBinary(15), 0, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != p.want {
+				t.Errorf("got %#v, want %#v", *got, p.want)
+			}
+		})
 	}
 }
