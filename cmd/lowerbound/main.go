@@ -77,7 +77,7 @@ func run(cfg config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nmeasured ratio:           %.3f (>= true competitive ratio witness)\n",
 		opt.Ratio(res.TotalLatency, bounds.Upper))
-	fmt.Fprintf(w, "theory reference k*D:     %d (asymptotic regime; see EXPERIMENTS.md)\n",
+	fmt.Fprintf(w, "theory reference k*D:     %d (asymptotic regime)\n",
 		inst.K*inst.D)
 	return nil
 }

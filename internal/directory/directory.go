@@ -8,17 +8,23 @@
 // find request with the arrow protocol; the object then travels down the
 // distributed queue from each holder directly to its successor. In the
 // home-based directory, a fixed home node serializes all accesses and the
-// object shuttles between the home and each requester.
+// object shuttles between the home and each requester: every access pays
+// two object trips through the home plus the request message.
 //
-// Both run on the deterministic simulator so their costs are directly
-// comparable: acquisition latency, object travel, and makespan.
+// Both are one closed loop over a shard.Stepper — arrow.TreeStepper on
+// the tree, centralized.ShardCenters coordinating the object at the home
+// over shortest paths — on the deterministic simulator, so their costs
+// are directly comparable: acquisition latency, object travel, and
+// makespan.
 package directory
 
 import (
 	"fmt"
 
 	"repro/internal/arrow"
+	"repro/internal/centralized"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -35,15 +41,6 @@ type Config struct {
 	// Arbitration orders simultaneous messages.
 	Arbitration sim.Arbitration
 	Seed        int64
-}
-
-func (c *Config) normalize() {
-	if c.HoldTime <= 0 {
-		c.HoldTime = 1
-	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 1
-	}
 }
 
 // Result aggregates a directory run.
@@ -77,183 +74,221 @@ func (r *Result) AvgObjectHops() float64 {
 	return float64(r.ObjectHops) / float64(r.Acquires)
 }
 
-// Messages used by the arrow directory. The dirMsg marker method lets
-// arrowlint's msgswitch analyzer check switch exhaustiveness.
-type dirMsg interface{ isDirMsg() }
-
-type (
-	findMsg struct{ reqID int }
-	objMsg  struct {
-		target graph.NodeID // requester the object is travelling to
-		reqID  int          // request being satisfied
-	}
-)
-
-func (findMsg) isDirMsg() {}
-func (objMsg) isDirMsg()  {}
-
-type arrowDirState struct {
-	t   *tree.Tree
-	cfg Config
-
-	// step is arrow's pointer state: the find phase is the protocol step
-	// every simulated arrow run executes.
-	step    *arrow.TreeStepper
-	lastReq []int
-
-	origin    []graph.NodeID
-	issueTime []sim.Time
-	hops      []int
-
-	succ      map[int]int // predecessor reqID -> successor reqID
-	remaining []int
-	res       *Result
-
-	// Object location: objAt/objAfter are meaningful while objFree (the
-	// object is parked awaiting the successor of request objAfter);
-	// while travelling or held it is tracked by messages and timers.
-	objAt    graph.NodeID
-	objFree  bool
-	objAfter int
-}
-
 // RunArrow executes the closed-loop arrow directory on tree t. The object
 // starts at root.
 func RunArrow(t *tree.Tree, root graph.NodeID, cfg Config) (*Result, error) {
-	n := t.NumNodes()
-	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("directory: PerNode must be >= 1")
-	}
 	step, err := arrow.NewTreeStepper(t, root)
 	if err != nil {
 		return nil, fmt.Errorf("directory: %w", err)
 	}
-	cfg.normalize()
+	return run(sim.TreeTopology{T: t}, step, root, false, cfg)
+}
+
+// RunHome executes the closed-loop home-based directory over graph g with
+// the given home node. Messages travel over shortest paths.
+func RunHome(g *graph.Graph, home graph.NodeID, cfg Config) (*Result, error) {
+	n := g.NumNodes()
+	if int(home) < 0 || int(home) >= n {
+		return nil, fmt.Errorf("directory: home %d out of range", home)
+	}
+	// Object home's coordinator is home mod n = home: every find is one
+	// message to the home, where it is queued.
+	step, err := centralized.NewShardCenters(n, n)
+	if err != nil {
+		return nil, fmt.Errorf("directory: %w", err)
+	}
+	return run(sim.NewMetricTopology(g), step, home, true, cfg)
+}
+
+// Messages: a node's pre-boxed find, and the object itself. The dirMsg
+// marker method lets internal/lint's msgswitch analyzer check switch
+// exhaustiveness.
+type dirMsg interface{ isDirMsg() }
+
+type (
+	findMsg struct{ origin graph.NodeID }
+	objMsg  struct{}
+)
+
+func (*findMsg) isDirMsg() {}
+func (*objMsg) isDirMsg()  {}
+
+// node is a node's closed-loop state. A node has at most one request in
+// flight — it issues the next only after releasing the object — so a
+// request is named by its issuing node, and succ and tail hold nodes.
+type node struct {
+	find      findMsg
+	succ      graph.NodeID // whose request follows this node's; none if not queued yet
+	tail      graph.NodeID // whose request a find ending here queues behind
+	remaining int
+	issued    sim.Time
+}
+
+const none graph.NodeID = -1
+
+// dir is one run of either directory. Request rest (= n, one record past
+// the nodes) stands for the released object while nobody has queued
+// behind the request that released it: the tail that request left
+// becomes rest, and the object waits at its resting place — where it
+// was released, or the home — for rest's successor. The object's
+// initial position is that state at home.
+type dir struct {
+	cfg     Config
+	topo    sim.Topology
+	step    shard.Stepper
+	route   shard.ReplyRouter // nil: the object crosses one topology link per send
+	home    graph.NodeID
+	viaHome bool  // the object returns to home after every hold
+	obj     int32 // the object's number for step: home (arrow's stepper ignores it)
+	nodes   []node
+	rest    graph.NodeID
+
+	to     graph.NodeID // request the object travels to or is held by; rest between requests
+	parked graph.NodeID // where the object waits for rest's successor; none otherwise
+	object objMsg
+	res    Result
+}
+
+// run is both directories' closed loop. Finds chase step's pointers from
+// the requester and queue behind the tail where they end; a released
+// object goes straight to its successor along route (arrow), or by way of
+// home when viaHome. Each push takes the next event seq, which keys the
+// asynchronous latency and random arbitration draws, so the order of
+// pushes within a handler is part of every result (the directory golden
+// and TestDirectoryAsyncPins hold it).
+func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool, cfg Config) (*Result, error) {
+	if cfg.PerNode < 1 {
+		return nil, fmt.Errorf("directory: PerNode must be >= 1")
+	}
+	cfg.HoldTime, cfg.ThinkTime = max(cfg.HoldTime, 1), max(cfg.ThinkTime, 1)
+	n := topo.NumNodes()
 	total := int64(cfg.PerNode) * int64(n)
-	st := &arrowDirState{
-		t:         t,
-		cfg:       cfg,
-		step:      step,
-		lastReq:   make([]int, n),
-		succ:      make(map[int]int),
-		remaining: make([]int, n),
-		res:       &Result{N: n},
+	d := &dir{
+		cfg: cfg, topo: topo, step: step, obj: int32(home), home: home, viaHome: viaHome,
+		nodes: make([]node, n+1), rest: graph.NodeID(n), to: graph.NodeID(n), parked: home,
+		res: Result{N: n},
 	}
-	for v := 0; v < n; v++ {
-		st.lastReq[v] = -1
-		st.remaining[v] = cfg.PerNode
+	d.route, _ = step.(shard.ReplyRouter)
+	for v := range d.nodes {
+		d.nodes[v] = node{find: findMsg{origin: graph.NodeID(v)}, succ: none, remaining: cfg.PerNode}
 	}
+	d.nodes[home].tail = d.rest
 	s := sim.New(sim.Config{
-		Topology:    sim.TreeTopology{T: t},
+		Topology:    topo,
 		Latency:     cfg.Latency,
 		Arbitration: cfg.Arbitration,
 		Seed:        cfg.Seed,
 		MaxEvents:   total*int64(8*n+16) + 4096,
 	})
-	s.SetAllHandlers(st.handle)
-	// The object sits at root, already released by the virtual request
-	// (-1); its first transfer triggers when -1's successor is queued.
-	st.objAt = root
-	st.objFree = true
-	st.objAfter = -1
+	s.SetAllHandlers(d.handle)
+	s.SetTimerHandler(d.timer)
 	s.Reserve(n)
 	for v := 0; v < n; v++ {
-		node := graph.NodeID(v)
-		s.ScheduleAt(0, func(ctx *sim.Context) { st.issue(ctx, node) })
+		s.ScheduleNodeAt(0, graph.NodeID(v))
 	}
-	st.res.Makespan = s.Run()
-	if st.res.Acquires != total {
-		return nil, fmt.Errorf("directory: %d of %d acquisitions completed", st.res.Acquires, total)
+	d.res.Makespan = s.Run()
+	if d.res.Acquires != total {
+		return nil, fmt.Errorf("directory: %d of %d acquisitions completed", d.res.Acquires, total)
 	}
-	return st.res, nil
+	return &d.res, nil
 }
 
-func (st *arrowDirState) issue(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] == 0 {
+// timer is v's one timer: the end of its hold while it has the object,
+// else the end of its think time (or the start of the run).
+func (d *dir) timer(ctx *sim.Context, v graph.NodeID) {
+	if d.to == v {
+		d.release(ctx, v)
+		ctx.AfterNode(d.cfg.ThinkTime, v)
 		return
 	}
-	st.remaining[v]--
-	reqID := len(st.origin)
-	st.origin = append(st.origin, v)
-	st.issueTime = append(st.issueTime, ctx.Now())
-	st.hops = append(st.hops, 0)
-
-	target, local := st.step.StartFind(0, v)
-	pred := st.lastReq[v]
-	st.lastReq[v] = reqID
+	nd := &d.nodes[v]
+	if nd.remaining == 0 {
+		return
+	}
+	nd.remaining--
+	nd.issued = ctx.Now()
+	target, local := d.step.StartFind(d.obj, v)
 	if local {
-		st.queued(ctx, reqID, pred)
+		d.queued(ctx, v, v)
 		return
 	}
-	st.hops[reqID]++
-	ctx.Send(v, target, findMsg{reqID: reqID})
+	nd.tail = v // arrow's StartFind made v a sink; the home stepper never ends a find here
+	d.sendFind(ctx, v, target, &nd.find)
 }
 
-func (st *arrowDirState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+func (d *dir) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
-	case findMsg:
-		next, done := st.step.ForwardFind(0, at, from, st.origin[m.reqID])
-		if !done {
-			st.hops[m.reqID]++
-			ctx.Send(at, next, m)
-			return
+	case *findMsg:
+		if next, done := d.step.ForwardFind(d.obj, at, from, m.origin); !done {
+			d.sendFind(ctx, at, next, m)
+		} else {
+			d.queued(ctx, m.origin, at)
 		}
-		st.queued(ctx, m.reqID, st.lastReq[at])
-	case objMsg:
-		st.res.ObjectHops++
-		if at == m.target {
-			st.objectArrived(ctx, m.reqID)
-			return
-		}
-		ctx.Send(at, st.t.NextHop(at, m.target), m)
+	case *objMsg:
+		d.carry(ctx, at)
 	default:
 		panic(fmt.Sprintf("directory: unexpected message %T", msg))
 	}
 }
 
-// queued records that reqID is ordered directly behind predID. If the
-// predecessor has already released the object, the transfer starts now.
-func (st *arrowDirState) queued(ctx *sim.Context, reqID, predID int) {
-	st.res.FindHops += int64(st.hops[reqID])
-	st.succ[predID] = reqID
-	if st.objFree && st.objAfter == predID {
-		st.objFree = false
-		st.sendObject(ctx, st.objAt, reqID)
-	}
+func (d *dir) sendFind(ctx *sim.Context, u, v graph.NodeID, m *findMsg) {
+	d.res.FindHops += int64(d.topo.Hops(u, v))
+	ctx.Send(u, v, m)
 }
 
-// sendObject dispatches the object from its current location toward the
-// origin of reqID (zero hops if already there).
-func (st *arrowDirState) sendObject(ctx *sim.Context, fromNode graph.NodeID, reqID int) {
-	target := st.origin[reqID]
-	if fromNode == target {
-		st.objectArrived(ctx, reqID)
+// queued orders v's request behind the tail at at, the node its find
+// ended at. If that is the waiting object, it leaves for v now.
+func (d *dir) queued(ctx *sim.Context, v, at graph.NodeID) {
+	pred := d.nodes[at].tail
+	d.nodes[at].tail = v
+	if pred == d.rest && d.parked != none {
+		from := d.parked
+		d.parked, d.to = none, v
+		d.carry(ctx, from)
 		return
 	}
-	ctx.Send(fromNode, st.t.NextHop(fromNode, target), objMsg{target: target, reqID: reqID})
+	d.nodes[pred].succ = v
 }
 
-// objectArrived grants the object for reqID: the acquire completes, the
-// holder works for HoldTime, then releases.
-func (st *arrowDirState) objectArrived(ctx *sim.Context, reqID int) {
-	v := st.origin[reqID]
-	st.res.Acquires++
-	st.res.AcquireLatency += int64(ctx.Now() - st.issueTime[reqID])
-	ctx.After(st.cfg.HoldTime, func(ctx *sim.Context) {
-		st.release(ctx, reqID)
-		// The node issues its next acquire after thinking.
-		ctx.After(st.cfg.ThinkTime, func(ctx *sim.Context) { st.issue(ctx, v) })
-	})
-}
-
-// release hands the object to the successor if known, or parks it.
-func (st *arrowDirState) release(ctx *sim.Context, reqID int) {
-	v := st.origin[reqID]
-	if next, ok := st.succ[reqID]; ok {
-		st.sendObject(ctx, v, next)
-		return
+// release hands the object v held to v's successor, or — with none
+// queued yet — sends it to rest, and rest takes v's place as the tail.
+func (d *dir) release(ctx *sim.Context, v graph.NodeID) {
+	d.to, d.nodes[v].succ = d.nodes[v].succ, none
+	if d.to == none {
+		keeper := v // the node whose tail is v
+		if d.viaHome {
+			keeper = d.home
+		}
+		d.to, d.nodes[keeper].tail = d.rest, d.rest
 	}
-	st.objAt = v
-	st.objFree = true
-	st.objAfter = reqID
+	d.carry(ctx, v)
+}
+
+// carry moves the object on from at, where it was released or has just
+// arrived: at rest's place it takes rest's successor or waits for one;
+// it is granted at the request's node and otherwise takes one hop, via
+// home for the home-based directory.
+func (d *dir) carry(ctx *sim.Context, at graph.NodeID) {
+	if d.to == d.rest && (!d.viaHome || at == d.home) {
+		s := &d.nodes[d.rest].succ
+		if *s == none {
+			d.parked = at
+			return
+		}
+		d.to, *s = *s, none
+	}
+	next := d.to
+	switch {
+	case at == next:
+		d.res.Acquires++
+		d.res.AcquireLatency += ctx.Now() - d.nodes[at].issued
+		ctx.AfterNode(d.cfg.HoldTime, at)
+		return
+	case d.viaHome && at != d.home:
+		next = d.home
+	case d.route != nil:
+		next = d.route.ReplyHop(at, next)
+	}
+	d.res.ObjectHops += int64(d.topo.Hops(at, next))
+	ctx.Send(at, next, &d.object)
 }

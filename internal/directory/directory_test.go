@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -144,8 +145,10 @@ func TestDirectoryHoldTimeStretchesMakespan(t *testing.T) {
 }
 
 // directoryPins holds both directories' results under asynchronous
-// latency and non-FIFO arbitration, captured from the two hand-written
-// loops the shared closed loop replaced: every field must stay bit-identical.
+// latency and non-FIFO arbitration, where every seq-keyed draw depends on
+// the order of the loop's pushes. The values are those of the separate
+// arrow and home-based loops the shared one replaced; every field must
+// stay bit-identical.
 var directoryPins = []struct {
 	name string
 	arb  sim.Arbitration
@@ -175,6 +178,43 @@ func TestDirectoryAsyncPins(t *testing.T) {
 			}
 			if *got != p.want {
 				t.Errorf("got %#v, want %#v", *got, p.want)
+			}
+		})
+	}
+}
+
+// TestDirectoryStateIndependentOfPerNode holds both directories to
+// O(n) state: a node has one request in flight, so twenty times the
+// acquisitions per node may not cost more memory. Each measurement
+// builds its own topology, so the graph and metric construction cancel.
+func TestDirectoryStateIndependentOfPerNode(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(perNode int) error
+	}{
+		{"arrow", func(perNode int) error {
+			_, err := RunArrow(tree.BalancedBinary(256), 0, Config{PerNode: perNode})
+			return err
+		}},
+		{"home", func(perNode int) error {
+			_, err := RunHome(graph.Grid(16, 16), 0, Config{PerNode: perNode})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			alloc := func(perNode int) uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := r.run(perNode); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			small, large := alloc(20), alloc(400)
+			if large > small && large-small >= 256<<10 {
+				t.Errorf("PerNode 400 allocates %d B, PerNode 20 %d B: state grows with PerNode", large, small)
 			}
 		})
 	}

@@ -97,7 +97,7 @@ func Compute(g *graph.Graph, root graph.NodeID, s queuing.Set, dist queuing.Dist
 	}
 
 	_, nnCost := tsp.NearestNeighborPath(n, cOpt)
-	_, optCost := tsp.GreedyEdgePath(n, cOpt)
+	_, optCost := tsp.TwoOptPath(n, cOpt)
 	b.Upper = min(nnCost, optCost)
 	return b
 }

@@ -1,8 +1,9 @@
 // Package tsp provides the travelling-salesperson machinery the paper's
 // analysis relies on: the nearest-neighbour heuristic (which characterizes
 // arrow's queuing order, Lemma 3.8), an exact Held–Karp solver used as
-// ground truth on small instances, and MST-based bounds used for the
-// Manhattan-metric lower bound (Lemma 3.16).
+// ground truth on small instances, a 2-opt improvement of the NN path, and
+// the MST weight behind opt's ManhattanMST/12 — an uncertified estimate
+// of the optimum, not a lower bound (see package opt).
 //
 // All functions operate over an abstract pairwise cost on points 0..n-1
 // where point 0 is the fixed start (the virtual root request). Costs may
@@ -110,6 +111,20 @@ const MaxExactN = 20
 // programming: minimum-cost path starting at point 0 and visiting all n
 // points. Cost may be asymmetric. n must be at most MaxExactN.
 func OptimalPath(n int, c Cost) ([]int, int64, error) {
+	return heldKarp(n, c, false)
+}
+
+// OptimalTour solves the closed TSP tour exactly (returns to point 0).
+func OptimalTour(n int, c Cost) (int64, error) {
+	_, cost, err := heldKarp(n, c, true)
+	return cost, err
+}
+
+// heldKarp is the one Held–Karp table behind OptimalPath and OptimalTour:
+// the cheapest path from point 0 through every point, with the closing
+// edge back to 0 charged in the final minimum when closed. It returns
+// the visit order starting at 0 and the cost.
+func heldKarp(n int, c Cost, closed bool) ([]int, int64, error) {
 	if n <= 0 {
 		return nil, 0, nil
 	}
@@ -158,9 +173,15 @@ func OptimalPath(n int, c Cost) ([]int, int64, error) {
 	full := size - 1
 	bestEnd, bestCost := -1, inf
 	for j := 0; j < m; j++ {
-		if dp[full][j] < bestCost {
-			bestCost = dp[full][j]
-			bestEnd = j
+		if dp[full][j] >= inf {
+			continue
+		}
+		cost := dp[full][j]
+		if closed {
+			cost += c(j+1, 0)
+		}
+		if cost < bestCost {
+			bestCost, bestEnd = cost, j
 		}
 	}
 	order := make([]int, 0, n)
@@ -176,56 +197,6 @@ func OptimalPath(n int, c Cost) ([]int, int64, error) {
 		order[i], order[k] = order[k], order[i]
 	}
 	return order, bestCost, nil
-}
-
-// OptimalTour solves the closed TSP tour exactly (returns to point 0).
-func OptimalTour(n int, c Cost) (int64, error) {
-	if n <= 1 {
-		return 0, nil
-	}
-	if n > MaxExactN {
-		return 0, fmt.Errorf("tsp: exact solver limited to %d points, got %d", MaxExactN, n)
-	}
-	m := n - 1
-	size := 1 << m
-	const inf = int64(math.MaxInt64 / 4)
-	dp := make([][]int64, size)
-	for mask := 1; mask < size; mask++ {
-		dp[mask] = make([]int64, m)
-		for j := range dp[mask] {
-			dp[mask][j] = inf
-		}
-	}
-	for j := 0; j < m; j++ {
-		dp[1<<j][j] = c(0, j+1)
-	}
-	for mask := 1; mask < size; mask++ {
-		for j := 0; j < m; j++ {
-			if mask&(1<<j) == 0 || dp[mask][j] >= inf {
-				continue
-			}
-			base := dp[mask][j]
-			for k := 0; k < m; k++ {
-				if mask&(1<<k) != 0 {
-					continue
-				}
-				nm := mask | 1<<k
-				if cand := base + c(j+1, k+1); cand < dp[nm][k] {
-					dp[nm][k] = cand
-				}
-			}
-		}
-	}
-	full := size - 1
-	best := inf
-	for j := 0; j < m; j++ {
-		if dp[full][j] < inf {
-			if cand := dp[full][j] + c(j+1, 0); cand < best {
-				best = cand
-			}
-		}
-	}
-	return best, nil
 }
 
 // PathCost sums c over consecutive pairs of order.
@@ -274,14 +245,14 @@ func MSTWeight(n int, c Cost) int64 {
 	return total
 }
 
-// GreedyEdgePath builds a path via double-ended greedy (Christofides-free
-// 2-approximation style): it is an additional heuristic used to produce
-// good achievable orders against which arrow is compared. The cost must be
-// symmetric for the approximation property, but the function accepts any
-// cost. Returns the order starting at 0 and its cost under c.
-func GreedyEdgePath(n int, c Cost) ([]int, int64) {
-	// Start from the NN path and improve with 2-opt-style segment
-	// reversals until no improvement (capped passes keep this O(n^2·k)).
+// TwoOptPath improves the nearest-neighbour path from point 0 by 2-opt:
+// passes over every segment reversal, each taken when it lowers the
+// path's cost under c (asymmetric costs included), until a pass improves
+// nothing or 16 passes have run. Every candidate re-sums its interior
+// arcs, so a pass is O(n³). It produces achievable orders against which
+// arrow is compared, with no approximation guarantee. Returns the order
+// starting at 0 and its cost under c.
+func TwoOptPath(n int, c Cost) ([]int, int64) {
 	order, _ := NearestNeighborPath(n, c)
 	improved := true
 	for pass := 0; improved && pass < 16; pass++ {

@@ -245,12 +245,12 @@ func TestMSTWeightKnown(t *testing.T) {
 	}
 }
 
-func TestGreedyEdgePathImprovesOrMatchesNN(t *testing.T) {
+func TestTwoOptPathImprovesOrMatchesNN(t *testing.T) {
 	prop := func(seed int64) bool {
 		n := 5 + int(seed%8+8)%8
 		c := randMetric(n, seed)
 		_, nn := NearestNeighborPath(n, c)
-		order, cost := GreedyEdgePath(n, c)
+		order, cost := TwoOptPath(n, c)
 		if len(order) != n || order[0] != 0 {
 			return false
 		}
