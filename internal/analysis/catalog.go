@@ -126,8 +126,14 @@ var Experiments = []Experiment{
 		rows, err := OneShotExperiment(32, []int{2, 4, 8, 12}, p.Seed, p.Workers)
 		return result(err, nil, OneShotTable(rows))
 	}},
-	{Name: "directory", Desc: "arrow directory vs home-based (Herlihy–Warres)", Run: func(p Params) (Result, error) {
-		rows, err := DirectoryExperiment([]int{2, 3, 5, 8}, 200, p.Seed)
+	// The directory has its own per-node default; only an explicit
+	// -pernode wins. -sizes does not apply: the grids are fixed.
+	{Name: "directory", Desc: "arrow directory vs home-based (Herlihy–Warres), grid sides fixed at {2,3,5,8}", Run: func(p Params) (Result, error) {
+		perNode := 200
+		if p.PerNodeSet {
+			perNode = p.PerNode
+		}
+		rows, err := DirectoryExperiment([]int{2, 3, 5, 8}, perNode, p.Seed)
 		return result(err, nil, DirectoryTable(rows))
 	}},
 	{Name: "commtree", Desc: "Peleg–Reshef demand-aware tree selection", Run: func(p Params) (Result, error) {

@@ -210,11 +210,16 @@ type tickBucket struct {
 
 // farWheel is one level of the far tier: ringSize bucket lists indexed
 // by the time bits just above the level below, with the same occupancy
-// bitmap the ring keeps.
+// bitmap the ring keeps. The lists are allocated the first time a push
+// reaches the level (see farBucket) and kept for the rest of the run;
+// until then bucket is nil and cnt 0, so refill reads the level as
+// empty. Only the lists are deferred: at 4,096 bytes they fill a Go
+// size class exactly, where the whole wheel (4,168 bytes) would round
+// up to 4,864.
 type farWheel struct {
 	occupied [ringSize / 64]uint64
-	cnt      int // occupied buckets
-	bucket   [ringSize]tickBucket
+	cnt      int                   // occupied buckets
+	bucket   *[ringSize]tickBucket // nil until a push reaches the level
 }
 
 // SchedStats counts the ladder queue's pushes by tier and its far-tier
@@ -293,7 +298,11 @@ func (st SchedStats) Far() int64 {
 // copied — and O(log heap) only beyond 2²⁷ ticks. Arena cells recycle
 // through a freelist, so the steady state allocates nothing. A cell
 // stores its time only as an offset in the position's 2²⁷-tick block
-// and no sequence number (see cell).
+// and no sequence number (see cell). A far wheel's lists exist once a
+// push has reached the wheel — a fresh push, a cascade or a heap pour
+// (farBucket allocates them) — and stay for the rest of the run: a run
+// confined to one epoch or super-epoch never pays for the wheels above
+// it.
 type ladderQueue struct {
 	arb Arbitration
 	// arbSeed keys random arbitration: an event's priority hashes its
@@ -334,14 +343,8 @@ func (q *ladderQueue) init(arb Arbitration, arbSeed int64) {
 	q.arb, q.arbSeed = arb, arbSeed
 	q.horizon = ringSize
 	q.free = nilSlot
-	empty := tickBucket{head: nilSlot, tail: nilSlot}
 	for i := range q.ring {
-		q.ring[i] = empty
-	}
-	for k := range q.far {
-		for i := range q.far[k].bucket {
-			q.far[k].bucket[i] = empty
-		}
+		q.ring[i] = tickBucket{head: nilSlot, tail: nilSlot}
 	}
 }
 
@@ -471,7 +474,8 @@ func (q *ladderQueue) farLink(s int32, at Time) {
 }
 
 // farBucket returns the far-wheel list for time at (and its level),
-// marking it occupied. Callers guarantee at >= horizon and at within
+// marking it occupied, and allocates the level's lists the first time
+// anything reaches it. Callers guarantee at >= horizon and at within
 // the position's 2²⁷-tick block.
 func (q *ladderQueue) farBucket(at Time) (*tickBucket, int) {
 	k := 0
@@ -479,6 +483,9 @@ func (q *ladderQueue) farBucket(at Time) (*tickBucket, int) {
 		k = 1
 	}
 	w := &q.far[k]
+	if w.bucket == nil {
+		w.bucket = newFarBuckets()
+	}
 	idx := int(at>>(ringBits*(k+1))) & ringMask
 	b := &w.bucket[idx]
 	if b.head == nilSlot {
@@ -486,6 +493,15 @@ func (q *ladderQueue) farBucket(at Time) (*tickBucket, int) {
 		w.cnt++
 	}
 	return b, k
+}
+
+// newFarBuckets returns one far wheel's lists, every one empty.
+func newFarBuckets() *[ringSize]tickBucket {
+	b := new([ringSize]tickBucket)
+	for i := range b {
+		b[i] = tickBucket{head: nilSlot, tail: nilSlot}
+	}
+	return b
 }
 
 // appendSlot links slot s at the tail of b.

@@ -14,9 +14,11 @@ import (
 // scriptCover is what one ladderScript run reached of the in-place API's
 // hazards, as a bit set: a popped cell held out while the arena
 // reallocated, the tiers fresh pushes landed in while a cell was out,
-// and the two places a cell is rebuilt rather than relinked — a pour
-// of the heap tier into cells, and compact's rebuilt arena.
-type scriptCover uint8
+// the two places a cell is rebuilt rather than relinked — a pour of
+// the heap tier into cells, and compact's rebuilt arena — and the
+// paths that allocate a far wheel the first time an event reaches it
+// (see wheelWatch).
+type scriptCover uint16
 
 const (
 	coverGrewHeld scriptCover = 1 << iota
@@ -26,15 +28,89 @@ const (
 	coverHeapHeld
 	coverPour
 	coverCompact
-	coverAll = 1<<iota - 1
+	coverFresh0  // a fresh push allocated wheel 0
+	coverFresh1  // a fresh push allocated wheel 1
+	coverCascade // a wheel-1 cascade allocated wheel 0
+	coverPourNew // one heap pour allocated both wheels
+	coverAll     = 1<<iota - 1
 )
+
+// wheelWatch attributes each far wheel's allocation to the operation
+// that made it. mark snapshots the queue before a push or a pop: which
+// wheels are still nil and, when the next pop must pour the heap (ring
+// and wheels empty), which wheels that pour fills. pushed and popped
+// then read what the operation allocated: a push can only allocate the
+// wheel it lands in, and a pop allocates wheel 1 only by a pour and
+// wheel 0 by a pour or, when the pour sends it nothing, by a wheel-1
+// cascade.
+type wheelWatch struct {
+	lq           *ladderQueue
+	nil0, nil1   bool
+	pour0, pour1 bool
+}
+
+func (w *wheelWatch) mark() {
+	lq := w.lq
+	w.nil0, w.nil1 = lq.far[0].bucket == nil, lq.far[1].bucket == nil
+	w.pour0, w.pour1 = false, false
+	if lq.ringCnt != 0 || lq.far[0].cnt != 0 || lq.far[1].cnt != 0 || len(lq.heap) == 0 {
+		return
+	}
+	start := lq.heap[0].ev.at &^ blockMask
+	for i := range lq.heap {
+		switch off := lq.heap[i].ev.at - start; {
+		case off >= 1<<heapShift, off < ringSize:
+		case off >= 1<<(2*ringBits):
+			w.pour1 = true
+		default:
+			w.pour0 = true
+		}
+	}
+}
+
+// made reports which wheels are allocated now that were nil at mark.
+func (w *wheelWatch) made() (bool, bool) {
+	return w.nil0 && w.lq.far[0].bucket != nil, w.nil1 && w.lq.far[1].bucket != nil
+}
+
+func (w *wheelWatch) pushed() scriptCover {
+	var c scriptCover
+	made0, made1 := w.made()
+	if made0 {
+		c |= coverFresh0
+	}
+	if made1 {
+		c |= coverFresh1
+	}
+	return c
+}
+
+func (w *wheelWatch) popped(t *testing.T) scriptCover {
+	t.Helper()
+	made0, made1 := w.made()
+	if made1 && !w.pour1 {
+		t.Fatalf("a pop allocated wheel 1 without pouring into it")
+	}
+	var c scriptCover
+	if made0 && !w.pour0 {
+		c |= coverCascade
+	}
+	if made0 && made1 && w.pour0 {
+		c |= coverPourNew
+	}
+	return c
+}
 
 // ladderScript replays one byte-script against a ladderQueue — through
 // push / popCell / release, the way the simulator drives it —
 // and the eventHeap oracle, and fails on the first difference. arb
 // picks the arbitration, start the tick the queue is positioned at
 // before the script runs (any alignment relative to the epoch,
-// super-epoch and 2²⁷-block boundaries). Each script byte is one
+// super-epoch and 2²⁷-block boundaries) by pushing and popping one
+// event there. A nonzero extra pushes a second event extra ticks past
+// start before that pop: from a later block the two pour together,
+// into both far wheels when they straddle a super-epoch boundary, which
+// no script can do once the position has moved. Each script byte is one
 // operation: the low three bits choose it, the high five are its
 // argument a.
 //
@@ -66,7 +142,7 @@ const (
 // freelist, land in any tier, reallocate the arena under it — it must
 // still hold the event that was popped. After the script both queues
 // drain to empty.
-func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scriptCover {
+func ladderScript(t *testing.T, arb Arbitration, start, extra Time, script []byte) scriptCover {
 	var (
 		lq    ladderQueue
 		h     eventHeap
@@ -76,6 +152,7 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		cover scriptCover
 	)
 	lq.init(arb, int64(start))
+	wheels := wheelWatch{lq: &lq}
 	release := func() {
 		if held == nilSlot {
 			return
@@ -95,7 +172,9 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 		e.kind, e.to = kind, graph.NodeID(seq)
 		st, arena := lq.stats, cap(lq.arena)
 		ringPush := at < lq.horizon
+		wheels.mark()
 		lq.push(at, seq, kind, graph.NodeID(seq), 0, nil)
+		cover |= wheels.pushed()
 		if held != nilSlot {
 			mark := func(bit scriptCover, hit bool) {
 				if hit {
@@ -112,7 +191,9 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 	pop := func(hold bool) {
 		release()
 		heap, arena := len(lq.heap), len(lq.arena)
+		wheels.mark()
 		c, slot := lq.popCell()
+		cover |= wheels.popped(t)
 		if len(lq.heap) < heap {
 			cover |= coverPour
 		}
@@ -152,6 +233,9 @@ func ladderScript(t *testing.T, arb Arbitration, start Time, script []byte) scri
 	grid := func(stride Time, a byte) Time { return (lq.base/stride + 1 + Time(a%4)) * stride }
 
 	push(start)
+	if extra != 0 {
+		push(start + extra)
+	}
 	pop(false)
 	for _, b := range script {
 		a := b >> 3
@@ -232,9 +316,14 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, arb uint8, start uint64, script []byte) {
 		// Keep times well inside int64: scripts add at most 2³⁰ per byte.
-		ladderScript(t, Arbitration(arb%3), Time(start>>24), script)
+		ladderScript(t, Arbitration(arb%3), Time(start>>24), Time(start&extraMask), script)
 	})
 }
+
+// extraMask selects the fuzz argument start's low bits: the offset of
+// ladderScript's second positioning event (zero: none). The tick itself
+// is start>>24.
+const extraMask = 1<<24 - 1
 
 // TestLadderCorpusReachesHeldCell keeps the committed corpus honest
 // about the in-place API: under every arbitration some entry holds a
@@ -242,7 +331,10 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 // ring, both far wheels and the heap tier while a cell is out, and some
 // entry pours the heap tier into cells and has compact rebuild the
 // arena (seed-*-compact does both; under random arbitration both carry
-// the seq column).
+// the seq column). And between them the entries allocate each far
+// wheel by every path that can: a fresh push into either wheel, a
+// wheel-1 cascade into wheel 0 (seed-*-cascade) and one pour into both
+// (seed-*-pour).
 func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLadderMatchesHeap/*")
 	if err != nil || len(files) == 0 {
@@ -262,11 +354,11 @@ func TestLadderCorpusReachesHeldCell(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		script := corpusBytes(t, name, args[2])
-		cover[arb%3] |= ladderScript(t, Arbitration(arb%3), Time(start>>24), script)
+		cover[arb%3] |= ladderScript(t, Arbitration(arb%3), Time(start>>24), Time(start&extraMask), script)
 	}
 	for arb, c := range cover {
 		if c != coverAll {
-			t.Errorf("%v: the committed corpus misses a case: reached %07b of %07b", Arbitration(arb), c, coverAll)
+			t.Errorf("%v: the committed corpus misses a case: reached %011b of %011b", Arbitration(arb), c, coverAll)
 		}
 	}
 }

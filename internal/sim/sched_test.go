@@ -194,7 +194,9 @@ func TestLadderBlockOffsets(t *testing.T) {
 				checkCells := func() {
 					lists := append([]tickBucket(nil), lq.ring[:]...)
 					for k := range lq.far {
-						lists = append(lists, lq.far[k].bucket[:]...)
+						if farOccupied(t, &lq, k) > 0 {
+							lists = append(lists, lq.far[k].bucket[:]...)
+						}
 					}
 					for _, l := range lists {
 						for s := l.head; s != nilSlot; s = lq.arena[s].next {
@@ -246,6 +248,20 @@ func TestLadderBlockOffsets(t *testing.T) {
 	}
 }
 
+// farOccupied returns far wheel k's occupied-bucket count, zero for a
+// wheel whose lists are not allocated yet — which no fresh push can
+// have reached, so its FarPushes counter must read zero too.
+func farOccupied(t *testing.T, lq *ladderQueue, k int) int {
+	t.Helper()
+	if lq.far[k].bucket == nil {
+		if n, c := lq.stats.FarPushes[k], lq.far[k].cnt; n != 0 || c != 0 {
+			t.Fatalf("wheel %d has no lists after %d pushes into it, %d buckets occupied", k, n, c)
+		}
+		return 0
+	}
+	return lq.far[k].cnt
+}
+
 // farBurst schedules count node timers spacing ticks apart on a fresh
 // simulator and returns it un-run: spacing 600 lands the burst in the
 // far wheels (wheel 0 up to 2¹⁸, wheel 1 beyond), spacing above 2²⁷
@@ -279,9 +295,10 @@ func TestLadderReleasesOverflowStorage(t *testing.T) {
 		if got := len(s.lq.arena); got > 64 {
 			t.Errorf("drained far wheels leave an arena of %d slots for a 1-in-flight workload; want it rebuilt around the live events", got)
 		}
-		if s.lq.size != 0 || s.lq.ringCnt != 0 || s.lq.far[0].cnt != 0 || s.lq.far[1].cnt != 0 {
+		w0, w1 := farOccupied(t, &s.lq, 0), farOccupied(t, &s.lq, 1)
+		if s.lq.size != 0 || s.lq.ringCnt != 0 || w0 != 0 || w1 != 0 {
 			t.Errorf("queue not empty after run: size=%d ringCnt=%d wheels=%d/%d",
-				s.lq.size, s.lq.ringCnt, s.lq.far[0].cnt, s.lq.far[1].cnt)
+				s.lq.size, s.lq.ringCnt, w0, w1)
 		}
 	})
 	t.Run("heap", func(t *testing.T) {
@@ -401,6 +418,111 @@ func TestEventCellLayout(t *testing.T) {
 	if got := unsafe.Sizeof(cell{}); got != 32 {
 		t.Errorf("cell is %d bytes, want 32", got)
 	}
+}
+
+// TestSimulatorFootprint pins what sim.New costs a small run: the far
+// wheels' lists (4,096 bytes each) are not part of it — a run pays for
+// a wheel only when a push reaches it — so New on a two-node tree stays
+// under 10 KiB. The smallest of three readings keeps a background allocation
+// out of the count.
+func TestSimulatorFootprint(t *testing.T) {
+	const limit = 10 << 10
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		if s.lq.far[0].bucket != nil || s.lq.far[1].bucket != nil {
+			t.Fatalf("New allocated a far wheel before any push")
+		}
+	}
+	if best > limit {
+		t.Errorf("New on a two-node tree allocated %d bytes, want at most %d", best, limit)
+	}
+	t.Logf("New on a two-node tree: %d bytes", best)
+}
+
+// TestFarWheelsAllocatedOnFirstReach pins when each far wheel comes to
+// exist: never in a run confined to one epoch (wheel 0) or super-epoch
+// (wheel 1); once, and for the rest of the run, when the position keeps
+// crossing 2¹⁸-tick boundaries with the wheel emptying in between; and
+// inside refill when the first event to reach a wheel arrives by a
+// wheel-1 cascade or a heap pour rather than a fresh push.
+func TestFarWheelsAllocatedOnFirstReach(t *testing.T) {
+	t.Run("one-epoch", func(t *testing.T) {
+		s := farBurst(3, 100)
+		s.Run()
+		if s.lq.far[0].bucket != nil || s.lq.far[1].bucket != nil {
+			t.Errorf("a run inside one epoch allocated a far wheel (%v, %v)", s.lq.far[0].bucket != nil, s.lq.far[1].bucket != nil)
+		}
+	})
+	t.Run("one-super-epoch", func(t *testing.T) {
+		s := farBurst(16, 600) // last timer at 9 600 < 2¹⁸
+		s.Run()
+		if st := s.SchedStats(); s.lq.far[0].bucket == nil || st.FarPushes[0] != 16 {
+			t.Fatalf("test premise broken: burst not held by wheel 0 (stats %+v)", st)
+		}
+		if s.lq.far[1].bucket != nil {
+			t.Errorf("a run inside one super-epoch allocated wheel 1")
+		}
+	})
+	t.Run("crossing-super-epochs", func(t *testing.T) {
+		const hops, gap = 100, 300_000 // every hop crosses a 2¹⁸ boundary
+		s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
+		wheels := map[*[ringSize]tickBucket]bool{}
+		emptied, left := 0, hops
+		s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
+			if w := s.lq.far[1]; w.bucket != nil {
+				wheels[w.bucket] = true
+				if w.cnt == 0 {
+					emptied++
+				}
+			}
+			if left--; left > 0 {
+				ctx.AfterNode(gap, v)
+			}
+		})
+		s.ScheduleNodeAt(gap, 0)
+		s.Run()
+		if st := s.SchedStats(); st.FarPushes[1] != hops || st.HeapPushes != 0 {
+			t.Fatalf("test premise broken: hops not held by wheel 1 (stats %+v)", st)
+		}
+		if len(wheels) != 1 || emptied < hops-1 {
+			t.Errorf("wheel 1 allocated %d times over %d hops, empty at %d of them; want once, empty at every hop", len(wheels), hops, emptied)
+		}
+		if !wheels[s.lq.far[1].bucket] {
+			t.Errorf("wheel 1 replaced after the run")
+		}
+	})
+	t.Run("cascade", func(t *testing.T) {
+		var lq ladderQueue
+		lq.init(ArbFIFO, 0)
+		lq.push(300_000, 1, evNodeTimer, 0, 0, nil) // wheel 1; 37 856 ticks into its super-epoch
+		if lq.far[0].bucket != nil || lq.far[1].bucket == nil {
+			t.Fatalf("fresh push to wheel 1: wheels allocated %v/%v, want only wheel 1", lq.far[0].bucket != nil, lq.far[1].bucket != nil)
+		}
+		lq.refill()
+		if lq.far[0].bucket == nil || lq.stats.FarPushes[0] != 0 || lq.ringCnt != 1 || lq.base != 300_000&^ringMask {
+			t.Errorf("refill's cascade did not allocate wheel 0 on its way to the ring (wheel 0 %v, stats %+v, ring %d, base %d)",
+				lq.far[0].bucket != nil, lq.stats, lq.ringCnt, lq.base)
+		}
+	})
+	t.Run("heap-pour", func(t *testing.T) {
+		const block = Time(1) << heapShift
+		var lq ladderQueue
+		lq.init(ArbFIFO, 0)
+		lq.push(block+600, 1, evNodeTimer, 0, 0, nil)     // wheel 0 once poured
+		lq.push(block+1<<18+5, 2, evNodeTimer, 0, 0, nil) // wheel 1 once poured
+		if lq.far[0].bucket != nil || lq.far[1].bucket != nil || lq.stats.HeapPushes != 2 {
+			t.Fatalf("heap pushes allocated a wheel (%v, %v; stats %+v)", lq.far[0].bucket != nil, lq.far[1].bucket != nil, lq.stats)
+		}
+		lq.refill()
+		if lq.far[0].bucket == nil || lq.far[1].bucket == nil || lq.far[1].cnt != 1 || lq.base != block+512 {
+			t.Errorf("refill's pour did not allocate both wheels (%v, %v; base %d)", lq.far[0].bucket != nil, lq.far[1].bucket != nil, lq.base)
+		}
+	})
 }
 
 // TestReserveAllocatesOneArena pins the bytes Reserve costs: one arena

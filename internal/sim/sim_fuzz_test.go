@@ -30,6 +30,7 @@ type simResult struct {
 	arb                  Arbitration
 	seed                 int64
 	closures, nodeTimers int
+	wheels               scriptCover // far-wheel first allocations (coverFresh0 … coverPourNew)
 }
 
 // simScript runs one byte-script as a whole simulation. The first four
@@ -41,7 +42,11 @@ type simResult struct {
 //	   same with its LinkIndexer hidden (link clocks in the table)
 //	1  latency model: synchronous, scaled synchronous, AsyncUniform or
 //	   AsyncBimodal with slow probability 0.25, the scale 1 + (x>>2)%8
-//	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4
+//	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4; x>>4, when not zero,
+//	   moves the first timers x 2²⁷-tick blocks later and spreads them
+//	   one super-epoch apart instead of one tick (node v's at start +
+//	   x·2²⁷ + (v%3)·2¹⁸), so they reach the heap tier and pour into
+//	   wheels nothing has allocated yet
 //	3  start tick simStarts[x%4], seed x>>2
 //
 // The rest is the op stream. Every dispatched event — message, node
@@ -53,7 +58,7 @@ type simResult struct {
 // different ops from the first wrong delivery on. When the stream runs
 // out events stop scheduling and the run drains. Every scheduling call is
 // logged for checkHeapOrder.
-func simScript(script []byte) simResult {
+func simScript(t *testing.T, script []byte) simResult {
 	var hdr [4]byte
 	ops := script[copy(hdr[:], script):]
 	n := 2 + int(hdr[0]&15)%15
@@ -90,6 +95,10 @@ func simScript(script []byte) simResult {
 	})
 	res := simResult{log: pushLog{s: s}, model: hdr[1] % 4, arb: arb, seed: seed}
 	l := &res.log
+	// Every push is bracketed by mark and pushed; a handler's pops are
+	// the one popCell between the mark at the end of the previous
+	// dispatch (or of the initial schedule) and its own start.
+	wheels := wheelWatch{lq: &s.lq}
 	_, isTree := topo.(TreeTopology)
 	var act func(ctx *Context, at graph.NodeID)
 	closure := func(at graph.NodeID) TimerFunc {
@@ -100,9 +109,12 @@ func simScript(script []byte) simResult {
 		}
 	}
 	act = func(ctx *Context, at graph.NodeID) {
+		res.wheels |= wheels.popped(t)
+		defer wheels.mark()
 		for i := 0; i < 2 && len(ops) > 0; i++ {
 			op, a := ops[0]&3, ops[0]>>2
 			ops = ops[1:]
+			wheels.mark()
 			switch op {
 			case 0:
 				to := graph.NodeID((int(at) + 1 + int(a)%(n-1)) % n)
@@ -128,6 +140,7 @@ func simScript(script []byte) simResult {
 				ctx.AfterNode(simDelays[a&15], at)
 				l.pushed(evNodeTimer, ctx.Now()+simDelays[a&15], at, -1)
 			}
+			res.wheels |= wheels.pushed()
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
@@ -138,11 +151,19 @@ func simScript(script []byte) simResult {
 		l.deliver(simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
 		act(ctx, v)
 	})
-	start := simStarts[hdr[3]%4]
-	for v := 0; v < n; v++ {
-		s.ScheduleNodeAt(start+Time(v%3), graph.NodeID(v))
-		l.pushed(evNodeTimer, start+Time(v%3), graph.NodeID(v), -1)
+	first := func(v int) Time { return simStarts[hdr[3]%4] + Time(v%3) }
+	if blocks := Time(hdr[2] >> 4); blocks != 0 {
+		first = func(v int) Time {
+			return simStarts[hdr[3]%4] + blocks<<heapShift + Time(v%3)<<(2*ringBits)
+		}
 	}
+	for v := 0; v < n; v++ {
+		wheels.mark()
+		s.ScheduleNodeAt(first(v), graph.NodeID(v))
+		res.wheels |= wheels.pushed()
+		l.pushed(evNodeTimer, first(v), graph.NodeID(v), -1)
+	}
+	wheels.mark()
 	res.makespan = s.Run()
 	res.msgs, res.events = s.Messages(), s.EventsProcessed()
 	res.sched = s.SchedStats()
@@ -158,7 +179,7 @@ func simScriptsAgree(t *testing.T, script []byte) simResult {
 	if len(script) > 4096 {
 		script = script[:4096]
 	}
-	r := simScript(script)
+	r := simScript(t, script)
 	checkHeapOrder(t, r.arb, r.seed, &r.log)
 	trace := r.log.trace
 	if r.events != int64(len(trace)) || len(trace) > 0 && r.makespan != trace[len(trace)-1].at {
@@ -182,14 +203,20 @@ func FuzzSimLadderMatchesHeap(f *testing.F) {
 // TestSimCorpusReachesEveryTier keeps the committed corpus worth
 // replaying: between them its scripts run every latency model and
 // arbitration, schedule both timer kinds, and make the ladder push into
-// both far wheels and the heap tier and cascade back.
+// both far wheels and the heap tier and cascade back. Under every
+// arbitration they also allocate the far wheels by each path that can:
+// a fresh push into either wheel, a wheel-1 cascade into wheel 0 and
+// one heap pour into both (seed-*-wheels-*).
 func TestSimCorpusReachesEveryTier(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzSimLadderMatchesHeap/*")
 	if err != nil || len(files) < 6 {
 		t.Fatalf("committed corpus has %d scripts (err %v), want at least 6", len(files), err)
 	}
 	models, arbs := map[byte]bool{}, map[Arbitration]bool{}
-	var sched SchedStats
+	var (
+		sched  SchedStats
+		wheels [3]scriptCover
+	)
 	closures, nodeTimers, msgs := 0, 0, int64(0)
 	for _, name := range files {
 		r := simScriptsAgree(t, corpusBytes(t, name, corpusArgs(t, name, 1)[0]))
@@ -200,6 +227,14 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 		sched.FarPushes[1] += r.sched.FarPushes[1]
 		sched.HeapPushes += r.sched.HeapPushes
 		sched.Cascaded += r.sched.Cascaded
+		wheels[r.arb] |= r.wheels
+	}
+	const allocPaths = coverFresh0 | coverFresh1 | coverCascade | coverPourNew
+	for arb, c := range wheels {
+		if c != allocPaths {
+			t.Errorf("%v: corpus allocates far wheels by paths %04b of %04b (fresh push into wheel 0, into wheel 1, cascade, one pour into both)",
+				Arbitration(arb), c/coverFresh0, allocPaths/coverFresh0)
+		}
 	}
 	if len(models) != 4 || len(arbs) != 3 {
 		t.Errorf("corpus runs latency models %v and arbitrations %v, want all of each", models, arbs)

@@ -248,12 +248,28 @@ func MSTWeight(n int, c Cost) int64 {
 // TwoOptPath improves the nearest-neighbour path from point 0 by 2-opt:
 // passes over every segment reversal, each taken when it lowers the
 // path's cost under c (asymmetric costs included), until a pass improves
-// nothing or 16 passes have run. Every candidate re-sums its interior
-// arcs, so a pass is O(n³). It produces achievable orders against which
-// arrow is compared, with no approximation guarantee. Returns the order
-// starting at 0 and its cost under c.
+// nothing or 16 passes have run. A reversal turns its interior arcs
+// around, so each candidate needs the segment's cost walked both ways:
+// prefix sums of the path's arcs forward and backward give both as two
+// differences, and an accepted reversal rebuilds them from its first
+// arc on. A pass is O(n²) plus O(n) per reversal taken. It produces
+// achievable orders against which arrow is compared, with no
+// approximation guarantee. Returns the order starting at 0 and its cost
+// under c.
 func TwoOptPath(n int, c Cost) ([]int, int64) {
 	order, _ := NearestNeighborPath(n, c)
+	// fwd[k] sums the path's first k arcs as walked, bwd[k] the same
+	// arcs walked backwards: segment order[i..j] costs fwd[j]-fwd[i]
+	// forward and bwd[j]-bwd[i] reversed. Integer wraparound cancels in
+	// the differences, so they equal the arc-by-arc sums exactly.
+	fwd, bwd := make([]int64, n), make([]int64, n)
+	sums := func(from int) {
+		for k := from; k+1 < n; k++ {
+			fwd[k+1] = fwd[k] + c(order[k], order[k+1])
+			bwd[k+1] = bwd[k] + c(order[k+1], order[k])
+		}
+	}
+	sums(0)
 	improved := true
 	for pass := 0; improved && pass < 16; pass++ {
 		improved = false
@@ -268,17 +284,12 @@ func TwoOptPath(n int, c Cost) ([]int, int64) {
 				if j+1 < n {
 					after += c(order[i], order[j+1])
 				}
-				// Interior arcs change direction; with asymmetric costs we
-				// must recompute them.
-				var beforeIn, afterIn int64
-				for k := i; k < j; k++ {
-					beforeIn += c(order[k], order[k+1])
-					afterIn += c(order[k+1], order[k])
-				}
+				beforeIn, afterIn := fwd[j]-fwd[i], bwd[j]-bwd[i]
 				if after+afterIn < before+beforeIn {
 					for a, b := i, j; a < b; a, b = a+1, b-1 {
 						order[a], order[b] = order[b], order[a]
 					}
+					sums(i - 1)
 					improved = true
 				}
 			}
