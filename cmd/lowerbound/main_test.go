@@ -65,3 +65,13 @@ func TestLowerBoundLabelsTheEstimate(t *testing.T) {
 		t.Errorf("inexact instance must label ManhattanMST/12 an uncertified estimate, not a lower bound:\n%s", estimate)
 	}
 }
+
+// TestLowerBoundReportsMeasuredCostPerD checks the report's last line:
+// arrow's measured cost over D (at D = 16 and k = 2 the instance costs
+// exactly D), not a k·D "theory reference" the instance does not reach.
+func TestLowerBoundReportsMeasuredCostPerD(t *testing.T) {
+	out := capture(t, config{logD: 4})
+	if strings.Contains(out, "k*D") || !strings.Contains(out, "measured cost(arrow)/D:   1.000") {
+		t.Errorf("report must give the measured cost(arrow)/D, not k*D:\n%s", out)
+	}
+}

@@ -123,25 +123,51 @@ func Run(t *tree.Tree, set queuing.Set, opts Options) (*Result, error) {
 }
 
 // followLinks verifies the pointer invariant: from every node, following
-// link pointers reaches a unique sink. Returns that sink.
+// link pointers reaches a unique sink. Returns that sink; otherwise the
+// error names the first node, in index order, whose walk ends in a cycle
+// or at a second sink.
+//
+// It is O(n) and allocates nothing. A walk from each node in turn marks
+// the nodes it passes and stops at the first node already marked: one
+// an earlier walk passed reaches the sink, or the check would have
+// returned, and one this walk passed closes a cycle, which a re-walk of
+// the path tells apart. The mark is kept in links — a passed node's link
+// stored complemented, hence negative — and every link is restored
+// before followLinks returns.
 func followLinks(t tree.Nav, links []graph.NodeID) (graph.NodeID, error) {
+	n := graph.NodeID(len(links))
+	for v, next := range links {
+		if next < 0 || next >= n {
+			return -1, fmt.Errorf("arrow: node %d links to %d, outside the %d nodes", v, next, n)
+		}
+	}
+	defer func() {
+		for v, l := range links {
+			if l < 0 {
+				links[v] = ^l
+			}
+		}
+	}()
 	var sink graph.NodeID = -1
 	for v := range links {
-		cur := graph.NodeID(v)
-		for steps := 0; ; steps++ {
-			if steps > len(links) {
+		cur, steps := graph.NodeID(v), 0
+		for next := links[cur]; next >= 0 && next != cur; next = links[cur] {
+			links[cur] = ^next
+			cur = next
+			steps++
+		}
+		if links[cur] == cur { // a sink no walk has passed yet
+			links[cur] = ^cur
+			if sink != -1 {
+				return -1, fmt.Errorf("arrow: two sinks %d and %d", sink, cur)
+			}
+			sink = cur
+			continue
+		}
+		for u := graph.NodeID(v); steps > 0; u, steps = ^links[u], steps-1 {
+			if u == cur {
 				return -1, fmt.Errorf("arrow: link cycle detected from node %d", v)
 			}
-			next := links[cur]
-			if next == cur {
-				break
-			}
-			cur = next
-		}
-		if sink == -1 {
-			sink = cur
-		} else if sink != cur {
-			return -1, fmt.Errorf("arrow: two sinks %d and %d", sink, cur)
 		}
 	}
 	return sink, nil

@@ -1,7 +1,10 @@
 package arrow
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -309,6 +312,107 @@ func TestVerifySinkReachabilityRejectsCycle(t *testing.T) {
 	links := []graph.NodeID{1, 0, 0, 1, 1, 2} // 0 -> 1 -> 0 cycle
 	if _, err := VerifySinkReachability(tr, links); err == nil {
 		t.Error("expected cycle detection error")
+	}
+}
+
+// TestVerifySinkReachabilityMessages pins the check's answers on the
+// paper's example tree: the sink, or the error naming the first node in
+// index order whose walk finds a cycle or a second sink — and the
+// links unchanged afterwards.
+func TestVerifySinkReachabilityMessages(t *testing.T) {
+	tr := paperExampleTree(t)
+	cases := []struct {
+		links []graph.NodeID
+		sink  graph.NodeID
+		err   string
+	}{
+		{[]graph.NodeID{1, 0, 0, 1, 1, 2}, -1, "arrow: link cycle detected from node 0"},
+		{[]graph.NodeID{0, 2, 1, 0, 0, 0}, -1, "arrow: link cycle detected from node 1"},
+		{[]graph.NodeID{0, 0, 3, 4, 2, 4}, -1, "arrow: link cycle detected from node 2"},
+		{[]graph.NodeID{0, 1, 0, 1, 1, 2}, -1, "arrow: two sinks 0 and 1"},
+		{[]graph.NodeID{1, 1, 2, 2, 0, 3}, -1, "arrow: two sinks 1 and 2"},
+		{[]graph.NodeID{4, 0, 0, 1, 1, 2}, -1, "arrow: link cycle detected from node 0"},
+		{[]graph.NodeID{3, 3, 0, 3, 1, 2}, 3, ""},
+		{[]graph.NodeID{1, 1, 1, 1, 1, 2}, 1, ""},
+		{[]graph.NodeID{0, 0, 0, 6, 1, 2}, -1, "arrow: node 3 links to 6, outside the 6 nodes"},
+	}
+	for _, c := range cases {
+		before := slices.Clone(c.links)
+		sink, err := VerifySinkReachability(tr, c.links)
+		if got := fmt.Sprint(err); c.err != "" && got != c.err || c.err == "" && err != nil {
+			t.Errorf("links %v: error %q, want %q", before, got, c.err)
+		}
+		if sink != c.sink {
+			t.Errorf("links %v: sink %d, want %d", before, sink, c.sink)
+		}
+		if !slices.Equal(c.links, before) {
+			t.Errorf("links %v changed to %v", before, c.links)
+		}
+	}
+}
+
+// followLinksOracle is the check as a walk from every node to its end,
+// O(n) per node: the reference followLinks must agree with.
+func followLinksOracle(links []graph.NodeID) (graph.NodeID, error) {
+	var sink graph.NodeID = -1
+	for v := range links {
+		cur := graph.NodeID(v)
+		for steps := 0; ; steps++ {
+			if steps > len(links) {
+				return -1, fmt.Errorf("arrow: link cycle detected from node %d", v)
+			}
+			next := links[cur]
+			if next == cur {
+				break
+			}
+			cur = next
+		}
+		if sink == -1 {
+			sink = cur
+		} else if sink != cur {
+			return -1, fmt.Errorf("arrow: two sinks %d and %d", sink, cur)
+		}
+	}
+	return sink, nil
+}
+
+// TestVerifySinkReachabilityMatchesOracle holds the check against the
+// walk-every-node oracle on random link tables: pointer forests toward
+// one or more sinks with a few links redirected, so cycles, second
+// sinks and legal tables all occur, found at any node.
+func TestVerifySinkReachabilityMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	outcomes := map[string]int{}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(40)
+		links := make([]graph.NodeID, n)
+		perm := rng.Perm(n)
+		for i, v := range perm {
+			links[v] = graph.NodeID(v)
+			if i > 0 {
+				links[v] = graph.NodeID(perm[rng.Intn(i)]) // toward an earlier node: a forest
+			}
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			links[rng.Intn(n)] = graph.NodeID(rng.Intn(n))
+		}
+		before := slices.Clone(links)
+		wantSink, wantErr := followLinksOracle(links)
+		sink, err := VerifySinkReachability(nil, links)
+		if sink != wantSink || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("links %v: got (%d, %v), oracle (%d, %v)", before, sink, err, wantSink, wantErr)
+		}
+		if !slices.Equal(links, before) {
+			t.Fatalf("links %v changed to %v", before, links)
+		}
+		outcome := "sink"
+		if err != nil {
+			outcome = strings.Fields(err.Error())[1]
+		}
+		outcomes[outcome]++
+	}
+	if len(outcomes) != 3 {
+		t.Errorf("random tables reached outcomes %v, want a legal table, a cycle and two sinks", outcomes)
 	}
 }
 

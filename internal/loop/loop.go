@@ -43,9 +43,9 @@ type Spec struct {
 	// unservable, so the drivers refuse it up front.
 	Faults *sim.FaultPlan
 	// Workers is accepted and ignored: it selected the simulator's
-	// parallel drain, which was deleted (DESIGN.md, "Why there is no
-	// parallel drain"), and every run is the one serial loop whatever
-	// its value (TestWorkersAccepted pins that). The field stays because
+	// parallel drain, which was deleted (DESIGN.md, "Scale tier (million
+	// nodes)"; ROADMAP, "Settled"), and every run is the one serial
+	// loop whatever its value (TestWorkersAccepted pins that). The field stays because
 	// bench/ — frozen between benchmark PRs — sets it; it leaves with
 	// the benchmark PR of ROADMAP item 1 that retires the
 	// drain-parallel workload.

@@ -42,9 +42,9 @@ type event struct {
 // Why the offset is exact: a push links a cell into the arena only when
 // (at^base)>>heapShift == 0 — anything else goes to the heap — so every
 // cell's time shares base's block when it is pushed. base leaves its
-// block only in refill's heap branch, and only with the ring and both
-// wheels empty, that is with no cell pending; pourHeap then fills cells
-// from the heap block base has just entered. So at every moment every
+// block only in refill's heap branch, and only with the ring, nextEp
+// and both wheels empty, that is with no cell pending; pourHeap then
+// fills cells from the heap block base has just entered. So at every moment every
 // pending cell's time is base&^blockMask | offset (see cellAt), and a
 // popped cell's time is base itself.
 //
@@ -202,8 +202,8 @@ func cmpKey(x, y sortKey) int {
 }
 
 // tickBucket is an intrusive singly-linked list of arena slots: one
-// tick's pending events in the ring, one epoch's or super-epoch's in a
-// far wheel.
+// tick's pending events in the ring, the next epoch's in nextEp, one
+// epoch's or super-epoch's in a far wheel.
 type tickBucket struct {
 	head, tail int32
 }
@@ -211,11 +211,11 @@ type tickBucket struct {
 // farWheel is one level of the far tier: ringSize bucket lists indexed
 // by the time bits just above the level below, with the same occupancy
 // bitmap the ring keeps. The lists are allocated the first time a push
-// reaches the level (see farBucket) and kept for the rest of the run;
-// until then bucket is nil and cnt 0, so refill reads the level as
-// empty. Only the lists are deferred: at 4,096 bytes they fill a Go
-// size class exactly, where the whole wheel (4,168 bytes) would round
-// up to 4,864.
+// more than one epoch ahead, a cascade or a heap pour reaches the level
+// (see farBucket) and kept for the rest of the run; until then bucket
+// is nil and cnt 0, so refill reads the level as empty. Only the lists
+// are deferred: at 4,096 bytes they fill a Go size class exactly, where
+// the whole wheel (4,168 bytes) would round up to 4,864.
 type farWheel struct {
 	occupied [ringSize / 64]uint64
 	cnt      int                   // occupied buckets
@@ -224,12 +224,16 @@ type farWheel struct {
 
 // SchedStats counts the ladder queue's pushes by tier and its far-tier
 // work. RingPushes is fresh pushes that landed directly in the tick
-// ring, FarPushes[k] those that landed in far wheel k, HeapPushes those
-// that fell through to the binary heap (more than 2²⁷ ticks from the
-// position); the three sum to the run's pushes. Refills is the far
-// buckets opened (one per epoch poured, super-epoch cascaded or heap
-// block poured) and Cascaded the events those refills moved one tier
-// down. Every counter the queue keeps sits on a branch the ring path
+// ring, FarPushes[k] those past the position's epoch whose alignment
+// selects far wheel k, HeapPushes those that fell through to the binary
+// heap (more than 2²⁷ ticks from the position); the three sum to the
+// run's pushes. A far push into the epoch right after the position's
+// is held in the queue's next-epoch list rather than the wheel, and
+// counts against wheel 1 when that epoch starts a super-epoch, else
+// against wheel 0 — so FarPushes[k] > 0 does not mean wheel k was
+// allocated. Refills is the far buckets opened (one per epoch poured,
+// super-epoch cascaded or heap block poured) and Cascaded the events
+// those refills moved one tier down, next-epoch events included. Every counter the queue keeps sits on a branch the ring path
 // never takes: RingPushes is derived by (*Simulator).SchedStats from the
 // run's push count. Deterministic for a fixed config.
 type SchedStats struct {
@@ -251,25 +255,31 @@ func (st SchedStats) Far() int64 {
 
 // ladderQueue is the simulator's event queue, a hierarchical timing wheel
 // over one shared event arena: a ring of per-tick bucket lists for the
-// current 512-tick epoch, far wheel 0 with one list per later epoch of
-// the current super-epoch (2¹⁸ ticks), far wheel 1 with one list per
-// later super-epoch of the current 2²⁷-tick block, and a binary heap
-// for anything beyond the block.
+// current 512-tick epoch, one list (nextEp) for the epoch right after
+// it, far wheel 0 with one list per later epoch of the current
+// super-epoch (2¹⁸ ticks), far wheel 1 with one list per later
+// super-epoch of the current 2²⁷-tick block, and a binary heap for
+// anything beyond the block.
 //
 // The position is base, the tick being drained; horizon is the end of
-// its epoch. A push compares its time with the position from the top
-// bit down — (at^base)>>27, >>18, then at < horizon — and links into
-// the first tier whose alignment it shares. Because every level is
-// aligned, bucket index (at>>shift)&ringMask never wraps within a
-// level and the bucket holding the position is always empty in each far
-// wheel: its events belong one tier down.
+// its epoch. A fresh push compares its time with the position from the
+// top bit down — (at^base)>>27, then at < horizon, at < horizon+512,
+// (at^base)>>18 — and links into the first tier whose alignment it
+// shares. Transfers (see refill) skip nextEp: it takes fresh pushes
+// only. Because every level is aligned, bucket index
+// (at>>shift)&ringMask never wraps within a level and the bucket
+// holding the position is always empty in each far wheel: its events
+// belong one tier down.
 //
 // Invariants:
 //   - base only moves forward, stays inside [horizon-ringSize, horizon)
 //     and never passes a pending event; every ring event lies in
 //     [base, horizon), so the nearest occupied ring slot (found via the
-//     occupancy bitmap) is the earliest pending tick;
-//   - base leaves its epoch only in refill, with the ring empty. refill
+//     occupancy bitmap) is the earliest pending tick; every nextEp
+//     event lies in [horizon, horizon+ringSize) and in base's block;
+//   - base leaves its epoch only in refill, with the ring empty. While
+//     nextEp holds events refill opens the next epoch: it pours the far
+//     bucket for that epoch and nextEp into the ring. Otherwise it
 //     opens the next occupied bucket of the lowest non-empty tier —
 //     repositioning the ring at that bucket's first tick — and moves its
 //     events one tier down: an epoch pours into tick buckets, a
@@ -280,18 +290,20 @@ func (st SchedStats) Far() int64 {
 //   - order: for any one tick, the tier a push lands in depends only on
 //     the position, and the position only moves forward — so every heap
 //     resident of that tick was pushed before every wheel-1 resident,
-//     before every wheel-0 resident, before every direct ring push. A
-//     list receives transfers from the tier above only at the moment
-//     the position enters the bucket above it, when the list is still
-//     empty, and fresh pushes only afterwards. Transfers append in
-//     source order (the heap emits ascending (pri, seq)); fresh pushes
-//     take the arbitration's placement at every tier — FIFO appends
-//     (pri equals seq, newest last), LIFO prepends (newest has the
-//     smallest pri). By induction each list's events of one tick are in
-//     (pri, seq) order under FIFO and LIFO, which is the order the heap
-//     realizes. Random arbitration appends everywhere and sorts a tick's
-//     list once when the tick becomes current, plus ordered insertion
-//     for same-tick pushes during its drain.
+//     before every wheel-0 resident, before every nextEp resident, before
+//     every direct ring push. A list receives transfers from the tier
+//     above only at the moment the position enters the bucket above it,
+//     when the list is still empty, and fresh pushes only afterwards.
+//     Transfers append in source order (the heap emits ascending (pri,
+//     seq)); fresh pushes take the arbitration's placement at every tier
+//     — FIFO appends (pri equals seq, newest last), LIFO prepends
+//     (newest has the smallest pri). The next epoch's far bucket and
+//     nextEp pour into the ring together, older list first under FIFO,
+//     newer first under LIFO. By induction each list's events of one
+//     tick are in (pri, seq) order under FIFO and LIFO, which is the
+//     order the heap realizes. Random arbitration appends everywhere and
+//     sorts a tick's list once when the tick becomes current, plus
+//     ordered insertion for same-tick pushes during its drain.
 //
 // Push and pop are O(1) at every wheel tier — an event more than 512
 // ticks out is relinked at most twice on its way to the ring, never
@@ -299,10 +311,11 @@ func (st SchedStats) Far() int64 {
 // through a freelist, so the steady state allocates nothing. A cell
 // stores its time only as an offset in the position's 2²⁷-tick block
 // and no sequence number (see cell). A far wheel's lists exist once a
-// push has reached the wheel — a fresh push, a cascade or a heap pour
-// (farBucket allocates them) — and stay for the rest of the run: a run
-// confined to one epoch or super-epoch never pays for the wheels above
-// it.
+// push has reached the wheel — a fresh push more than one epoch ahead,
+// a cascade or a heap pour (farBucket allocates them) — and stay for
+// the rest of the run: a run whose delays all stay under one epoch
+// never pays for a wheel, and one confined to a super-epoch never for
+// wheel 1.
 type ladderQueue struct {
 	arb Arbitration
 	// arbSeed keys random arbitration: an event's priority hashes its
@@ -333,6 +346,7 @@ type ladderQueue struct {
 	free     int32 // freelist head through cell.next
 	occupied [ringSize / 64]uint64
 	ring     [ringSize]tickBucket
+	nextEp   tickBucket // fresh pushes into [horizon, horizon+ringSize)
 	far      [farLevels]farWheel
 	heap     eventHeap
 	scratch  []sortKey // random-arbitration sort buffer, recycled
@@ -343,6 +357,7 @@ func (q *ladderQueue) init(arb Arbitration, arbSeed int64) {
 	q.arb, q.arbSeed = arb, arbSeed
 	q.horizon = ringSize
 	q.free = nilSlot
+	q.nextEp = tickBucket{head: nilSlot, tail: nilSlot}
 	for i := range q.ring {
 		q.ring[i] = tickBucket{head: nilSlot, tail: nilSlot}
 	}
@@ -398,12 +413,12 @@ func (q *ladderQueue) cellAt(s int32) Time {
 // push enqueues a fresh event scheduled seq-th: it fills its heap entry
 // when at lies beyond the position's 2²⁷-tick block, else its cell
 // (and under random arbitration its seq), and links the cell into the
-// tier at selects — its tick's ring bucket, or a far wheel past the
-// epoch — with the arbitration's placement. The event is built where it
-// will be dispatched from, never copied in. The fill is written out
-// field by field, here: a composite literal of the five-field cell goes
-// through a stack temporary, and a helper would exceed the inlining
-// budget and cost a call on every push.
+// tier at selects — its tick's ring bucket, or past the epoch nextEp or
+// a far wheel — with the arbitration's placement. The event is built
+// where it will be dispatched from, never copied in. The fill is written
+// out field by field, here: a composite literal of the five-field cell
+// goes through a stack temporary, and a helper would exceed the
+// inlining budget and cost a call on every push.
 //
 //arrow:hotpath O(1) enqueue: tick bucket, or a far wheel past the epoch
 func (q *ladderQueue) push(at Time, seq uint64, kind evKind, to, from graph.NodeID, msg Message) {
@@ -456,15 +471,23 @@ func (q *ladderQueue) push(at Time, seq uint64, kind evKind, to, from graph.Node
 }
 
 // farLink links the freshly filled slot s, due at at beyond the current
-// epoch but inside the position's 2²⁷-tick block, into the far wheel
-// whose alignment it shares with the position. Placement within the
-// list follows the arbitration exactly as in the ring (see the order
-// invariant).
+// epoch but inside the position's 2²⁷-tick block, into nextEp when at
+// lies in the next epoch, else into the far wheel whose alignment it
+// shares with the position; either way the push counts against the
+// wheel that alignment selects. Placement within the list follows the
+// arbitration exactly as in the ring (see the order invariant).
 //
 //arrow:hotpath O(1) far enqueue: one list link, no sift
 func (q *ladderQueue) farLink(s int32, at Time) {
-	b, k := q.farBucket(at)
-	q.stats.FarPushes[k]++
+	var b *tickBucket
+	if at-q.horizon < ringSize {
+		b = &q.nextEp
+		q.stats.FarPushes[q.nextEpLevel()]++
+	} else {
+		var k int
+		b, k = q.farBucket(at)
+		q.stats.FarPushes[k]++
+	}
 	if q.arb == ArbLIFO && b.head != nilSlot {
 		q.arena[s].next = b.head
 		b.head = s
@@ -493,6 +516,16 @@ func (q *ladderQueue) farBucket(at Time) (*tickBucket, int) {
 		w.cnt++
 	}
 	return b, k
+}
+
+// nextEpLevel is the far wheel whose alignment the epoch after the
+// position's selects: wheel 1 when that epoch starts a super-epoch,
+// else wheel 0.
+func (q *ladderQueue) nextEpLevel() int {
+	if q.horizon&(1<<(2*ringBits)-1) == 0 {
+		return 1
+	}
+	return 0
 }
 
 // newFarBuckets returns one far wheel's lists, every one empty.
@@ -659,15 +692,21 @@ func nextOccupiedDelta(occupied *[ringSize / 64]uint64, idx int) int {
 	}
 }
 
-// refill brings events into the empty ring: it opens the next occupied
-// bucket of the lowest non-empty far tier — wheel 0, else wheel 1, else
-// the heap's next 2²⁷-tick block — repositions the ring at that
-// bucket's first tick and moves the bucket's events one tier down, in
-// list order, until the ring holds an event. Called only with the ring
-// empty and events pending.
+// refill brings events into the empty ring. While nextEp holds events
+// the next epoch is the earliest pending one, and openNextEpoch moves
+// the ring there. Otherwise refill opens the next occupied bucket of the
+// lowest non-empty far tier — wheel 0, else wheel 1, else the heap's
+// next 2²⁷-tick block — repositions the ring at that bucket's first
+// tick and moves the bucket's events one tier down, in list order,
+// until the ring holds an event. Called only with the ring empty and
+// events pending.
 //
 //arrow:hotpath cascade and pour: one relink per event moved
 func (q *ladderQueue) refill() {
+	if q.nextEp.head != nilSlot {
+		q.openNextEpoch()
+		return
+	}
 	for q.ringCnt == 0 {
 		k := 0
 		for k < farLevels && q.far[k].cnt == 0 {
@@ -700,21 +739,72 @@ func (q *ladderQueue) refill() {
 		if k == 0 && w.cnt == 0 && q.far[1].cnt == 0 && len(q.heap) == 0 {
 			head = q.compact(head)
 		}
-		for s := head; s != nilSlot; {
-			next := q.arena[s].next
-			q.place(s)
-			q.stats.Cascaded++
-			s = next
-		}
+		q.pour(head)
+	}
+}
+
+// openNextEpoch is refill's step while nextEp holds events: it moves
+// the position to the start of the next epoch and pours into the ring
+// that epoch's far bucket — wheel 0's, or wheel 1's when the epoch
+// starts a super-epoch, whose later epochs go on to wheel 0 — together
+// with nextEp. The far bucket's events were pushed before nextEp's (see
+// the order invariant), so the two lists are joined older first, or
+// under LIFO newer first, and poured as one: one refill. When the
+// epoch's wheel is wheel 0 and the far tier is empty afterwards, the
+// joined list holds every pending event and compact may rebuild the
+// arena around it.
+//
+//arrow:hotpath epoch crossing: one list join, one relink per event moved
+func (q *ladderQueue) openNextEpoch() {
+	k := q.nextEpLevel()
+	start := q.horizon
+	q.curPrepared = false
+	q.base, q.horizon = start, start+ringSize
+	q.stats.Refills++
+	older := tickBucket{head: nilSlot, tail: nilSlot}
+	w := &q.far[k]
+	if idx := int(start>>(ringBits*(k+1))) & ringMask; w.occupied[idx>>6]>>(idx&63)&1 != 0 {
+		older = w.bucket[idx]
+		w.bucket[idx] = tickBucket{head: nilSlot, tail: nilSlot}
+		w.occupied[idx>>6] &^= 1 << (idx & 63)
+		w.cnt--
+	}
+	first, second := older, q.nextEp
+	if q.arb == ArbLIFO {
+		first, second = second, first
+	}
+	q.nextEp = tickBucket{head: nilSlot, tail: nilSlot}
+	head := first.head
+	if head == nilSlot {
+		head = second.head
+	} else {
+		q.arena[first.tail].next = second.head
+	}
+	if k == 0 && w.cnt == 0 && q.far[1].cnt == 0 && len(q.heap) == 0 {
+		head = q.compact(head)
+	}
+	q.pour(head)
+}
+
+// pour moves the list at head one tier down, in list order: each event
+// goes where place puts it from the new position.
+//
+//arrow:hotpath one relink per event moved
+func (q *ladderQueue) pour(head int32) {
+	for s := head; s != nilSlot; {
+		next := q.arena[s].next
+		q.place(s)
+		q.stats.Cascaded++
+		s = next
 	}
 }
 
 // pourHeap moves every heap event of the position's 2²⁷-tick block into
 // the arena, converting each into a cell (and its seq into the column
-// under random arbitration). The wheels and the ring are empty when it
-// runs (refill reaches the heap last), and the heap emits each tick's
-// events in ascending (pri, seq), so appending them is final order. A
-// completely drained heap releases its oversized backing array.
+// under random arbitration). The ring, nextEp and the wheels are empty
+// when it runs (refill reaches the heap last), and the heap emits each
+// tick's events in ascending (pri, seq), so appending them is final
+// order. A completely drained heap releases its oversized backing array.
 //
 //arrow:hotpath heap block pour: one sift-down and one link per event
 func (q *ladderQueue) pourHeap() {

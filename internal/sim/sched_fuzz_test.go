@@ -15,9 +15,10 @@ import (
 // hazards, as a bit set: a popped cell held out while the arena
 // reallocated, the tiers fresh pushes landed in while a cell was out,
 // the two places a cell is rebuilt rather than relinked — a pour of
-// the heap tier into cells, and compact's rebuilt arena — and the
-// paths that allocate a far wheel the first time an event reaches it
-// (see wheelWatch).
+// the heap tier into cells, and compact's rebuilt arena — the paths
+// that allocate a far wheel the first time an event reaches it, and a
+// crossing into an epoch one of whose ticks both nextEp and the far
+// tier hold (see wheelWatch).
 type scriptCover uint16
 
 const (
@@ -32,6 +33,7 @@ const (
 	coverFresh1  // a fresh push allocated wheel 1
 	coverCascade // a wheel-1 cascade allocated wheel 0
 	coverPourNew // one heap pour allocated both wheels
+	coverNextEp  // a pop crossed into an epoch whose tick nextEp and a far bucket share
 	coverAll     = 1<<iota - 1
 )
 
@@ -42,17 +44,21 @@ const (
 // then read what the operation allocated: a push can only allocate the
 // wheel it lands in, and a pop allocates wheel 1 only by a pour and
 // wheel 0 by a pour or, when the pour sends it nothing, by a wheel-1
-// cascade.
+// cascade. mark also notes whether the next pop opens the next epoch
+// with one of its ticks held both by nextEp and by the far bucket the
+// crossing pours with it (see nextEpMeetsFar); popped reports that pop.
 type wheelWatch struct {
 	lq           *ladderQueue
 	nil0, nil1   bool
 	pour0, pour1 bool
+	meet         bool
 }
 
 func (w *wheelWatch) mark() {
 	lq := w.lq
 	w.nil0, w.nil1 = lq.far[0].bucket == nil, lq.far[1].bucket == nil
 	w.pour0, w.pour1 = false, false
+	w.meet = lq.ringCnt == 0 && nextEpMeetsFar(lq)
 	if lq.ringCnt != 0 || lq.far[0].cnt != 0 || lq.far[1].cnt != 0 || len(lq.heap) == 0 {
 		return
 	}
@@ -98,7 +104,33 @@ func (w *wheelWatch) popped(t *testing.T) scriptCover {
 	if made0 && made1 && w.pour0 {
 		c |= coverPourNew
 	}
+	if w.meet {
+		c |= coverNextEp
+	}
 	return c
+}
+
+// nextEpMeetsFar reports whether some tick of the epoch after the
+// position's is held both by nextEp and by that epoch's far bucket —
+// wheel 0's, or wheel 1's when the epoch starts a super-epoch — whose
+// residents were pushed from an earlier epoch.
+func nextEpMeetsFar(lq *ladderQueue) bool {
+	k := lq.nextEpLevel()
+	w := &lq.far[k]
+	if lq.nextEp.head == nilSlot || w.bucket == nil {
+		return false
+	}
+	ticks := map[Time]bool{}
+	for s := lq.nextEp.head; s != nilSlot; s = lq.arena[s].next {
+		ticks[lq.cellAt(s)] = true
+	}
+	idx := int(lq.horizon>>(ringBits*(k+1))) & ringMask
+	for s := w.bucket[idx].head; s != nilSlot; s = lq.arena[s].next {
+		if ticks[lq.cellAt(s)] {
+			return true
+		}
+	}
+	return false
 }
 
 // ladderScript replays one byte-script against a ladderQueue — through
@@ -334,7 +366,8 @@ const extraMask = 1<<24 - 1
 // the seq column). And between them the entries allocate each far
 // wheel by every path that can: a fresh push into either wheel, a
 // wheel-1 cascade into wheel 0 (seed-*-cascade) and one pour into both
-// (seed-*-pour).
+// (seed-*-pour); and some entry pops across into an epoch whose tick a
+// wheel-0 resident and next-epoch pushes share (seed-*-nextep).
 func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLadderMatchesHeap/*")
 	if err != nil || len(files) == 0 {
@@ -358,7 +391,7 @@ func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	}
 	for arb, c := range cover {
 		if c != coverAll {
-			t.Errorf("%v: the committed corpus misses a case: reached %011b of %011b", Arbitration(arb), c, coverAll)
+			t.Errorf("%v: the committed corpus misses a case: reached %012b of %012b", Arbitration(arb), c, coverAll)
 		}
 	}
 }

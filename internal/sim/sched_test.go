@@ -18,6 +18,18 @@
 //	the kind packed one bit lower,       TestLadderBlockOffsets,
 //	overlapping the offset (cellTK and   FuzzLadderMatchesHeap,
 //	kind shift by heapShift-1)           TestSchedulerEquivalence
+//	openNextEpoch joins the two lists    TestNextEpochMeetsFarResident,
+//	in one order whatever the            TestSchedulerEquivalence,
+//	arbitration (either order)           TestLadderBlockOffsets, both
+//	                                     fuzz corpora
+//	openNextEpoch leaves the far         TestNextEpochMeetsFarResident,
+//	bucket in its wheel                  TestSchedulerEquivalence
+//	nextEpLevel always 0                 TestNextEpochMeetsFarResident,
+//	                                     both corpus cover tests
+//	farLink appends to a non-empty       TestNextEpochMeetsFarResident,
+//	nextEp under LIFO                    TestSchedulerEquivalence, both
+//	                                     fuzz corpora
+//	openNextEpoch never compacts         TestLadderReleasesOverflowStorage
 //
 // The order mutants of the intrusive lists — LIFO prepend skipped in
 // farLink, prepareRandom skipped in popCell, ring push appending under
@@ -181,20 +193,24 @@ func TestLadderBlockOffsets(t *testing.T) {
 					h      eventHeap
 					seq    uint64
 					pushed = map[graph.NodeID]Time{} // push time by seq
+					nextEp [farLevels]int64          // next-epoch pushes by the wheel counted
 				)
 				lq.init(arb, 7)
 				push := func(at Time) {
 					seq++
 					pushed[graph.NodeID(seq)] = at
+					if at >= lq.horizon && at < lq.horizon+ringSize && (at^lq.base)>>heapShift == 0 {
+						nextEp[min((at^lq.base)>>(2*ringBits), 1)]++
+					}
 					kind := evKind(seq % uint64(evFault+1))
 					e := h.push(at, lq.pri(seq), seq)
 					e.kind, e.to = kind, graph.NodeID(seq)
 					lq.push(at, seq, kind, graph.NodeID(seq), 0, nil)
 				}
 				checkCells := func() {
-					lists := append([]tickBucket(nil), lq.ring[:]...)
+					lists := append([]tickBucket{lq.nextEp}, lq.ring[:]...)
 					for k := range lq.far {
-						if farOccupied(t, &lq, k) > 0 {
+						if farOccupied(t, &lq, k, nextEp[k]) > 0 {
 							lists = append(lists, lq.far[k].bucket[:]...)
 						}
 					}
@@ -249,13 +265,21 @@ func TestLadderBlockOffsets(t *testing.T) {
 }
 
 // farOccupied returns far wheel k's occupied-bucket count, zero for a
-// wheel whose lists are not allocated yet — which no fresh push can
-// have reached, so its FarPushes counter must read zero too.
-func farOccupied(t *testing.T, lq *ladderQueue, k int) int {
+// wheel whose lists are not allocated yet. FarPushes[k] counts the
+// pushes that landed in wheel k plus the next-epoch pushes whose
+// alignment selects it, which nextEp holds instead; the caller counts
+// the latter itself and passes them as nextEp. A wheel without lists
+// has no occupied bucket and no push landed in it, so its counter must
+// read exactly the next-epoch pushes.
+func farOccupied(t *testing.T, lq *ladderQueue, k int, nextEp int64) int {
 	t.Helper()
+	landed := lq.stats.FarPushes[k] - nextEp
+	if landed < 0 {
+		t.Fatalf("wheel %d counts %d pushes, fewer than its %d next-epoch pushes", k, lq.stats.FarPushes[k], nextEp)
+	}
 	if lq.far[k].bucket == nil {
-		if n, c := lq.stats.FarPushes[k], lq.far[k].cnt; n != 0 || c != 0 {
-			t.Fatalf("wheel %d has no lists after %d pushes into it, %d buckets occupied", k, n, c)
+		if c := lq.far[k].cnt; landed != 0 || c != 0 {
+			t.Fatalf("wheel %d has no lists after %d pushes into it, %d buckets occupied", k, landed, c)
 		}
 		return 0
 	}
@@ -295,10 +319,28 @@ func TestLadderReleasesOverflowStorage(t *testing.T) {
 		if got := len(s.lq.arena); got > 64 {
 			t.Errorf("drained far wheels leave an arena of %d slots for a 1-in-flight workload; want it rebuilt around the live events", got)
 		}
-		w0, w1 := farOccupied(t, &s.lq, 0), farOccupied(t, &s.lq, 1)
-		if s.lq.size != 0 || s.lq.ringCnt != 0 || w0 != 0 || w1 != 0 {
-			t.Errorf("queue not empty after run: size=%d ringCnt=%d wheels=%d/%d",
-				s.lq.size, s.lq.ringCnt, w0, w1)
+		// Of the burst only the timer at 600 is a next-epoch push.
+		w0, w1 := farOccupied(t, &s.lq, 0, 1), farOccupied(t, &s.lq, 1, 0)
+		if s.lq.size != 0 || s.lq.ringCnt != 0 || s.lq.nextEp.head != nilSlot || w0 != 0 || w1 != 0 {
+			t.Errorf("queue not empty after run: size=%d ringCnt=%d nextEp=%d wheels=%d/%d",
+				s.lq.size, s.lq.ringCnt, s.lq.nextEp.head, w0, w1)
+		}
+	})
+	t.Run("next-epoch", func(t *testing.T) {
+		// The burst fills the ring; the last timer, one epoch ahead,
+		// is all that is left when the position crosses into its epoch.
+		s := New(Config{Topology: TreeTopology{T: tree.PathTree(2)}})
+		s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {})
+		for i := range far {
+			s.ScheduleNodeAt(Time(1+i%500), 0)
+		}
+		s.ScheduleNodeAt(600, 0)
+		if st := s.SchedStats(); st.FarPushes[0] != 1 || s.lq.nextEp.head == nilSlot || len(s.lq.arena) <= far {
+			t.Fatalf("test premise broken: the last timer not in nextEp behind the burst (stats %+v, arena %d)", st, len(s.lq.arena))
+		}
+		s.Run()
+		if got := len(s.lq.arena); got > 64 {
+			t.Errorf("crossing into the last epoch leaves an arena of %d slots for one pending event; want it rebuilt", got)
 		}
 	})
 	t.Run("heap", func(t *testing.T) {
@@ -523,6 +565,110 @@ func TestFarWheelsAllocatedOnFirstReach(t *testing.T) {
 			t.Errorf("refill's pour did not allocate both wheels (%v, %v; base %d)", lq.far[0].bucket != nil, lq.far[1].bucket != nil, lq.base)
 		}
 	})
+	t.Run("next-epoch", func(t *testing.T) {
+		// A closed loop whose every delay is under one epoch — think 16
+		// ticks, then one hop under AsyncUniform(4) — pushes across each
+		// epoch boundary it passes; nextEp holds those pushes, so no
+		// wheel is allocated while FarPushes[0] counts them.
+		const epochs = 60
+		for _, arb := range []Arbitration{ArbFIFO, ArbLIFO, ArbRandom} {
+			tr := tree.BalancedBinary(64)
+			s := New(Config{Topology: TreeTopology{T: tr}, Latency: AsyncUniform(4), Arbitration: arb, Seed: 1})
+			s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+				if ctx.Now() < epochs*ringSize {
+					ctx.AfterNode(16, at)
+				}
+			})
+			s.SetTimerHandler(func(ctx *Context, v graph.NodeID) {
+				to := tr.Parent(v)
+				if to == v {
+					to = 1 // the root sends to a child
+				}
+				ctx.Send(v, to, nil)
+			})
+			for v := range 64 {
+				s.ScheduleNodeAt(Time(v%16), graph.NodeID(v))
+			}
+			end := s.Run()
+			st := s.SchedStats()
+			if end < epochs*ringSize || st.FarPushes[0] == 0 || st.FarPushes[1] != 0 || st.HeapPushes != 0 {
+				t.Fatalf("%v: test premise broken: run to tick %d, stats %+v", arb, end, st)
+			}
+			if s.lq.far[0].bucket != nil || s.lq.far[1].bucket != nil {
+				t.Errorf("%v: a loop with every delay under one epoch allocated a far wheel (%v, %v) over %d next-epoch pushes",
+					arb, s.lq.far[0].bucket != nil, s.lq.far[1].bucket != nil, st.FarPushes[0])
+			}
+		}
+	})
+}
+
+// TestNextEpochMeetsFarResident pins the order where nextEp meets the
+// far tier: a tick holds residents a far wheel took from an earlier
+// epoch and next-epoch pushes made from the epoch just before it, and
+// the position crosses into that tick's epoch with both pending. Wheel
+// 0's bucket meets nextEp inside a super-epoch, wheel 1's where the
+// next epoch starts one. Every pop is checked against eventHeap under
+// each arbitration.
+func TestNextEpochMeetsFarResident(t *testing.T) {
+	cases := []struct {
+		name  string
+		wheel int
+		step  Time // a tick of the epoch before target's, where the position waits
+		tick  Time // the shared tick
+	}{
+		{"wheel-0", 0, 700, 1400},
+		{"wheel-1", 1, 1<<(2*ringBits) - 100, 1<<(2*ringBits) + 5},
+	}
+	for _, arb := range []Arbitration{ArbFIFO, ArbLIFO, ArbRandom} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%v/%s", arb, c.name), func(t *testing.T) {
+				var (
+					lq  ladderQueue
+					h   eventHeap
+					seq uint64
+				)
+				lq.init(arb, 3)
+				push := func(at Time) {
+					seq++
+					e := h.push(at, lq.pri(seq), seq)
+					e.to = graph.NodeID(seq)
+					lq.push(at, seq, evNodeTimer, graph.NodeID(seq), 0, nil)
+				}
+				pop := func() {
+					cl, slot := lq.popCell()
+					var want event
+					h.pop(&want)
+					if lq.base != want.at || cl.to != want.to {
+						t.Fatalf("ladder pops seq %d at %d, heap seq %d at %d", cl.to, lq.base, want.to, want.at)
+					}
+					lq.release(slot)
+				}
+				push(0)
+				pop()
+				for range 3 { // the older residents, from epoch 0
+					push(c.tick)
+					push(c.tick + 1)
+				}
+				push(c.step)
+				pop() // the position moves to step
+				far := lq.stats.FarPushes[c.wheel]
+				for range 3 { // the newer, one epoch ahead of step
+					push(c.tick)
+					push(c.tick + 1)
+				}
+				if lq.far[c.wheel].cnt == 0 || lq.nextEp.head == nilSlot || lq.stats.FarPushes[c.wheel] != far+6 {
+					t.Fatalf("test premise broken: wheel %d holds %d buckets, nextEp head %d, stats %+v",
+						c.wheel, lq.far[c.wheel].cnt, lq.nextEp.head, lq.stats)
+				}
+				for len(h) > 0 {
+					pop()
+				}
+				if lq.size != 0 || lq.nextEp.head != nilSlot {
+					t.Errorf("ladder holds %d events (nextEp head %d) after the oracle drained", lq.size, lq.nextEp.head)
+				}
+			})
+		}
+	}
 }
 
 // TestReserveAllocatesOneArena pins the bytes Reserve costs: one arena

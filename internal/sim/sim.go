@@ -214,12 +214,12 @@ type Simulator struct {
 
 // DrainStats is the telemetry out-value of a closed-loop run. Only Sched
 // is live. WindowWidth, Windows, BatchEvents and MeanBatch described the
-// lookahead-windowed parallel drain, which was deleted (DESIGN.md, "Why
-// there is no parallel drain"); every run is the serial loop, so they
-// are always zero. They stay because bench/ — frozen between benchmark
-// PRs — reads them for its sim.drain.* rows, and leave with the
-// benchmark PR of ROADMAP item 1 that retires the drain-parallel
-// workload.
+// lookahead-windowed parallel drain, which was deleted (DESIGN.md,
+// "Scale tier (million nodes)"; ROADMAP, "Settled"); every run is the
+// serial loop, so they are always zero. They stay because bench/ —
+// frozen between benchmark PRs — reads them for its sim.drain.* rows,
+// and leave with the benchmark PR of ROADMAP item 1 that retires the
+// drain-parallel workload.
 type DrainStats struct {
 	WindowWidth Time
 	Windows     int64

@@ -30,7 +30,7 @@ type simResult struct {
 	arb                  Arbitration
 	seed                 int64
 	closures, nodeTimers int
-	wheels               scriptCover // far-wheel first allocations (coverFresh0 … coverPourNew)
+	wheels               scriptCover // far-wheel first allocations (coverFresh0 … coverPourNew) and coverNextEp
 }
 
 // simScript runs one byte-script as a whole simulation. The first four
@@ -206,7 +206,9 @@ func FuzzSimLadderMatchesHeap(f *testing.F) {
 // both far wheels and the heap tier and cascade back. Under every
 // arbitration they also allocate the far wheels by each path that can:
 // a fresh push into either wheel, a wheel-1 cascade into wheel 0 and
-// one heap pour into both (seed-*-wheels-*).
+// one heap pour into both (seed-*-wheels-*), and cross into an epoch
+// whose tick a wheel-0 resident and next-epoch pushes share
+// (seed-nextep-*).
 func TestSimCorpusReachesEveryTier(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzSimLadderMatchesHeap/*")
 	if err != nil || len(files) < 6 {
@@ -229,11 +231,11 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 		sched.Cascaded += r.sched.Cascaded
 		wheels[r.arb] |= r.wheels
 	}
-	const allocPaths = coverFresh0 | coverFresh1 | coverCascade | coverPourNew
+	const paths = coverFresh0 | coverFresh1 | coverCascade | coverPourNew | coverNextEp
 	for arb, c := range wheels {
-		if c != allocPaths {
-			t.Errorf("%v: corpus allocates far wheels by paths %04b of %04b (fresh push into wheel 0, into wheel 1, cascade, one pour into both)",
-				Arbitration(arb), c/coverFresh0, allocPaths/coverFresh0)
+		if c != paths {
+			t.Errorf("%v: corpus reaches paths %05b of %05b (fresh push allocating wheel 0, wheel 1, cascade allocating, one pour allocating both, next-epoch meet)",
+				Arbitration(arb), c/coverFresh0, paths/coverFresh0)
 		}
 	}
 	if len(models) != 4 || len(arbs) != 3 {

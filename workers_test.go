@@ -1,8 +1,9 @@
 // The temporary contract of loop.Spec.Workers: accepted, ignored. The
 // field selected the simulator's parallel drain until the drain was
-// deleted (DESIGN.md, "Why there is no parallel drain"); bench/ — frozen
-// between benchmark PRs — still sets it, so it stays until the benchmark
-// PR of ROADMAP item 1, and every test in this file leaves with it.
+// deleted (DESIGN.md, "Scale tier (million nodes)"; ROADMAP, "Settled");
+// bench/ — frozen between benchmark PRs — still sets it, so it stays
+// until the benchmark PR of ROADMAP item 1, and every test in this file
+// leaves with it.
 // They exist so the field cannot quietly grow a second code path in the
 // meantime. TestParallelCommitBitIdentical and
 // TestParallelCommitLoopDriver keep the names they had when they
