@@ -13,10 +13,10 @@
 // workers (default GOMAXPROCS); results are identical for every worker
 // count. Pass -json to emit every table as a machine-readable JSON
 // document (one per table) instead of aligned text. For -exp perf,
-// scale, shard, churn and stabilize, -json emits the experiment's
-// versioned arrowbench/<exp> document instead of generic tables; the
-// first four are pinned byte for byte under
-// internal/analysis/testdata (TestDocumentsGolden).
+// scale, shard, churn, stabilize and directory, -json emits the
+// experiment's versioned arrowbench/<exp> document instead of generic
+// tables. Every experiment's tables and document are pinned byte for
+// byte under internal/analysis/testdata (TestExperimentsGolden).
 //
 // -exp scale is the million-node tier: every protocol on its implicit
 // topology (no LCA tables, no O(n²) metric), sequential cells reporting

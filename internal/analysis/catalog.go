@@ -133,8 +133,8 @@ var Experiments = []Experiment{
 		if p.PerNodeSet {
 			perNode = p.PerNode
 		}
-		rows, err := DirectoryExperiment([]int{2, 3, 5, 8}, perNode, p.Seed)
-		return result(err, nil, DirectoryTable(rows))
+		doc, err := DirectoryExperiment(DirectoryConfig{Sides: []int{2, 3, 5, 8}, PerNode: perNode, Seed: p.Seed})
+		return result(err, doc, DirectoryTable(doc.Rows))
 	}},
 	{Name: "commtree", Desc: "Peleg–Reshef demand-aware tree selection", Run: func(p Params) (Result, error) {
 		rows, err := CommTreeExperiment(6, 60, p.Seed)

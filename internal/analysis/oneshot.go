@@ -92,43 +92,57 @@ func OneShotTable(rows []OneShotRow) *Table {
 // DirectoryRow compares the arrow directory with the home-based
 // directory (Herlihy–Warres [12], discussed in the paper's Section 5.1).
 type DirectoryRow struct {
-	N             int
-	ArrowMakespan int64
-	HomeMakespan  int64
-	ArrowAvgAcq   float64
-	HomeAvgAcq    float64
-	ArrowObjHops  float64
-	HomeObjHops   float64
-	ArrowFindHops int64
-	HomeFindHops  int64
+	N             int     `json:"n"`
+	ArrowMakespan int64   `json:"arrow_makespan"`
+	HomeMakespan  int64   `json:"home_makespan"`
+	ArrowAvgAcq   float64 `json:"arrow_avg_acq"`
+	HomeAvgAcq    float64 `json:"home_avg_acq"`
+	ArrowObjHops  float64 `json:"arrow_obj_hops"`
+	HomeObjHops   float64 `json:"home_obj_hops"`
+	ArrowFindHops int64   `json:"arrow_find_hops"`
+	HomeFindHops  int64   `json:"home_find_hops"`
+}
+
+// DirectorySchema versions the machine-readable directory document.
+const DirectorySchema = "arrowbench/directory/v1"
+
+// DirectoryConfig is the directory experiment's parameters, recorded
+// inside its document: the grid sides and acquisitions per node.
+type DirectoryConfig struct {
+	Sides   []int `json:"sides"`
+	PerNode int   `json:"per_node"`
+	Seed    int64 `json:"seed"`
 }
 
 // DirectoryExperiment runs both directories closed-loop on square grids
 // (side x side) — a topology with real distance variance, where the
 // arrow directory's locality (successive holders are nearest-neighbour
 // close, by Lemma 3.8) beats the home-based directory's fixed round
-// trips through the home node. Sizes are grid sides; row N reports
-// side².
-func DirectoryExperiment(sides []int, perNode int, seed int64) ([]DirectoryRow, error) {
-	rows := make([]DirectoryRow, 0, len(sides))
-	for _, side := range sides {
+// trips through the home node. Row N reports side². It returns the
+// arrowbench/directory document, FindHops included, which the table
+// omits.
+func DirectoryExperiment(cfg DirectoryConfig) (Document[DirectoryConfig, DirectoryRow], error) {
+	doc := Document[DirectoryConfig, DirectoryRow]{
+		Schema: DirectorySchema, Config: cfg, Rows: make([]DirectoryRow, 0, len(cfg.Sides)),
+	}
+	for _, side := range cfg.Sides {
 		n := side * side
 		g := graph.Grid(side, side)
 		center, _ := g.Center()
 		t, err := tree.BFS(g, center)
 		if err != nil {
-			return nil, err
+			return doc, err
 		}
-		cfg := directory.Config{PerNode: perNode, Seed: seed}
-		ar, err := directory.RunArrow(t, center, cfg)
+		dc := directory.Config{PerNode: cfg.PerNode, Seed: cfg.Seed}
+		ar, err := directory.RunArrow(t, center, dc)
 		if err != nil {
-			return nil, err
+			return doc, err
 		}
-		ho, err := directory.RunHome(g, center, cfg)
+		ho, err := directory.RunHome(g, center, dc)
 		if err != nil {
-			return nil, err
+			return doc, err
 		}
-		rows = append(rows, DirectoryRow{
+		doc.Rows = append(doc.Rows, DirectoryRow{
 			N:             n,
 			ArrowMakespan: int64(ar.Makespan),
 			HomeMakespan:  int64(ho.Makespan),
@@ -140,7 +154,7 @@ func DirectoryExperiment(sides []int, perNode int, seed int64) ([]DirectoryRow, 
 			HomeFindHops:  ho.FindHops,
 		})
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // DirectoryTable formats the two-directories comparison.

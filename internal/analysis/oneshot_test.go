@@ -30,10 +30,11 @@ func TestOneShotExperimentBounds(t *testing.T) {
 }
 
 func TestDirectoryExperimentArrowWins(t *testing.T) {
-	rows, err := DirectoryExperiment([]int{3, 5}, 60, 2)
+	doc, err := DirectoryExperiment(DirectoryConfig{Sides: []int{3, 5}, PerNode: 60, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := doc.Rows
 	for _, r := range rows {
 		// The Herlihy–Warres observation, reproduced: the arrow directory
 		// outperforms the home-based directory, increasingly so with size.

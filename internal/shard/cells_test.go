@@ -13,7 +13,7 @@ package shard_test
 //	Reversal width bits.Len(n), not Len(n-1)    TestCellsBytes/n=1024/k=1024/nta
 //	NewCells without the 8 bytes of padding     TestCellsMatchPlainTable, FuzzCells (the word read past the end panics)
 //	Set ORs the code in without clearing        TestCellsMatchPlainTable, FuzzCells
-//	codes self and toRoot swapped               analysis.TestDocumentsGolden/shard (the forest panics)
+//	codes self and toRoot swapped               analysis.TestExperimentsGolden/shard (the forest panics)
 //	encode reports every code valid             TestShardForestRejectsNonNeighbour
 
 import (
