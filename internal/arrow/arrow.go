@@ -115,7 +115,7 @@ func Run(t *tree.Tree, set queuing.Set, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, err := followLinks(t, step.link)
+	sink, err := followLinks(step.link)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func Run(t *tree.Tree, set queuing.Set, opts Options) (*Result, error) {
 // the path tells apart. The mark is kept in links — a passed node's link
 // stored complemented, hence negative — and every link is restored
 // before followLinks returns.
-func followLinks(t tree.Nav, links []graph.NodeID) (graph.NodeID, error) {
+func followLinks(links []graph.NodeID) (graph.NodeID, error) {
 	n := graph.NodeID(len(links))
 	for v, next := range links {
 		if next < 0 || next >= n {
@@ -175,6 +175,6 @@ func followLinks(t tree.Nav, links []graph.NodeID) (graph.NodeID, error) {
 
 // VerifySinkReachability re-exposes the pointer invariant check for tests
 // and examples.
-func VerifySinkReachability(t tree.Nav, links []graph.NodeID) (graph.NodeID, error) {
-	return followLinks(t, links)
+func VerifySinkReachability(links []graph.NodeID) (graph.NodeID, error) {
+	return followLinks(links)
 }

@@ -308,19 +308,17 @@ func TestMultipleRequestsSameNode(t *testing.T) {
 }
 
 func TestVerifySinkReachabilityRejectsCycle(t *testing.T) {
-	tr := paperExampleTree(t)
 	links := []graph.NodeID{1, 0, 0, 1, 1, 2} // 0 -> 1 -> 0 cycle
-	if _, err := VerifySinkReachability(tr, links); err == nil {
+	if _, err := VerifySinkReachability(links); err == nil {
 		t.Error("expected cycle detection error")
 	}
 }
 
-// TestVerifySinkReachabilityMessages pins the check's answers on the
-// paper's example tree: the sink, or the error naming the first node in
+// TestVerifySinkReachabilityMessages pins the check's answers on link
+// tables of the paper's six-node example: the sink, or the error naming the first node in
 // index order whose walk finds a cycle or a second sink — and the
 // links unchanged afterwards.
 func TestVerifySinkReachabilityMessages(t *testing.T) {
-	tr := paperExampleTree(t)
 	cases := []struct {
 		links []graph.NodeID
 		sink  graph.NodeID
@@ -338,7 +336,7 @@ func TestVerifySinkReachabilityMessages(t *testing.T) {
 	}
 	for _, c := range cases {
 		before := slices.Clone(c.links)
-		sink, err := VerifySinkReachability(tr, c.links)
+		sink, err := VerifySinkReachability(c.links)
 		if got := fmt.Sprint(err); c.err != "" && got != c.err || c.err == "" && err != nil {
 			t.Errorf("links %v: error %q, want %q", before, got, c.err)
 		}
@@ -398,7 +396,7 @@ func TestVerifySinkReachabilityMatchesOracle(t *testing.T) {
 		}
 		before := slices.Clone(links)
 		wantSink, wantErr := followLinksOracle(links)
-		sink, err := VerifySinkReachability(nil, links)
+		sink, err := VerifySinkReachability(links)
 		if sink != wantSink || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("links %v: got (%d, %v), oracle (%d, %v)", before, sink, err, wantSink, wantErr)
 		}

@@ -83,7 +83,7 @@ func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
 		res.Agg.RepairMessages = rec.eng.Messages()
 		res.Agg.RepairTime = rec.repairTime
 	}
-	if _, err := followLinks(t, step.link); err != nil {
+	if _, err := followLinks(step.link); err != nil {
 		return nil, err
 	}
 	return &res.Agg, nil

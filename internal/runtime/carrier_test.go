@@ -314,7 +314,7 @@ func TestLargeNetworkIsCheap(t *testing.T) {
 	if len(comps) != requests {
 		t.Fatalf("%d completions, want %d", len(comps), requests)
 	}
-	if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(0)); err != nil {
+	if _, err := arrow.VerifySinkReachability(net.LinksFor(0)); err != nil {
 		t.Error(err)
 	}
 	perNode := (after.TotalAlloc - before.TotalAlloc) / n
@@ -412,7 +412,7 @@ func TestStopRaceAdjacentNodes(t *testing.T) {
 			}
 		}
 		for o := int32(0); o < 2; o++ {
-			if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(o)); err != nil {
+			if _, err := arrow.VerifySinkReachability(net.LinksFor(o)); err != nil {
 				t.Fatalf("trial %d: object %d: %v", trial, o, err)
 			}
 		}
@@ -551,7 +551,7 @@ func claimUnderContention(t *testing.T, hop time.Duration) {
 		if err := checkChain(chains[o]); err != nil {
 			t.Errorf("object %d: %v", o, err)
 		}
-		if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(o)); err != nil {
+		if _, err := arrow.VerifySinkReachability(net.LinksFor(o)); err != nil {
 			t.Errorf("object %d: %v", o, err)
 		}
 	}

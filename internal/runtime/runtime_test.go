@@ -114,7 +114,7 @@ func TestPointerInvariantAfterQuiescence(t *testing.T) {
 	wg.Wait()
 	comps := finish()
 	links := net.LinksFor(0)
-	sink, err := arrow.VerifySinkReachability(tr, links)
+	sink, err := arrow.VerifySinkReachability(links)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestMultiObjectTotalOrders(t *testing.T) {
 	// Every object's pointer state must independently satisfy the sink
 	// reachability invariant on its own re-rooted tree.
 	for o := int32(0); o < k; o++ {
-		if _, err := arrow.VerifySinkReachability(tr, net.LinksFor(o)); err != nil {
+		if _, err := arrow.VerifySinkReachability(net.LinksFor(o)); err != nil {
 			t.Errorf("object %d: %v", o, err)
 		}
 	}
