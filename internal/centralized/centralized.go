@@ -2,7 +2,7 @@
 // paper compares against in Section 5: a globally known central node
 // stores the current tail of the total order; every queuing request costs
 // one message to the central node and one message back. The central node
-// serializes request processing (one message per service-time unit),
+// serializes request processing (one message per time unit),
 // which is what produces the linear slowdown of Figure 10 as the system
 // grows.
 //
@@ -24,9 +24,6 @@ import (
 type Options struct {
 	// Center is the central node (queue-tail holder).
 	Center graph.NodeID
-	// ServiceTime is the time the central node needs per request message;
-	// 0 defaults to 1. This models the serialization bottleneck.
-	ServiceTime sim.Time
 	// Latency is the delay model (nil = synchronous).
 	Latency sim.LatencyModel
 	// Arbitration orders simultaneous messages.
@@ -64,11 +61,14 @@ type replyMsg struct {
 func (reqMsg) isSeqMsg()   {}
 func (replyMsg) isSeqMsg() {}
 
+// serviceTime is the time the central node needs per request message:
+// the serialization bottleneck.
+const serviceTime sim.Time = 1
+
 // engine holds the central node's serialization state for the static Run
 // (the closed loop has its own serve, see closedloop.go).
 type engine struct {
 	center    graph.NodeID
-	service   sim.Time
 	busyUntil sim.Time
 	lastReq   int // last request granted a queue position; -1 = root
 }
@@ -81,7 +81,7 @@ func (e *engine) serve(ctx *sim.Context, done func(ctx *sim.Context, predID int)
 	if e.busyUntil > start {
 		start = e.busyUntil
 	}
-	finish := start + e.service
+	finish := start + serviceTime
 	e.busyUntil = finish
 	pred := e.lastReq
 	ctx.After(finish-ctx.Now(), func(ctx *sim.Context) { done(ctx, pred) })
@@ -95,10 +95,6 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 	}
 	if int(opts.Center) < 0 || int(opts.Center) >= g.NumNodes() {
 		return nil, fmt.Errorf("centralized: center %d out of range", opts.Center)
-	}
-	service := opts.ServiceTime
-	if service <= 0 {
-		service = 1
 	}
 	topo := sim.NewMetricTopology(g)
 	s := sim.New(sim.Config{
@@ -115,7 +111,7 @@ func Run(g *graph.Graph, set queuing.Set, opts Options) (*Result, error) {
 	for i := range res.Completions {
 		res.Completions[i].PredID = -2
 	}
-	eng := &engine{center: opts.Center, service: service, lastReq: -1}
+	eng := &engine{center: opts.Center, lastReq: -1}
 	completed := 0
 	record := func(reqID, predID int, at sim.Time) {
 		c := &res.Completions[reqID]

@@ -29,8 +29,6 @@ type LoopConfig struct {
 	loop.Spec
 	// Center is the coordinator node.
 	Center graph.NodeID
-	// ServiceTime is the center's per-request serialization time (0 = 1).
-	ServiceTime sim.Time
 	// FailoverDelay is the unavailability window after a center failure
 	// before the replacement center serves (0 = 8 time units).
 	FailoverDelay sim.Time
@@ -71,7 +69,6 @@ type clState struct {
 	cfg       LoopConfig
 	topo      sim.Topology
 	center    graph.NodeID
-	service   sim.Time
 	think     sim.Time
 	busyUntil sim.Time
 
@@ -120,16 +117,11 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	if think <= 0 {
 		think = 1
 	}
-	service := cfg.ServiceTime
-	if service <= 0 {
-		service = 1
-	}
 	total := int64(cfg.PerNode) * int64(n)
 	st := &clState{
 		cfg:       cfg,
 		topo:      topo,
 		center:    cfg.Center,
-		service:   service,
 		think:     think,
 		issued:    make([]sim.Time, n),
 		serving:   make([]bool, n),
@@ -363,7 +355,7 @@ func (st *clState) serve(ctx *sim.Context, v graph.NodeID) {
 	if st.busyUntil > start {
 		start = st.busyUntil
 	}
-	finish := start + st.service
+	finish := start + serviceTime
 	st.busyUntil = finish
 	st.serving[v] = true
 	if st.serveEpoch != nil {

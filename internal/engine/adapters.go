@@ -218,12 +218,9 @@ func (Arrow) stepper(n, k int) (shard.Stepper, error) { return arrow.NewShardFor
 // graph metric, with Instance.Root as the central node. Its multi-object
 // tier places object o's coordinator at node o mod Nodes, with
 // serialization supplied by the shared network's per-link capacity
-// rather than an explicit service time (see centralized.ShardCenters);
-// ServiceTime and FailoverDelay do not apply there.
+// rather than the center's unit service time (see
+// centralized.ShardCenters); FailoverDelay does not apply there.
 type Centralized struct {
-	// ServiceTime is the central node's per-request serialization cost
-	// (0 = one time unit).
-	ServiceTime sim.Time
 	// FailoverDelay is the unavailability window after a coordinator
 	// failure before the deterministic replacement serves (0 = the
 	// driver default; only meaningful with Instance.Faults).
@@ -242,14 +239,13 @@ func (p Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error)
 	return centralized.RunClosedLoop(inst.Graph, centralized.LoopConfig{
 		Spec:          spec,
 		Center:        inst.Root,
-		ServiceTime:   p.ServiceTime,
 		FailoverDelay: p.FailoverDelay,
 	})
 }
 
 func (p Centralized) static(inst Instance) (*shard.StaticResult, error) {
 	return centralized.Run(inst.Graph, inst.Workload.Set, centralized.Options{
-		Center: inst.Root, ServiceTime: p.ServiceTime, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
+		Center: inst.Root, Latency: inst.Latency, Arbitration: inst.Arbitration, Seed: inst.Seed})
 }
 
 func (Centralized) stepper(n, k int) (shard.Stepper, error) {

@@ -87,9 +87,6 @@ type RepairEvent struct {
 
 // EngineConfig configures a message-driven repair engine.
 type EngineConfig struct {
-	// MaxEpisodes bounds repair episodes (0 = NumNodes + 8; each episode
-	// strictly reduces the sink count, so the bound is generous).
-	MaxEpisodes int
 	// Observer, when non-nil, is told each observable protocol step.
 	Observer func(RepairEvent)
 	// OnDone, when non-nil, runs once when repair finishes (converged
@@ -186,9 +183,6 @@ func NewEngine(t *tree.Tree, links []graph.NodeID, cfg EngineConfig) *Engine {
 	n := t.NumNodes()
 	if len(links) != n {
 		panic(fmt.Sprintf("stabilize: %d links for %d nodes", len(links), n))
-	}
-	if cfg.MaxEpisodes == 0 {
-		cfg.MaxEpisodes = n + 8
 	}
 	e := &Engine{
 		t:             t,
@@ -349,7 +343,9 @@ func (e *Engine) beginEpisode(ctx *sim.Context) {
 		e.finish(ctx, true)
 		return
 	}
-	if e.runEpisodes >= e.cfg.MaxEpisodes {
+	// Each episode strictly reduces the sink count, so n + 8 episodes
+	// is a generous budget.
+	if e.runEpisodes >= len(e.links)+8 {
 		e.finish(ctx, false)
 		return
 	}
@@ -585,8 +581,6 @@ type SimOptions struct {
 	// Seed keys the random latency and arbitration draws: each hashes
 	// (Seed, event seq).
 	Seed int64
-	// MaxEpisodes bounds repair episodes (0 = NumNodes + 8).
-	MaxEpisodes int
 	// Observer, when non-nil, is told each observable protocol step.
 	Observer func(RepairEvent)
 }
@@ -618,17 +612,14 @@ func RunSim(t *tree.Tree, links []graph.NodeID, opts SimOptions) (SimResult, err
 	if len(links) != t.NumNodes() {
 		return res, fmt.Errorf("stabilize: %d links for %d nodes", len(links), t.NumNodes())
 	}
-	eng := NewEngine(t, links, EngineConfig{
-		MaxEpisodes: opts.MaxEpisodes,
-		Observer:    opts.Observer,
-	})
+	eng := NewEngine(t, links, EngineConfig{Observer: opts.Observer})
 	s := sim.New(sim.Config{
 		Topology:    sim.TreeTopology{T: t},
 		Latency:     opts.Latency,
 		Arbitration: opts.Arbitration,
 		Seed:        opts.Seed,
 		// Each episode is O(n) messages over O(diameter) time, and the
-		// episode count is bounded by MaxEpisodes.
+		// episode count is bounded by n + 8.
 		MaxEvents: sim.SatAdd(sim.SatMul(int64(t.NumNodes()+8), int64(8*t.NumNodes()+64)), 4096),
 	})
 	s.SetAllHandlers(eng.Handle)
