@@ -376,9 +376,18 @@ func benchArrowScale(b *testing.B, n int, spec loop.Spec) {
 // coordinator serves one request per tick, so every request parks a
 // serve-finish timer ~10⁵ ticks ahead — far wheel pushes, cascades and
 // pours, where the arrow cells stay on the ring. far_pushes/req and
-// heap_pushes are the scheduler's own deterministic counts.
+// heap_pushes are the scheduler's own deterministic counts. The
+// arrow-scaled8 and arrow-async4 cells are the arrow cell under Section
+// 3.8's delay models: every hop 8 ticks, and a uniform draw from 1..4
+// per message — the send path of ROADMAP item 12(b).
 func BenchmarkClosedLoopScale100k(b *testing.B) {
 	b.Run("arrow", func(b *testing.B) { benchArrowScale(b, 100_001, loop.Spec{PerNode: 2}) })
+	b.Run("arrow-scaled8", func(b *testing.B) {
+		benchArrowScale(b, 100_001, loop.Spec{PerNode: 2, Latency: sim.SynchronousScaled(8)})
+	})
+	b.Run("arrow-async4", func(b *testing.B) {
+		benchArrowScale(b, 100_001, loop.Spec{PerNode: 2, Latency: sim.AsyncUniform(4)})
+	})
 	b.Run("centralized", func(b *testing.B) {
 		const n, perNode = 100_000, 4
 		b.ReportAllocs()

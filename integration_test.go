@@ -175,7 +175,7 @@ func TestExperimentHarnessEndToEnd(t *testing.T) {
 		Sizes: []int{2, 4}, PerNode: 10, Seed: 1, Objects: []int{4},
 		SizesSet: true, PerNodeSet: true,
 	}
-	documented := map[string]bool{"perf": true, "stabilize": true, "churn": true, "scale": true, "shard": true}
+	documented := map[string]bool{"perf": true, "stabilize": true, "churn": true, "scale": true, "shard": true, "directory": true}
 	seen := map[string]bool{}
 	for _, e := range analysis.Experiments {
 		if e.Name == "" || e.Name == "all" || e.Desc == "" || seen[e.Name] {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -146,7 +145,7 @@ func blankHost(res *Result) {
 		for c, h := range tab.Headers {
 			if h == "Mev/s" || h == "B/node" {
 				for _, row := range tab.Rows {
-					row[c] = fmt.Sprintf("%.3f", 0.0)
+					row[c] = "0.000"
 				}
 			}
 		}

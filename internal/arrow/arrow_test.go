@@ -315,9 +315,9 @@ func TestVerifySinkReachabilityRejectsCycle(t *testing.T) {
 }
 
 // TestVerifySinkReachabilityMessages pins the check's answers on link
-// tables of the paper's six-node example: the sink, or the error naming the first node in
-// index order whose walk finds a cycle or a second sink — and the
-// links unchanged afterwards.
+// tables of the paper's six-node example: the sink, or the error naming
+// the first node in index order whose walk finds a cycle or a second
+// sink — and the links unchanged afterwards.
 func TestVerifySinkReachabilityMessages(t *testing.T) {
 	cases := []struct {
 		links []graph.NodeID
