@@ -163,6 +163,13 @@ func compareGolden(t *testing.T, name string, got []byte) {
 		}
 		return
 	}
+	matchGolden(t, path, got)
+}
+
+// matchGolden fails unless got equals the file at path byte for byte,
+// naming the first line that differs.
+func matchGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (write it with -update)", err)
@@ -179,6 +186,52 @@ func compareGolden(t *testing.T, name string, got []byte) {
 	}
 	t.Fatalf("%s: output has %d lines, golden has %d (rerun with -update only if the change is meant)",
 		path, len(gotLines), len(wantLines))
+}
+
+// TestDocumentsGolden builds the four versioned documents through the
+// exported experiment functions, with the configs spelled out, rather
+// than through the catalog's Run, and requires the very bytes
+// TestExperimentsGolden pins: a library caller and `arrowbench -json`
+// get one document. It only reads the goldens; it runs after the loop,
+// so `-run Golden -update` compares against the files just written.
+func TestDocumentsGolden(t *testing.T) {
+	docs := []struct {
+		name  string
+		build func() (any, error)
+	}{
+		{"perf", func() (any, error) {
+			doc, err := PerfExperiment(PerfConfig{Sizes: []int{64, 76}, PerNode: 500, Seed: 1}, 0)
+			res := Result{Doc: doc}
+			blankHost(&res)
+			return res.Doc, err
+		}},
+		{"scale", func() (any, error) {
+			doc, err := ScaleExperiment(ScaleConfig{Sizes: []int{2000, 5000}, PerNode: 20, Seed: 1})
+			res := Result{Doc: doc}
+			blankHost(&res)
+			return res.Doc, err
+		}},
+		{"shard", func() (any, error) {
+			return ShardExperiment(ShardConfig{Objects: []int{16, 128}, PerNode: 50, Seed: 1}, 0)
+		}},
+		{"churn", func() (any, error) {
+			return ChurnExperiment(ChurnConfig{N: 24, PerNode: 120, Rates: []float64{0, 0.5, 1, 2}, Seed: 1}, 0)
+		}},
+	}
+	for _, d := range docs {
+		t.Run(d.name, func(t *testing.T) {
+			doc, err := d.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.MarshalIndent(doc, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n') // arrowbench prints the document with Println
+			matchGolden(t, filepath.Join("testdata", d.name+"_golden.json"), got)
+		})
+	}
 }
 
 // TestGoldenProtocolColumnsDistinct reads every golden of this package
