@@ -484,7 +484,9 @@ func BenchmarkRuntimeVsSim(b *testing.B) {
 				close(done)
 			}()
 			for _, r := range set {
-				net.Request(r.Node)
+				if _, err := net.Submit(r.Node, 0); err != nil {
+					b.Fatal(err)
+				}
 			}
 			net.Stop()
 			<-done

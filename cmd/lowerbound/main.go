@@ -50,7 +50,10 @@ func run(cfg config, w io.Writer) error {
 	if depth == 0 {
 		depth = workload.DefaultK(1 << cfg.logD)
 	}
-	inst := workload.LowerBound(cfg.logD, depth)
+	inst, err := workload.LowerBound(cfg.logD, depth)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "Theorem 4.1 instance: path diameter D=%d, recursion depth k=%d, |R|=%d\n",
 		inst.D, inst.K, len(inst.Set))
 	if cfg.dump {

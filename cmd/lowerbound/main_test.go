@@ -75,3 +75,27 @@ func TestLowerBoundReportsMeasuredCostPerD(t *testing.T) {
 		t.Errorf("report must give the measured cost(arrow)/D, not k*D:\n%s", out)
 	}
 }
+
+// TestLowerBoundRejectsBadFlags: a diameter exponent outside [1, 24] or a
+// negative depth is an error run returns, which main prints before it
+// exits 1, not a panic.
+func TestLowerBoundRejectsBadFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  config
+		want string
+	}{
+		{"logd 30", config{logD: 30}, "logD=30 out of range [1,24]"},
+		{"logd 0", config{logD: 0}, "logD=0 out of range [1,24]"},
+		{"k -2", config{logD: 6, k: -2}, "k=-2, must be >= 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var b strings.Builder
+			err := run(c.cfg, &b)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run(%+v): got error %v, want one containing %q", c.cfg, err, c.want)
+			}
+		})
+	}
+}

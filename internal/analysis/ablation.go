@@ -238,7 +238,10 @@ func StretchExperiment(logDOverS int, stretches []int, workers int) ([]StretchRo
 	rows := make([]StretchRow, len(stretches))
 	err := engine.ParallelMapErr(len(stretches), workers, func(i int) error {
 		s := stretches[i]
-		inner := workload.LowerBound(logDOverS, workload.DefaultK(1<<logDOverS))
+		inner, err := workload.LowerBound(logDOverS, workload.DefaultK(1<<logDOverS))
+		if err != nil {
+			return err
+		}
 		d := inner.D * s
 		g := graph.PathWithShortcuts(d, s)
 		t := tree.PathTree(d + 1)

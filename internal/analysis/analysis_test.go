@@ -3,12 +3,14 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/arrow"
 	"repro/internal/graph"
+	"repro/internal/opt"
 	"repro/internal/queuing"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -552,5 +554,94 @@ func TestScaleRowsRefillWhatTheyPark(t *testing.T) {
 	}
 	if !parked {
 		t.Error("no cell pushed past the ring; the refill invariant went unchecked")
+	}
+}
+
+// CheckNNOrder validates Lemma 3.8 on one instance: arrow's queuing order
+// must be a nearest-neighbour TSP path under cT from the root request.
+// Because simultaneous requests make the NN path non-unique, the check
+// accepts any tie-break-consistent NN path; it returns an error describing
+// the first divergence otherwise.
+func CheckNNOrder(t *tree.Tree, set queuing.Set, opts arrow.Options) error {
+	res, err := arrow.Run(t, set, opts)
+	if err != nil {
+		return err
+	}
+	return VerifyNNOrder(t, set, opts.Root, res.Order)
+}
+
+// VerifyNNOrder checks that order is a valid nearest-neighbour path under
+// cT: every step must move to a request of minimum cT cost among the
+// unvisited ones.
+func VerifyNNOrder(t *tree.Tree, set queuing.Set, root graph.NodeID, order queuing.Order) error {
+	if !queuing.ValidOrder(order, len(set)) {
+		return fmt.Errorf("analysis: order is not a permutation of %d requests", len(set))
+	}
+	ct := queuing.CT(func(u, v graph.NodeID) graph.Weight { return t.Dist(u, v) })
+	visited := make([]bool, len(set))
+	prev := queuing.RootRequest(root)
+	for step, id := range order {
+		chosen := ct(prev, set[id])
+		for j := range set {
+			if visited[j] || j == id {
+				continue
+			}
+			if c := ct(prev, set[j]); c < chosen {
+				return fmt.Errorf(
+					"analysis: step %d picked %v (cT=%d) but %v has cT=%d",
+					step, set[id], chosen, set[j], c)
+			}
+		}
+		visited[id] = true
+		prev = set[id]
+	}
+	return nil
+}
+
+// LongestEdgeCT returns the maximum cT edge cost along arrow's order —
+// Lemma 3.13 bounds it by 3D.
+func LongestEdgeCT(t *tree.Tree, set queuing.Set, root graph.NodeID, order queuing.Order) int64 {
+	ct := queuing.CT(func(u, v graph.NodeID) graph.Weight { return t.Dist(u, v) })
+	prev := queuing.RootRequest(root)
+	var mx int64
+	for _, id := range order {
+		mx = max(mx, ct(prev, set[id]))
+		prev = set[id]
+	}
+	return mx
+}
+
+// TestDoublingDoublesArrowAndOpt pins ROADMAP item 22(a)'s scaling
+// identity on the path: doubling every request's position and time (on
+// the path of twice the diameter) exactly doubles arrow's total latency
+// and the exact optimum. Seeded random sets, D = 4…32, 2–10 requests,
+// times in [0, 2D] as the adversarial search draws them.
+func TestDoublingDoublesArrowAndOpt(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	costs := func(d int, set queuing.Set) (arrowCost, optCost int64) {
+		res, err := arrow.Run(tree.PathTree(d+1), set, arrow.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.Path(d + 1)
+		b := opt.Compute(g, 0, set, opt.DistOfGraph(g))
+		if !b.Exact {
+			t.Fatalf("optimum of %d requests not exact", len(set))
+		}
+		return res.TotalLatency, b.Lower
+	}
+	for i := 0; i < 1000; i++ {
+		d := 4 << rng.Intn(4)
+		reqs := make([]queuing.Request, 2+rng.Intn(9))
+		doubled := make([]queuing.Request, len(reqs))
+		for j := range reqs {
+			reqs[j] = queuing.Request{Node: graph.NodeID(rng.Intn(d + 1)), Time: sim.Time(rng.Intn(2*d + 1))}
+			doubled[j] = queuing.Request{Node: 2 * reqs[j].Node, Time: 2 * reqs[j].Time}
+		}
+		a, o := costs(d, queuing.NewSet(reqs))
+		a2, o2 := costs(2*d, queuing.NewSet(doubled))
+		if a2 != 2*a || o2 != 2*o {
+			t.Errorf("D=%d %v: doubled arrow %d (want %d), opt %d (want %d)", d, reqs, a2, 2*a, o2, 2*o)
+		}
 	}
 }

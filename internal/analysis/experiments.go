@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arrow"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/opt"
@@ -44,7 +43,10 @@ func LowerBoundSweep(logDs []int, workers int) ([]LowerBoundRow, error) {
 	rows := make([]LowerBoundRow, len(logDs))
 	err := engine.ParallelMapErr(len(logDs), workers, func(i int) error {
 		logD := logDs[i]
-		inst := workload.LowerBound(logD, workload.DefaultK(1<<logD))
+		inst, err := workload.LowerBound(logD, workload.DefaultK(1<<logD))
+		if err != nil {
+			return err
+		}
 		g := graph.Path(inst.D + 1)
 		t := tree.PathTree(inst.D + 1)
 		cost, err := engine.Arrow{}.Run(engine.Instance{
@@ -291,61 +293,6 @@ func SequentialTable(rows []SequentialRow) *Table {
 		t.AddRow(r.N, r.D, r.S, r.Requests, r.MaxHops, r.Ratio)
 	}
 	return t
-}
-
-// CheckNNOrder validates Lemma 3.8 on one instance: arrow's queuing order
-// must be a nearest-neighbour TSP path under cT from the root request.
-// Because simultaneous requests make the NN path non-unique, the check
-// accepts any tie-break-consistent NN path; it returns an error describing
-// the first divergence otherwise.
-func CheckNNOrder(t *tree.Tree, set queuing.Set, opts arrow.Options) error {
-	res, err := arrow.Run(t, set, opts)
-	if err != nil {
-		return err
-	}
-	return VerifyNNOrder(t, set, opts.Root, res.Order)
-}
-
-// VerifyNNOrder checks that order is a valid nearest-neighbour path under
-// cT: every step must move to a request of minimum cT cost among the
-// unvisited ones.
-func VerifyNNOrder(t *tree.Tree, set queuing.Set, root graph.NodeID, order queuing.Order) error {
-	if !queuing.ValidOrder(order, len(set)) {
-		return fmt.Errorf("analysis: order is not a permutation of %d requests", len(set))
-	}
-	ct := queuing.CT(func(u, v graph.NodeID) graph.Weight { return t.Dist(u, v) })
-	visited := make([]bool, len(set))
-	prev := queuing.RootRequest(root)
-	for step, id := range order {
-		chosen := ct(prev, set[id])
-		for j := range set {
-			if visited[j] || j == id {
-				continue
-			}
-			if c := ct(prev, set[j]); c < chosen {
-				return fmt.Errorf(
-					"analysis: step %d picked %v (cT=%d) but %v has cT=%d",
-					step, set[id], chosen, set[j], c)
-			}
-		}
-		visited[id] = true
-		prev = set[id]
-	}
-	return nil
-}
-
-// LongestEdgeCT returns the maximum cT edge cost along arrow's order —
-// Lemma 3.13 bounds it by 3D.
-func LongestEdgeCT(t *tree.Tree, set queuing.Set, root graph.NodeID, order queuing.Order) int64 {
-	ct := queuing.CT(func(u, v graph.NodeID) graph.Weight { return t.Dist(u, v) })
-	costs := queuing.EdgeCosts(set, root, order, ct)
-	var mx int64
-	for _, c := range costs {
-		if c > mx {
-			mx = c
-		}
-	}
-	return mx
 }
 
 // NNApproxRow is one point of the Theorem 3.18 validation (E8).

@@ -433,8 +433,8 @@ func TestClosedLoopSmall(t *testing.T) {
 	if res.Requests != 80 {
 		t.Errorf("requests = %d, want 80", res.Requests)
 	}
-	if res.AvgQueueHops() < 0 || res.AvgQueueHops() > float64(tr.NumNodes()) {
-		t.Errorf("avg hops = %f out of range", res.AvgQueueHops())
+	if avg := float64(res.QueueHops) / float64(res.Requests); avg < 0 || avg > float64(tr.NumNodes()) {
+		t.Errorf("avg hops = %f out of range", avg)
 	}
 	if res.Makespan <= 0 {
 		t.Errorf("makespan = %d, want > 0", res.Makespan)

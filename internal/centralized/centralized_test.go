@@ -122,7 +122,7 @@ func TestClosedLoopAveragesAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgLatency() <= 0 {
+	if res.TotalLatency <= 0 {
 		t.Error("avg latency should be positive")
 	}
 	// Both directions of the round trip, per request.

@@ -19,7 +19,7 @@ import (
 //     at the center) alongside each queuing latency.
 //   - Faults runs with coordinator-failure semantics: when the center
 //     dies the system is unavailable until a deterministic failover —
-//     after FailoverDelay the smallest live node becomes the new
+//     after failoverDelay the smallest live node becomes the new
 //     (sticky) center, requests caught at the old center re-issue there,
 //     and dropped requests/replies retry once the blocking entity or the
 //     failover completes. The plan must be Healing.
@@ -29,10 +29,11 @@ type LoopConfig struct {
 	loop.Spec
 	// Center is the coordinator node.
 	Center graph.NodeID
-	// FailoverDelay is the unavailability window after a center failure
-	// before the replacement center serves (0 = 8 time units).
-	FailoverDelay sim.Time
 }
+
+// failoverDelay is the unavailability window after a center failure
+// before the replacement center serves.
+const failoverDelay sim.Time = 8
 
 // LoopResult aggregates a closed-loop centralized run — the shared
 // closed-loop counter shape (see loop.Result). Request traffic (node ->
@@ -90,7 +91,6 @@ type clState struct {
 	failoverAt  sim.Time
 	nextCenter  graph.NodeID
 	failoverSeq int64
-	failDelay   sim.Time
 }
 
 // RunClosedLoop executes the closed-loop centralized experiment on g.
@@ -161,10 +161,6 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 		st.lost = make([]bool, n)
 		st.affected = make([]bool, n)
 		st.serveEpoch = make([]int64, n)
-		st.failDelay = cfg.FailoverDelay
-		if st.failDelay <= 0 {
-			st.failDelay = 8
-		}
 		s.SetFaultObserver(st.onFault)
 		s.SetBlockedHandler(st.onBlocked)
 	}
@@ -187,7 +183,7 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 	return st.res, nil
 }
 
-// onFault reacts to the effective coordinator dying: after FailoverDelay
+// onFault reacts to the effective coordinator dying: after failoverDelay
 // the smallest live node becomes the new center (sticky — the old center
 // returning does not reclaim the role). A failure of the
 // pending replacement re-arms the failover.
@@ -209,10 +205,10 @@ func (st *clState) onFault(ctx *sim.Context, ev sim.FaultEvent) {
 // schedules the takeover after the failover window.
 func (st *clState) armFailover(ctx *sim.Context, failed graph.NodeID) {
 	st.nextCenter = st.pickCenter(ctx, failed)
-	st.failoverAt = ctx.Now() + st.failDelay
+	st.failoverAt = ctx.Now() + failoverDelay
 	st.failoverSeq++
 	seq := st.failoverSeq
-	ctx.After(st.failDelay, func(ctx *sim.Context) {
+	ctx.After(failoverDelay, func(ctx *sim.Context) {
 		if seq != st.failoverSeq {
 			return // superseded by a newer failover
 		}

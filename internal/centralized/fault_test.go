@@ -20,7 +20,7 @@ func TestClosedLoopCoordinatorFailover(t *testing.T) {
 		{At: 20, Kind: sim.NodeDown, U: 0},
 		{At: 90, Kind: sim.NodeUp, U: 0},
 	}}
-	res, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0, FailoverDelay: 6})
+	res, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestClosedLoopCoordinatorFailover(t *testing.T) {
 		t.Fatalf("failover touched no requests: %+v", res)
 	}
 	// Determinism.
-	again, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0, FailoverDelay: 6})
+	again, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +88,15 @@ func TestClosedLoopEmptyFaultPlanBitIdentical(t *testing.T) {
 func TestFailoverReelectsWhenReplacementDiesAtTakeover(t *testing.T) {
 	const n, perNode = 8, 15
 	g := graph.Complete(n)
-	// Center 0 dies at t=10; with FailoverDelay 6 the takeover fires at
-	// t=16 — the exact instant replacement node 1 dies.
+	// Center 0 dies at t=10; after the failover window of 8 the takeover
+	// fires at t=18 — the exact instant replacement node 1 dies.
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: 10, Kind: sim.NodeDown, U: 0},
-		{At: 16, Kind: sim.NodeDown, U: 1},
+		{At: 18, Kind: sim.NodeDown, U: 1},
 		{At: 60, Kind: sim.NodeUp, U: 1},
 		{At: 80, Kind: sim.NodeUp, U: 0},
 	}}
-	res, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0, FailoverDelay: 6})
+	res, err := RunClosedLoop(g, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

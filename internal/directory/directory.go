@@ -30,11 +30,10 @@ import (
 )
 
 // Config drives a closed-loop directory experiment: every node acquires
-// the object PerNode times, holding it for HoldTime per access, issuing
+// the object PerNode times, holding it for holdTime per access, issuing
 // its next acquire ThinkTime after releasing.
 type Config struct {
 	PerNode   int
-	HoldTime  sim.Time
 	ThinkTime sim.Time
 	// Latency is the delay model (nil = synchronous).
 	Latency sim.LatencyModel
@@ -42,6 +41,9 @@ type Config struct {
 	Arbitration sim.Arbitration
 	Seed        int64
 }
+
+// holdTime is how long a node keeps the object per access.
+const holdTime sim.Time = 1
 
 // Result aggregates a directory run.
 type Result struct {
@@ -160,7 +162,7 @@ func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool,
 	if cfg.PerNode < 1 {
 		return nil, fmt.Errorf("directory: PerNode must be >= 1")
 	}
-	cfg.HoldTime, cfg.ThinkTime = max(cfg.HoldTime, 1), max(cfg.ThinkTime, 1)
+	cfg.ThinkTime = max(cfg.ThinkTime, 1)
 	n := topo.NumNodes()
 	total := int64(cfg.PerNode) * int64(n)
 	d := &dir{
@@ -282,7 +284,7 @@ func (d *dir) carry(ctx *sim.Context, at graph.NodeID) {
 	case at == next:
 		d.res.Acquires++
 		d.res.AcquireLatency += ctx.Now() - d.nodes[at].issued
-		ctx.AfterNode(d.cfg.HoldTime, at)
+		ctx.AfterNode(holdTime, at)
 		return
 	case d.viaHome && at != d.home:
 		next = d.home

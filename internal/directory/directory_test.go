@@ -128,43 +128,45 @@ func TestDirectoryDeterminism(t *testing.T) {
 	}
 }
 
+// TestDirectoryHoldTimeStretchesMakespan: a node keeps the object for
+// holdTime per access and no two nodes hold it at once, so the run lasts
+// at least one hold per acquisition, in both directories.
 func TestDirectoryHoldTimeStretchesMakespan(t *testing.T) {
-	tr := tree.BalancedBinary(8)
-	fast, err := RunArrow(tr, 0, Config{PerNode: 5, HoldTime: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := RunArrow(tr, 0, Config{PerNode: 5, HoldTime: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Makespan <= fast.Makespan {
-		t.Errorf("hold time 10 makespan %d not above hold time 1 makespan %d",
-			slow.Makespan, fast.Makespan)
+	for name, run := range map[string]func() (*Result, error){
+		"arrow": func() (*Result, error) { return RunArrow(tree.BalancedBinary(8), 0, Config{PerNode: 5}) },
+		"home":  func() (*Result, error) { return RunHome(graph.Grid(3, 3), 4, Config{PerNode: 5}) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if min := sim.Time(res.Acquires) * holdTime; res.Makespan < min {
+			t.Errorf("%s: makespan %d below %d acquisitions of hold %d", name, res.Makespan, res.Acquires, holdTime)
+		}
 	}
 }
 
 // directoryPins holds both directories' results under asynchronous
 // latency and non-FIFO arbitration, where every seq-keyed draw depends on
 // the order of the loop's pushes. The values are those of the separate
-// arrow and home-based loops the shared one replaced; every field must
-// stay bit-identical.
+// arrow and home-based loops the shared one replaced, run at hold time
+// 1; every field must stay bit-identical.
 var directoryPins = []struct {
 	name string
 	arb  sim.Arbitration
 	home bool
 	want Result
 }{
-	{"arrow/lifo", sim.ArbLIFO, false, Result{N: 15, Acquires: 300, Makespan: 2012, AcquireLatency: 27914, FindHops: 557, ObjectHops: 557}},
-	{"arrow/random", sim.ArbRandom, false, Result{N: 15, Acquires: 300, Makespan: 1998, AcquireLatency: 27704, FindHops: 557, ObjectHops: 557}},
-	{"home/lifo", sim.ArbLIFO, true, Result{N: 16, Acquires: 320, Makespan: 3485, AcquireLatency: 52453, FindHops: 640, ObjectHops: 1280}},
-	{"home/random", sim.ArbRandom, true, Result{N: 16, Acquires: 320, Makespan: 3579, AcquireLatency: 53974, FindHops: 640, ObjectHops: 1280}},
+	{"arrow/lifo", sim.ArbLIFO, false, Result{N: 15, Acquires: 300, Makespan: 1736, AcquireLatency: 24179, FindHops: 557, ObjectHops: 557}},
+	{"arrow/random", sim.ArbRandom, false, Result{N: 15, Acquires: 300, Makespan: 1717, AcquireLatency: 23894, FindHops: 557, ObjectHops: 557}},
+	{"home/lifo", sim.ArbLIFO, true, Result{N: 16, Acquires: 320, Makespan: 3141, AcquireLatency: 47323, FindHops: 640, ObjectHops: 1280}},
+	{"home/random", sim.ArbRandom, true, Result{N: 16, Acquires: 320, Makespan: 3216, AcquireLatency: 48548, FindHops: 640, ObjectHops: 1280}},
 }
 
 func TestDirectoryAsyncPins(t *testing.T) {
 	for _, p := range directoryPins {
 		t.Run(p.name, func(t *testing.T) {
-			cfg := Config{PerNode: 20, HoldTime: 2, ThinkTime: 3,
+			cfg := Config{PerNode: 20, ThinkTime: 3,
 				Latency: sim.AsyncUniform(4), Arbitration: p.arb, Seed: 11}
 			var got *Result
 			var err error

@@ -160,8 +160,6 @@ func (inst Instance) Validate() error {
 	case inst.Faults != nil && inst.Workload.Multi():
 		// The dispatch would otherwise drop the plan silently.
 		return fmt.Errorf("engine: multi-object workloads do not support fault plans")
-	case inst.ObjectRecorders != nil && !inst.Workload.Multi():
-		return fmt.Errorf("engine: Instance.ObjectRecorders requires a multi-object workload (Workload.Objects > 1)")
 	case inst.LinkTxTime < 0:
 		return &sim.ConfigError{Field: "LinkTxTime", Reason: fmt.Sprintf("must be >= 0, got %d", inst.LinkTxTime)}
 	case inst.LinkTxTime > 0 && !inst.Workload.Closed():
@@ -219,13 +217,8 @@ func (Arrow) stepper(n, k int) (shard.Stepper, error) { return arrow.NewShardFor
 // tier places object o's coordinator at node o mod Nodes, with
 // serialization supplied by the shared network's per-link capacity
 // rather than the center's unit service time (see
-// centralized.ShardCenters); FailoverDelay does not apply there.
-type Centralized struct {
-	// FailoverDelay is the unavailability window after a coordinator
-	// failure before the deterministic replacement serves (0 = the
-	// driver default; only meaningful with Instance.Faults).
-	FailoverDelay sim.Time
-}
+// centralized.ShardCenters).
+type Centralized struct{}
 
 // Name implements Protocol.
 func (Centralized) Name() string { return "centralized" }
@@ -235,12 +228,8 @@ func (p Centralized) Run(inst Instance) (Cost, error) { return run(p, inst) }
 
 func (p Centralized) nodes(inst Instance) (int, error) { return graphNodes(p.Name(), inst.Graph) }
 
-func (p Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
-	return centralized.RunClosedLoop(inst.Graph, centralized.LoopConfig{
-		Spec:          spec,
-		Center:        inst.Root,
-		FailoverDelay: p.FailoverDelay,
-	})
+func (Centralized) closed(inst Instance, spec loop.Spec) (*loop.Result, error) {
+	return centralized.RunClosedLoop(inst.Graph, centralized.LoopConfig{Spec: spec, Center: inst.Root})
 }
 
 func (p Centralized) static(inst Instance) (*shard.StaticResult, error) {

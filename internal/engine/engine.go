@@ -221,18 +221,12 @@ type Instance struct {
 	// distribution snapshots. The protocol hot paths do no recording
 	// work when Recorder is nil.
 	//
-	// Recorders accumulate state, so each swept cell needs its own —
-	// aggregate and per-object alike: Grid panics rather than share a
-	// recording Instance (a Recorder or any ObjectRecorders entry)
-	// across its protocol column (the copies would race under Sweep) —
-	// grids that record build one Instance per cell, with fresh
-	// recorders for every object slot (as analysis.closedLoopCells does).
+	// Recorders accumulate state, so each swept cell needs its own:
+	// Grid panics rather than share a recording Instance across its
+	// protocol column (the copies would race under Sweep) — grids that
+	// record build one Instance per cell (as analysis.closedLoopCells
+	// does).
 	Recorder stats.Recorder
-	// ObjectRecorders, when non-nil, attaches one recorder per object of
-	// a multi-object run: entry o observes exactly object o's
-	// completions. Its length must equal Workload.Objects; entries may
-	// be nil to skip an object. Single-object and static runs reject it.
-	ObjectRecorders []stats.Recorder
 	// LinkTxTime, when positive, gives every link of the instance's
 	// network finite serialization capacity (see sim.Config.LinkTxTime):
 	// messages on one directed link depart at least LinkTxTime apart, so
@@ -306,9 +300,8 @@ type Cost struct {
 	// PerObject and Fairness carry the object dimension of a multi-object
 	// run (Workload.Objects > 1); nil and zero otherwise. PerObject[o] is
 	// object o's own cost: Makespan and Events stay zero there (they are
-	// whole-run quantities, reported on the enclosing Cost), and
-	// Latency/Hops are populated for objects whose
-	// Instance.ObjectRecorders entry is a *stats.DistRecorder. Fairness
+	// whole-run quantities, reported on the enclosing Cost), and so do
+	// Latency/Hops: only the aggregate stream is recorded. Fairness
 	// summarizes the spread across PerObject.
 	PerObject []Cost
 	Fairness  Fairness

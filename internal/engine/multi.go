@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Fairness summarizes how evenly a multi-object run treated its k
@@ -52,10 +51,9 @@ func runSharded(p adapter, inst Instance, n int) (Cost, error) {
 		return Cost{}, err
 	}
 	res, err := shard.Run(sim.NewCompleteTopology(n), step, p.Name(), shard.Spec{
-		Spec:            loopSpec(inst),
-		Objects:         k,
-		Skew:            inst.Workload.Skew,
-		ObjectRecorders: inst.ObjectRecorders,
+		Spec:    loopSpec(inst),
+		Objects: k,
+		Skew:    inst.Workload.Skew,
 	})
 	if err != nil {
 		return Cost{}, err
@@ -65,11 +63,7 @@ func runSharded(p adapter, inst Instance, n int) (Cost, error) {
 	cost.PerObject = make([]Cost, k)
 	for o := range cost.PerObject {
 		c := loopCost(p.Name(), inst.Label, &res.PerObject[o])
-		var rec stats.Recorder
-		if inst.ObjectRecorders != nil {
-			rec = inst.ObjectRecorders[o]
-		}
-		attachDists(&c, rec)
+		attachDists(&c, nil)
 		cost.PerObject[o] = c
 	}
 	cost.Fairness = summarizeFairness(cost.PerObject)

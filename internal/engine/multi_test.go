@@ -21,29 +21,21 @@ func multiProtocols() []engine.Protocol {
 // TestShardedRunAllProtocols runs every adapter's sharded tier and checks
 // the cross-protocol invariants: request conservation into the object
 // partition, the fairness extremes bracketing the per-object values,
-// and per-object recorder wiring.
+// and the aggregate recorder seeing every object's completions.
 func TestShardedRunAllProtocols(t *testing.T) {
 	const n, k, perNode = 12, 16, 20
 	g := graph.Complete(n)
 	tr := tree.BalancedBinary(n)
 	for _, p := range multiProtocols() {
 		t.Run(p.Name(), func(t *testing.T) {
-			recs := make([]stats.Recorder, k)
-			dists := make([]*stats.DistRecorder, k)
-			for o := range recs {
-				dists[o] = stats.NewDistRecorder()
-				recs[o] = dists[o]
-			}
-			agg := stats.NewDistRecorder()
 			mc, err := p.Run(engine.Instance{
-				Label:           "multi",
-				Graph:           g,
-				Tree:            tr,
-				Workload:        engine.NewClosedLoop(perNode).Objects(k).Zipf(1.1).MustBuild(),
-				Seed:            4,
-				LinkTxTime:      1,
-				Recorder:        agg,
-				ObjectRecorders: recs,
+				Label:      "multi",
+				Graph:      g,
+				Tree:       tr,
+				Workload:   engine.NewClosedLoop(perNode).Objects(k).Zipf(1.1).MustBuild(),
+				Seed:       4,
+				LinkTxTime: 1,
+				Recorder:   stats.NewDistRecorder(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -60,13 +52,6 @@ func TestShardedRunAllProtocols(t *testing.T) {
 				if c.Requests < mc.Fairness.MinRequests || c.Requests > mc.Fairness.MaxRequests {
 					t.Errorf("object %d requests %d outside fairness bounds [%d, %d]",
 						o, c.Requests, mc.Fairness.MinRequests, mc.Fairness.MaxRequests)
-				}
-				if c.Latency.Count != dists[o].Latency.Snapshot().Count {
-					t.Errorf("object %d cost snapshot decoupled from its recorder", o)
-				}
-				if c.Requests > 0 && c.Latency.Count != c.Requests {
-					t.Errorf("object %d recorder saw %d completions, counters say %d",
-						o, c.Latency.Count, c.Requests)
 				}
 			}
 			if sum != mc.Requests {
@@ -141,18 +126,7 @@ func TestMultiValidation(t *testing.T) {
 	g := graph.Complete(n)
 	tr := tree.BalancedBinary(n)
 	multi := engine.NewClosedLoop(5).Objects(4).MustBuild()
-	single := engine.NewClosedLoop(5).MustBuild()
 
-	t.Run("object recorders on single-object run", func(t *testing.T) {
-		_, err := engine.Arrow{}.Run(engine.Instance{
-			Tree:            tr,
-			Workload:        single,
-			ObjectRecorders: make([]stats.Recorder, 1),
-		})
-		if err == nil || !strings.Contains(err.Error(), "ObjectRecorders") {
-			t.Errorf("got %v, want ObjectRecorders rejection", err)
-		}
-	})
 	t.Run("faults on multi-object run", func(t *testing.T) {
 		_, err := engine.NTA{}.Run(engine.Instance{
 			Graph:    g,
@@ -184,16 +158,6 @@ func TestMultiValidation(t *testing.T) {
 	t.Run("skew without objects", func(t *testing.T) {
 		if _, err := engine.NewClosedLoop(5).Zipf(1.1).Build(); err == nil {
 			t.Error("builder accepted skew without an object dimension")
-		}
-	})
-	t.Run("recorder length mismatch", func(t *testing.T) {
-		_, err := engine.NTA{}.Run(engine.Instance{
-			Graph:           g,
-			Workload:        multi,
-			ObjectRecorders: make([]stats.Recorder, 3),
-		})
-		if err == nil {
-			t.Error("mismatched ObjectRecorders length was accepted")
 		}
 	})
 }
@@ -236,48 +200,4 @@ func TestWorkloadSpecBuild(t *testing.T) {
 			t.Errorf("%s: got error %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
-}
-
-// TestGridRejectsSharedObjectRecorder extends the sharing gate to the
-// object dimension: one recorder appearing in two instances' object
-// slots — or twice within one instance — must panic.
-func TestGridRejectsSharedObjectRecorder(t *testing.T) {
-	w := engine.NewClosedLoop(5).Objects(2).MustBuild()
-	shared := stats.NewDistRecorder()
-	expectPanic := func(t *testing.T, instances []engine.Instance) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Error("Grid accepted a shared object recorder")
-			}
-		}()
-		engine.Grid(instances, engine.NTA{})
-	}
-	t.Run("across instances", func(t *testing.T) {
-		expectPanic(t, []engine.Instance{
-			{Label: "a", Workload: w, ObjectRecorders: []stats.Recorder{shared, nil}},
-			{Label: "b", Workload: w, ObjectRecorders: []stats.Recorder{nil, shared}},
-		})
-	})
-	t.Run("within one instance", func(t *testing.T) {
-		expectPanic(t, []engine.Instance{
-			{Label: "a", Workload: w, ObjectRecorders: []stats.Recorder{shared, shared}},
-		})
-	})
-	t.Run("aggregate and object slot", func(t *testing.T) {
-		expectPanic(t, []engine.Instance{
-			{Label: "a", Workload: w, Recorder: shared,
-				ObjectRecorders: []stats.Recorder{shared, nil}},
-		})
-	})
-	t.Run("across protocol columns", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Grid crossed a recording instance with two protocols")
-			}
-		}()
-		engine.Grid([]engine.Instance{
-			{Label: "a", Workload: w, ObjectRecorders: []stats.Recorder{shared, nil}},
-		}, engine.NTA{}, engine.Centralized{})
-	})
 }

@@ -58,15 +58,12 @@ func Costs(outs []Outcome) []Cost {
 // deterministic instance-major order: all protocols of instance 0, then
 // all of instance 1, and so on.
 //
-// A recorder shared between cells is rejected with a descriptive panic
-// — the aggregate Recorder and every ObjectRecorders entry alike:
+// A recorder shared between cells is rejected with a descriptive panic:
 // crossing a recording instance with a protocol column, or reusing one
-// recorder across several instances (or across an instance's object
-// slots, or between an instance's aggregate and object streams), would
-// have concurrently swept cells feed the same accumulating state — a
-// data race under Sweep, and conflated distributions even sequentially.
-// Grids that record build one Instance per cell, with fresh recorders
-// for every object slot (as analysis.closedLoopCells does).
+// recorder across several instances, would have concurrently swept
+// cells feed the same accumulating state — a data race under Sweep, and
+// conflated distributions even sequentially. Grids that record build
+// one Instance per cell (as analysis.closedLoopCells does).
 func Grid(instances []Instance, protocols ...Protocol) []Cell {
 	// seen is a slice scan, not a map: instance counts are tiny, the
 	// scan's order is the deterministic instance order by construction,
@@ -75,37 +72,25 @@ func Grid(instances []Instance, protocols ...Protocol) []Cell {
 	// dynamic type, where == against a distinct comparable value never
 	// does).
 	var seen []stats.Recorder
-	note := func(label, slot string, r stats.Recorder) {
-		if r == nil || !reflect.TypeOf(r).Comparable() {
-			return
-		}
-		for _, s := range seen {
-			if s == r {
-				panic(fmt.Sprintf("engine: Grid instances share one recorder (%s seen again at %q); give each instance — and each object slot — its own",
-					slot, label))
-			}
-		}
-		seen = append(seen, r)
-	}
 	for _, inst := range instances {
-		records := inst.Recorder != nil
-		for _, r := range inst.ObjectRecorders {
-			if r != nil {
-				records = true
-				break
-			}
-		}
-		if !records {
+		r := inst.Recorder
+		if r == nil {
 			continue
 		}
 		if len(protocols) > 1 {
-			panic(fmt.Sprintf("engine: Grid would share instance %q's recorders (Recorder or ObjectRecorders) across %d protocol cells; build per-cell instances instead",
+			panic(fmt.Sprintf("engine: Grid would share instance %q's Recorder across %d protocol cells; build per-cell instances instead",
 				inst.Label, len(protocols)))
 		}
-		note(inst.Label, "Recorder", inst.Recorder)
-		for o, r := range inst.ObjectRecorders {
-			note(inst.Label, fmt.Sprintf("ObjectRecorders[%d]", o), r)
+		if !reflect.TypeOf(r).Comparable() {
+			continue
 		}
+		for _, s := range seen {
+			if s == r {
+				panic(fmt.Sprintf("engine: Grid instances share one Recorder (seen again at %q); give each instance its own",
+					inst.Label))
+			}
+		}
+		seen = append(seen, r)
 	}
 	cells := make([]Cell, 0, len(instances)*len(protocols))
 	for _, inst := range instances {

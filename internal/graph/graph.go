@@ -121,31 +121,6 @@ func (g *Graph) check(u NodeID) {
 // ErrDisconnected is returned by operations that require a connected graph.
 var ErrDisconnected = errors.New("graph: graph is not connected")
 
-// Connected reports whether the graph is connected (true for empty and
-// single-node graphs).
-func (g *Graph) Connected() bool {
-	n := g.NumNodes()
-	if n <= 1 {
-		return true
-	}
-	seen := make([]bool, n)
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				count++
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return count == n
-}
-
 // EdgeList returns all undirected edges once, as (u, v, w) with u < v.
 func (g *Graph) EdgeList() []EdgeRecord {
 	out := make([]EdgeRecord, 0, g.edges)

@@ -310,3 +310,45 @@ func TestEccentricityBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Connected reports whether the graph is connected (true for empty and
+// single-node graphs).
+func (g *Graph) Connected() bool {
+	n := g.NumNodes()
+	if n <= 1 {
+		return true
+	}
+	seen := make([]bool, n)
+	stack := []NodeID{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.adj[u] {
+			if !seen[e.To] {
+				seen[e.To] = true
+				count++
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return count == n
+}
+
+// Diameter returns the maximum shortest-path distance between any two
+// nodes, or Infinity if the graph is disconnected. O(n) shortest-path
+// passes.
+func (g *Graph) Diameter() Weight {
+	var diam Weight
+	for u := 0; u < g.NumNodes(); u++ {
+		ecc := g.Eccentricity(NodeID(u))
+		if ecc == Infinity {
+			return Infinity
+		}
+		if ecc > diam {
+			diam = ecc
+		}
+	}
+	return diam
+}

@@ -162,23 +162,6 @@ func (g *Graph) Eccentricity(u NodeID) Weight {
 	return ecc
 }
 
-// Diameter returns the maximum shortest-path distance between any two
-// nodes, or Infinity if the graph is disconnected. O(n) shortest-path
-// passes.
-func (g *Graph) Diameter() Weight {
-	var diam Weight
-	for u := 0; u < g.NumNodes(); u++ {
-		ecc := g.Eccentricity(NodeID(u))
-		if ecc == Infinity {
-			return Infinity
-		}
-		if ecc > diam {
-			diam = ecc
-		}
-	}
-	return diam
-}
-
 // Center returns a node with minimum eccentricity (the graph center) and
 // its eccentricity. For an empty graph it returns (0, 0).
 func (g *Graph) Center() (NodeID, Weight) {

@@ -21,29 +21,20 @@ import (
 // here, and on an entry here that has gained a caller or lost its
 // declaration.
 var keptExports = map[string]string{
-	"internal/analysis.CheckNNOrder":        "Lemma 3.8 as a check: arrow's order is a nearest-neighbour path under cT (TestArrowOrderIsNearestNeighbor*)",
-	"internal/analysis.LongestEdgeCT":       "Lemma 3.13's quantity, which TestLongestEdgeBoundLemma313 holds under 3D",
 	"internal/arrow.VerifySinkReachability": "the one-sink pointer invariant the arrow and runtime tests assert at quiescence",
-	"internal/graph.Graph.Connected":        "what the generator tests check every generated graph for",
 	"internal/graph.Graph.ShortestPath":     "one shortest path, the reference every weighted MetricTopology hop count is checked against (TestMetricTopologyHopsMatchShortestPath)",
 	"internal/ivy.Directory":                "Li–Hudak's sequential pointer-chain model, the oracle shard.Reversal's chains are held against (TestReversalMatchesDirectory)",
 	"internal/ivy.NewDirectory":             "constructor of that Directory oracle",
 	"internal/lint.NewLoader":               "loads the analyzer fixtures under testdata/src for the harness tests; TestRepoClean loads the repo through go list instead",
 	"internal/opt.DistOfTree":               "dT as a DistFunc: the tests' reference for arrow's cost cA and the tree stretch",
 	"internal/queuing.CA":                   "eq. (1)'s arrow cost cA, the reference arrow's measured latency is compared with",
-	"internal/runtime.Network.LinksFor":     "the live network's final pointers, what its tests hand to VerifySinkReachability",
 	"internal/sim.LinkChurn":                "tree-link outage plans for the engine, shard-golden, arrow and sim fault tests",
 	"internal/sim.TreeLinks":                "the candidate link set those LinkChurn plans are drawn over",
 	"internal/stats.Histogram.Buckets":      "pins the histogram's bounded-memory property",
-	"internal/stats.Of":                     "the exact sorted-sample summary the streaming histogram's moments are compared with",
-	"internal/tree.KruskalMST":              "the reference MST PrimMST's weight is compared with (TestMSTWeightsAgree)",
-	"internal/tree.GridNav.Depth":           "hop depth, the navigators' common accessor (see Walker.Depth)",
-	"internal/tree.Tree.Depth":              "weighted depth, read by TestHopsAndDepth",
 	"internal/tree.Walker.Depth":            "hop depth, the round-trip length sim's token-protocol tests record",
 	"internal/tree.PathWalker":              "implicit PathTree, compared with the explicit builder and driven through sim's link table tests",
 	"internal/tree.StarWalker":              "implicit StarTree, as PathWalker",
 	"internal/tree.Tree.ToGraph":            "the tree as a graph, so tests compare dT with graph shortest paths",
-	"internal/tsp.NearestNeighborTies":      "enumerates the legal nearest-neighbour paths under ties (Lemma 3.8; ROADMAP item 4's oracle)",
 }
 
 // implicitMethods are called through standard-library interfaces (fmt,
@@ -53,20 +44,19 @@ var implicitMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
-// uncalledExports parses every non-test .go file of the module rooted at
-// root — the root package, cmd/, examples/, internal/ and the nested
-// bench/ module; testdata trees and hidden directories are not part of
-// it — and returns the exported funcs, methods and types declared under
-// internal/ whose name no identifier outside a declaration's own name
-// spells. Matching is by name alone, no type checker: a method counts as
-// called when any selector or identifier anywhere has its name, which
-// also covers a method only ever reached through an interface the repo
-// declares. Keys read "internal/pkg.Func", "internal/pkg.Type" and
-// "internal/pkg.Type.Method".
-func uncalledExports(root string) ([]string, error) {
+// moduleFile is one parsed non-test .go file of the module, with its
+// directory relative to the module root ("internal/sim", "cmd/arrowbench").
+type moduleFile struct {
+	dir string
+	f   *ast.File
+}
+
+// parseModule parses every non-test .go file of the module rooted at root
+// — the root package, cmd/, examples/, internal/ and the nested bench/
+// module; testdata trees and hidden directories are not part of it.
+func parseModule(root string) ([]moduleFile, error) {
 	fset := token.NewFileSet()
-	declared := map[string]*ast.Ident{}
-	var files []*ast.File
+	var files []moduleFile
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -85,49 +75,64 @@ func uncalledExports(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		files = append(files, f)
 		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(rel)
-		if !strings.HasPrefix(dir, "internal/") {
-			return nil
+		files = append(files, moduleFile{dir: filepath.ToSlash(rel), f: f})
+		return nil
+	})
+	return files, err
+}
+
+// uncalledExports returns the exported funcs, methods and types declared
+// under internal/ whose name no identifier of the module's non-test files
+// (see parseModule) spells outside a declaration's own name. Matching is
+// by name alone, no type checker: a method counts as called when any
+// selector or identifier anywhere has its name, which also covers a
+// method only ever reached through an interface the repo declares. Keys
+// read "internal/pkg.Func", "internal/pkg.Type" and
+// "internal/pkg.Type.Method".
+func uncalledExports(root string) ([]string, error) {
+	files, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	declared := map[string]*ast.Ident{}
+	for _, mf := range files {
+		if !strings.HasPrefix(mf.dir, "internal/") {
+			continue
 		}
-		for _, decl := range f.Decls {
+		for _, decl := range mf.f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if !decl.Name.IsExported() {
 					continue
 				}
-				key := dir + "." + decl.Name.Name
+				key := mf.dir + "." + decl.Name.Name
 				if decl.Recv != nil {
 					if implicitMethods[decl.Name.Name] {
 						continue
 					}
-					key = dir + "." + receiverName(decl.Recv.List[0].Type) + "." + decl.Name.Name
+					key = mf.dir + "." + receiverName(decl.Recv.List[0].Type) + "." + decl.Name.Name
 				}
 				declared[key] = decl.Name
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-						declared[dir+"."+ts.Name.Name] = ts.Name
+						declared[mf.dir+"."+ts.Name.Name] = ts.Name
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	declaring := map[*ast.Ident]bool{}
 	for _, id := range declared {
 		declaring[id] = true
 	}
 	named := map[string]bool{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, mf := range files {
+		ast.Inspect(mf.f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
 				named[id.Name] = true
 			}

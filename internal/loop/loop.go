@@ -114,20 +114,3 @@ type Result struct {
 	RepairMessages int64
 	RepairTime     sim.Time
 }
-
-// AvgQueueHops returns forwarding messages per queuing operation —
-// Figure 11's metric.
-func (r *Result) AvgQueueHops() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.QueueHops) / float64(r.Requests)
-}
-
-// AvgLatency returns mean per-request queuing latency.
-func (r *Result) AvgLatency() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.TotalLatency) / float64(r.Requests)
-}

@@ -89,7 +89,7 @@ func TestClosedLoopPointerCollapseKeepsHopsLow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := res.AvgQueueHops(); avg >= float64(res.N)/2 {
+	if avg := float64(res.QueueHops) / float64(res.Requests); avg >= float64(res.N)/2 {
 		t.Errorf("avg queue hops %.2f did not collapse (n=%d)", avg, res.N)
 	}
 }

@@ -178,19 +178,6 @@ func OrderCost(s Set, root graph.NodeID, o Order, c CostFunc) int64 {
 	return total
 }
 
-// EdgeCosts returns the |R| consecutive-pair costs of the order under c,
-// starting from the root request. Useful for inspecting the longest edge
-// (Lemma 3.13 checks cT edges <= 3D).
-func EdgeCosts(s Set, root graph.NodeID, o Order, c CostFunc) []int64 {
-	prev := RootRequest(root)
-	out := make([]int64, len(o))
-	for i, id := range o {
-		out[i] = c(prev, s[id])
-		prev = s[id]
-	}
-	return out
-}
-
 // OrderFromPredecessors chains a run's predecessor records into its
 // queuing order: preds[i] is the ID of the request queued directly
 // before request i, −1 for the virtual root request. Exactly one request

@@ -271,3 +271,16 @@ func TestOrderFromPredecessors(t *testing.T) {
 		}
 	}
 }
+
+// EdgeCosts returns the |R| consecutive-pair costs of the order under c,
+// starting from the root request. Useful for inspecting the longest edge
+// (Lemma 3.13 checks cT edges <= 3D).
+func EdgeCosts(s Set, root graph.NodeID, o Order, c CostFunc) []int64 {
+	prev := RootRequest(root)
+	out := make([]int64, len(o))
+	for i, id := range o {
+		out[i] = c(prev, s[id])
+		prev = s[id]
+	}
+	return out
+}

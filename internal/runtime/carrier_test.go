@@ -130,7 +130,8 @@ func TestCarrierFairness(t *testing.T) {
 		tokens <- struct{}{}
 	}
 	var refill atomic.Bool
-	net := New(tree.PathTree(hops+1), 0, Options{Objects: 2, HopDelay: hopDelay})
+	net := New(tree.PathTree(hops+1), 0, Options{Objects: 2})
+	net.hopDelay = hopDelay
 	net.onComplete = func() {
 		if refill.Load() {
 			<-tokens
@@ -175,7 +176,7 @@ func TestCarrierFairness(t *testing.T) {
 	var worst time.Duration
 	for i := 0; i < farReqs; i++ {
 		start := time.Now()
-		net.Request(graph.NodeID(hops * ((i + 1) % 2)))
+		submit(t, net, graph.NodeID(hops*((i+1)%2)))
 		c := <-far
 		if d := time.Since(start); d > worst {
 			worst = d
@@ -281,7 +282,7 @@ func TestIdleNetworkOwnsNoCarriers(t *testing.T) {
 		// The consumer above and the collector.
 		waitGoroutines(t, fmt.Sprintf("n=%d after Start", n), base+2, base+2)
 		for i := 0; i < 200; i++ {
-			net.Request(graph.NodeID(i * 31 % n))
+			submit(t, net, graph.NodeID(i*31%n))
 		}
 		net.Wait()
 		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+2, base+2)
@@ -307,7 +308,7 @@ func TestLargeNetworkIsCheap(t *testing.T) {
 	finish := collect(net)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < requests; i++ {
-		net.Request(graph.NodeID(rng.Intn(n)))
+		submit(t, net, graph.NodeID(rng.Intn(n)))
 	}
 	comps := finish()
 	runtime.ReadMemStats(&after)
@@ -333,7 +334,7 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 	net.Start()
 	rng := rand.New(rand.NewSource(1))
 	request := func() {
-		net.Request(graph.NodeID(rng.Intn(n)))
+		submit(t, net, graph.NodeID(rng.Intn(n)))
 		<-net.Completions()
 	}
 	for i := 0; i < 5000; i++ {
@@ -474,7 +475,8 @@ func TestClaimUnderContention(t *testing.T) {
 func claimUnderContention(t *testing.T, hop time.Duration) {
 	const submitters, rounds, perRound, objects, window = 8, 250, 16, 4, 16
 	tr := tree.PathTree(2)
-	net := New(tr, 0, Options{Objects: objects, MaxInFlight: window, HopDelay: hop})
+	net := New(tr, 0, Options{Objects: objects, MaxInFlight: window})
+	net.hopDelay = hop
 	net.Start()
 	completed := 0
 	chains := make([][]queued, objects)

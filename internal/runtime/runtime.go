@@ -64,10 +64,6 @@ type Completion struct {
 
 // Options tunes a Network.
 type Options struct {
-	// HopDelay, if positive, delays each message hop to emulate network
-	// latency in demonstrations. The goroutine carrying the message
-	// sleeps, so a Submit sleeps the hops of its own request it walks.
-	HopDelay time.Duration
 	// Objects is the number of independent protocol instances the
 	// network serves (0 and 1 both mean one object). Object o's tree is
 	// the shared spanning tree re-rooted at (root + o) mod n, so the k
@@ -146,6 +142,11 @@ type Network struct {
 	// onComplete, if set before Start, runs at the start of every
 	// complete call: a test seam for refilling a node mid-turn.
 	onComplete func()
+	// hopDelay, if set before Start, delays each message hop: a test
+	// seam that keeps requests in flight. The goroutine carrying the
+	// message sleeps, so a Submit sleeps the hops of its own request it
+	// walks.
+	hopDelay time.Duration
 }
 
 // msg is the one node message: an issue (a request entering the
@@ -252,9 +253,6 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 	return net
 }
 
-// Objects returns the number of objects the network serves.
-func (net *Network) Objects() int { return net.objects }
-
 // Accepted returns the number of requests admitted so far.
 func (net *Network) Accepted() int64 { return net.nextReq.Load() }
 
@@ -350,19 +348,6 @@ func (net *Network) collect() {
 // the admission window bounds (each holds its slot until delivered) and
 // that is unbounded with MaxInFlight 0. The channel is closed by Stop.
 func (net *Network) Completions() <-chan Completion { return net.completions }
-
-// Request asynchronously issues a queuing request for object 0 at node
-// v and returns its request ID. The completion eventually appears on
-// Completions. Requests racing Stop either get fully serviced (Stop
-// waits for them) or fail fast — they are never silently dropped into a
-// stopped node.
-func (net *Network) Request(v graph.NodeID) int64 {
-	id, err := net.Submit(v, 0)
-	if err != nil {
-		panic("runtime: " + err.Error())
-	}
-	return id
-}
 
 // Submit is the object-keyed request front door: it issues a queuing
 // request for object obj at node v. It fails fast with ErrStopped when
@@ -470,24 +455,6 @@ func (net *Network) Stop() {
 	// Winner or not, every caller returns only once the collector has
 	// finished the shutdown.
 	<-net.stopped
-}
-
-// LinksFor returns a snapshot of object obj's link pointers. Only valid
-// after Stop (otherwise racy by construction).
-func (net *Network) LinksFor(obj int32) []graph.NodeID {
-	select {
-	case <-net.stopped:
-	default:
-		panic("runtime: LinksFor before Stop")
-	}
-	if int(obj) < 0 || int(obj) >= net.objects {
-		panic(fmt.Sprintf("runtime: object %d out of range (network serves %d)", obj, net.objects))
-	}
-	links := make([]graph.NodeID, len(net.nodes))
-	for i, nd := range net.nodes {
-		links[i] = nd.link[obj]
-	}
-	return links
 }
 
 // deliver hands m to the node and reports whether that claimed the
@@ -631,7 +598,7 @@ func (nd *node) pathReversal(m *msg) *node {
 }
 
 func (nd *node) send(to graph.NodeID, m msg) *node {
-	if d := nd.net.opts.HopDelay; d > 0 {
+	if d := nd.net.hopDelay; d > 0 {
 		time.Sleep(d)
 	}
 	if target := nd.net.nodes[to]; target.deliver(m) {

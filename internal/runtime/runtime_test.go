@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -38,12 +39,23 @@ func collect(net *Network) func() []Completion {
 	}
 }
 
+// submit issues a request for object 0 at v and fails the test if the
+// network refuses it.
+func submit(t testing.TB, net *Network, v graph.NodeID) int64 {
+	t.Helper()
+	id, err := net.Submit(v, 0)
+	if err != nil {
+		t.Error(err)
+	}
+	return id
+}
+
 func TestSingleRequestCompletes(t *testing.T) {
 	tr := tree.BalancedBinary(7)
 	net := New(tr, 0, Options{})
 	net.Start()
 	finish := collect(net)
-	id := net.Request(5)
+	id := submit(t, net, 5)
 	comps := finish()
 	if len(comps) != 1 {
 		t.Fatalf("got %d completions, want 1", len(comps))
@@ -77,7 +89,7 @@ func TestTotalOrderUnderConcurrency(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for j := w; j < requests; j += 8 {
-					net.Request(targets[j])
+					submit(t, net, targets[j])
 				}
 			}(i)
 		}
@@ -108,7 +120,7 @@ func TestPointerInvariantAfterQuiescence(t *testing.T) {
 		wg.Add(1)
 		go func(v graph.NodeID) {
 			defer wg.Done()
-			net.Request(v)
+			submit(t, net, v)
 		}(graph.NodeID(v))
 	}
 	wg.Wait()
@@ -165,11 +177,12 @@ func TestRequestSyncSequentialSemantics(t *testing.T) {
 
 func TestHopDelayOption(t *testing.T) {
 	tr := tree.PathTree(4)
-	net := New(tr, 0, Options{HopDelay: time.Millisecond})
+	net := New(tr, 0, Options{})
+	net.hopDelay = time.Millisecond
 	net.Start()
 	finish := collect(net)
 	start := time.Now()
-	net.Request(3)
+	submit(t, net, 3)
 	net.Wait()
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Errorf("3-hop request with 1ms hop delay finished in %v", elapsed)
@@ -184,15 +197,12 @@ func TestStopIdempotentAndGuards(t *testing.T) {
 	finish := collect(net)
 	finish()
 	net.Stop() // second stop is a no-op
-	defer func() {
-		if recover() == nil {
-			t.Error("Request after Stop should panic")
-		}
-	}()
-	net.Request(1)
+	if _, err := net.Submit(1, 0); !errors.Is(err, ErrStopped) {
+		t.Errorf("Submit after Stop: got %v, want ErrStopped", err)
+	}
 }
 
-// TestRequestStopRace hammers Request against Stop (run with -race):
+// TestRequestStopRace hammers Submit against Stop (run with -race):
 // every accepted request must complete before Stop returns, rejected
 // ones must fail fast with ErrStopped, and nothing may deadlock — the
 // regression this pins down is an issue racing past the running check
@@ -274,7 +284,7 @@ func TestConcurrentStops(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		net.Request(graph.NodeID(i % 7))
+		submit(t, net, graph.NodeID(i%7))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -310,7 +320,7 @@ func TestManyRequestsFromSameNode(t *testing.T) {
 	net.Start()
 	finish := collect(net)
 	for i := 0; i < 50; i++ {
-		net.Request(4)
+		submit(t, net, 4)
 	}
 	comps := finish()
 	if len(comps) != 50 {
@@ -326,4 +336,22 @@ func TestManyRequestsFromSameNode(t *testing.T) {
 	if local < 49 {
 		t.Errorf("only %d local completions, want >= 49", local)
 	}
+}
+
+// LinksFor returns a snapshot of object obj's link pointers. Only valid
+// after Stop (otherwise racy by construction).
+func (net *Network) LinksFor(obj int32) []graph.NodeID {
+	select {
+	case <-net.stopped:
+	default:
+		panic("runtime: LinksFor before Stop")
+	}
+	if int(obj) < 0 || int(obj) >= net.objects {
+		panic(fmt.Sprintf("runtime: object %d out of range (network serves %d)", obj, net.objects))
+	}
+	links := make([]graph.NodeID, len(net.nodes))
+	for i, nd := range net.nodes {
+		links[i] = nd.link[obj]
+	}
+	return links
 }

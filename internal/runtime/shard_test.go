@@ -105,11 +105,8 @@ func TestAdmissionRejection(t *testing.T) {
 	tr := tree.BalancedBinary(n)
 	// The hop delay keeps admitted requests in flight long enough that
 	// concurrent submitters must overrun the window.
-	net := New(tr, 0, Options{
-		Objects:     4,
-		MaxInFlight: limit,
-		HopDelay:    50 * time.Microsecond,
-	})
+	net := New(tr, 0, Options{Objects: 4, MaxInFlight: limit})
+	net.hopDelay = 50 * time.Microsecond
 	net.Start()
 	finish := collect(net)
 

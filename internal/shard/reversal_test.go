@@ -113,7 +113,7 @@ func TestReversalClosedLoopAmortizedChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg, bound := out.Agg.AvgQueueHops(), 3*math.Log2(n); avg > bound {
+	if avg, bound := float64(out.Agg.QueueHops)/float64(out.Agg.Requests), 3*math.Log2(n); avg > bound {
 		t.Errorf("amortized chain %.2f exceeds 3 log2 n = %.2f", avg, bound)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/loop"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -94,11 +93,6 @@ type Spec struct {
 	// Skew is the Zipf exponent of object popularity: each request
 	// draws object o with weight (o+1)^-Skew (0 = uniform).
 	Skew float64
-	// ObjectRecorders, when non-nil, attaches one recorder per object:
-	// entry o observes exactly object o's completions (nil entries skip
-	// an object). Length must equal Objects. The aggregate
-	// Spec.Recorder, when set, additionally observes every completion.
-	ObjectRecorders []stats.Recorder
 }
 
 // Result aggregates a run: the closed-loop counter shape once for the
@@ -228,10 +222,6 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	}
 	if !(spec.Skew >= 0) { // NaN too
 		return nil, fmt.Errorf("%s: Skew must be >= 0, got %g", proto, spec.Skew)
-	}
-	if spec.ObjectRecorders != nil && len(spec.ObjectRecorders) != spec.Objects {
-		return nil, fmt.Errorf("%s: ObjectRecorders has %d entries for %d objects",
-			proto, len(spec.ObjectRecorders), spec.Objects)
 	}
 	if spec.Faults != nil {
 		if spec.Objects > 1 {
@@ -470,8 +460,8 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 
 // completeAt records the queuing of origin's current request for obj at
 // sink and notifies the requester so it can issue its next request.
-// Counters land in the object's accumulator; the per-object and the
-// aggregate recorder each see the request.
+// Counters land in the object's accumulator; the recorder, when set,
+// sees every object's requests.
 func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
 	res := &d.res[obj]
 	nd := &d.nodes[origin]
@@ -485,11 +475,6 @@ func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.Node
 	}
 	if rec := d.spec.Recorder; rec != nil {
 		rec.RecordRequest(lat, h)
-	}
-	if d.spec.ObjectRecorders != nil {
-		if rec := d.spec.ObjectRecorders[obj]; rec != nil {
-			rec.RecordRequest(lat, h)
-		}
 	}
 	if d.affected != nil {
 		if d.affected[origin] {

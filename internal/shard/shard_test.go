@@ -71,34 +71,24 @@ func TestNTAMatchesIvy(t *testing.T) {
 
 // TestCrossWorkerBitIdentity pins that loop.Spec.Workers is ignored on
 // the multi-object path: every protocol's full result — aggregate,
-// every per-object counter set, and per-object latency histogram
-// snapshots — is bit-identical whatever the field says. (It compared the
+// every per-object counter set, and the latency histogram snapshot — is
+// bit-identical whatever the field says. (It compared the
 // serial loop with the parallel drain until the drain was deleted; it
 // leaves with the field, ROADMAP item 1.)
 func TestCrossWorkerBitIdentity(t *testing.T) {
 	const n, k, perNode = 32, 64, 30
-	run := func(name string, workers int) (*shard.Result, []stats.Dist) {
-		recs := make([]stats.Recorder, k)
-		dists := make([]*stats.DistRecorder, k)
-		for o := range recs {
-			dists[o] = stats.NewDistRecorder()
-			recs[o] = dists[o]
-		}
+	run := func(name string, workers int) (*shard.Result, stats.Dist) {
+		rec := stats.NewDistRecorder()
 		step := steppers(t, n, k)[name]
 		res, err := shard.Run(sim.NewCompleteTopology(n), step, name, shard.Spec{
-			Spec:            loop.Spec{PerNode: perNode, Seed: 11, Workers: workers, LinkTxTime: 1},
-			Objects:         k,
-			Skew:            1.1,
-			ObjectRecorders: recs,
+			Spec:    loop.Spec{PerNode: perNode, Seed: 11, Workers: workers, LinkTxTime: 1, Recorder: rec},
+			Objects: k,
+			Skew:    1.1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps := make([]stats.Dist, k)
-		for o := range snaps {
-			snaps[o] = dists[o].Latency.Snapshot()
-		}
-		return res, snaps
+		return res, rec.Latency.Snapshot()
 	}
 	for _, name := range []string{"arrow", "nta", "centralized"} {
 		t.Run(name, func(t *testing.T) {
@@ -109,7 +99,7 @@ func TestCrossWorkerBitIdentity(t *testing.T) {
 					serial.Agg, parallel.Agg)
 			}
 			if !reflect.DeepEqual(serialSnaps, parallelSnaps) {
-				t.Errorf("per-object histogram snapshots diverge across worker counts")
+				t.Errorf("histogram snapshots diverge across worker counts")
 			}
 		})
 	}
@@ -218,11 +208,6 @@ func TestSpecValidation(t *testing.T) {
 		{name: "faults", spec: shard.Spec{
 			Spec:    loop.Spec{PerNode: 1, Faults: &sim.FaultPlan{}},
 			Objects: 4,
-		}},
-		{name: "recorder length", spec: shard.Spec{
-			Spec:            loop.Spec{PerNode: 1},
-			Objects:         4,
-			ObjectRecorders: make([]stats.Recorder, 3),
 		}},
 	}
 	for _, tc := range cases {

@@ -11,10 +11,6 @@ type LatencyModel interface {
 	// in, and the model keeps no stream state. This is the counter-based
 	// discipline of workload.Zipf.
 	Delay(w int64, seed int64, seq uint64) Time
-	// Scale returns the model's time scale: the worst-case delay of a
-	// message over a unit-weight edge. Costs measured under the model are
-	// comparable to analytic unit-latency bounds after dividing by Scale.
-	Scale() int64
 	// Name identifies the model in experiment output.
 	Name() string
 }
@@ -40,7 +36,6 @@ func SynchronousScaled(scale int64) LatencyModel {
 }
 
 func (m syncModel) Delay(w int64, _ int64, _ uint64) Time { return w * m.scale }
-func (m syncModel) Scale() int64                          { return m.scale }
 func (m syncModel) Name() string                          { return "sync" }
 
 type asyncUniform struct{ scale int64 }
@@ -66,7 +61,6 @@ func (m asyncUniform) Delay(w int64, seed int64, seq uint64) Time {
 	}
 	return 1 + Time(draw(seed, seq)%uint64(hi))
 }
-func (m asyncUniform) Scale() int64 { return m.scale }
 func (m asyncUniform) Name() string { return "async-uniform" }
 
 // AsyncCounter returns AsyncUniform(scale): every model's draws are
@@ -102,5 +96,4 @@ func (m asyncBimodal) Delay(w int64, seed int64, seq uint64) Time {
 	}
 	return w
 }
-func (m asyncBimodal) Scale() int64 { return m.scale }
 func (m asyncBimodal) Name() string { return "async-bimodal" }

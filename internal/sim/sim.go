@@ -542,10 +542,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Messages returns the number of logical sends performed so far.
 func (s *Simulator) Messages() int64 { return s.messages }
 
-// Hops returns the number of physical link traversals so far (equals
-// Messages on direct topologies).
-func (s *Simulator) Hops() int64 { return s.hops }
-
 // EventsProcessed returns the number of events the run has consumed.
 func (s *Simulator) EventsProcessed() int64 { return s.processed }
 

@@ -505,3 +505,7 @@ func TestWindowZeroDelayTimerOrder(t *testing.T) {
 		}
 	}
 }
+
+// Hops returns the number of physical link traversals so far (equals
+// Messages on direct topologies).
+func (s *Simulator) Hops() int64 { return s.hops }

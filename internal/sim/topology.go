@@ -169,10 +169,6 @@ func (m *MetricTopology) LinkIndex(u, v graph.NodeID) int {
 	return int(u)*len(m.dist) + int(v)
 }
 
-// Dist exposes the precomputed distance matrix (shared with analysis
-// code to avoid recomputing all-pairs shortest paths).
-func (m *MetricTopology) Dist(u, v graph.NodeID) graph.Weight { return m.dist[u][v] }
-
 // CompleteTopology is the implicit counterpart of
 // NewMetricTopology(graph.Complete(n)): every ordered pair of distinct
 // nodes is connected by a direct link of weight W, with no O(n²)
@@ -216,11 +212,3 @@ func (c CompleteTopology) NumLinks() int { return c.N * c.N }
 
 // LinkIndex implements LinkIndexer.
 func (c CompleteTopology) LinkIndex(u, v graph.NodeID) int { return int(u)*c.N + int(v) }
-
-// Dist mirrors MetricTopology.Dist for analysis code.
-func (c CompleteTopology) Dist(u, v graph.NodeID) graph.Weight {
-	if u == v {
-		return 0
-	}
-	return c.W
-}

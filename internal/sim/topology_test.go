@@ -126,3 +126,14 @@ func TestMetricTopologyConcurrentBuilds(t *testing.T) {
 		}
 	}
 }
+
+// Dist reads the metric's precomputed distance matrix.
+func (m *MetricTopology) Dist(u, v graph.NodeID) graph.Weight { return m.dist[u][v] }
+
+// Dist is CompleteTopology's distance, as MetricTopology.Dist.
+func (c CompleteTopology) Dist(u, v graph.NodeID) graph.Weight {
+	if u == v {
+		return 0
+	}
+	return c.W
+}

@@ -1,3 +1,6 @@
+// Package stats records the per-request latency and hop distributions
+// of the closed-loop drivers in bounded memory: a streaming Histogram and
+// the Recorder interface the drivers feed.
 package stats
 
 import (
@@ -161,9 +164,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count }
-
-// Min returns the smallest recorded value (0 when empty).
-func (h *Histogram) Min() int64 { return h.min }
 
 // Max returns the largest recorded value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }

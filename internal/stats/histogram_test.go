@@ -317,3 +317,6 @@ func TestDistRecorderSteadyStateAllocs(t *testing.T) {
 		t.Errorf("RecordRequest at or below the recorded maximum: %v allocations, want 0", allocs)
 	}
 }
+
+// Min returns the smallest recorded value (0 when empty).
+func (h *Histogram) Min() int64 { return h.min }

@@ -60,9 +60,6 @@ func (l *ChaosLog) add(at sim.Time, text string) {
 	l.lines = append(l.lines, fmt.Sprintf("t=%-5d %s", at, text))
 }
 
-// Len returns the number of recorded lines.
-func (l *ChaosLog) Len() int { return len(l.lines) }
-
 // Render returns the chronological failure/recovery log, one event per
 // line.
 func (l *ChaosLog) Render() string {

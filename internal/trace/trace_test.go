@@ -130,3 +130,6 @@ func TestEventKindStrings(t *testing.T) {
 		t.Error("unknown kind should stringify")
 	}
 }
+
+// Len returns the number of recorded lines.
+func (l *ChaosLog) Len() int { return len(l.lines) }

@@ -3,7 +3,6 @@ package tree
 import (
 	//arrow:allow schedorder Prim/Dijkstra priority queues order graph edges, not simulator events
 	"container/heap"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -100,51 +99,6 @@ func PrimMST(g *graph.Graph, root graph.NodeID) (*Tree, error) {
 	return FromParents(root, parent, pw)
 }
 
-// KruskalMST returns a minimum spanning tree of g computed with Kruskal's
-// algorithm (sorted edges + union-find), rooted at root. Prim and Kruskal
-// may differ on equal-weight ties; both are exact MSTs.
-func KruskalMST(g *graph.Graph, root graph.NodeID) (*Tree, error) {
-	n := g.NumNodes()
-	edges := g.EdgeList()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].W != edges[j].W {
-			return edges[i].W < edges[j].W
-		}
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	uf := NewUnionFind(n)
-	adj := make([][]graph.Edge, n)
-	for _, e := range edges {
-		if uf.Union(int(e.U), int(e.V)) {
-			adj[e.U] = append(adj[e.U], graph.Edge{To: e.V, W: e.W})
-			adj[e.V] = append(adj[e.V], graph.Edge{To: e.U, W: e.W})
-		}
-	}
-	// Root the forest at root via DFS to obtain parents.
-	parent := make([]graph.NodeID, n)
-	pw := make([]graph.Weight, n)
-	seen := make([]bool, n)
-	parent[root] = root
-	seen[root] = true
-	stack := []graph.NodeID{root}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range adj[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				parent[e.To] = u
-				pw[e.To] = e.W
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return FromParents(root, parent, pw)
-}
-
 // BalancedBinary returns the perfectly balanced binary tree on n nodes
 // used in the paper's experiments (Section 5): node i's children are
 // 2i+1 and 2i+2, all edges weight 1, root 0. On a complete graph this
@@ -184,49 +138,6 @@ func StarTree(n int) *Tree {
 		pw[v] = 1
 	}
 	return MustFromParents(0, parent, pw)
-}
-
-// UnionFind is a disjoint-set structure with union by rank and path
-// compression, exposed for reuse by other packages.
-type UnionFind struct {
-	parent []int32
-	rank   []int8
-	sets   int
-}
-
-// NewUnionFind returns a union-find over n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), sets: n}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-	}
-	return uf
-}
-
-// Find returns the representative of x's set.
-func (uf *UnionFind) Find(x int) int {
-	for uf.parent[x] != int32(x) {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = int(uf.parent[x])
-	}
-	return x
-}
-
-// Union merges the sets of x and y; it reports whether a merge happened.
-func (uf *UnionFind) Union(x, y int) bool {
-	rx, ry := uf.Find(x), uf.Find(y)
-	if rx == ry {
-		return false
-	}
-	if uf.rank[rx] < uf.rank[ry] {
-		rx, ry = ry, rx
-	}
-	uf.parent[ry] = int32(rx)
-	if uf.rank[rx] == uf.rank[ry] {
-		uf.rank[rx]++
-	}
-	uf.sets--
-	return true
 }
 
 type nodeItem struct {

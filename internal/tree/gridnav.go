@@ -60,12 +60,6 @@ func (g *GridNav) ParentWeight(v graph.NodeID) graph.Weight {
 	return 1
 }
 
-// Depth returns v's hop depth below the root: r + c.
-func (g *GridNav) Depth(v graph.NodeID) int32 {
-	r, c := g.rc(v)
-	return int32(r + c)
-}
-
 // Dist returns the comb-tree distance. Two nodes in the same row meet
 // at the shallower column; otherwise the path runs through the spine at
 // (min(r1, r2), 0).

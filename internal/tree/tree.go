@@ -192,9 +192,6 @@ func (t *Tree) ParentArrays() (parent []graph.NodeID, weight []graph.Weight) {
 // is owned by the tree and must not be modified.
 func (t *Tree) Neighbors(v graph.NodeID) []graph.Edge { return t.adj[v] }
 
-// Depth returns the weighted distance from the root to v.
-func (t *Tree) Depth(v graph.NodeID) graph.Weight { return t.depthW[v] }
-
 // Hops returns the number of tree edges between u and v.
 func (t *Tree) Hops(u, v graph.NodeID) int {
 	l := t.LCA(u, v)
@@ -318,10 +315,4 @@ func (t *Tree) ToGraph() *graph.Graph {
 		g.AddEdge(graph.NodeID(v), t.parent[v], t.pw[v])
 	}
 	return g
-}
-
-// Validate re-checks the structural invariants; it is used by tests.
-func (t *Tree) Validate() error {
-	_, err := FromParents(t.root, t.parent, t.pw)
-	return err
 }

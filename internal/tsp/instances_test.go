@@ -26,11 +26,17 @@ func TestTwoOptPathMatchesOracleOnInstances(t *testing.T) {
 	}
 	var insts []instance
 	for logD := 3; logD <= 8; logD++ {
-		inst := workload.LowerBound(logD, workload.DefaultK(1<<logD))
+		inst, err := workload.LowerBound(logD, workload.DefaultK(1<<logD))
+		if err != nil {
+			t.Fatal(err)
+		}
 		insts = append(insts, instance{"lowerbound", graph.Path(inst.D + 1), inst.Root, inst.Set})
 	}
 	for k := 2; k <= 6; k++ {
-		inst := workload.LowerBound(6, k)
+		inst, err := workload.LowerBound(6, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		insts = append(insts, instance{"lowerbound-logd6", graph.Path(inst.D + 1), inst.Root, inst.Set})
 	}
 	for seed := int64(1); seed <= 3; seed++ {

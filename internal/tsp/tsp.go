@@ -13,6 +13,7 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Cost is a pairwise cost function over points 0..n-1. c(i,j) is the cost
@@ -56,53 +57,6 @@ func NearestNeighborPath(n int, c Cost) ([]int, int64) {
 	return order, total
 }
 
-// NearestNeighborTies returns every NN path obtainable under some
-// tie-breaking rule... exploring all ties is exponential, so the search
-// is capped at maxPaths results; the bool reports whether the enumeration
-// was exhaustive. Used by tests to validate Lemma 3.8 when simultaneous
-// requests make the NN order non-unique.
-func NearestNeighborTies(n int, c Cost, maxPaths int) ([][]int, bool) {
-	var out [][]int
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	exhaustive := true
-	var rec func(cur int)
-	rec = func(cur int) {
-		if len(out) >= maxPaths {
-			exhaustive = false
-			return
-		}
-		if len(order) == n {
-			out = append(out, append([]int(nil), order...))
-			return
-		}
-		var bestCost int64 = math.MaxInt64
-		for j := 0; j < n; j++ {
-			if !visited[j] {
-				if cc := c(cur, j); cc < bestCost {
-					bestCost = cc
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			if !visited[j] && c(cur, j) == bestCost {
-				visited[j] = true
-				order = append(order, j)
-				rec(j)
-				order = order[:len(order)-1]
-				visited[j] = false
-				if len(out) >= maxPaths {
-					return
-				}
-			}
-		}
-	}
-	visited[0] = true
-	order = append(order, 0)
-	rec(0)
-	return out, exhaustive
-}
-
 // MaxExactN bounds the instance size accepted by the exact solvers
 // (Held–Karp uses O(2^n · n) memory).
 const MaxExactN = 20
@@ -124,6 +78,10 @@ func OptimalTour(n int, c Cost) (int64, error) {
 // the cheapest path from point 0 through every point, with the closing
 // edge back to 0 charged in the final minimum when closed. It returns
 // the visit order starting at 0 and the cost.
+//
+// c is read once per ordered pair into an n×n matrix, so the inner loop
+// reads a row instead of calling the cost chain; dp and par are single
+// flat tables of size·m entries, row mask at mask·m.
 func heldKarp(n int, c Cost, closed bool) ([]int, int64, error) {
 	if n <= 0 {
 		return nil, 0, nil
@@ -134,38 +92,44 @@ func heldKarp(n int, c Cost, closed bool) ([]int, int64, error) {
 	if n == 1 {
 		return []int{0}, 0, nil
 	}
+	w := make([]int64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				w[i*n+j] = c(i, j)
+			}
+		}
+	}
 	m := n - 1 // points 1..n-1 get mask bits 0..m-1
 	size := 1 << m
 	const inf = int64(math.MaxInt64 / 4)
-	// dp[mask][j]: min cost of a path 0 -> ... -> (j+1) visiting exactly
+	// dp[mask·m+j]: min cost of a path 0 -> ... -> (j+1) visiting exactly
 	// the points of mask (bit i = point i+1), ending at point j+1.
-	dp := make([][]int64, size)
-	par := make([][]int8, size)
-	for mask := 1; mask < size; mask++ {
-		dp[mask] = make([]int64, m)
-		par[mask] = make([]int8, m)
-		for j := range dp[mask] {
-			dp[mask][j] = inf
-			par[mask][j] = -1
-		}
+	dp := make([]int64, size*m)
+	par := make([]int8, size*m)
+	for i := m; i < len(dp); i++ {
+		dp[i] = inf
+		par[i] = -1
 	}
 	for j := 0; j < m; j++ {
-		dp[1<<j][j] = c(0, j+1)
+		dp[(1<<j)*m+j] = w[j+1]
 	}
 	for mask := 1; mask < size; mask++ {
-		for j := 0; j < m; j++ {
-			if mask&(1<<j) == 0 || dp[mask][j] >= inf {
+		row := dp[mask*m : mask*m+m]
+		// j runs over mask's points and k over the rest, both ascending.
+		for in := uint(mask); in != 0; in &= in - 1 {
+			j := bits.TrailingZeros(in)
+			base := row[j]
+			if base >= inf {
 				continue
 			}
-			base := dp[mask][j]
-			for k := 0; k < m; k++ {
-				if mask&(1<<k) != 0 {
-					continue
-				}
-				nm := mask | 1<<k
-				if cand := base + c(j+1, k+1); cand < dp[nm][k] {
-					dp[nm][k] = cand
-					par[nm][k] = int8(j)
+			from := w[(j+1)*n+1 : (j+1)*n+n]
+			for out := uint(^mask & (size - 1)); out != 0; out &= out - 1 {
+				k := bits.TrailingZeros(out)
+				at := (mask|1<<k)*m + k
+				if cand := base + from[k]; cand < dp[at] {
+					dp[at] = cand
+					par[at] = int8(j)
 				}
 			}
 		}
@@ -173,28 +137,24 @@ func heldKarp(n int, c Cost, closed bool) ([]int, int64, error) {
 	full := size - 1
 	bestEnd, bestCost := -1, inf
 	for j := 0; j < m; j++ {
-		if dp[full][j] >= inf {
+		cost := dp[full*m+j]
+		if cost >= inf {
 			continue
 		}
-		cost := dp[full][j]
 		if closed {
-			cost += c(j+1, 0)
+			cost += w[(j+1)*n]
 		}
 		if cost < bestCost {
 			bestCost, bestEnd = cost, j
 		}
 	}
-	order := make([]int, 0, n)
+	order := make([]int, n)
 	mask, j := full, bestEnd
-	for j >= 0 {
-		order = append(order, j+1)
-		pj := par[mask][j]
+	for i := n - 1; j >= 0; i-- {
+		order[i] = j + 1
+		pj := par[mask*m+j]
 		mask ^= 1 << j
 		j = int(pj)
-	}
-	order = append(order, 0)
-	for i, k := 0, len(order)-1; i < k; i, k = i+1, k-1 {
-		order[i], order[k] = order[k], order[i]
 	}
 	return order, bestCost, nil
 }

@@ -163,39 +163,76 @@ func TestOptimalBeatsNN(t *testing.T) {
 	}
 }
 
-func TestOptimalPathBruteForceCrossCheck(t *testing.T) {
-	// Exhaustive permutation check on tiny instances.
+// FuzzOptimalPathMatchesBruteForce holds Held–Karp's path and tour to an
+// exhaustive search over every visiting order of up to 8 points. The
+// costs are the L1 metric of random plane points (seed), or, when
+// asymmetric, a random matrix with entries below 8, where ties are
+// common. OptimalPath's order must cost what it reports. The seed corpus
+// holds eight 5-point metrics and an asymmetric instance of every size.
+func FuzzOptimalPathMatchesBruteForce(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		n := 5
+		f.Add(seed, uint8(4), false)
+	}
+	for size := uint8(0); size < 8; size++ {
+		f.Add(int64(size), size, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, asymmetric bool) {
+		n := 1 + int(size)%8
 		c := randMetric(n, seed)
-		_, hk, err := OptimalPath(n, c)
-		if err != nil {
-			t.Fatal(err)
+		if asymmetric {
+			c = randAsym(n, 8, seed)
 		}
-		best := int64(math.MaxInt64)
-		perm := []int{1, 2, 3, 4}
+		path, tour := int64(math.MaxInt64), int64(math.MaxInt64)
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
 		var rec func(k int)
 		rec = func(k int) {
-			if k == len(perm) {
-				cost := c(0, perm[0])
-				for i := 1; i < len(perm); i++ {
-					cost += c(perm[i-1], perm[i])
-				}
-				if cost < best {
-					best = cost
-				}
+			if k == n {
+				cost := PathCost(perm, c)
+				path = min(path, cost)
+				tour = min(tour, cost+c(perm[n-1], 0))
 				return
 			}
-			for i := k; i < len(perm); i++ {
+			for i := k; i < n; i++ {
 				perm[k], perm[i] = perm[i], perm[k]
 				rec(k + 1)
 				perm[k], perm[i] = perm[i], perm[k]
 			}
 		}
-		rec(0)
-		if hk != best {
-			t.Errorf("seed %d: Held-Karp %d != brute force %d", seed, hk, best)
+		rec(1)
+		order, hk, err := OptimalPath(n, c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if hk != path {
+			t.Errorf("n=%d: Held-Karp path %d != brute force %d", n, hk, path)
+		}
+		if len(order) != n || order[0] != 0 || PathCost(order, c) != hk {
+			t.Errorf("n=%d: order %v does not cost the reported %d", n, order, hk)
+		}
+		if n == 1 {
+			tour = 0
+		}
+		if got, err := OptimalTour(n, c); err != nil || got != tour {
+			t.Errorf("n=%d: Held-Karp tour %d (%v) != brute force %d", n, got, err, tour)
+		}
+	})
+}
+
+// TestOptimalPathAllocs pins Held–Karp's allocations at 12 points to its
+// four flat tables — the cost matrix, dp, par and the order — however
+// many subsets the table has.
+func TestOptimalPathAllocs(t *testing.T) {
+	c := randAsym(12, 100, 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := OptimalPath(12, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("OptimalPath at 12 points made %v allocations, want at most 4", allocs)
 	}
 }
 
@@ -321,4 +358,51 @@ func TestNearestNeighborApproximationTheorem318(t *testing.T) {
 				seed, cn, bound, co, classes)
 		}
 	}
+}
+
+// NearestNeighborTies returns every NN path obtainable under some
+// tie-breaking rule... exploring all ties is exponential, so the search
+// is capped at maxPaths results; the bool reports whether the enumeration
+// was exhaustive. Used by tests to validate Lemma 3.8 when simultaneous
+// requests make the NN order non-unique.
+func NearestNeighborTies(n int, c Cost, maxPaths int) ([][]int, bool) {
+	var out [][]int
+	visited := make([]bool, n)
+	order := make([]int, 0, n)
+	exhaustive := true
+	var rec func(cur int)
+	rec = func(cur int) {
+		if len(out) >= maxPaths {
+			exhaustive = false
+			return
+		}
+		if len(order) == n {
+			out = append(out, append([]int(nil), order...))
+			return
+		}
+		var bestCost int64 = math.MaxInt64
+		for j := 0; j < n; j++ {
+			if !visited[j] {
+				if cc := c(cur, j); cc < bestCost {
+					bestCost = cc
+				}
+			}
+		}
+		for j := 0; j < n; j++ {
+			if !visited[j] && c(cur, j) == bestCost {
+				visited[j] = true
+				order = append(order, j)
+				rec(j)
+				order = order[:len(order)-1]
+				visited[j] = false
+				if len(out) >= maxPaths {
+					return
+				}
+			}
+		}
+	}
+	visited[0] = true
+	order = append(order, 0)
+	rec(0)
+	return out, exhaustive
 }

@@ -189,9 +189,6 @@ func (z *Zipf) scan(o int, x float64) int32 {
 	return int32(o)
 }
 
-// K returns the object count.
-func (z *Zipf) K() int { return z.k }
-
 // Sample maps a uniform variate u in [0,1] to an object by inverting the
 // cumulative popularity table: the result is
 // sort.SearchFloat64s(cum, u*total), with the last object owning the

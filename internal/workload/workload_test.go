@@ -197,8 +197,18 @@ func TestConstructorBoundaryInputs(t *testing.T) {
 	}
 }
 
+// mustLowerBound is LowerBound on parameters the test knows are valid.
+func mustLowerBound(t *testing.T, logD, k int) LowerBoundInstance {
+	t.Helper()
+	inst, err := LowerBound(logD, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 func TestLowerBoundInstanceShape(t *testing.T) {
-	inst := LowerBound(3, 2)
+	inst := mustLowerBound(t, 3, 2)
 	if inst.D != 8 {
 		t.Errorf("D = %d, want 8", inst.D)
 	}
@@ -247,7 +257,7 @@ func TestLowerBoundNoDuplicates(t *testing.T) {
 	prop := func(s uint8) bool {
 		logD := 2 + int(s%6)
 		k := DefaultK(1 << logD)
-		inst := LowerBound(logD, k)
+		inst := mustLowerBound(t, logD, k)
 		seen := map[[2]int64]bool{}
 		for _, r := range inst.Set {
 			key := [2]int64{int64(r.Node), r.Time}

@@ -159,3 +159,6 @@ func TestZipfGuideMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// K returns the object count.
+func (z *Zipf) K() int { return z.k }
