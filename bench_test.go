@@ -372,11 +372,13 @@ func benchArrowScale(b *testing.B, n int, spec loop.Spec) {
 
 // BenchmarkClosedLoopScale100k is the 100k-node scale cell, an order of
 // magnitude past BenchmarkClosedLoopScale10k. Its centralized
-// sub-benchmark is the far-tier counterpart of the arrow cells: the
-// coordinator serves one request per tick, so every request parks a
-// serve-finish timer ~10⁵ ticks ahead — far wheel pushes, cascades and
-// pours, where the arrow cells stay on the ring. far_pushes/req and
-// heap_pushes are the scheduler's own deterministic counts. The
+// sub-benchmark runs a makespan of ~4·10⁵ ticks, far past the 512-tick
+// ring: the coordinator serves one request per tick from a queue kept
+// in its driver, with one serve timer a tick ahead, so only pushes that
+// cross into the next epoch reach the far tier. far_pushes/req (0.007;
+// 1.004 while every request parked its own serve-finish timer up to n
+// ticks ahead) and heap_pushes are the scheduler's own deterministic
+// counts. The
 // arrow-scaled8 and arrow-async4 cells are the arrow cell under Section
 // 3.8's delay models: every hop 8 ticks, and a uniform draw from 1..4
 // per message — the send path of ROADMAP item 12(b).

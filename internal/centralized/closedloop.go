@@ -20,9 +20,10 @@ import (
 //   - Faults runs with coordinator-failure semantics: when the center
 //     dies the system is unavailable until a deterministic failover —
 //     after failoverDelay the smallest live node becomes the new
-//     (sticky) center, requests caught at the old center re-issue there,
-//     and dropped requests/replies retry once the blocking entity or the
-//     failover completes. The plan must be Healing.
+//     (sticky) center, the requests in service or waiting at the dead
+//     center are lost with it and re-issue there, and dropped
+//     requests/replies retry once the blocking entity or the failover
+//     completes. The plan must be Healing.
 //   - Workers is accepted and ignored, as by every driver (see
 //     loop.Spec.Workers).
 type LoopConfig struct {
@@ -51,6 +52,8 @@ type LoopResult = loop.Result
 // lets arrowlint's msgswitch analyzer check switch exhaustiveness.
 type clMsg interface{ isClMsg() }
 
+// loopReq is a request. A fault-free run sends one shared value and takes
+// the origin from the sender; a redirected request (faults) carries it.
 type loopReq struct{ origin graph.NodeID }
 
 type loopReply struct{}
@@ -58,36 +61,41 @@ type loopReply struct{}
 func (*loopReq) isClMsg()   {}
 func (*loopReply) isClMsg() {}
 
+const none graph.NodeID = -1 // the end of the coordinator's queue
+
+// clNode is a node's whole state in a fault-free run, 16 bytes: at most
+// one request per node is in flight, so its issue time keys by node, and
+// next links the coordinator's queue.
+type clNode struct {
+	issued    sim.Time
+	remaining int32
+	next      graph.NodeID
+}
+
 // clState is the closed-loop driver state, O(n) like the other
-// protocols' loops: at most one request per node is in flight, so issue
-// times key by node and the pre-boxed request message is reused across a
-// node's successive requests. Node timers carry only the node, so the
-// per-node serving flag distinguishes the two timer meanings — a
-// serve-finish at the center for v's request vs v's own think-time
-// re-issue tick — which are never pending simultaneously for one node
-// (a request must be replied to before its issuer thinks again).
+// protocols' loops. The coordinator's queue is an intrusive FIFO from
+// head, whose request is in service, to tail. While it is non-empty one
+// serve timer (finishFn) is pending — a plain timer, so a down requester
+// does not defer it; node timers are issue ticks only.
 type clState struct {
-	cfg       LoopConfig
-	topo      sim.Topology
-	center    graph.NodeID
-	think     sim.Time
-	busyUntil sim.Time
+	cfg      LoopConfig
+	topo     sim.Topology
+	center   graph.NodeID
+	think    sim.Time
+	nodes    []clNode
+	req      loopReq
+	rep      loopReply
+	res      *LoopResult
+	head     graph.NodeID
+	tail     graph.NodeID
+	finishAt sim.Time
+	finishFn sim.TimerFunc
 
-	issued    []sim.Time
-	serving   []bool
-	msgs      []loopReq
-	rep       loopReply
-	remaining []int32
-	res       *LoopResult
-
-	// Failover state, used only under faults. epoch identifies the
-	// current coordinator regime; a request admitted under an older
-	// epoch was caught at a failed center and re-issues. failoverSeq
-	// guards against superseded failover timers.
+	// Fault state, allocated only under a fault plan. failoverSeq guards
+	// against superseded failover timers.
+	msgs        []loopReq
 	lost        []bool
 	affected    []bool
-	serveEpoch  []int64
-	epoch       int64
 	failoverAt  sim.Time
 	nextCenter  graph.NodeID
 	failoverSeq int64
@@ -102,45 +110,62 @@ func RunClosedLoop(g *graph.Graph, cfg LoopConfig) (*LoopResult, error) {
 // the implicit sim.CompleteTopology keeps million-node runs free of the
 // O(n²) distance matrix.
 func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
+	st, s, err := newClosedLoop(topo, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.res.Makespan = s.Run()
+	if cfg.DrainStats != nil {
+		*cfg.DrainStats = s.DrainStats()
+	}
+	st.res.Events = s.EventsProcessed()
+	st.res.Dropped = s.MessagesDropped()
+	st.res.Deferred = s.MessagesDeferred()
+	if total := int64(cfg.PerNode) * int64(st.res.N); st.res.Requests != total {
+		return nil, fmt.Errorf("centralized: closed loop completed %d of %d", st.res.Requests, total)
+	}
+	return st.res, nil
+}
+
+// newClosedLoop validates cfg and builds the driver state and its
+// simulator with every node's first issue tick scheduled at 0.
+func newClosedLoop(topo sim.Topology, cfg LoopConfig) (*clState, *sim.Simulator, error) {
 	n := topo.NumNodes()
 	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("centralized: PerNode must be >= 1")
+		return nil, nil, fmt.Errorf("centralized: PerNode must be >= 1")
 	}
 	if cfg.PerNode > math.MaxInt32 {
-		// clState.remaining is an int32: a larger count would truncate.
-		return nil, fmt.Errorf("centralized: PerNode must be <= %d, got %d", math.MaxInt32, cfg.PerNode)
+		// clNode.remaining is an int32: a larger count would truncate.
+		return nil, nil, fmt.Errorf("centralized: PerNode must be <= %d, got %d", math.MaxInt32, cfg.PerNode)
 	}
 	if int(cfg.Center) < 0 || int(cfg.Center) >= n {
-		return nil, fmt.Errorf("centralized: center %d out of range", cfg.Center)
+		return nil, nil, fmt.Errorf("centralized: center %d out of range", cfg.Center)
 	}
 	think := cfg.ThinkTime
 	if think <= 0 {
 		think = 1
 	}
-	total := int64(cfg.PerNode) * int64(n)
 	st := &clState{
-		cfg:       cfg,
-		topo:      topo,
-		center:    cfg.Center,
-		think:     think,
-		issued:    make([]sim.Time, n),
-		serving:   make([]bool, n),
-		msgs:      make([]loopReq, n),
-		remaining: make([]int32, n),
-		res:       &LoopResult{N: n},
+		cfg:    cfg,
+		topo:   topo,
+		center: cfg.Center,
+		think:  think,
+		nodes:  make([]clNode, n),
+		res:    &LoopResult{N: n},
+		head:   none,
 	}
+	st.finishFn = st.finish
 	if err := cfg.Faults.Validate(st.topo); err != nil {
-		return nil, fmt.Errorf("centralized: %w", err)
+		return nil, nil, fmt.Errorf("centralized: %w", err)
 	}
 	if cfg.Faults != nil && !cfg.Faults.Healing() {
-		return nil, fmt.Errorf("centralized: closed loop requires a healing fault plan (every down matched by an up)")
+		return nil, nil, fmt.Errorf("centralized: closed loop requires a healing fault plan (every down matched by an up)")
 	}
-	for v := range st.remaining {
-		st.remaining[v] = int32(cfg.PerNode)
-		st.msgs[v].origin = graph.NodeID(v)
+	for v := range st.nodes {
+		st.nodes[v].remaining = int32(cfg.PerNode)
 	}
 
-	budget := sim.SatAdd(sim.SatMul(total, 16), 1024)
+	budget := sim.SatAdd(sim.SatMul(int64(cfg.PerNode)*int64(n), 16), 1024)
 	if cfg.Faults != nil {
 		budget = sim.SatMul(budget, 4)
 	}
@@ -154,39 +179,33 @@ func RunClosedLoopTopo(topo sim.Topology, cfg LoopConfig) (*LoopResult, error) {
 		LinkTxTime:  cfg.LinkTxTime,
 	}
 	if err := scfg.Validate(); err != nil {
-		return nil, fmt.Errorf("centralized closed loop: %w", err)
+		return nil, nil, fmt.Errorf("centralized closed loop: %w", err)
 	}
 	s := sim.New(scfg)
 	if cfg.Faults != nil {
+		st.msgs = make([]loopReq, n)
+		for v := range st.msgs {
+			st.msgs[v].origin = graph.NodeID(v)
+		}
 		st.lost = make([]bool, n)
 		st.affected = make([]bool, n)
-		st.serveEpoch = make([]int64, n)
 		s.SetFaultObserver(st.onFault)
 		s.SetBlockedHandler(st.onBlocked)
 	}
 	s.SetAllHandlers(st.handle)
-	s.SetTimerHandler(st.timer)
+	s.SetTimerHandler(st.issue)
 	s.Reserve(n)
 	for v := 0; v < n; v++ {
 		s.ScheduleNodeAt(0, graph.NodeID(v))
 	}
-	st.res.Makespan = s.Run()
-	if cfg.DrainStats != nil {
-		*cfg.DrainStats = s.DrainStats()
-	}
-	st.res.Events = s.EventsProcessed()
-	st.res.Dropped = s.MessagesDropped()
-	st.res.Deferred = s.MessagesDeferred()
-	if st.res.Requests != total {
-		return nil, fmt.Errorf("centralized: closed loop completed %d of %d", st.res.Requests, total)
-	}
-	return st.res, nil
+	return st, s, nil
 }
 
 // onFault reacts to the effective coordinator dying: after failoverDelay
 // the smallest live node becomes the new center (sticky — the old center
-// returning does not reclaim the role). A failure of the
-// pending replacement re-arms the failover.
+// returning does not reclaim the role). A failure of the pending
+// replacement re-arms the failover. The queue lives at the installed
+// center and dies with it.
 func (st *clState) onFault(ctx *sim.Context, ev sim.FaultEvent) {
 	if ev.Kind != sim.NodeDown {
 		return
@@ -195,10 +214,12 @@ func (st *clState) onFault(ctx *sim.Context, ev sim.FaultEvent) {
 	if st.failoverAt > ctx.Now() {
 		effective = st.nextCenter
 	}
-	if ev.U != effective {
-		return
+	if ev.U == effective {
+		st.armFailover(ctx, ev.U)
 	}
-	st.armFailover(ctx, ev.U)
+	if ev.U == st.center {
+		st.dropQueue(ctx)
+	}
 }
 
 // armFailover elects a replacement for the failed coordinator and
@@ -221,10 +242,21 @@ func (st *clState) armFailover(ctx *sim.Context, failed graph.NodeID) {
 			st.armFailover(ctx, st.nextCenter)
 			return
 		}
+		st.dropQueue(ctx) // what the old center admitted since it came back
 		st.center = st.nextCenter
-		st.epoch++
-		st.busyUntil = ctx.Now()
 	})
+}
+
+// dropQueue loses the coordinator's queue: the request in service and
+// every waiting one re-issue through retryAt. The pending serve timer
+// goes stale (finish drops it).
+func (st *clState) dropQueue(ctx *sim.Context) {
+	for v := st.head; v != none; v = st.nodes[v].next {
+		st.affected[v] = true
+		st.lost[v] = true
+		st.retryAt(ctx, v, ctx.Now())
+	}
+	st.head = none
 }
 
 // pickCenter deterministically elects the smallest live node other than
@@ -273,35 +305,12 @@ func (st *clState) retryAt(ctx *sim.Context, v graph.NodeID, upAt sim.Time) {
 	ctx.AfterNode(upAt-ctx.Now()+1, v)
 }
 
-func (st *clState) timer(ctx *sim.Context, v graph.NodeID) {
-	if st.serving[v] {
-		st.serving[v] = false
-		if st.serveEpoch != nil && st.serveEpoch[v] != st.epoch {
-			// The serve was running at a center that failed before the
-			// request could queue: it is lost with the coordinator and
-			// re-issues against the replacement.
-			st.affected[v] = true
-			st.lost[v] = true
-			st.retryAt(ctx, v, ctx.Now())
-			return
-		}
-		st.queued(ctx, v)
-		if v == st.center {
-			st.scheduleNext(ctx, v)
-			return
-		}
-		ctx.Send(st.center, v, &st.rep)
-		return
-	}
-	st.issue(ctx, v)
-}
-
 //arrow:hotpath one call per delivered request/reply message
 func (st *clState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
 	case *loopReq:
 		if at != st.center {
-			if st.lost == nil {
+			if st.msgs == nil {
 				panic("centralized: request at non-center node")
 			}
 			// A request delivered to a node that lost the coordinator
@@ -310,7 +319,11 @@ func (st *clState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Messa
 			ctx.Send(at, st.center, m)
 			return
 		}
-		st.serve(ctx, m.origin)
+		origin := from
+		if st.msgs != nil {
+			origin = m.origin
+		}
+		st.serve(ctx, origin)
 	case *loopReply:
 		st.scheduleNext(ctx, at)
 	default:
@@ -318,6 +331,8 @@ func (st *clState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Messa
 	}
 }
 
+// issue is the node timer: v's next request, or a lost one re-issued.
+//
 //arrow:hotpath one call per request issued
 func (st *clState) issue(ctx *sim.Context, v graph.NodeID) {
 	if st.lost != nil && st.lost[v] {
@@ -325,39 +340,63 @@ func (st *clState) issue(ctx *sim.Context, v graph.NodeID) {
 		// the original issue time so the latency carries the outage.
 		st.lost[v] = false
 		st.res.Reissued++
-		if v == st.center {
-			st.serve(ctx, v)
+	} else {
+		nd := &st.nodes[v]
+		if nd.remaining == 0 {
 			return
 		}
-		ctx.Send(v, st.center, &st.msgs[v])
-		return
+		nd.remaining--
+		nd.issued = ctx.Now()
 	}
-	if st.remaining[v] == 0 {
-		return
-	}
-	st.remaining[v]--
-	st.issued[v] = ctx.Now()
-	if v == st.center {
+	switch {
+	case v == st.center:
 		st.serve(ctx, v)
-		return
+	case st.msgs != nil:
+		ctx.Send(v, st.center, &st.msgs[v])
+	default:
+		ctx.Send(v, st.center, &st.req)
 	}
-	ctx.Send(v, st.center, &st.msgs[v])
 }
 
-// serve admits v's request into the center's serialized processing and
-// schedules its finish as a node timer for v.
+// serve admits v's request at the center: it joins the tail of the
+// queue, or starts service at once when the center is idle.
 func (st *clState) serve(ctx *sim.Context, v graph.NodeID) {
-	start := ctx.Now()
-	if st.busyUntil > start {
-		start = st.busyUntil
+	st.nodes[v].next = none
+	if st.head == none {
+		st.head = v
+		st.startService(ctx)
+	} else {
+		st.nodes[st.tail].next = v
 	}
-	finish := start + serviceTime
-	st.busyUntil = finish
-	st.serving[v] = true
-	if st.serveEpoch != nil {
-		st.serveEpoch[v] = st.epoch
+	st.tail = v
+}
+
+// startService arms the serve timer for the head's request.
+func (st *clState) startService(ctx *sim.Context) {
+	st.finishAt = ctx.Now() + serviceTime
+	ctx.After(serviceTime, st.finishFn)
+}
+
+// finish is the serve timer: the next request's service starts (its
+// timer pushed before the reply), then the head's is recorded and
+// answered. A timer armed for a queue the center lost finds no head, or
+// a finishAt that moved on.
+//
+//arrow:hotpath one call per request served
+func (st *clState) finish(ctx *sim.Context) {
+	v := st.head
+	if v == none || ctx.Now() != st.finishAt {
+		return
 	}
-	ctx.AfterNode(finish-ctx.Now(), v)
+	if st.head = st.nodes[v].next; st.head != none {
+		st.startService(ctx)
+	}
+	st.queued(ctx, v)
+	if v == st.center {
+		st.scheduleNext(ctx, v)
+		return
+	}
+	ctx.Send(st.center, v, &st.rep)
 }
 
 // queued records v's request joining the total order at the center
@@ -365,7 +404,7 @@ func (st *clState) serve(ctx *sim.Context, v graph.NodeID) {
 // loop result measures, so the baselines column compares like with like.
 // The reply only tells the requester to re-issue.
 func (st *clState) queued(ctx *sim.Context, v graph.NodeID) {
-	lat := int64(ctx.Now() - st.issued[v])
+	lat := int64(ctx.Now() - st.nodes[v].issued)
 	st.res.Requests++
 	st.res.TotalLatency += lat
 	h := 0
@@ -389,7 +428,7 @@ func (st *clState) queued(ctx *sim.Context, v graph.NodeID) {
 }
 
 func (st *clState) scheduleNext(ctx *sim.Context, v graph.NodeID) {
-	if st.remaining[v] > 0 {
+	if st.nodes[v].remaining > 0 {
 		ctx.AfterNode(st.think, v)
 	}
 }

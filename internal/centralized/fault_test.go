@@ -3,6 +3,7 @@ package centralized
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/loop"
@@ -43,6 +44,150 @@ func TestClosedLoopCoordinatorFailover(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, again) {
 		t.Fatal("failover run not deterministic")
+	}
+}
+
+// TestNodeRecordIs16Bytes pins the whole per-node state of a fault-free
+// run: issue time, remaining count and the queue link.
+func TestNodeRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(clNode{}); got != 16 {
+		t.Errorf("clNode is %d bytes, want 16", got)
+	}
+}
+
+// recorderFunc adapts a function to stats.Recorder.
+type recorderFunc func(latency int64, hops int)
+
+func (f recorderFunc) RecordRequest(latency int64, hops int) { f(latency, hops) }
+
+// runTimed runs a closed loop on the complete graph, telling completed
+// the tick of each completion, and fails t unless every request
+// completed.
+func runTimed(t *testing.T, n int, cfg LoopConfig, completed func(now sim.Time)) LoopResult {
+	t.Helper()
+	st, s, err := newClosedLoop(sim.NewMetricTopology(graph.Complete(n)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.cfg.Recorder = recorderFunc(func(int64, int) { completed(s.Now()) })
+	s.Run()
+	if want := int64(n * cfg.PerNode); st.res.Requests != want {
+		t.Fatalf("completed %d of %d", st.res.Requests, want)
+	}
+	return *st.res
+}
+
+// TestDeadCoordinatorServesNothing: the coordinator's queue dies with
+// it. In TestClosedLoopCoordinatorFailover's outage no request completes
+// from the center's failure until the replacement serves, the dead
+// center sends no reply, the requests it held re-issue at the
+// replacement, and the run drains deterministically.
+func TestDeadCoordinatorServesNothing(t *testing.T) {
+	const n, perNode = 12, 30
+	const down, takeover = 20, 20 + failoverDelay
+	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+		{At: down, Kind: sim.NodeDown, U: 0},
+		{At: 90, Kind: sim.NodeUp, U: 0},
+	}}
+	run := func() (LoopResult, [2]int) {
+		var counts [2]int // completions before the failure, and during the outage
+		res := runTimed(t, n, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan}, Center: 0}, func(now sim.Time) {
+			switch {
+			case now < down:
+				counts[0]++
+			case now <= takeover:
+				counts[1]++
+			}
+		})
+		return res, counts
+	}
+	res, counts := run()
+	if counts[0] == 0 {
+		t.Fatal("nothing completed before the failure; scenario vacuous")
+	}
+	if counts[1] != 0 {
+		t.Errorf("%d requests completed between the failure at %d and the takeover at %d", counts[1], down, takeover)
+	}
+	if res.RepliesLost != 0 {
+		t.Errorf("%d replies lost: the dead center answered requests", res.RepliesLost)
+	}
+	if res.Reissued == 0 || res.Affected == 0 {
+		t.Errorf("the dead center's queue re-issued nothing: %+v", res)
+	}
+	again, againCounts := run()
+	if res != again || counts != againCounts {
+		t.Fatal("dead-coordinator run not deterministic")
+	}
+}
+
+// TestStaleServeTimerDropped: the center serves one request per tick
+// through outages of the center that end inside the failover window
+// (the old center serves again until the takeover drops its queue) and
+// after it, under FIFO and random arbitration. A serve timer armed for
+// a queue the center lost must not finish a request of the next queue
+// early. LIFO is left out: there an event deferred to a node's recovery
+// tick pops before the recovery itself, is deferred to the same tick
+// again, and the run never ends.
+func TestStaleServeTimerDropped(t *testing.T) {
+	const n, perNode = 10, 25
+	for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbRandom} {
+		for up := sim.Time(21); up <= 40; up++ {
+			plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+				{At: 20, Kind: sim.NodeDown, U: 0},
+				{At: up, Kind: sim.NodeUp, U: 0},
+			}}
+			last := sim.Time(-1)
+			runTimed(t, n, LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan, Arbitration: arb, Seed: 3}, Center: 0}, func(now sim.Time) {
+				if now <= last {
+					t.Fatalf("%v, center up at %d: a request completed at %d after one at %d", arb, up, now, last)
+				}
+				last = now
+			})
+		}
+	}
+}
+
+// TestTakeoverDropsOldCentersQueue: a center that comes back inside the
+// failover window serves again until the takeover, and the requests it
+// holds then are lost with its role and re-issue at the replacement.
+// With a think time of 7, requests of nodes answered just before the
+// failure reach the recovered center just before the takeover.
+func TestTakeoverDropsOldCentersQueue(t *testing.T) {
+	const n, perNode = 10, 25
+	const takeover = 20 + failoverDelay
+	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+		{At: 20, Kind: sim.NodeDown, U: 0},
+		{At: 22, Kind: sim.NodeUp, U: 0},
+	}}
+	st, s, err := newClosedLoop(sim.NewMetricTopology(graph.Complete(n)),
+		LoopConfig{Spec: loop.Spec{PerNode: perNode, ThinkTime: 7, Faults: plan}, Center: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []graph.NodeID
+	// Scheduled before the run, this timer precedes the failover timer at
+	// the takeover tick; the one it arms follows it.
+	s.ScheduleAt(takeover, func(ctx *sim.Context) {
+		for v := st.head; v != none; v = st.nodes[v].next {
+			held = append(held, v)
+		}
+		ctx.After(0, func(*sim.Context) {
+			if st.center == 0 || st.head != none {
+				t.Errorf("after the takeover: center %d, queue head %d", st.center, st.head)
+			}
+			for _, v := range held {
+				if !st.lost[v] || !st.affected[v] {
+					t.Errorf("request of node %d held at the old center is not lost", v)
+				}
+			}
+		})
+	})
+	s.Run()
+	if len(held) == 0 {
+		t.Fatal("the old center held no request at the takeover; scenario vacuous")
+	}
+	if want := int64(n * perNode); st.res.Requests != want {
+		t.Fatalf("completed %d of %d", st.res.Requests, want)
 	}
 }
 

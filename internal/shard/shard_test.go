@@ -248,7 +248,7 @@ func TestLinkStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := d.Sim().LinkStats()
-		t.Logf("%s: %d sends, %+v", name, d.Sim().Messages(), got)
+		t.Logf("%s: %+v", name, got)
 		if got != want[name] {
 			t.Errorf("%s: link clock counters %+v, want %+v", name, got, want[name])
 		}

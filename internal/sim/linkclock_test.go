@@ -40,11 +40,11 @@ import (
 // makespan, counters, the recorded distributions and the exact sequence
 // of RecordRequest calls.
 type tokenResult struct {
-	mk                 Time
-	msgs, hops, events int64
-	deferred           int64
-	latDist, hopDist   stats.Dist
-	calls              []recCall
+	mk                Time
+	delivered, events int64
+	deferred          int64
+	latDist, hopDist  stats.Dist
+	calls             []recCall
 }
 
 type recCall struct {
@@ -97,7 +97,9 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 		issue[v] = ctx.Now()
 		ctx.Send(v, nav.Parent(v), find{origin: v, up: true})
 	})
+	var delivered int64
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+		delivered++
 		m := msg.(find)
 		if m.up {
 			if at == nav.Root() {
@@ -121,7 +123,7 @@ func tokenRun(nav *tree.Walker, topo Topology, rounds int, lat LatencyModel, tx 
 		s.ScheduleNodeAt(Time(1+v%3), graph.NodeID(v))
 	}
 	mk := s.Run()
-	return tokenResult{mk, s.Messages(), s.Hops(), s.EventsProcessed(), s.MessagesDeferred(),
+	return tokenResult{mk, delivered, s.EventsProcessed(), s.MessagesDeferred(),
 		rec.dist.Latency.Snapshot(), rec.dist.Hops.Snapshot(), rec.calls}, s.LinkStats()
 }
 

@@ -152,9 +152,8 @@ const (
 	// scan routine serve all of them. The ring holds one bucket per
 	// simulated tick of the current 512-tick epoch — wide enough that the
 	// unit and small-integer delays of the synchronous and scaled-async
-	// models land in it directly; longer delays (think times, the
-	// centralized coordinator's serve queue, release times of a static
-	// request set) go to the far wheels.
+	// models land in it directly; longer delays (think times, release
+	// times of a static request set) go to the far wheels.
 	ringBits = 9
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
@@ -162,9 +161,9 @@ const (
 	// 1<<(ringBits*(k+1)) ticks — an epoch (512 ticks) for wheel 0, a
 	// super-epoch (2¹⁸ ticks) for wheel 1 — and an event belongs to wheel
 	// k when its time and the queue position agree on every bit from
-	// ringBits*(k+2) up. Two wheels reach 2²⁷ ticks: one was measured
-	// not to be enough (the million-node centralized serve queue spans
-	// 10⁶ > 2¹⁸ ticks and stayed in the heap).
+	// ringBits*(k+2) up. Two wheels reach 2²⁷ ticks, past a
+	// million-node run's makespan, so delays of that order stay off the
+	// heap.
 	farLevels = 2
 	// heapShift is the alignment beyond which an event falls through to
 	// the binary heap: times that differ from the position at bit 27 or

@@ -190,7 +190,7 @@ type Simulator struct {
 	// weight and the legality check all come from the flat
 	// treeParent/treeWeight arrays resolved at New (treeWeight nil = unit
 	// weights) — two array reads instead of five interface calls per
-	// message; other topologies answer through Latency/Hops, and through
+	// message; other topologies answer through Latency, and through
 	// LinkIndex only when perLink says a dense clock wants the slot (the
 	// expiring representation and the fault state key by the endpoints).
 	linkIdx    LinkIndexer
@@ -208,8 +208,6 @@ type Simulator struct {
 	syncScale int64
 
 	processed int64 // number of events processed
-	messages  int64
-	hops      int64
 }
 
 // DrainStats is the telemetry out-value of a closed-loop run. Only Sched
@@ -539,9 +537,6 @@ func (s *Simulator) SetBlockedHandler(h BlockedHandler) { s.blockedH = h }
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Messages returns the number of logical sends performed so far.
-func (s *Simulator) Messages() int64 { return s.messages }
-
 // EventsProcessed returns the number of events the run has consumed.
 func (s *Simulator) EventsProcessed() int64 { return s.processed }
 
@@ -580,11 +575,10 @@ func (c *Context) AfterNode(d Time, v graph.NodeID) {
 //
 //arrow:hotpath one call per message
 func (s *Simulator) send(u, v graph.NodeID, msg Message) {
-	// Resolve the link once: legality, nominal weight, hop count and the
-	// slot a dense link clock below is indexed by (-1: unused).
+	// Resolve the link once: legality, nominal weight and the slot a
+	// dense link clock below is indexed by (-1: unused).
 	var (
 		w    graph.Weight
-		hops = 1
 		link = -1
 	)
 	if p := s.treeParent; p != nil {
@@ -612,7 +606,6 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 		if w, ok = s.cfg.Topology.Latency(u, v); !ok {
 			s.illegalSend(u, v)
 		}
-		hops = s.cfg.Topology.Hops(u, v)
 		if s.perLink {
 			link = s.linkIdx.LinkIndex(u, v)
 		}
@@ -666,8 +659,6 @@ func (s *Simulator) send(u, v graph.NodeID, msg Message) {
 	if !s.fifoFree {
 		arrive = s.fifo.advance(link, u, v, s.now, arrive, 0)
 	}
-	s.messages++
-	s.hops += int64(hops)
 	s.push(arrive, evMessage, v, u, msg)
 }
 

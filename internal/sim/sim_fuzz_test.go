@@ -144,6 +144,7 @@ func simScript(t *testing.T, script []byte) simResult {
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
+		res.msgs++
 		l.deliver(simDelivery{ctx.Now(), evMessage, at, from, msg.(uint64)})
 		act(ctx, at)
 	})
@@ -165,7 +166,7 @@ func simScript(t *testing.T, script []byte) simResult {
 	}
 	wheels.mark()
 	res.makespan = s.Run()
-	res.msgs, res.events = s.Messages(), s.EventsProcessed()
+	res.events = s.EventsProcessed()
 	res.sched = s.SchedStats()
 	return res
 }

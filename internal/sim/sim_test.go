@@ -35,9 +35,6 @@ func TestSynchronousDeliveryTime(t *testing.T) {
 	if end != 7 {
 		t.Errorf("makespan %d, want 7", end)
 	}
-	if s.Messages() != 2 {
-		t.Errorf("messages = %d, want 2", s.Messages())
-	}
 }
 
 func TestIllegalSendPanics(t *testing.T) {
@@ -505,7 +502,3 @@ func TestWindowZeroDelayTimerOrder(t *testing.T) {
 		}
 	}
 }
-
-// Hops returns the number of physical link traversals so far (equals
-// Messages on direct topologies).
-func (s *Simulator) Hops() int64 { return s.hops }

@@ -65,10 +65,12 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // — the 32-byte event cell of an arena the driver reserves in one step
 // (Simulator.Reserve; ramping it up through append cost 445, and
 // 48-byte cells read 92), the 32-byte nodeState and 12 bytes of Walker
-// and link arrays — and centralized 49 (66 with 48-byte cells). The centralized row holds ~n serve-finish timers in
-// the scheduler's far tier for the whole run; they live in the arena
-// reserved for the n initial timers, so a second n-entry structure for
-// the far tier (the binary heap cost ~340 B/node in append growth)
+// and link arrays — and centralized 48: the arena of the n initial
+// issue timers and the 16-byte per-node record (49 with the four
+// per-node arrays the record replaced, 66 with 48-byte cells). The
+// coordinator's queue is linked through that record, so a second
+// n-entry structure for it (the binary heap that once held one
+// serve-finish timer per request cost ~340 B/node in append growth)
 // breaks its budget.
 func TestScaleBytesPerNodeFlat(t *testing.T) {
 	const perNode = 4
@@ -134,27 +136,25 @@ func TestCapacityBytesPerNodeFlat(t *testing.T) {
 	}
 }
 
-// TestCentralServeQueueStaysOutOfHeap gates "the serve queue is off the
-// binary heap" as a count, not a wall-clock impression: in a 20 000-node
-// centralized closed loop every request arms a serve-finish timer about
-// n ticks ahead, so all but the ones armed with under an epoch of queue
-// in front of them (the run's first few hundred) are far-wheel pushes,
-// and nothing reaches the heap tier.
-func TestCentralServeQueueStaysOutOfHeap(t *testing.T) {
+// TestCentralServeQueueStaysOnRing gates "the coordinator's queue is
+// not in the scheduler" as a count, not a wall-clock impression: in a
+// 20 000-node centralized closed loop the queue lives in the driver and
+// only the one pending serve timer, one tick ahead, is an event, so the
+// far tier sees only the pushes that cross into the next 512-tick epoch
+// (702 of the 100 000 requests' pushes) and nothing reaches the heap.
+// While every request armed its own serve-finish timer up to n ticks
+// ahead, far_pushes read about one per request.
+func TestCentralServeQueueStaysOnRing(t *testing.T) {
 	const n, perNode = 20_000, 5
 	var ds sim.DrainStats
 	centralAllocPerNode(t, n, loop.Spec{PerNode: perNode, DrainStats: &ds})
 	st := ds.Sched
-	far := st.Far()
 	t.Logf("scheduler counters: %+v", st)
 	if st.HeapPushes != 0 {
 		t.Errorf("heap_pushes = %d, want 0: the serve queue reached the binary heap", st.HeapPushes)
 	}
-	if requests := int64(n * perNode); far < requests-1024 {
-		t.Errorf("far_pushes = %d for %d requests: the serve-finish timers are not parked in the far wheels", far, requests)
-	}
-	if st.Refills == 0 || st.Cascaded < far {
-		t.Errorf("refills = %d, cascaded = %d: every far push must come back through a refill", st.Refills, st.Cascaded)
+	if requests := int64(n * perNode); st.Far()*100 >= requests {
+		t.Errorf("far_pushes = %d for %d requests, want under 1%%: the serve queue is parked in the far tier", st.Far(), requests)
 	}
 }
 
@@ -164,9 +164,9 @@ func TestCentralServeQueueStaysOutOfHeap(t *testing.T) {
 // every event the run consumed. The synchronous arrow loop never leaves
 // the ring; a think time moves the timer of every request but each
 // node's last into wheel 0 (1000 ticks), wheel 1 (2¹⁸) or the heap
-// (2²⁷); the centralized coordinator parks the serve-finish timers that
-// wait past the epoch in wheel 0; NTA under AsyncUniform(4) keeps its
-// random delays in the ring.
+// (2²⁷); the centralized coordinator's one serve timer, a tick ahead,
+// reaches wheel 0 only when it crosses into the next epoch; NTA under
+// AsyncUniform(4) keeps its random delays in the ring.
 func TestSchedPushesByTier(t *testing.T) {
 	const n, perNode = 64, 10
 	arrowRun := func(spec loop.Spec) (*loop.Result, error) {
@@ -184,7 +184,7 @@ func TestSchedPushesByTier(t *testing.T) {
 		{"arrow-think-2^27", loop.Spec{ThinkTime: 1 << 27}, arrowRun, [4]int64{4336, 0, 0, 576}},
 		{"centralized", loop.Spec{}, func(spec loop.Spec) (*loop.Result, error) {
 			return centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{Spec: spec})
-		}, [4]int64{2476, 64, 0, 0}},
+		}, [4]int64{2536, 4, 0, 0}},
 		{"nta-async4", loop.Spec{Latency: sim.AsyncUniform(4), Seed: 1}, func(spec loop.Spec) (*loop.Result, error) {
 			return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
 		}, [4]int64{2051, 0, 0, 0}},
