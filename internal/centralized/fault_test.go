@@ -123,14 +123,11 @@ func TestDeadCoordinatorServesNothing(t *testing.T) {
 // TestStaleServeTimerDropped: the center serves one request per tick
 // through outages of the center that end inside the failover window
 // (the old center serves again until the takeover drops its queue) and
-// after it, under FIFO and random arbitration. A serve timer armed for
-// a queue the center lost must not finish a request of the next queue
-// early. LIFO is left out: there an event deferred to a node's recovery
-// tick pops before the recovery itself, is deferred to the same tick
-// again, and the run never ends.
+// after it, under every arbitration. A serve timer armed for a queue
+// the center lost must not finish a request of the next queue early.
 func TestStaleServeTimerDropped(t *testing.T) {
 	const n, perNode = 10, 25
-	for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbRandom} {
+	for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom} {
 		for up := sim.Time(21); up <= 40; up++ {
 			plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 				{At: 20, Kind: sim.NodeDown, U: 0},
@@ -143,6 +140,32 @@ func TestStaleServeTimerDropped(t *testing.T) {
 				}
 				last = now
 			})
+		}
+	}
+}
+
+// TestRecoveryTickDeferralEnds: an issue timer the down center defers
+// to its recovery tick finds it up there under every arbitration. While
+// the recovery applied only when its own event popped, LIFO popped the
+// deferred timer first (the recovery, pushed when the run began, has the
+// lowest seq), deferred it to the same tick again, and the run spun
+// until its event budget panicked; FIFO and random arbitration drain in
+// under a thousand events.
+func TestRecoveryTickDeferralEnds(t *testing.T) {
+	const n, perNode = 10, 25
+	for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom} {
+		for _, up := range []sim.Time{27, 40} {
+			plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+				{At: 20, Kind: sim.NodeDown, U: 0},
+				{At: up, Kind: sim.NodeUp, U: 0},
+			}}
+			res, err := RunClosedLoop(graph.Complete(n), LoopConfig{Spec: loop.Spec{PerNode: perNode, Faults: plan, Arbitration: arb}, Center: 0})
+			if err != nil {
+				t.Fatalf("%v, center up at %d: %v", arb, up, err)
+			}
+			if res.Requests != n*perNode || res.Events > 1000 {
+				t.Errorf("%v, center up at %d: %d requests in %d events, want %d in under 1000", arb, up, res.Requests, res.Events, n*perNode)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/loop"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
@@ -61,8 +62,16 @@ func runSharded(p adapter, inst Instance, n int) (Cost, error) {
 	cost := loopCost(p.Name(), inst.Label, &res.Agg)
 	attachDists(&cost, inst.Recorder)
 	cost.PerObject = make([]Cost, k)
-	for o := range cost.PerObject {
-		c := loopCost(p.Name(), inst.Label, &res.PerObject[o])
+	for o, r := range res.PerObject {
+		c := loopCost(p.Name(), inst.Label, &loop.Result{
+			N:                n,
+			Requests:         r.Requests,
+			QueueHops:        r.QueueHops,
+			ReplyHops:        r.ReplyHops,
+			LocalCompletions: r.LocalCompletions,
+			TotalLatency:     r.TotalLatency,
+			MaxQueueHops:     r.MaxQueueHops,
+		})
 		attachDists(&c, nil)
 		cost.PerObject[o] = c
 	}

@@ -74,6 +74,36 @@ func TestRunCompletesWithNodeTimers(t *testing.T) {
 	}
 }
 
+// TestRecoveryTickDeferralEnds: node 0, where every find ends, is down
+// from tick 20; its own issue timers, and under FaultQueue the finds sent
+// to it, are deferred to its recovery tick, where they must find it up
+// under every arbitration. While the recovery applied only when its own
+// event popped, LIFO popped each deferred event before it, deferred it
+// to the same tick again, and the run spun until its event budget
+// panicked.
+func TestRecoveryTickDeferralEnds(t *testing.T) {
+	const n, perNode = 10, 25
+	for _, policy := range []sim.FaultPolicy{sim.FaultDrop, sim.FaultQueue} {
+		for _, arb := range []sim.Arbitration{sim.ArbFIFO, sim.ArbLIFO, sim.ArbRandom} {
+			for _, up := range []sim.Time{27, 40} {
+				plan := &sim.FaultPlan{Policy: policy, Events: []sim.FaultEvent{
+					{At: 20, Kind: sim.NodeDown, U: 0},
+					{At: up, Kind: sim.NodeUp, U: 0},
+				}}
+				res, err := Run(sim.NewMetricTopology(graph.Complete(n)), chainStepper{}, "test",
+					Spec{Spec: loop.Spec{PerNode: perNode, Faults: plan, Arbitration: arb, Seed: 3}, Objects: 1})
+				if err != nil {
+					t.Fatalf("%v %v, node 0 up at %d: %v", policy, arb, up, err)
+				}
+				if res.Agg.Affected == 0 || res.Agg.Events > 1000 {
+					t.Errorf("%v %v, node 0 up at %d: %d affected requests in %d events, want some in under 1000",
+						policy, arb, up, res.Agg.Affected, res.Agg.Events)
+				}
+			}
+		}
+	}
+}
+
 // heapStepper is the deepest chase a heap-numbered binary tree allows:
 // every find climbs parent by parent to node 0, and the reply is routed
 // back down hop by hop. Pure arithmetic, no pointer state, so what a run
@@ -98,9 +128,9 @@ func (heapStepper) ReplyHop(at, origin graph.NodeID) graph.NodeID {
 // headline cell's size: one request per node on a 100 001-node walker
 // tree, ~15 find forwards and ~15 reply forwards per request, so 94 % of
 // the 3 M events of an iteration are Handle forwarding a find (read
-// origin and obj, bump hops — one line of the origin's nodeState) or a
-// reply (read origin, charge the object's reply hop). ns/event is the
-// signal; the allocations are the per-run setup.
+// origin and obj, bump hops) or a reply (read origin and obj, charge the
+// object's reply hop) — either one line of the origin's nodeState.
+// ns/event is the signal; the allocations are the per-run setup.
 func BenchmarkShardHandle(b *testing.B) {
 	const n = 100001
 	topo := sim.TreeTopology{T: tree.BinaryWalker(n)}
@@ -119,10 +149,15 @@ func BenchmarkShardHandle(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
-// TestNodeStateSize pins the per-node record at 32 bytes, two to a
-// cache line.
+// TestNodeStateSize pins the per-node hot record at 16 bytes, four to a
+// cache line and never straddling one, and the per-object counters at
+// 48: the reply rides the find's record, and the issue time is a column
+// of its own.
 func TestNodeStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(nodeState{}); got != 32 {
-		t.Errorf("nodeState is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(nodeState{}); got != 16 {
+		t.Errorf("nodeState is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Counters{}); got != 48 {
+		t.Errorf("Counters is %d bytes, want 48", got)
 	}
 }

@@ -96,7 +96,8 @@ type Spec struct {
 }
 
 // Result aggregates a run: the closed-loop counter shape once for the
-// combined traffic and once per object.
+// combined traffic, and the counters that partition by object once per
+// object.
 type Result struct {
 	// N is the node count, Objects the object count.
 	N       int
@@ -105,9 +106,21 @@ type Result struct {
 	// to drain the combined load and its Events the total event count.
 	Agg loop.Result
 	// PerObject holds each object's own counters, indexed by object.
-	// Makespan, Events, Dropped and Deferred are global quantities and
-	// stay zero here; N is the shared node count.
-	PerObject []loop.Result
+	PerObject []Counters
+}
+
+// Counters is one object's share of a run: the loop.Result counters
+// that partition by object, 48 bytes. The global quantities (Makespan,
+// Events, Dropped, Deferred) and the fault-recovery counters live on
+// Result.Agg only — a fault plan requires Objects == 1, so they would
+// repeat the aggregate.
+type Counters struct {
+	Requests         int64
+	QueueHops        int64
+	ReplyHops        int64
+	LocalCompletions int64
+	TotalLatency     int64
+	MaxQueueHops     int
 }
 
 // shardMsg is the driver's message family; the marker method keys it
@@ -117,24 +130,27 @@ type shardMsg interface{ isShardMsg() }
 // findMsg is a node's pre-boxed find: the requester, the object of its
 // current request and the hops that request has made so far. It travels
 // by pointer, so every forwarder counts the hop where it reads the
-// origin — one cache line.
+// origin.
 type findMsg struct {
 	origin graph.NodeID
 	obj    int32
 	hops   int32
 }
 
-type replyMsg struct{ origin graph.NodeID }
+// replyMsg is the completion notification. It is the requester's own
+// find record under a second type, sent as (*replyMsg)(&nd.find): the
+// request's object and origin are still stamped there, since the
+// requester cannot re-issue before its reply arrives, so the reply costs
+// no bytes and a reply hop reads its object from the message.
+type replyMsg findMsg
 
-// nodeState is everything the driver keeps per node, 32 bytes: the issue
-// time and remaining count of its closed loop and its two pre-boxed
-// messages, which the simulator carries as pointers into this record. A
-// forwarded find touches one line at its origin (origin, obj, hops), a
-// completion one (hops, issueTime, the reply).
+// nodeState is the driver's hot per-node record, 16 bytes, so a record
+// never straddles a 64-byte line: the pre-boxed find (which doubles as
+// the reply) and the remaining count of the node's closed loop. A
+// forwarded find or reply touches only its origin's record; the issue
+// time sits in a column of its own that only issue and completion touch.
 type nodeState struct {
-	issueTime sim.Time
 	find      findMsg
-	reply     replyMsg
 	remaining int32
 }
 
@@ -149,12 +165,12 @@ func (*replyMsg) isShardMsg() {}
 // across a node's successive requests (forwarding passes the same
 // pointer at every hop, so no send boxes an interface) — at the paper's
 // scale (100k requests per node) per-request arrays would cost hundreds
-// of MB per sweep cell. Per-node state is one 32-byte nodeState record
-// per node, so a million-node run's driver state is 32 MB and an event
-// touches one line of it. A node's findMsg is re-stamped with the
-// object of each new request; that is safe for the same reason the
-// reuse itself is — the previous request's messages are done traveling
-// before the node's next issue.
+// of MB per sweep cell. Per-node state is one 16-byte nodeState record
+// and one 8-byte issue time per node, so a million-node run's driver
+// state is 24 MB and a forwarded message touches one line of it. A
+// node's findMsg is re-stamped with the object of each new request;
+// that is safe for the same reason the reuse itself is — the previous
+// request's messages are done traveling before the node's next issue.
 //
 // Most callers want Run, the function. The two-step form exists for a
 // protocol whose fault recovery is more than re-issue-at-heal (arrow's
@@ -170,10 +186,13 @@ type Driver struct {
 	n     int
 	think sim.Time
 
-	nodes []nodeState
+	nodes  []nodeState
+	issued []sim.Time // issued[v] is the issue time of v's current request
 
-	// res[obj] accumulates object obj's counters.
-	res []loop.Result
+	// res[obj] accumulates object obj's counters; agg holds the
+	// fault-recovery counters, which a single-object run does not split.
+	res []Counters
+	agg loop.Result
 
 	// lost/affected are the fault-recovery state, nil in fault-free
 	// runs — the hot path pays one nil check per issue and per
@@ -236,21 +255,21 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	}
 	k := spec.Objects
 	d := &Driver{
-		spec:  spec,
-		step:  step,
-		proto: proto,
-		zipf:  workload.NewZipf(k, spec.Skew),
-		n:     n,
-		think: max(spec.ThinkTime, 1),
-		nodes: make([]nodeState, n),
-		res:   make([]loop.Result, k),
+		spec:   spec,
+		step:   step,
+		proto:  proto,
+		zipf:   workload.NewZipf(k, spec.Skew),
+		n:      n,
+		think:  max(spec.ThinkTime, 1),
+		nodes:  make([]nodeState, n),
+		issued: make([]sim.Time, n),
+		res:    make([]Counters, k),
 	}
 	d.route, _ = step.(ReplyRouter)
 	for v := range d.nodes {
 		nd := &d.nodes[v]
 		nd.remaining = int32(spec.PerNode)
 		nd.find.origin = graph.NodeID(v)
-		nd.reply.origin = graph.NodeID(v)
 	}
 	budget := eventBudget(int64(spec.PerNode)*int64(n), n)
 	if spec.Faults != nil {
@@ -316,30 +335,19 @@ func (d *Driver) Run() (*Result, error) {
 	return res, nil
 }
 
-// merge hands the per-object accumulators to the result and sums their
+// merge hands the per-object counters to the result and sums their
 // aggregate.
 func (d *Driver) merge() *Result {
-	res := &Result{
-		N:         d.n,
-		Objects:   d.spec.Objects,
-		Agg:       loop.Result{N: d.n},
-		PerObject: d.res,
-	}
-	add := func(to, r *loop.Result) {
-		to.Requests += r.Requests
-		to.QueueHops += r.QueueHops
-		to.ReplyHops += r.ReplyHops
-		to.LocalCompletions += r.LocalCompletions
-		to.TotalLatency += r.TotalLatency
-		to.Reissued += r.Reissued
-		to.RepliesLost += r.RepliesLost
-		to.Affected += r.Affected
-		to.MaxQueueHops = max(to.MaxQueueHops, r.MaxQueueHops)
-	}
-	for o := range res.PerObject {
-		po := &res.PerObject[o]
-		po.N = d.n
-		add(&res.Agg, po)
+	res := &Result{N: d.n, Objects: d.spec.Objects, Agg: d.agg, PerObject: d.res}
+	agg := &res.Agg
+	agg.N = d.n
+	for _, r := range res.PerObject {
+		agg.Requests += r.Requests
+		agg.QueueHops += r.QueueHops
+		agg.ReplyHops += r.ReplyHops
+		agg.LocalCompletions += r.LocalCompletions
+		agg.TotalLatency += r.TotalLatency
+		agg.MaxQueueHops = max(agg.MaxQueueHops, r.MaxQueueHops)
 	}
 	return res
 }
@@ -369,7 +377,7 @@ func (d *Driver) Blocked(ctx *sim.Context, msg sim.Message, upAt sim.Time, dropp
 	case *replyMsg:
 		d.affected[m.origin] = true
 		if dropped {
-			d.res[d.nodes[m.origin].find.obj].RepliesLost++
+			d.agg.RepliesLost++
 			d.retryAt(ctx, m.origin, upAt)
 		}
 	}
@@ -407,7 +415,7 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 		// pointer aimed at v (or repair has restored a legal state), so
 		// chains still terminate.
 		d.lost[v] = false
-		d.res[m.obj].Reissued++
+		d.agg.Reissued++
 	} else {
 		if nd.remaining == 0 {
 			return
@@ -416,7 +424,7 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 		// pure function of (seed, node, index).
 		m.obj = d.zipf.Draw(d.spec.Seed, v, int64(d.spec.PerNode)-int64(nd.remaining))
 		nd.remaining--
-		nd.issueTime = ctx.Now()
+		d.issued[v] = ctx.Now()
 	}
 	target, local := d.step.StartFind(m.obj, v)
 	if local {
@@ -448,10 +456,8 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 			d.scheduleNext(ctx, at)
 			return
 		}
-		// Only a ReplyRouter's replies stop short of the requester. The
-		// request's object is still stamped on the requester's own find:
-		// it cannot re-issue before this reply arrives.
-		d.res[d.nodes[m.origin].find.obj].ReplyHops++
+		// Only a ReplyRouter's replies stop short of the requester.
+		d.res[m.obj].ReplyHops++
 		ctx.Send(at, d.route.ReplyHop(at, m.origin), m)
 	default:
 		panic(fmt.Sprintf("%s: unexpected message %T", d.proto, msg))
@@ -465,7 +471,7 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
 	res := &d.res[obj]
 	nd := &d.nodes[origin]
-	lat := int64(ctx.Now() - nd.issueTime)
+	lat := int64(ctx.Now() - d.issued[origin])
 	h := int(nd.find.hops)
 	res.Requests++
 	res.TotalLatency += lat
@@ -478,7 +484,7 @@ func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.Node
 	}
 	if d.affected != nil {
 		if d.affected[origin] {
-			res.Affected++
+			d.agg.Affected++
 			d.affected[origin] = false
 		}
 		if d.onComplete != nil {
@@ -495,7 +501,7 @@ func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.Node
 	if d.route != nil {
 		next = d.route.ReplyHop(sink, origin)
 	}
-	ctx.Send(sink, next, &nd.reply)
+	ctx.Send(sink, next, (*replyMsg)(&nd.find))
 }
 
 func (d *Driver) scheduleNext(ctx *sim.Context, v graph.NodeID) {

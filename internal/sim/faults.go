@@ -212,8 +212,10 @@ type BlockedHandler func(ctx *Context, from, to graph.NodeID, msg Message, upAt 
 // faultState is a simulator's compiled, mutable view of its FaultPlan.
 type faultState struct {
 	policy FaultPolicy
-	// compiled transitions, in (At, plan index) order.
+	// compiled transitions, in (At, plan index) order; next indexes the
+	// first one not yet applied.
 	events []compiledFault
+	next   int
 	// nodeUpAt[v] != 0 means v is down until that time (FaultNever for a
 	// permanent failure). Transition times are >= 0 and Ups strictly
 	// follow Downs, so 0 is never a legal recovery time.
@@ -269,17 +271,35 @@ func compileFaults(p *FaultPlan, topo Topology) *faultState {
 	return f
 }
 
-// scheduleFaults pushes every compiled transition into the event queue,
-// in compile order so equal-time transitions keep plan order under FIFO
-// arbitration. Fault transitions ride the same ladder queue as protocol
-// events, preserving the scheduler's total order and zero-alloc path.
+// scheduleFaults pushes one event per compiled transition, in compile
+// order, so a transition's tick is an event of the run like any other
+// (it counts toward EventsProcessed and can end the makespan). The event
+// itself does nothing: Run applies every transition due before it
+// dispatches the first event of a tick (applyDue).
 func (s *Simulator) scheduleFaults() {
+	s.faultAt = FaultNever
 	if s.f == nil {
 		return
 	}
 	for i := range s.f.events {
-		cf := &s.f.events[i]
-		s.push(cf.ev.At, evFault, 0, 0, cf)
+		s.push(s.f.events[i].ev.At, evFault, 0, 0, nil)
+	}
+	s.faultAt = s.f.events[0].ev.At
+}
+
+// applyDue realizes every transition due by now, in plan order (At, then
+// plan index), and tells the observer of each. It runs before any other
+// event of the tick, whatever the arbitration: an event deferred to a
+// node's recovery tick finds the node up, and equal-time transitions
+// apply in plan order under LIFO and random arbitration too.
+func (s *Simulator) applyDue(ctx *Context) {
+	f := s.f
+	for ; f.next < len(f.events) && f.events[f.next].ev.At <= s.now; f.next++ {
+		s.applyFault(ctx, &f.events[f.next])
+	}
+	s.faultAt = FaultNever
+	if f.next < len(f.events) {
+		s.faultAt = f.events[f.next].ev.At
 	}
 }
 

@@ -32,10 +32,15 @@ type pushRec struct {
 
 // pushLog is one run as checkHeapOrder replays it: every scheduling call
 // the test made, and every delivery its handlers saw, in dispatch order.
+// Under a fault plan, firstAt holds the tick at which a message that was
+// blocked on arrival (deferred or dropped, the tag's BlockedHandler call
+// at dispatch) first popped; its delivery, if any, comes later.
 type pushLog struct {
-	s      *Simulator
-	pushes []pushRec
-	trace  []simDelivery
+	s       *Simulator
+	pushes  []pushRec
+	trace   []simDelivery
+	faults  *FaultPlan
+	firstAt map[uint64]Time
 }
 
 // deliver records the delivery the running handler was called for; the
@@ -55,9 +60,17 @@ func (l *pushLog) pushed(kind evKind, at Time, to, from graph.NodeID) {
 // fails at the first delivery that differs from what the heap pops. The
 // priority is recomputed here from the seq under the run's arbitration
 // and seed, so nothing the simulator stamped on an event is trusted. The
-// log must hold every push of the run (seqs 1, 2, …, no fault plan), so
-// a lost, duplicated or invented event fails too.
-func checkHeapOrder(t *testing.T, arb Arbitration, seed int64, l *pushLog) {
+// log must hold every push the test made, so a lost, duplicated or
+// invented event fails too.
+//
+// Under the log's fault plan (node transitions only) the replay models
+// the simulator's liveness rule itself: the plan's transitions take seqs 1…F before any push of
+// the test, a tick's transitions apply before any other event of that
+// tick, and an event popped for a down node is deferred to its recovery
+// tick under the next seq (a message is dropped instead under FaultDrop).
+// It returns the number of events the replay popped and the tick of the
+// last, which the run's EventsProcessed and makespan must equal.
+func checkHeapOrder(t *testing.T, arb Arbitration, seed int64, l *pushLog) (pops int64, last Time) {
 	t.Helper()
 	msgAt := make(map[uint64]Time)
 	for _, d := range l.trace {
@@ -65,14 +78,38 @@ func checkHeapOrder(t *testing.T, arb Arbitration, seed int64, l *pushLog) {
 			msgAt[d.tag] = d.at
 		}
 	}
+	for tag, at := range l.firstAt {
+		msgAt[tag] = at
+	}
 	arbSeed := DeriveSeed(seed, 2)
 	var h eventHeap
+	var seq uint64 // the last seq the replay has assigned
+	push := func(at Time, kind evKind, to, from graph.NodeID, tag uint64) {
+		seq++
+		var pri int64
+		switch arb {
+		case ArbFIFO:
+			pri = int64(seq)
+		case ArbLIFO:
+			pri = -int64(seq)
+		case ArbRandom:
+			pri = DeriveSeed(arbSeed, int(seq))
+		}
+		e := h.push(at, pri, seq)
+		e.kind, e.to, e.from, e.msg = kind, to, from, tag
+	}
+	f := compileFaults(l.faults, l.s.cfg.Topology) // nil without transitions
+	if f != nil {
+		for _, cf := range f.events {
+			push(cf.ev.At, evFault, 0, 0, 0)
+		}
+	}
 	next := 0 // the first push not yet replayed
 	replay := func(step int) {
 		for ; next < len(l.pushes) && l.pushes[next].step == step; next++ {
 			p := l.pushes[next]
-			if p.seq != uint64(next+1) {
-				t.Fatalf("push %d of the log has seq %d: the log misses a push of the run", next, p.seq)
+			if p.seq != seq+1 {
+				t.Fatalf("push %d of the log has seq %d, want %d: the log misses a push of the run", next, p.seq, seq+1)
 			}
 			at := p.at
 			if p.kind == evMessage {
@@ -81,36 +118,49 @@ func checkHeapOrder(t *testing.T, arb Arbitration, seed int64, l *pushLog) {
 					t.Fatalf("message seq %d (%d -> %d, step %d) was never delivered", p.seq, p.from, p.to, p.step)
 				}
 			}
-			var pri int64
-			switch arb {
-			case ArbFIFO:
-				pri = int64(p.seq)
-			case ArbLIFO:
-				pri = -int64(p.seq)
-			case ArbRandom:
-				pri = DeriveSeed(arbSeed, int(p.seq))
-			}
-			e := h.push(at, pri, p.seq)
-			e.kind, e.to, e.from = p.kind, p.to, p.from
+			push(at, p.kind, p.to, p.from, p.seq)
 		}
 	}
 	replay(-1)
-	for i, got := range l.trace {
-		if len(h) == 0 {
-			t.Fatalf("delivery %d: ladder %+v, heap replay has nothing pending", i, got)
-		}
+	i := 0 // the next delivery of the trace
+	for len(h) > 0 {
 		var e event
 		h.pop(&e)
-		want := simDelivery{e.at, e.kind, e.to, e.from, e.seq}
+		pops, last = pops+1, e.at
+		tag := e.msg.(uint64)
+		if f != nil {
+			for ; f.next < len(f.events) && f.events[f.next].ev.At <= e.at; f.next++ {
+				if cf := f.events[f.next]; cf.ev.Kind == NodeDown {
+					f.nodeUpAt[cf.ev.U] = cf.upAt
+				} else {
+					f.nodeUpAt[cf.ev.U] = 0
+				}
+			}
+			if e.kind == evFault {
+				continue
+			}
+			if upAt := f.nodeUpAt[e.to]; upAt != 0 && e.kind != evTimer {
+				if upAt != FaultNever && (e.kind == evNodeTimer || f.policy == FaultQueue) {
+					push(upAt, e.kind, e.to, e.from, tag)
+				}
+				continue
+			}
+		}
+		want := simDelivery{e.at, e.kind, e.to, e.from, tag}
 		if e.kind == evNodeTimer {
 			want.tag = 0
 		}
-		if got != want {
+		if i == len(l.trace) {
+			t.Fatalf("ladder delivered %d events; the heap replay delivers %+v next", i, want)
+		}
+		if got := l.trace[i]; got != want {
 			t.Fatalf("delivery %d: ladder %+v, heap replay %+v", i, got, want)
 		}
 		replay(i)
+		i++
 	}
-	if len(h) > 0 || next < len(l.pushes) {
-		t.Fatalf("ladder delivered %d events; the heap replay holds %d more and %d pushes unreplayed", len(l.trace), len(h), len(l.pushes)-next)
+	if i < len(l.trace) || next < len(l.pushes) {
+		t.Fatalf("ladder delivered %d events, the heap replay %d; %d pushes unreplayed", len(l.trace), i, len(l.pushes)-next)
 	}
+	return pops, last
 }

@@ -14,14 +14,15 @@ const (
 	evTimer evKind = iota
 	evNodeTimer
 	evMessage
-	// evFault applies a FaultPlan transition; msg carries *compiledFault.
+	// evFault marks a FaultPlan transition's tick (Run applies the
+	// transition itself, see applyDue); msg is nil.
 	evFault
 )
 
 // event is one pending event as a full value: the heap tier's element
 // and the oracle's. msg carries the payload of every kind — a message's
 // Message, an evTimer's TimerFunc (funcs are pointer-shaped: no boxing
-// allocation), an evFault's *compiledFault. The arbitration priority is
+// allocation); an evFault's is nil. The arbitration priority is
 // not stored: it is a function of seq (see ladderQueue.pri).
 type event struct {
 	at   Time

@@ -175,6 +175,10 @@ type Simulator struct {
 	ctx      *Context
 	faultH   FaultObserver
 	blockedH BlockedHandler
+	// faultAt is the tick of the next transition not yet applied
+	// (FaultNever when none is left, or without a plan): Run applies
+	// it before the first event of its tick is dispatched.
+	faultAt Time
 
 	// lq is the pending-event queue (see ladderQueue).
 	lq ladderQueue
@@ -736,6 +740,9 @@ func (s *Simulator) Run() Time {
 		if s.cfg.MaxEvents > 0 && s.processed > s.cfg.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
 		}
+		if s.now >= s.faultAt {
+			s.applyDue(ctx)
+		}
 		s.dispatch(ctx, c)
 		s.lq.release(slot)
 	}
@@ -799,7 +806,8 @@ func (s *Simulator) dispatch(ctx *Context, e *cell) {
 		}
 		h(ctx, to, from, msg)
 	case evFault:
-		s.applyFault(ctx, e.msg.(*compiledFault))
+		// Run applied the transition when the clock reached its tick;
+		// the event only keeps that tick in the run's event order.
 	}
 }
 

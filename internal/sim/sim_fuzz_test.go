@@ -31,6 +31,9 @@ type simResult struct {
 	seed                 int64
 	closures, nodeTimers int
 	wheels               scriptCover // far-wheel first allocations (coverFresh0 … coverPourNew) and coverNextEp
+	policy               FaultPolicy
+	episodes             int   // node down/up episodes of the script's fault plan (0: none)
+	blocked              int64 // messages dropped or deferred, and node timers deferred
 }
 
 // simScript runs one byte-script as a whole simulation. The first four
@@ -41,13 +44,21 @@ type simResult struct {
 //	   complete metric (Latency/Hops/LinkIndex interface path) or the
 //	   same with its LinkIndexer hidden (link clocks in the table)
 //	1  latency model: synchronous, scaled synchronous, AsyncUniform or
-//	   AsyncBimodal with slow probability 0.25, the scale 1 + (x>>2)%8
+//	   AsyncBimodal with slow probability 0.25, the scale 1 + (x>>2)%8;
+//	   bit 5 arms a fault plan (below), bit 6 makes its policy
+//	   FaultQueue instead of FaultDrop
 //	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4; x>>4, when not zero,
 //	   moves the first timers x 2²⁷-tick blocks later and spreads them
 //	   one super-epoch apart instead of one tick (node v's at start +
 //	   x·2²⁷ + (v%3)·2¹⁸), so they reach the heap tier and pour into
 //	   wheels nothing has allocated yet
 //	3  start tick simStarts[x%4], seed x>>2
+//
+// With a fault plan the next byte gives 1 + x%4 node episodes and three
+// bytes each follow: the node (x % n), the down tick (the first timer's
+// tick + x) and the length (1 + x%32 ticks). An episode of a node that
+// is still down, or was down later, starts at that node's last recovery
+// tick, so a node can come up and go down again on one tick.
 //
 // The rest is the op stream. Every dispatched event — message, node
 // timer or closure timer — takes the next two bytes and executes each:
@@ -85,16 +96,54 @@ func simScript(t *testing.T, script []byte) simResult {
 		lat = AsyncBimodal(scale, 0.25)
 	}
 	arb, seed := Arbitration((hdr[2]&3)%3), int64(hdr[3]>>2)
+	first := func(v int) Time { return simStarts[hdr[3]%4] + Time(v%3) }
+	if blocks := Time(hdr[2] >> 4); blocks != 0 {
+		first = func(v int) Time {
+			return simStarts[hdr[3]%4] + blocks<<heapShift + Time(v%3)<<(2*ringBits)
+		}
+	}
+	var plan *FaultPlan
+	episodes := 0
+	if hdr[1]&0x20 != 0 && len(ops) > 0 {
+		plan = &FaultPlan{Policy: FaultPolicy(hdr[1] >> 6 & 1)}
+		upAt := make([]Time, n)
+		for e := 1 + int(ops[0])%4; e > 0 && len(ops) >= 4; e-- {
+			v := graph.NodeID(int(ops[1]) % n)
+			down := max(first(0)+Time(ops[2]), upAt[v])
+			upAt[v] = down + 1 + Time(ops[3]%32)
+			plan.Events = append(plan.Events,
+				FaultEvent{At: down, Kind: NodeDown, U: v},
+				FaultEvent{At: upAt[v], Kind: NodeUp, U: v})
+			ops = ops[3:]
+			episodes++
+		}
+		ops = ops[1:]
+	}
+	// Each event is dispatched once, or deferred once per episode of its
+	// node and then dispatched, and each transition is one event: a run
+	// that defers an event to the same tick over and over exceeds this.
 	s := New(Config{
 		Topology:    topo,
 		Latency:     lat,
 		Arbitration: arb,
 		Seed:        seed,
 		LinkTxTime:  Time(hdr[2]>>2) % 4,
-		MaxEvents:   int64(4*len(script) + 64),
+		Faults:      plan,
+		MaxEvents:   int64(4*len(script)+64)*int64(1+episodes) + int64(2*episodes),
 	})
-	res := simResult{log: pushLog{s: s}, model: hdr[1] % 4, arb: arb, seed: seed}
+	res := simResult{log: pushLog{s: s, faults: plan}, model: hdr[1] % 4, arb: arb, seed: seed, episodes: episodes}
 	l := &res.log
+	sending := false
+	if plan != nil {
+		res.policy = plan.Policy
+		l.firstAt = make(map[uint64]Time)
+		s.SetBlockedHandler(func(ctx *Context, from, to graph.NodeID, msg Message, upAt Time, dropped bool) {
+			res.blocked++
+			if _, seen := l.firstAt[msg.(uint64)]; !seen && !sending {
+				l.firstAt[msg.(uint64)] = ctx.Now()
+			}
+		})
+	}
 	// Every push is bracketed by mark and pushed; a handler's pops are
 	// the one popCell between the mark at the end of the previous
 	// dispatch (or of the initial schedule) and its own start.
@@ -129,8 +178,13 @@ func simScript(t *testing.T, script []byte) simResult {
 						to = 1 // the root of the two-node tree asked for child 2
 					}
 				}
+				before := s.seq
+				sending = true
 				ctx.Send(at, to, s.seq+1)
-				l.pushed(evMessage, 0, to, at)
+				sending = false
+				if s.seq != before { // a FaultDrop send past a down node pushes nothing
+					l.pushed(evMessage, 0, to, at)
+				}
 			case 1:
 				res.closures++
 				ctx.After(simDelays[a&15], closure(at))
@@ -152,12 +206,6 @@ func simScript(t *testing.T, script []byte) simResult {
 		l.deliver(simDelivery{ctx.Now(), evNodeTimer, v, -1, 0})
 		act(ctx, v)
 	})
-	first := func(v int) Time { return simStarts[hdr[3]%4] + Time(v%3) }
-	if blocks := Time(hdr[2] >> 4); blocks != 0 {
-		first = func(v int) Time {
-			return simStarts[hdr[3]%4] + blocks<<heapShift + Time(v%3)<<(2*ringBits)
-		}
-	}
 	for v := 0; v < n; v++ {
 		wheels.mark()
 		s.ScheduleNodeAt(first(v), graph.NodeID(v))
@@ -168,6 +216,9 @@ func simScript(t *testing.T, script []byte) simResult {
 	res.makespan = s.Run()
 	res.events = s.EventsProcessed()
 	res.sched = s.SchedStats()
+	if s.f != nil {
+		res.blocked += s.f.timerDeferred
+	}
 	return res
 }
 
@@ -181,10 +232,9 @@ func simScriptsAgree(t *testing.T, script []byte) simResult {
 		script = script[:4096]
 	}
 	r := simScript(t, script)
-	checkHeapOrder(t, r.arb, r.seed, &r.log)
-	trace := r.log.trace
-	if r.events != int64(len(trace)) || len(trace) > 0 && r.makespan != trace[len(trace)-1].at {
-		t.Fatalf("simulator reports %d events to tick %d for a trace of %d deliveries", r.events, r.makespan, len(trace))
+	pops, last := checkHeapOrder(t, r.arb, r.seed, &r.log)
+	if r.events != pops || pops > 0 && r.makespan != last {
+		t.Fatalf("simulator reports %d events to tick %d, the heap replay pops %d to tick %d", r.events, r.makespan, pops, last)
 	}
 	return r
 }
@@ -209,7 +259,11 @@ func FuzzSimLadderMatchesHeap(f *testing.F) {
 // a fresh push into either wheel, a wheel-1 cascade into wheel 0 and
 // one heap pour into both (seed-*-wheels-*), and cross into an epoch
 // whose tick a wheel-0 resident and next-epoch pushes share
-// (seed-nextep-*).
+// (seed-nextep-*). Their fault scripts (seed-fault-*) block messages or
+// node timers under both policies and every arbitration, among them
+// seed-fault-lifo-recovery-tick: a node timer deferred to its node's
+// recovery tick under LIFO, which spun while the recovery applied only
+// when its own event popped.
 func TestSimCorpusReachesEveryTier(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzSimLadderMatchesHeap/*")
 	if err != nil || len(files) < 6 {
@@ -221,6 +275,7 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 		wheels [3]scriptCover
 	)
 	closures, nodeTimers, msgs := 0, 0, int64(0)
+	faulted := map[[2]int]bool{} // {policy, arbitration} of scripts that blocked something
 	for _, name := range files {
 		r := simScriptsAgree(t, corpusBytes(t, name, corpusArgs(t, name, 1)[0]))
 		t.Logf("%s: %d events to tick %d, scheduler %+v", filepath.Base(name), r.events, r.makespan, r.sched)
@@ -231,6 +286,16 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 		sched.HeapPushes += r.sched.HeapPushes
 		sched.Cascaded += r.sched.Cascaded
 		wheels[r.arb] |= r.wheels
+		if r.episodes > 0 && r.blocked > 0 {
+			faulted[[2]int{int(r.policy), int(r.arb)}] = true
+		}
+	}
+	for _, p := range []FaultPolicy{FaultDrop, FaultQueue} {
+		for arb := range wheels {
+			if !faulted[[2]int{int(p), arb}] {
+				t.Errorf("no %v script under %v blocks a message or node timer", p, Arbitration(arb))
+			}
+		}
 	}
 	const paths = coverFresh0 | coverFresh1 | coverCascade | coverPourNew | coverNextEp
 	for arb, c := range wheels {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/loop"
 	"repro/internal/nta"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -60,26 +61,33 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // decade (allocator size-class and slice-growth rounding move it a
 // little), and stays under an absolute per-node budget that a single
 // stray O(n log n) table would immediately break (the lifted tree alone
-// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). The
-// budgets are about three times what the rows measure: arrow 76 B/node
-// — the 32-byte event cell of an arena the driver reserves in one step
-// (Simulator.Reserve; ramping it up through append cost 445, and
-// 48-byte cells read 92), the 32-byte nodeState and 12 bytes of Walker
-// and link arrays — and centralized 48: the arena of the n initial
-// issue timers and the 16-byte per-node record (49 with the four
-// per-node arrays the record replaced, 66 with 48-byte cells). The
-// coordinator's queue is linked through that record, so a second
-// n-entry structure for it (the binary heap that once held one
-// serve-finish timer per request cost ~340 B/node in append growth)
-// breaks its budget.
+// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). Arrow's
+// budget is what its row measures plus 10 %: 68 B/node — the 32-byte
+// event cell of an arena the driver reserves in one step
+// (Simulator.Reserve; ramping it up through append cost 445, and 48-byte
+// cells read 92), the driver's 16-byte nodeState and 8-byte issue time,
+// and 12 bytes of Walker and link arrays — so the 32-byte nodeState that
+// carried the issue time and a reply of its own (76 B/node) fails it. A
+// -race build's allocator counts more (100 B/node), so there only the
+// former 220-byte budget applies. Centralized's budget is about three
+// times its 48 B/node: the arena of the n initial issue timers and the
+// 16-byte per-node record (49 with the four per-node arrays the record
+// replaced, 66 with 48-byte cells). The coordinator's queue is linked
+// through that record, so a second n-entry structure for it (the binary
+// heap that once held one serve-finish timer per request cost ~340
+// B/node in append growth) breaks its budget.
 func TestScaleBytesPerNodeFlat(t *testing.T) {
 	const perNode = 4
+	arrowBudget := 75.0
+	if raceEnabled {
+		arrowBudget = 220
+	}
 	rows := []struct {
 		name   string
 		budget float64
 		run    func(n int) float64
 	}{
-		{"arrow", 220, func(n int) float64 { return arrowAllocPerNode(t, n+1, loop.Spec{PerNode: perNode}) }},
+		{"arrow", arrowBudget, func(n int) float64 { return arrowAllocPerNode(t, n+1, loop.Spec{PerNode: perNode}) }},
 		{"centralized", 170, func(n int) float64 { return centralAllocPerNode(t, n, loop.Spec{PerNode: perNode}) }},
 	}
 	for _, r := range rows {
@@ -91,6 +99,48 @@ func TestScaleBytesPerNodeFlat(t *testing.T) {
 		if big > r.budget {
 			t.Errorf("%s: bytes/node at 100k = %.1f exceeds the %.0f-byte budget", r.name, big, r.budget)
 		}
+	}
+}
+
+// TestShardBytesPerObject is the per-object row of the same gate: what
+// one more object costs a multi-object shard.Run, measured as the bytes
+// a run at k = 1 024 allocates beyond one at k = 1, per extra object,
+// with each stepper (its k×n pointer table) built outside the measured
+// span. It reads 96 B: the 48-byte Counters, and 48 bytes of Zipf table
+// (an 8-byte cumulative weight and a guide of eight 4-byte entries,
+// which the allocator rounds up to whole pages). The budget is that plus
+// 10 %, so per-object counters in the 136-byte loop.Result shape (184
+// B/object) fail it.
+func TestShardBytesPerObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's allocator counts bytes differently")
+	}
+	const n, k, perNode = 64, 1024, 4
+	topo := sim.NewCompleteTopology(n)
+	run := func(objects int) uint64 {
+		step, err := arrow.NewShardForest(n, objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms gort.MemStats
+		gort.GC()
+		gort.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		res, err := shard.Run(topo, step, "arrow", shard.Spec{Spec: loop.Spec{PerNode: perNode, Seed: 1}, Objects: objects, Skew: 1.1})
+		gort.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agg.Requests != n*perNode {
+			t.Fatalf("k=%d: completed %d of %d requests", objects, res.Agg.Requests, n*perNode)
+		}
+		return ms.TotalAlloc - before
+	}
+	one, many := run(1), run(k)
+	perObject := float64(many-one) / (k - 1)
+	t.Logf("shard.Run bytes: k=1 %d, k=%d %d, %.1f per extra object", one, k, many, perObject)
+	if perObject > 105 {
+		t.Errorf("one more object costs %.1f bytes, over the 105-byte budget", perObject)
 	}
 }
 
