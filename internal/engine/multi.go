@@ -62,16 +62,10 @@ func runSharded(p adapter, inst Instance, n int) (Cost, error) {
 	cost := loopCost(p.Name(), inst.Label, &res.Agg)
 	attachDists(&cost, inst.Recorder)
 	cost.PerObject = make([]Cost, k)
-	for o, r := range res.PerObject {
-		c := loopCost(p.Name(), inst.Label, &loop.Result{
-			N:                n,
-			Requests:         r.Requests,
-			QueueHops:        r.QueueHops,
-			ReplyHops:        r.ReplyHops,
-			LocalCompletions: r.LocalCompletions,
-			TotalLatency:     r.TotalLatency,
-			MaxQueueHops:     r.MaxQueueHops,
-		})
+	for o := range res.PerObject {
+		lr := loop.Result{N: n}
+		res.PerObject[o].AddTo(&lr)
+		c := loopCost(p.Name(), inst.Label, &lr)
 		attachDists(&c, nil)
 		cost.PerObject[o] = c
 	}

@@ -123,6 +123,16 @@ type Counters struct {
 	MaxQueueHops     int
 }
 
+// AddTo folds c into r: the sums add and MaxQueueHops takes the larger.
+func (c *Counters) AddTo(r *loop.Result) {
+	r.Requests += c.Requests
+	r.QueueHops += c.QueueHops
+	r.ReplyHops += c.ReplyHops
+	r.LocalCompletions += c.LocalCompletions
+	r.TotalLatency += c.TotalLatency
+	r.MaxQueueHops = max(r.MaxQueueHops, c.MaxQueueHops)
+}
+
 // shardMsg is the driver's message family; the marker method keys it
 // for arrowlint's msgswitch analyzer.
 type shardMsg interface{ isShardMsg() }
@@ -339,15 +349,9 @@ func (d *Driver) Run() (*Result, error) {
 // aggregate.
 func (d *Driver) merge() *Result {
 	res := &Result{N: d.n, Objects: d.spec.Objects, Agg: d.agg, PerObject: d.res}
-	agg := &res.Agg
-	agg.N = d.n
-	for _, r := range res.PerObject {
-		agg.Requests += r.Requests
-		agg.QueueHops += r.QueueHops
-		agg.ReplyHops += r.ReplyHops
-		agg.LocalCompletions += r.LocalCompletions
-		agg.TotalLatency += r.TotalLatency
-		agg.MaxQueueHops = max(agg.MaxQueueHops, r.MaxQueueHops)
+	res.Agg.N = d.n
+	for o := range res.PerObject {
+		res.PerObject[o].AddTo(&res.Agg)
 	}
 	return res
 }

@@ -741,7 +741,10 @@ func (s *Simulator) Run() Time {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d — protocol likely diverged", s.cfg.MaxEvents))
 		}
 		if s.now >= s.faultAt {
+			// The FaultObserver may push and grow the arena: re-take
+			// the cell by its slot.
 			s.applyDue(ctx)
+			c = &s.lq.arena[slot]
 		}
 		s.dispatch(ctx, c)
 		s.lq.release(slot)

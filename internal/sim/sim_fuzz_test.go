@@ -133,12 +133,16 @@ func simScript(t *testing.T, script []byte) simResult {
 	})
 	res := simResult{log: pushLog{s: s, faults: plan}, model: hdr[1] % 4, arb: arb, seed: seed, episodes: episodes}
 	l := &res.log
-	sending := false
+	// sending is set around a script's Send, sendDropped by the
+	// BlockedHandler when that Send dropped its message: the one send
+	// that pushes nothing, and the only one the log may leave out.
+	sending, sendDropped := false, false
 	if plan != nil {
 		res.policy = plan.Policy
 		l.firstAt = make(map[uint64]Time)
 		s.SetBlockedHandler(func(ctx *Context, from, to graph.NodeID, msg Message, upAt Time, dropped bool) {
 			res.blocked++
+			sendDropped = sending && dropped
 			if _, seen := l.firstAt[msg.(uint64)]; !seen && !sending {
 				l.firstAt[msg.(uint64)] = ctx.Now()
 			}
@@ -178,11 +182,10 @@ func simScript(t *testing.T, script []byte) simResult {
 						to = 1 // the root of the two-node tree asked for child 2
 					}
 				}
-				before := s.seq
-				sending = true
+				sending, sendDropped = true, false
 				ctx.Send(at, to, s.seq+1)
 				sending = false
-				if s.seq != before { // a FaultDrop send past a down node pushes nothing
+				if !sendDropped {
 					l.pushed(evMessage, 0, to, at)
 				}
 			case 1:
