@@ -86,6 +86,20 @@ func TestDesignCitationsResolve(t *testing.T) {
 	}
 }
 
+// TestDesignWithinBudget keeps DESIGN.md under its 30 KiB budget
+// (ROADMAP.md item 24): a section that grows pays for it by trimming
+// another, so the document stays one reading.
+func TestDesignWithinBudget(t *testing.T) {
+	const budget = 30 << 10
+	info, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() > budget {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte budget", info.Size(), budget)
+	}
+}
+
 // TestCitationsFollowWrappedComments pins what citations extracts: a
 // citation with or without the comma, one wrapped across Go comment
 // lines or markdown lines, and not a quoted string that starts with

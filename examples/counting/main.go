@@ -80,7 +80,10 @@ func main() {
 		go func(v graph.NodeID) {
 			defer wg.Done()
 			for i := 0; i < incsPerNode; i++ {
-				reqID := net.RequestSync(v)
+				reqID, err := net.Submit(v, 0)
+				if err != nil {
+					log.Fatal(err)
+				}
 				g := <-gateFor(reqID) // counter arrives from predecessor
 				results[v] = append(results[v], g.value)
 				passed <- g.value + 1
@@ -89,10 +92,6 @@ func main() {
 	}
 	wg.Wait()
 	<-managerDone
-	go func() {
-		for range net.Completions() {
-		}
-	}()
 	net.Stop()
 
 	// Verify: all issued values are distinct and cover 0..totalIncs-1.

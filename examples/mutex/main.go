@@ -90,7 +90,10 @@ func main() {
 		go func(v graph.NodeID) {
 			defer wg.Done()
 			for i := 0; i < sectionsPerNode; i++ {
-				reqID := net.RequestSync(v)
+				reqID, err := net.Submit(v, 0)
+				if err != nil {
+					log.Fatal(err)
+				}
 				<-gt.for_(reqID) // wait for the token
 
 				if inCS.Add(1) != 1 {
@@ -110,11 +113,6 @@ func main() {
 	wg.Wait()
 	<-managerDone
 	close(release)
-	// Drain completions the manager no longer needs so Stop can flush.
-	go func() {
-		for range net.Completions() {
-		}
-	}()
 	net.Stop()
 
 	fmt.Printf("%d critical sections executed across %d nodes, mutual exclusion preserved\n",

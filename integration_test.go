@@ -59,7 +59,9 @@ func TestSimAndRuntimeAgreeSequentially(t *testing.T) {
 		}
 	}()
 	for _, v := range nodes {
-		net.RequestSync(v)
+		if _, err := net.Submit(v, 0); err != nil {
+			t.Fatal(err)
+		}
 		net.Wait()
 	}
 	net.Stop()

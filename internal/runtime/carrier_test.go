@@ -21,11 +21,9 @@ import (
 // without leaning on Wait. One goroutine submits every request at object
 // 0's sink, so the requests complete inside initiate, in delivery order:
 // complete runs in ReqID order. The window keeps the submitter a step
-// ahead of a consumer that alternates between parking in receive (the
-// direct handoff) and staying away for 0-7us (the backlog), sweeping
-// its return across the collector's wake-up: the interleaving where a
-// direct send guarded only by "the backlog slice is empty" overtakes a
-// batch the collector has swapped out but not sent yet.
+// ahead of a consumer that alternates between parking in receive (a
+// send that hands the completion straight to it) and staying away for
+// 0-7us (a send into the buffer, with the window full when it returns).
 func TestCompletionOrderIsFIFO(t *testing.T) {
 	const requests = 150_000
 	net := New(tree.BalancedBinary(7), 0, Options{MaxInFlight: 2})
@@ -197,9 +195,9 @@ func TestCarrierFairness(t *testing.T) {
 }
 
 // TestSlowConsumerIsBackpressured: an admission slot is released when
-// the completion is handed to the consumer, not when it is produced, so
-// a stalled consumer surfaces as *OverloadError and the completion
-// backlog never outgrows the window.
+// the consumer reads the completion, not when it is produced, so a
+// stalled consumer surfaces as *OverloadError and unread completions
+// never outgrow the window.
 func TestSlowConsumerIsBackpressured(t *testing.T) {
 	const window, attempts = 8, 1000
 	net := New(tree.BalancedBinary(15), 0, Options{Objects: 4, MaxInFlight: window})
@@ -237,6 +235,88 @@ func TestSlowConsumerIsBackpressured(t *testing.T) {
 	}
 }
 
+// TestStopWithoutConsumer: Stop waits for the admitted requests, not
+// for a consumer. Ten requests are still crossing their hops when Stop
+// starts and nobody reads Completions, yet Stop returns, and a later
+// drain reads exactly the ten completions and then the close.
+func TestStopWithoutConsumer(t *testing.T) {
+	const requests, timeout = 10, 5 * time.Second
+	net := New(tree.PathTree(8), 0, Options{})
+	net.hopDelay = time.Millisecond
+	net.Start()
+	for i := 0; i < requests; i++ {
+		submitAsync(t, net, graph.NodeID(7-i%4))
+	}
+	for net.Accepted() < requests {
+		runtime.Gosched()
+	}
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		net.Stop()
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(timeout):
+		t.Fatalf("Stop did not return in %v with nobody reading Completions", timeout)
+	}
+	for got := 0; ; got++ {
+		select {
+		case _, open := <-net.Completions():
+			if open {
+				continue
+			}
+			if got != requests {
+				t.Errorf("%d completions before the close, want %d", got, requests)
+			}
+			return
+		case <-time.After(timeout):
+			t.Fatalf("after %d completions the channel was neither read nor closed in %v", got, timeout)
+		}
+	}
+}
+
+// TestUnreadNetworkRefusesAtDefaultWindow: a network on Options{} that
+// nobody reads admits its default window of 4,096 requests and then
+// sheds load, so its memory stays fixed: 10^5 refused submits leave the
+// live heap at most 1 MB larger.
+func TestUnreadNetworkRefusesAtDefaultWindow(t *testing.T) {
+	const n, window, refused, heapBudget = 63, 4096, 100_000, 1 << 20
+	net := New(tree.BalancedBinary(n), 0, Options{})
+	net.Start()
+	for i := 0; i < window; i++ {
+		if _, err := net.Submit(graph.NodeID(i%n), 0); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < refused; i++ {
+		_, err := net.Submit(graph.NodeID(i%n), 0)
+		var ov *OverloadError
+		if !errors.As(err, &ov) || ov.Limit != window {
+			t.Fatalf("submit %d past the window: %v, want *OverloadError with Limit %d", window+i, err, window)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if g := net.InFlight(); g != window {
+		t.Errorf("InFlight() = %d with nobody reading, want %d", g, window)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > heapBudget {
+		t.Errorf("live heap grew %d bytes over %d refused submits, budget %d", grew, refused, heapBudget)
+	}
+	net.Stop()
+	got := 0
+	for range net.Completions() {
+		got++
+	}
+	if got != window {
+		t.Errorf("%d completions drained after Stop, want %d", got, window)
+	}
+}
+
 // settledGoroutines returns runtime.NumGoroutine() once it has held one
 // value for a few consecutive reads: goroutines of earlier tests are
 // reaped asynchronously.
@@ -266,8 +346,8 @@ func waitGoroutines(t *testing.T, when string, lo, hi int) {
 }
 
 // TestIdleNetworkOwnsNoCarriers: whatever the tree size, a started
-// network owns the collector and nothing else, before its requests and
-// once they are quiescent, and owns nothing after Stop.
+// network owns no goroutine, before its requests and once they are
+// quiescent, nor after Stop.
 func TestIdleNetworkOwnsNoCarriers(t *testing.T) {
 	for _, n := range []int{7, 4095} {
 		base := settledGoroutines()
@@ -279,13 +359,13 @@ func TestIdleNetworkOwnsNoCarriers(t *testing.T) {
 			}
 		}()
 		net.Start()
-		// The consumer above and the collector.
-		waitGoroutines(t, fmt.Sprintf("n=%d after Start", n), base+2, base+2)
+		// The consumer above.
+		waitGoroutines(t, fmt.Sprintf("n=%d after Start", n), base+1, base+1)
 		for i := 0; i < 200; i++ {
 			submit(t, net, graph.NodeID(i*31%n))
 		}
 		net.Wait()
-		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+2, base+2)
+		waitGoroutines(t, fmt.Sprintf("n=%d after Wait", n), base+1, base+1)
 		net.Stop()
 		<-drained
 		waitGoroutines(t, fmt.Sprintf("n=%d after Stop", n), base, base)
@@ -561,8 +641,8 @@ func claimUnderContention(t *testing.T, hop time.Duration) {
 
 // TestSubmitCarriesItsOwnRequest: with one submitter nothing contends,
 // so every Submit walks its request to the sink and returns with it
-// completed. Nobody receives, so each completion is counted in
-// undelivered from the moment it completes.
+// completed. Nobody receives, so each completion is in the channel's
+// buffer from the moment it completes.
 func TestSubmitCarriesItsOwnRequest(t *testing.T) {
 	const n, requests = 63, 200
 	net := New(tree.BalancedBinary(n), 0, Options{})
@@ -572,11 +652,8 @@ func TestSubmitCarriesItsOwnRequest(t *testing.T) {
 		if _, err := net.Submit(graph.NodeID(rng.Intn(n)), 0); err != nil {
 			t.Fatal(err)
 		}
-		net.compMu.Lock()
-		undelivered := net.undelivered
-		net.compMu.Unlock()
-		if undelivered != i {
-			t.Fatalf("after Submit %d: %d requests completed, want %d", i, undelivered, i)
+		if completed := len(net.Completions()); completed != i {
+			t.Fatalf("after Submit %d: %d requests completed, want %d", i, completed, i)
 		}
 	}
 	if comps := collect(net)(); len(comps) != requests {

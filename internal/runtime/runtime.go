@@ -11,8 +11,8 @@
 // node it claims, so an uncontended path reversal costs the caller two
 // compare-and-swaps per hop, no lock and no goroutine handoff. A node
 // holding other requests' mail goes to a carrier goroutine: carriers
-// serve only contention, and an idle network owns only its collector,
-// whatever the number of nodes.
+// serve only contention, and an idle network owns no goroutine, whatever
+// the number of nodes.
 //
 // This is the paper's asynchronous message-passing model: a node is held
 // by at most one goroutine at a time, so it processes its messages one
@@ -29,11 +29,14 @@
 // The runtime is a sharded multi-object service: Options.Objects runs k
 // independent arrow instances over the same tree and the same nodes,
 // object o rooted at its own home node, with Submit as the object-keyed
-// request front door. Admission is bounded — with a positive
-// MaxInFlight the network sheds load with a typed *OverloadError
-// instead of queueing without limit, so mailbox and completion-backlog
-// memory stay proportional to the admission window rather than the
-// offered load.
+// request front door. Admission is bounded: a request holds a slot of
+// the admission window (Options.MaxInFlight) until its completion is
+// read from Completions, whose buffer is the window's size, so the step
+// that completes a request never waits for the consumer, and beyond the
+// window the network sheds load with a typed *OverloadError. Mailbox
+// and completion memory stay proportional to the window, not to the
+// offered load, and a stalled or absent consumer costs overload, not
+// memory.
 package runtime
 
 import (
@@ -70,13 +73,18 @@ type Options struct {
 	// sink hotspots spread across the nodes.
 	Objects int
 	// MaxInFlight bounds admitted requests whose completion has not yet
-	// been delivered on Completions, across all objects: Submit beyond
-	// the bound fails fast with *OverloadError instead of growing node
-	// mailboxes or the completion backlog without limit, so a stalled
-	// consumer surfaces as overload, not as memory. 0 means unbounded
-	// (the classic demonstration mode).
+	// been read from Completions, across all objects: Submit beyond the
+	// bound fails fast with *OverloadError instead of growing node
+	// mailboxes without limit, so a stalled consumer surfaces as
+	// overload, not as memory. 0 means the default window of 4,096
+	// requests. The completions channel buffers the whole window, 40
+	// bytes a request.
 	MaxInFlight int
 }
+
+// defaultWindow is the admission window of MaxInFlight 0: 160 KB of
+// completion buffer.
+const defaultWindow = 4096
 
 // ErrStopped is returned by Submit when the network is not accepting
 // requests: before Start, after Stop, or once a concurrent Stop has
@@ -99,35 +107,25 @@ func (e *OverloadError) Error() string {
 }
 
 // Network runs k sharded arrow instances over a spanning tree. Between
-// Start and Stop it owns one collector goroutine and the carriers
-// draining contended nodes; uncontended steps run on Submit's caller.
+// Start and Stop it owns only the carriers draining contended nodes;
+// uncontended steps run on Submit's caller.
 type Network struct {
-	t       *tree.Tree
-	root    graph.NodeID
-	opts    Options
 	objects int
-
 	nodes   []*node
-	nextReq atomic.Int64
 
-	// The completion side. compMu orders complete calls, and delivery
-	// on completions follows that order: a completion goes straight to
-	// a parked consumer only while undelivered — the backlog items the
-	// consumer has not received yet, including a batch the collector
-	// has swapped out but not finished sending — is zero.
-	compMu      sync.Mutex
-	backlog     []Completion
-	undelivered int
-	wake        chan struct{} // 1 slot: the backlog went non-empty; closed by Stop
+	// The admission window is the capacity of completions. nextReq
+	// counts the admitted requests, sent the completions put on the
+	// channel; both only grow, so admit's compare-and-swap on nextReq
+	// cannot succeed on a stale reading. admit reserves a slot only
+	// while the requests not yet sent plus the completions not yet read
+	// fill less than the window, and complete counts its send in sent
+	// only once it is on the channel, so a send always finds a free
+	// slot.
+	nextReq     atomic.Int64
+	sent        atomic.Int64
 	completions chan Completion
-
-	inflight sync.WaitGroup
-	// inflightN mirrors the inflight WaitGroup as a readable counter:
-	// admit increments it inside the admission window check, delivered
-	// decrements it, so its value is the exact number of admitted
-	// requests whose completion the consumer has not received.
-	inflightN atomic.Int64
-	rejected  atomic.Int64
+	inflight    sync.WaitGroup // admitted requests whose completion is not on completions yet
+	rejected    atomic.Int64
 	// mu orders request admission against shutdown: Submit holds the
 	// read side while it checks running, counts and delivers its issue,
 	// Stop holds the write side while it flips running, so an admitted
@@ -159,7 +157,6 @@ type msg struct {
 	origin graph.NodeID
 	from   graph.NodeID
 	hops   int
-	done   chan<- struct{} // issue only, optional: closed once initiation is processed
 }
 
 // The values of node.state.
@@ -221,14 +218,15 @@ func New(t *tree.Tree, root graph.NodeID, opts Options) *Network {
 	if k < 1 {
 		k = 1
 	}
+	window := opts.MaxInFlight
+	if window == 0 {
+		window = defaultWindow
+	}
 	net := &Network{
-		t:           t,
-		root:        root,
-		opts:        opts,
-		objects:     k,
-		nodes:       make([]*node, n),
-		wake:        make(chan struct{}, 1),
-		completions: make(chan Completion),
+		objects: k,
+		nodes:   make([]*node, n),
+		// One slot per request the window admits: see sent.
+		completions: make(chan Completion, window),
 		stopped:     make(chan struct{}),
 	}
 	for v := 0; v < n; v++ {
@@ -262,12 +260,15 @@ func (net *Network) Accepted() int64 { return net.nextReq.Load() }
 func (net *Network) Rejected() int64 { return net.rejected.Load() }
 
 // InFlight returns the number of admitted requests whose completion
-// has not yet been delivered on Completions.
-func (net *Network) InFlight() int64 { return net.inflightN.Load() }
+// has not yet been read from Completions. It reads sent first, so it
+// misses no request; one between its send and its count in sent is
+// counted twice, so the reading is clamped to the window.
+func (net *Network) InFlight() int64 {
+	s := net.sent.Load()
+	return min(net.nextReq.Load()-s+int64(len(net.completions)), int64(cap(net.completions)))
+}
 
-// Start opens the network for requests and launches the collector, the
-// one goroutine a network owns before its first request. It must be
-// called exactly once.
+// Start opens the network for requests. It must be called exactly once.
 func (net *Network) Start() {
 	// Both flag flips happen under mu, so a Stop that observes
 	// started==true inside its own locked section also observes
@@ -278,75 +279,30 @@ func (net *Network) Start() {
 		panic("runtime: Start called twice")
 	}
 	net.running.Store(true)
-	go net.collect()
 }
 
-// complete queues c for the consumer without ever blocking the caller
-// on a slow (or absent) one. When nothing is queued ahead of c it tries
-// the consumer directly, which succeeds whenever the consumer is parked
-// in receive; otherwise c joins the backlog the collector drains. The
-// wake-up goes out under compMu, as walkers are not in wg (see Stop).
+// complete puts c on the completions channel, into the slot its request
+// reserved at admission, so the caller never waits for the consumer; a
+// full buffer can only mean a broken admission count.
 func (net *Network) complete(c Completion) {
 	if net.onComplete != nil {
 		net.onComplete()
 	}
-	net.compMu.Lock()
-	if net.undelivered == 0 {
-		select {
-		case net.completions <- c:
-			net.compMu.Unlock()
-			net.delivered()
-			return
-		default:
-		}
-	}
-	net.backlog = append(net.backlog, c)
-	net.undelivered++
 	select {
-	case net.wake <- struct{}{}:
-	default: // a wake-up is already pending
+	case net.completions <- c:
+	default:
+		panic("runtime: completion window overflow")
 	}
-	net.compMu.Unlock()
-}
-
-// delivered releases the admission slot of a request whose completion
-// the consumer has received.
-func (net *Network) delivered() {
-	net.inflightN.Add(-1)
+	net.sent.Add(1)
 	net.inflight.Done()
 }
 
-// collect drains the completion backlog to the consumer in order, one
-// swapped-out batch at a time, and parks on wake while it is empty.
-// Stop closes wake once every completion is delivered; collect then
-// closes the completions channel and marks the network stopped.
-func (net *Network) collect() {
-	var batch []Completion
-	for {
-		net.compMu.Lock()
-		net.undelivered -= len(batch)
-		batch, net.backlog = net.backlog, batch[:0]
-		net.compMu.Unlock()
-		for _, c := range batch {
-			net.completions <- c
-			net.delivered()
-		}
-		if len(batch) > 0 {
-			continue
-		}
-		if _, open := <-net.wake; !open {
-			close(net.completions)
-			close(net.stopped)
-			return
-		}
-	}
-}
-
-// Completions returns the channel on which queuing completions are
-// delivered, in the order the requests completed. A slow consumer never
-// stalls the protocol: undelivered completions queue in a backlog that
-// the admission window bounds (each holds its slot until delivered) and
-// that is unbounded with MaxInFlight 0. The channel is closed by Stop.
+// Completions returns the channel on which completions arrive, in the
+// order the requests completed. Its buffer holds the admission window,
+// so the protocol never waits for the consumer: an unread completion
+// keeps its request's slot until it is read. Stop closes the channel
+// once every admitted request's completion is on it; completions still
+// buffered stay readable after Stop.
 func (net *Network) Completions() <-chan Completion { return net.completions }
 
 // Submit is the object-keyed request front door: it issues a queuing
@@ -357,34 +313,19 @@ func (net *Network) Completions() <-chan Completion { return net.completions }
 // Completions. While the path is uncontended the caller's goroutine
 // carries the request (see walk).
 func (net *Network) Submit(v graph.NodeID, obj int32) (id int64, err error) {
-	id, nd, err := net.admit(v, obj, nil)
+	id, nd, err := net.admit(v, obj)
 	net.walk(nd)
 	return id, err
 }
 
-// RequestSync issues a request for object 0 at v and waits until v's
-// protocol initiation step has executed (not until queuing completes).
-// Useful for tests that need a deterministic issue order.
-func (net *Network) RequestSync(v graph.NodeID) int64 {
-	done := make(chan struct{})
-	id, nd, err := net.admit(v, 0, done)
-	if err != nil {
-		panic("runtime: " + err.Error())
-	}
-	net.walk(nd)
-	<-done
-	return id
-}
-
 // admit atomically checks that the network is running, applies the
-// admission window, and delivers the issue message, with done to close
-// once initiation is processed. It returns the node the delivery
-// claimed, if any, for the caller to walk once admit has returned.
-// Holding mu's read side across check+deliver closes the Submit/Stop
-// race: once Stop's writer section flips running, no new issue can
-// reach a node, and every issue that won the race is covered by Stop's
-// quiescence wait.
-func (net *Network) admit(v graph.NodeID, obj int32, done chan<- struct{}) (id int64, claimed *node, err error) {
+// admission window, and delivers the issue message. It returns the node
+// the delivery claimed, if any, for the caller to walk once admit has
+// returned. Holding mu's read side across check+deliver closes the
+// Submit/Stop race: once Stop's writer section flips running, no new
+// issue can reach a node, and every issue that won the race is covered
+// by Stop's quiescence wait.
+func (net *Network) admit(v graph.NodeID, obj int32) (id int64, claimed *node, err error) {
 	if int(v) < 0 || int(v) >= len(net.nodes) {
 		return 0, nil, fmt.Errorf("runtime: node %d out of range", v)
 	}
@@ -396,42 +337,37 @@ func (net *Network) admit(v graph.NodeID, obj int32, done chan<- struct{}) (id i
 	if !net.running.Load() {
 		return 0, nil, ErrStopped
 	}
-	// Reserve a slot only if one is free: the compare-and-swap never
-	// publishes a count above the window, so neither the admitted load
-	// nor a concurrent InFlight() reader ever sees more than MaxInFlight.
-	if limit := net.opts.MaxInFlight; limit > 0 {
-		for {
-			n := net.inflightN.Load()
-			if n >= int64(limit) {
-				net.rejected.Add(1)
-				return 0, nil, &OverloadError{Node: v, Object: obj, Limit: limit}
-			}
-			if net.inflightN.CompareAndSwap(n, n+1) {
-				break
-			}
+	// Reserve a slot only while one is free. sent is read before the
+	// buffer's length, so a completion sent in between is counted twice,
+	// never missed.
+	window := cap(net.completions)
+	for {
+		id = net.nextReq.Load()
+		if id-net.sent.Load()+int64(len(net.completions)) >= int64(window) {
+			net.rejected.Add(1)
+			return 0, nil, &OverloadError{Node: v, Object: obj, Limit: window}
 		}
-	} else {
-		net.inflightN.Add(1)
+		if net.nextReq.CompareAndSwap(id, id+1) {
+			break
+		}
 	}
-	id = net.nextReq.Add(1) - 1
 	net.inflight.Add(1)
-	if nd := net.nodes[v]; nd.deliver(msg{reqID: id, obj: obj, issue: true, done: done}) {
+	if nd := net.nodes[v]; nd.deliver(msg{reqID: id, obj: obj, issue: true}) {
 		claimed = nd
 	}
 	return id, claimed, nil
 }
 
-// Wait blocks until every accepted request's completion has been
-// delivered on Completions (quiescence).
+// Wait blocks until every accepted request's completion is on
+// Completions (quiescence). It does not wait for the consumer.
 func (net *Network) Wait() { net.inflight.Wait() }
 
-// Stop rejects further requests, waits until the accepted ones have
-// completed and been delivered, then for the last carriers and the
-// collector to exit, and closes the completions channel. A consumer
-// must be draining Completions, otherwise Stop blocks until the
-// remaining completions are read. Concurrent Stop calls all return only
-// once the shutdown has fully finished; Stop before Start is a no-op.
-// The network cannot be restarted.
+// Stop rejects further requests, waits until every accepted request's
+// completion is on Completions and the last carriers have exited, and
+// closes the completions channel. It does not wait for a consumer:
+// completions still buffered stay readable. Concurrent Stop calls all
+// return only once the shutdown has finished; Stop before Start is a
+// no-op. The network cannot be restarted.
 func (net *Network) Stop() {
 	// Flip running before waiting: a Submit serialized after this
 	// point is rejected, one serialized before is counted in inflight,
@@ -447,13 +383,13 @@ func (net *Network) Stop() {
 		net.Wait()
 		// A carrier starts only for a node holding a message in flight,
 		// so none starts after the last completion. A walker is not in
-		// wg: it wakes the collector under compMu, before its completion
-		// can be delivered, and then touches only its node's state word.
+		// wg: past its last completion it only releases its node.
 		net.wg.Wait()
-		close(net.wake)
+		close(net.completions)
+		close(net.stopped)
 	}
-	// Winner or not, every caller returns only once the collector has
-	// finished the shutdown.
+	// Winner or not, every caller returns only once the shutdown has
+	// finished.
 	<-net.stopped
 }
 
@@ -560,9 +496,6 @@ func (nd *node) step(m *msg) *node {
 }
 
 func (nd *node) initiate(m *msg) *node {
-	if m.done != nil {
-		defer close(m.done)
-	}
 	o := m.obj
 	target, local := arrow.Start(&nd.link[o], nd.id)
 	pred := nd.lastReq[o]

@@ -146,16 +146,16 @@ func TestPointerInvariantAfterQuiescence(t *testing.T) {
 	}
 }
 
-func TestRequestSyncSequentialSemantics(t *testing.T) {
-	// Issuing sequentially from one goroutine with RequestSync then
-	// waiting gives the issue order as the queue order.
+func TestSubmitWaitSequentialSemantics(t *testing.T) {
+	// Issuing sequentially from one goroutine with Submit then waiting
+	// gives the issue order as the queue order.
 	tr := tree.PathTree(10)
 	net := New(tr, 0, Options{})
 	net.Start()
 	finish := collect(net)
 	var ids []int64
 	for _, v := range []graph.NodeID{9, 3, 7} {
-		ids = append(ids, net.RequestSync(v))
+		ids = append(ids, submit(t, net, v))
 		net.Wait()
 	}
 	comps := finish()
