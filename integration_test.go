@@ -77,7 +77,7 @@ func TestSimAndRuntimeAgreeSequentially(t *testing.T) {
 			t.Errorf("position %d: sim origin v%d, runtime origin v%d",
 				i, simC.Req.Node, rtC.Origin)
 		}
-		if simC.Hops != rtC.Hops {
+		if simC.Hops != int(rtC.Hops) {
 			t.Errorf("position %d: sim hops %d, runtime hops %d", i, simC.Hops, rtC.Hops)
 		}
 	}

@@ -63,11 +63,11 @@ func (*loopReply) isClMsg() {}
 
 const none graph.NodeID = -1 // the end of the coordinator's queue
 
-// clNode is a node's whole state in a fault-free run, 16 bytes: at most
-// one request per node is in flight, so its issue time keys by node, and
-// next links the coordinator's queue.
+// clNode is a node's whole state in a fault-free run without a
+// recorder, 8 bytes: the remaining count, and next, which links the
+// coordinator's queue. No issue time is kept: TotalLatency is Σ
+// completion − Σ issue (see loop.Result.TotalLatency).
 type clNode struct {
-	issued    sim.Time
 	remaining int32
 	next      graph.NodeID
 }
@@ -78,11 +78,15 @@ type clNode struct {
 // serve timer (finishFn) is pending — a plain timer, so a down requester
 // does not defer it; node timers are issue ticks only.
 type clState struct {
-	cfg      LoopConfig
-	topo     sim.Topology
-	center   graph.NodeID
-	think    sim.Time
-	nodes    []clNode
+	cfg    LoopConfig
+	topo   sim.Topology
+	center graph.NodeID
+	think  sim.Time
+	nodes  []clNode
+	// issued[v] is the issue time of v's current request, kept only for
+	// cfg.Recorder (nil without one): at most one request per node is in
+	// flight, so it keys by node.
+	issued   []sim.Time
 	req      loopReq
 	rep      loopReply
 	res      *LoopResult
@@ -153,6 +157,9 @@ func newClosedLoop(topo sim.Topology, cfg LoopConfig) (*clState, *sim.Simulator,
 		nodes:  make([]clNode, n),
 		res:    &LoopResult{N: n},
 		head:   none,
+	}
+	if cfg.Recorder != nil {
+		st.issued = make([]sim.Time, n)
 	}
 	st.finishFn = st.finish
 	if err := cfg.Faults.Validate(st.topo); err != nil {
@@ -337,7 +344,8 @@ func (st *clState) handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Messa
 func (st *clState) issue(ctx *sim.Context, v graph.NodeID) {
 	if st.lost != nil && st.lost[v] {
 		// Re-issue the lost request against the current center, keeping
-		// the original issue time so the latency carries the outage.
+		// the original issue time (its −issue is already in TotalLatency)
+		// so the latency carries the outage.
 		st.lost[v] = false
 		st.res.Reissued++
 	} else {
@@ -346,7 +354,10 @@ func (st *clState) issue(ctx *sim.Context, v graph.NodeID) {
 			return
 		}
 		nd.remaining--
-		nd.issued = ctx.Now()
+		st.res.TotalLatency -= ctx.Now()
+		if st.issued != nil {
+			st.issued[v] = ctx.Now()
+		}
 	}
 	switch {
 	case v == st.center:
@@ -404,9 +415,8 @@ func (st *clState) finish(ctx *sim.Context) {
 // loop result measures, so the baselines column compares like with like.
 // The reply only tells the requester to re-issue.
 func (st *clState) queued(ctx *sim.Context, v graph.NodeID) {
-	lat := int64(ctx.Now() - st.nodes[v].issued)
 	st.res.Requests++
-	st.res.TotalLatency += lat
+	st.res.TotalLatency += ctx.Now()
 	h := 0
 	if v == st.center {
 		st.res.LocalCompletions++
@@ -419,7 +429,7 @@ func (st *clState) queued(ctx *sim.Context, v graph.NodeID) {
 		}
 	}
 	if st.cfg.Recorder != nil {
-		st.cfg.Recorder.RecordRequest(lat, h)
+		st.cfg.Recorder.RecordRequest(ctx.Now()-st.issued[v], h)
 	}
 	if st.affected != nil && st.affected[v] {
 		st.res.Affected++

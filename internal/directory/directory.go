@@ -20,6 +20,7 @@ package directory
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arrow"
 	"repro/internal/centralized"
@@ -51,7 +52,9 @@ type Result struct {
 	Acquires int64
 	// Makespan is the simulated time until the last release.
 	Makespan sim.Time
-	// AcquireLatency sums issue-to-object-arrival times.
+	// AcquireLatency sums issue-to-object-arrival times, kept as Σ
+	// arrival − Σ issue with no issue time per node: exact once the run
+	// is done; mid-run it carries −issue for each acquire in flight.
 	AcquireLatency int64
 	// FindHops counts queue-message link traversals (arrow) or
 	// request-message hops (home).
@@ -115,15 +118,15 @@ type (
 func (*findMsg) isDirMsg() {}
 func (*objMsg) isDirMsg()  {}
 
-// node is a node's closed-loop state. A node has at most one request in
-// flight — it issues the next only after releasing the object — so a
-// request is named by its issuing node, and succ and tail hold nodes.
+// node is a node's closed-loop state, 16 bytes. A node has at most one
+// request in flight — it issues the next only after releasing the
+// object — so a request is named by its issuing node, and succ and tail
+// hold nodes. No issue time is kept: see Result.AcquireLatency.
 type node struct {
 	find      findMsg
 	succ      graph.NodeID // whose request follows this node's; none if not queued yet
 	tail      graph.NodeID // whose request a find ending here queues behind
-	remaining int
-	issued    sim.Time
+	remaining int32
 }
 
 const none graph.NodeID = -1
@@ -159,12 +162,29 @@ type dir struct {
 // pushes within a handler is part of every result (the directory golden
 // and TestDirectoryAsyncPins hold it).
 func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool, cfg Config) (*Result, error) {
+	d, s, err := newDir(topo, step, home, viaHome, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.res.Makespan = s.Run()
+	if total := int64(cfg.PerNode) * int64(d.res.N); d.res.Acquires != total {
+		return nil, fmt.Errorf("directory: %d of %d acquisitions completed", d.res.Acquires, total)
+	}
+	return &d.res, nil
+}
+
+// newDir validates cfg and builds the run's state and its simulator
+// with every node's first timer scheduled at 0.
+func newDir(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool, cfg Config) (*dir, *sim.Simulator, error) {
 	if cfg.PerNode < 1 {
-		return nil, fmt.Errorf("directory: PerNode must be >= 1")
+		return nil, nil, fmt.Errorf("directory: PerNode must be >= 1")
+	}
+	if cfg.PerNode > math.MaxInt32 {
+		// node.remaining is an int32: a larger count would truncate.
+		return nil, nil, fmt.Errorf("directory: PerNode must be <= %d, got %d", math.MaxInt32, cfg.PerNode)
 	}
 	cfg.ThinkTime = max(cfg.ThinkTime, 1)
 	n := topo.NumNodes()
-	total := int64(cfg.PerNode) * int64(n)
 	d := &dir{
 		cfg: cfg, topo: topo, step: step, obj: int32(home), home: home, viaHome: viaHome,
 		nodes: make([]node, n+1), rest: graph.NodeID(n), to: graph.NodeID(n), parked: home,
@@ -172,7 +192,7 @@ func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool,
 	}
 	d.route, _ = step.(shard.ReplyRouter)
 	for v := range d.nodes {
-		d.nodes[v] = node{find: findMsg{origin: graph.NodeID(v)}, succ: none, remaining: cfg.PerNode}
+		d.nodes[v] = node{find: findMsg{origin: graph.NodeID(v)}, succ: none, remaining: int32(cfg.PerNode)}
 	}
 	d.nodes[home].tail = d.rest
 	s := sim.New(sim.Config{
@@ -180,7 +200,7 @@ func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool,
 		Latency:     cfg.Latency,
 		Arbitration: cfg.Arbitration,
 		Seed:        cfg.Seed,
-		MaxEvents:   total*int64(8*n+16) + 4096,
+		MaxEvents:   eventBudget(int64(cfg.PerNode)*int64(n), n),
 	})
 	s.SetAllHandlers(d.handle)
 	s.SetTimerHandler(d.timer)
@@ -188,11 +208,16 @@ func run(topo sim.Topology, step shard.Stepper, home graph.NodeID, viaHome bool,
 	for v := 0; v < n; v++ {
 		s.ScheduleNodeAt(0, graph.NodeID(v))
 	}
-	d.res.Makespan = s.Run()
-	if d.res.Acquires != total {
-		return nil, fmt.Errorf("directory: %d of %d acquisitions completed", d.res.Acquires, total)
-	}
-	return &d.res, nil
+	return d, s, nil
+}
+
+// eventBudget is the divergence guard: each acquire costs at most ~8n
+// find and object events plus its hold and think timers. Saturating
+// arithmetic keeps the guard meaningful where the product overflows
+// int64 (a wrapped value would either disable the guard or panic a
+// healthy run).
+func eventBudget(total int64, n int) int64 {
+	return sim.SatAdd(sim.SatMul(total, int64(8*n+16)), 4096)
 }
 
 // timer is v's one timer: the end of its hold while it has the object,
@@ -208,7 +233,7 @@ func (d *dir) timer(ctx *sim.Context, v graph.NodeID) {
 		return
 	}
 	nd.remaining--
-	nd.issued = ctx.Now()
+	d.res.AcquireLatency -= ctx.Now()
 	target, local := d.step.StartFind(d.obj, v)
 	if local {
 		d.queued(ctx, v, v)
@@ -283,7 +308,7 @@ func (d *dir) carry(ctx *sim.Context, at graph.NodeID) {
 	switch {
 	case at == next:
 		d.res.Acquires++
-		d.res.AcquireLatency += ctx.Now() - d.nodes[at].issued
+		d.res.AcquireLatency += ctx.Now()
 		ctx.AfterNode(holdTime, at)
 		return
 	case d.viaHome && at != d.home:

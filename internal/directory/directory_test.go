@@ -2,10 +2,16 @@ package directory
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/arrow"
+	"repro/internal/centralized"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -110,6 +116,46 @@ func TestDirectoryValidation(t *testing.T) {
 	}
 	if _, err := RunHome(g, 0, Config{PerNode: 0}); err == nil {
 		t.Error("expected PerNode error")
+	}
+	// node.remaining is an int32: a larger count is refused before any
+	// state is built, not truncated.
+	if _, err := RunArrow(tr, 0, Config{PerNode: math.MaxInt32 + 1}); err == nil {
+		t.Error("expected PerNode <= MaxInt32 error")
+	}
+}
+
+// TestNodeStateSize pins a node's whole closed-loop state at 16 bytes,
+// four to a cache line: the acquire latency keeps no issue time.
+func TestNodeStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 16 {
+		t.Errorf("node is %d bytes, want 16", got)
+	}
+}
+
+// TestEventBudgetSaturates holds the divergence guard at the int64 wrap
+// boundary of total·(8n+16): the last total that fits gets the exact
+// budget, and one more, or a million nodes at PerNode 2·10⁶, saturates
+// at MaxInt64 instead of wrapping negative (guard off) or to a small
+// positive budget (a healthy run panics).
+func TestEventBudgetSaturates(t *testing.T) {
+	const n = 1_000_000
+	per := int64(8*n + 16)
+	edge := (math.MaxInt64 - 4096) / per
+	cases := []struct {
+		total int64
+		n     int
+		want  int64
+	}{
+		{100, 10, 100*96 + 4096},
+		{edge, n, edge*per + 4096},
+		{edge + 1, n, math.MaxInt64},
+		{2_000_000 * n, n, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt32, math.MaxInt64},
+	}
+	for _, c := range cases {
+		if got := eventBudget(c.total, c.n); got != c.want {
+			t.Errorf("eventBudget(%d, %d) = %d, want %d", c.total, c.n, got, c.want)
+		}
 	}
 }
 
@@ -219,5 +265,89 @@ func TestDirectoryStateIndependentOfPerNode(t *testing.T) {
 				t.Errorf("PerNode 400 allocates %d B, PerNode 20 %d B: state grows with PerNode", large, small)
 			}
 		})
+	}
+}
+
+// TestAcquireLatencyNeedsNoIssueTime: AcquireLatency, kept as Σ arrival
+// − Σ issue, equals the sum of per-acquire latencies that an observer
+// keeping every node's issue time measures, over generated configs of
+// both directories (FIFO, LIFO and random arbitration; synchronous,
+// scaled and asynchronous latency). The observer wraps the run's own
+// handlers, so it sees exactly the issues and arrivals the run makes.
+func TestAcquireLatencyNeedsNoIssueTime(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(30)
+		cfg := Config{
+			PerNode:     1 + rng.Intn(10),
+			ThinkTime:   sim.Time(rng.Intn(4)),
+			Arbitration: sim.Arbitration(rng.Intn(3)),
+			Seed:        seed,
+		}
+		switch rng.Intn(3) {
+		case 1:
+			cfg.Latency = sim.SynchronousScaled(int64(2 + rng.Intn(3)))
+		case 2:
+			cfg.Latency = sim.AsyncUniform(int64(1 + rng.Intn(5)))
+		}
+		g := graph.GNP(n, 0.3, seed)
+		home := graph.NodeID(rng.Intn(n))
+		tr, err := tree.BFS(g, home)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrowStep, err := arrow.NewTreeStepper(tr, home)
+		if err != nil {
+			t.Fatal(err)
+		}
+		homeStep, err := centralized.NewShardCenters(n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name    string
+			topo    sim.Topology
+			step    shard.Stepper
+			viaHome bool
+		}{
+			{"arrow", sim.TreeTopology{T: tr}, arrowStep, false},
+			{"home", sim.NewMetricTopology(g), homeStep, true},
+		} {
+			d, s, err := newDir(c.topo, c.step, home, c.viaHome, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			issued := make([]sim.Time, n)
+			var sum, acquires int64
+			// observe charges an acquisition the wrapped step made: the
+			// object is then held by d.to.
+			observe := func(ctx *sim.Context, before int64) {
+				if d.res.Acquires != before {
+					acquires++
+					sum += ctx.Now() - issued[d.to]
+				}
+			}
+			s.SetTimerHandler(func(ctx *sim.Context, v graph.NodeID) {
+				if d.to != v && d.nodes[v].remaining > 0 {
+					issued[v] = ctx.Now()
+				}
+				before := d.res.Acquires
+				d.timer(ctx, v)
+				observe(ctx, before)
+			})
+			s.SetAllHandlers(func(ctx *sim.Context, at, from graph.NodeID, msg sim.Message) {
+				before := d.res.Acquires
+				d.handle(ctx, at, from, msg)
+				observe(ctx, before)
+			})
+			s.Run()
+			if want := int64(n * cfg.PerNode); d.res.Acquires != want || acquires != want {
+				t.Fatalf("seed %d %s: %d acquires, observer saw %d, want %d", seed, c.name, d.res.Acquires, acquires, want)
+			}
+			if d.res.AcquireLatency != sum {
+				t.Errorf("seed %d %s (n=%d %+v): AcquireLatency %d, observed per-acquire sum %d",
+					seed, c.name, n, cfg, d.res.AcquireLatency, sum)
+			}
+		}
 	}
 }

@@ -87,7 +87,11 @@ type Result struct {
 	LocalCompletions int64
 	// TotalLatency sums per-request queuing latencies (Definition 3.2:
 	// issue until queued behind the predecessor; the reply leg is
-	// notification traffic, charged to ReplyHops only).
+	// notification traffic, charged to ReplyHops only). Drivers keep it
+	// as Σ completion − Σ issue, with no issue time per node: the sum
+	// is exact once the run is done, and mid-run it carries −issue for
+	// each request in flight. A re-issue after a fault keeps its
+	// original issue time.
 	TotalLatency int64
 	// MaxQueueHops is the worst single-request forwarding count.
 	MaxQueueHops int

@@ -52,8 +52,9 @@ import (
 )
 
 // Completion reports one queued request, delivered on the network's
-// completions channel. PredID is -1 when the request was queued behind
-// the virtual root request of its object.
+// completions channel: 32 bytes, the unit of the channel's buffer.
+// PredID is -1 when the request was queued behind the virtual root
+// request of its object.
 type Completion struct {
 	ReqID  int64
 	PredID int64
@@ -62,7 +63,9 @@ type Completion struct {
 	Object int32
 	Origin graph.NodeID
 	Sink   graph.NodeID
-	Hops   int
+	// Hops is the request's queue messages; a find never revisits a
+	// node, so it is below the node count, which is a graph.NodeID.
+	Hops int32
 }
 
 // Options tunes a Network.
@@ -77,12 +80,12 @@ type Options struct {
 	// bound fails fast with *OverloadError instead of growing node
 	// mailboxes without limit, so a stalled consumer surfaces as
 	// overload, not as memory. 0 means the default window of 4,096
-	// requests. The completions channel buffers the whole window, 40
-	// bytes a request.
+	// requests. The completions channel buffers the whole window, 32
+	// bytes a request (a Completion).
 	MaxInFlight int
 }
 
-// defaultWindow is the admission window of MaxInFlight 0: 160 KB of
+// defaultWindow is the admission window of MaxInFlight 0: 128 KB of
 // completion buffer.
 const defaultWindow = 4096
 
@@ -156,7 +159,7 @@ type msg struct {
 	issue  bool
 	origin graph.NodeID
 	from   graph.NodeID
-	hops   int
+	hops   int32
 }
 
 // The values of node.state.

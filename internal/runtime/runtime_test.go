@@ -8,11 +8,24 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/arrow"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
+
+// TestCompletionIs32Bytes pins the unit of the completions buffer: a
+// 32-byte Completion, two to a cache line, so the default window of
+// 4,096 buffers 128 KB. An int Hops would make it 40 bytes.
+func TestCompletionIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Completion{}); got != 32 {
+		t.Errorf("Completion is %d bytes, want 32", got)
+	}
+	if got := defaultWindow * unsafe.Sizeof(Completion{}); got != 128<<10 {
+		t.Errorf("the default window buffers %d bytes, want 128 KB", got)
+	}
+}
 
 // collect starts a drainer for the completions channel and returns a
 // function that stops the network and returns everything received.

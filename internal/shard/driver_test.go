@@ -151,8 +151,8 @@ func BenchmarkShardHandle(b *testing.B) {
 
 // TestNodeStateSize pins the per-node hot record at 16 bytes, four to a
 // cache line and never straddling one, and the per-object counters at
-// 48: the reply rides the find's record, and the issue time is a column
-// of its own.
+// 48: the reply rides the find's record, and only a recorder keeps an
+// issue time, in a column of its own.
 func TestNodeStateSize(t *testing.T) {
 	if got := unsafe.Sizeof(nodeState{}); got != 16 {
 		t.Errorf("nodeState is %d bytes, want 16", got)

@@ -119,8 +119,11 @@ type Counters struct {
 	QueueHops        int64
 	ReplyHops        int64
 	LocalCompletions int64
-	TotalLatency     int64
-	MaxQueueHops     int
+	// TotalLatency is loop.Result.TotalLatency for this object's
+	// requests: exact once the run is done; mid-run it still carries
+	// −issue for each of the object's requests in flight.
+	TotalLatency int64
+	MaxQueueHops int
 }
 
 // AddTo folds c into r: the sums add and MaxQueueHops takes the larger.
@@ -157,8 +160,8 @@ type replyMsg findMsg
 // nodeState is the driver's hot per-node record, 16 bytes, so a record
 // never straddles a 64-byte line: the pre-boxed find (which doubles as
 // the reply) and the remaining count of the node's closed loop. A
-// forwarded find or reply touches only its origin's record; the issue
-// time sits in a column of its own that only issue and completion touch.
+// forwarded find or reply touches only its origin's record; there is no
+// issue time (see Driver).
 type nodeState struct {
 	find      findMsg
 	remaining int32
@@ -175,9 +178,12 @@ func (*replyMsg) isShardMsg() {}
 // across a node's successive requests (forwarding passes the same
 // pointer at every hop, so no send boxes an interface) — at the paper's
 // scale (100k requests per node) per-request arrays would cost hundreds
-// of MB per sweep cell. Per-node state is one 16-byte nodeState record
-// and one 8-byte issue time per node, so a million-node run's driver
-// state is 24 MB and a forwarded message touches one line of it. A
+// of MB per sweep cell. Per-node state is one 16-byte nodeState record,
+// so a million-node run's driver state is 16 MB and a forwarded message
+// touches one line of it. TotalLatency needs no issue time per node: it
+// is Σ completion − Σ issue, so issue subtracts the tick from the
+// object's counter and completion adds it. Only a Recorder, which wants
+// each request's own latency, adds an 8-byte issue-time column. A
 // node's findMsg is re-stamped with the object of each new request;
 // that is safe for the same reason the reuse itself is — the previous
 // request's messages are done traveling before the node's next issue.
@@ -196,8 +202,10 @@ type Driver struct {
 	n     int
 	think sim.Time
 
-	nodes  []nodeState
-	issued []sim.Time // issued[v] is the issue time of v's current request
+	nodes []nodeState
+	// issued[v] is the issue time of v's current request, kept only for
+	// spec.Recorder (nil without one).
+	issued []sim.Time
 
 	// res[obj] accumulates object obj's counters; agg holds the
 	// fault-recovery counters, which a single-object run does not split.
@@ -265,15 +273,17 @@ func New(topo sim.Topology, step Stepper, proto string, spec Spec) (*Driver, err
 	}
 	k := spec.Objects
 	d := &Driver{
-		spec:   spec,
-		step:   step,
-		proto:  proto,
-		zipf:   workload.NewZipf(k, spec.Skew),
-		n:      n,
-		think:  max(spec.ThinkTime, 1),
-		nodes:  make([]nodeState, n),
-		issued: make([]sim.Time, n),
-		res:    make([]Counters, k),
+		spec:  spec,
+		step:  step,
+		proto: proto,
+		zipf:  workload.NewZipf(k, spec.Skew),
+		n:     n,
+		think: max(spec.ThinkTime, 1),
+		nodes: make([]nodeState, n),
+		res:   make([]Counters, k),
+	}
+	if spec.Recorder != nil {
+		d.issued = make([]sim.Time, n)
 	}
 	d.route, _ = step.(ReplyRouter)
 	for v := range d.nodes {
@@ -413,11 +423,12 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 	m := &nd.find
 	if d.lost != nil && d.lost[v] {
 		// Re-issue a request whose find a fault destroyed. It keeps its
-		// object and its original issue time, so its latency carries the
-		// outage. StartFind runs against the current pointer state: the
-		// partial path reversal of the lost attempt left every touched
-		// pointer aimed at v (or repair has restored a legal state), so
-		// chains still terminate.
+		// object and its original issue time (its −issue is already in
+		// TotalLatency), so its latency carries the outage. StartFind
+		// runs against the current pointer state: the partial path
+		// reversal of the lost attempt left every touched pointer aimed
+		// at v (or repair has restored a legal state), so chains still
+		// terminate.
 		d.lost[v] = false
 		d.agg.Reissued++
 	} else {
@@ -428,7 +439,10 @@ func (d *Driver) issue(ctx *sim.Context, v graph.NodeID) {
 		// pure function of (seed, node, index).
 		m.obj = d.zipf.Draw(d.spec.Seed, v, int64(d.spec.PerNode)-int64(nd.remaining))
 		nd.remaining--
-		d.issued[v] = ctx.Now()
+		d.res[m.obj].TotalLatency -= ctx.Now()
+		if d.issued != nil {
+			d.issued[v] = ctx.Now()
+		}
 	}
 	target, local := d.step.StartFind(m.obj, v)
 	if local {
@@ -475,16 +489,15 @@ func (d *Driver) Handle(ctx *sim.Context, at, from graph.NodeID, msg sim.Message
 func (d *Driver) completeAt(ctx *sim.Context, obj int32, origin, sink graph.NodeID) {
 	res := &d.res[obj]
 	nd := &d.nodes[origin]
-	lat := int64(ctx.Now() - d.issued[origin])
 	h := int(nd.find.hops)
 	res.Requests++
-	res.TotalLatency += lat
+	res.TotalLatency += ctx.Now()
 	res.QueueHops += int64(h)
 	if h > res.MaxQueueHops {
 		res.MaxQueueHops = h
 	}
 	if rec := d.spec.Recorder; rec != nil {
-		rec.RecordRequest(lat, h)
+		rec.RecordRequest(ctx.Now()-d.issued[origin], h)
 	}
 	if d.affected != nil {
 		if d.affected[origin] {

@@ -61,43 +61,66 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // decade (allocator size-class and slice-growth rounding move it a
 // little), and stays under an absolute per-node budget that a single
 // stray O(n log n) table would immediately break (the lifted tree alone
-// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). Arrow's
-// budget is what its row measures plus 10 %: 68 B/node — the 32-byte
-// event cell of an arena the driver reserves in one step
+// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). Each
+// budget is what its row measures plus 10 %. Arrow reads 60 B/node: the
+// 32-byte event cell of an arena the driver reserves in one step
 // (Simulator.Reserve; ramping it up through append cost 445, and 48-byte
-// cells read 92), the driver's 16-byte nodeState and 8-byte issue time,
-// and 12 bytes of Walker and link arrays — so the 32-byte nodeState that
-// carried the issue time and a reply of its own (76 B/node) fails it. A
-// -race build's allocator counts more (100 B/node), so there only the
-// former 220-byte budget applies. Centralized's budget is about three
-// times its 48 B/node: the arena of the n initial issue timers and the
-// 16-byte per-node record (49 with the four per-node arrays the record
-// replaced, 66 with 48-byte cells). The coordinator's queue is linked
-// through that record, so a second n-entry structure for it (the binary
-// heap that once held one serve-finish timer per request cost ~340
-// B/node in append growth) breaks its budget.
+// cells read 92), the driver's 16-byte nodeState, and 12 bytes of Walker
+// and link arrays. So an issue time kept per node without a recorder
+// (68 B/node) fails its 66-byte budget. A -race build's allocator counts
+// more (100 B/node), so there only the former 220-byte budget applies.
+// Centralized reads 40 B/node: the arena of the n initial issue timers
+// and the 8-byte per-node record, so the 16-byte record that kept an
+// issue time (48) fails its 44-byte budget. The coordinator's queue is
+// linked through that record, so a second n-entry structure for it (the
+// binary heap that once held one serve-finish timer per request cost
+// ~340 B/node in append growth) breaks its budget too.
+//
+// The recorder rows attach a stats.Recorder that keeps three sums, so
+// what they add is the driver's issue-time column alone: at most
+// 8 B/node (plus the allocator's rounding of the column to whole pages)
+// over the same run without a recorder.
 func TestScaleBytesPerNodeFlat(t *testing.T) {
 	const perNode = 4
-	arrowBudget := 75.0
+	arrowBudget, centralBudget := 66.0, 44.0
 	if raceEnabled {
-		arrowBudget = 220
+		arrowBudget, centralBudget = 220, 170
+	}
+	plain := loop.Spec{PerNode: perNode}
+	recorded := loop.Spec{PerNode: perNode, Recorder: &sumRecorder{}}
+	arrowRun := func(spec loop.Spec) func(int) float64 {
+		return func(n int) float64 { return arrowAllocPerNode(t, n+1, spec) }
+	}
+	centralRun := func(spec loop.Spec) func(int) float64 {
+		return func(n int) float64 { return centralAllocPerNode(t, n, spec) }
 	}
 	rows := []struct {
-		name   string
-		budget float64
-		run    func(n int) float64
+		name       string
+		budget     float64
+		run, withR func(n int) float64
 	}{
-		{"arrow", arrowBudget, func(n int) float64 { return arrowAllocPerNode(t, n+1, loop.Spec{PerNode: perNode}) }},
-		{"centralized", 170, func(n int) float64 { return centralAllocPerNode(t, n, loop.Spec{PerNode: perNode}) }},
+		{"arrow", arrowBudget, arrowRun(plain), arrowRun(recorded)},
+		{"centralized", centralBudget, centralRun(plain), centralRun(recorded)},
 	}
+	const n = 100_000
+	// The column is one allocation of 8n bytes, rounded up to whole
+	// 8 KB pages.
+	colBudget := 8 + 8192.0/n
 	for _, r := range rows {
-		small, big := r.run(10_000), r.run(100_000)
+		// A runtime background allocation can only add to a reading,
+		// so each 100k figure is the smaller of two.
+		small, big := r.run(n/10), min(r.run(n), r.run(n))
 		t.Logf("%s bytes/node: n=10k %.1f, n=100k %.1f", r.name, small, big)
 		if big > small*1.5 {
 			t.Errorf("%s: bytes/node grew from %.1f (10k) to %.1f (100k): not flat", r.name, small, big)
 		}
 		if big > r.budget {
 			t.Errorf("%s: bytes/node at 100k = %.1f exceeds the %.0f-byte budget", r.name, big, r.budget)
+		}
+		withR := min(r.withR(n), r.withR(n))
+		t.Logf("%s with a recorder: n=100k %.1f (+%.3f)", r.name, withR, withR-big)
+		if withR-big > colBudget {
+			t.Errorf("%s: a recorder costs %.2f bytes/node at 100k, more than its %.2f-byte issue-time column", r.name, withR-big, colBudget)
 		}
 	}
 }
