@@ -77,8 +77,8 @@ func main() {
 	if bounds.Exact {
 		fmt.Printf("queuing latency: arrow=%d, optimal=%d (exact)\n", res.TotalLatency, bounds.Lower)
 	} else {
-		fmt.Printf("queuing latency: arrow=%d, optimal at most %d (estimate %d: ManhattanMST/12, uncertified, can exceed the optimum)\n",
-			res.TotalLatency, bounds.Upper, bounds.Lower)
+		fmt.Printf("queuing latency: arrow=%d, optimal at most %d (not certified)\n",
+			res.TotalLatency, bounds.Upper)
 	}
 }
 

@@ -55,7 +55,6 @@ func main() {
 		fmt.Printf("competitive ratio:   %.2f (theory bound O(s log D))\n",
 			opt.Ratio(res.TotalLatency, bounds.Lower))
 	} else {
-		fmt.Printf("optimal offline:     at most %d (estimate %d: ManhattanMST/12, uncertified, can exceed the optimum)\n",
-			bounds.Upper, bounds.Lower)
+		fmt.Printf("optimal offline:     at most %d (not certified)\n", bounds.Upper)
 	}
 }

@@ -33,11 +33,7 @@ func TreeChoiceExperiment(n, requests int, seed int64, workers int) ([]TreeChoic
 	if len(set) == 0 {
 		set = workload.OneShot(n, min(requests, n), seed)
 	}
-	bounds := opt.Compute(g, 0, set, opt.DistOfGraph(g))
-	den := bounds.Upper
-	if bounds.Exact {
-		den = bounds.Lower
-	}
+	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
 	kinds := []TreeKind{TreeBalancedBinary, TreeMST, TreeBFS, TreeStar, TreePath}
 	trees := make([]*tree.Tree, len(kinds))
 	instances := make([]engine.Instance, len(kinds))
@@ -105,11 +101,7 @@ func AsyncExperiment(n, requests int, scale int64, seed int64, workers int) ([]A
 	g := graph.Complete(n)
 	t := tree.BalancedBinary(n)
 	set := workload.Bursty(n, requests/2, 2, sim.Time(8*scale), seed)
-	bounds := opt.Compute(g, 0, set, opt.DistOfGraph(g))
-	den := bounds.Upper
-	if bounds.Exact {
-		den = bounds.Lower
-	}
+	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
 	models := []sim.LatencyModel{
 		sim.SynchronousScaled(scale),
 		sim.AsyncUniform(scale),

@@ -43,11 +43,7 @@ func AdversarialSearch(d, nReq, iterations int, seed int64) (AdversarialResult, 
 		if err != nil {
 			return 0, err
 		}
-		b := opt.Compute(g, 0, set, dg)
-		den := b.Lower
-		if !b.Exact {
-			den = b.Upper
-		}
+		den := opt.Compute(g, 0, set, dg).Best()
 		if den == 0 {
 			return 0, nil
 		}

@@ -228,28 +228,33 @@ func TestLowerBoundSweepRuns(t *testing.T) {
 }
 
 // TestLowerBoundTableLabelsEstimates checks the Theorem 4.1 table at
-// D = 32, where |R| = 20 is beyond the exact solver: the ManhattanMST/12
-// value 3 is no certified bound and must read as an estimate, "~3",
-// under a header that does not call the column a lower bound, and the
-// last column is the measured cost(arrow)/D.
+// D = 32, where |R| = 20 is beyond the exact solver: no optimum is
+// certified there, so the "opt exact" column prints "—" rather than any
+// number, no header calls a column a lower bound or an estimate, and
+// the last column is the measured cost(arrow)/D.
 func TestLowerBoundTableLabelsEstimates(t *testing.T) {
 	rows, err := LowerBoundSweep([]int{4, 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].D != 16 || !rows[0].Exact || rows[1].D != 32 || rows[1].Exact || rows[1].OptLower != 3 {
+	if rows[0].D != 16 || !rows[0].Exact || rows[1].D != 32 || rows[1].Exact || rows[1].OptLower != 0 {
 		t.Fatalf("test premise broken: rows %+v", rows)
 	}
 	tab := LowerBoundTable(rows)
-	col := slices.Index(tab.Headers, "opt exact/~est")
-	if col < 0 || slices.Contains(tab.Headers, "opt lower") || tab.Headers[len(tab.Headers)-1] != "cost/D" {
-		t.Fatalf("headers %q: want an \"opt exact/~est\" column, no \"opt lower\", and cost/D last", tab.Headers)
+	col := slices.Index(tab.Headers, "opt exact")
+	if col < 0 || tab.Headers[len(tab.Headers)-1] != "cost/D" {
+		t.Fatalf("headers %q: want an \"opt exact\" column and cost/D last", tab.Headers)
+	}
+	for _, h := range tab.Headers {
+		if strings.Contains(h, "lower") || strings.Contains(h, "est") {
+			t.Errorf("header %q calls a column a lower bound or an estimate", h)
+		}
 	}
 	if got := tab.Rows[0][col]; got != "16" {
 		t.Errorf("D = 16: exact optimum printed %q, want 16", got)
 	}
-	if got := tab.Rows[1][col]; got != "~3" {
-		t.Errorf("D = 32: ManhattanMST/12 printed %q, want the estimate ~3", got)
+	if got := tab.Rows[1][col]; got != "—" {
+		t.Errorf("D = 32: uncertified optimum printed %q, want —", got)
 	}
 	if got, want := tab.Rows[1][len(tab.Headers)-1], fmt.Sprintf("%.3f", float64(rows[1].CostArrow)/32); got != want {
 		t.Errorf("D = 32: cost/D printed %q, want %q", got, want)

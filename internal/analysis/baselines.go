@@ -169,11 +169,7 @@ func BaselinesStaticTable(seed int64, workers int) (*Table, error) {
 	if err := engine.FirstError(outs); err != nil {
 		return nil, err
 	}
-	bounds := opt.Compute(g, 0, set, opt.DistOfGraph(g))
-	den := bounds.Upper
-	if bounds.Exact {
-		den = bounds.Lower
-	}
+	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
 	t := &Table{
 		Title:   fmt.Sprintf("Baselines — complete graph n=%d, |R|=%d Poisson requests (static)", n, len(set)),
 		Headers: []string{"protocol", "total latency", "messages", "makespan", "ratio vs opt bound"},

@@ -15,15 +15,16 @@ import (
 // requests issued simultaneously, the setting of Herlihy, Tirthapura and
 // Wattenhofer's PODC'01 analysis [10], whose bound is s·log|R|.
 type OneShotRow struct {
-	N        int
-	R        int
-	S        float64
-	D        int64
-	Cost     int64
-	OptLower int64
-	OptUpper int64
-	Exact    bool
-	Ratio    float64
+	N    int
+	R    int
+	S    float64
+	D    int64
+	Cost int64
+	// Opt is opt.Bounds.Best(): costOpt when Exact, else an achievable
+	// order's cost.
+	Opt   int64
+	Exact bool
+	Ratio float64
 	// Bound is s·log2|R|, the one-shot guarantee's shape.
 	Bound float64
 }
@@ -49,21 +50,16 @@ func OneShotExperiment(n int, rs []int, seed int64, workers int) ([]OneShotRow, 
 			return err
 		}
 		bounds := opt.Compute(g, 0, set, dg)
-		den := bounds.Upper
-		if bounds.Exact {
-			den = bounds.Lower
-		}
 		rows[i] = OneShotRow{
-			N:        n,
-			R:        r,
-			S:        s,
-			D:        d,
-			Cost:     cost.TotalLatency,
-			OptLower: bounds.Lower,
-			OptUpper: bounds.Upper,
-			Exact:    bounds.Exact,
-			Ratio:    opt.Ratio(cost.TotalLatency, den),
-			Bound:    s * math.Log2(float64(max(r, 2))),
+			N:     n,
+			R:     r,
+			S:     s,
+			D:     d,
+			Cost:  cost.TotalLatency,
+			Opt:   bounds.Best(),
+			Exact: bounds.Exact,
+			Ratio: opt.Ratio(cost.TotalLatency, bounds.Best()),
+			Bound: s * math.Log2(float64(max(r, 2))),
 		}
 		return nil
 	})
@@ -80,11 +76,7 @@ func OneShotTable(rows []OneShotRow) *Table {
 		Headers: []string{"n", "|R|", "s", "D", "cost(arrow)", "opt", "exact", "ratio", "s*log2|R|"},
 	}
 	for _, r := range rows {
-		o := r.OptUpper
-		if r.Exact {
-			o = r.OptLower
-		}
-		t.AddRow(r.N, r.R, r.S, r.D, r.Cost, o, r.Exact, r.Ratio, r.Bound)
+		t.AddRow(r.N, r.R, r.S, r.D, r.Cost, r.Opt, r.Exact, r.Ratio, r.Bound)
 	}
 	return t
 }

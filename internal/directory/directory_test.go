@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -118,8 +119,13 @@ func TestDirectoryValidation(t *testing.T) {
 		t.Error("expected PerNode error")
 	}
 	// node.remaining is an int32: a larger count is refused before any
-	// state is built, not truncated.
-	if _, err := RunArrow(tr, 0, Config{PerNode: math.MaxInt32 + 1}); err == nil {
+	// state is built, not truncated. A 32-bit int cannot hold one.
+	if strconv.IntSize == 32 {
+		t.Skip("MaxInt32 + 1 does not fit a 32-bit int")
+	}
+	perNode := math.MaxInt32
+	perNode++
+	if _, err := RunArrow(tr, 0, Config{PerNode: perNode}); err == nil {
 		t.Error("expected PerNode <= MaxInt32 error")
 	}
 }

@@ -3,15 +3,11 @@
 // knows all requests, orders them to minimize total latency, and
 // communicates over the graph G (not just the tree T).
 //
-// Exact computation is a minimum-cost Hamiltonian path under the
-// asymmetric cost cOpt (eq. (4)), solved with Held–Karp for up to
-// MaxExactRequests requests. Beyond that the package reports the
-// Manhattan-MST weight under cM divided by 12 as an uncertified estimate,
-// not a lower bound: the pairwise step cM <= 12·cO fails for requests
-// spread out in time, and on complete24/sequential it reads 15 against an
-// exact optimum of 10 (ROADMAP item 14 replaces it with a certified
-// bound). Achievable upper bounds come from nearest-neighbour and 2-opt
-// orders over cOpt.
+// costOpt is a minimum-cost Hamiltonian path under the asymmetric cost
+// cOpt (eq. (4)), solved exactly with Held–Karp for up to
+// MaxExactRequests requests. Beyond that the package certifies no lower
+// bound: it reports the cost of a 2-opt order over cOpt, which is
+// achievable and so bounds costOpt from above.
 package opt
 
 import (
@@ -23,23 +19,25 @@ import (
 
 // Bounds summarizes what we can say about costOpt for a request set.
 type Bounds struct {
-	// Lower is the exact costOpt when Exact. Otherwise it is
-	// ManhattanMST/12, an uncertified estimate that can exceed costOpt
-	// (see the package doc and ROADMAP item 14).
+	// Lower is the exact costOpt when Exact and 0 otherwise.
 	Lower int64
-	// Upper is an achievable ordering's cost under cOpt: the minimum of
-	// the NN and 2-opt improved orders (an upper bound on min_π Σ cOpt,
-	// which itself lower-bounds nothing — it is reported to show the gap).
+	// Upper is the cost under cOpt of the 2-opt order grown from the
+	// nearest-neighbour one: achievable, so an upper bound on costOpt.
 	Upper int64
 	// Exact reports whether Lower is the true min_π Σ cOpt.
 	Exact bool
 	// ExactOrder is the optimal order when Exact.
 	ExactOrder queuing.Order
-	// ManhattanMST is the MST weight over requests ∪ {root} under
-	// cM(dG). ManhattanMST/12 is not a certified lower bound on costOpt:
-	// the Lemma 3.17 chain's step cM <= 12·cO fails for requests spread
-	// out in time.
-	ManhattanMST int64
+}
+
+// Best returns the competitive ratio's denominator: costOpt when Exact,
+// Upper otherwise, so a ratio over an uncertified optimum can only read
+// low.
+func (b Bounds) Best() int64 {
+	if b.Exact {
+		return b.Lower
+	}
+	return b.Upper
 }
 
 // MaxExactRequests is the largest request count solved exactly.
@@ -76,10 +74,6 @@ func Compute(g *graph.Graph, root graph.NodeID, s queuing.Set, dist queuing.Dist
 	var b Bounds
 	n := len(s) + 1
 	cOpt := CostAdapter(s, root, queuing.CO(dist))
-	cM := CostAdapter(s, root, queuing.CM(dist))
-
-	b.ManhattanMST = tsp.MSTWeight(n, cM)
-
 	if len(s) <= MaxExactRequests {
 		path, cost, err := tsp.OptimalPath(n, cOpt)
 		if err == nil {
@@ -88,17 +82,9 @@ func Compute(g *graph.Graph, root graph.NodeID, s queuing.Set, dist queuing.Dist
 			b.ExactOrder = orderFromPath(path)
 		}
 	}
-	if !b.Exact {
-		lb := b.ManhattanMST / 12
-		if lb < 1 && len(s) > 0 {
-			lb = 1
-		}
-		b.Lower = lb
-	}
-
-	_, nnCost := tsp.NearestNeighborPath(n, cOpt)
-	_, optCost := tsp.TwoOptPath(n, cOpt)
-	b.Upper = min(nnCost, optCost)
+	// 2-opt starts from the nearest-neighbour order and takes only
+	// strictly improving reversals, so it never costs more than NN.
+	_, b.Upper = tsp.TwoOptPath(n, cOpt)
 	return b
 }
 

@@ -3,10 +3,10 @@ package opt
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/queuing"
+	"repro/internal/sim"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -32,6 +32,9 @@ func TestComputeExactSmallInstance(t *testing.T) {
 	if b.Upper < b.Lower {
 		t.Errorf("upper %d below lower %d", b.Upper, b.Lower)
 	}
+	if b.Best() != b.Lower {
+		t.Errorf("exact Best() = %d, want Lower = %d", b.Best(), b.Lower)
+	}
 }
 
 func TestComputeTimeDominatedCost(t *testing.T) {
@@ -56,43 +59,120 @@ func TestComputeTimeDominatedCost(t *testing.T) {
 	}
 }
 
-func TestComputeLargeUsesMSTBound(t *testing.T) {
+func TestComputeInexactReportsUpperOnly(t *testing.T) {
 	g := graph.Complete(30)
 	set := workload.OneShot(30, 25, 3) // too many requests for exact
 	b := Compute(g, 0, set, DistOfGraph(g))
 	if b.Exact {
 		t.Fatal("25 requests should not be exact")
 	}
-	if b.Lower < 1 {
-		t.Errorf("lower bound %d, want >= 1", b.Lower)
+	if b.Lower != 0 {
+		t.Errorf("inexact Lower = %d, want 0: nothing below costOpt is certified", b.Lower)
 	}
-	if b.ManhattanMST <= 0 {
-		t.Errorf("Manhattan MST = %d, want > 0", b.ManhattanMST)
-	}
-	if b.Lower > b.Upper {
-		t.Errorf("lower %d exceeds upper %d", b.Lower, b.Upper)
+	if b.Upper <= 0 || b.Best() != b.Upper {
+		t.Errorf("inexact Best() = %d, Upper = %d, want Best() == Upper > 0", b.Best(), b.Upper)
 	}
 }
 
-func TestLowerBoundNeverExceedsExact(t *testing.T) {
-	// The Manhattan-MST/12 bound must hold whenever we can compute the
-	// exact optimum.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(15)
-		g := graph.GNP(n, 0.4, seed)
-		k := 2 + rng.Intn(8)
-		set := workload.OneShot(n, min(k, n), seed)
-		dg := DistOfGraph(g)
-		b := Compute(g, 0, set, dg)
-		if !b.Exact {
-			return true
+// randomSmallGraph returns a random weighted tree or cycle (weights
+// 1..9) on n nodes, a cycle only from n = 3 on.
+func randomSmallGraph(n int, rng *rand.Rand) *graph.Graph {
+	g := graph.New(n)
+	if n >= 3 && rng.Intn(2) == 0 {
+		for i := 0; i < n; i++ {
+			g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), graph.Weight(1+rng.Intn(9)))
 		}
-		mstBound := b.ManhattanMST / 12
-		return mstBound <= b.Lower
+		return g
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	for i := 1; i < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), graph.Weight(1+rng.Intn(9)))
+	}
+	return g
+}
+
+// timeOrderCase is one case of the time-order property: a request set at
+// a constant gap on a graph, queued from root.
+type timeOrderCase struct {
+	g    *graph.Graph
+	root graph.NodeID
+	set  queuing.Set
+}
+
+// timeOrderExcess returns c_O(time order) − costOpt for the case.
+func (c timeOrderCase) timeOrderExcess(t *testing.T) int64 {
+	t.Helper()
+	dg := DistOfGraph(c.g)
+	b := Compute(c.g, c.root, c.set, dg)
+	if !b.Exact {
+		t.Fatalf("%d requests should be exact", len(c.set))
+	}
+	timeOrder := make(queuing.Order, len(c.set))
+	for i := range timeOrder {
+		timeOrder[i] = i
+	}
+	return queuing.OrderCost(c.set, c.root, timeOrder, queuing.CO(dg)) - b.Lower
+}
+
+// randomTimeOrderCase draws a weighted tree or cycle of 2–15 nodes, a
+// random root and 1–9 requests at the gap mul·D_G + add.
+func randomTimeOrderCase(rng *rand.Rand, mul, add int64) timeOrderCase {
+	n := 2 + rng.Intn(14)
+	g := randomSmallGraph(n, rng)
+	var d graph.Weight
+	for _, row := range g.AllPairs() {
+		for _, w := range row {
+			d = max(d, w)
+		}
+	}
+	set := workload.Sequential(n, 1+rng.Intn(9), sim.Time(mul*d+add), rng.Int63())
+	return timeOrderCase{g: g, root: graph.NodeID(rng.Intn(n)), set: set}
+}
+
+// TestTimeOrderOptimalFromGap3D checks where the sequential experiment's
+// premise holds: with requests at a constant gap of at least 3·D_G, time
+// order is an optimal queuing order under c_O, so its cost is
+// Compute's Held–Karp optimum. At 2·D_G + 1 it is not: gap > 2D makes
+// arrow sequential, but Opt can still gain by taking a request out of
+// time order (TestTimeOrderBeatenAtGap2DPlus1 pins one such set).
+func TestTimeOrderOptimalFromGap3D(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		c := randomTimeOrderCase(rng, 3, 0)
+		if ex := c.timeOrderExcess(t); ex != 0 {
+			t.Fatalf("gap 3D: time order costs %d above the optimum on root %d, set %v, edges %v",
+				ex, c.root, c.set, c.g.EdgeList())
+		}
+	}
+	beaten := 0
+	for i := 0; i < 3000; i++ {
+		if randomTimeOrderCase(rng, 2, 1).timeOrderExcess(t) > 0 {
+			beaten++
+		}
+	}
+	if beaten == 0 {
+		t.Error("gap 2D+1: time order was optimal on all 3000 sets; the 3D threshold is untested")
+	}
+}
+
+// TestTimeOrderBeatenAtGap2DPlus1 pins the smallest set the generator
+// finds at gap 2·D_G + 1: one edge of weight 4 (D = 4, gap 9), root 0,
+// requests at v1, v0, v1. Time order pays 4 + 4 + 4 = 12; Opt serves
+// the root's own request r1 first for 0, then r0 for max(4, 9) = 9 and
+// r2 for max(0, 0 − 18) = 0, 9 in all.
+func TestTimeOrderBeatenAtGap2DPlus1(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 1, 4)
+	at := func(gap sim.Time) timeOrderCase {
+		set := queuing.NewSet([]queuing.Request{
+			{Node: 1, Time: 0}, {Node: 0, Time: gap}, {Node: 1, Time: 2 * gap},
+		})
+		return timeOrderCase{g: g, root: 0, set: set}
+	}
+	if ex := at(9).timeOrderExcess(t); ex != 3 {
+		t.Errorf("gap 9: time order exceeds the optimum by %d, want 3 (12 against 9)", ex)
+	}
+	if ex := at(12).timeOrderExcess(t); ex != 0 {
+		t.Errorf("gap 3D = 12: time order exceeds the optimum by %d, want 0", ex)
 	}
 }
 

@@ -289,7 +289,7 @@ func FuzzCells(f *testing.F) {
 			return
 		}
 		e := int(script[0]>>2) % 32
-		n := min(max(1, 1<<e+int(script[0]&3)-1), math.MaxInt32)
+		n := int(min(max(1, int64(1)<<e+int64(script[0]&3)-1), math.MaxInt32))
 		size := 1 + int(binary.LittleEndian.Uint16(script[1:3]))%4096
 		k := 1 + int(script[3])%4
 		fuzzCells(t, n, size, &byteReader{b: script[4:]})
@@ -313,7 +313,7 @@ func (r *byteReader) next() byte {
 
 // draw returns a value below bound from the next four bytes.
 func (r *byteReader) draw(bound int) int {
-	return int(uint32(r.next())|uint32(r.next())<<8|uint32(r.next())<<16|uint32(r.next())<<24) % bound
+	return int((uint32(r.next()) | uint32(r.next())<<8 | uint32(r.next())<<16 | uint32(r.next())<<24) % uint32(bound))
 }
 
 // pick returns 0, bound-1 or a drawn value below bound, by sel's low bits.

@@ -230,7 +230,7 @@ type Driver struct {
 // product overflows int64 (a wrapped value would either disable the
 // guard or panic a healthy run).
 func eventBudget(total int64, n int) int64 {
-	return sim.SatAdd(sim.SatMul(total, int64(4*n+8)), 1024)
+	return sim.SatAdd(sim.SatMul(total, 4*int64(n)+8), 1024)
 }
 
 // Run executes the closed-loop experiment over topo with the given

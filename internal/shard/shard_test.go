@@ -3,6 +3,7 @@ package shard_test
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -191,10 +192,13 @@ func TestSharedLinkCapacity(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	const n = 8
 	step := steppers(t, n, 4)["nta"]
+	shift := 32 // a variable, so 1<<shift + 3 compiles where int is 32 bits
 	cases := []struct {
 		name string
 		spec shard.Spec
 		want string // substring of the error; "" = any
+		// wide marks a count a 32-bit int cannot hold: skipped there.
+		wide bool
 	}{
 		{name: "zero objects", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}}},
 		{name: "negative skew", spec: shard.Spec{Spec: loop.Spec{PerNode: 1}, Objects: 4, Skew: -1}},
@@ -203,8 +207,8 @@ func TestSpecValidation(t *testing.T) {
 		{name: "no requests", spec: shard.Spec{Objects: 4}},
 		// Stored truncated, 2³² + 3 requests per node would run 3 and only
 		// then fail the completion count: the refusal must come up front.
-		{name: "per-node beyond int32", spec: shard.Spec{Spec: loop.Spec{PerNode: 1<<32 + 3}, Objects: 4},
-			want: "PerNode must be <="},
+		{name: "per-node beyond int32", spec: shard.Spec{Spec: loop.Spec{PerNode: 1<<shift + 3}, Objects: 4},
+			want: "PerNode must be <=", wide: true},
 		{name: "faults", spec: shard.Spec{
 			Spec:    loop.Spec{PerNode: 1, Faults: &sim.FaultPlan{}},
 			Objects: 4,
@@ -212,6 +216,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.wide && strconv.IntSize == 32 {
+				t.Skip("the count does not fit a 32-bit int")
+			}
 			_, err := shard.Run(sim.NewCompleteTopology(n), step, "nta", tc.spec)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("spec %+v: got error %v, want one mentioning %q", tc.spec, err, tc.want)

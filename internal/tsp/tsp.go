@@ -1,9 +1,9 @@
 // Package tsp provides the travelling-salesperson machinery the paper's
 // analysis relies on: the nearest-neighbour heuristic (which characterizes
 // arrow's queuing order, Lemma 3.8), an exact Held–Karp solver used as
-// ground truth on small instances, a 2-opt improvement of the NN path, and
-// the MST weight behind opt's ManhattanMST/12 — an uncertified estimate
-// of the optimum, not a lower bound (see package opt).
+// ground truth on small instances, and a 2-opt improvement of the NN path
+// that gives package opt its achievable upper bound beyond the exact
+// solver's reach.
 //
 // All functions operate over an abstract pairwise cost on points 0..n-1
 // where point 0 is the fixed start (the virtual root request). Costs may
@@ -164,43 +164,6 @@ func PathCost(order []int, c Cost) int64 {
 	var total int64
 	for i := 1; i < len(order); i++ {
 		total += c(order[i-1], order[i])
-	}
-	return total
-}
-
-// MSTWeight returns the weight of a minimum spanning tree over n points
-// under the symmetric cost c (Prim, O(n^2)). Any path visiting all points
-// weighs at least this, which is the bound Lemma 3.16 exploits for the
-// Manhattan metric.
-func MSTWeight(n int, c Cost) int64 {
-	if n <= 1 {
-		return 0
-	}
-	const inf = int64(math.MaxInt64 / 4)
-	best := make([]int64, n)
-	in := make([]bool, n)
-	for i := range best {
-		best[i] = inf
-	}
-	best[0] = 0
-	var total int64
-	for iter := 0; iter < n; iter++ {
-		u, ub := -1, inf
-		for v := 0; v < n; v++ {
-			if !in[v] && best[v] < ub {
-				ub = best[v]
-				u = v
-			}
-		}
-		in[u] = true
-		total += ub
-		for v := 0; v < n; v++ {
-			if !in[v] {
-				if cc := c(u, v); cc < best[v] {
-					best[v] = cc
-				}
-			}
-		}
 	}
 	return total
 }

@@ -255,33 +255,6 @@ func TestOptimalTourAtLeastPath(t *testing.T) {
 	}
 }
 
-func TestMSTWeightLowerBoundsPath(t *testing.T) {
-	// Any Hamiltonian path weighs at least the MST.
-	prop := func(seed int64) bool {
-		n := 4 + int(seed%8+8)%8
-		c := randMetric(n, seed)
-		mst := MSTWeight(n, c)
-		_, opt, err := OptimalPath(n, c)
-		if err != nil {
-			return false
-		}
-		return mst <= opt
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMSTWeightKnown(t *testing.T) {
-	// Line 0-1-2-3 with unit gaps: MST weight 3.
-	if w := MSTWeight(4, lineCost([]int64{0, 1, 2, 3})); w != 3 {
-		t.Errorf("MST weight = %d, want 3", w)
-	}
-	if w := MSTWeight(1, nil); w != 0 {
-		t.Errorf("singleton MST = %d", w)
-	}
-}
-
 func TestTwoOptPathImprovesOrMatchesNN(t *testing.T) {
 	prop := func(seed int64) bool {
 		n := 5 + int(seed%8+8)%8

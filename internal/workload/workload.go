@@ -42,8 +42,9 @@ func OneShot(n, k int, seed int64) queuing.Set {
 
 // Sequential returns count requests at random nodes spaced gap time units
 // apart. With gap > 2D no two requests are concurrently active, which is
-// the sequential regime of Demmer–Herlihy: per-operation cost <= D and
-// competitive ratio <= s.
+// arrow's sequential regime of Demmer–Herlihy: per-operation cost <= D
+// and competitive ratio <= s. It is not where time order is optimal for
+// Opt: that takes gap >= 3D (opt's TestTimeOrderOptimalFromGap3D).
 func Sequential(n, count int, gap sim.Time, seed int64) queuing.Set {
 	require(n >= 1, "Sequential needs n >= 1")
 	require(count >= 0, "Sequential needs count >= 0")
