@@ -418,8 +418,8 @@ func BenchmarkClosedLoopScale1M(b *testing.B) {
 	benchArrowScale(b, 1_000_001, loop.Spec{PerNode: 2})
 }
 
-// BenchmarkTreeDistance measures the LCA-based dT query, the analysis
-// hot path.
+// BenchmarkTreeDistance measures the dT query, a parent walk of
+// O(depth), the analysis hot path.
 func BenchmarkTreeDistance(b *testing.B) {
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -68,7 +68,7 @@ func run(cfg config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bounds := opt.Compute(g, inst.Root, inst.Set, opt.DistOfGraph(g))
+	bounds := opt.Compute(g, inst.Root, inst.Set)
 
 	fmt.Fprintf(w, "\narrow total latency:      %d\n", res.TotalLatency)
 	fmt.Fprintf(w, "arrow total hops:         %d\n", res.TotalHops)

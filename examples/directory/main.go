@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	bounds := opt.Compute(g, t.Root(), set, opt.DistOfGraph(g))
+	bounds := opt.Compute(g, t.Root(), set)
 	fmt.Printf("\nobject travel, arrow order over tree:   %d\n", travelTree)
 	fmt.Printf("object travel, arrow order over graph:  %d\n", travelGraph)
 	fmt.Printf("object travel, clairvoyant optimal:     %d\n", optTravel)

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	// 5. Compare against the clairvoyant optimal offline ordering.
-	bounds := opt.Compute(g, t.Root(), set, opt.DistOfGraph(g))
+	bounds := opt.Compute(g, t.Root(), set)
 	fmt.Printf("\narrow total latency: %d\n", res.TotalLatency)
 	if bounds.Exact {
 		fmt.Printf("optimal offline:     %d (exact)\n", bounds.Lower)

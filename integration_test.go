@@ -215,7 +215,7 @@ func TestExperimentHarnessEndToEnd(t *testing.T) {
 	// The competitive-ratio denominator machinery.
 	g := graph.Grid(4, 4)
 	set := workload.OneShot(16, 6, 1)
-	b := opt.Compute(g, 0, set, opt.DistOfGraph(g))
+	b := opt.Compute(g, 0, set)
 	if !b.Exact || b.Lower <= 0 {
 		t.Errorf("opt bounds degenerate: %+v", b)
 	}

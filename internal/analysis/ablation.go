@@ -33,7 +33,7 @@ func TreeChoiceExperiment(n, requests int, seed int64, workers int) ([]TreeChoic
 	if len(set) == 0 {
 		set = workload.OneShot(n, min(requests, n), seed)
 	}
-	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
+	den := opt.Compute(g, 0, set).Best()
 	kinds := []TreeKind{TreeBalancedBinary, TreeMST, TreeBFS, TreeStar, TreePath}
 	trees := make([]*tree.Tree, len(kinds))
 	instances := make([]engine.Instance, len(kinds))
@@ -101,7 +101,7 @@ func AsyncExperiment(n, requests int, scale int64, seed int64, workers int) ([]A
 	g := graph.Complete(n)
 	t := tree.BalancedBinary(n)
 	set := workload.Bursty(n, requests/2, 2, sim.Time(8*scale), seed)
-	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
+	den := opt.Compute(g, 0, set).Best()
 	models := []sim.LatencyModel{
 		sim.SynchronousScaled(scale),
 		sim.AsyncUniform(scale),
@@ -252,7 +252,7 @@ func StretchExperiment(logDOverS int, stretches []int, workers int) ([]StretchRo
 		if err != nil {
 			return fmt.Errorf("analysis: stretch %d: %w", s, err)
 		}
-		bounds := opt.Compute(g, 0, set, opt.DistOfGraph(g))
+		bounds := opt.Compute(g, 0, set)
 		rows[i] = StretchRow{
 			S:         s,
 			D:         d,

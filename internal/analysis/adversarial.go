@@ -34,7 +34,6 @@ func AdversarialSearch(d, nReq, iterations int, seed int64) (AdversarialResult, 
 	rng := rand.New(rand.NewSource(seed))
 	t := tree.PathTree(d + 1)
 	g := graph.Path(d + 1)
-	dg := opt.DistOfGraph(g)
 
 	score := func(set queuing.Set) (float64, error) {
 		cost, err := engine.Arrow{}.Run(engine.Instance{
@@ -43,7 +42,7 @@ func AdversarialSearch(d, nReq, iterations int, seed int64) (AdversarialResult, 
 		if err != nil {
 			return 0, err
 		}
-		den := opt.Compute(g, 0, set, dg).Best()
+		den := opt.Compute(g, 0, set).Best()
 		if den == 0 {
 			return 0, nil
 		}

@@ -629,7 +629,7 @@ func TestDoublingDoublesArrowAndOpt(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := graph.Path(d + 1)
-		b := opt.Compute(g, 0, set, opt.DistOfGraph(g))
+		b := opt.Compute(g, 0, set)
 		if !b.Exact {
 			t.Fatalf("optimum of %d requests not exact", len(set))
 		}

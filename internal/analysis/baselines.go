@@ -169,7 +169,7 @@ func BaselinesStaticTable(seed int64, workers int) (*Table, error) {
 	if err := engine.FirstError(outs); err != nil {
 		return nil, err
 	}
-	den := opt.Compute(g, 0, set, opt.DistOfGraph(g)).Best()
+	den := opt.Compute(g, 0, set).Best()
 	t := &Table{
 		Title:   fmt.Sprintf("Baselines — complete graph n=%d, |R|=%d Poisson requests (static)", n, len(set)),
 		Headers: []string{"protocol", "total latency", "messages", "makespan", "ratio vs opt bound"},

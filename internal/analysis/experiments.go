@@ -53,7 +53,7 @@ func LowerBoundSweep(logDs []int, workers int) ([]LowerBoundRow, error) {
 		if err != nil {
 			return fmt.Errorf("analysis: lower bound logD=%d: %w", logD, err)
 		}
-		bounds := opt.Compute(g, inst.Root, inst.Set, opt.DistOfGraph(g))
+		bounds := opt.Compute(g, inst.Root, inst.Set)
 		rows[i] = LowerBoundRow{
 			LogD:      logD,
 			D:         inst.D,
@@ -142,7 +142,7 @@ func MeasureRatio(cfg RatioConfig) (RatioRow, error) {
 	if err != nil {
 		return RatioRow{}, err
 	}
-	bounds := opt.Compute(cfg.Graph, t.Root(), cfg.Set, opt.DistOfGraph(cfg.Graph))
+	bounds := opt.Compute(cfg.Graph, t.Root(), cfg.Set)
 	s := t.EdgeStretch(cfg.Graph)
 	d := t.Diameter()
 	row := RatioRow{

@@ -38,7 +38,6 @@ func OneShotExperiment(n int, rs []int, seed int64, workers int) ([]OneShotRow, 
 	t := tree.BalancedBinary(n)
 	s := t.EdgeStretch(g)
 	d := t.Diameter()
-	dg := opt.DistOfGraph(g)
 	rows := make([]OneShotRow, len(rs))
 	err := engine.ParallelMapErr(len(rs), workers, func(i int) error {
 		r := rs[i]
@@ -49,7 +48,7 @@ func OneShotExperiment(n int, rs []int, seed int64, workers int) ([]OneShotRow, 
 		if err != nil {
 			return err
 		}
-		bounds := opt.Compute(g, 0, set, dg)
+		bounds := opt.Compute(g, 0, set)
 		rows[i] = OneShotRow{
 			N:     n,
 			R:     r,

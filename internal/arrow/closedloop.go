@@ -46,7 +46,7 @@ type LoopConfig struct {
 type LoopResult = loop.Result
 
 // RunClosedLoop executes the closed-loop experiment on tree t — any
-// tree.Nav: the explicit lifted *tree.Tree, or an implicit navigator
+// tree.Nav: the explicit *tree.Tree, or an implicit navigator
 // (tree.Walker, tree.GridNav) for million-node runs. Fault plans
 // require the explicit tree (the stabilize repair engine traverses
 // adjacency the implicit navigators do not materialize).
@@ -55,10 +55,10 @@ func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lifted *tree.Tree
+	var explicit *tree.Tree
 	if cfg.Faults != nil {
 		var ok bool
-		if lifted, ok = t.(*tree.Tree); !ok {
+		if explicit, ok = t.(*tree.Tree); !ok {
 			return nil, fmt.Errorf("arrow: fault plans require an explicit *tree.Tree (got %T)", t)
 		}
 	}
@@ -67,8 +67,8 @@ func RunClosedLoop(t tree.Nav, cfg LoopConfig) (*LoopResult, error) {
 		return nil, err
 	}
 	var rec *recovery
-	if lifted != nil {
-		rec = newRecovery(d, lifted, step.link, cfg)
+	if explicit != nil {
+		rec = newRecovery(d, explicit, step.link, cfg)
 	}
 	res, err := d.Run()
 	if err != nil {

@@ -32,8 +32,6 @@ var keptExports = map[string]string{
 	"internal/sim.TreeLinks":                "the candidate link set those LinkChurn plans are drawn over",
 	"internal/stats.Histogram.Buckets":      "pins the histogram's bounded-memory property",
 	"internal/tree.Walker.Depth":            "hop depth, the round-trip length sim's token-protocol tests record",
-	"internal/tree.PathWalker":              "implicit PathTree, compared with the explicit builder and driven through sim's link table tests",
-	"internal/tree.StarWalker":              "implicit StarTree, as PathWalker",
 	"internal/tree.Tree.ToGraph":            "the tree as a graph, so tests compare dT with graph shortest paths",
 }
 

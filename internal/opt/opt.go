@@ -68,12 +68,11 @@ func orderFromPath(path []int) queuing.Order {
 }
 
 // Compute bounds costOpt for request set s over graph g with initial
-// root (queue tail) at root. dist must be the graph metric dG; pass
-// tree.Dist to bound the tree-restricted optimum instead.
-func Compute(g *graph.Graph, root graph.NodeID, s queuing.Set, dist queuing.DistFunc) Bounds {
+// root (queue tail) at root, under g's metric dG.
+func Compute(g *graph.Graph, root graph.NodeID, s queuing.Set) Bounds {
 	var b Bounds
 	n := len(s) + 1
-	cOpt := CostAdapter(s, root, queuing.CO(dist))
+	cOpt := CostAdapter(s, root, queuing.CO(DistOfGraph(g)))
 	if len(s) <= MaxExactRequests {
 		path, cost, err := tsp.OptimalPath(n, cOpt)
 		if err == nil {

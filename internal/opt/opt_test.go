@@ -18,7 +18,7 @@ func TestComputeExactSmallInstance(t *testing.T) {
 		{Node: 0, Time: 0},
 		{Node: 4, Time: 0},
 	})
-	b := Compute(g, 2, set, DistOfGraph(g))
+	b := Compute(g, 2, set)
 	if !b.Exact {
 		t.Fatal("tiny instance should be exact")
 	}
@@ -45,7 +45,7 @@ func TestComputeTimeDominatedCost(t *testing.T) {
 		{Node: 1, Time: 0},
 		{Node: 2, Time: 50},
 	})
-	b := Compute(g, 0, set, DistOfGraph(g))
+	b := Compute(g, 0, set)
 	if !b.Exact {
 		t.Fatal("should be exact")
 	}
@@ -62,7 +62,7 @@ func TestComputeTimeDominatedCost(t *testing.T) {
 func TestComputeInexactReportsUpperOnly(t *testing.T) {
 	g := graph.Complete(30)
 	set := workload.OneShot(30, 25, 3) // too many requests for exact
-	b := Compute(g, 0, set, DistOfGraph(g))
+	b := Compute(g, 0, set)
 	if b.Exact {
 		t.Fatal("25 requests should not be exact")
 	}
@@ -102,7 +102,7 @@ type timeOrderCase struct {
 func (c timeOrderCase) timeOrderExcess(t *testing.T) int64 {
 	t.Helper()
 	dg := DistOfGraph(c.g)
-	b := Compute(c.g, c.root, c.set, dg)
+	b := Compute(c.g, c.root, c.set)
 	if !b.Exact {
 		t.Fatalf("%d requests should be exact", len(c.set))
 	}
@@ -216,7 +216,7 @@ func TestRatio(t *testing.T) {
 
 func TestEmptySet(t *testing.T) {
 	g := graph.Path(4)
-	b := Compute(g, 0, queuing.Set{}, DistOfGraph(g))
+	b := Compute(g, 0, queuing.Set{})
 	if !b.Exact || b.Lower != 0 || b.Upper != 0 {
 		t.Errorf("empty set bounds = %+v", b)
 	}

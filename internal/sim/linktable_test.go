@@ -18,6 +18,16 @@ func weightedParents() (parent []graph.NodeID, pw []graph.Weight) {
 	return []graph.NodeID{2, 2, 2, 2, 3, 3, 5, 0}, []graph.Weight{3, 1, 0, 7, 2, 5, 4, 6}
 }
 
+// weightedTree is the weightedParents tree, rooted at 2, as a *tree.Tree.
+func weightedTree(t *testing.T) *tree.Tree {
+	parent, pw := weightedParents()
+	tr, err := tree.FromParents(2, parent, pw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestTreeLinkTableMatchesInterface pins send's flat link resolution to
 // the definition it replaced: for every ordered pair (u, v) of every
 // navigator shape, legality, weight and the per-link slot agree with
@@ -33,7 +43,7 @@ func TestTreeLinkTableMatchesInterface(t *testing.T) {
 		{"binary", tree.BalancedBinary(15)},
 		{"path", tree.PathTree(7)},
 		{"star", tree.StarTree(9)},
-		{"weighted", tree.MustFromParents(2, parent, pw)},
+		{"weighted", weightedTree(t)},
 		{"binary-walker", tree.BinaryWalker(15)},
 		{"path-walker", tree.PathWalker(7)},
 		{"star-walker", tree.StarWalker(9)},
@@ -107,7 +117,8 @@ func sendPanic(s *Simulator, u, v graph.NodeID) (msg string) {
 
 // TestTreeLinkTableZeroCopy: the navigators that hold flat arrays lend
 // them; the table of a plain Nav is filled, and drops the weight array
-// when every edge is a unit edge.
+// when every edge is a unit edge. A unit-weight Tree lends nil weights
+// as its Walker does, so the Tree case is the weighted tree.
 func TestTreeLinkTableZeroCopy(t *testing.T) {
 	w := tree.BinaryWalker(9)
 	wantP, wantW := w.ParentArrays()
@@ -118,7 +129,7 @@ func TestTreeLinkTableZeroCopy(t *testing.T) {
 	if p, pw = (TreeTopology{T: plainNav{w}}).linkTable(); &p[0] == &wantP[0] || pw != nil || len(p) != 9 {
 		t.Errorf("plain Nav: table of %d entries, weights nil=%v; want a fresh 9-entry table without weights", len(p), pw == nil)
 	}
-	tr := tree.BalancedBinary(9)
+	tr := weightedTree(t)
 	wantP, wantW = tr.ParentArrays()
 	if p, pw = (TreeTopology{T: tr}).linkTable(); &p[0] != &wantP[0] || &pw[0] != &wantW[0] {
 		t.Error("Tree's arrays were copied")

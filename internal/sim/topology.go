@@ -7,9 +7,9 @@ import (
 
 // TreeTopology restricts communication to spanning-tree neighbours — the
 // arrow protocol's constraint ("the pointers can point only to a neighbor
-// in the spanning tree"). Any tree.Nav works: the explicit lifted
-// *tree.Tree, or the implicit Walker/GridNav navigators the scale tier
-// uses to avoid materializing LCA tables at millions of nodes.
+// in the spanning tree"). Any tree.Nav works: the explicit *tree.Tree (a
+// Walker plus adjacency and Euler-tour routing), or the bare Walker and
+// GridNav navigators the scale tier uses at millions of nodes.
 type TreeTopology struct{ T tree.Nav }
 
 // Latency implements Topology: only tree edges are legal. The check uses

@@ -103,42 +103,15 @@ func PrimMST(g *graph.Graph, root graph.NodeID) (*Tree, error) {
 // used in the paper's experiments (Section 5): node i's children are
 // 2i+1 and 2i+2, all edges weight 1, root 0. On a complete graph this
 // tree has depth floor(log2 n).
-func BalancedBinary(n int) *Tree {
-	parent := make([]graph.NodeID, n)
-	pw := make([]graph.Weight, n)
-	parent[0] = 0
-	for v := 1; v < n; v++ {
-		parent[v] = graph.NodeID((v - 1) / 2)
-		pw[v] = 1
-	}
-	return MustFromParents(0, parent, pw)
-}
+func BalancedBinary(n int) *Tree { return fromWalker(BinaryWalker(n)) }
 
 // PathTree returns the path 0-1-...-n-1 as a tree rooted at 0 with unit
 // weights. This is the spanning tree of the lower-bound constructions.
-func PathTree(n int) *Tree {
-	parent := make([]graph.NodeID, n)
-	pw := make([]graph.Weight, n)
-	parent[0] = 0
-	for v := 1; v < n; v++ {
-		parent[v] = graph.NodeID(v - 1)
-		pw[v] = 1
-	}
-	return MustFromParents(0, parent, pw)
-}
+func PathTree(n int) *Tree { return fromWalker(PathWalker(n)) }
 
 // StarTree returns the star with center 0 (unit weights): the tree
 // behind a "home-based" topology, diameter 2.
-func StarTree(n int) *Tree {
-	parent := make([]graph.NodeID, n)
-	pw := make([]graph.Weight, n)
-	parent[0] = 0
-	for v := 1; v < n; v++ {
-		parent[v] = 0
-		pw[v] = 1
-	}
-	return MustFromParents(0, parent, pw)
-}
+func StarTree(n int) *Tree { return fromWalker(StarWalker(n)) }
 
 type nodeItem struct {
 	node graph.NodeID

@@ -25,8 +25,9 @@ import (
 // communication of the arrow protocol on this tree. p must have length
 // NumNodes; it is normalized internally.
 func ExpectedPairCost(t *Tree, p []float64) float64 {
-	if len(p) != t.n {
-		panic(fmt.Sprintf("tree: distribution of length %d for %d nodes", len(p), t.n))
+	n := t.NumNodes()
+	if len(p) != n {
+		panic(fmt.Sprintf("tree: distribution of length %d for %d nodes", len(p), n))
 	}
 	var total float64
 	for _, v := range p {
@@ -39,12 +40,12 @@ func ExpectedPairCost(t *Tree, p []float64) float64 {
 		return 0
 	}
 	// Subtree mass via a post-order accumulation over parents.
-	mass := make([]float64, t.n)
-	for v := 0; v < t.n; v++ {
+	mass := make([]float64, n)
+	for v := 0; v < n; v++ {
 		mass[v] = p[v] / total
 	}
 	// Process nodes in decreasing depth so children accumulate first.
-	order := make([]graph.NodeID, t.n)
+	order := make([]graph.NodeID, n)
 	for v := range order {
 		order[v] = graph.NodeID(v)
 	}
@@ -55,7 +56,7 @@ func ExpectedPairCost(t *Tree, p []float64) float64 {
 			continue
 		}
 		q := mass[v]
-		cost += 2 * float64(t.pw[v]) * q * (1 - q)
+		cost += 2 * float64(t.edgeW(v)) * q * (1 - q)
 		mass[t.parent[v]] += q
 	}
 	return cost
@@ -110,16 +111,15 @@ func CommTree(g *graph.Graph, p []float64, maxIters int) (*Tree, error) {
 		// For each tree edge (v, parent(v)), cutting it splits the nodes
 		// into v's subtree and the rest; try every graph edge across the
 		// cut as a replacement.
-		for v := 0; v < t.n; v++ {
+		for v := 0; v < t.NumNodes(); v++ {
 			node := graph.NodeID(v)
 			if node == t.root {
 				continue
 			}
-			inSub := t.subtreeMembership(node)
 			bestTree := (*Tree)(nil)
 			bestCost := cur
 			for _, rec := range g.EdgeList() {
-				if inSub[rec.U] == inSub[rec.V] {
+				if t.contains(node, rec.U) == t.contains(node, rec.V) {
 					continue // not across the cut
 				}
 				cand, err := t.swapEdge(node, rec)
@@ -144,25 +144,6 @@ func CommTree(g *graph.Graph, p []float64, maxIters int) (*Tree, error) {
 	return t, nil
 }
 
-// subtreeMembership marks every node in v's subtree (v included).
-func (t *Tree) subtreeMembership(v graph.NodeID) []bool {
-	in := make([]bool, t.n)
-	in[v] = true
-	// Children lists are implicit; walk adjacency away from the parent.
-	stack := []graph.NodeID{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range t.adj[u] {
-			if e.To != t.parent[u] && !in[e.To] {
-				in[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return in
-}
-
 // swapEdge returns a new tree with the edge (cut, parent(cut)) removed
 // and the graph edge rec inserted instead. rec must cross the cut.
 func (t *Tree) swapEdge(cut graph.NodeID, rec graph.EdgeRecord) (*Tree, error) {
@@ -172,21 +153,22 @@ func (t *Tree) swapEdge(cut graph.NodeID, rec graph.EdgeRecord) (*Tree, error) {
 		to graph.NodeID
 		w  graph.Weight
 	}
-	adj := make([][]edge, t.n)
-	for v := 0; v < t.n; v++ {
+	n := t.NumNodes()
+	adj := make([][]edge, n)
+	for v := 0; v < n; v++ {
 		node := graph.NodeID(v)
 		if node == t.root || node == cut {
 			continue
 		}
-		adj[node] = append(adj[node], edge{to: t.parent[node], w: t.pw[node]})
-		adj[t.parent[node]] = append(adj[t.parent[node]], edge{to: node, w: t.pw[node]})
+		adj[node] = append(adj[node], edge{to: t.parent[node], w: t.edgeW(node)})
+		adj[t.parent[node]] = append(adj[t.parent[node]], edge{to: node, w: t.edgeW(node)})
 	}
 	adj[rec.U] = append(adj[rec.U], edge{to: rec.V, w: rec.W})
 	adj[rec.V] = append(adj[rec.V], edge{to: rec.U, w: rec.W})
 
-	parent := make([]graph.NodeID, t.n)
-	pw := make([]graph.Weight, t.n)
-	seen := make([]bool, t.n)
+	parent := make([]graph.NodeID, n)
+	pw := make([]graph.Weight, n)
+	seen := make([]bool, n)
 	parent[t.root] = t.root
 	seen[t.root] = true
 	stack := []graph.NodeID{t.root}
@@ -204,7 +186,7 @@ func (t *Tree) swapEdge(cut graph.NodeID, rec graph.EdgeRecord) (*Tree, error) {
 			}
 		}
 	}
-	if count != t.n {
+	if count != n {
 		return nil, fmt.Errorf("tree: swap disconnected the tree")
 	}
 	return FromParents(t.root, parent, pw)

@@ -15,15 +15,14 @@ func (t *Tree) NextHop(u, target graph.NodeID) graph.NodeID {
 	if u == target {
 		panic("tree: NextHop with u == target")
 	}
-	at := t.tin[target]
-	if uint32(at-t.tin[u]) >= uint32(t.size[u]) {
+	if !t.contains(u, target) {
 		return t.parent[u]
 	}
 	if t.parent[target] == u {
 		return target
 	}
 	// The first child's entry is tin[u]+1 <= at, so lo stays valid.
-	kids := t.kids[t.kidOff[u]:t.kidOff[u+1]]
+	at, kids := t.tin[target], t.children(u)
 	lo := 0
 	for n := len(kids); n > 1; {
 		half := n >> 1

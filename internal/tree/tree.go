@@ -1,31 +1,28 @@
 // Package tree implements the pre-selected spanning tree T the arrow
-// protocol operates on: tree construction (BFS tree, Prim and Kruskal
-// MSTs, balanced binary, path, star), exact tree distances dT via binary
-// lifting LCA, next-hop routing via Euler-tour intervals, tree diameter,
+// protocol operates on: tree construction (BFS tree, Prim MST,
+// shortest-path tree, balanced binary, path, star), tree distances dT by
+// parent walks, next-hop routing via Euler-tour intervals, tree diameter,
 // and the stretch s = max dT/dG of T relative to its graph (Definition
 // 3.1 in the paper).
 package tree
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
 
 // Tree is a rooted spanning tree over nodes [0, N) with weighted edges.
-// It supports O(log n) distance queries dT(u, v) after O(n log n)
-// preprocessing.
+// It is a Walker — parent pointers, hop depths and dT by parent walks —
+// plus what only an explicit tree needs: the adjacency behind Neighbors
+// and Diameter, and the Euler-tour intervals behind NextHop and its O(1)
+// ancestor test. State is O(n).
 type Tree struct {
-	n      int
-	root   graph.NodeID
-	parent []graph.NodeID // parent[root] == root
-	pw     []graph.Weight // weight of edge to parent; 0 for root
-	adj    [][]graph.Edge // tree adjacency (children + parent)
+	Walker
 
-	depthW []graph.Weight // weighted depth from root
-	depth  []int32        // unweighted depth from root (for LCA)
-	up     [][]graph.NodeID
-	logN   int
+	// adj[adjOff[v]:adjOff[v+1]] lists v's tree neighbours.
+	adjOff []int32
+	adj    []graph.Edge
 
 	// Euler-tour intervals (for NextHop): v's subtree is the preorder
 	// range [tin[v], tin[v]+size[v]), and kids[kidOff[v]:kidOff[v+1]]
@@ -36,202 +33,110 @@ type Tree struct {
 	kids   []graph.NodeID
 }
 
-// FromParents builds a tree from a parent array. parent[root] must equal
-// root; pw[root] is ignored. It validates that the structure is a single
-// tree spanning all nodes.
+// FromParents builds a tree from a parent array. It accepts exactly what
+// WalkerFromParents accepts — parent[root] == root, pw[root] ignored, nil
+// pw for unit weights — and keeps copies of both arrays.
 func FromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.Weight) (*Tree, error) {
-	n := len(parent)
-	if n == 0 {
-		return nil, fmt.Errorf("tree: empty parent array")
-	}
-	if int(root) < 0 || int(root) >= n {
-		return nil, fmt.Errorf("tree: root %d out of range", root)
-	}
-	if parent[root] != root {
-		return nil, fmt.Errorf("tree: parent[root] must be root itself")
-	}
-	if len(pw) != n {
-		return nil, fmt.Errorf("tree: parent weights length %d != %d", len(pw), n)
-	}
-	t := &Tree{
-		n:      n,
-		root:   root,
-		parent: append([]graph.NodeID(nil), parent...),
-		pw:     append([]graph.Weight(nil), pw...),
-		adj:    make([][]graph.Edge, n),
-	}
-	for v := 0; v < n; v++ {
-		if v == int(root) {
-			continue
-		}
-		p := parent[v]
-		if int(p) < 0 || int(p) >= n || p == graph.NodeID(v) {
-			return nil, fmt.Errorf("tree: invalid parent %d of node %d", p, v)
-		}
-		if pw[v] <= 0 {
-			return nil, fmt.Errorf("tree: non-positive edge weight %d at node %d", pw[v], v)
-		}
-		t.adj[v] = append(t.adj[v], graph.Edge{To: p, W: pw[v]})
-		t.adj[p] = append(t.adj[p], graph.Edge{To: graph.NodeID(v), W: pw[v]})
-	}
-	if err := t.index(); err != nil {
+	w, err := WalkerFromParents(root, slices.Clone(parent), slices.Clone(pw))
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return fromWalker(w), nil
 }
 
-// MustFromParents is FromParents that panics on error; for use with
-// generator code that constructs parents programmatically.
-func MustFromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.Weight) *Tree {
-	t, err := FromParents(root, parent, pw)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// index computes depths, the binary-lifting table and the Euler-tour
-// intervals, verifying reachability of every node from the root.
-func (t *Tree) index() error {
-	n := t.n
-	t.depthW = make([]graph.Weight, n)
-	t.depth = make([]int32, n)
-	order := make([]graph.NodeID, 0, n)
-	seen := make([]bool, n)
-	order = append(order, t.root)
-	seen[t.root] = true
-	for head := 0; head < len(order); head++ {
-		u := order[head]
-		for _, e := range t.adj[u] {
-			if !seen[e.To] {
-				if t.parent[e.To] != u {
-					return fmt.Errorf("tree: node %d reached from non-parent %d", e.To, u)
-				}
-				seen[e.To] = true
-				t.depthW[e.To] = t.depthW[u] + e.W
-				t.depth[e.To] = t.depth[u] + 1
-				order = append(order, e.To)
-			}
-		}
-	}
-	if len(order) != n {
-		return fmt.Errorf("tree: only %d of %d nodes reachable from root", len(order), n)
-	}
-	t.euler(order)
-	t.logN = 1
-	for 1<<t.logN < n {
-		t.logN++
-	}
-	t.up = make([][]graph.NodeID, t.logN+1)
-	t.up[0] = t.parent
-	for k := 1; k <= t.logN; k++ {
-		t.up[k] = make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			t.up[k][v] = t.up[k-1][t.up[k-1][v]]
-		}
-	}
-	return nil
-}
-
-// euler numbers the nodes in preorder. Subtree sizes come from a
-// reverse sweep of the BFS order; the children lists are filled in BFS
-// order too, so each lists its nodes in the order their entry times are
-// then handed out, each child's after its elder siblings' subtrees. No
+// fromWalker adds the adjacency and the Euler-tour intervals to a
+// validated walker. Each node's neighbours are listed in the order its
+// edges appear in a sweep over the non-root nodes in index order; its
+// children thus come in ascending index, and entry times are handed out
+// in that order too, each child after its elder siblings' subtrees. No
 // recursion, so a path of any length is fine.
-func (t *Tree) euler(order []graph.NodeID) {
-	n := t.n
-	t.tin = make([]int32, n)
-	t.size = make([]int32, n)
-	t.kidOff = make([]int32, n+1)
-	t.kids = make([]graph.NodeID, n-1)
+func fromWalker(w *Walker) *Tree {
+	n := w.NumNodes()
+	t := &Tree{
+		Walker: *w,
+		adjOff: make([]int32, n+1),
+		adj:    make([]graph.Edge, 2*(n-1)),
+		tin:    make([]int32, n),
+		size:   make([]int32, n),
+		kidOff: make([]int32, n+1),
+		kids:   make([]graph.NodeID, n-1),
+	}
+	for v, p := range t.parent {
+		if graph.NodeID(v) != t.root {
+			t.adjOff[v+1]++
+			t.adjOff[p+1]++
+			t.kidOff[p+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		t.adjOff[v+1] += t.adjOff[v]
+		t.kidOff[v+1] += t.kidOff[v]
+	}
+	adjAt, kidAt := slices.Clone(t.adjOff[:n]), slices.Clone(t.kidOff[:n])
+	for v, p := range t.parent {
+		if c := graph.NodeID(v); c != t.root {
+			wt := t.edgeW(c)
+			t.adj[adjAt[c]] = graph.Edge{To: p, W: wt}
+			t.adj[adjAt[p]] = graph.Edge{To: c, W: wt}
+			t.kids[kidAt[p]] = c
+			adjAt[c]++
+			adjAt[p]++
+			kidAt[p]++
+		}
+	}
+	order := append(make([]graph.NodeID, 0, n), t.root)
+	for i := 0; i < len(order); i++ {
+		order = append(order, t.children(order[i])...)
+	}
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		t.size[v]++
 		if v != t.root {
 			t.size[t.parent[v]] += t.size[v]
-			t.kidOff[t.parent[v]+1]++
 		}
-	}
-	for v := 0; v < n; v++ {
-		t.kidOff[v+1] += t.kidOff[v]
-	}
-	fill := append([]int32(nil), t.kidOff[:n]...)
-	for _, v := range order[1:] {
-		p := t.parent[v]
-		t.kids[fill[p]] = v
-		fill[p]++
 	}
 	for _, u := range order {
 		at := t.tin[u] + 1
-		for _, c := range t.kids[t.kidOff[u]:t.kidOff[u+1]] {
+		for _, c := range t.children(u) {
 			t.tin[c] = at
 			at += t.size[c]
 		}
 	}
+	return t
 }
 
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int { return t.n }
+// children lists v's children in ascending entry time.
+func (t *Tree) children(v graph.NodeID) []graph.NodeID {
+	return t.kids[t.kidOff[v]:t.kidOff[v+1]]
+}
 
-// Root returns the tree root used for rooting (not the protocol sink).
-func (t *Tree) Root() graph.NodeID { return t.root }
-
-// Parent returns v's parent (the root is its own parent).
-func (t *Tree) Parent(v graph.NodeID) graph.NodeID { return t.parent[v] }
-
-// ParentWeight returns the weight of v's parent edge (0 for the root).
-func (t *Tree) ParentWeight(v graph.NodeID) graph.Weight { return t.pw[v] }
-
-// ParentArrays lends the tree's flat parent and parent-edge-weight
-// arrays, indexed by node (see Walker.ParentArrays). Read-only.
-func (t *Tree) ParentArrays() (parent []graph.NodeID, weight []graph.Weight) {
-	return t.parent, t.pw
+// contains reports whether v lies in u's subtree (u included).
+func (t *Tree) contains(u, v graph.NodeID) bool {
+	return uint32(t.tin[v]-t.tin[u]) < uint32(t.size[u])
 }
 
 // Neighbors returns v's tree-adjacent nodes with edge weights. The slice
 // is owned by the tree and must not be modified.
-func (t *Tree) Neighbors(v graph.NodeID) []graph.Edge { return t.adj[v] }
+func (t *Tree) Neighbors(v graph.NodeID) []graph.Edge {
+	lo, hi := t.adjOff[v], t.adjOff[v+1]
+	return t.adj[lo:hi:hi]
+}
 
-// Hops returns the number of tree edges between u and v.
+// Hops returns the number of tree edges between u and v: u climbs to
+// the lowest ancestor whose subtree holds v, then the path descends.
 func (t *Tree) Hops(u, v graph.NodeID) int {
-	l := t.LCA(u, v)
-	return int(t.depth[u] + t.depth[v] - 2*t.depth[l])
-}
-
-// LCA returns the lowest common ancestor of u and v.
-func (t *Tree) LCA(u, v graph.NodeID) graph.NodeID {
-	if t.depth[u] < t.depth[v] {
-		u, v = v, u
+	up := 0
+	for !t.contains(u, v) {
+		u = t.parent[u]
+		up++
 	}
-	diff := t.depth[u] - t.depth[v]
-	for k := 0; diff > 0; k++ {
-		if diff&1 == 1 {
-			u = t.up[k][u]
-		}
-		diff >>= 1
-	}
-	if u == v {
-		return u
-	}
-	for k := t.logN; k >= 0; k-- {
-		if t.up[k][u] != t.up[k][v] {
-			u = t.up[k][u]
-			v = t.up[k][v]
-		}
-	}
-	return t.parent[u]
-}
-
-// Dist returns the weighted tree distance dT(u, v).
-func (t *Tree) Dist(u, v graph.NodeID) graph.Weight {
-	l := t.LCA(u, v)
-	return t.depthW[u] + t.depthW[v] - 2*t.depthW[l]
+	return up + int(t.depth[v]-t.depth[u])
 }
 
 // Diameter returns the weighted diameter of the tree, computed with two
 // breadth/depth sweeps (the classic double-sweep is exact on trees).
 func (t *Tree) Diameter() graph.Weight {
-	if t.n == 1 {
+	if t.NumNodes() == 1 {
 		return 0
 	}
 	far, _ := t.farthestFrom(t.root)
@@ -240,7 +145,7 @@ func (t *Tree) Diameter() graph.Weight {
 }
 
 func (t *Tree) farthestFrom(src graph.NodeID) (graph.NodeID, graph.Weight) {
-	dist := make([]graph.Weight, t.n)
+	dist := make([]graph.Weight, t.NumNodes())
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -250,7 +155,7 @@ func (t *Tree) farthestFrom(src graph.NodeID) (graph.NodeID, graph.Weight) {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range t.adj[u] {
+		for _, e := range t.Neighbors(u) {
 			if dist[e.To] < 0 {
 				dist[e.To] = dist[u] + e.W
 				if dist[e.To] > bestD {
@@ -269,14 +174,15 @@ func (t *Tree) farthestFrom(src graph.NodeID) (graph.NodeID, graph.Weight) {
 // an all-pairs shortest-path computation on g. The second return value is
 // a pair realizing the maximum.
 func (t *Tree) Stretch(g *graph.Graph) (float64, [2]graph.NodeID) {
-	if g.NumNodes() != t.n {
+	n := t.NumNodes()
+	if g.NumNodes() != n {
 		panic("tree: stretch against graph of different size")
 	}
 	best := 1.0
 	pair := [2]graph.NodeID{0, 0}
-	for u := 0; u < t.n; u++ {
+	for u := 0; u < n; u++ {
 		dg := g.ShortestFrom(graph.NodeID(u))
-		for v := u + 1; v < t.n; v++ {
+		for v := u + 1; v < n; v++ {
 			if dg[v] == graph.Infinity || dg[v] == 0 {
 				continue
 			}
@@ -292,7 +198,7 @@ func (t *Tree) Stretch(g *graph.Graph) (float64, [2]graph.NodeID) {
 
 // EdgeStretch returns the maximum stretch restricted to graph edges
 // (max over edges (u,v) of dT(u,v)/w(u,v)). For metric-like graphs this
-// equals the full stretch and is much cheaper: O(m log n).
+// equals the full stretch and is much cheaper: m dT queries.
 func (t *Tree) EdgeStretch(g *graph.Graph) float64 {
 	best := 1.0
 	for _, e := range g.EdgeList() {
@@ -307,12 +213,11 @@ func (t *Tree) EdgeStretch(g *graph.Graph) float64 {
 // ToGraph converts the tree to a graph.Graph containing exactly the tree
 // edges. Useful when a protocol should run with G = T.
 func (t *Tree) ToGraph() *graph.Graph {
-	g := graph.New(t.n)
-	for v := 0; v < t.n; v++ {
-		if graph.NodeID(v) == t.root {
-			continue
+	g := graph.New(t.NumNodes())
+	for v, p := range t.parent {
+		if c := graph.NodeID(v); c != t.root {
+			g.AddEdge(c, p, t.edgeW(c))
 		}
-		g.AddEdge(graph.NodeID(v), t.parent[v], t.pw[v])
 	}
 	return g
 }

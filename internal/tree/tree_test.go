@@ -73,6 +73,25 @@ func TestHopsAndDepth(t *testing.T) {
 	}
 }
 
+// LCA returns the lowest common ancestor of u and v: the first ancestor
+// of u whose subtree holds v.
+func (t *Tree) LCA(u, v graph.NodeID) graph.NodeID {
+	for !t.contains(u, v) {
+		u = t.parent[u]
+	}
+	return u
+}
+
+// mustFromParents is FromParents that fails by panic, for parent arrays
+// the test builds itself.
+func mustFromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.Weight) *Tree {
+	t, err := FromParents(root, parent, pw)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestLCAKnownTree(t *testing.T) {
 	tr := BalancedBinary(15)
 	cases := []struct{ u, v, want graph.NodeID }{
@@ -186,7 +205,7 @@ func BenchmarkTreeNextHop(b *testing.B) {
 		spiderPairs = append(spiderPairs, pair{0, graph.NodeID((j + 1) * leg)})
 	}
 	binary, star := BalancedBinary(76), StarTree(4096)
-	spider := MustFromParents(0, spiderParent, spiderWeight)
+	spider := mustFromParents(0, spiderParent, spiderWeight)
 	var binaryPairs, starPairs []pair
 	for u := graph.NodeID(0); u < 76; u++ {
 		for v := graph.NodeID(0); v < 76; v++ {
@@ -557,9 +576,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	uf.sets--
 	return true
 }
-
-// Depth returns the weighted distance from the root to v.
-func (t *Tree) Depth(v graph.NodeID) graph.Weight { return t.depthW[v] }
 
 // Validate re-checks the structural invariants; it is used by tests.
 func (t *Tree) Validate() error {

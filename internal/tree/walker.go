@@ -7,11 +7,12 @@ import (
 )
 
 // Walker is an implicit tree navigator: it answers the Nav queries by
-// walking parent pointers on the fly instead of materializing binary-
-// lifting LCA tables. State is two flat O(n) arrays (three with
-// weights), so a million-node tree costs ~8 MB instead of the ~200 MB
-// the lifted *Tree needs. Queries are O(depth(u) + depth(v)), which is
-// O(log n) on the balanced shapes the scale tier targets.
+// walking parent pointers on the fly. State is two flat O(n) arrays
+// (three with weights), ~8 MB for a million-node tree. Queries are
+// O(depth(u) + depth(v)), which is O(log n) on the balanced shapes the
+// scale tier and the paper's experiments use. Tree is a Walker plus an
+// adjacency and Euler-tour intervals; it answers everything but NextHop
+// through the Walker.
 type Walker struct {
 	root   graph.NodeID
 	parent []graph.NodeID
@@ -23,8 +24,8 @@ type Walker struct {
 // root must satisfy parent[root] == root; every other node's parent
 // chain must reach the root (cycles or a second self-parent are
 // rejected). pw gives per-node parent-edge weights; nil means unit
-// weights. Unlike FromParents it keeps no adjacency or lifting tables,
-// so construction is O(n) time and the arrays are retained as-is.
+// weights. It is the one validator of parent arrays: FromParents runs
+// it too. Construction is O(n) time and the arrays are retained as-is.
 func WalkerFromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.Weight) (*Walker, error) {
 	n := len(parent)
 	if n == 0 {
@@ -88,8 +89,8 @@ func MustWalkerFromParents(root graph.NodeID, parent []graph.NodeID, pw []graph.
 	return w
 }
 
-// BinaryWalker is the implicit counterpart of BalancedBinary(n): node
-// v > 0 has parent (v-1)/2 with unit weight, rooted at 0.
+// BinaryWalker is the walker of BalancedBinary(n): node v > 0 has
+// parent (v-1)/2 with unit weight, rooted at 0.
 func BinaryWalker(n int) *Walker {
 	parent := make([]graph.NodeID, n)
 	for v := 1; v < n; v++ {
@@ -98,8 +99,8 @@ func BinaryWalker(n int) *Walker {
 	return MustWalkerFromParents(0, parent, nil)
 }
 
-// PathWalker is the implicit counterpart of PathTree(n): node v > 0 has
-// parent v-1, rooted at 0.
+// PathWalker is the walker of PathTree(n): node v > 0 has parent v-1,
+// rooted at 0.
 func PathWalker(n int) *Walker {
 	parent := make([]graph.NodeID, n)
 	for v := 1; v < n; v++ {
@@ -108,8 +109,8 @@ func PathWalker(n int) *Walker {
 	return MustWalkerFromParents(0, parent, nil)
 }
 
-// StarWalker is the implicit counterpart of StarTree(n): every node
-// v > 0 hangs off hub 0.
+// StarWalker is the walker of StarTree(n): every node v > 0 hangs off
+// hub 0.
 func StarWalker(n int) *Walker {
 	parent := make([]graph.NodeID, n)
 	return MustWalkerFromParents(0, parent, nil)

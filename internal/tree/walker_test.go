@@ -2,16 +2,20 @@ package tree
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 )
 
 // checkNavParity compares every Nav query of imp against the explicit
-// lifted tree on all parents, sampled distances and next hops.
+// tree on all parents and sampled next hops, and against Dijkstra on the
+// explicit tree's edges for sampled distances (Tree.Dist is Walker.Dist,
+// so the tree itself is no reference for a distance).
 func checkNavParity(t *testing.T, exp *Tree, imp Nav, rng *rand.Rand, pairs int) {
 	t.Helper()
 	n := exp.NumNodes()
+	g := exp.ToGraph()
 	if got := imp.NumNodes(); got != n {
 		t.Fatalf("NumNodes = %d, want %d", got, n)
 	}
@@ -23,16 +27,14 @@ func checkNavParity(t *testing.T, exp *Tree, imp Nav, rng *rand.Rand, pairs int)
 		if got, want := imp.Parent(id), exp.Parent(id); got != want {
 			t.Fatalf("Parent(%d) = %d, want %d", v, got, want)
 		}
-		if id != exp.Root() {
-			if got, want := imp.ParentWeight(id), exp.ParentWeight(id); got != want {
-				t.Fatalf("ParentWeight(%d) = %d, want %d", v, got, want)
-			}
+		if got, want := imp.ParentWeight(id), exp.ParentWeight(id); got != want {
+			t.Fatalf("ParentWeight(%d) = %d, want %d", v, got, want)
 		}
 	}
 	for i := 0; i < pairs; i++ {
 		u := graph.NodeID(rng.Intn(n))
 		v := graph.NodeID(rng.Intn(n))
-		if got, want := imp.Dist(u, v), exp.Dist(u, v); got != want {
+		if got, want := imp.Dist(u, v), g.Dist(u, v); got != want {
 			t.Fatalf("Dist(%d, %d) = %d, want %d", u, v, got, want)
 		}
 		if u == v {
@@ -47,7 +49,7 @@ func checkNavParity(t *testing.T, exp *Tree, imp Nav, rng *rand.Rand, pairs int)
 // TestWalkerMatchesTreeRandom is the quickcheck pin for the implicit
 // topology layer: on random parent arrays (with and without random
 // weights) the Walker's parent-walk answers must match the explicit
-// Tree's LCA-table answers query for query.
+// Tree's Euler-tour next hops and Dijkstra's distances query for query.
 func TestWalkerMatchesTreeRandom(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 17, 64, 257, 1000}
 	for _, n := range sizes {
@@ -55,12 +57,12 @@ func TestWalkerMatchesTreeRandom(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
 			parent := make([]graph.NodeID, n)
 			pw := make([]graph.Weight, n)
-			pw[0] = 1 // root's weight is ignored by both builders
+			pw[0] = 1 // root's weight is ignored
 			for v := 1; v < n; v++ {
 				parent[v] = graph.NodeID(rng.Intn(v))
 				pw[v] = graph.Weight(1 + rng.Intn(9))
 			}
-			exp := MustFromParents(0, parent, pw)
+			exp := mustFromParents(0, parent, pw)
 
 			w, err := WalkerFromParents(0, parent, pw)
 			if err != nil {
@@ -69,12 +71,12 @@ func TestWalkerMatchesTreeRandom(t *testing.T) {
 			checkNavParity(t, exp, w, rng, 200)
 
 			// Unit-weight variant: nil pw on the walker, explicit ones on
-			// the lifted tree.
+			// the tree.
 			ones := make([]graph.Weight, n)
 			for i := range ones {
 				ones[i] = 1
 			}
-			expUnit := MustFromParents(0, parent, ones)
+			expUnit := mustFromParents(0, parent, ones)
 			wUnit, err := WalkerFromParents(0, parent, nil)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: unit WalkerFromParents: %v", n, seed, err)
@@ -116,8 +118,24 @@ func TestGridNavMatchesExplicitComb(t *testing.T) {
 				parent[v] = graph.NodeID(v)
 			}
 		}
-		exp := MustFromParents(0, parent, pw)
+		exp := mustFromParents(0, parent, pw)
 		checkNavParity(t, exp, GridWalker(rows, cols), rng, 500)
+	}
+}
+
+// TestTreeStateSize bounds what building the paper's binary tree at
+// 131,071 nodes allocates per node, temporaries included: a Walker's
+// parent and depth arrays, the adjacency and the Euler-tour intervals
+// come to about 72 B; per-node slices or O(n log n) tables would not fit.
+func TestTreeStateSize(t *testing.T) {
+	const n = 1<<17 - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := BalancedBinary(n)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	if perNode := float64(after.TotalAlloc-before.TotalAlloc) / n; perNode > 160 {
+		t.Errorf("BalancedBinary(%d) allocated %.0f B/node, want <= 160", n, perNode)
 	}
 }
 

@@ -60,8 +60,8 @@ func centralAllocPerNode(t *testing.T, n int, spec loop.Spec) float64 {
 // 100k nodes: bytes/node may not grow by more than 50% across the
 // decade (allocator size-class and slice-growth rounding move it a
 // little), and stays under an absolute per-node budget that a single
-// stray O(n log n) table would immediately break (the lifted tree alone
-// costs ~8·log₂(n) ≈ 136 bytes/node in parent tables at 100k). Each
+// stray O(n log n) table would immediately break (binary-lifting parent
+// tables alone cost ~4·log₂(n) ≈ 68 bytes/node at 100k). Each
 // budget is what its row measures plus 10 %. Arrow reads 60 B/node: the
 // 32-byte event cell of an arena the driver reserves in one step
 // (Simulator.Reserve; ramping it up through append cost 445, and 48-byte
