@@ -375,7 +375,7 @@ func benchArrowScale(b *testing.B, n int, spec loop.Spec) {
 // sub-benchmark runs a makespan of ~4·10⁵ ticks, far past the 512-tick
 // ring: the coordinator serves one request per tick from a queue kept
 // in its driver, with one serve timer a tick ahead, so only pushes that
-// cross into the next epoch reach the far tier. far_pushes/req (0.007;
+// cross into the next epoch leave the ring. far_pushes/req (0.007;
 // 1.004 while every request parked its own serve-finish timer up to n
 // ticks ahead) and heap_pushes are the scheduler's own deterministic
 // counts. The
@@ -404,7 +404,7 @@ func BenchmarkClosedLoopScale100k(b *testing.B) {
 			events = res.Events
 		}
 		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		b.ReportMetric(float64(ds.Sched.Far())/float64(n*perNode), "far_pushes/req")
+		b.ReportMetric(float64(ds.Sched.FarPushes)/float64(n*perNode), "far_pushes/req")
 		b.ReportMetric(float64(ds.Sched.HeapPushes), "heap_pushes")
 	})
 }

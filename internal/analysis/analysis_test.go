@@ -534,7 +534,7 @@ func TestScaleDocumentHasNoDrainColumns(t *testing.T) {
 }
 
 // TestScaleRowsRefillWhatTheyPark: every run drains its queue, so a
-// push parked in a far wheel or the heap implies the refill that brings
+// push parked in nextEp or the heap implies the refill that brings
 // it back. n = 2000 puts the centralized coordinator's serve queue past
 // the 512-tick ring, so the invariant is not vacuous.
 func TestScaleRowsRefillWhatTheyPark(t *testing.T) {

@@ -32,7 +32,7 @@ var defaultGoldenParams = Params{Sizes: []int{4, 8}, PerNode: 50, Seed: 1}
 // <name>_golden.txt and, for an entry that returns a Document, its -json
 // form against <name>_golden.json. Every number in them is a pure
 // function of (topology, workload, seed), so a one-tick change in any
-// protocol's makespan, one extra far-wheel push or one request counted
+// protocol's makespan, one extra next-epoch push or one request counted
 // twice fails here, exactly — there is no tolerance. The two worker
 // counts must agree too. An entry without a golden fails, and so does a
 // golden that no entry writes. The only host-dependent values are

@@ -78,10 +78,10 @@ type ScaleRow struct {
 	// the collector. BytesPerNode is AllocBytes / N.
 	AllocBytes   int64   `json:"alloc_bytes"`
 	BytesPerNode float64 `json:"bytes_per_node"`
-	// FarPushes, HeapPushes and Refills are the scheduler's far-tier
-	// work counters (sim.SchedStats): pushes parked in the far timing
-	// wheels, pushes that fell through to the binary heap (more than 2²⁷
-	// ticks out), and far buckets opened.
+	// FarPushes, HeapPushes and Refills are the scheduler's counters
+	// past the tick ring (sim.SchedStats): pushes into the epoch right
+	// after the position's, pushes two or more epochs ahead (held in the
+	// binary heap), and epochs opened.
 	FarPushes  int64 `json:"far_pushes"`
 	HeapPushes int64 `json:"heap_pushes"`
 	Refills    int64 `json:"refills"`
@@ -178,7 +178,7 @@ func ScaleExperiment(cfg ScaleConfig) (Document[ScaleConfig, ScaleRow], error) {
 			EventsPerSec: eventsPerSec(out.Events, wall),
 			AllocBytes:   alloc,
 			BytesPerNode: float64(alloc) / float64(c.n),
-			FarPushes:    sched.Far(),
+			FarPushes:    sched.FarPushes,
 			HeapPushes:   sched.HeapPushes,
 			Refills:      sched.Refills,
 		})

@@ -16,10 +16,10 @@ import (
 // hotpathBenchmarks maps every package directory that carries
 // //arrow:hotpath functions to the benchmarks that exercise them with
 // -benchmem — root-package ones, plus internal/sim's own
-// BenchmarkSchedulerPushPop, whose delay=200000 and delay=1<<28 cells
-// are what runs the scheduler's far push, cascade and heap pour in
-// isolation (BenchmarkClosedLoopScale100k/centralized runs them under a
-// protocol), and BenchmarkLinkClock, the only one that sends with both
+// BenchmarkSchedulerPushPop, whose delay=600, delay=4096 and
+// delay=1<<28 cells are what runs the scheduler's next-epoch push, heap
+// push and heap pour in isolation (BenchmarkClosedLoopScale100k/centralized
+// runs the next-epoch crossing under a protocol), and BenchmarkLinkClock, the only one that sends with both
 // link clocks live and through both of their representations, and
 // internal/shard's BenchmarkShardHandle, the driver's message handler at
 // the headline cell's size. A hot-path claim is only worth something

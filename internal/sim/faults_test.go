@@ -292,21 +292,21 @@ func TestChurnGeneratorsDeterministicAndHealing(t *testing.T) {
 // under a binary-heap scheduler, and the ladder run must reproduce them.
 // The plan's horizon decides which tiers hold the pre-scheduled
 // transitions and the deliveries deferred to a heal: 200 ticks stays in
-// the ring, 600 000 fills both far wheels, 2²⁹ reaches the heap — each
-// checked against the ladder's own counters. Message traffic restarts at
-// three points of the horizon so it meets transitions cascading out of
-// every tier.
+// the ring, 600 000 reaches the heap, 2²⁹ the heap past the 2²⁷-tick
+// block too — each checked against the ladder's own counters.
+// Message traffic restarts at three points of the horizon so it meets
+// transitions pouring out of every tier.
 func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 	tr := tree.BalancedBinary(15)
 	for _, c := range []struct {
-		horizon              Time
-		wheel0, wheel1, heap bool   // tiers the ladder run must have pushed into
-		n                    int    // heap-run trace length
-		digest               uint64 // heap-run FNV-1a 64 of the trace joined by newlines
+		horizon Time
+		heap    bool   // whether the ladder run must have pushed into the heap
+		n       int    // heap-run trace length
+		digest  uint64 // heap-run FNV-1a 64 of the trace joined by newlines
 	}{
-		{200, false, false, false, 5203, 0x6cf815769108c70f},
-		{600_000, true, true, false, 5593, 0xbb7f3a69354d8ce6},
-		{1 << 29, false, true, true, 6042, 0x5114d04964a90297},
+		{200, false, 5203, 0x6cf815769108c70f},
+		{600_000, true, 5593, 0xbb7f3a69354d8ce6},
+		{1 << 29, true, 6042, 0x5114d04964a90297},
 	} {
 		horizon := c.horizon
 		plan := &FaultPlan{Policy: FaultQueue, Events: append(
@@ -340,8 +340,8 @@ func TestSchedulerEquivalenceWithFaults(t *testing.T) {
 				horizon, len(trace), h.Sum64(), c.n, c.digest)
 		}
 		st := s.SchedStats()
-		if (c.wheel0 && st.FarPushes[0] == 0) || (c.wheel1 && st.FarPushes[1] == 0) || (c.heap && st.HeapPushes == 0) {
-			t.Errorf("horizon %d: run did not reach the far tiers it was sized for (stats %+v)", horizon, st)
+		if c.heap != (st.HeapPushes > 0) {
+			t.Errorf("horizon %d: heap tier reached %v, want %v (stats %+v)", horizon, st.HeapPushes > 0, c.heap, st)
 		}
 	}
 }

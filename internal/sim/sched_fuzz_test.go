@@ -12,125 +12,50 @@ import (
 )
 
 // scriptCover is what one ladderScript run reached of the in-place API's
-// hazards, as a bit set: a popped cell held out while the arena
-// reallocated, the tiers fresh pushes landed in while a cell was out,
-// the two places a cell is rebuilt rather than relinked — a pour of
-// the heap tier into cells, and compact's rebuilt arena — the paths
-// that allocate a far wheel the first time an event reaches it, and a
-// crossing into an epoch one of whose ticks both nextEp and the far
-// tier hold (see wheelWatch).
+// hazards and the ladder's order-sensitive paths, as a bit set: a popped
+// cell held out while the arena reallocated, the tiers fresh pushes
+// landed in while a cell was out, a pour of heap events into cells, and
+// a crossing into an epoch one of whose ticks both nextEp and the heap
+// hold — anywhere, and in the second epoch of a 2²⁷-tick block, whose
+// heap residents were pushed from the block before (see
+// nextEpMeetsHeap).
 type scriptCover uint16
 
 const (
 	coverGrewHeld scriptCover = 1 << iota
 	coverRingHeld
-	coverWheel0Held
-	coverWheel1Held
+	coverNextEpHeld
 	coverHeapHeld
-	coverPour
-	coverCompact
-	coverFresh0  // a fresh push allocated wheel 0
-	coverFresh1  // a fresh push allocated wheel 1
-	coverCascade // a wheel-1 cascade allocated wheel 0
-	coverPourNew // one heap pour allocated both wheels
-	coverNextEp  // a pop crossed into an epoch whose tick nextEp and a far bucket share
-	coverAll     = 1<<iota - 1
+	coverPour      // a refill poured heap events into cells
+	coverMeet      // a pop crossed into an epoch whose tick nextEp and the heap share
+	coverMeetBlock // the same in a block's second epoch
+	coverAll       = 1<<iota - 1
 )
 
-// wheelWatch attributes each far wheel's allocation to the operation
-// that made it. mark snapshots the queue before a push or a pop: which
-// wheels are still nil and, when the next pop must pour the heap (ring
-// and wheels empty), which wheels that pour fills. pushed and popped
-// then read what the operation allocated: a push can only allocate the
-// wheel it lands in, and a pop allocates wheel 1 only by a pour and
-// wheel 0 by a pour or, when the pour sends it nothing, by a wheel-1
-// cascade. mark also notes whether the next pop opens the next epoch
-// with one of its ticks held both by nextEp and by the far bucket the
-// crossing pours with it (see nextEpMeetsFar); popped reports that pop.
-type wheelWatch struct {
-	lq           *ladderQueue
-	nil0, nil1   bool
-	pour0, pour1 bool
-	meet         bool
-}
-
-func (w *wheelWatch) mark() {
-	lq := w.lq
-	w.nil0, w.nil1 = lq.far[0].bucket == nil, lq.far[1].bucket == nil
-	w.pour0, w.pour1 = false, false
-	w.meet = lq.ringCnt == 0 && nextEpMeetsFar(lq)
-	if lq.ringCnt != 0 || lq.far[0].cnt != 0 || lq.far[1].cnt != 0 || len(lq.heap) == 0 {
-		return
-	}
-	start := lq.heap[0].ev.at &^ blockMask
-	for i := range lq.heap {
-		switch off := lq.heap[i].ev.at - start; {
-		case off >= 1<<heapShift, off < ringSize:
-		case off >= 1<<(2*ringBits):
-			w.pour1 = true
-		default:
-			w.pour0 = true
-		}
-	}
-}
-
-// made reports which wheels are allocated now that were nil at mark.
-func (w *wheelWatch) made() (bool, bool) {
-	return w.nil0 && w.lq.far[0].bucket != nil, w.nil1 && w.lq.far[1].bucket != nil
-}
-
-func (w *wheelWatch) pushed() scriptCover {
-	var c scriptCover
-	made0, made1 := w.made()
-	if made0 {
-		c |= coverFresh0
-	}
-	if made1 {
-		c |= coverFresh1
-	}
-	return c
-}
-
-func (w *wheelWatch) popped(t *testing.T) scriptCover {
-	t.Helper()
-	made0, made1 := w.made()
-	if made1 && !w.pour1 {
-		t.Fatalf("a pop allocated wheel 1 without pouring into it")
-	}
-	var c scriptCover
-	if made0 && !w.pour0 {
-		c |= coverCascade
-	}
-	if made0 && made1 && w.pour0 {
-		c |= coverPourNew
-	}
-	if w.meet {
-		c |= coverNextEp
-	}
-	return c
-}
-
-// nextEpMeetsFar reports whether some tick of the epoch after the
-// position's is held both by nextEp and by that epoch's far bucket —
-// wheel 0's, or wheel 1's when the epoch starts a super-epoch — whose
-// residents were pushed from an earlier epoch.
-func nextEpMeetsFar(lq *ladderQueue) bool {
-	k := lq.nextEpLevel()
-	w := &lq.far[k]
-	if lq.nextEp.head == nilSlot || w.bucket == nil {
-		return false
+// nextEpMeetsHeap returns the meet marks the next pop reaches: with the
+// ring empty and nextEp holding events that pop opens the epoch after
+// the position's, and coverMeet says some tick of it is held both by
+// nextEp and by a heap resident, which was pushed from an earlier epoch.
+// coverMeetBlock adds that the epoch is the second of its 2²⁷-tick
+// block: the heap residents there were pushed from the block before,
+// and nextEp's from the block's first epoch.
+func nextEpMeetsHeap(lq *ladderQueue) scriptCover {
+	if lq.ringCnt != 0 || lq.nextEp.head == nilSlot {
+		return 0
 	}
 	ticks := map[Time]bool{}
 	for s := lq.nextEp.head; s != nilSlot; s = lq.arena[s].next {
 		ticks[lq.cellAt(s)] = true
 	}
-	idx := int(lq.horizon>>(ringBits*(k+1))) & ringMask
-	for s := w.bucket[idx].head; s != nilSlot; s = lq.arena[s].next {
-		if ticks[lq.cellAt(s)] {
-			return true
+	for i := range lq.heap {
+		if ticks[lq.heap[i].ev.at] {
+			if lq.horizon&blockMask == ringSize {
+				return coverMeet | coverMeetBlock
+			}
+			return coverMeet
 		}
 	}
-	return false
+	return 0
 }
 
 // ladderScript replays one byte-script against a ladderQueue — through
@@ -140,16 +65,14 @@ func nextEpMeetsFar(lq *ladderQueue) bool {
 // before the script runs (any alignment relative to the epoch,
 // super-epoch and 2²⁷-block boundaries) by pushing and popping one
 // event there. A nonzero extra pushes a second event extra ticks past
-// start before that pop: from a later block the two pour together,
-// into both far wheels when they straddle a super-epoch boundary, which
-// no script can do once the position has moved. Each script byte is one
-// operation: the low three bits choose it, the high five are its
-// argument a.
+// start before that pop, into whichever tier it selects from the
+// initial position. Each script byte is one operation: the low three
+// bits choose it, the high five are its argument a.
 //
 //	0    pop one event from both queues and compare the time (the
 //	     position popCell moved to), the kind and the endpoint the push
 //	     stamped with its seq — and under random arbitration the seq
-//	     column, which the pour and compact rebuild. With a even the cell
+//	     column, which the heap pour rebuilds. With a even the cell
 //	     stays out — like the serial loop's, whose handler is running —
 //	     across the pushes that follow, until the next op that is not a
 //	     push releases it; with a odd it is released at once
@@ -157,10 +80,10 @@ func nextEpMeetsFar(lq *ladderQueue) bool {
 //	     that left the tick non-empty this lands in the bucket being
 //	     drained)
 //	2    push 1+a ticks ahead (ring)
-//	3    push on the next multiples of 700 (ring-crossing / wheel 0)
-//	4    push on the next multiples of 2¹⁵ (wheel 0 / wheel 1)
-//	5    push on the next multiples of 2²² (wheel 1 / heap)
-//	6    push on the next multiples of 2²⁸ (heap)
+//	3    push on the next multiples of 700 (next epoch / heap)
+//	4    push on the next multiples of 2¹⁵ (heap)
+//	5    push on the next multiples of 2²² (heap)
+//	6    push on the next multiples of 2²⁸ (heap, past the block)
 //	7    a pop that holds its cell (this code used to probe the deleted
 //	     parallel drain's window gather; the committed corpus keeps its
 //	     bytes, so it stays an operation)
@@ -184,7 +107,6 @@ func ladderScript(t *testing.T, arb Arbitration, start, extra Time, script []byt
 		cover scriptCover
 	)
 	lq.init(arb, int64(start))
-	wheels := wheelWatch{lq: &lq}
 	release := func() {
 		if held == nilSlot {
 			return
@@ -204,9 +126,7 @@ func ladderScript(t *testing.T, arb Arbitration, start, extra Time, script []byt
 		e.kind, e.to = kind, graph.NodeID(seq)
 		st, arena := lq.stats, cap(lq.arena)
 		ringPush := at < lq.horizon
-		wheels.mark()
 		lq.push(at, seq, kind, graph.NodeID(seq), 0, nil)
-		cover |= wheels.pushed()
 		if held != nilSlot {
 			mark := func(bit scriptCover, hit bool) {
 				if hit {
@@ -215,22 +135,17 @@ func ladderScript(t *testing.T, arb Arbitration, start, extra Time, script []byt
 			}
 			mark(coverGrewHeld, cap(lq.arena) != arena)
 			mark(coverRingHeld, ringPush)
-			mark(coverWheel0Held, lq.stats.FarPushes[0] != st.FarPushes[0])
-			mark(coverWheel1Held, lq.stats.FarPushes[1] != st.FarPushes[1])
+			mark(coverNextEpHeld, lq.stats.FarPushes != st.FarPushes)
 			mark(coverHeapHeld, lq.stats.HeapPushes != st.HeapPushes)
 		}
 	}
 	pop := func(hold bool) {
 		release()
-		heap, arena := len(lq.heap), len(lq.arena)
-		wheels.mark()
+		heap := len(lq.heap)
+		cover |= nextEpMeetsHeap(&lq)
 		c, slot := lq.popCell()
-		cover |= wheels.popped(t)
 		if len(lq.heap) < heap {
 			cover |= coverPour
-		}
-		if len(lq.arena) < arena {
-			cover |= coverCompact
 		}
 		if (c != nil) != (len(h) > 0) {
 			t.Fatalf("ladder popCell ok=%v with %d events in the oracle", c != nil, len(h))
@@ -300,8 +215,8 @@ func ladderScript(t *testing.T, arb Arbitration, start, extra Time, script []byt
 }
 
 // FuzzLadderMatchesHeap is the queue-level differential: whatever the
-// script, the ladder — ring, both far wheels, heap tier, cascades and
-// pours — pops exactly what the binary heap pops. The
+// script, the ladder — ring, nextEp, heap tier and the refills between
+// them — pops exactly what the binary heap pops. The
 // seeds are the directed scripts below (one per mechanism) plus the
 // random corpus under testdata/fuzz (each arbitration × four operation
 // mixes, starting next to an alignment boundary); `go test` replays
@@ -317,7 +232,7 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 	}
 	// Every grid target armed again and again while the position walks
 	// up to and across a 2²⁷ boundary: the same ticks collect residents
-	// in the heap, then wheel 1, wheel 0 and the ring.
+	// in the heap, then nextEp and the ring.
 	var meet []byte
 	for _, code := range []byte{3, 4, 5, 6} {
 		for a := byte(0); a < 4; a++ {
@@ -325,25 +240,29 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 		}
 	}
 	meet = append(meet, op(2, 0), op(1, 0), op(7, 3), 0, 0, 0, 0, 0, 0)
-	// A pop that cascades a super-epoch into its first occupied epoch,
-	// then a push onto the cascaded tick: it has to land behind the
-	// cascaded resident.
-	stop := []byte{op(4, 1), op(4, 2), op(7, 5), op(4, 1), op(4, 2), 0, 0, 0, 0}
-	// More than overflowRetainCap residents in wheel 0, few of them in
-	// the last epoch: the pour that empties the far tier rebuilds the
-	// arena and must keep that epoch's same-tick order.
-	burst := append(rep(400, op(3, 0), op(3, 1), op(3, 2)), rep(100, op(3, 3))...)
+	// Ticks 1400 (heap, pushed from epoch 0) and 700 (nextEp); the pop
+	// to 700 crosses into epoch 1, where a push onto 1400 lands in
+	// nextEp beside the heap resident, and the next pop crosses into
+	// their epoch: the heap's resident must pour ahead of nextEp's, or
+	// under LIFO behind it.
+	nextEp := []byte{op(3, 1), op(3, 1), op(3, 0), op(0, 1), op(3, 0), op(3, 0), op(0, 1), op(1, 0), 0, 0}
+	// The same meeting at a 2²⁷ block boundary, from 300 ticks before
+	// it: 2²⁷+972 and 2²⁷+272 go to the heap (the next block); the pop
+	// to 2²⁷+272, whose cell stays out, enters the block's first epoch,
+	// a push onto 2²⁷+972 lands in nextEp, and the next pop crosses into
+	// the block's second epoch.
+	block := []byte{op(3, 1), op(3, 1), op(3, 0), op(0, 0), op(3, 0), op(3, 0), op(0, 1), op(1, 0), 0, 0}
 	// A cell held out (op 0 with a even) while 300 pushes outgrow the
 	// arena several times over, then while one push lands in each tier —
-	// same tick, ring, wheel 0, wheel 1, heap: the release must find the
+	// same tick, ring, next epoch, heap: the release must find the
 	// popped event under its slot in the reallocated arena.
 	held := append(rep(8, op(2, 0)), op(0, 0))
 	held = append(held, rep(300, op(2, 3))...)
 	held = append(held, op(0, 0), op(1, 0), op(2, 1), op(3, 0), op(4, 1), op(5, 1), op(6, 0), op(0, 1))
 	for arb := uint8(0); arb < 3; arb++ {
 		f.Add(arb, uint64(1<<27-300)<<24, rep(40, meet...))
-		f.Add(arb, uint64(1<<18-5)<<24, stop)
-		f.Add(arb, uint64(0), burst)
+		f.Add(arb, uint64(0), nextEp)
+		f.Add(arb, uint64(1<<27-300)<<24, block)
 		f.Add(arb, uint64(0), held)
 	}
 	f.Fuzz(func(t *testing.T, arb uint8, start uint64, script []byte) {
@@ -358,16 +277,16 @@ func FuzzLadderMatchesHeap(f *testing.F) {
 const extraMask = 1<<24 - 1
 
 // TestLadderCorpusReachesHeldCell keeps the committed corpus honest
-// about the in-place API: under every arbitration some entry holds a
-// popped cell across an arena reallocation and lands pushes in the
-// ring, both far wheels and the heap tier while a cell is out, and some
-// entry pours the heap tier into cells and has compact rebuild the
-// arena (seed-*-compact does both; under random arbitration both carry
-// the seq column). And between them the entries allocate each far
-// wheel by every path that can: a fresh push into either wheel, a
-// wheel-1 cascade into wheel 0 (seed-*-cascade) and one pour into both
-// (seed-*-pour); and some entry pops across into an epoch whose tick a
-// wheel-0 resident and next-epoch pushes share (seed-*-nextep).
+// about the in-place API and the tiers' meeting points: under every
+// arbitration some entry holds a popped cell across an arena
+// reallocation and lands pushes in the ring, nextEp and the heap tier
+// while a cell is out; some entry pours the heap tier into cells (under
+// random arbitration carrying the seq column); and some entry pops
+// across into an epoch whose tick a heap resident and next-epoch pushes
+// share (seed-*-nextep), and one does so in a block's second epoch
+// (seed-*-block). The older entries' names (wheels, cascade, compact,
+// pour) are those of the mechanisms they were written for in the
+// five-tier queue; their scripts still run through every tier.
 func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLadderMatchesHeap/*")
 	if err != nil || len(files) == 0 {
@@ -391,7 +310,7 @@ func TestLadderCorpusReachesHeldCell(t *testing.T) {
 	}
 	for arb, c := range cover {
 		if c != coverAll {
-			t.Errorf("%v: the committed corpus misses a case: reached %012b of %012b", Arbitration(arb), c, coverAll)
+			t.Errorf("%v: the committed corpus misses a case: reached %07b of %07b", Arbitration(arb), c, coverAll)
 		}
 	}
 }

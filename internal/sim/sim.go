@@ -226,7 +226,7 @@ type DrainStats struct {
 	WindowWidth Time
 	Windows     int64
 	BatchEvents int64
-	// Sched is the scheduler's far-tier work (see SchedStats), carried
+	// Sched is the scheduler's pushes by tier (see SchedStats), carried
 	// here so the one telemetry out-pointer the closed-loop drivers
 	// already fill delivers it too.
 	Sched SchedStats
@@ -246,12 +246,12 @@ func (s *Simulator) DrainStats() DrainStats {
 }
 
 // SchedStats returns the ladder queue's counters so far (see
-// SchedStats). The ring push count is every push not counted on a far
-// branch: each event is stamped with the next seq, so seq is the
-// number of pushes.
+// SchedStats). The ring push count is every push not counted as a
+// next-epoch or heap push: each event is stamped with the next seq, so
+// seq is the number of pushes.
 func (s *Simulator) SchedStats() SchedStats {
 	st := s.lq.stats
-	st.RingPushes = int64(s.seq) - st.Far() - st.HeapPushes
+	st.RingPushes = int64(s.seq) - st.FarPushes - st.HeapPushes
 	return st
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // simDelays are the delays an op-script can ask for: same tick, the next
-// few ticks, both sides of the 512-tick ring, wheel 0 (the next epochs),
-// both sides of the 2¹⁸-tick super-epoch and wheel 1.
+// few ticks, both sides of the 512-tick ring, the next epoch, and the
+// heap two or more epochs out, up to 300 000 ticks.
 var simDelays = [16]Time{0, 0, 1, 2, 3, 7, 64, 511, 512, 513, 700, 4096, 1 << 15, 1<<18 - 1, 1 << 18, 300_000}
 
 // simStarts are the ticks a script can start at: zero, and just below an
@@ -30,7 +30,7 @@ type simResult struct {
 	arb                  Arbitration
 	seed                 int64
 	closures, nodeTimers int
-	wheels               scriptCover // far-wheel first allocations (coverFresh0 … coverPourNew) and coverNextEp
+	cover                scriptCover // coverPour, coverMeet and coverMeetBlock
 	policy               FaultPolicy
 	episodes             int   // node down/up episodes of the script's fault plan (0: none)
 	blocked              int64 // messages dropped or deferred, and node timers deferred
@@ -49,9 +49,9 @@ type simResult struct {
 //	   FaultQueue instead of FaultDrop
 //	2  arbitration (x&3)%3, LinkTxTime (x>>2)%4; x>>4, when not zero,
 //	   moves the first timers x 2²⁷-tick blocks later and spreads them
-//	   one super-epoch apart instead of one tick (node v's at start +
-//	   x·2²⁷ + (v%3)·2¹⁸), so they reach the heap tier and pour into
-//	   wheels nothing has allocated yet
+//	   2¹⁸ ticks apart instead of one tick (node v's at start + x·2²⁷ +
+//	   (v%3)·2¹⁸), so they wait in the heap tier past the block and
+//	   pour from it one epoch at a time
 //	3  start tick simStarts[x%4], seed x>>2
 //
 // With a fault plan the next byte gives 1 + x%4 node episodes and three
@@ -99,7 +99,7 @@ func simScript(t *testing.T, script []byte) simResult {
 	first := func(v int) Time { return simStarts[hdr[3]%4] + Time(v%3) }
 	if blocks := Time(hdr[2] >> 4); blocks != 0 {
 		first = func(v int) Time {
-			return simStarts[hdr[3]%4] + blocks<<heapShift + Time(v%3)<<(2*ringBits)
+			return simStarts[hdr[3]%4] + blocks<<blockShift + Time(v%3)<<(2*ringBits)
 		}
 	}
 	var plan *FaultPlan
@@ -148,10 +148,15 @@ func simScript(t *testing.T, script []byte) simResult {
 			}
 		})
 	}
-	// Every push is bracketed by mark and pushed; a handler's pops are
-	// the one popCell between the mark at the end of the previous
-	// dispatch (or of the initial schedule) and its own start.
-	wheels := wheelWatch{lq: &s.lq}
+	// meet is nextEpMeetsHeap read after the last push before a pop: at
+	// the end of each dispatch and of the initial schedule. The pop that
+	// follows is the one it describes, whether it dispatches a handler
+	// or (under a fault plan) defers its event; a handler's start adds
+	// it to the run's cover, and a pop that poured the heap adds
+	// coverPour.
+	var meet scriptCover
+	heap := 0
+	watch := func() { meet, heap = nextEpMeetsHeap(&s.lq), len(s.lq.heap) }
 	_, isTree := topo.(TreeTopology)
 	var act func(ctx *Context, at graph.NodeID)
 	closure := func(at graph.NodeID) TimerFunc {
@@ -162,12 +167,14 @@ func simScript(t *testing.T, script []byte) simResult {
 		}
 	}
 	act = func(ctx *Context, at graph.NodeID) {
-		res.wheels |= wheels.popped(t)
-		defer wheels.mark()
+		res.cover |= meet
+		if len(s.lq.heap) < heap {
+			res.cover |= coverPour
+		}
+		defer watch()
 		for i := 0; i < 2 && len(ops) > 0; i++ {
 			op, a := ops[0]&3, ops[0]>>2
 			ops = ops[1:]
-			wheels.mark()
 			switch op {
 			case 0:
 				to := graph.NodeID((int(at) + 1 + int(a)%(n-1)) % n)
@@ -197,7 +204,6 @@ func simScript(t *testing.T, script []byte) simResult {
 				ctx.AfterNode(simDelays[a&15], at)
 				l.pushed(evNodeTimer, ctx.Now()+simDelays[a&15], at, -1)
 			}
-			res.wheels |= wheels.pushed()
 		}
 	}
 	s.SetAllHandlers(func(ctx *Context, at, from graph.NodeID, msg Message) {
@@ -210,12 +216,10 @@ func simScript(t *testing.T, script []byte) simResult {
 		act(ctx, v)
 	})
 	for v := 0; v < n; v++ {
-		wheels.mark()
 		s.ScheduleNodeAt(first(v), graph.NodeID(v))
-		res.wheels |= wheels.pushed()
 		l.pushed(evNodeTimer, first(v), graph.NodeID(v), -1)
 	}
-	wheels.mark()
+	watch()
 	res.makespan = s.Run()
 	res.events = s.EventsProcessed()
 	res.sched = s.SchedStats()
@@ -257,12 +261,12 @@ func FuzzSimLadderMatchesHeap(f *testing.F) {
 // TestSimCorpusReachesEveryTier keeps the committed corpus worth
 // replaying: between them its scripts run every latency model and
 // arbitration, schedule both timer kinds, and make the ladder push into
-// both far wheels and the heap tier and cascade back. Under every
-// arbitration they also allocate the far wheels by each path that can:
-// a fresh push into either wheel, a wheel-1 cascade into wheel 0 and
-// one heap pour into both (seed-*-wheels-*), and cross into an epoch
-// whose tick a wheel-0 resident and next-epoch pushes share
-// (seed-nextep-*). Their fault scripts (seed-fault-*) block messages or
+// nextEp and the heap tier and pour back. Under every arbitration they
+// also pour heap events into cells, and cross into an epoch whose tick
+// a heap resident and next-epoch pushes share (seed-nextep-*), once in
+// a 2²⁷-tick block's second epoch (seed-block-*). The seed-wheels-*
+// names are those of the five-tier queue's far-wheel paths they were
+// written for. Their fault scripts (seed-fault-*) block messages or
 // node timers under both policies and every arbitration, among them
 // seed-fault-lifo-recovery-tick: a node timer deferred to its node's
 // recovery tick under LIFO, which spun while the recovery applied only
@@ -274,8 +278,8 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 	}
 	models, arbs := map[byte]bool{}, map[Arbitration]bool{}
 	var (
-		sched  SchedStats
-		wheels [3]scriptCover
+		sched SchedStats
+		cover [3]scriptCover
 	)
 	closures, nodeTimers, msgs := 0, 0, int64(0)
 	faulted := map[[2]int]bool{} // {policy, arbitration} of scripts that blocked something
@@ -284,27 +288,26 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 		t.Logf("%s: %d events to tick %d, scheduler %+v", filepath.Base(name), r.events, r.makespan, r.sched)
 		models[r.model], arbs[r.arb] = true, true
 		closures, nodeTimers, msgs = closures+r.closures, nodeTimers+r.nodeTimers, msgs+r.msgs
-		sched.FarPushes[0] += r.sched.FarPushes[0]
-		sched.FarPushes[1] += r.sched.FarPushes[1]
+		sched.FarPushes += r.sched.FarPushes
 		sched.HeapPushes += r.sched.HeapPushes
-		sched.Cascaded += r.sched.Cascaded
-		wheels[r.arb] |= r.wheels
+		sched.Poured += r.sched.Poured
+		cover[r.arb] |= r.cover
 		if r.episodes > 0 && r.blocked > 0 {
 			faulted[[2]int{int(r.policy), int(r.arb)}] = true
 		}
 	}
 	for _, p := range []FaultPolicy{FaultDrop, FaultQueue} {
-		for arb := range wheels {
+		for arb := range cover {
 			if !faulted[[2]int{int(p), arb}] {
 				t.Errorf("no %v script under %v blocks a message or node timer", p, Arbitration(arb))
 			}
 		}
 	}
-	const paths = coverFresh0 | coverFresh1 | coverCascade | coverPourNew | coverNextEp
-	for arb, c := range wheels {
+	const paths = coverPour | coverMeet | coverMeetBlock
+	for arb, c := range cover {
 		if c != paths {
-			t.Errorf("%v: corpus reaches paths %05b of %05b (fresh push allocating wheel 0, wheel 1, cascade allocating, one pour allocating both, next-epoch meet)",
-				Arbitration(arb), c/coverFresh0, paths/coverFresh0)
+			t.Errorf("%v: corpus reaches paths %03b of %03b (heap pour, next-epoch meet, the meet in a block's second epoch)",
+				Arbitration(arb), c/coverPour, paths/coverPour)
 		}
 	}
 	if len(models) != 4 || len(arbs) != 3 {
@@ -313,7 +316,7 @@ func TestSimCorpusReachesEveryTier(t *testing.T) {
 	if closures == 0 || nodeTimers == 0 || msgs == 0 {
 		t.Errorf("corpus schedules %d closure timers, %d node timers, %d messages; want some of each", closures, nodeTimers, msgs)
 	}
-	if sched.FarPushes[0] == 0 || sched.FarPushes[1] == 0 || sched.HeapPushes == 0 || sched.Cascaded == 0 {
+	if sched.FarPushes == 0 || sched.HeapPushes == 0 || sched.Poured == 0 {
 		t.Errorf("corpus misses a scheduler tier: %+v", sched)
 	}
 }

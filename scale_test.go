@@ -212,9 +212,10 @@ func TestCapacityBytesPerNodeFlat(t *testing.T) {
 // TestCentralServeQueueStaysOnRing gates "the coordinator's queue is
 // not in the scheduler" as a count, not a wall-clock impression: in a
 // 20 000-node centralized closed loop the queue lives in the driver and
-// only the one pending serve timer, one tick ahead, is an event, so the
-// far tier sees only the pushes that cross into the next 512-tick epoch
-// (702 of the 100 000 requests' pushes) and nothing reaches the heap.
+// only the one pending serve timer, one tick ahead, is an event, so
+// only the pushes that cross into the next 512-tick epoch leave the
+// ring (702 of the 100 000 requests' pushes) and nothing reaches the
+// heap.
 // While every request armed its own serve-finish timer up to n ticks
 // ahead, far_pushes read about one per request.
 func TestCentralServeQueueStaysOnRing(t *testing.T) {
@@ -226,20 +227,22 @@ func TestCentralServeQueueStaysOnRing(t *testing.T) {
 	if st.HeapPushes != 0 {
 		t.Errorf("heap_pushes = %d, want 0: the serve queue reached the binary heap", st.HeapPushes)
 	}
-	if requests := int64(n * perNode); st.Far()*100 >= requests {
-		t.Errorf("far_pushes = %d for %d requests, want under 1%%: the serve queue is parked in the far tier", st.Far(), requests)
+	if requests := int64(n * perNode); st.FarPushes*100 >= requests {
+		t.Errorf("far_pushes = %d for %d requests, want under 1%%: the serve queue is parked past the ring", st.FarPushes, requests)
 	}
 }
 
 // TestSchedPushesByTier pins where small closed loops' pushes land in
-// the scheduler — the tick ring, far wheel 0 or 1, or the heap beyond
-// 2²⁷ ticks — as exact counts, and that the three tiers account for
-// every event the run consumed. The synchronous arrow loop never leaves
-// the ring; a think time moves the timer of every request but each
-// node's last into wheel 0 (1000 ticks), wheel 1 (2¹⁸) or the heap
-// (2²⁷); the centralized coordinator's one serve timer, a tick ahead,
-// reaches wheel 0 only when it crosses into the next epoch; NTA under
-// AsyncUniform(4) keeps its random delays in the ring.
+// the scheduler — the tick ring, the next-epoch list or the heap two or
+// more epochs out — as exact counts, and that the three tiers account
+// for every event the run consumed. The synchronous arrow loop never
+// leaves the ring; a think time moves the timer of every request but
+// each node's last past the ring: at 1000 ticks into the next epoch
+// when the position sits late enough in its own, else into the heap,
+// and at 2¹⁸ or 2²⁷ ticks always into the heap; the centralized
+// coordinator's one serve timer, a tick ahead, leaves the ring only when
+// it crosses into the next epoch; NTA under AsyncUniform(4) keeps its
+// random delays in the ring.
 func TestSchedPushesByTier(t *testing.T) {
 	const n, perNode = 64, 10
 	arrowRun := func(spec loop.Spec) (*loop.Result, error) {
@@ -249,18 +252,18 @@ func TestSchedPushesByTier(t *testing.T) {
 		name string
 		spec loop.Spec
 		run  func(loop.Spec) (*loop.Result, error)
-		want [4]int64 // ring, wheel 0, wheel 1, heap
+		want [3]int64 // ring, next epoch, heap
 	}{
-		{"arrow", loop.Spec{}, arrowRun, [4]int64{3090, 0, 0, 0}},
-		{"arrow-think-1000", loop.Spec{ThinkTime: 1000}, arrowRun, [4]int64{4336, 576, 0, 0}},
-		{"arrow-think-2^18", loop.Spec{ThinkTime: 1 << 18}, arrowRun, [4]int64{4336, 0, 576, 0}},
-		{"arrow-think-2^27", loop.Spec{ThinkTime: 1 << 27}, arrowRun, [4]int64{4336, 0, 0, 576}},
+		{"arrow", loop.Spec{}, arrowRun, [3]int64{3090, 0, 0}},
+		{"arrow-think-1000", loop.Spec{ThinkTime: 1000}, arrowRun, [3]int64{4336, 64, 512}},
+		{"arrow-think-2^18", loop.Spec{ThinkTime: 1 << 18}, arrowRun, [3]int64{4336, 0, 576}},
+		{"arrow-think-2^27", loop.Spec{ThinkTime: 1 << 27}, arrowRun, [3]int64{4336, 0, 576}},
 		{"centralized", loop.Spec{}, func(spec loop.Spec) (*loop.Result, error) {
 			return centralized.RunClosedLoopTopo(sim.NewCompleteTopology(n), centralized.LoopConfig{Spec: spec})
-		}, [4]int64{2536, 4, 0, 0}},
+		}, [3]int64{2536, 4, 0}},
 		{"nta-async4", loop.Spec{Latency: sim.AsyncUniform(4), Seed: 1}, func(spec loop.Spec) (*loop.Result, error) {
 			return nta.RunClosedLoopTopo(sim.NewCompleteTopology(n), nta.LoopConfig{Spec: spec})
-		}, [4]int64{2051, 0, 0, 0}},
+		}, [3]int64{2051, 0, 0}},
 	}
 	for _, r := range rows {
 		var ds sim.DrainStats
@@ -271,12 +274,12 @@ func TestSchedPushesByTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := ds.Sched
-		got := [4]int64{st.RingPushes, st.FarPushes[0], st.FarPushes[1], st.HeapPushes}
-		t.Logf("%s: %d events, pushes ring/wheel0/wheel1/heap %v", r.name, res.Events, got)
+		got := [3]int64{st.RingPushes, st.FarPushes, st.HeapPushes}
+		t.Logf("%s: %d events, pushes ring/next-epoch/heap %v", r.name, res.Events, got)
 		if got != r.want {
-			t.Errorf("%s: pushes ring/wheel0/wheel1/heap %v, want %v", r.name, got, r.want)
+			t.Errorf("%s: pushes ring/next-epoch/heap %v, want %v", r.name, got, r.want)
 		}
-		if sum := got[0] + got[1] + got[2] + got[3]; sum != res.Events {
+		if sum := got[0] + got[1] + got[2]; sum != res.Events {
 			t.Errorf("%s: %d pushes across the tiers, %d events consumed", r.name, sum, res.Events)
 		}
 	}
